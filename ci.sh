@@ -6,7 +6,7 @@
 #   ./ci.sh build test   # run only the named stages, in the given order
 #
 # Stages: build test lint determinism obs data throughput hierarchy serving
-#         telemetry workflow jobserver
+#         telemetry workflow jobserver bench
 set -eu
 
 STAGE_NAMES=""
@@ -90,11 +90,19 @@ stage_lint() {
 stage_determinism() {
     # The full simulation and solver stack must be bitwise-identical at 1
     # and 4 threads (the tests also sweep widths in-process via
-    # ThreadPool::install). Plus the kernel-scaling smoke: reduced sweep,
-    # validates the JSON artifact and cross-thread-count checksums.
+    # ThreadPool::install), alone and as two concurrent runs sharing the
+    # pool — the latter also at the machine's own default width, where the
+    # helper rule decides. The pool's semantics suite runs twice: in
+    # parallel (test threads are each other's concurrent callers) and one
+    # test at a time (every region gets its helpers). Plus the
+    # kernel-scaling smoke: reduced sweep, validates the JSON artifact and
+    # cross-thread-count checksums.
     (set -x
+     env -u RAYON_NUM_THREADS cargo test -q -p ramses --test determinism_threads
      RAYON_NUM_THREADS=1 cargo test -q -p ramses --test determinism_threads
      RAYON_NUM_THREADS=4 cargo test -q -p ramses --test determinism_threads
+     RAYON_NUM_THREADS=4 cargo test -q -p rayon --test semantics
+     RAYON_NUM_THREADS=4 cargo test -q -p rayon --test semantics -- --test-threads=1
      cargo run --release -p bench --bin exp_kernel_scaling -- --quick)
 }
 
@@ -231,7 +239,19 @@ stage_jobserver() {
      grep -q '"failed": 0' target/experiments/BENCH_jobserver_quick.json)
 }
 
-ALL_STAGES="build test lint determinism obs data throughput hierarchy serving telemetry workflow jobserver"
+stage_bench() {
+    # The repo's benchmark (BENCHMARK.json): lint and unit-test the
+    # package, then one zoom campaign — the workload the kernels and the
+    # pool move — compared against the committed baseline. `compare` exits
+    # non-zero on a metric that regressed past its bound; "unresolved"
+    # (spread wider than the bound, routine with one pass) is tolerated.
+    (set -x
+     benchmark/check.sh
+     benchmark/run.sh --workload zoom_campaign --seed 1
+     benchmark/run.sh compare benchmark/baseline.json benchmark/out/results.json)
+}
+
+ALL_STAGES="build test lint determinism obs data throughput hierarchy serving telemetry workflow jobserver bench"
 if [ $# -eq 0 ]; then
     # shellcheck disable=SC2086 # stage list is a word list by design
     set -- $ALL_STAGES

@@ -9,6 +9,12 @@
 //! every width, pinning the pool's bitwise-determinism guarantee at the
 //! benchmark level too.
 //!
+//! A `sim_run` yardstick then times whole `Simulation::run` steps (32³ and
+//! 64³ particles on a mesh twice as fine, the PM exemplar's 256³-on-512³
+//! ratio) at one thread and at the default width, as ms/step and
+//! particle-steps/s — the figure to set against the exemplar's ≈4.7e6/s on
+//! 16 cores (SNIPPETS.md 2).
+//!
 //! Writes `BENCH_kernels.json`. Note: speedups are only meaningful when the
 //! host exposes real cores; the artifact records `available_parallelism` so
 //! readers can judge (a 1-CPU container reports ~1.0x throughout — the
@@ -22,6 +28,7 @@ use bench::validate_json;
 use grafic::fft::{Complex, Direction, Grid3};
 use grafic::CosmoParams;
 use ramses::hydro::{HydroGrid, Prim, Riemann, GAMMA_DEFAULT};
+use ramses::nbody::{RunParams, Simulation};
 use ramses::particles::{cic_deposit, cic_interp_force, Mesh, Particles};
 use ramses::poisson::{
     gradient_force, residual_mesh, residual_unblocked, smooth_sweep, smooth_sweep_unblocked, solve,
@@ -116,6 +123,99 @@ impl KernelReport {
         format!(
             "{{\"name\": \"{}\", \"checksum_consistent\": {}, \"results\": [{}]}}",
             self.name,
+            self.checks_consistent(),
+            rows.join(", ")
+        )
+    }
+}
+
+/// The yardstick: the first `max_steps` steps of a dark-matter run from
+/// a = 0.1, `np`³ particles on a (2·np)³ mesh, timed through
+/// `Simulation::run` at each width. Early steps are the cheap ones (the
+/// multigrid converges in fewer cycles on a smooth field), so read the
+/// rate as an upper bound on a full run's.
+struct SimRunReport {
+    np: usize,
+    steps: usize,
+    /// `(threads, seconds, checksum of final positions and velocities)`.
+    samples: Vec<(usize, f64, u64)>,
+}
+
+fn sim_run(np: usize, max_steps: usize, widths: &[usize]) -> SimRunReport {
+    let cosmo = CosmoParams {
+        a_init: 0.1,
+        ..CosmoParams::default()
+    };
+    let ics = grafic::generate_single_level(&cosmo, np, 100.0, 1923).particles;
+    let params = RunParams {
+        cosmo,
+        mesh_n: 2 * np,
+        aout: vec![],
+        max_steps,
+        ..RunParams::default()
+    };
+    let mut steps = 0;
+    let samples = widths
+        .iter()
+        .map(|&t| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .expect("pool build cannot fail");
+            let mut sim = Simulation::from_ics(params.clone(), &ics);
+            let t0 = Instant::now();
+            pool.install(|| sim.run());
+            let secs = t0.elapsed().as_secs_f64();
+            steps = sim.step;
+            let check = checksum(
+                sim.parts
+                    .pos
+                    .iter()
+                    .chain(&sim.parts.vel)
+                    .flatten()
+                    .copied(),
+            );
+            (t, secs, check)
+        })
+        .collect();
+    SimRunReport { np, steps, samples }
+}
+
+impl SimRunReport {
+    fn mesh_n(&self) -> usize {
+        2 * self.np
+    }
+
+    fn checks_consistent(&self) -> bool {
+        self.samples.windows(2).all(|w| w[0].2 == w[1].2)
+    }
+
+    fn ms_per_step(&self, secs: f64) -> f64 {
+        secs * 1e3 / self.steps.max(1) as f64
+    }
+
+    fn particle_steps_per_s(&self, secs: f64) -> f64 {
+        (self.np.pow(3) * self.steps) as f64 / secs
+    }
+
+    fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .samples
+            .iter()
+            .map(|&(t, secs, _)| {
+                format!(
+                    "{{\"threads\": {t}, \"ms_per_step\": {:.3}, \"particle_steps_per_s\": {:.0}}}",
+                    self.ms_per_step(secs),
+                    self.particle_steps_per_s(secs)
+                )
+            })
+            .collect();
+        format!(
+            "{{\"particles_per_dim\": {}, \"mesh_n\": {}, \"steps\": {}, \
+             \"checksum_consistent\": {}, \"results\": [{}]}}",
+            self.np,
+            self.mesh_n(),
+            self.steps,
             self.checks_consistent(),
             rows.join(", ")
         )
@@ -240,7 +340,39 @@ fn main() {
         }),
     });
 
+    // Whole-run yardstick at one thread and at the default width.
+    let default_width = rayon::current_num_threads();
+    let widths: &[usize] = if default_width > 1 {
+        &[1, default_width]
+    } else {
+        &[1]
+    };
+    let sim_runs: Vec<SimRunReport> = if quick {
+        vec![sim_run(8, 4, widths)]
+    } else {
+        vec![sim_run(32, 40, widths), sim_run(64, 12, widths)]
+    };
+
     let mut ok = true;
+    for r in &sim_runs {
+        println!(
+            "  sim_run {}^3 particles, {}^3 mesh, {} steps:",
+            r.np,
+            r.mesh_n(),
+            r.steps
+        );
+        for &(t, secs, _) in &r.samples {
+            println!(
+                "    {t} thread(s): {:>9.2} ms/step  {:.3e} particle-steps/s",
+                r.ms_per_step(secs),
+                r.particle_steps_per_s(secs)
+            );
+        }
+        if !r.checks_consistent() {
+            println!("    checksums: MISMATCH — determinism violated");
+            ok = false;
+        }
+    }
     for r in &reports {
         let base = r.samples[0].median_ns.max(1) as f64;
         println!("  {}:", r.name);
@@ -287,7 +419,8 @@ fn main() {
          \"available_parallelism\": {avail},\n  \
          \"smoother_blocking\": {{\"mesh_n\": {sn}, \"tile\": 32, \"sweeps\": 4, \
          \"bitwise_equal\": {}, \"speedup_vs_unblocked\": {:.3}}},\n  \
-         \"rayon_default_threads\": {},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
+         \"rayon_default_threads\": {},\n  \"sim_run\": [\n    {}\n  ],\n  \
+         \"kernels\": [\n    {}\n  ]\n}}\n",
         threads
             .iter()
             .map(|t| t.to_string())
@@ -295,7 +428,12 @@ fn main() {
             .join(", "),
         blocked.samples[0].check == unblocked.samples[0].check,
         tile_speedup,
-        rayon::current_num_threads(),
+        default_width,
+        sim_runs
+            .iter()
+            .map(|r| r.to_json())
+            .collect::<Vec<_>>()
+            .join(",\n    "),
         reports
             .iter()
             .map(|r| r.to_json())
@@ -322,6 +460,8 @@ fn main() {
         "\"median_ns\"",
         "\"speedup\"",
         "\"available_parallelism\"",
+        "\"sim_run\"",
+        "\"particle_steps_per_s\"",
     ] {
         assert!(disk.contains(key), "artifact missing {key}");
     }

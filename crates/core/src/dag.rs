@@ -307,6 +307,10 @@ struct DagRun {
     nodes: BTreeMap<u32, NodeRun>,
     events: Vec<DagEventRec>,
     seq: u64,
+    /// Expanders that have been handed a `Done` node and have not yet
+    /// inserted (or failed to produce) its children. The dag is not
+    /// finished while one is in flight, even if every node is terminal.
+    pending_expansions: usize,
     outcome: Option<DagOutcome>,
 }
 
@@ -334,7 +338,7 @@ impl DagRun {
     }
 
     fn finished(&self) -> bool {
-        self.nodes.values().all(|n| n.state.is_terminal())
+        self.pending_expansions == 0 && self.nodes.values().all(|n| n.state.is_terminal())
     }
 
     /// Node ids whose deps are all `Done` and are still `Pending`.
@@ -529,6 +533,7 @@ impl DagEngine {
             nodes,
             events: Vec::new(),
             seq: 0,
+            pending_expansions: 0,
             outcome: None,
         }));
         self.dags.lock().insert(dag_id, run.clone());
@@ -804,6 +809,9 @@ impl DagEngine {
             let expander = n.spec.expander.clone();
             let params = n.spec.params.clone();
             let expand_job = expander.map(|name| (name, params, g.next_node_id(), g.id));
+            // Counted under the same lock as the `Done` transition, so the
+            // monitor sweep never sees "all terminal" before the children.
+            g.pending_expansions += usize::from(expand_job.is_some());
             g.set_state(node, DagNodeState::Done, label);
             (canonical, expand_job)
         };
@@ -815,14 +823,20 @@ impl DagEngine {
 
         // ---- dynamic fan-out ----------------------------------------------
         if let Some((name, params, next_id, dag_id)) = expand_job {
-            match self.expand(run, node, &name, &params, next_id, dag_id) {
+            let expanded = self.expand(run, node, &name, &params, next_id, dag_id);
+            let mut g = run.lock();
+            g.pending_expansions -= 1;
+            match expanded {
                 Ok(new_nodes) => {
                     m.counter("diet_dag_nodes_total").add(new_nodes as u64);
                 }
                 Err(e) => {
                     // The fan-out source completed but its expansion is the
-                    // dag's continuation — failing it fails the dag.
-                    self.fail_node(run, node, &format!("expand {name}: {e}"));
+                    // dag's continuation — failing it fails the dag. The
+                    // node is already `Done`, which `fail_node` would skip.
+                    self.fail_locked(&mut g, node, &format!("expand {name}: {e}"));
+                    drop(g);
+                    self.maybe_finish(run);
                     return;
                 }
             }
@@ -909,19 +923,23 @@ impl DagEngine {
     }
 
     fn fail_node(self: &Arc<Self>, run: &Arc<Mutex<DagRun>>, node: u32, detail: &str) {
-        let m = &self.obs.metrics;
         {
             let mut g = run.lock();
             match g.nodes.get(&node) {
                 Some(n) if !n.state.is_terminal() => {}
                 _ => return,
             }
-            g.set_state(node, DagNodeState::Failed, detail);
-            m.counter("diet_dag_node_failures_total").inc();
-            let cancelled = g.cancel_descendants(node);
-            m.counter("diet_dag_cancelled_total").add(cancelled as u64);
+            self.fail_locked(&mut g, node, detail);
         }
         self.maybe_finish(run);
+    }
+
+    fn fail_locked(&self, g: &mut DagRun, node: u32, detail: &str) {
+        let m = &self.obs.metrics;
+        g.set_state(node, DagNodeState::Failed, detail);
+        m.counter("diet_dag_node_failures_total").inc();
+        let cancelled = g.cancel_descendants(node);
+        m.counter("diet_dag_cancelled_total").add(cancelled as u64);
     }
 
     /// Finalize the dag once every node is terminal.
@@ -1240,6 +1258,7 @@ mod tests {
             nodes,
             events: vec![],
             seq: 0,
+            pending_expansions: 0,
             outcome: None,
         };
         run.set_state(0, DagNodeState::Failed, "boom");

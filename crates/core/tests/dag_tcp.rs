@@ -370,3 +370,90 @@ fn client_disconnect_cancels_unplaced_nodes() {
 
     d.shutdown();
 }
+
+/// A dag whose root carries an expander is not finished until the expander
+/// has returned: the root goes `Done` before its children exist, and the
+/// monitor sweep (every 20 ms) must not finalise the one-node dag in that
+/// window. The expander is held on a latch across many sweeps.
+#[test]
+fn sweep_does_not_finalise_a_dag_whose_expander_is_still_running() {
+    use std::sync::mpsc;
+    let d = two_sed_topology()
+        .deploy(Arc::new(RoundRobin::new()), {
+            move |_| straggler_table(Arc::new(AtomicBool::new(false)), Duration::ZERO)
+        })
+        .unwrap();
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (entered_tx, release_rx) = (
+        std::sync::Mutex::new(entered_tx),
+        std::sync::Mutex::new(release_rx),
+    );
+    d.dag.register_expander(
+        "latched_fanout",
+        Arc::new(move |ctx| {
+            entered_tx.lock().unwrap().send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            let mut child = work_node(ctx.next_id, 5);
+            child.deps = vec![ctx.node];
+            Ok(vec![child])
+        }),
+    );
+    let mut root = work_node(0, 1);
+    root.expander = Some("latched_fanout".into());
+    let spec = WorkflowSpec {
+        name: "latched".into(),
+        nodes: vec![root],
+    };
+    let client = DietClient::initialize_distributed(Arc::new(Obs::new()));
+    let handle = client.submit_dag(&d.ma_client, &spec).unwrap();
+
+    // The root is Done and the expander is parked on the latch. Let the
+    // sweep run ten times over; the dag must stay open throughout.
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("expander never ran");
+    let until = Instant::now() + Duration::from_millis(250);
+    while Instant::now() < until {
+        assert!(
+            d.dag.outcome(handle.dag_id).is_none(),
+            "dag finalised while its expander was still running"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    release_tx.send(()).unwrap();
+
+    let (outcome, _) = client
+        .wait_dag(&d.ma_client, &handle, Duration::from_secs(10))
+        .unwrap();
+    assert!(outcome.ok, "dag failed: {outcome:?}");
+    assert_eq!(outcome.nodes.len(), 2, "child missing: {outcome:?}");
+    assert!(outcome.nodes[1].scalars.contains(&(1, 10)));
+
+    d.shutdown();
+}
+
+/// A failed expansion is the loss of the dag's continuation: the dag must
+/// end `!ok`, not be swept up as a successful one-node dag.
+#[test]
+fn failed_expansion_fails_the_dag() {
+    let d = two_sed_topology()
+        .deploy(Arc::new(RoundRobin::new()), {
+            move |_| straggler_table(Arc::new(AtomicBool::new(false)), Duration::ZERO)
+        })
+        .unwrap();
+    let mut root = work_node(0, 1);
+    root.expander = Some("not_registered".into());
+    let spec = WorkflowSpec {
+        name: "bad-fanout".into(),
+        nodes: vec![root],
+    };
+    let client = DietClient::initialize_distributed(Arc::new(Obs::new()));
+    let handle = client.submit_dag(&d.ma_client, &spec).unwrap();
+    let (outcome, _) = client
+        .wait_dag(&d.ma_client, &handle, Duration::from_secs(10))
+        .unwrap();
+    assert!(!outcome.ok, "failed expansion reported ok: {outcome:?}");
+    assert_eq!(d.obs.metrics.counter("diet_dag_failed_total").get(), 1);
+    d.shutdown();
+}

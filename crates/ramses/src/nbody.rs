@@ -8,7 +8,7 @@
 
 use crate::amr::{AmrParams, Octree};
 use crate::cosmology::Cosmology;
-use crate::gravity::{drift, kick, PmGravity, StepControl};
+use crate::gravity::{drift, kick, ForceField, PmGravity, StepControl};
 use crate::hydro::{HydroGrid, Prim, Riemann, GAMMA_DEFAULT};
 use crate::particles::{cic_deposit, Particles};
 use crate::units::Units;
@@ -112,10 +112,30 @@ pub struct StepStats {
     pub a: f64,
     pub dt: f64,
     pub rho_max: f64,
-    pub amr_max_level: u32,
-    pub n_leaves: usize,
     /// Particles that received the refined (fine-patch) force this step.
     pub n_refined: usize,
+}
+
+/// Shape of the AMR tree over the current particle set — see
+/// [`Simulation::amr_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AmrStats {
+    pub max_level: u32,
+    pub n_leaves: usize,
+}
+
+/// One force evaluation at a given `(positions, a)`: everything a KDK step
+/// reads from it. The evaluation that closes step *k* is the one that opens
+/// step *k+1* — the final half-kick only changes velocities and the gas
+/// sweep never touches particles — so [`Simulation::run`] hands it on
+/// instead of computing it twice.
+struct Force {
+    /// Densest mesh cell (sets the free-fall timestep bound).
+    rho_max: f64,
+    /// Per-particle accelerations, fine-patch values already substituted.
+    acc: Vec<[f64; 3]>,
+    /// Particles that received the fine-patch force.
+    n_refined: usize,
 }
 
 /// The simulation state machine.
@@ -177,8 +197,29 @@ impl Simulation {
     }
 
     /// Advance one KDK step; returns the new expansion factor.
+    ///
+    /// Always evaluates the force from the current `parts` and `a` (both are
+    /// public and may have been overwritten since the last step).
     pub fn advance_step(&mut self) -> f64 {
-        let field = self.gravity.field(&self.parts, &self.cosmo, self.a);
+        self.kdk_step(None);
+        self.a
+    }
+
+    /// Build the AMR octree over the current particles and report its shape.
+    /// A diagnostic, computed when asked: the tree drives nothing in the
+    /// step (the timestep's `rho_max` comes from the PM mesh).
+    pub fn amr_stats(&self) -> AmrStats {
+        let tree = Octree::build(&self.parts, self.params.amr);
+        AmrStats {
+            max_level: tree.max_level_present(),
+            n_leaves: tree.leaves().len(),
+        }
+    }
+
+    /// Field, densest cell and (refined) particle accelerations at the
+    /// current positions and expansion factor `a`.
+    fn force_at(&self, a: f64) -> (ForceField, Force) {
+        let field = self.gravity.field(&self.parts, &self.cosmo, a);
         // Parallel max is exact, so this cannot perturb the timestep.
         let rho_max = field
             .rho
@@ -188,6 +229,22 @@ impl Simulation {
             .map(|&v| v)
             .reduce(|| 0.0f64, f64::max);
         let acc = self.gravity.accelerations(&self.parts, &field);
+        let (acc, n_refined) = self.refined_acc(acc, &field, a);
+        let force = Force {
+            rho_max,
+            acc,
+            n_refined,
+        };
+        (field, force)
+    }
+
+    /// One KDK step. `opening` is the force at the current `(parts.pos, a)`
+    /// when the caller already holds it (the previous step's return value,
+    /// with nothing written to `parts` or `a` in between); `None` computes
+    /// it. Returns the force at the new state, or `None` when the step did
+    /// not advance (dt collapsed to zero).
+    fn kdk_step(&mut self, opening: Option<Force>) -> Option<Force> {
+        let Force { rho_max, acc, .. } = opening.unwrap_or_else(|| self.force_at(self.a).1);
 
         let mut dt = self.params.steps.dt(
             &self.parts,
@@ -207,19 +264,16 @@ impl Simulation {
             }
         }
         if dt <= 0.0 {
-            return self.a;
+            return None;
         }
 
         // KICK (half), DRIFT (full), refresh a, KICK (half).
-        let (acc, _n0) = self.refined_acc(acc, &field, self.a);
         kick(&mut self.parts, &acc, self.a, dt / 2.0);
         let a_mid = self.cosmo.a_of_t(t_now + dt / 2.0);
         drift(&mut self.parts, a_mid, dt);
         let a_new = self.cosmo.a_of_t(t_now + dt);
-        let field2 = self.gravity.field(&self.parts, &self.cosmo, a_new);
-        let acc2 = self.gravity.accelerations(&self.parts, &field2);
-        let (acc2, n_refined) = self.refined_acc(acc2, &field2, a_new);
-        kick(&mut self.parts, &acc2, a_new, dt / 2.0);
+        let (field2, closing) = self.force_at(a_new);
+        kick(&mut self.parts, &closing.acc, a_new, dt / 2.0);
 
         // Gas: Godunov sweeps over the comoving interval (the same dt/a²
         // "drift" time the particles see), sub-cycled to the hydro CFL, then
@@ -240,19 +294,13 @@ impl Simulation {
 
         self.a = a_new;
         self.step += 1;
-
-        // AMR diagnostics (the tree also drives refinement-aware timesteps
-        // through rho_max; a full per-level sub-cycling is out of scope).
-        let tree = Octree::build(&self.parts, self.params.amr);
         self.stats.push(StepStats {
             a: self.a,
             dt,
             rho_max,
-            amr_max_level: tree.max_level_present(),
-            n_leaves: tree.leaves().len(),
-            n_refined,
+            n_refined: closing.n_refined,
         });
-        self.a
+        Some(closing)
     }
 
     /// Replace base-mesh accelerations with fine-patch values for particles
@@ -261,7 +309,7 @@ impl Simulation {
     fn refined_acc(
         &self,
         mut acc: Vec<[f64; 3]>,
-        field: &crate::gravity::ForceField,
+        field: &ForceField,
         a: f64,
     ) -> (Vec<[f64; 3]>, usize) {
         let Some(threshold) = self.params.refine_overdensity else {
@@ -292,9 +340,11 @@ impl Simulation {
     /// factors plus a final snapshot at `a_end`.
     pub fn run(&mut self) -> Vec<Snapshot> {
         let mut snaps = Vec::new();
+        // Each step's closing force evaluation opens the next step.
+        let mut force = None;
         while self.a < self.params.a_end - 1e-12 && self.step < self.params.max_steps {
             let a_prev = self.a;
-            self.advance_step();
+            force = self.kdk_step(force);
             if self.a <= a_prev {
                 break; // dt collapsed to zero
             }
@@ -546,7 +596,138 @@ mod tests {
         sim.run();
         assert_eq!(sim.stats.len(), sim.step);
         for s in &sim.stats {
-            assert!(s.dt > 0.0 && s.n_leaves > 0);
+            assert!(s.dt > 0.0);
         }
+        let amr = sim.amr_stats();
+        assert!(amr.n_leaves > 0 && amr.max_level >= sim.params.amr.base_level);
+    }
+
+    /// `run()` with every step a standalone `advance_step()` (fresh force
+    /// evaluation each time) and the same output-time handling.
+    fn run_stepwise(sim: &mut Simulation) -> Vec<Snapshot> {
+        let mut snaps = Vec::new();
+        while sim.a < sim.params.a_end - 1e-12 && sim.step < sim.params.max_steps {
+            let a_prev = sim.a;
+            sim.advance_step();
+            if sim.a <= a_prev {
+                break;
+            }
+            while sim.next_out < sim.params.aout.len()
+                && sim.a >= sim.params.aout[sim.next_out] - 1e-9
+            {
+                snaps.push(sim.snapshot());
+                sim.next_out += 1;
+            }
+        }
+        if snaps
+            .last()
+            .map(|s| (s.a - sim.a).abs() > 1e-9)
+            .unwrap_or(true)
+        {
+            snaps.push(sim.snapshot());
+        }
+        snaps
+    }
+
+    fn bits(v: &[[f64; 3]]) -> Vec<u64> {
+        v.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_state(a: &Simulation, b: &Simulation, what: &str) {
+        assert_eq!(a.step, b.step, "{what}: step count");
+        assert_eq!(a.a.to_bits(), b.a.to_bits(), "{what}: a");
+        assert_eq!(bits(&a.parts.pos), bits(&b.parts.pos), "{what}: positions");
+        assert_eq!(bits(&a.parts.vel), bits(&b.parts.vel), "{what}: velocities");
+        match (&a.gas, &b.gas) {
+            (Some(ga), Some(gb)) => {
+                for (ca, cb) in ga.cells.iter().zip(&gb.cells) {
+                    assert_eq!(ca.rho.to_bits(), cb.rho.to_bits(), "{what}: gas rho");
+                    assert_eq!(ca.e.to_bits(), cb.e.to_bits(), "{what}: gas energy");
+                    assert_eq!(bits(&[ca.mom]), bits(&[cb.mom]), "{what}: gas momentum");
+                }
+            }
+            (None, None) => {}
+            _ => panic!("{what}: gas presence differs"),
+        }
+        for (sa, sb) in a.stats.iter().zip(&b.stats) {
+            assert_eq!(sa.dt.to_bits(), sb.dt.to_bits(), "{what}: dt");
+            assert_eq!(
+                sa.rho_max.to_bits(),
+                sb.rho_max.to_bits(),
+                "{what}: rho_max"
+            );
+            assert_eq!(sa.n_refined, sb.n_refined, "{what}: n_refined");
+        }
+    }
+
+    /// The force `run()` carries from one step into the next is, bit for
+    /// bit, the one a standalone step would have computed.
+    #[test]
+    fn run_equals_repeated_standalone_steps() {
+        let cases = [
+            ("dm-only", small_params()),
+            (
+                "gas",
+                RunParams {
+                    gas: Some(GasParams::default()),
+                    ..small_params()
+                },
+            ),
+            (
+                "refined",
+                RunParams {
+                    mesh_n: 16,
+                    a_end: 0.7,
+                    aout: vec![0.3, 0.5],
+                    refine_overdensity: Some(8.0),
+                    ..small_params()
+                },
+            ),
+        ];
+        for (what, params) in cases {
+            let ics = small_ics(11);
+            let mut carried = Simulation::from_ics(params.clone(), &ics);
+            let mut stepwise = Simulation::from_ics(params, &ics);
+            let snaps_c = carried.run();
+            let snaps_s = run_stepwise(&mut stepwise);
+            assert!(carried.step > 3, "{what}: too short to test the carry");
+            assert_same_state(&carried, &stepwise, what);
+            assert_eq!(snaps_c.len(), snaps_s.len(), "{what}: snapshot count");
+            for (c, s) in snaps_c.iter().zip(&snaps_s) {
+                assert_eq!((c.step, c.a.to_bits()), (s.step, s.a.to_bits()), "{what}");
+                assert_eq!(bits(&c.particles.pos), bits(&s.particles.pos), "{what}");
+            }
+            if what == "refined" {
+                assert!(carried.stats.iter().any(|s| s.n_refined > 0));
+            }
+        }
+    }
+
+    /// `parts` and `a` are public: a caller may overwrite them between
+    /// steps (the benchmark's step probe does). `advance_step()` must then
+    /// use the force of the state it finds, not of the state it left.
+    #[test]
+    fn advance_step_after_external_write_uses_a_fresh_force() {
+        let ics = small_ics(12);
+        let params = RunParams {
+            a_end: 1.0,
+            aout: vec![],
+            ..small_params()
+        };
+        let mut sim = Simulation::from_ics(params.clone(), &ics);
+        for _ in 0..3 {
+            sim.advance_step();
+        }
+        // Rewind to the initial particles at a later epoch.
+        let mut fresh = Simulation::from_ics(params, &ics);
+        fresh.a = 0.4;
+        fresh.step = sim.step;
+        sim.parts = fresh.parts.clone();
+        sim.a = 0.4;
+        sim.advance_step();
+        fresh.advance_step();
+        assert_eq!(sim.a.to_bits(), fresh.a.to_bits());
+        assert_eq!(bits(&sim.parts.pos), bits(&fresh.parts.pos));
+        assert_eq!(bits(&sim.parts.vel), bits(&fresh.parts.vel));
     }
 }

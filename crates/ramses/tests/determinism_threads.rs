@@ -147,3 +147,21 @@ fn gas_simulation_bitwise_identical_across_thread_counts() {
         assert_sim_bits_eq(&base, &other, threads);
     }
 }
+
+/// Two SeDs solving at once in one process: two `Simulation::run`s on two
+/// threads at the default width (whatever `RAYON_NUM_THREADS` makes it) are
+/// each bitwise equal to a run alone on one thread — how many helpers a
+/// region gets, and who else is using the pool, changes no bit.
+#[test]
+fn two_concurrent_runs_each_match_a_solo_one_thread_run() {
+    let base_dm = at_threads(1, || run_sim(None));
+    let base_gas = at_threads(1, || run_sim(Some(GasParams::default())));
+    let width = rayon::current_num_threads();
+    let (dm, gas) = std::thread::scope(|s| {
+        let dm = s.spawn(|| run_sim(None));
+        let gas = s.spawn(|| run_sim(Some(GasParams::default())));
+        (dm.join().unwrap(), gas.join().unwrap())
+    });
+    assert_sim_bits_eq(&base_dm, &dm, width);
+    assert_sim_bits_eq(&base_gas, &gas, width);
+}
