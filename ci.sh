@@ -123,13 +123,18 @@ stage_obs() {
 stage_data() {
     # Data-management gate: the store/catalog consistency storm and the
     # live SeD-to-SeD transfer + re-ship scenario, at both thread widths;
-    # the codec property tests cover GetData/DataReply/PutData frames. Then
-    # the data-reuse smoke: the same live zoom batch volatile vs
-    # persistent; the binary asserts byte-identical results and reduced
-    # client wire traffic.
+    # the codec property tests cover GetData/DataReply/PutData frames; the
+    # allocation tripwire counts the large buffers a 1 MiB put + pull makes
+    # (one per encode, one per frame) and what stored blobs pin; the lib
+    # filters are the checksum's contract, LRU eviction order and the
+    # divergent-replica refusal. Then the data-reuse smoke: the same live
+    # zoom batch volatile vs persistent; the binary asserts byte-identical
+    # results and reduced client wire traffic.
     (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test data_concurrency --test prop_codec
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test data_concurrency --test prop_codec
+     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test data_concurrency --test prop_codec --test alloc_tripwire
+     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test data_concurrency --test prop_codec --test alloc_tripwire
+     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --lib -- dagda:: datamgr:: divergent_replica
+     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --lib -- dagda:: datamgr:: divergent_replica
      RAYON_NUM_THREADS=1 cargo test -q -p cosmogrid --test tcp_data_reuse
      RAYON_NUM_THREADS=4 cargo test -q -p cosmogrid --test tcp_data_reuse
      cargo run --release -p bench --bin exp_data_reuse -- --quick
@@ -171,12 +176,18 @@ stage_serving() {
     # Readiness-driven serving-core gate: the adversarial reactor suite
     # (byte-trickled frames, slow-loris under a single worker, mid-frame
     # disconnect pruning, hostile length prefixes, the pooled server's
-    # conn-map regression) at both thread widths, then the quick throughput
-    # run whose idle-connection sweep self-checks that foreground rps holds
-    # across a held herd and that the process thread count stays flat.
+    # conn-map regression), the reply path over real TCP (unreplaced
+    # arguments stay off the wire, the pool puts them back) and the framing
+    # unit suites (exact-size receive under any split of the stream, short
+    # vectored writes, mid-frame timeouts) at both thread widths, then the
+    # quick throughput run whose idle-connection sweep self-checks that
+    # foreground rps holds across a held herd and that the process thread
+    # count stays flat.
     (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test reactor_adversarial
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test reactor_adversarial
+     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test reactor_adversarial --test bulk_path
+     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test reactor_adversarial --test bulk_path
+     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --lib -- reactor:: transport::
+     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --lib -- reactor:: transport::
      cargo run --release -p bench --bin exp_throughput -- --quick
      test -s target/experiments/BENCH_throughput_quick.json
      grep -q '"idle_sweep"' target/experiments/BENCH_throughput_quick.json)

@@ -1261,6 +1261,67 @@ mod tests {
     }
 
     #[test]
+    fn divergent_replica_is_refused_and_repaired_by_reship() {
+        // The holder serves data only; the one SeD that can run `sum` has
+        // to pull from it.
+        let holder = SedHandle::spawn(SedConfig::new("sed0", 1.0), ServiceTable::init(1));
+        let exec = SedHandle::spawn(SedConfig::new("sed1", 1.0), sum_table());
+        let seds = vec![holder.clone(), exec.clone()];
+        let la = AgentNode::leaf("LA", seds.clone());
+        let ma = MasterAgent::new("MA", vec![la], Arc::new(RoundRobin::new()));
+        let cat = Arc::new(crate::dagda::ReplicaCatalog::new());
+        ma.register_catalog(cat.clone());
+        struct FromHolder(Arc<SedHandle>);
+        impl crate::dagda::DataResolver for FromHolder {
+            fn fetch(&self, _: &str, id: &str) -> Result<(DietValue, Persistence), DietError> {
+                self.0.datamgr.get_with_mode(id)
+            }
+        }
+        exec.set_resolver(Arc::new(FromHolder(holder.clone())));
+        let client = DietClient::initialize(ma);
+        let xs = DietValue::vec_f64(vec![4.0, 0.5]);
+        let host = client
+            .store_data("xs", xs.clone(), Persistence::Persistent)
+            .unwrap();
+        assert_eq!(host, "sed0");
+        // The catalog's record and the holder's bytes disagree.
+        let good = crate::dagda::checksum(&xs);
+        cat.publish("xs", "sed0", xs.payload_bytes(), good ^ 1);
+
+        let out = exec
+            .submit(sum_ref_profile(&client, "xs"))
+            .unwrap()
+            .recv()
+            .unwrap();
+        assert!(
+            matches!(out.result, Err(DietError::DataNotFound(ref id)) if id == "xs"),
+            "{:?}",
+            out.result
+        );
+        assert!(!exec.datamgr.contains("xs"), "the bad replica was kept");
+        assert_eq!(cat.holders("xs"), vec!["sed0"], "and published");
+
+        // The client's copy repairs it: re-shipped to the executing SeD,
+        // published under its true checksum, found there on the retry.
+        let (p, stats) = client
+            .call_with_retry(sum_ref_profile(&client, "xs"), &fast_policy())
+            .unwrap();
+        assert_eq!(p.get_f64(1).unwrap(), 4.5);
+        assert_eq!(stats.retries, 1);
+        assert_eq!(
+            client
+                .metrics()
+                .counter_value("diet_client_data_reships_total"),
+            1
+        );
+        let at_exec = cat.replicas("xs").into_iter().find(|r| r.sed == "sed1");
+        assert_eq!(at_exec.map(|r| r.checksum), Some(good));
+        for s in seds {
+            s.shutdown();
+        }
+    }
+
+    #[test]
     fn unknown_ref_is_not_reshipped() {
         // A reference this client never stored cannot be repaired locally:
         // the DataNotFound surfaces to the caller instead of looping.

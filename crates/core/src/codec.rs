@@ -684,14 +684,6 @@ fn get_snapshot(buf: &mut Bytes) -> Result<MetricSnapshot, DietError> {
     }
 }
 
-/// Encode a single value (tag-prefixed). Used by the data layer for
-/// checksumming replicas independently of any enclosing frame.
-pub fn encode_value(v: &DietValue) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16);
-    put_value(&mut buf, v);
-    buf.freeze()
-}
-
 /// Encode a profile (service, values, persistence).
 pub fn encode_profile(buf: &mut BytesMut, p: &Profile) {
     put_str(buf, &p.service);

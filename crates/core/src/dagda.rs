@@ -28,22 +28,103 @@ pub struct ReplicaInfo {
     pub sed: String,
     /// Payload bytes of the stored value.
     pub size: u64,
-    /// FNV-1a over the codec encoding — lets a puller detect divergent
+    /// [`checksum`] of the stored value — lets a puller detect divergent
     /// replicas published under one id.
     pub checksum: u64,
     /// Logical catalog clock stamp of the last publish/touch.
     pub last_access: u64,
 }
 
-/// FNV-1a checksum of a value's canonical (codec) encoding.
+/// Checksum of a value's content: its kind, its name and lengths, and its
+/// payload read as little-endian 64-bit words. The same on every process and
+/// platform and whatever buffer backs the value; computed in place, with no
+/// allocation. Two SeDs compare these sums across the wire, so the function
+/// is part of the protocol: `checksum_golden_value` pins it.
 pub fn checksum(value: &DietValue) -> u64 {
-    let enc = crate::codec::encode_value(value);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in enc.iter() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    match value {
+        DietValue::Null => Sum::new(0),
+        DietValue::ScalarI32(x) => Sum::new(1).word(*x as u32 as u64),
+        DietValue::ScalarI64(x) => Sum::new(2).word(*x as u64),
+        DietValue::ScalarF64(x) => Sum::new(3).word(x.to_bits()),
+        DietValue::ScalarChar(x) => Sum::new(4).word(*x as u64),
+        DietValue::VectorF64(xs) => Sum::new(5)
+            .word(xs.len() as u64)
+            .words::<f64, 1>(xs, |x| x[0].to_bits()),
+        // Two to a word, as their little-endian bytes would lie.
+        DietValue::VectorI32(xs) => Sum::new(6).word(xs.len() as u64).words::<i32, 2>(xs, |p| {
+            let hi = p.get(1).map_or(0, |hi| (*hi as u32 as u64) << 32);
+            p[0] as u32 as u64 | hi
+        }),
+        DietValue::Str(x) => Sum::new(7).bytes(x.as_bytes()),
+        DietValue::File { name, data } => Sum::new(8).bytes(name.as_bytes()).bytes(data),
+        DietValue::DataRef { id } => Sum::new(9).bytes(id.as_bytes()),
     }
-    h
+    .finish()
+}
+
+/// Running state of [`checksum`]: four independent lanes, so a long payload
+/// is not one serial chain of multiplies.
+struct Sum([u64; 4]);
+
+/// One lane step. Xor, multiplication by an odd constant and rotation are
+/// each invertible, so a lane that absorbed a different word ends different.
+#[inline(always)]
+fn lane_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
+}
+
+impl Sum {
+    fn new(kind: u64) -> Sum {
+        Sum([
+            0x243F_6A88_85A3_08D3,
+            0x1319_8A2E_0370_7344,
+            0xA409_3822_299F_31D0,
+            0x082E_FA98_EC4E_6C89,
+        ])
+        .word(kind)
+    }
+
+    /// Absorb one header word (kind, length, scalar).
+    fn word(mut self, w: u64) -> Sum {
+        self.0[0] = lane_step(self.0[0], w);
+        self
+    }
+
+    /// Absorb `items` as 64-bit words of `N` items each, four words at a
+    /// time, one to a lane. `word` sees fewer than `N` items only for the
+    /// last word; the caller has absorbed the length, so zero-extending it
+    /// is unambiguous.
+    fn words<T, const N: usize>(mut self, items: &[T], word: impl Fn(&[T]) -> u64) -> Sum {
+        let mut blocks = items.chunks_exact(4 * N);
+        for block in &mut blocks {
+            for (lane, w) in self.0.iter_mut().zip(block.chunks_exact(N)) {
+                *lane = lane_step(*lane, word(w));
+            }
+        }
+        for (lane, w) in self.0.iter_mut().zip(blocks.remainder().chunks(N)) {
+            *lane = lane_step(*lane, word(w));
+        }
+        self
+    }
+
+    /// Absorb a byte string: its length, then its little-endian words.
+    fn bytes(self, b: &[u8]) -> Sum {
+        self.word(b.len() as u64).words::<u8, 8>(b, |w| {
+            let mut le = [0u8; 8];
+            le[..w.len()].copy_from_slice(w);
+            u64::from_le_bytes(le)
+        })
+    }
+
+    fn finish(self) -> u64 {
+        let [a, b, c, d] = self.0;
+        let mut h = lane_step(lane_step(lane_step(a, b), c), d);
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
+    }
 }
 
 /// The hierarchy-wide replica catalog (lives at the MA; shared by Arc with
@@ -192,7 +273,9 @@ pub trait DataResolver: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_message, encode_message, Message};
     use crate::data::DietValue;
+    use bytes::Bytes;
 
     #[test]
     fn publish_locate_unpublish() {
@@ -255,6 +338,102 @@ mod tests {
         assert_ne!(
             checksum(&DietValue::Str("x".into())),
             checksum(&DietValue::ScalarChar(b'x'))
+        );
+    }
+
+    fn file(name: &str, data: impl Into<Bytes>) -> DietValue {
+        DietValue::File {
+            name: name.into(),
+            data: data.into(),
+        }
+    }
+
+    /// 32 bytes to a round of the four lanes, plus a 5-byte sub-word tail.
+    fn pattern() -> Vec<u8> {
+        (0..3 * 32 + 5).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_ignores_what_backs_the_value() {
+        let data = pattern();
+        let owned = file("ic", data.clone());
+        // An odd offset into a larger buffer: no word of it is aligned.
+        let mut padded = vec![0xEE; 3];
+        padded.extend_from_slice(&data);
+        padded.push(0xEE);
+        let sliced = file("ic", Bytes::from(padded).slice(3..3 + data.len()));
+        assert_eq!(checksum(&owned), checksum(&sliced));
+
+        // Decoded from the wire, every heavy kind sums as the original did.
+        for v in [
+            owned,
+            DietValue::vec_f64(vec![0.5, -1.25, f64::MAX, 3.0, 1e-300]),
+            DietValue::vec_i32(vec![1, -2, 3, i32::MIN, 5, 6, 7, 8, 9]),
+            DietValue::Str("paramstring".into()),
+        ] {
+            let frame = encode_message(&Message::PutData {
+                request_id: 1,
+                id: "x".into(),
+                mode: crate::data::Persistence::Persistent,
+                value: v.clone(),
+            });
+            let Ok(Message::PutData { value: decoded, .. }) = decode_message(frame) else {
+                panic!("PutData did not round-trip");
+            };
+            assert_eq!(checksum(&v), checksum(&decoded), "{}", v.type_name());
+        }
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_position_class() {
+        let data = pattern();
+        let base = checksum(&file("ic", data.clone()));
+        // The first byte, one byte in each lane of a middle round, every
+        // byte of the sub-word tail, and the last byte.
+        let tail = 3 * 32..data.len();
+        let positions = [0, 32, 40, 48, 56].into_iter().chain(tail);
+        for at in positions {
+            for bit in [0, 7] {
+                let mut flipped = data.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(base, checksum(&file("ic", flipped)), "byte {at} bit {bit}");
+            }
+        }
+        let mut longer = data.clone();
+        longer.push(0);
+        assert_ne!(base, checksum(&file("ic", longer)), "appended zero byte");
+        assert_ne!(base, checksum(&file("id", data)), "file name");
+    }
+
+    #[test]
+    fn checksum_tells_kinds_with_equal_bytes_apart() {
+        let xs = [1.5f64, -2.0, 1e9, 0.0];
+        let le: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let ints: Vec<i32> = le
+            .chunks_exact(4)
+            .map(|w| i32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        let sums = [
+            checksum(&file("", le)),
+            checksum(&DietValue::vec_f64(xs.to_vec())),
+            checksum(&DietValue::vec_i32(ints)),
+        ];
+        assert_ne!(sums[0], sums[1]);
+        assert_ne!(sums[0], sums[2]);
+        assert_ne!(sums[1], sums[2]);
+    }
+
+    #[test]
+    fn checksum_golden_value() {
+        // SeDs of different builds verify each other's replicas against
+        // this function: changing what it returns is a protocol change.
+        assert_eq!(
+            checksum(&file("golden.bin", pattern())),
+            0x18CD_FD75_2EE1_7AC7
+        );
+        assert_eq!(
+            checksum(&DietValue::vec_i32(vec![1, 2, 3])),
+            0x9DC0_85C3_7549_C401
         );
     }
 }

@@ -172,6 +172,23 @@ impl DietValue {
     pub fn is_null(&self) -> bool {
         matches!(self, DietValue::Null)
     }
+
+    /// Is this the very buffer `other` is — same allocation, same extent —
+    /// not merely an equal one? Identity implies equality (both handles keep
+    /// the buffer alive), so a `true` can stand in for comparing the bytes.
+    /// Kinds that own no shared buffer are never "the same".
+    pub fn same_buffer(&self, other: &DietValue) -> bool {
+        let same_bytes = |a: &[u8], b: &[u8]| a.as_ptr() == b.as_ptr() && a.len() == b.len();
+        match (self, other) {
+            (DietValue::VectorF64(a), DietValue::VectorF64(b)) => Arc::ptr_eq(a, b),
+            (DietValue::VectorI32(a), DietValue::VectorI32(b)) => Arc::ptr_eq(a, b),
+            (DietValue::Str(a), DietValue::Str(b)) => same_bytes(a.as_bytes(), b.as_bytes()),
+            (DietValue::File { name: n, data: a }, DietValue::File { name: m, data: b }) => {
+                n == m && same_bytes(a, b)
+            }
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -122,7 +122,7 @@ impl DataManager {
                                 .iter()
                                 .filter(|(k, s)| s.mode != Persistence::Sticky && k.as_str() != id)
                                 .min_by_key(|(k, s)| {
-                                    (s.last_access.load(Ordering::Relaxed), k.to_string())
+                                    (s.last_access.load(Ordering::Relaxed), k.as_str())
                                 })
                                 .map(|(k, _)| k.clone());
                             match victim {
@@ -353,6 +353,17 @@ mod tests {
         assert_eq!(dm.ids(), vec!["a".to_string(), "c".to_string()]);
         assert_eq!(dm.evictions(), 1);
         assert!(dm.stored_bytes() <= 200);
+
+        // Equal stamps: the smaller id goes first, whatever the map's order.
+        for s in dm.items.read().values() {
+            s.last_access.store(7, Ordering::Relaxed);
+        }
+        dm.retain(
+            "b",
+            DietValue::vec_f64(vec![3.0; 10]),
+            Persistence::Persistent,
+        );
+        assert_eq!(dm.ids(), vec!["b".to_string(), "c".to_string()]);
     }
 
     #[test]

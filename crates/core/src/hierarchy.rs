@@ -133,6 +133,10 @@ pub fn serve_sed_over_tcp_with_config(
                 }
                 let h = handle.clone();
                 let cb_sed = sed.clone();
+                // Handles (refcounts, not copies) on what the request
+                // carried: a reply slot still holding the same buffer was
+                // not replaced by the solve and is not shipped back.
+                let request = profile.values.clone();
                 let res = sed.submit_with_callback(profile, ctx, move |outcome| {
                     match outcome {
                         Some(o) => {
@@ -140,7 +144,13 @@ pub fn serve_sed_over_tcp_with_config(
                                 request_id,
                                 queue_wait: o.queue_wait,
                                 solve: o.solve_time,
-                                result: o.result.map_err(|e| e.to_string()),
+                                result: match o.result {
+                                    Ok(mut p) => {
+                                        p.drop_unreplaced(&request);
+                                        Ok(p)
+                                    }
+                                    Err(e) => Err(e.to_string()),
+                                },
                             };
                             // The reply frame *is* the result-return phase:
                             // span it so the trace covers the hand-off back

@@ -269,6 +269,33 @@ impl Profile {
             .sum()
     }
 
+    /// Server side of the reply rule "an argument the solve did not replace
+    /// is not sent back": every slot still holding the very buffer
+    /// (`DietValue::same_buffer`) that `request` — the argument values the
+    /// call arrived with — held there becomes `Null`. The caller has that
+    /// value; [`restore_unreturned`](Self::restore_unreturned) puts it back.
+    pub fn drop_unreplaced(&mut self, request: &[DietValue]) {
+        for (slot, sent) in self.values.iter_mut().zip(request) {
+            if slot.same_buffer(sent) {
+                *slot = DietValue::Null;
+            }
+        }
+    }
+
+    /// Caller side of [`drop_unreplaced`](Self::drop_unreplaced): a `Null`
+    /// slot of the reply gets back the value `sent` (the profile the call
+    /// carried) had there, if that was a kind the server may have left out.
+    /// A solve can therefore not clear a buffer argument over the wire: the
+    /// caller sees what it sent.
+    pub fn restore_unreturned(&mut self, sent: Profile) {
+        for (slot, sent) in self.values.iter_mut().zip(sent.values) {
+            // `same_buffer` with itself: is it a kind that has a buffer?
+            if slot.is_null() && sent.same_buffer(&sent) {
+                *slot = sent;
+            }
+        }
+    }
+
     /// Ids of every grid-data reference argument — what a data-aware MA
     /// feeds into the replica catalog's locality query.
     pub fn data_ref_ids(&self) -> Vec<String> {

@@ -40,20 +40,22 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use obs::{Counter, Gauge, Histogram, Obs, Registry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-`read` chunk size — bounds transient allocation to what arrived.
-const READ_CHUNK: usize = 64 << 10;
+/// What one `read` asks for while a frame's header is not yet in: several
+/// small frames arrive in one call, and a large frame's buffer carries at
+/// most this much besides the frame.
+const HEAD_CHUNK: usize = 4 << 10;
 
-/// Reads one connection may consume per readiness event before the reactor
+/// Bytes one connection may consume per readiness event before the reactor
 /// moves on (level-triggered polling re-arms it). Keeps a firehose peer
 /// from starving everyone else on the loop.
-const READ_BUDGET: usize = 16;
+const READ_BUDGET: usize = 1 << 20;
 
 /// Cap on queued-but-unsent reply bytes per connection. A peer that stops
 /// reading while replies pile up is disconnected instead of ballooning the
@@ -407,6 +409,12 @@ impl Waker {
 /// as the 4 header bytes arrive — before any body byte is waited for, so a
 /// hostile peer advertising a gigabyte frame is rejected without any
 /// allocation tracking it.
+///
+/// [`read_from`](Self::read_from) is how both receive loops fill it: once
+/// a frame's header is in, the buffer is sized to that frame's end and the
+/// socket is read straight into it, so a large frame is copied once, by the
+/// kernel, into an allocation of its own size — which is what a value
+/// decoded out of the frame (and kept by a data store) then pins.
 pub struct FrameBuf {
     buf: Vec<u8>,
     max_frame: usize,
@@ -425,6 +433,32 @@ impl FrameBuf {
         self.buf.extend_from_slice(chunk);
     }
 
+    /// Read from `r`, at most `limit` (> 0) bytes and never past the end of
+    /// the frame in progress; `Ok(0)` is end of stream. While that frame's
+    /// header is incomplete this is one `read` of up to [`HEAD_CHUNK`];
+    /// after, it reads until the frame is whole, `limit` is spent or `r`
+    /// fails — a `WouldBlock` or timeout comes back as the error, with the
+    /// bytes that did arrive kept. An oversized header is the same error
+    /// [`drain_frames`](Self::drain_frames) reports, and reserves nothing.
+    /// Call `drain_frames` between reads, so that the next frame starts in
+    /// a buffer of its own.
+    pub fn read_from(&mut self, r: &mut impl Read, limit: usize) -> io::Result<usize> {
+        match self.scan()?.1 {
+            Some(frame_end) => {
+                let missing = frame_end - self.buf.len();
+                self.buf.reserve_exact(missing);
+                // `read_to_end` fills spare capacity without zeroing it.
+                r.take(missing.min(limit) as u64).read_to_end(&mut self.buf)
+            }
+            None => {
+                let mut chunk = [0u8; HEAD_CHUNK];
+                let n = r.read(&mut chunk[..HEAD_CHUNK.min(limit)])?;
+                self.push(&chunk[..n]);
+                Ok(n)
+            }
+        }
+    }
+
     /// Change the frame-size cap (applies to frames not yet drained).
     pub fn set_max_frame(&mut self, max_frame: usize) {
         self.max_frame = max_frame;
@@ -435,16 +469,15 @@ impl FrameBuf {
         self.buf.len()
     }
 
-    /// Slice every complete frame into `out`. `Err` means the stream is
-    /// unrecoverable (oversized length prefix) and the connection must be
-    /// closed.
-    pub fn drain_frames(&mut self, out: &mut Vec<Bytes>) -> io::Result<()> {
-        // First pass: validate headers and find the complete prefix.
+    /// Walk the buffered frames: where the last complete one ends, and —
+    /// once the header of the one after it is in — where that one will.
+    /// `Err` on a length prefix over `max_frame`.
+    fn scan(&self) -> io::Result<(usize, Option<usize>)> {
         let mut end = 0;
         loop {
             let rest = self.buf.len() - end;
             if rest < 4 {
-                break;
+                return Ok((end, None));
             }
             let n = u32::from_le_bytes(self.buf[end..end + 4].try_into().unwrap()) as usize;
             if n > self.max_frame {
@@ -454,10 +487,17 @@ impl FrameBuf {
                 ));
             }
             if rest < 4 + n {
-                break;
+                return Ok((end, Some(end + 4 + n)));
             }
             end += 4 + n;
         }
+    }
+
+    /// Slice every complete frame into `out`. `Err` means the stream is
+    /// unrecoverable (oversized length prefix) and the connection must be
+    /// closed.
+    pub fn drain_frames(&mut self, out: &mut Vec<Bytes>) -> io::Result<()> {
+        let (end, _) = self.scan()?;
         if end == 0 {
             return Ok(());
         }
@@ -473,6 +513,35 @@ impl FrameBuf {
         }
         Ok(())
     }
+}
+
+/// Send what is left of the frame `[u32 length][payload]` after its first
+/// `*done` bytes: prefix and payload go to the kernel together, in one
+/// vectored write per attempt, so a frame that fits the socket is one
+/// syscall and one segment. Returns once the frame is out or `w` fails —
+/// `WouldBlock` included, with `*done` saying how far it got.
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8], done: &mut usize) -> io::Result<()> {
+    let prefix = (payload.len() as u32).to_le_bytes();
+    while *done < 4 + payload.len() {
+        let head = IoSlice::new(&prefix[(*done).min(4)..]);
+        let body = IoSlice::new(&payload[done.saturating_sub(4)..]);
+        match w.write_vectored(&[head, body]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => *done += n,
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The buffers still to send of the frame `[u32 length][payload]` after its
+/// first `done` bytes went out.
+fn frame_rest(payload: Bytes, done: usize) -> impl Iterator<Item = Bytes> {
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let head = (done < 4).then(|| Bytes::from(prefix[done..].to_vec()));
+    let body = payload.slice(done.saturating_sub(4)..);
+    head.into_iter().chain(Some(body).filter(|b| !b.is_empty()))
 }
 
 // -------------------------------------------------------------- conn handle
@@ -526,13 +595,7 @@ impl ConnHandle {
             return Err(DietError::Transport("connection closed".into()));
         }
         let payload = encode_message(m);
-        // The prefix and the payload travel as two buffers: the payload
-        // Bytes is used as-is, no copy into a frame vec.
-        let bufs = [
-            Bytes::from((payload.len() as u32).to_le_bytes().to_vec()),
-            payload,
-        ];
-        let total = bufs[0].len() + bufs[1].len();
+        let total = 4 + payload.len();
 
         let mut wq = self.conn.wq.lock();
         // Re-check under the lock: prune() sets `closed` before reading the
@@ -550,57 +613,23 @@ impl ConnHandle {
         }
         // Fast path: queue empty and no close pending — write as much as
         // the socket takes right now, from the sender's thread.
-        let mut idx = 0;
-        let mut off = 0;
+        let mut done = 0;
         if wq.bufs.is_empty() && !self.conn.close_requested.load(Ordering::Acquire) {
-            'direct: while idx < bufs.len() {
-                let b = &bufs[idx];
-                while off < b.len() {
-                    match (&self.conn.stream).write(&b[off..]) {
-                        Ok(0) => {
-                            drop(wq);
-                            self.close();
-                            return Err(DietError::Transport("connection closed".into()));
-                        }
-                        Ok(n) => off += n,
-                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break 'direct,
-                        Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            drop(wq);
-                            self.close();
-                            return Err(DietError::Transport(format!("send: {e}")));
-                        }
-                    }
+            match write_frame(&mut &self.conn.stream, &payload, &mut done) {
+                Ok(()) => return Ok(()), // fully written, reactor never involved
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => {
+                    drop(wq);
+                    self.close();
+                    return Err(DietError::Transport(format!("send: {e}")));
                 }
-                idx += 1;
-                off = 0;
-            }
-            if idx == bufs.len() {
-                return Ok(()); // fully written, reactor never involved
             }
         }
-        // Queue the remainder (possibly everything) for the reactor.
-        let [prefix, payload] = bufs;
-        let queued = if idx == 0 {
-            let queued = prefix.len() - off + payload.len();
-            wq.bytes += queued;
-            wq.bufs.push_back(if off == 0 {
-                prefix
-            } else {
-                prefix.slice(off..)
-            });
-            wq.bufs.push_back(payload);
-            queued
-        } else {
-            let queued = payload.len() - off;
-            wq.bytes += queued;
-            wq.bufs.push_back(if off == 0 {
-                payload
-            } else {
-                payload.slice(off..)
-            });
-            queued
-        };
+        // Queue the remainder (possibly everything) for the reactor; the
+        // payload Bytes is used as-is, no copy into a frame vec.
+        let queued = total - done;
+        wq.bufs.extend(frame_rest(payload, done));
+        wq.bytes += queued;
         // Account while still holding the queue lock: prune() snapshots
         // `wq.bytes` under the same lock, so add and snapshot cannot cross.
         self.reactor
@@ -913,17 +942,15 @@ impl Reactor {
                 self.frames = frames;
                 return;
             }
-            let mut scratch = [0u8; READ_CHUNK];
             let mut budget = READ_BUDGET;
             while budget > 0 {
-                budget -= 1;
-                match (&conn.stream).read(&mut scratch) {
+                match conn.fb.read_from(&mut &conn.stream, budget) {
                     Ok(0) => {
                         // Peer-initiated EOF: a normal close, not a sever.
                         dead = true;
                         break;
                     }
-                    Ok(n) => conn.fb.push(&scratch[..n]),
+                    Ok(n) => budget -= n,
                     Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -932,14 +959,15 @@ impl Reactor {
                         break;
                     }
                 }
-            }
-            if conn.fb.drain_frames(&mut frames).is_err() {
-                // Oversized length prefix: cut the peer off before any
-                // body accumulates. Frames already sliced die with it.
-                self.shared.metrics.oversized_frames.inc();
-                frames.clear();
-                dead = true;
-                severed = true;
+                if conn.fb.drain_frames(&mut frames).is_err() {
+                    // Oversized length prefix: cut the peer off before any
+                    // body accumulates. Frames already sliced die with it.
+                    self.shared.metrics.oversized_frames.inc();
+                    frames.clear();
+                    dead = true;
+                    severed = true;
+                    break;
+                }
             }
             ConnHandle {
                 conn: conn.shared.clone(),
@@ -1148,6 +1176,279 @@ mod tests {
         let err = fb.drain_frames(&mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(out.is_empty());
+    }
+
+    /// A non-blocking socket as the receive loops see one: bytes arrive in
+    /// bursts, and a read past the end of a burst is `WouldBlock`.
+    struct Bursty<'a> {
+        wire: &'a [u8],
+        bursts: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+        left: usize,
+        /// Size of every `read` asked of it.
+        asked: Vec<usize>,
+    }
+
+    impl<'a> Bursty<'a> {
+        fn new(wire: &'a [u8], bursts: &'a [usize]) -> Self {
+            Bursty {
+                wire,
+                bursts: bursts.iter().cycle(),
+                left: 0,
+                asked: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Bursty<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.asked.push(buf.len());
+            if self.wire.is_empty() {
+                return Ok(0);
+            }
+            if self.left == 0 {
+                self.left = *self.bursts.next().unwrap();
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.left).min(self.wire.len());
+            buf[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    /// The reactor's receive loop, minus the socket: read until end of
+    /// stream, slicing frames out after every read.
+    fn receive_all(fb: &mut FrameBuf, r: &mut impl Read) -> io::Result<Vec<Bytes>> {
+        let mut out = Vec::new();
+        loop {
+            match fb.read_from(r, READ_BUDGET) {
+                Ok(0) => return Ok(out),
+                Ok(_) => fb.drain_frames(&mut out)?,
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn wire_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for p in payloads {
+            wire.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            wire.extend_from_slice(p);
+        }
+        wire
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// However the stream is cut into bursts — inside a header, inside a
+        /// body, many frames to a burst — `read_from` yields the frames that
+        /// `push` of the whole stream yields.
+        #[test]
+        fn read_from_yields_what_push_yields(
+            sizes in proptest::collection::vec(
+                proptest::prop_oneof![0usize..64, 0usize..6000, (1usize << 20)..(1 << 20) + 4096],
+                1..6,
+            ),
+            bursts in proptest::collection::vec(
+                proptest::prop_oneof![1usize..8, 1usize..5000, 1usize..(2 << 20)],
+                1..12,
+            ),
+        ) {
+            let payloads: Vec<Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (0..*n).map(|j| (i * 131 + j * 7) as u8).collect())
+                .collect();
+            let wire = wire_of(&payloads);
+
+            let mut pushed = Vec::new();
+            let mut fb = FrameBuf::new(DEFAULT_MAX_FRAME);
+            fb.push(&wire);
+            fb.drain_frames(&mut pushed).unwrap();
+
+            let mut fb = FrameBuf::new(DEFAULT_MAX_FRAME);
+            let read = receive_all(&mut fb, &mut Bursty::new(&wire, &bursts)).unwrap();
+            proptest::prop_assert_eq!(fb.buffered(), 0);
+            proptest::prop_assert_eq!(read.len(), payloads.len());
+            for ((r, p), want) in read.iter().zip(&pushed).zip(&payloads) {
+                proptest::prop_assert!(r == p && r == want);
+            }
+        }
+    }
+
+    #[test]
+    fn read_from_lands_a_frame_in_a_buffer_of_its_own_size() {
+        // Small frames ahead of it, and one behind, in the same bursts.
+        let n = (1 << 20) + 37;
+        let wire = wire_of(&[vec![1; 20], vec![2; 300], vec![3; n], vec![4; 50]]);
+        let mut fb = FrameBuf::new(DEFAULT_MAX_FRAME);
+        let mut r = Bursty::new(&wire, &[200_000]);
+        let mut out = Vec::new();
+        let mut peak_capacity = 0;
+        loop {
+            match fb.read_from(&mut r, READ_BUDGET) {
+                Ok(0) => break,
+                Ok(_) => {
+                    peak_capacity = peak_capacity.max(fb.buf.capacity());
+                    fb.drain_frames(&mut out).unwrap();
+                }
+                Err(_) => {}
+            }
+        }
+        assert_eq!(out.len(), 4);
+        assert_eq!(out[2].len(), n);
+        assert!(
+            peak_capacity <= 4 + n + HEAD_CHUNK,
+            "a {n}-byte frame sat in a {peak_capacity}-byte buffer"
+        );
+        // No read asked for more than the frame in progress still lacked,
+        // and the body took a handful of reads, not one per 64 KiB.
+        assert!(r.asked.iter().all(|a| *a <= n), "{:?}", r.asked);
+        assert!(r.asked.len() < 40, "{} reads", r.asked.len());
+    }
+
+    #[test]
+    fn read_from_reserves_nothing_for_an_oversized_prefix() {
+        let mut wire = 0xFFFF_FFF0u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0; 64]);
+        let mut fb = FrameBuf::new(1 << 20);
+        let err = receive_all(&mut fb, &mut Bursty::new(&wire, &[3])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(fb.buf.capacity() <= HEAD_CHUNK, "{}", fb.buf.capacity());
+        // Asked again, it refuses again rather than reading a body.
+        let mut r = Bursty::new(&wire, &[64]);
+        assert!(fb.read_from(&mut r, READ_BUDGET).is_err());
+        assert!(r.asked.is_empty());
+    }
+
+    #[test]
+    fn read_from_stops_at_its_byte_limit() {
+        let wire = wire_of(&[vec![9; 100_000]]);
+        let mut fb = FrameBuf::new(DEFAULT_MAX_FRAME);
+        let mut r = Bursty::new(&wire, &[usize::MAX]);
+        assert!(fb.read_from(&mut r, 10).is_err()); // first burst not in yet
+        assert_eq!(fb.read_from(&mut r, 10).unwrap(), 10); // header chunk
+        assert_eq!(fb.read_from(&mut r, 777).unwrap(), 777); // body
+        assert_eq!(fb.buffered(), 787);
+    }
+
+    /// A writer that takes at most `cuts.next()` bytes per call; a cut of
+    /// zero is a `WouldBlock`.
+    struct Choppy<I> {
+        out: Vec<u8>,
+        cuts: I,
+        calls: usize,
+    }
+
+    impl<I: Iterator<Item = usize>> Write for Choppy<I> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cuts.next().unwrap();
+            if room == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let before = self.out.len();
+            for b in bufs {
+                let n = b.len().min(room);
+                self.out.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_vectored_write_when_the_socket_takes_it() {
+        let mut w = Choppy {
+            out: Vec::new(),
+            cuts: std::iter::repeat(usize::MAX),
+            calls: 0,
+        };
+        write_frame(&mut w, b"payload", &mut 0).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.out, wire_of(&[b"payload".to_vec()]));
+    }
+
+    #[test]
+    fn short_writes_at_every_offset_keep_concurrent_frames_whole() {
+        // Two senders share one writer under a lock, as callers of a mux
+        // connection share `TcpTransport`'s; every write is cut to `cut`
+        // bytes, so each frame is split inside its prefix and after it.
+        for cut in 1..=8 {
+            let w = Mutex::new(Choppy {
+                out: Vec::new(),
+                cuts: std::iter::repeat(cut),
+                calls: 0,
+            });
+            std::thread::scope(|s| {
+                for id in [0xAAu8, 0xBB] {
+                    let w = &w;
+                    s.spawn(move || {
+                        for len in 0..40 {
+                            write_frame(&mut *w.lock(), &vec![id; len], &mut 0).unwrap();
+                        }
+                    });
+                }
+            });
+            let mut fb = FrameBuf::new(1 << 20);
+            fb.push(&w.into_inner().out);
+            let mut frames = Vec::new();
+            fb.drain_frames(&mut frames).unwrap();
+            assert_eq!((frames.len(), fb.buffered()), (80, 0), "cut {cut}");
+            // Each sender's frames arrive whole and in the order it sent
+            // them: lengths 0, 1, 2, … of its own byte.
+            for id in [0xAAu8, 0xBB] {
+                let lens: Vec<usize> = frames
+                    .iter()
+                    .filter(|f| f.first() == Some(&id))
+                    .map(|f| f.iter().take_while(|b| **b == id).count())
+                    .collect();
+                assert_eq!(
+                    lens,
+                    (1..40).collect::<Vec<_>>(),
+                    "cut {cut} sender {id:#x}"
+                );
+            }
+            let framed: usize = frames.iter().map(Bytes::len).sum();
+            assert_eq!(framed, 2 * (0..40).sum::<usize>(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn a_frame_cut_by_would_block_is_finished_from_the_queue() {
+        // The fast path of `ConnHandle::send`: the socket takes `cut` bytes
+        // and then no more; what went out plus what is queued is the frame.
+        let payload = Bytes::from(b"0123456789".to_vec());
+        for cut in 0..=8 {
+            let mut w = Choppy {
+                out: Vec::new(),
+                cuts: [cut, 0].into_iter(),
+                calls: 0,
+            };
+            let mut done = 0;
+            let err = write_frame(&mut w, &payload, &mut done).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+            assert_eq!(done, cut);
+            let mut sent = w.out;
+            let rest: Vec<Bytes> = frame_rest(payload.clone(), done).collect();
+            assert_eq!(rest.iter().map(Bytes::len).sum::<usize>(), 14 - cut);
+            assert!(rest.iter().all(|b| !b.is_empty()));
+            for b in &rest {
+                sent.extend_from_slice(b);
+            }
+            assert_eq!(sent, wire_of(&[payload.to_vec()]), "cut {cut}");
+        }
     }
 
     #[test]

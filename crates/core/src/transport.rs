@@ -25,7 +25,6 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,10 +101,6 @@ impl Duplex for InProcTransport {
 /// multi-megabyte initial-conditions files.
 pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
 
-/// How much we ask the socket for per `read` call. Bounds the transient
-/// allocation growth to what has actually arrived, one chunk at a time.
-const READ_CHUNK: usize = 64 << 10;
-
 /// A framed TCP endpoint.
 ///
 /// Incoming bytes accumulate in an internal buffer that survives across
@@ -118,8 +113,8 @@ pub struct TcpTransport {
     stream: TcpStream,
     /// Bytes read off the socket but not yet returned as a frame.
     rbuf: Mutex<RecvBuf>,
-    /// Serialises writers: a frame is two `write_all` calls (length prefix
-    /// then payload), and a multiplexed connection has many concurrent
+    /// Serialises writers: a frame too big for the socket buffer takes
+    /// several writes, and a multiplexed connection has many concurrent
     /// senders whose frames must not interleave.
     wlock: Mutex<()>,
     max_frame: usize,
@@ -176,9 +171,7 @@ impl TcpTransport {
 
     fn write_frame(&self, payload: &[u8]) -> Result<(), DietError> {
         let _w = self.wlock.lock();
-        let mut s = &self.stream;
-        s.write_all(&(payload.len() as u32).to_le_bytes())
-            .and_then(|_| s.write_all(payload))
+        reactor::write_frame(&mut &self.stream, payload, &mut 0)
             .map_err(|e| DietError::Transport(format!("write: {e}")))
     }
 
@@ -191,10 +184,10 @@ impl TcpTransport {
     /// [`FrameBuf`] as zero-copy slices of the receive buffer — a read
     /// burst that completes several frames slices them all at once and
     /// queues the extras for the next call; no per-frame `Vec` is built.
+    /// A read that times out mid-frame leaves what arrived in the buffer.
     fn read_frame(&self) -> Result<Bytes, std::io::Error> {
         let mut rb = self.rbuf.lock();
         let rb = &mut *rb;
-        let mut scratch = [0u8; READ_CHUNK];
         let mut frames = Vec::new();
         loop {
             if let Some(f) = rb.pending.pop_front() {
@@ -205,14 +198,12 @@ impl TcpTransport {
                 rb.pending.extend(frames.drain(..));
                 continue;
             }
-            let got = (&self.stream).read(&mut scratch)?;
-            if got == 0 {
+            if rb.fb.read_from(&mut &self.stream, usize::MAX)? == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "peer closed mid-frame",
                 ));
             }
-            rb.fb.push(&scratch[..got]);
         }
     }
 }
@@ -818,15 +809,12 @@ impl TcpSedPool {
     ) -> Result<(Profile, f64, f64), DietError> {
         let mux = self.mux_for(label)?;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let reply = mux.request(
-            &Message::Call {
-                request_id,
-                ctx,
-                profile,
-            },
+        let call = Message::Call {
             request_id,
-            deadline,
-        );
+            ctx,
+            profile,
+        };
+        let reply = mux.request(&call, request_id, deadline);
         match reply {
             Ok(Message::CallReply {
                 queue_wait,
@@ -834,7 +822,14 @@ impl TcpSedPool {
                 result,
                 ..
             }) => result
-                .map(|p| (p, queue_wait, solve))
+                .map(|mut p| {
+                    // The server leaves out arguments the solve did not
+                    // replace; the profile just sent still has them.
+                    if let Message::Call { profile: sent, .. } = call {
+                        p.restore_unreturned(sent);
+                    }
+                    (p, queue_wait, solve)
+                })
                 .map_err(DietError::Rejected),
             Ok(Message::Busy { .. }) => Err(DietError::Busy),
             Ok(other) => Err(DietError::Transport(format!(
@@ -990,6 +985,7 @@ impl crate::dagda::DataResolver for TcpSedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn inproc_roundtrip() {
