@@ -85,6 +85,14 @@ stage_lint() {
             *) echo "ci.sh drift: $fn() is not listed in ALL_STAGES" >&2; exit 1 ;;
         esac
     done
+    # Drift guard: every byte format in diet-core is built from codec.rs's
+    # `Wire` impls. A buffer primitive called anywhere else is a second
+    # hand-rolled encoder growing back beside the table.
+    if grep -rnE '\.(put|get)_(u8|[iuf](16|32|64)_le)\(' crates/core/src --include='*.rs' \
+        | grep -v '^crates/core/src/codec\.rs:'; then
+        echo "ci.sh drift: buffer primitives outside codec.rs (use its Wire impls)" >&2
+        exit 1
+    fi
 }
 
 stage_determinism() {

@@ -124,7 +124,7 @@ fn main() {
     // The dump-metrics request over the live TCP transport returns the same
     // registry text a LogService tail would.
     let wire_dump = pool
-        .dump_metrics(&seds[0].config.label, Duration::from_secs(5))
+        .dump_metrics_correlated(&seds[0].config.label, "", Duration::from_secs(5))
         .expect("dump-metrics over TCP");
     assert!(wire_dump.contains("diet_sed_solves_total"));
 

@@ -1,9 +1,27 @@
 //! Binary wire codec.
 //!
-//! DIET rode CORBA's CDR marshalling; we define our own compact framing so
-//! the TCP transport is self-contained. Every message is
-//! `[u32 length][u8 tag][payload]`; values and profiles use a tag-prefixed
-//! recursive encoding. All integers are little-endian.
+//! DIET rode CORBA's CDR marshalling, where a type is declared once and both
+//! directions are derived from the declaration. This module does the same
+//! in three layers, and every byte format in the crate — wire frames here,
+//! WAL records and snapshots in `jobserver.rs` — is built from them:
+//!
+//! 1. **Primitives**: `Wire` impls for the integers and `f64`
+//!    (little-endian), `bool` / `Option` / `Result` (one flag byte, where
+//!    only `1` means present), strings and blobs (`[u32 len][bytes]`),
+//!    lists (`[u32 n][items]`) and tuples. The bounds check (`need`), the
+//!    bound on what a count off the wire may reserve (`reserve_for`) and
+//!    the flag byte (`bool`) each exist exactly once, here.
+//! 2. **Records**: `wire_records!` names each struct's fields once, in
+//!    wire order.
+//! 3. **Tagged unions**: `wire_enum!` maps a tag byte to a variant and
+//!    its fields in wire order. The frame table at the bottom of this file
+//!    is one; `encode_message`, `decode_message` and `peek_request_id` are
+//!    all derived from it.
+//!
+//! A message on a socket is `[u32 length][u8 tag][fields]`; transports add
+//! the length. To add a frame kind: add the [`Message`] variant, add one
+//! row to the frame table under a tag that was never used (17 and 18 are
+//! retired), and add a sample to `tests::samples()` with its golden line.
 
 use crate::dag::{
     DagEventRec, DagInput, DagNodeOutcome, DagNodeSpec, DagNodeState, DagOutcome, WorkflowSpec,
@@ -15,6 +33,7 @@ use crate::monitor::Estimate;
 use crate::profile::Profile;
 use bytes::{Buf, BufMut, ByteStr, Bytes, BytesMut};
 use obs::{intern_name, Labels, MetricSnapshot, SpanRecord, TraceCtx};
+use std::sync::Arc;
 
 /// Identity of the process a telemetry batch came from — the LogCentral
 /// "component name" analogue. The collector keys its per-source health
@@ -91,12 +110,6 @@ pub enum Message {
     Pong,
     /// Orderly shutdown of a worker.
     Shutdown,
-    /// Ask a SeD for its Prometheus-style metrics dump (LogService analog).
-    DumpMetrics,
-    /// Reply to [`Message::DumpMetrics`]: text exposition of the registry.
-    MetricsReply {
-        text: String,
-    },
     /// SeD ← SeD/client: fetch the value stored under `id` (DAGDA pull).
     /// `request_id` correlates the reply on a multiplexed connection.
     GetData {
@@ -149,11 +162,11 @@ pub enum Message {
     PushAck {
         request_id: u64,
     },
-    /// Correlated [`Message::DumpMetrics`]: carries a request id so it can
-    /// ride a shared `MuxConn` like `Call` does, plus a selector — `""` or
-    /// `"prometheus"` for the metrics text, `"chrome"` for the Chrome trace
-    /// JSON, `"topology"` for the collector's plaintext hierarchy/health
-    /// snapshot.
+    /// Ask a component for a view of its telemetry (LogService analog).
+    /// Correlated, so it rides a shared `MuxConn` like `Call` does; `what`
+    /// selects the view — `""` or `"prometheus"` for the metrics text,
+    /// `"chrome"` for the Chrome trace JSON, `"topology"` for the
+    /// collector's plaintext hierarchy/health snapshot.
     DumpMetricsRid {
         request_id: u64,
         what: String,
@@ -245,1842 +258,808 @@ pub enum Message {
     },
 }
 
-const TAG_NULL: u8 = 0;
-const TAG_I32: u8 = 1;
-const TAG_I64: u8 = 2;
-const TAG_F64: u8 = 3;
-const TAG_CHAR: u8 = 4;
-const TAG_VF64: u8 = 5;
-const TAG_VI32: u8 = 6;
-const TAG_STR: u8 = 7;
-const TAG_FILE: u8 = 8;
-const TAG_DATAREF: u8 = 9;
+// -------------------------------------------------------------- primitives
 
-const MSG_SUBMIT: u8 = 10;
-const MSG_SUBMIT_REPLY: u8 = 11;
-const MSG_CALL: u8 = 12;
-const MSG_CALL_REPLY: u8 = 13;
-const MSG_PING: u8 = 14;
-const MSG_PONG: u8 = 15;
-const MSG_SHUTDOWN: u8 = 16;
-const MSG_DUMP_METRICS: u8 = 17;
-const MSG_METRICS_REPLY: u8 = 18;
-const MSG_GET_DATA: u8 = 19;
-const MSG_DATA_REPLY: u8 = 20;
-const MSG_PUT_DATA: u8 = 21;
-const MSG_BUSY: u8 = 22;
-const MSG_FORWARD: u8 = 23;
-const MSG_ESTIMATE_BATCH: u8 = 24;
-const MSG_PUSH_SPANS: u8 = 25;
-const MSG_PUSH_METRIC_DELTAS: u8 = 26;
-const MSG_PUSH_ACK: u8 = 27;
-const MSG_DUMP_METRICS_RID: u8 = 28;
-const MSG_METRICS_REPLY_RID: u8 = 29;
-const MSG_SUBMIT_DAG: u8 = 30;
-const MSG_DAG_REPLY: u8 = 31;
-const MSG_DAG_STATUS: u8 = 32;
-const MSG_DAG_EVENT: u8 = 33;
-const MSG_SUBMIT_TASKS: u8 = 34;
-const MSG_SUBMIT_TASKS_REPLY: u8 = 35;
-const MSG_TASK_STATUS: u8 = 36;
-const MSG_TASK_STATUS_REPLY: u8 = 37;
-const MSG_ATTACH_CAMPAIGN: u8 = 38;
-const MSG_ATTACH_REPLY: u8 = 39;
-const MSG_CAMPAIGN_PROGRESS: u8 = 40;
-const MSG_PROGRESS_REPLY: u8 = 41;
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A type with one byte format, declared once for both directions.
+pub(crate) trait Wire: Sized {
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut Bytes) -> Result<Self, DietError>;
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, DietError> {
-    // One copy (slice -> String); validation happens on the borrowed slice
-    // so no throwaway Vec is built for the error path.
-    Ok(get_bytestr(buf)?.as_str().to_owned())
-}
-
-/// Zero-copy string decode: the returned [`ByteStr`] is an O(1) slice of
-/// the frame's backing buffer, UTF-8 validated exactly once here.
-fn get_bytestr(buf: &mut Bytes) -> Result<ByteStr, DietError> {
-    if buf.remaining() < 4 {
-        return Err(DietError::Codec("truncated string length".into()));
-    }
-    let n = buf.get_u32_le() as usize;
+/// The one bounds check: nothing reads `n` bytes without asking here.
+fn need(buf: &Bytes, n: usize) -> Result<(), DietError> {
     if buf.remaining() < n {
-        return Err(DietError::Codec("truncated string body".into()));
+        return Err(DietError::Codec(format!(
+            "truncated: {n} bytes wanted, {} left",
+            buf.remaining()
+        )));
     }
-    let raw = buf.copy_to_bytes(n);
-    ByteStr::from_utf8(raw).map_err(|e| DietError::Codec(format!("utf8: {e}")))
+    Ok(())
 }
 
-fn put_value(buf: &mut BytesMut, v: &DietValue) {
-    match v {
-        DietValue::Null => buf.put_u8(TAG_NULL),
-        DietValue::ScalarI32(x) => {
-            buf.put_u8(TAG_I32);
-            buf.put_i32_le(*x);
-        }
-        DietValue::ScalarI64(x) => {
-            buf.put_u8(TAG_I64);
-            buf.put_i64_le(*x);
-        }
-        DietValue::ScalarF64(x) => {
-            buf.put_u8(TAG_F64);
-            buf.put_f64_le(*x);
-        }
-        DietValue::ScalarChar(x) => {
-            buf.put_u8(TAG_CHAR);
-            buf.put_u8(*x);
-        }
-        DietValue::VectorF64(xs) => {
-            buf.put_u8(TAG_VF64);
-            buf.put_u32_le(xs.len() as u32);
-            for x in xs.iter() {
-                buf.put_f64_le(*x);
+macro_rules! wire_num {
+    ($($t:ty: $put:ident / $get:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self)
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+                need(buf, std::mem::size_of::<$t>())?;
+                Ok(buf.$get())
             }
         }
-        DietValue::VectorI32(xs) => {
-            buf.put_u8(TAG_VI32);
-            buf.put_u32_le(xs.len() as u32);
-            for x in xs.iter() {
-                buf.put_i32_le(*x);
-            }
-        }
-        DietValue::Str(s) => {
-            buf.put_u8(TAG_STR);
-            put_str(buf, s);
-        }
-        DietValue::File { name, data } => {
-            buf.put_u8(TAG_FILE);
-            put_str(buf, name);
-            buf.put_u32_le(data.len() as u32);
-            buf.put_slice(data);
-        }
-        DietValue::DataRef { id } => {
-            buf.put_u8(TAG_DATAREF);
-            put_str(buf, id);
-        }
+    )*};
+}
+wire_num!(
+    u8: put_u8 / get_u8,
+    u32: put_u32_le / get_u32_le,
+    u64: put_u64_le / get_u64_le,
+    i32: put_i32_le / get_i32_le,
+    i64: put_i64_le / get_i64_le,
+    f64: put_f64_le / get_f64_le
+);
+
+/// Sizes and queue depths travel as `u64`.
+impl Wire for usize {
+    fn put(&self, buf: &mut BytesMut) {
+        (*self as u64).put(buf)
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(u64::get(buf)? as usize)
     }
 }
 
-fn get_value(buf: &mut Bytes) -> Result<DietValue, DietError> {
-    if buf.remaining() < 1 {
-        return Err(DietError::Codec("truncated value tag".into()));
+/// The one flag byte. Decoding is lenient the way it always was: only `1`
+/// is true, so `Option` and `Result` read any other byte as `None` / `Err`.
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        (*self as u8).put(buf)
     }
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(DietError::Codec("truncated value body".into()))
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(u8::get(buf)? == 1)
+    }
+}
+
+fn put_blob(buf: &mut BytesMut, bytes: &[u8]) {
+    (bytes.len() as u32).put(buf);
+    buf.put_slice(bytes);
+}
+
+/// `[u32 len][bytes]`. Decoding is zero-copy: the result is an O(1) slice
+/// of the frame's backing buffer.
+impl Wire for Bytes {
+    fn put(&self, buf: &mut BytesMut) {
+        put_blob(buf, self)
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        let n = u32::get(buf)? as usize;
+        need(buf, n)?;
+        Ok(buf.copy_to_bytes(n))
+    }
+}
+
+/// A blob that is UTF-8, validated once and still a slice of the frame.
+impl Wire for ByteStr {
+    fn put(&self, buf: &mut BytesMut) {
+        put_blob(buf, self.as_bytes())
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        ByteStr::from_utf8(Bytes::get(buf)?).map_err(|e| DietError::Codec(format!("utf8: {e}")))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        put_blob(buf, self.as_bytes())
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        // One copy (slice -> String), validated on the borrowed slice.
+        Ok(ByteStr::get(buf)?.as_str().to_owned())
+    }
+}
+
+/// Span names are `&'static str`; decoding interns them, so the known phase
+/// names map to their literals without leaking per-frame strings.
+impl Wire for &'static str {
+    fn put(&self, buf: &mut BytesMut) {
+        put_blob(buf, self.as_bytes())
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(intern_name(ByteStr::get(buf)?.as_str()))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(x) = self {
+            x.put(buf);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
         } else {
-            Ok(())
-        }
-    };
-    match buf.get_u8() {
-        TAG_NULL => Ok(DietValue::Null),
-        TAG_I32 => {
-            need(buf, 4)?;
-            Ok(DietValue::ScalarI32(buf.get_i32_le()))
-        }
-        TAG_I64 => {
-            need(buf, 8)?;
-            Ok(DietValue::ScalarI64(buf.get_i64_le()))
-        }
-        TAG_F64 => {
-            need(buf, 8)?;
-            Ok(DietValue::ScalarF64(buf.get_f64_le()))
-        }
-        TAG_CHAR => {
-            need(buf, 1)?;
-            Ok(DietValue::ScalarChar(buf.get_u8()))
-        }
-        TAG_VF64 => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n * 8)?;
-            Ok(DietValue::VectorF64(
-                (0..n).map(|_| buf.get_f64_le()).collect(),
-            ))
-        }
-        TAG_VI32 => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n * 4)?;
-            Ok(DietValue::VectorI32(
-                (0..n).map(|_| buf.get_i32_le()).collect(),
-            ))
-        }
-        // Zero-copy: the string payload stays a slice of the frame buffer.
-        TAG_STR => Ok(DietValue::Str(get_bytestr(buf)?)),
-        TAG_FILE => {
-            let name = get_str(buf)?;
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n)?;
-            Ok(DietValue::File {
-                name,
-                data: buf.copy_to_bytes(n),
-            })
-        }
-        TAG_DATAREF => Ok(DietValue::DataRef { id: get_str(buf)? }),
-        t => Err(DietError::Codec(format!("unknown value tag {t}"))),
+            None
+        })
     }
 }
 
-fn put_persistence(buf: &mut BytesMut, p: Persistence) {
-    buf.put_u8(match p {
-        Persistence::Volatile => 0,
-        Persistence::Persistent => 1,
-        Persistence::Sticky => 2,
-    });
-}
-
-fn get_persistence(buf: &mut Bytes) -> Result<Persistence, DietError> {
-    if buf.remaining() < 1 {
-        return Err(DietError::Codec("truncated persistence".into()));
-    }
-    match buf.get_u8() {
-        0 => Ok(Persistence::Volatile),
-        1 => Ok(Persistence::Persistent),
-        2 => Ok(Persistence::Sticky),
-        t => Err(DietError::Codec(format!("unknown persistence {t}"))),
-    }
-}
-
-fn put_str_list(buf: &mut BytesMut, xs: &[String]) {
-    buf.put_u32_le(xs.len() as u32);
-    for x in xs {
-        put_str(buf, x);
-    }
-}
-
-fn get_str_list(buf: &mut Bytes) -> Result<Vec<String>, DietError> {
-    if buf.remaining() < 4 {
-        return Err(DietError::Codec("truncated string-list length".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| get_str(buf)).collect()
-}
-
-/// Wire form of an [`Estimate`] — the payload the agent hierarchy ships
-/// back up the tree in [`Message::EstimateBatch`] frames. `Option`s use
-/// the codec's usual one-byte presence flag.
-fn put_estimate(buf: &mut BytesMut, e: &Estimate) {
-    put_str(buf, &e.server);
-    buf.put_f64_le(e.speed_factor);
-    buf.put_u64_le(e.free_memory);
-    buf.put_u64_le(e.queue_length as u64);
-    buf.put_u64_le(e.completed);
-    match e.known_mean_duration {
-        Some(d) => {
-            buf.put_u8(1);
-            buf.put_f64_le(d);
+impl<T: Wire> Wire for Result<T, String> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_ok().put(buf);
+        match self {
+            Ok(x) => x.put(buf),
+            Err(e) => e.put(buf),
         }
-        None => buf.put_u8(0),
     }
-    buf.put_f64_le(e.probe_rtt);
-    buf.put_u64_le(e.data_local_bytes);
-    buf.put_u64_le(e.data_miss_bytes);
-    match e.admission_limit {
-        Some(cap) => {
-            buf.put_u8(1);
-            buf.put_u64_le(cap as u64);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_estimate(buf: &mut Bytes) -> Result<Estimate, DietError> {
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(DietError::Codec("truncated estimate".into()))
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(if bool::get(buf)? {
+            Ok(T::get(buf)?)
         } else {
-            Ok(())
-        }
-    };
-    let server = get_str(buf)?;
-    need(buf, 8 * 4 + 1)?;
-    let speed_factor = buf.get_f64_le();
-    let free_memory = buf.get_u64_le();
-    let queue_length = buf.get_u64_le() as usize;
-    let completed = buf.get_u64_le();
-    let known_mean_duration = if buf.get_u8() == 1 {
-        need(buf, 8)?;
-        Some(buf.get_f64_le())
-    } else {
-        None
-    };
-    need(buf, 8 * 3 + 1)?;
-    let probe_rtt = buf.get_f64_le();
-    let data_local_bytes = buf.get_u64_le();
-    let data_miss_bytes = buf.get_u64_le();
-    let admission_limit = if buf.get_u8() == 1 {
-        need(buf, 8)?;
-        Some(buf.get_u64_le() as usize)
-    } else {
-        None
-    };
-    Ok(Estimate {
-        server,
-        speed_factor,
-        free_memory,
-        queue_length,
-        completed,
-        known_mean_duration,
-        probe_rtt,
-        data_local_bytes,
-        data_miss_bytes,
-        admission_limit,
-    })
-}
-
-fn put_source(buf: &mut BytesMut, s: &ProcessSource) {
-    put_str(buf, &s.role);
-    put_str(buf, &s.label);
-    buf.put_u32_le(s.pid);
-    put_str(buf, &s.site);
-}
-
-fn get_source(buf: &mut Bytes) -> Result<ProcessSource, DietError> {
-    let role = get_str(buf)?;
-    let label = get_str(buf)?;
-    if buf.remaining() < 4 {
-        return Err(DietError::Codec("truncated source pid".into()));
-    }
-    let pid = buf.get_u32_le();
-    let site = get_str(buf)?;
-    Ok(ProcessSource {
-        role,
-        label,
-        pid,
-        site,
-    })
-}
-
-fn put_span(buf: &mut BytesMut, s: &SpanRecord) {
-    buf.put_u64_le(s.trace_id);
-    buf.put_u64_le(s.span_id);
-    buf.put_u64_le(s.parent);
-    put_str(buf, s.name);
-    put_str(buf, &s.resource);
-    buf.put_u64_le(s.start_ns);
-    buf.put_u64_le(s.end_ns);
-}
-
-fn get_span(buf: &mut Bytes) -> Result<SpanRecord, DietError> {
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(DietError::Codec("truncated span".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 8 * 3)?;
-    let trace_id = buf.get_u64_le();
-    let span_id = buf.get_u64_le();
-    let parent = buf.get_u64_le();
-    // Span names are `&'static str`; intern_name maps the known phase
-    // names to their static literals without leaking per-frame strings.
-    let name = intern_name(get_bytestr(buf)?.as_str());
-    let resource = get_str(buf)?;
-    need(buf, 8 * 2)?;
-    Ok(SpanRecord {
-        trace_id,
-        span_id,
-        parent,
-        name,
-        resource,
-        start_ns: buf.get_u64_le(),
-        end_ns: buf.get_u64_le(),
-    })
-}
-
-fn put_labels(buf: &mut BytesMut, labels: &Labels) {
-    buf.put_u32_le(labels.len() as u32);
-    for (k, v) in labels {
-        put_str(buf, k);
-        put_str(buf, v);
+            Err(String::get(buf)?)
+        })
     }
 }
 
-fn get_labels(buf: &mut Bytes) -> Result<Labels, DietError> {
-    if buf.remaining() < 4 {
-        return Err(DietError::Codec("truncated label count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| Ok((get_str(buf)?, get_str(buf)?))).collect()
+/// What to reserve for `n` items when `n` came off the wire and is trusted
+/// for nothing. An item is at least a byte on the wire, so an honest count
+/// is at most what the frame still holds; and the reservation is kept within
+/// 64 KiB of the frame's own size in memory, which is exact for every list
+/// the live path sends and leaves longer ones to grow by doubling. A lying
+/// count then fails on the first missing item instead of in the allocator.
+fn reserve_for<T>(buf: &Bytes, n: usize) -> usize {
+    let left = buf.remaining();
+    n.min(left)
+        .min((left + (64 << 10)) / std::mem::size_of::<T>().max(1))
 }
 
-const SNAP_COUNTER: u8 = 0;
-const SNAP_GAUGE: u8 = 1;
-const SNAP_HISTOGRAM: u8 = 2;
-
-fn put_snapshot(buf: &mut BytesMut, snap: &MetricSnapshot) {
-    match snap {
-        MetricSnapshot::Counter(v) => {
-            buf.put_u8(SNAP_COUNTER);
-            buf.put_u64_le(*v);
-        }
-        MetricSnapshot::Gauge(v) => {
-            buf.put_u8(SNAP_GAUGE);
-            buf.put_f64_le(*v);
-        }
-        MetricSnapshot::Histogram {
-            bounds,
-            counts,
-            sum,
-            count,
-        } => {
-            buf.put_u8(SNAP_HISTOGRAM);
-            buf.put_u32_le(bounds.len() as u32);
-            for b in bounds {
-                buf.put_f64_le(*b);
-            }
-            buf.put_u32_le(counts.len() as u32);
-            for c in counts {
-                buf.put_u64_le(*c);
-            }
-            buf.put_f64_le(*sum);
-            buf.put_u64_le(*count);
-        }
-    }
-}
-
-fn get_snapshot(buf: &mut Bytes) -> Result<MetricSnapshot, DietError> {
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(DietError::Codec("truncated metric snapshot".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 1)?;
-    match buf.get_u8() {
-        SNAP_COUNTER => {
-            need(buf, 8)?;
-            Ok(MetricSnapshot::Counter(buf.get_u64_le()))
-        }
-        SNAP_GAUGE => {
-            need(buf, 8)?;
-            Ok(MetricSnapshot::Gauge(buf.get_f64_le()))
-        }
-        SNAP_HISTOGRAM => {
-            need(buf, 4)?;
-            let nb = buf.get_u32_le() as usize;
-            need(buf, nb * 8)?;
-            let bounds = (0..nb).map(|_| buf.get_f64_le()).collect();
-            need(buf, 4)?;
-            let nc = buf.get_u32_le() as usize;
-            need(buf, nc * 8)?;
-            let counts = (0..nc).map(|_| buf.get_u64_le()).collect();
-            need(buf, 16)?;
-            Ok(MetricSnapshot::Histogram {
-                bounds,
-                counts,
-                sum: buf.get_f64_le(),
-                count: buf.get_u64_le(),
-            })
-        }
-        t => Err(DietError::Codec(format!("unknown snapshot kind {t}"))),
-    }
-}
-
-/// Encode a profile (service, values, persistence).
-pub fn encode_profile(buf: &mut BytesMut, p: &Profile) {
-    put_str(buf, &p.service);
-    buf.put_u32_le(p.values.len() as u32);
-    for (v, m) in p.values.iter().zip(&p.persistence) {
-        put_persistence(buf, *m);
-        put_value(buf, v);
-    }
-}
-
-/// Decode a profile.
-pub fn decode_profile(buf: &mut Bytes) -> Result<Profile, DietError> {
-    let service = get_str(buf)?;
-    if buf.remaining() < 4 {
-        return Err(DietError::Codec("truncated profile arity".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut values = Vec::with_capacity(n);
-    let mut persistence = Vec::with_capacity(n);
+/// `n` items, read into a vector reserved by `reserve_for`.
+pub(crate) fn get_n<T: Wire>(buf: &mut Bytes, n: usize) -> Result<Vec<T>, DietError> {
+    let mut out = Vec::with_capacity(reserve_for::<T>(buf, n));
     for _ in 0..n {
-        persistence.push(get_persistence(buf)?);
-        values.push(get_value(buf)?);
+        out.push(T::get(buf)?);
     }
-    Ok(Profile {
-        service,
-        values,
-        persistence,
-    })
+    Ok(out)
+}
+
+pub(crate) fn put_list<T: Wire>(buf: &mut BytesMut, xs: &[T]) {
+    (xs.len() as u32).put(buf);
+    for x in xs {
+        x.put(buf);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_list(buf, self)
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        let n = u32::get(buf)? as usize;
+        get_n(buf, n)
+    }
+}
+
+impl<T: Wire> Wire for Arc<[T]> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_list(buf, self)
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(Vec::get(buf)?.into())
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($T:ident . $i:tt),+) => {
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$i.put(buf);)+
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+                Ok(($($T::get(buf)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+
+// ----------------------------------------------------- records and unions
+
+/// `impl Wire` for structs: each one's fields, named once, in wire order.
+macro_rules! wire_records {
+    ($($T:ident { $($f:ident),* })*) => {$(
+        impl Wire for $T {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$f.put(buf);)*
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+                Ok($T { $($f: Wire::get(buf)?),* })
+            }
+        }
+    )*};
+}
+
+/// `impl Wire` for an enum: `tag => Variant`, `tag => Variant(a, ..)` or
+/// `tag => Variant { fields in wire order }`, one row per variant. A field
+/// written `name as Codec` goes through `Codec::put` / `Codec::get` instead
+/// of its type's own `Wire` impl.
+macro_rules! wire_enum {
+    (@put $buf:ident $f:ident) => { $f.put($buf) };
+    (@put $buf:ident $f:ident $via:ident) => { $via::put($f, $buf) };
+    (@get $buf:ident $($f:ident)?) => { $crate::codec::Wire::get($buf)? };
+    (@get $buf:ident $f:ident $via:ident) => { $via::get($buf)? };
+    ($T:ident { $(
+        $tag:literal => $V:ident
+            $(( $($t:ident),* ))?
+            $({ $($f:ident $(as $via:ident)?),* $(,)? })?
+    ),* $(,)? }) => {
+        impl $crate::codec::Wire for $T {
+            fn put(&self, buf: &mut bytes::BytesMut) {
+                match self {$(
+                    $T::$V $(( $($t),* ))? $({ $($f),* })? => {
+                        $crate::codec::Wire::put(&($tag as u8), buf);
+                        $($($t.put(buf);)*)?
+                        $($(wire_enum!(@put buf $f $($via)?);)*)?
+                    }
+                )*}
+            }
+            fn get(buf: &mut bytes::Bytes) -> Result<Self, $crate::error::DietError> {
+                Ok(match <u8 as $crate::codec::Wire>::get(buf)? {
+                    $($tag => $T::$V
+                        $(( $(wire_enum!(@get buf $t)),* ))?
+                        $({ $($f: wire_enum!(@get buf $f $($via)?)),* })?,
+                    )*
+                    t => {
+                        return Err($crate::error::DietError::Codec(format!(
+                            concat!("unknown ", stringify!($T), " tag {}"),
+                            t
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+/// `impl Wire` for a `#[repr(u8)]`-style state enum with a `from_u8`.
+macro_rules! wire_state {
+    ($($T:ident),*) => {$(
+        impl Wire for $T {
+            fn put(&self, buf: &mut BytesMut) {
+                (*self as u8).put(buf)
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+                $T::from_u8(u8::get(buf)?)
+                    .ok_or_else(|| DietError::Codec(concat!("bad ", stringify!($T)).into()))
+            }
+        }
+    )*};
+}
+wire_state!(TaskState, DagNodeState);
+
+wire_enum!(Persistence {
+    0 => Volatile,
+    1 => Persistent,
+    2 => Sticky,
+});
+
+// `Str` and `File` payloads stay slices of the frame (see `Wire for Bytes`),
+// and a `File` goes out in one `put_slice`.
+wire_enum!(DietValue {
+    0 => Null,
+    1 => ScalarI32(x),
+    2 => ScalarI64(x),
+    3 => ScalarF64(x),
+    4 => ScalarChar(x),
+    5 => VectorF64(xs),
+    6 => VectorI32(xs),
+    7 => Str(s),
+    8 => File { name, data },
+    9 => DataRef { id },
+});
+
+wire_enum!(MetricSnapshot {
+    0 => Counter(v),
+    1 => Gauge(v),
+    2 => Histogram { bounds, counts, sum, count },
+});
+
+// Also the WAL's on-disk encoding for task bodies.
+wire_enum!(TaskPayload {
+    0 => Call(profile),
+    1 => Dag(spec),
+});
+
+/// `[service][u32 n]` then `n` × `[mode][value]`, straight from and into the
+/// two parallel vectors.
+impl Wire for Profile {
+    fn put(&self, buf: &mut BytesMut) {
+        self.service.put(buf);
+        (self.values.len() as u32).put(buf);
+        for (mode, value) in self.persistence.iter().zip(&self.values) {
+            mode.put(buf);
+            value.put(buf);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        let service = String::get(buf)?;
+        let n = u32::get(buf)? as usize;
+        let cap = reserve_for::<(Persistence, DietValue)>(buf, n);
+        let (mut persistence, mut values) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        for _ in 0..n {
+            persistence.push(Wire::get(buf)?);
+            values.push(Wire::get(buf)?);
+        }
+        Ok(Profile {
+            service,
+            values,
+            persistence,
+        })
+    }
+}
+
+/// `DataReply`'s payload: `[mode][value]` on the wire like every other
+/// stored value, `(value, mode)` in the enum.
+struct Stored;
+
+impl Stored {
+    fn put(r: &Result<(DietValue, Persistence), String>, buf: &mut BytesMut) {
+        r.is_ok().put(buf);
+        match r {
+            Ok((value, mode)) => {
+                mode.put(buf);
+                value.put(buf);
+            }
+            Err(e) => e.put(buf),
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Result<(DietValue, Persistence), String>, DietError> {
+        let stored: Result<(Persistence, DietValue), String> = Wire::get(buf)?;
+        Ok(stored.map(|(mode, value)| (value, mode)))
+    }
+}
+
+wire_records! {
+    TraceCtx { trace_id, parent_span }
+    ProcessSource { role, label, pid, site }
+    SpanRecord { trace_id, span_id, parent, name, resource, start_ns, end_ns }
+    Estimate {
+        server, speed_factor, free_memory, queue_length, completed, known_mean_duration,
+        probe_rtt, data_local_bytes, data_miss_bytes, admission_limit
+    }
+    CampaignSummary { campaign_id, name, total, done, failed, resubmissions, finished }
+    TaskEventRec { seq, task_id, state, attempt, sed, ms }
+    TaskStatusRec { task_id, state, attempts, sed }
+    DagInput { arg, from_node, from_arg }
+    DagNodeSpec { id, profile, deps, inputs, expander, params, max_retries }
+    WorkflowSpec { name, nodes }
+    DagEventRec { seq, node, state, detail, at_ms }
+    DagNodeOutcome {
+        node, service, sed, status, attempts, speculated, duration_ms, outputs, scalars
+    }
+    DagOutcome { dag_id, ok, makespan_ms, cancelled, nodes }
+}
+
+// ------------------------------------------------------------- frame table
+
+/// The frame table: `tag => Variant { fields in wire order }`. Generates
+/// `Wire for Message` and, from the same rows, which tags are correlated —
+/// exactly the rows whose first field is `request_id`.
+macro_rules! frame_table {
+    (@correlated request_id) => { true };
+    (@correlated $($other:ident)?) => { false };
+    ($($tag:literal => $V:ident $({ $first:ident $($rest:tt)* })?),* $(,)?) => {
+        wire_enum!(Message { $($tag => $V $({ $first $($rest)* })?),* });
+
+        fn is_correlated(tag: u8) -> bool {
+            match tag {
+                $($tag => frame_table!(@correlated $($first)?),)*
+                _ => false,
+            }
+        }
+
+        #[cfg(test)]
+        const ALL_TAGS: &[u8] = &[$($tag),*];
+    };
+}
+
+frame_table! {
+    10 => Submit { request_id, ctx, service, exclude },
+    11 => SubmitReply { request_id, server },
+    12 => Call { request_id, ctx, profile },
+    13 => CallReply { request_id, queue_wait, solve, result },
+    14 => Ping,
+    15 => Pong,
+    16 => Shutdown,
+    // 17 and 18 were the uncorrelated DumpMetrics / MetricsReply pair:
+    // retired, never to be reused.
+    19 => GetData { request_id, id },
+    20 => DataReply { request_id, id, result as Stored },
+    21 => PutData { request_id, id, mode, value },
+    22 => Busy { request_id },
+    23 => Forward { request_id, ctx, service, exclude, ttl },
+    24 => EstimateBatch { request_id, estimates },
+    25 => PushSpans { request_id, source, spans },
+    26 => PushMetricDeltas { request_id, source, deltas },
+    27 => PushAck { request_id },
+    28 => DumpMetricsRid { request_id, what },
+    29 => MetricsReplyRid { request_id, text },
+    30 => SubmitDag { request_id, ctx, spec },
+    31 => DagReply { request_id, result },
+    32 => DagStatus { request_id, dag_id, since },
+    33 => DagEvent { request_id, dag_id, events, outcome },
+    34 => SubmitTasks { request_id, campaign, tasks },
+    35 => SubmitTasksReply { request_id, result },
+    36 => TaskStatus { request_id, campaign_id, task_id },
+    37 => TaskStatusReply { request_id, result },
+    38 => AttachCampaign { request_id, campaign },
+    39 => AttachReply { request_id, result },
+    40 => CampaignProgress { request_id, campaign_id, cursor },
+    41 => ProgressReply { request_id, result },
 }
 
 /// Encode a full message (without the outer length frame; transports add it).
 pub fn encode_message(m: &Message) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
-    match m {
-        Message::Submit {
-            service,
-            request_id,
-            ctx,
-            exclude,
-        } => {
-            buf.put_u8(MSG_SUBMIT);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(ctx.trace_id);
-            buf.put_u64_le(ctx.parent_span);
-            put_str(&mut buf, service);
-            put_str_list(&mut buf, exclude);
-        }
-        Message::Forward {
-            request_id,
-            ctx,
-            service,
-            exclude,
-            ttl,
-        } => {
-            buf.put_u8(MSG_FORWARD);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(ctx.trace_id);
-            buf.put_u64_le(ctx.parent_span);
-            put_str(&mut buf, service);
-            put_str_list(&mut buf, exclude);
-            buf.put_u8(*ttl);
-        }
-        Message::EstimateBatch {
-            request_id,
-            estimates,
-        } => {
-            buf.put_u8(MSG_ESTIMATE_BATCH);
-            buf.put_u64_le(*request_id);
-            buf.put_u32_le(estimates.len() as u32);
-            for e in estimates {
-                put_estimate(&mut buf, e);
-            }
-        }
-        Message::SubmitReply { request_id, server } => {
-            buf.put_u8(MSG_SUBMIT_REPLY);
-            buf.put_u64_le(*request_id);
-            match server {
-                Some(s) => {
-                    buf.put_u8(1);
-                    put_str(&mut buf, s);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        Message::Call {
-            request_id,
-            ctx,
-            profile,
-        } => {
-            buf.put_u8(MSG_CALL);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(ctx.trace_id);
-            buf.put_u64_le(ctx.parent_span);
-            encode_profile(&mut buf, profile);
-        }
-        Message::CallReply {
-            request_id,
-            queue_wait,
-            solve,
-            result,
-        } => {
-            buf.put_u8(MSG_CALL_REPLY);
-            buf.put_u64_le(*request_id);
-            buf.put_f64_le(*queue_wait);
-            buf.put_f64_le(*solve);
-            match result {
-                Ok(p) => {
-                    buf.put_u8(1);
-                    encode_profile(&mut buf, p);
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-        Message::Ping => buf.put_u8(MSG_PING),
-        Message::Pong => buf.put_u8(MSG_PONG),
-        Message::Shutdown => buf.put_u8(MSG_SHUTDOWN),
-        Message::DumpMetrics => buf.put_u8(MSG_DUMP_METRICS),
-        Message::MetricsReply { text } => {
-            buf.put_u8(MSG_METRICS_REPLY);
-            put_str(&mut buf, text);
-        }
-        Message::GetData { request_id, id } => {
-            buf.put_u8(MSG_GET_DATA);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, id);
-        }
-        Message::DataReply {
-            request_id,
-            id,
-            result,
-        } => {
-            buf.put_u8(MSG_DATA_REPLY);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, id);
-            match result {
-                Ok((v, mode)) => {
-                    buf.put_u8(1);
-                    put_persistence(&mut buf, *mode);
-                    put_value(&mut buf, v);
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-        Message::PutData {
-            request_id,
-            id,
-            mode,
-            value,
-        } => {
-            buf.put_u8(MSG_PUT_DATA);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, id);
-            put_persistence(&mut buf, *mode);
-            put_value(&mut buf, value);
-        }
-        Message::Busy { request_id } => {
-            buf.put_u8(MSG_BUSY);
-            buf.put_u64_le(*request_id);
-        }
-        Message::PushSpans {
-            request_id,
-            source,
-            spans,
-        } => {
-            buf.put_u8(MSG_PUSH_SPANS);
-            buf.put_u64_le(*request_id);
-            put_source(&mut buf, source);
-            buf.put_u32_le(spans.len() as u32);
-            for s in spans {
-                put_span(&mut buf, s);
-            }
-        }
-        Message::PushMetricDeltas {
-            request_id,
-            source,
-            deltas,
-        } => {
-            buf.put_u8(MSG_PUSH_METRIC_DELTAS);
-            buf.put_u64_le(*request_id);
-            put_source(&mut buf, source);
-            buf.put_u32_le(deltas.len() as u32);
-            for (name, labels, snap) in deltas {
-                put_str(&mut buf, name);
-                put_labels(&mut buf, labels);
-                put_snapshot(&mut buf, snap);
-            }
-        }
-        Message::PushAck { request_id } => {
-            buf.put_u8(MSG_PUSH_ACK);
-            buf.put_u64_le(*request_id);
-        }
-        Message::DumpMetricsRid { request_id, what } => {
-            buf.put_u8(MSG_DUMP_METRICS_RID);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, what);
-        }
-        Message::MetricsReplyRid { request_id, text } => {
-            buf.put_u8(MSG_METRICS_REPLY_RID);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, text);
-        }
-        Message::SubmitDag {
-            request_id,
-            ctx,
-            spec,
-        } => {
-            buf.put_u8(MSG_SUBMIT_DAG);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(ctx.trace_id);
-            buf.put_u64_le(ctx.parent_span);
-            put_workflow_spec(&mut buf, spec);
-        }
-        Message::DagReply { request_id, result } => {
-            buf.put_u8(MSG_DAG_REPLY);
-            buf.put_u64_le(*request_id);
-            match result {
-                Ok(dag_id) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(*dag_id);
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-        Message::DagStatus {
-            request_id,
-            dag_id,
-            since,
-        } => {
-            buf.put_u8(MSG_DAG_STATUS);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(*dag_id);
-            buf.put_u64_le(*since);
-        }
-        Message::DagEvent {
-            request_id,
-            dag_id,
-            events,
-            outcome,
-        } => {
-            buf.put_u8(MSG_DAG_EVENT);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(*dag_id);
-            buf.put_u32_le(events.len() as u32);
-            for e in events {
-                put_dag_event(&mut buf, e);
-            }
-            match outcome {
-                Some(o) => {
-                    buf.put_u8(1);
-                    put_dag_outcome(&mut buf, o);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        Message::SubmitTasks {
-            request_id,
-            campaign,
-            tasks,
-        } => {
-            buf.put_u8(MSG_SUBMIT_TASKS);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, campaign);
-            buf.put_u32_le(tasks.len() as u32);
-            for t in tasks {
-                encode_task_payload(&mut buf, t);
-            }
-        }
-        Message::SubmitTasksReply { request_id, result } => {
-            buf.put_u8(MSG_SUBMIT_TASKS_REPLY);
-            buf.put_u64_le(*request_id);
-            match result {
-                Ok((cid, ids)) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(*cid);
-                    buf.put_u32_le(ids.len() as u32);
-                    for id in ids {
-                        buf.put_u64_le(*id);
-                    }
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-        Message::TaskStatus {
-            request_id,
-            campaign_id,
-            task_id,
-        } => {
-            buf.put_u8(MSG_TASK_STATUS);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(*campaign_id);
-            buf.put_u64_le(*task_id);
-        }
-        Message::TaskStatusReply { request_id, result } => {
-            buf.put_u8(MSG_TASK_STATUS_REPLY);
-            buf.put_u64_le(*request_id);
-            match result {
-                Ok(rec) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(rec.task_id);
-                    buf.put_u8(rec.state as u8);
-                    buf.put_u32_le(rec.attempts);
-                    put_str(&mut buf, &rec.sed);
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-        Message::AttachCampaign {
-            request_id,
-            campaign,
-        } => {
-            buf.put_u8(MSG_ATTACH_CAMPAIGN);
-            buf.put_u64_le(*request_id);
-            put_str(&mut buf, campaign);
-        }
-        Message::AttachReply { request_id, result } => {
-            buf.put_u8(MSG_ATTACH_REPLY);
-            buf.put_u64_le(*request_id);
-            match result {
-                Ok(s) => {
-                    buf.put_u8(1);
-                    put_campaign_summary(&mut buf, s);
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-        Message::CampaignProgress {
-            request_id,
-            campaign_id,
-            cursor,
-        } => {
-            buf.put_u8(MSG_CAMPAIGN_PROGRESS);
-            buf.put_u64_le(*request_id);
-            buf.put_u64_le(*campaign_id);
-            buf.put_u64_le(*cursor);
-        }
-        Message::ProgressReply { request_id, result } => {
-            buf.put_u8(MSG_PROGRESS_REPLY);
-            buf.put_u64_le(*request_id);
-            match result {
-                Ok((summary, events)) => {
-                    buf.put_u8(1);
-                    put_campaign_summary(&mut buf, summary);
-                    buf.put_u32_le(events.len() as u32);
-                    for e in events {
-                        put_task_event(&mut buf, e);
-                    }
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(&mut buf, e);
-                }
-            }
-        }
-    }
+    m.put(&mut buf);
     buf.freeze()
-}
-
-/// Encode a jobserver task payload (also the WAL's on-disk encoding for
-/// task bodies): a kind byte then a profile or a workflow spec.
-pub fn encode_task_payload(buf: &mut BytesMut, p: &TaskPayload) {
-    match p {
-        TaskPayload::Call(profile) => {
-            buf.put_u8(0);
-            encode_profile(buf, profile);
-        }
-        TaskPayload::Dag(spec) => {
-            buf.put_u8(1);
-            put_workflow_spec(buf, spec);
-        }
-    }
-}
-
-/// Decode a jobserver task payload.
-pub fn decode_task_payload(buf: &mut Bytes) -> Result<TaskPayload, DietError> {
-    if buf.remaining() < 1 {
-        return Err(DietError::Codec("truncated task payload kind".into()));
-    }
-    match buf.get_u8() {
-        0 => Ok(TaskPayload::Call(decode_profile(buf)?)),
-        1 => Ok(TaskPayload::Dag(get_workflow_spec(buf)?)),
-        k => Err(DietError::Codec(format!("unknown task payload kind {k}"))),
-    }
-}
-
-fn put_campaign_summary(buf: &mut BytesMut, s: &CampaignSummary) {
-    buf.put_u64_le(s.campaign_id);
-    put_str(buf, &s.name);
-    buf.put_u64_le(s.total);
-    buf.put_u64_le(s.done);
-    buf.put_u64_le(s.failed);
-    buf.put_u64_le(s.resubmissions);
-    buf.put_u8(s.finished as u8);
-}
-
-fn get_campaign_summary(buf: &mut Bytes) -> Result<CampaignSummary, DietError> {
-    if buf.remaining() < 8 {
-        return Err(DietError::Codec("truncated campaign summary".into()));
-    }
-    let campaign_id = buf.get_u64_le();
-    let name = get_str(buf)?;
-    if buf.remaining() < 33 {
-        return Err(DietError::Codec("truncated campaign summary tail".into()));
-    }
-    Ok(CampaignSummary {
-        campaign_id,
-        name,
-        total: buf.get_u64_le(),
-        done: buf.get_u64_le(),
-        failed: buf.get_u64_le(),
-        resubmissions: buf.get_u64_le(),
-        finished: buf.get_u8() == 1,
-    })
-}
-
-fn put_task_event(buf: &mut BytesMut, e: &TaskEventRec) {
-    buf.put_u64_le(e.seq);
-    buf.put_u64_le(e.task_id);
-    buf.put_u8(e.state as u8);
-    buf.put_u32_le(e.attempt);
-    put_str(buf, &e.sed);
-    buf.put_u64_le(e.ms);
-}
-
-fn get_task_event(buf: &mut Bytes) -> Result<TaskEventRec, DietError> {
-    if buf.remaining() < 21 {
-        return Err(DietError::Codec("truncated task event".into()));
-    }
-    let seq = buf.get_u64_le();
-    let task_id = buf.get_u64_le();
-    let state = TaskState::from_u8(buf.get_u8())
-        .ok_or_else(|| DietError::Codec("bad task state".into()))?;
-    let attempt = buf.get_u32_le();
-    let sed = get_str(buf)?;
-    if buf.remaining() < 8 {
-        return Err(DietError::Codec("truncated task event tail".into()));
-    }
-    Ok(TaskEventRec {
-        seq,
-        task_id,
-        state,
-        attempt,
-        sed,
-        ms: buf.get_u64_le(),
-    })
-}
-
-fn put_workflow_spec(buf: &mut BytesMut, spec: &WorkflowSpec) {
-    put_str(buf, &spec.name);
-    buf.put_u32_le(spec.nodes.len() as u32);
-    for n in &spec.nodes {
-        buf.put_u32_le(n.id);
-        encode_profile(buf, &n.profile);
-        buf.put_u32_le(n.deps.len() as u32);
-        for d in &n.deps {
-            buf.put_u32_le(*d);
-        }
-        buf.put_u32_le(n.inputs.len() as u32);
-        for i in &n.inputs {
-            buf.put_u32_le(i.arg);
-            buf.put_u32_le(i.from_node);
-            buf.put_u32_le(i.from_arg);
-        }
-        match &n.expander {
-            Some(name) => {
-                buf.put_u8(1);
-                put_str(buf, name);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u32_le(n.params.len() as u32);
-        for (k, v) in &n.params {
-            put_str(buf, k);
-            put_str(buf, v);
-        }
-        buf.put_u32_le(n.max_retries);
-    }
-}
-
-fn get_workflow_spec(buf: &mut Bytes) -> Result<WorkflowSpec, DietError> {
-    let need_u32 = |buf: &mut Bytes, what: &str| -> Result<u32, DietError> {
-        if buf.remaining() < 4 {
-            Err(DietError::Codec(format!("truncated {what}")))
-        } else {
-            Ok(buf.get_u32_le())
-        }
-    };
-    let name = get_str(buf)?;
-    let n_nodes = need_u32(buf, "workflow node count")? as usize;
-    let mut nodes = Vec::with_capacity(n_nodes.min(1024));
-    for _ in 0..n_nodes {
-        let id = need_u32(buf, "dag node id")?;
-        let profile = decode_profile(buf)?;
-        let n_deps = need_u32(buf, "dag dep count")? as usize;
-        let mut deps = Vec::with_capacity(n_deps.min(1024));
-        for _ in 0..n_deps {
-            deps.push(need_u32(buf, "dag dep")?);
-        }
-        let n_inputs = need_u32(buf, "dag input count")? as usize;
-        let mut inputs = Vec::with_capacity(n_inputs.min(1024));
-        for _ in 0..n_inputs {
-            inputs.push(DagInput {
-                arg: need_u32(buf, "dag input arg")?,
-                from_node: need_u32(buf, "dag input node")?,
-                from_arg: need_u32(buf, "dag input from-arg")?,
-            });
-        }
-        if buf.remaining() < 1 {
-            return Err(DietError::Codec("truncated expander flag".into()));
-        }
-        let expander = if buf.get_u8() == 1 {
-            Some(get_str(buf)?)
-        } else {
-            None
-        };
-        let n_params = need_u32(buf, "dag param count")? as usize;
-        let mut params = Vec::with_capacity(n_params.min(1024));
-        for _ in 0..n_params {
-            let k = get_str(buf)?;
-            let v = get_str(buf)?;
-            params.push((k, v));
-        }
-        let max_retries = need_u32(buf, "dag retry budget")?;
-        nodes.push(DagNodeSpec {
-            id,
-            profile,
-            deps,
-            inputs,
-            expander,
-            params,
-            max_retries,
-        });
-    }
-    Ok(WorkflowSpec { name, nodes })
-}
-
-fn put_dag_event(buf: &mut BytesMut, e: &DagEventRec) {
-    buf.put_u64_le(e.seq);
-    buf.put_u32_le(e.node);
-    buf.put_u8(e.state as u8);
-    put_str(buf, &e.detail);
-    buf.put_u64_le(e.at_ms);
-}
-
-fn get_dag_event(buf: &mut Bytes) -> Result<DagEventRec, DietError> {
-    if buf.remaining() < 13 {
-        return Err(DietError::Codec("truncated dag event".into()));
-    }
-    let seq = buf.get_u64_le();
-    let node = buf.get_u32_le();
-    let state = DagNodeState::from_u8(buf.get_u8())
-        .ok_or_else(|| DietError::Codec("bad dag node state".into()))?;
-    let detail = get_str(buf)?;
-    if buf.remaining() < 8 {
-        return Err(DietError::Codec("truncated dag event timestamp".into()));
-    }
-    Ok(DagEventRec {
-        seq,
-        node,
-        state,
-        detail,
-        at_ms: buf.get_u64_le(),
-    })
-}
-
-fn put_dag_outcome(buf: &mut BytesMut, o: &DagOutcome) {
-    buf.put_u64_le(o.dag_id);
-    buf.put_u8(o.ok as u8);
-    buf.put_u64_le(o.makespan_ms);
-    buf.put_u32_le(o.cancelled);
-    buf.put_u32_le(o.nodes.len() as u32);
-    for n in &o.nodes {
-        buf.put_u32_le(n.node);
-        put_str(buf, &n.service);
-        put_str(buf, &n.sed);
-        buf.put_i32_le(n.status);
-        buf.put_u32_le(n.attempts);
-        buf.put_u8(n.speculated as u8);
-        buf.put_u64_le(n.duration_ms);
-        buf.put_u32_le(n.outputs.len() as u32);
-        for (arg, id) in &n.outputs {
-            buf.put_u32_le(*arg);
-            put_str(buf, id);
-        }
-        buf.put_u32_le(n.scalars.len() as u32);
-        for (arg, v) in &n.scalars {
-            buf.put_u32_le(*arg);
-            buf.put_i64_le(*v);
-        }
-    }
-}
-
-fn get_dag_outcome(buf: &mut Bytes) -> Result<DagOutcome, DietError> {
-    if buf.remaining() < 25 {
-        return Err(DietError::Codec("truncated dag outcome".into()));
-    }
-    let dag_id = buf.get_u64_le();
-    let ok = buf.get_u8() == 1;
-    let makespan_ms = buf.get_u64_le();
-    let cancelled = buf.get_u32_le();
-    let n_nodes = buf.get_u32_le() as usize;
-    let mut nodes = Vec::with_capacity(n_nodes.min(1024));
-    for _ in 0..n_nodes {
-        if buf.remaining() < 4 {
-            return Err(DietError::Codec("truncated node outcome".into()));
-        }
-        let node = buf.get_u32_le();
-        let service = get_str(buf)?;
-        let sed = get_str(buf)?;
-        if buf.remaining() < 17 {
-            return Err(DietError::Codec("truncated node outcome tail".into()));
-        }
-        let status = buf.get_i32_le();
-        let attempts = buf.get_u32_le();
-        let speculated = buf.get_u8() == 1;
-        let duration_ms = buf.get_u64_le();
-        if buf.remaining() < 4 {
-            return Err(DietError::Codec("truncated output count".into()));
-        }
-        let n_out = buf.get_u32_le() as usize;
-        let mut outputs = Vec::with_capacity(n_out.min(1024));
-        for _ in 0..n_out {
-            if buf.remaining() < 4 {
-                return Err(DietError::Codec("truncated output arg".into()));
-            }
-            let arg = buf.get_u32_le();
-            outputs.push((arg, get_str(buf)?));
-        }
-        if buf.remaining() < 4 {
-            return Err(DietError::Codec("truncated scalar count".into()));
-        }
-        let n_scalar = buf.get_u32_le() as usize;
-        let mut scalars = Vec::with_capacity(n_scalar.min(1024));
-        for _ in 0..n_scalar {
-            if buf.remaining() < 12 {
-                return Err(DietError::Codec("truncated scalar".into()));
-            }
-            let arg = buf.get_u32_le();
-            scalars.push((arg, buf.get_i64_le()));
-        }
-        nodes.push(DagNodeOutcome {
-            node,
-            service,
-            sed,
-            status,
-            attempts,
-            speculated,
-            duration_ms,
-            outputs,
-            scalars,
-        });
-    }
-    Ok(DagOutcome {
-        dag_id,
-        ok,
-        makespan_ms,
-        cancelled,
-        nodes,
-    })
-}
-
-/// Cheap correlation-id peek on an undecoded frame: correlated messages
-/// carry their request id LE at bytes `[1..9]` right after the tag byte.
-/// The only remaining uncorrelated frames (Ping/Pong, Shutdown, and the
-/// legacy dedicated-connection DumpMetrics/MetricsReply pair — use
-/// [`Message::DumpMetricsRid`] on a mux) and frames too short to carry an
-/// id return 0 — which is never a live request id.
-pub fn peek_request_id(frame: &[u8]) -> u64 {
-    if frame.len() < 9 {
-        return 0;
-    }
-    match frame[0] {
-        MSG_SUBMIT
-        | MSG_SUBMIT_REPLY
-        | MSG_CALL
-        | MSG_CALL_REPLY
-        | MSG_GET_DATA
-        | MSG_DATA_REPLY
-        | MSG_PUT_DATA
-        | MSG_BUSY
-        | MSG_FORWARD
-        | MSG_ESTIMATE_BATCH
-        | MSG_PUSH_SPANS
-        | MSG_PUSH_METRIC_DELTAS
-        | MSG_PUSH_ACK
-        | MSG_DUMP_METRICS_RID
-        | MSG_METRICS_REPLY_RID
-        | MSG_SUBMIT_DAG
-        | MSG_DAG_REPLY
-        | MSG_DAG_STATUS
-        | MSG_DAG_EVENT
-        | MSG_SUBMIT_TASKS
-        | MSG_SUBMIT_TASKS_REPLY
-        | MSG_TASK_STATUS
-        | MSG_TASK_STATUS_REPLY
-        | MSG_ATTACH_CAMPAIGN
-        | MSG_ATTACH_REPLY
-        | MSG_CAMPAIGN_PROGRESS
-        | MSG_PROGRESS_REPLY => u64::from_le_bytes(frame[1..9].try_into().unwrap()),
-        _ => 0,
-    }
 }
 
 /// Decode a message.
 pub fn decode_message(mut buf: Bytes) -> Result<Message, DietError> {
-    if buf.remaining() < 1 {
-        return Err(DietError::Codec("empty message".into()));
-    }
-    let tag = buf.get_u8();
-    let need_u64 = |buf: &mut Bytes| -> Result<u64, DietError> {
-        if buf.remaining() < 8 {
-            Err(DietError::Codec("truncated request id".into()))
-        } else {
-            Ok(buf.get_u64_le())
+    Message::get(&mut buf)
+}
+
+/// Cheap correlation-id peek on an undecoded frame: correlated messages
+/// carry their request id LE at bytes `[1..9]` right after the tag byte.
+/// The uncorrelated frames (Ping/Pong, Shutdown) and frames too short to
+/// carry an id return 0 — which is never a live request id.
+pub fn peek_request_id(frame: &[u8]) -> u64 {
+    match frame {
+        [tag, rest @ ..] if rest.len() >= 8 && is_correlated(*tag) => {
+            u64::from_le_bytes(rest[..8].try_into().expect("length checked in the guard"))
         }
-    };
-    match tag {
-        MSG_SUBMIT => {
-            let request_id = need_u64(&mut buf)?;
-            let ctx = TraceCtx {
-                trace_id: need_u64(&mut buf)?,
-                parent_span: need_u64(&mut buf)?,
-            };
-            Ok(Message::Submit {
-                request_id,
-                ctx,
-                service: get_str(&mut buf)?,
-                exclude: get_str_list(&mut buf)?,
-            })
-        }
-        MSG_FORWARD => {
-            let request_id = need_u64(&mut buf)?;
-            let ctx = TraceCtx {
-                trace_id: need_u64(&mut buf)?,
-                parent_span: need_u64(&mut buf)?,
-            };
-            let service = get_str(&mut buf)?;
-            let exclude = get_str_list(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated forward ttl".into()));
-            }
-            Ok(Message::Forward {
-                request_id,
-                ctx,
-                service,
-                exclude,
-                ttl: buf.get_u8(),
-            })
-        }
-        MSG_ESTIMATE_BATCH => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(DietError::Codec("truncated estimate count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let estimates = (0..n)
-                .map(|_| get_estimate(&mut buf))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Message::EstimateBatch {
-                request_id,
-                estimates,
-            })
-        }
-        MSG_SUBMIT_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated reply flag".into()));
-            }
-            let server = if buf.get_u8() == 1 {
-                Some(get_str(&mut buf)?)
-            } else {
-                None
-            };
-            Ok(Message::SubmitReply { request_id, server })
-        }
-        MSG_CALL => {
-            let request_id = need_u64(&mut buf)?;
-            let ctx = TraceCtx {
-                trace_id: need_u64(&mut buf)?,
-                parent_span: need_u64(&mut buf)?,
-            };
-            Ok(Message::Call {
-                request_id,
-                ctx,
-                profile: decode_profile(&mut buf)?,
-            })
-        }
-        MSG_CALL_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 16 {
-                return Err(DietError::Codec("truncated reply timings".into()));
-            }
-            let queue_wait = buf.get_f64_le();
-            let solve = buf.get_f64_le();
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated result flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                Ok(decode_profile(&mut buf)?)
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::CallReply {
-                request_id,
-                queue_wait,
-                solve,
-                result,
-            })
-        }
-        MSG_PING => Ok(Message::Ping),
-        MSG_PONG => Ok(Message::Pong),
-        MSG_SHUTDOWN => Ok(Message::Shutdown),
-        MSG_DUMP_METRICS => Ok(Message::DumpMetrics),
-        MSG_METRICS_REPLY => Ok(Message::MetricsReply {
-            text: get_str(&mut buf)?,
-        }),
-        MSG_GET_DATA => {
-            let request_id = need_u64(&mut buf)?;
-            Ok(Message::GetData {
-                request_id,
-                id: get_str(&mut buf)?,
-            })
-        }
-        MSG_DATA_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            let id = get_str(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated data reply flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                let mode = get_persistence(&mut buf)?;
-                Ok((get_value(&mut buf)?, mode))
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::DataReply {
-                request_id,
-                id,
-                result,
-            })
-        }
-        MSG_PUT_DATA => {
-            let request_id = need_u64(&mut buf)?;
-            let id = get_str(&mut buf)?;
-            let mode = get_persistence(&mut buf)?;
-            Ok(Message::PutData {
-                request_id,
-                id,
-                mode,
-                value: get_value(&mut buf)?,
-            })
-        }
-        MSG_BUSY => Ok(Message::Busy {
-            request_id: need_u64(&mut buf)?,
-        }),
-        MSG_PUSH_SPANS => {
-            let request_id = need_u64(&mut buf)?;
-            let source = get_source(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(DietError::Codec("truncated span count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let spans = (0..n)
-                .map(|_| get_span(&mut buf))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Message::PushSpans {
-                request_id,
-                source,
-                spans,
-            })
-        }
-        MSG_PUSH_METRIC_DELTAS => {
-            let request_id = need_u64(&mut buf)?;
-            let source = get_source(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(DietError::Codec("truncated delta count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let deltas = (0..n)
-                .map(|_| {
-                    let name = get_str(&mut buf)?;
-                    let labels = get_labels(&mut buf)?;
-                    let snap = get_snapshot(&mut buf)?;
-                    Ok((name, labels, snap))
-                })
-                .collect::<Result<Vec<_>, DietError>>()?;
-            Ok(Message::PushMetricDeltas {
-                request_id,
-                source,
-                deltas,
-            })
-        }
-        MSG_PUSH_ACK => Ok(Message::PushAck {
-            request_id: need_u64(&mut buf)?,
-        }),
-        MSG_DUMP_METRICS_RID => {
-            let request_id = need_u64(&mut buf)?;
-            Ok(Message::DumpMetricsRid {
-                request_id,
-                what: get_str(&mut buf)?,
-            })
-        }
-        MSG_METRICS_REPLY_RID => {
-            let request_id = need_u64(&mut buf)?;
-            Ok(Message::MetricsReplyRid {
-                request_id,
-                text: get_str(&mut buf)?,
-            })
-        }
-        MSG_SUBMIT_DAG => {
-            let request_id = need_u64(&mut buf)?;
-            let ctx = TraceCtx {
-                trace_id: need_u64(&mut buf)?,
-                parent_span: need_u64(&mut buf)?,
-            };
-            Ok(Message::SubmitDag {
-                request_id,
-                ctx,
-                spec: get_workflow_spec(&mut buf)?,
-            })
-        }
-        MSG_DAG_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated dag reply flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                Ok(need_u64(&mut buf)?)
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::DagReply { request_id, result })
-        }
-        MSG_DAG_STATUS => Ok(Message::DagStatus {
-            request_id: need_u64(&mut buf)?,
-            dag_id: need_u64(&mut buf)?,
-            since: need_u64(&mut buf)?,
-        }),
-        MSG_DAG_EVENT => {
-            let request_id = need_u64(&mut buf)?;
-            let dag_id = need_u64(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(DietError::Codec("truncated dag event count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let events = (0..n)
-                .map(|_| get_dag_event(&mut buf))
-                .collect::<Result<Vec<_>, _>>()?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated dag outcome flag".into()));
-            }
-            let outcome = if buf.get_u8() == 1 {
-                Some(get_dag_outcome(&mut buf)?)
-            } else {
-                None
-            };
-            Ok(Message::DagEvent {
-                request_id,
-                dag_id,
-                events,
-                outcome,
-            })
-        }
-        MSG_SUBMIT_TASKS => {
-            let request_id = need_u64(&mut buf)?;
-            let campaign = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(DietError::Codec("truncated task count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let tasks = (0..n)
-                .map(|_| decode_task_payload(&mut buf))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Message::SubmitTasks {
-                request_id,
-                campaign,
-                tasks,
-            })
-        }
-        MSG_SUBMIT_TASKS_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated submit-tasks flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                let cid = need_u64(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(DietError::Codec("truncated task id count".into()));
-                }
-                let n = buf.get_u32_le() as usize;
-                let mut ids = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    ids.push(need_u64(&mut buf)?);
-                }
-                Ok((cid, ids))
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::SubmitTasksReply { request_id, result })
-        }
-        MSG_TASK_STATUS => Ok(Message::TaskStatus {
-            request_id: need_u64(&mut buf)?,
-            campaign_id: need_u64(&mut buf)?,
-            task_id: need_u64(&mut buf)?,
-        }),
-        MSG_TASK_STATUS_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated task-status flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                let task_id = need_u64(&mut buf)?;
-                if buf.remaining() < 5 {
-                    return Err(DietError::Codec("truncated task status".into()));
-                }
-                let state = TaskState::from_u8(buf.get_u8())
-                    .ok_or_else(|| DietError::Codec("bad task state".into()))?;
-                let attempts = buf.get_u32_le();
-                Ok(TaskStatusRec {
-                    task_id,
-                    state,
-                    attempts,
-                    sed: get_str(&mut buf)?,
-                })
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::TaskStatusReply { request_id, result })
-        }
-        MSG_ATTACH_CAMPAIGN => {
-            let request_id = need_u64(&mut buf)?;
-            Ok(Message::AttachCampaign {
-                request_id,
-                campaign: get_str(&mut buf)?,
-            })
-        }
-        MSG_ATTACH_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated attach flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                Ok(get_campaign_summary(&mut buf)?)
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::AttachReply { request_id, result })
-        }
-        MSG_CAMPAIGN_PROGRESS => Ok(Message::CampaignProgress {
-            request_id: need_u64(&mut buf)?,
-            campaign_id: need_u64(&mut buf)?,
-            cursor: need_u64(&mut buf)?,
-        }),
-        MSG_PROGRESS_REPLY => {
-            let request_id = need_u64(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(DietError::Codec("truncated progress flag".into()));
-            }
-            let result = if buf.get_u8() == 1 {
-                let summary = get_campaign_summary(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(DietError::Codec("truncated event count".into()));
-                }
-                let n = buf.get_u32_le() as usize;
-                let events = (0..n)
-                    .map(|_| get_task_event(&mut buf))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((summary, events))
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Ok(Message::ProgressReply { request_id, result })
-        }
-        t => Err(DietError::Codec(format!("unknown message tag {t}"))),
+        _ => 0,
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::profile::{ramses_zoom2_desc, Profile};
+/// Encode a profile (service, values, persistence).
+pub fn encode_profile(buf: &mut BytesMut, p: &Profile) {
+    p.put(buf)
+}
 
-    fn sample_profile() -> Profile {
-        let d = ramses_zoom2_desc();
-        let mut p = Profile::alloc(&d);
-        p.set(
-            0,
+/// Decode a profile.
+pub fn decode_profile(buf: &mut Bytes) -> Result<Profile, DietError> {
+    Wire::get(buf)
+}
+
+/// Encode a jobserver task payload: a kind byte then a profile or a
+/// workflow spec.
+pub fn encode_task_payload(buf: &mut BytesMut, p: &TaskPayload) {
+    p.put(buf)
+}
+
+/// Decode a jobserver task payload.
+pub fn decode_task_payload(buf: &mut Bytes) -> Result<TaskPayload, DietError> {
+    Wire::get(buf)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::dag::{
+        DagEventRec, DagInput, DagNodeOutcome, DagNodeSpec, DagNodeState, DagOutcome,
+    };
+    use crate::jobserver::TaskState;
+    use std::collections::BTreeSet;
+
+    /// Golden encodings produced by the hand-unrolled codec this file
+    /// replaced: one `kind name hex` line each, in `samples()` order. The
+    /// wire and the WAL must keep producing (and accepting) exactly these.
+    pub(crate) fn golden(kind: &str) -> Vec<(String, Vec<u8>)> {
+        include_str!("../tests/golden_wire.txt")
+            .lines()
+            .filter_map(|line| line.strip_prefix(kind)?.trim_start().split_once(' '))
+            .map(|(name, hex)| {
+                let byte = |i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex");
+                (name.to_string(), (0..hex.len() / 2).map(byte).collect())
+            })
+            .collect()
+    }
+
+    pub(crate) fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every correlated sample carries this id, so it reads `01 02 .. 08`
+    /// at bytes `[1..9]` of the golden frames.
+    const RID: u64 = 0x0807_0605_0403_0201;
+
+    /// One argument of every `DietValue` kind (vectors empty and not),
+    /// cycling through every `Persistence`.
+    pub(crate) fn sample_profile() -> Profile {
+        let values = vec![
+            DietValue::Null,
+            DietValue::ScalarI32(128),
+            DietValue::ScalarI64(-1234567890123),
+            DietValue::ScalarF64(100.0),
+            DietValue::ScalarChar(b'z'),
+            DietValue::vec_f64(vec![1.0, 2.5]),
+            DietValue::vec_f64(vec![]),
+            DietValue::vec_i32(vec![-3, 7]),
+            DietValue::vec_i32(vec![]),
+            DietValue::Str("cx".into()),
             DietValue::File {
                 name: "n.nml".into(),
                 data: Bytes::from_static(b"&RUN/"),
             },
+            DietValue::data_ref("zoom/ic#0"),
+        ];
+        let modes = [
             Persistence::Volatile,
-        )
-        .unwrap();
-        p.set(1, DietValue::ScalarI32(128), Persistence::Persistent)
-            .unwrap();
-        p.set(2, DietValue::ScalarF64(100.0), Persistence::Sticky)
-            .unwrap();
-        p.set(3, DietValue::Str("cx".into()), Persistence::Volatile)
-            .unwrap();
-        p.set(4, DietValue::vec_f64(vec![1.0, 2.5]), Persistence::Volatile)
-            .unwrap();
-        p.set(5, DietValue::vec_i32(vec![-3, 7]), Persistence::Volatile)
-            .unwrap();
-        p.set(6, DietValue::ScalarChar(b'z'), Persistence::Volatile)
-            .unwrap();
-        p
+            Persistence::Persistent,
+            Persistence::Sticky,
+        ];
+        Profile {
+            service: "ramsesZoom2".into(),
+            persistence: (0..values.len()).map(|i| modes[i % 3]).collect(),
+            values,
+        }
     }
 
-    #[test]
-    fn profile_roundtrip() {
-        let p = sample_profile();
-        let mut buf = BytesMut::new();
-        encode_profile(&mut buf, &p);
-        let back = decode_profile(&mut buf.freeze()).unwrap();
-        assert_eq!(back, p);
+    fn empty_profile() -> Profile {
+        Profile {
+            service: "echo".into(),
+            values: vec![],
+            persistence: vec![],
+        }
     }
 
-    #[test]
-    fn jobserver_frame_roundtrips() {
-        let summary = CampaignSummary {
+    pub(crate) fn sample_workflow() -> WorkflowSpec {
+        let mut part1 = DagNodeSpec::new(0, sample_profile());
+        part1.expander = Some("zoom_fanout".into());
+        part1.params = vec![("max_zooms".into(), "4".into())];
+        let mut part2 = DagNodeSpec::new(1, empty_profile());
+        part2.deps = vec![0];
+        part2.inputs = vec![DagInput {
+            arg: 0,
+            from_node: 0,
+            from_arg: 7,
+        }];
+        part2.max_retries = 1;
+        WorkflowSpec {
+            name: "zoom".into(),
+            nodes: vec![part1, part2],
+        }
+    }
+
+    /// At least one message per frame kind and, between them, both arms of
+    /// every `Option`/`Result`/`bool` field, an empty and a non-empty list
+    /// of every list field, and every value / persistence / metric / state
+    /// kind. A kind sampled more than once gets a constructor whose
+    /// arguments are what varies. `table_matches_golden_vectors` fails when
+    /// a table row has no sample here.
+    fn samples() -> Vec<Message> {
+        let ctx = TraceCtx {
+            trace_id: 9,
+            parent_span: 4,
+        };
+        let source = ProcessSource {
+            role: "sed".into(),
+            label: "lyon/0".into(),
+            pid: 4242,
+            site: "lyon".into(),
+        };
+        let submit = |ctx, exclude| Message::Submit {
+            service: "ramsesZoom2".into(),
+            request_id: RID,
+            ctx,
+            exclude,
+        };
+        let submit_reply = |server| Message::SubmitReply {
+            request_id: RID,
+            server,
+        };
+        let forward = |ctx, service: &str, exclude, ttl| Message::Forward {
+            request_id: RID,
+            ctx,
+            service: service.into(),
+            exclude,
+            ttl,
+        };
+        let estimates = |estimates| Message::EstimateBatch {
+            request_id: RID,
+            estimates,
+        };
+        let call = |ctx, profile| Message::Call {
+            request_id: RID,
+            ctx,
+            profile,
+        };
+        let call_reply = |queue_wait, solve, result| Message::CallReply {
+            request_id: RID,
+            queue_wait,
+            solve,
+            result,
+        };
+        let data_reply = |id: &str, result| Message::DataReply {
+            request_id: RID,
+            id: id.into(),
+            result,
+        };
+        let span = |span_id, parent, name, start_ns, end_ns| SpanRecord {
+            trace_id: 7,
+            span_id,
+            parent,
+            name,
+            resource: "lyon/0".into(),
+            start_ns,
+            end_ns,
+        };
+        let push_spans = |source, spans| Message::PushSpans {
+            request_id: RID,
+            source,
+            spans,
+        };
+        let histogram = |bounds, counts, sum, count| MetricSnapshot::Histogram {
+            bounds,
+            counts,
+            sum,
+            count,
+        };
+        let push_deltas = |source, deltas| Message::PushMetricDeltas {
+            request_id: RID,
+            source,
+            deltas,
+        };
+        let submit_dag = |ctx, spec| Message::SubmitDag {
+            request_id: RID,
+            ctx,
+            spec,
+        };
+        let dag_reply = |result| Message::DagReply {
+            request_id: RID,
+            result,
+        };
+        let dag_states = [
+            DagNodeState::Pending,
+            DagNodeState::Ready,
+            DagNodeState::Placed,
+            DagNodeState::Running,
+            DagNodeState::Done,
+            DagNodeState::Failed,
+            DagNodeState::Cancelled,
+        ];
+        let dag_events = dag_states
+            .into_iter()
+            .enumerate()
+            .map(|(i, state)| DagEventRec {
+                seq: 18 + i as u64,
+                node: 1,
+                state,
+                detail: "lyon/0".into(),
+                at_ms: 250,
+            });
+        let outcome = |ok, nodes| DagOutcome {
+            dag_id: 3,
+            ok,
+            makespan_ms: 900,
+            cancelled: 1,
+            nodes,
+        };
+        let dag_event = |dag_id, events, outcome| Message::DagEvent {
+            request_id: RID,
+            dag_id,
+            events,
+            outcome,
+        };
+        let submit_tasks = |tasks| Message::SubmitTasks {
+            request_id: RID,
+            campaign: "camp".into(),
+            tasks,
+        };
+        let submit_tasks_reply = |result| Message::SubmitTasksReply {
+            request_id: RID,
+            result,
+        };
+        let task_status_reply = |result| Message::TaskStatusReply {
+            request_id: RID,
+            result,
+        };
+        let summary = |finished| CampaignSummary {
             campaign_id: 7,
             name: "zoom-sweep".into(),
             total: 100,
             done: 42,
             failed: 1,
             resubmissions: 5,
-            finished: false,
+            finished,
         };
-        let event = TaskEventRec {
-            seq: 9,
+        let attach_reply = |result| Message::AttachReply {
+            request_id: RID,
+            result,
+        };
+        let task_event = |seq, state| TaskEventRec {
+            seq,
             task_id: 3,
-            state: TaskState::Done,
+            state,
             attempt: 2,
             sed: "lyon/0".into(),
             ms: 123,
         };
-        let spec = WorkflowSpec {
-            name: "w".into(),
-            nodes: vec![],
+        let progress_reply = |result| Message::ProgressReply {
+            request_id: RID,
+            result,
         };
-        let msgs = vec![
-            Message::SubmitTasks {
-                request_id: 1,
-                campaign: "camp".into(),
-                tasks: vec![TaskPayload::Call(sample_profile()), TaskPayload::Dag(spec)],
-            },
-            Message::SubmitTasksReply {
-                request_id: 2,
-                result: Ok((7, vec![0, 1, 2])),
-            },
-            Message::SubmitTasksReply {
-                request_id: 3,
-                result: Err("nope".into()),
-            },
-            Message::TaskStatus {
-                request_id: 4,
-                campaign_id: 7,
-                task_id: 3,
-            },
-            Message::TaskStatusReply {
-                request_id: 5,
-                result: Ok(TaskStatusRec {
-                    task_id: 3,
-                    state: TaskState::Dispatched,
-                    attempts: 2,
-                    sed: "lyon/1".into(),
-                }),
-            },
-            Message::TaskStatusReply {
-                request_id: 6,
-                result: Err("unknown task".into()),
-            },
-            Message::AttachCampaign {
-                request_id: 7,
-                campaign: "camp".into(),
-            },
-            Message::AttachReply {
-                request_id: 8,
-                result: Ok(summary.clone()),
-            },
-            Message::AttachReply {
-                request_id: 9,
-                result: Err("unknown campaign".into()),
-            },
-            Message::CampaignProgress {
-                request_id: 10,
-                campaign_id: 7,
-                cursor: 41,
-            },
-            Message::ProgressReply {
-                request_id: 11,
-                result: Ok((summary, vec![event])),
-            },
-            Message::ProgressReply {
-                request_id: 12,
-                result: Err("unknown campaign".into()),
-            },
-        ];
-        for m in msgs {
-            let enc = encode_message(&m);
-            // Every jobserver frame is correlated: the id peeks out.
-            assert_ne!(peek_request_id(&enc), 0, "{m:?}");
-            let back = decode_message(enc).unwrap();
-            assert_eq!(back, m);
-        }
-    }
-
-    #[test]
-    fn message_roundtrips() {
-        let msgs = vec![
-            Message::Submit {
-                service: "ramsesZoom2".into(),
-                request_id: 42,
-                ctx: TraceCtx::default(),
-                exclude: vec![],
-            },
-            Message::Submit {
-                service: "ramsesZoom2".into(),
-                request_id: 43,
-                ctx: TraceCtx {
-                    trace_id: 9,
-                    parent_span: 4,
+        vec![
+            submit(TraceCtx::default(), vec![]),
+            submit(ctx, vec!["lyon/0".into(), "orsay-gdx/3".into()]),
+            submit_reply(Some("toulouse-violette/0".into())),
+            submit_reply(None),
+            forward(ctx, "ramsesZoom2", vec!["lyon/0".into()], 1),
+            forward(TraceCtx::default(), "echo", vec![], 0),
+            estimates(vec![]),
+            estimates(vec![
+                Estimate {
+                    server: "toulouse-violette/0".into(),
+                    speed_factor: 1.25,
+                    free_memory: 1 << 34,
+                    queue_length: 3,
+                    completed: 812,
+                    known_mean_duration: Some(417.5),
+                    probe_rtt: 0.031,
+                    data_local_bytes: 100 << 20,
+                    data_miss_bytes: 5,
+                    admission_limit: Some(16),
                 },
-                exclude: vec!["lyon/0".into(), "orsay-gdx/3".into()],
-            },
-            Message::Forward {
-                request_id: 50,
-                ctx: TraceCtx {
-                    trace_id: 9,
-                    parent_span: 4,
+                Estimate {
+                    server: "lyon/1".into(),
+                    speed_factor: 0.8,
+                    ..Estimate::default()
                 },
-                service: "ramsesZoom2".into(),
-                exclude: vec!["lyon/0".into()],
-                ttl: 1,
-            },
-            Message::Forward {
-                request_id: 51,
-                ctx: TraceCtx::default(),
-                service: "echo".into(),
-                exclude: vec![],
-                ttl: 0,
-            },
-            Message::EstimateBatch {
-                request_id: 50,
-                estimates: vec![],
-            },
-            Message::EstimateBatch {
-                request_id: 50,
-                estimates: vec![
-                    Estimate {
-                        server: "toulouse-violette/0".into(),
-                        speed_factor: 1.25,
-                        free_memory: 1 << 34,
-                        queue_length: 3,
-                        completed: 812,
-                        known_mean_duration: Some(417.5),
-                        probe_rtt: 0.031,
-                        data_local_bytes: 100 << 20,
-                        data_miss_bytes: 0,
-                        admission_limit: Some(16),
-                    },
-                    Estimate {
-                        server: "lyon/1".into(),
-                        speed_factor: 0.8,
-                        ..Estimate::default()
-                    },
-                ],
-            },
-            Message::SubmitReply {
-                request_id: 42,
-                server: Some("toulouse-violette/0".into()),
-            },
-            Message::SubmitReply {
-                request_id: 43,
-                server: None,
-            },
-            Message::Call {
-                request_id: 42,
-                ctx: TraceCtx {
-                    trace_id: 7,
-                    parent_span: 99,
-                },
-                profile: sample_profile(),
-            },
-            Message::Call {
-                request_id: 44,
-                ctx: TraceCtx::default(),
-                profile: sample_profile(),
-            },
-            Message::CallReply {
-                request_id: 42,
-                queue_wait: 0.125,
-                solve: 2.5,
-                result: Ok(sample_profile()),
-            },
-            Message::CallReply {
-                request_id: 42,
-                queue_wait: 0.0,
-                solve: 0.0,
-                result: Err("solve failed".into()),
-            },
+            ]),
+            call(ctx, sample_profile()),
+            call(TraceCtx::default(), empty_profile()),
+            call_reply(0.125, 2.5, Ok(sample_profile())),
+            call_reply(0.0, 0.0, Err("solve failed".into())),
             Message::Ping,
             Message::Pong,
             Message::Shutdown,
-            Message::DumpMetrics,
-            Message::MetricsReply {
-                text: "# TYPE x counter\nx 1\n".into(),
-            },
             Message::GetData {
-                request_id: 77,
+                request_id: RID,
                 id: "ramsesZoom2#0".into(),
             },
-            Message::DataReply {
-                request_id: 77,
-                id: "ramsesZoom2#0".into(),
-                result: Ok((
+            data_reply(
+                "ramsesZoom2#0",
+                Ok((
                     DietValue::File {
                         name: "ic.dat".into(),
                         data: Bytes::from_static(b"\x00\x01\x02"),
                     },
                     Persistence::Persistent,
                 )),
-            },
-            Message::DataReply {
-                request_id: 78,
-                id: "missing".into(),
-                result: Err("persistent data not found: missing".into()),
-            },
+            ),
+            data_reply("missing", Err("persistent data not found: missing".into())),
             Message::PutData {
-                request_id: 79,
+                request_id: RID,
                 id: "blob".into(),
                 mode: Persistence::Sticky,
                 value: DietValue::vec_f64(vec![0.5, -1.5]),
             },
-            Message::Busy { request_id: 0 },
-            Message::Busy { request_id: 81 },
-            Message::PushSpans {
-                request_id: 90,
-                source: ProcessSource {
-                    role: "sed".into(),
-                    label: "lyon/0".into(),
-                    pid: 4242,
-                    site: "lyon".into(),
-                },
-                spans: vec![
-                    SpanRecord {
-                        trace_id: 7,
-                        span_id: 2,
-                        parent: 1,
-                        name: "Execution",
-                        resource: "lyon/0".into(),
-                        start_ns: 1_000,
-                        end_ns: 5_000,
-                    },
-                    SpanRecord {
-                        trace_id: 7,
-                        span_id: 3,
-                        parent: 2,
-                        name: "ResultReturn",
-                        resource: "lyon/0".into(),
-                        start_ns: 5_000,
-                        end_ns: 5_500,
-                    },
+            Message::Busy { request_id: RID },
+            push_spans(
+                source.clone(),
+                vec![
+                    span(2, 1, "Execution", 1_000, 5_000),
+                    span(3, 2, "ResultReturn", 5_000, 5_500),
                 ],
-            },
-            Message::PushSpans {
-                request_id: 91,
-                source: ProcessSource::default(),
-                spans: vec![],
-            },
-            Message::PushMetricDeltas {
-                request_id: 92,
-                source: ProcessSource {
-                    role: "client".into(),
-                    label: "client".into(),
-                    pid: 1,
-                    site: String::new(),
-                },
-                deltas: vec![
+            ),
+            push_spans(ProcessSource::default(), vec![]),
+            push_deltas(
+                source,
+                vec![
                     (
                         "diet_client_requests_total".into(),
                         vec![],
@@ -2094,114 +1073,153 @@ mod tests {
                     (
                         "diet_client_finding_seconds".into(),
                         vec![],
-                        MetricSnapshot::Histogram {
-                            bounds: vec![0.1, 1.0],
-                            counts: vec![1, 0, 2],
-                            sum: 4.25,
-                            count: 3,
-                        },
+                        histogram(vec![0.1, 1.0], vec![1, 0, 2], 4.25, 3),
+                    ),
+                    (
+                        "diet_empty_seconds".into(),
+                        vec![],
+                        histogram(vec![], vec![], 0.0, 0),
                     ),
                 ],
-            },
-            Message::PushAck { request_id: 90 },
+            ),
+            push_deltas(ProcessSource::default(), vec![]),
+            Message::PushAck { request_id: RID },
             Message::DumpMetricsRid {
-                request_id: 93,
+                request_id: RID,
                 what: "topology".into(),
             },
-            Message::DumpMetricsRid {
-                request_id: 94,
-                what: String::new(),
-            },
             Message::MetricsReplyRid {
-                request_id: 93,
+                request_id: RID,
                 text: "# TYPE x counter\nx 1\n".into(),
             },
-            Message::SubmitDag {
-                request_id: 95,
-                ctx: TraceCtx {
-                    trace_id: 11,
-                    parent_span: 12,
+            submit_dag(ctx, sample_workflow()),
+            submit_dag(
+                TraceCtx::default(),
+                WorkflowSpec {
+                    name: "w".into(),
+                    nodes: vec![],
                 },
-                spec: sample_workflow(),
-            },
-            Message::DagReply {
-                request_id: 95,
-                result: Ok(3),
-            },
-            Message::DagReply {
-                request_id: 96,
-                result: Err("cycle through nodes [0, 1]".into()),
-            },
+            ),
+            dag_reply(Ok(3)),
+            dag_reply(Err("cycle through nodes [0, 1]".into())),
             Message::DagStatus {
-                request_id: 97,
+                request_id: RID,
                 dag_id: 3,
                 since: 17,
             },
-            Message::DagEvent {
-                request_id: 97,
-                dag_id: 3,
-                events: vec![DagEventRec {
-                    seq: 18,
-                    node: 1,
-                    state: DagNodeState::Running,
-                    detail: "lyon/0".into(),
-                    at_ms: 250,
-                }],
-                outcome: Some(DagOutcome {
-                    dag_id: 3,
-                    ok: true,
-                    makespan_ms: 900,
-                    cancelled: 0,
-                    nodes: vec![DagNodeOutcome {
-                        node: 1,
-                        service: "ramsesZoom1".into(),
-                        sed: "lyon/0".into(),
-                        status: 0,
-                        attempts: 2,
-                        speculated: true,
-                        duration_ms: 640,
-                        outputs: vec![(2, "ramsesZoom1@d3.n1#2".into())],
-                        scalars: vec![(3, 0)],
-                    }],
-                }),
+            dag_event(
+                3,
+                dag_events.collect(),
+                Some(outcome(
+                    true,
+                    vec![
+                        DagNodeOutcome {
+                            node: 1,
+                            service: "ramsesZoom1".into(),
+                            sed: "lyon/0".into(),
+                            status: 0,
+                            attempts: 2,
+                            speculated: true,
+                            duration_ms: 640,
+                            outputs: vec![(2, "ramsesZoom1@d3.n1#2".into())],
+                            scalars: vec![(3, -4)],
+                        },
+                        DagNodeOutcome {
+                            node: 2,
+                            status: -1,
+                            ..DagNodeOutcome::default()
+                        },
+                    ],
+                )),
+            ),
+            dag_event(4, vec![], None),
+            dag_event(5, vec![], Some(outcome(false, vec![]))),
+            submit_tasks(vec![
+                TaskPayload::Call(sample_profile()),
+                TaskPayload::Dag(sample_workflow()),
+            ]),
+            submit_tasks(vec![]),
+            submit_tasks_reply(Ok((7, vec![0, 1, 2]))),
+            submit_tasks_reply(Ok((8, vec![]))),
+            submit_tasks_reply(Err("nope".into())),
+            Message::TaskStatus {
+                request_id: RID,
+                campaign_id: 7,
+                task_id: 3,
             },
-            Message::DagEvent {
-                request_id: 98,
-                dag_id: 4,
-                events: vec![],
-                outcome: None,
+            task_status_reply(Ok(TaskStatusRec {
+                task_id: 3,
+                state: TaskState::Dispatched,
+                attempts: 2,
+                sed: "lyon/1".into(),
+            })),
+            task_status_reply(Err("unknown task".into())),
+            Message::AttachCampaign {
+                request_id: RID,
+                campaign: "camp".into(),
             },
-        ];
-        for m in msgs {
-            let enc = encode_message(&m);
-            let dec = decode_message(enc).unwrap();
-            assert_eq!(dec, m);
-        }
+            attach_reply(Ok(summary(true))),
+            attach_reply(Err("unknown campaign".into())),
+            Message::CampaignProgress {
+                request_id: RID,
+                campaign_id: 7,
+                cursor: 41,
+            },
+            progress_reply(Ok((
+                summary(false),
+                vec![
+                    task_event(9, TaskState::Pending),
+                    task_event(10, TaskState::Dispatched),
+                    task_event(11, TaskState::Done),
+                    task_event(12, TaskState::Failed),
+                ],
+            ))),
+            progress_reply(Ok((summary(true), vec![]))),
+            progress_reply(Err("unknown campaign".into())),
+        ]
     }
 
+    /// The one table test: for every sample the encoder still produces the
+    /// golden bytes, the decoder maps them back, every strict prefix is
+    /// rejected, and the request id peeks out of exactly the correlated
+    /// kinds — and every row of the frame table has a sample.
     #[test]
-    fn truncation_is_detected_not_panicking() {
-        let enc = encode_message(&Message::Call {
-            request_id: 7,
-            ctx: TraceCtx {
-                trace_id: 3,
-                parent_span: 5,
-            },
-            profile: sample_profile(),
-        });
-        for cut in [0, 1, 5, 9, 13, 21, enc.len() / 2, enc.len() - 1] {
-            let sliced = enc.slice(0..cut);
-            assert!(
-                decode_message(sliced).is_err(),
-                "cut at {cut} decoded successfully"
+    fn table_matches_golden_vectors() {
+        let samples = samples();
+        let golden = golden("msg");
+        assert_eq!(samples.len(), golden.len(), "samples vs golden lines");
+        let mut tags = BTreeSet::new();
+        for (m, (name, bytes)) in samples.iter().zip(&golden) {
+            assert!(format!("{m:?}").starts_with(name.as_str()), "{name}: {m:?}");
+            let enc = encode_message(m);
+            assert_eq!(hex(&enc), hex(bytes), "{name}: wire bytes changed");
+            assert_eq!(&decode_message(enc.clone()).unwrap(), m, "{name}");
+            for cut in 0..enc.len() {
+                assert!(
+                    decode_message(enc.slice(0..cut)).is_err(),
+                    "{name}: cut at {cut} decoded successfully"
+                );
+            }
+            let correlated = !matches!(m, Message::Ping | Message::Pong | Message::Shutdown);
+            assert_eq!(
+                peek_request_id(&enc),
+                if correlated { RID } else { 0 },
+                "{name}"
             );
+            tags.insert(enc[0]);
         }
+        let rows: BTreeSet<u8> = ALL_TAGS.iter().copied().collect();
+        assert_eq!(tags, rows, "a frame-table row has no sample");
     }
 
     #[test]
     fn unknown_tags_rejected() {
-        let raw = Bytes::from_static(&[99u8, 0, 0, 0]);
-        assert!(matches!(decode_message(raw), Err(DietError::Codec(_))));
+        // 17 and 18 were the uncorrelated DumpMetrics/MetricsReply pair:
+        // reserved, never reused, and no longer decoded.
+        for tag in [99u8, 17, 18] {
+            let raw = Bytes::from(vec![tag, 0, 0, 0, 0]);
+            assert!(matches!(decode_message(raw), Err(DietError::Codec(_))));
+        }
     }
 
     #[test]
@@ -2217,6 +1235,7 @@ mod tests {
             ctx,
             profile: sample_profile(),
         });
+        assert_eq!(enc[9..17], ctx.trace_id.to_le_bytes());
         match decode_message(enc).unwrap() {
             Message::Call { ctx: back, .. } => assert_eq!(back, ctx),
             other => panic!("decoded {other:?}"),
@@ -2224,317 +1243,80 @@ mod tests {
     }
 
     #[test]
-    fn data_ref_value_roundtrip() {
-        let mut buf = BytesMut::new();
-        put_value(&mut buf, &DietValue::data_ref("zoom/ic#0"));
-        let v = get_value(&mut buf.freeze()).unwrap();
-        assert_eq!(v.as_data_ref(), Some("zoom/ic#0"));
-    }
-
-    #[test]
-    fn data_frames_detect_truncation() {
-        let enc = encode_message(&Message::DataReply {
-            request_id: 5,
-            id: "ic".into(),
-            result: Ok((DietValue::vec_i32(vec![1, 2, 3]), Persistence::Persistent)),
-        });
-        for cut in 0..enc.len() {
-            assert!(
-                decode_message(enc.slice(0..cut)).is_err(),
-                "cut at {cut} decoded successfully"
-            );
-        }
-    }
-
-    #[test]
-    fn hierarchy_frames_detect_truncation() {
-        // Forward and EstimateBatch travel agent-to-agent; cut them at
-        // every byte boundary and none may decode (or panic).
-        let frames = [
-            encode_message(&Message::Forward {
-                request_id: 5,
-                ctx: TraceCtx {
-                    trace_id: 2,
-                    parent_span: 3,
-                },
-                service: "ramsesZoom2".into(),
-                exclude: vec!["lyon/0".into()],
-                ttl: 1,
-            }),
-            encode_message(&Message::EstimateBatch {
-                request_id: 5,
-                estimates: vec![Estimate {
-                    server: "sophia/2".into(),
-                    speed_factor: 1.0,
-                    known_mean_duration: Some(12.5),
-                    admission_limit: Some(4),
-                    ..Estimate::default()
-                }],
-            }),
-        ];
-        for enc in frames {
-            for cut in 0..enc.len() {
-                assert!(
-                    decode_message(enc.slice(0..cut)).is_err(),
-                    "cut at {cut} decoded successfully"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn telemetry_frames_detect_truncation() {
-        // Push batches and the correlated dump pair travel on shared mux
-        // connections; cut them at every byte and none may decode or panic.
-        let src = ProcessSource {
-            role: "sed".into(),
-            label: "lyon/0".into(),
-            pid: 7,
-            site: "lyon".into(),
-        };
-        let frames = [
-            encode_message(&Message::PushSpans {
-                request_id: 5,
-                source: src.clone(),
-                spans: vec![SpanRecord {
-                    trace_id: 1,
-                    span_id: 2,
-                    parent: 0,
-                    name: "Queued",
-                    resource: "lyon/0".into(),
-                    start_ns: 10,
-                    end_ns: 20,
-                }],
-            }),
-            encode_message(&Message::PushMetricDeltas {
-                request_id: 6,
-                source: src,
-                deltas: vec![
-                    (
-                        "c".into(),
-                        vec![("k".into(), "v".into())],
-                        MetricSnapshot::Counter(1),
-                    ),
-                    (
-                        "h".into(),
-                        vec![],
-                        MetricSnapshot::Histogram {
-                            bounds: vec![1.0],
-                            counts: vec![0, 1],
-                            sum: 2.0,
-                            count: 1,
-                        },
-                    ),
-                ],
-            }),
-            encode_message(&Message::DumpMetricsRid {
-                request_id: 7,
-                what: "chrome".into(),
-            }),
-            encode_message(&Message::MetricsReplyRid {
-                request_id: 7,
-                text: "x 1\n".into(),
-            }),
-        ];
-        for enc in frames {
-            for cut in 0..enc.len() {
-                assert!(
-                    decode_message(enc.slice(0..cut)).is_err(),
-                    "cut at {cut} decoded successfully"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn telemetry_frames_are_correlated() {
-        // Every new telemetry frame must expose its id to peek_request_id
-        // so the reactor's Busy-on-overflow path and the client mux demux
-        // can route it without decoding.
-        let frames = [
-            (
-                encode_message(&Message::PushSpans {
-                    request_id: 41,
-                    source: ProcessSource::default(),
-                    spans: vec![],
-                }),
-                41,
-            ),
-            (
-                encode_message(&Message::PushMetricDeltas {
-                    request_id: 42,
-                    source: ProcessSource::default(),
-                    deltas: vec![],
-                }),
-                42,
-            ),
-            (encode_message(&Message::PushAck { request_id: 43 }), 43),
-            (
-                encode_message(&Message::DumpMetricsRid {
-                    request_id: 44,
-                    what: String::new(),
-                }),
-                44,
-            ),
-            (
-                encode_message(&Message::MetricsReplyRid {
-                    request_id: 45,
-                    text: String::new(),
-                }),
-                45,
-            ),
-        ];
-        for (enc, rid) in frames {
-            assert_eq!(peek_request_id(&enc), rid);
-        }
-        // The legacy pair stays uncorrelated.
-        assert_eq!(peek_request_id(&encode_message(&Message::DumpMetrics)), 0);
-    }
-
-    #[test]
-    fn i64_value_roundtrip() {
-        let mut buf = BytesMut::new();
-        put_value(&mut buf, &DietValue::ScalarI64(-1234567890123));
-        let v = get_value(&mut buf.freeze()).unwrap();
-        assert_eq!(v, DietValue::ScalarI64(-1234567890123));
-    }
-
-    fn sample_workflow() -> WorkflowSpec {
-        let mut part1 = DagNodeSpec::new(0, sample_profile());
-        part1.expander = Some("zoom_fanout".into());
-        part1.params = vec![("max_zooms".into(), "4".into())];
-        let mut part2 = DagNodeSpec::new(1, sample_profile());
-        part2.deps = vec![0];
-        part2.inputs = vec![DagInput {
-            arg: 0,
-            from_node: 0,
-            from_arg: 7,
-        }];
-        part2.max_retries = 1;
-        WorkflowSpec {
-            name: "zoom".into(),
-            nodes: vec![part1, part2],
-        }
-    }
-
-    #[test]
-    fn dag_frames_detect_truncation() {
-        // Dag frames ride the same mux connections as everything else; cut
-        // them at every byte boundary and none may decode or panic.
-        let frames = [
-            encode_message(&Message::SubmitDag {
-                request_id: 5,
-                ctx: TraceCtx {
-                    trace_id: 2,
-                    parent_span: 3,
-                },
-                spec: sample_workflow(),
-            }),
-            encode_message(&Message::DagReply {
-                request_id: 6,
-                result: Ok(9),
-            }),
-            encode_message(&Message::DagReply {
-                request_id: 6,
-                result: Err("no engine".into()),
-            }),
-            encode_message(&Message::DagStatus {
-                request_id: 7,
-                dag_id: 9,
-                since: 3,
-            }),
-            encode_message(&Message::DagEvent {
-                request_id: 7,
-                dag_id: 9,
-                events: vec![DagEventRec {
-                    seq: 4,
-                    node: 0,
-                    state: DagNodeState::Done,
-                    detail: "lyon/0".into(),
-                    at_ms: 77,
-                }],
-                outcome: Some(DagOutcome {
-                    dag_id: 9,
-                    ok: false,
-                    makespan_ms: 10,
-                    cancelled: 1,
-                    nodes: vec![DagNodeOutcome {
-                        node: 0,
-                        service: "s".into(),
-                        sed: "x/0".into(),
-                        status: -1,
-                        attempts: 3,
-                        speculated: false,
-                        duration_ms: 5,
-                        outputs: vec![(0, "s@d9.n0#0".into())],
-                        scalars: vec![(1, -4)],
-                    }],
-                }),
-            }),
-        ];
-        for enc in frames {
-            for cut in 0..enc.len() {
-                assert!(
-                    decode_message(enc.slice(0..cut)).is_err(),
-                    "cut at {cut} decoded successfully"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dag_frames_are_correlated() {
-        // All four dag frames must expose their id to peek_request_id so
-        // they demux off a shared client connection.
-        let frames = [
-            (
-                encode_message(&Message::SubmitDag {
-                    request_id: 51,
-                    ctx: TraceCtx::default(),
-                    spec: sample_workflow(),
-                }),
-                51,
-            ),
-            (
-                encode_message(&Message::DagReply {
-                    request_id: 52,
-                    result: Ok(1),
-                }),
-                52,
-            ),
-            (
-                encode_message(&Message::DagStatus {
-                    request_id: 53,
-                    dag_id: 1,
-                    since: 0,
-                }),
-                53,
-            ),
-            (
-                encode_message(&Message::DagEvent {
-                    request_id: 54,
-                    dag_id: 1,
-                    events: vec![],
-                    outcome: None,
-                }),
-                54,
-            ),
-        ];
-        for (enc, rid) in frames {
-            assert_eq!(peek_request_id(&enc), rid);
-        }
-    }
-
-    #[test]
     fn bad_dag_state_byte_rejected() {
-        let mut enc = BytesMut::new();
-        enc.put_u8(MSG_DAG_EVENT);
-        enc.put_u64_le(1); // request id
-        enc.put_u64_le(1); // dag id
-        enc.put_u32_le(1); // one event
-        enc.put_u64_le(1); // seq
-        enc.put_u32_le(0); // node
-        enc.put_u8(200); // invalid state byte
-        assert!(decode_message(enc.freeze()).is_err());
+        let mut enc = vec![33u8]; // DagEvent
+        enc.extend_from_slice(&1u64.to_le_bytes()); // request id
+        enc.extend_from_slice(&1u64.to_le_bytes()); // dag id
+        enc.extend_from_slice(&1u32.to_le_bytes()); // one event
+        enc.extend_from_slice(&1u64.to_le_bytes()); // seq
+        enc.extend_from_slice(&0u32.to_le_bytes()); // node
+        enc.push(200); // invalid state byte
+        assert!(decode_message(Bytes::from(enc)).is_err());
+    }
+
+    /// `[service ""][arity 0xFFFF_FFFF]`: a profile that claims four
+    /// billion arguments and carries none.
+    pub(crate) const HUGE_ARITY_PROFILE: [u8; 8] = [0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF];
+
+    #[test]
+    fn untrusted_counts_are_rejected_not_reserved() {
+        // A count off the wire bounds nothing: each of these used to ask the
+        // allocator for 4 Gi elements and abort the process.
+        let rid = 7u64.to_le_bytes();
+        let one = 1u32.to_le_bytes();
+        let empty = 0u32.to_le_bytes();
+        let frames: [Vec<&[u8]>; 3] = [
+            // Call: [12][rid][ctx;16][profile] — the 33-byte frame.
+            vec![&[12], &rid, &[0; 16], &HUGE_ARITY_PROFILE],
+            // SubmitDag: [30][rid][ctx;16][name ""][1 node][id][profile]
+            vec![
+                &[30],
+                &rid,
+                &[0; 16],
+                &empty,
+                &one,
+                &empty,
+                &HUGE_ARITY_PROFILE,
+            ],
+            // SubmitTasks: [34][rid][campaign ""][1 task][kind Call][profile]
+            vec![&[34], &rid, &empty, &one, &[0], &HUGE_ARITY_PROFILE],
+        ];
+        for parts in frames {
+            let frame = parts.concat();
+            assert!(matches!(
+                decode_message(Bytes::from(frame)),
+                Err(DietError::Codec(_))
+            ));
+        }
+        assert_eq!(1 + 8 + 16 + HUGE_ARITY_PROFILE.len(), 33);
+    }
+
+    #[test]
+    fn bulk_payloads_decode_as_slices_of_the_frame() {
+        let file = DietValue::File {
+            name: "ic.dat".into(),
+            data: Bytes::from(vec![7u8; 4096]),
+        };
+        for value in [file, DietValue::Str("x".repeat(4096).into())] {
+            let frame = encode_message(&Message::PutData {
+                request_id: 1,
+                id: "blob".into(),
+                mode: Persistence::Persistent,
+                value,
+            });
+            let span = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+            let payload = match decode_message(frame.clone()).unwrap() {
+                Message::PutData {
+                    value: DietValue::File { data, .. },
+                    ..
+                } => data.as_ptr(),
+                Message::PutData {
+                    value: DietValue::Str(s),
+                    ..
+                } => s.as_ptr(),
+                other => panic!("decoded {other:?}"),
+            };
+            assert!(span.contains(&(payload as usize)), "payload was copied");
+        }
     }
 }

@@ -16,8 +16,7 @@
 //! Prometheus scrape of the collector shows the health of the event loop
 //! doing the collecting.
 //!
-//! Views, all served through the correlated [`Message::DumpMetricsRid`]
-//! (and the legacy uncorrelated `DumpMetrics`):
+//! Views, all served through the correlated [`Message::DumpMetricsRid`]:
 //!
 //! - `""` / `"prometheus"` — text exposition of the merged registry
 //! - `"chrome"` — Chrome `chrome://tracing` JSON of every merged span
@@ -206,7 +205,7 @@ impl Collector {
         out
     }
 
-    /// Render the view a `DumpMetrics`/`DumpMetricsRid` request selects.
+    /// Render the view a `DumpMetricsRid` request selects.
     pub fn view(&self, what: &str) -> String {
         match what {
             "" | "prometheus" => self.obs.metrics.render_prometheus(),
@@ -252,10 +251,6 @@ pub fn serve_collector_over_tcp(
             Message::DumpMetricsRid { request_id, what } => {
                 let text = collector.view(&what);
                 let _ = handle.send(&Message::MetricsReplyRid { request_id, text });
-            }
-            Message::DumpMetrics => {
-                let text = collector.view("");
-                let _ = handle.send(&Message::MetricsReply { text });
             }
             Message::Ping => {
                 let _ = handle.send(&Message::Pong);

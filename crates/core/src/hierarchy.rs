@@ -83,7 +83,7 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
 /// overtake each other — that is the point; the request id pairs them).
 /// No per-connection pump thread, no parked worker: an idle connection
 /// costs a registered buffer. Data and control frames (`GetData`/
-/// `PutData`/`Ping`/`DumpMetrics`) are answered inline on the dispatch
+/// `PutData`/`Ping`/`DumpMetricsRid`) are answered inline on the dispatch
 /// workers.
 ///
 /// Admission control: when the SeD's `admission_limit` is reached (or the
@@ -224,14 +224,8 @@ pub fn serve_sed_over_tcp_with_config(
                     result,
                 });
             }
-            // The `dump-metrics` request: ship this SeD's registry as
-            // Prometheus text over the same transport the solves use.
-            Message::DumpMetrics => {
-                let text = sed.obs().metrics.render_prometheus();
-                let _ = handle.send(&Message::MetricsReply { text });
-            }
-            // Correlated variant: rides a shared mux like `Call`, and the
-            // selector picks the exported view.
+            // The `dump-metrics` request: rides a shared mux like `Call`,
+            // and the selector picks the exported view.
             Message::DumpMetricsRid { request_id, what } => {
                 let text = component_view(&sed.obs(), &what);
                 let _ = handle.send(&Message::MetricsReplyRid { request_id, text });
@@ -504,7 +498,7 @@ pub fn serve_agent_over_tcp(
 /// the whole subtree's estimates (local SeDs, in-process children, and
 /// remote children reached through this node's [`RemoteSubtree`] slots);
 /// over-admission answers `Busy`. `Ping`/`Pong` serves heartbeat probes,
-/// `DumpMetrics` ships the agent's registry.
+/// `DumpMetricsRid` ships the agent's registry.
 pub fn serve_agent_over_tcp_at(
     node: Arc<AgentNode>,
     addr: impl std::net::ToSocketAddrs + Clone + Send + Sync + 'static,
@@ -556,10 +550,6 @@ pub fn serve_agent_over_tcp_at(
                     request_id,
                     estimates,
                 });
-            }
-            Message::DumpMetrics => {
-                let text = obs.metrics.render_prometheus();
-                let _ = handle.send(&Message::MetricsReply { text });
             }
             Message::DumpMetricsRid { request_id, what } => {
                 let text = component_view(&obs, &what);
@@ -678,10 +668,6 @@ fn serve_ma_inner(
                     request_id,
                     estimates,
                 });
-            }
-            Message::DumpMetrics => {
-                let text = ma.metrics().render_prometheus();
-                let _ = handle.send(&Message::MetricsReply { text });
             }
             Message::DumpMetricsRid { request_id, what } => {
                 let text = component_view(&obs, &what);

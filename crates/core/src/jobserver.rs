@@ -41,13 +41,13 @@
 //! handed the existing campaign.
 
 use crate::client::RetryPolicy;
-use crate::codec::{self, Message};
+use crate::codec::{self, wire_enum, Message, Wire};
 use crate::dag::WorkflowSpec;
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
 use crate::profile::Profile;
 use crate::transport::{Duplex, MuxConn, ServerConfig, TcpSedPool, TcpServer, TcpTransport};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use obs::Obs;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -326,109 +326,22 @@ enum WalRec {
     },
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, DietError> {
-    if buf.remaining() < 4 {
-        return Err(DietError::Codec("truncated wal string length".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(DietError::Codec("truncated wal string body".into()));
-    }
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|e| DietError::Codec(format!("wal utf8: {e}")))
-}
+// On disk a record is `[u64 lsn][u8 kind][fields]`.
+wire_enum!(WalRec {
+    1 => CampaignCreate { cid, name },
+    2 => TaskAdd { cid, tid, payload },
+    3 => Transition { cid, tid, state, attempts, sed, ms, note },
+});
 
 fn encode_wal_rec(lsn: u64, rec: &WalRec) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(64);
-    buf.put_u64_le(lsn);
-    match rec {
-        WalRec::CampaignCreate { cid, name } => {
-            buf.put_u8(1);
-            buf.put_u64_le(*cid);
-            put_str(&mut buf, name);
-        }
-        WalRec::TaskAdd { cid, tid, payload } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*cid);
-            buf.put_u64_le(*tid);
-            codec::encode_task_payload(&mut buf, payload);
-        }
-        WalRec::Transition {
-            cid,
-            tid,
-            state,
-            attempts,
-            sed,
-            ms,
-            note,
-        } => {
-            buf.put_u8(3);
-            buf.put_u64_le(*cid);
-            buf.put_u64_le(*tid);
-            buf.put_u8(*state as u8);
-            buf.put_u32_le(*attempts);
-            put_str(&mut buf, sed);
-            buf.put_u64_le(*ms);
-            put_str(&mut buf, note);
-        }
-    }
+    lsn.put(&mut buf);
+    rec.put(&mut buf);
     buf.to_vec()
 }
 
 fn decode_wal_rec(payload: &[u8]) -> Result<(u64, WalRec), DietError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    if buf.remaining() < 9 {
-        return Err(DietError::Codec("short wal record".into()));
-    }
-    let lsn = buf.get_u64_le();
-    let kind = buf.get_u8();
-    let need_u64 = |buf: &mut Bytes| -> Result<u64, DietError> {
-        if buf.remaining() < 8 {
-            Err(DietError::Codec("truncated wal u64".into()))
-        } else {
-            Ok(buf.get_u64_le())
-        }
-    };
-    let rec = match kind {
-        1 => WalRec::CampaignCreate {
-            cid: need_u64(&mut buf)?,
-            name: get_str(&mut buf)?,
-        },
-        2 => WalRec::TaskAdd {
-            cid: need_u64(&mut buf)?,
-            tid: need_u64(&mut buf)?,
-            payload: codec::decode_task_payload(&mut buf)?,
-        },
-        3 => {
-            let cid = need_u64(&mut buf)?;
-            let tid = need_u64(&mut buf)?;
-            if buf.remaining() < 5 {
-                return Err(DietError::Codec("truncated wal transition".into()));
-            }
-            let state = TaskState::from_u8(buf.get_u8())
-                .ok_or_else(|| DietError::Codec("bad wal task state".into()))?;
-            let attempts = buf.get_u32_le();
-            let sed = get_str(&mut buf)?;
-            let ms = need_u64(&mut buf)?;
-            let note = get_str(&mut buf)?;
-            WalRec::Transition {
-                cid,
-                tid,
-                state,
-                attempts,
-                sed,
-                ms,
-                note,
-            }
-        }
-        k => return Err(DietError::Codec(format!("unknown wal record kind {k}"))),
-    };
-    Ok((lsn, rec))
+    Wire::get(&mut Bytes::copy_from_slice(payload))
 }
 
 // --------------------------------------------------------------- job store
@@ -559,7 +472,7 @@ impl JobStore {
         let mut campaigns: Vec<Campaign> = Vec::new();
         let mut by_name = HashMap::new();
         let mut last_lsn = 0u64;
-        if let Some((snap_lsn, snap_campaigns)) = load_snapshot(&dir.join(SNAPSHOT_FILE), &cfg)? {
+        if let Some((snap_lsn, snap_campaigns)) = load_snapshot(&dir.join(SNAPSHOT_FILE))? {
             last_lsn = snap_lsn;
             campaigns = snap_campaigns;
             for c in &campaigns {
@@ -1073,11 +986,7 @@ impl JobStore {
         let path = self.snapshot_path();
         let mut f = File::create(&tmp)
             .map_err(|e| DietError::Transport(format!("create {}: {e}", tmp.display())))?;
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-        header.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        header.extend_from_slice(&crc32(&body).to_le_bytes());
-        f.write_all(&header)
+        f.write_all(&snapshot_header(&body))
             .and_then(|_| f.write_all(&body))
             .and_then(|_| f.sync_data())
             .map_err(|e| DietError::Transport(format!("write snapshot: {e}")))?;
@@ -1204,23 +1113,72 @@ fn apply_rec(inner: &mut StoreInner, rec: &WalRec, cfg: &JobStoreConfig) {
     }
 }
 
-fn encode_snapshot(last_lsn: u64, campaigns: &[Campaign]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4096);
-    buf.put_u64_le(last_lsn);
-    buf.put_u32_le(campaigns.len() as u32);
-    for c in campaigns {
-        buf.put_u64_le(c.id);
-        put_str(&mut buf, &c.name);
-        buf.put_u64_le(c.next_seq);
-        buf.put_u64_le(c.resubmissions);
-        buf.put_u64_le(c.tasks.len() as u64);
-        for t in &c.tasks {
-            buf.put_u8(t.state as u8);
-            buf.put_u32_le(t.attempts);
-            put_str(&mut buf, &t.sed);
-            codec::encode_task_payload(&mut buf, &t.payload);
+/// A task as a snapshot holds it: `[state][attempts][sed][payload]`. The
+/// claim epoch is live-only and restarts at 0.
+impl Wire for TaskRec {
+    fn put(&self, buf: &mut BytesMut) {
+        self.state.put(buf);
+        self.attempts.put(buf);
+        self.sed.put(buf);
+        self.payload.put(buf);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        Ok(TaskRec {
+            state: Wire::get(buf)?,
+            attempts: Wire::get(buf)?,
+            sed: Wire::get(buf)?,
+            payload: Wire::get(buf)?,
+            epoch: 0,
+        })
+    }
+}
+
+/// `[id][name][next_seq][resubmissions][u64 n][tasks]`. The done/failed
+/// counters are recounted from the tasks; the event feed is not kept.
+impl Wire for Campaign {
+    fn put(&self, buf: &mut BytesMut) {
+        self.id.put(buf);
+        self.name.put(buf);
+        self.next_seq.put(buf);
+        self.resubmissions.put(buf);
+        self.tasks.len().put(buf);
+        for t in &self.tasks {
+            t.put(buf);
         }
     }
+    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+        let id = Wire::get(buf)?;
+        let name = Wire::get(buf)?;
+        let next_seq = Wire::get(buf)?;
+        let resubmissions = Wire::get(buf)?;
+        let n_tasks = Wire::get(buf)?;
+        let tasks: Vec<TaskRec> = codec::get_n(buf, n_tasks)?;
+        let count = |state| tasks.iter().filter(|t| t.state == state).count() as u64;
+        Ok(Campaign {
+            id,
+            name,
+            done: count(TaskState::Done),
+            failed: count(TaskState::Failed),
+            tasks,
+            events: VecDeque::new(),
+            next_seq,
+            resubmissions,
+        })
+    }
+}
+
+/// What precedes the body in `snapshot.bin`: `[u32 magic][u32 len][u32 crc]`.
+fn snapshot_header(body: &[u8]) -> BytesMut {
+    let mut header = BytesMut::with_capacity(12);
+    (SNAPSHOT_MAGIC, body.len() as u32, crc32(body)).put(&mut header);
+    header
+}
+
+/// The snapshot body: `[u64 last_lsn][u32 n][campaigns]`.
+fn encode_snapshot(last_lsn: u64, campaigns: &[Campaign]) -> Vec<u8> {
+    let mut buf = BytesMut::with_capacity(4096);
+    last_lsn.put(&mut buf);
+    codec::put_list(&mut buf, campaigns);
     buf.to_vec()
 }
 
@@ -1229,87 +1187,23 @@ fn encode_snapshot(last_lsn: u64, campaigns: &[Campaign]) -> Vec<u8> {
 /// since the last successful compaction... which is exactly when a valid
 /// snapshot would exist, so in practice corruption here means starting
 /// from whatever the WAL holds).
-fn load_snapshot(
-    path: &Path,
-    _cfg: &JobStoreConfig,
-) -> Result<Option<(u64, Vec<Campaign>)>, DietError> {
+fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<Campaign>)>, DietError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(DietError::Transport(format!("read snapshot: {e}"))),
     };
-    if bytes.len() < 12 {
+    let mut buf = Bytes::from(bytes);
+    let Ok((magic, len, crc)) = <(u32, u32, u32)>::get(&mut buf) else {
         return Ok(None);
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if magic != SNAPSHOT_MAGIC || bytes.len() < 12 + len || crc32(&bytes[12..12 + len]) != crc {
-        return Ok(None);
-    }
-    let mut buf = Bytes::copy_from_slice(&bytes[12..12 + len]);
-    let mut parse = || -> Result<(u64, Vec<Campaign>), DietError> {
-        if buf.remaining() < 12 {
-            return Err(DietError::Codec("short snapshot body".into()));
-        }
-        let last_lsn = buf.get_u64_le();
-        let n_campaigns = buf.get_u32_le() as usize;
-        let mut campaigns = Vec::with_capacity(n_campaigns.min(1024));
-        for _ in 0..n_campaigns {
-            if buf.remaining() < 8 {
-                return Err(DietError::Codec("truncated snapshot campaign".into()));
-            }
-            let id = buf.get_u64_le();
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 24 {
-                return Err(DietError::Codec("truncated snapshot campaign tail".into()));
-            }
-            let next_seq = buf.get_u64_le();
-            let resubmissions = buf.get_u64_le();
-            let n_tasks = buf.get_u64_le() as usize;
-            let mut tasks = Vec::with_capacity(n_tasks.min(1 << 20));
-            let (mut done, mut failed) = (0u64, 0u64);
-            for _ in 0..n_tasks {
-                if buf.remaining() < 5 {
-                    return Err(DietError::Codec("truncated snapshot task".into()));
-                }
-                let state = TaskState::from_u8(buf.get_u8())
-                    .ok_or_else(|| DietError::Codec("bad snapshot task state".into()))?;
-                let attempts = buf.get_u32_le();
-                let sed = get_str(&mut buf)?;
-                let payload = codec::decode_task_payload(&mut buf)?;
-                match state {
-                    TaskState::Done => done += 1,
-                    TaskState::Failed => failed += 1,
-                    _ => {}
-                }
-                tasks.push(TaskRec {
-                    payload,
-                    state,
-                    attempts,
-                    epoch: 0,
-                    sed,
-                });
-            }
-            campaigns.push(Campaign {
-                id,
-                name,
-                tasks,
-                events: VecDeque::new(),
-                next_seq,
-                resubmissions,
-                done,
-                failed,
-            });
-        }
-        Ok((last_lsn, campaigns))
     };
-    match parse() {
-        Ok(v) => Ok(Some(v)),
-        // Framing said the body was intact but it did not parse — treat
-        // like a missing snapshot rather than refusing to start.
-        Err(_) => Ok(None),
+    let len = len as usize;
+    if magic != SNAPSHOT_MAGIC || buf.len() < len || crc32(&buf[..len]) != crc {
+        return Ok(None);
     }
+    // Framing said the body was intact; if it still does not parse, treat
+    // it like a missing snapshot rather than refusing to start.
+    Ok(Wire::get(&mut buf.slice(..len)).ok())
 }
 
 // ------------------------------------------------------------ machine pool
@@ -2257,5 +2151,182 @@ mod tests {
         let (_, rest) = s.progress(cid, mid).unwrap();
         assert_eq!(rest.len(), 2);
         assert!(rest.iter().all(|e| e.seq > mid));
+    }
+
+    fn wal_samples() -> Vec<(u64, WalRec)> {
+        use crate::codec::tests::{sample_profile, sample_workflow};
+        let transition = |state, ms, note: &str| WalRec::Transition {
+            cid: 3,
+            tid: 0,
+            state,
+            attempts: 1,
+            sed: "sophia/2".into(),
+            ms,
+            note: note.into(),
+        };
+        vec![
+            (
+                10,
+                WalRec::CampaignCreate {
+                    cid: 3,
+                    name: "gamma".into(),
+                },
+            ),
+            (
+                11,
+                WalRec::TaskAdd {
+                    cid: 3,
+                    tid: 0,
+                    payload: TaskPayload::Call(sample_profile()),
+                },
+            ),
+            (
+                12,
+                WalRec::TaskAdd {
+                    cid: 3,
+                    tid: 1,
+                    payload: TaskPayload::Dag(sample_workflow()),
+                },
+            ),
+            (13, transition(TaskState::Dispatched, 0, "")),
+            (14, transition(TaskState::Done, 41, "ok")),
+        ]
+    }
+
+    /// Two campaigns as a snapshot at LSN 9 holds them: every task state,
+    /// both payload kinds.
+    fn snapshot_sample() -> Vec<Campaign> {
+        let task = |payload, state, attempts, sed: &str| TaskRec {
+            payload,
+            state,
+            attempts,
+            epoch: 0,
+            sed: sed.into(),
+        };
+        let campaign = |id, name: &str, tasks, next_seq, resubmissions, done, failed| Campaign {
+            id,
+            name: name.into(),
+            tasks,
+            events: VecDeque::new(),
+            next_seq,
+            resubmissions,
+            done,
+            failed,
+        };
+        vec![
+            campaign(
+                1,
+                "alpha",
+                vec![
+                    task(call_payload(1), TaskState::Done, 1, "lyon/0"),
+                    task(call_payload(2), TaskState::Dispatched, 2, "lyon/1"),
+                    task(call_payload(3), TaskState::Pending, 0, ""),
+                ],
+                6,
+                1,
+                1,
+                0,
+            ),
+            campaign(
+                2,
+                "beta",
+                vec![task(
+                    TaskPayload::Dag(crate::codec::tests::sample_workflow()),
+                    TaskState::Failed,
+                    3,
+                    "",
+                )],
+                4,
+                2,
+                0,
+                1,
+            ),
+        ]
+    }
+
+    /// The WAL and snapshot halves of the golden-vector file: the encoders
+    /// still produce the committed bytes, the decoders map them back, and
+    /// a job directory made of exactly those bytes opens to the same
+    /// campaigns, states and attempts.
+    #[test]
+    fn golden_wal_and_snapshot_bytes_open_as_a_job_directory() {
+        use crate::codec::tests::{golden, hex};
+        let golden_wal = golden("wal");
+        let samples = wal_samples();
+        assert_eq!(samples.len(), golden_wal.len());
+        let dir = tmpdir("golden");
+        let (mut log, _) = JobLog::open(dir.join(WAL_FILE)).unwrap();
+        for ((lsn, rec), (name, bytes)) in samples.iter().zip(&golden_wal) {
+            assert!(format!("{rec:?}").starts_with(name.as_str()), "{name}");
+            assert_eq!(hex(&encode_wal_rec(*lsn, rec)), hex(bytes), "{name}");
+            assert_eq!(decode_wal_rec(bytes).unwrap(), (*lsn, rec.clone()));
+            for cut in 0..bytes.len() {
+                assert!(decode_wal_rec(&bytes[..cut]).is_err(), "{name} cut {cut}");
+            }
+            log.append(bytes).unwrap();
+        }
+        let (_, body) = &golden("snapshot")[0];
+        assert_eq!(hex(&encode_snapshot(9, &snapshot_sample())), hex(body));
+
+        let snap = [&snapshot_header(body)[..], body].concat();
+        std::fs::write(dir.join(SNAPSHOT_FILE), snap).unwrap();
+        drop(log);
+        let s = store(&dir);
+        let status = |cid, tid| {
+            let t = s.task_status(cid, tid).unwrap();
+            (t.state, t.attempts, t.sed)
+        };
+        // Snapshot state, with alpha's in-flight task demoted on open.
+        assert_eq!(status(1, 0), (TaskState::Done, 1, "lyon/0".into()));
+        assert_eq!(status(1, 1), (TaskState::Pending, 2, String::new()));
+        assert_eq!(status(1, 2), (TaskState::Pending, 0, String::new()));
+        assert_eq!(status(2, 0), (TaskState::Failed, 3, String::new()));
+        let alpha = s.summary(1).unwrap();
+        assert_eq!(
+            (alpha.name.as_str(), alpha.total, alpha.done),
+            ("alpha", 3, 1)
+        );
+        assert_eq!(alpha.resubmissions, 1);
+        let beta = s.summary(2).unwrap();
+        assert_eq!((beta.failed, beta.finished), (1, true));
+        // The WAL tail replayed on top of it.
+        assert_eq!(status(3, 0), (TaskState::Done, 1, "sophia/2".into()));
+        assert_eq!(status(3, 1), (TaskState::Pending, 0, String::new()));
+        assert_eq!(s.summary(3).unwrap().name, "gamma");
+        assert_eq!((s.recovered_done(), s.recovered_inflight()), (2, 1));
+        assert_eq!(s.pending(), 3);
+    }
+
+    #[test]
+    fn wal_record_with_a_lying_count_is_a_torn_tail_not_an_abort() {
+        // [lsn 3][kind TaskAdd][cid 1][tid 1][payload kind Call][profile]:
+        // intact framing, a profile claiming 4 Gi arguments inside.
+        let mut bad = 3u64.to_le_bytes().to_vec();
+        bad.push(2);
+        bad.extend_from_slice(&1u64.to_le_bytes());
+        bad.extend_from_slice(&1u64.to_le_bytes());
+        bad.push(0);
+        bad.extend_from_slice(&crate::codec::tests::HUGE_ARITY_PROFILE);
+        assert!(matches!(decode_wal_rec(&bad), Err(DietError::Codec(_))));
+
+        let dir = tmpdir("lying");
+        let create = WalRec::CampaignCreate {
+            cid: 1,
+            name: "camp".into(),
+        };
+        let add = WalRec::TaskAdd {
+            cid: 1,
+            tid: 0,
+            payload: call_payload(1),
+        };
+        let (mut log, _) = JobLog::open(dir.join(WAL_FILE)).unwrap();
+        for payload in [encode_wal_rec(1, &create), encode_wal_rec(2, &add), bad] {
+            log.append(&payload).unwrap();
+        }
+        drop(log);
+        // The records before it replay; the bad one is where the log ends.
+        let s = store(&dir);
+        assert_eq!(s.summary(1).unwrap().total, 1);
+        assert_eq!(s.pending(), 1);
     }
 }

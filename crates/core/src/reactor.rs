@@ -981,7 +981,7 @@ impl Reactor {
                 Err(TrySendError::Full((h, frame))) => {
                     // Dispatch queue full: explicit backpressure per
                     // request, echoing its id so exactly that caller backs
-                    // off. Uncorrelated frames (rid 0: Ping, DumpMetrics)
+                    // off. Uncorrelated frames (rid 0: Ping, Shutdown)
                     // are dropped — Busy{0} would poison the peer's whole
                     // mux connection — but the drop is counted, not silent.
                     self.depth.fetch_sub(1, Ordering::Relaxed);

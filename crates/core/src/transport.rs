@@ -607,9 +607,8 @@ impl MuxConn {
                         Message::TaskStatusReply { request_id, .. } => *request_id,
                         Message::AttachReply { request_id, .. } => *request_id,
                         Message::ProgressReply { request_id, .. } => *request_id,
-                        // Uncorrelated frames (Pong, the legacy
-                        // MetricsReply) have no waiter on a mux connection;
-                        // drop them.
+                        // Uncorrelated frames (Pong) have no waiter on a mux
+                        // connection; drop them.
                         _ => 0,
                     };
                     if rid != 0 {
@@ -842,32 +841,10 @@ impl TcpSedPool {
         }
     }
 
-    /// Fetch a Prometheus-format metrics dump from the server behind
-    /// `label` (the `dump-metrics` request). This legacy variant carries no
-    /// correlation id, so it uses a short-lived dedicated connection rather
-    /// than riding the multiplexed stream; prefer
-    /// [`dump_metrics_correlated`](Self::dump_metrics_correlated), which
-    /// shares the label's pooled connection with in-flight calls.
-    pub fn dump_metrics(&self, label: &str, deadline: Duration) -> Result<String, DietError> {
-        let addr = self
-            .endpoint(label)
-            .ok_or_else(|| DietError::Transport(format!("no endpoint registered for {label}")))?;
-        let conn = TcpTransport::connect(addr)?;
-        conn.send(&Message::DumpMetrics)?;
-        match conn.recv_timeout(deadline)? {
-            Some(Message::MetricsReply { text }) => Ok(text),
-            Some(other) => Err(DietError::Transport(format!(
-                "unexpected reply to dump-metrics: {other:?}"
-            ))),
-            None => Err(DietError::Timeout {
-                after_secs: deadline.as_secs_f64(),
-            }),
-        }
-    }
-
-    /// Correlated metrics dump riding the label's shared [`MuxConn`] like
-    /// `Call` does — no extra connection, and concurrent dumps from many
-    /// threads demux cleanly by request id. `what` selects the view
+    /// Metrics dump from the server behind `label` (the `dump-metrics`
+    /// request), riding the label's shared [`MuxConn`] like `Call` does — no
+    /// extra connection, and concurrent dumps from many threads demux
+    /// cleanly by request id. `what` selects the view
     /// (`""`/`"prometheus"`, `"chrome"`, `"topology"` on a collector).
     pub fn dump_metrics_correlated(
         &self,

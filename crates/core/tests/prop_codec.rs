@@ -2,12 +2,16 @@
 //! messages, and never panics on corrupted input.
 
 use bytes::Bytes;
-use diet_core::codec::{decode_message, encode_message, Message};
+use diet_core::codec::{decode_message, encode_message, Message, ProcessSource};
+use diet_core::dag::{
+    DagEventRec, DagInput, DagNodeOutcome, DagNodeSpec, DagNodeState, DagOutcome, WorkflowSpec,
+};
 use diet_core::data::{DietValue, Persistence};
 use diet_core::jobserver::{CampaignSummary, TaskEventRec, TaskPayload, TaskState, TaskStatusRec};
 use diet_core::monitor::Estimate;
 use diet_core::profile::Profile;
 use diet_core::sched::{DataLocal, MinQueue, RandomSched, RoundRobin, Scheduler, WeightedSpeed};
+use obs::{MetricSnapshot, SpanRecord, TraceCtx};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = DietValue> {
@@ -107,7 +111,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 Message::Submit {
                     service,
                     request_id,
-                    ctx: obs::TraceCtx {
+                    ctx: TraceCtx {
                         trace_id,
                         parent_span,
                     },
@@ -124,7 +128,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_map(
                 |(service, request_id, trace_id, exclude, ttl)| Message::Forward {
                     request_id,
-                    ctx: obs::TraceCtx {
+                    ctx: TraceCtx {
                         trace_id,
                         parent_span: 0,
                     },
@@ -144,7 +148,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (any::<u64>(), any::<u64>(), any::<u64>(), arb_profile()).prop_map(
             |(request_id, trace_id, parent_span, profile)| Message::Call {
                 request_id,
-                ctx: obs::TraceCtx {
+                ctx: TraceCtx {
                     trace_id,
                     parent_span,
                 },
@@ -155,47 +159,31 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<u64>(),
             arb_finite_f64(),
             arb_finite_f64(),
-            arb_profile()
+            arb_result(arb_profile())
         )
-            .prop_map(|(request_id, queue_wait, solve, p)| Message::CallReply {
-                request_id,
-                queue_wait,
-                solve,
-                result: Ok(p)
-            }),
-        (any::<u64>(), arb_finite_f64(), arb_finite_f64(), ".*").prop_map(
-            |(request_id, queue_wait, solve, e)| Message::CallReply {
-                request_id,
-                queue_wait,
-                solve,
-                result: Err(e)
-            }
-        ),
+            .prop_map(
+                |(request_id, queue_wait, solve, result)| Message::CallReply {
+                    request_id,
+                    queue_wait,
+                    solve,
+                    result,
+                }
+            ),
         Just(Message::Ping),
         Just(Message::Pong),
         Just(Message::Shutdown),
-        Just(Message::DumpMetrics),
-        ".*".prop_map(|text| Message::MetricsReply { text }),
         (any::<u64>(), "[a-z0-9/_.-]{1,40}")
             .prop_map(|(request_id, id)| Message::GetData { request_id, id }),
         (
             any::<u64>(),
             "[a-z0-9/_.-]{1,40}",
-            arb_value(),
-            arb_persistence()
+            arb_result((arb_value(), arb_persistence()))
         )
-            .prop_map(|(request_id, id, v, mode)| Message::DataReply {
+            .prop_map(|(request_id, id, result)| Message::DataReply {
                 request_id,
                 id,
-                result: Ok((v, mode)),
-            },),
-        (any::<u64>(), "[a-z0-9/_.-]{1,40}", ".*").prop_map(|(request_id, id, e)| {
-            Message::DataReply {
-                request_id,
-                id,
-                result: Err(e),
-            }
-        }),
+                result,
+            }),
         (
             any::<u64>(),
             "[a-z0-9/_.-]{1,40}",
@@ -221,17 +209,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }),
         (
             any::<u64>(),
-            any::<u64>(),
-            prop::collection::vec(any::<u64>(), 0..32)
+            arb_result((any::<u64>(), prop::collection::vec(any::<u64>(), 0..32)))
         )
-            .prop_map(|(request_id, cid, ids)| Message::SubmitTasksReply {
-                request_id,
-                result: Ok((cid, ids)),
-            }),
-        (any::<u64>(), ".*").prop_map(|(request_id, e)| Message::SubmitTasksReply {
-            request_id,
-            result: Err(e),
-        }),
+            .prop_map(|(request_id, result)| Message::SubmitTasksReply { request_id, result }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
             |(request_id, campaign_id, task_id)| Message::TaskStatus {
                 request_id,
@@ -241,36 +221,30 @@ fn arb_message() -> impl Strategy<Value = Message> {
         ),
         (
             any::<u64>(),
-            any::<u64>(),
-            arb_task_state(),
-            any::<u32>(),
-            "[a-z/0-9]{0,20}"
-        )
-            .prop_map(|(request_id, task_id, state, attempts, sed)| {
-                Message::TaskStatusReply {
-                    request_id,
-                    result: Ok(TaskStatusRec {
+            arb_result(
+                (
+                    any::<u64>(),
+                    arb_task_state(),
+                    any::<u32>(),
+                    "[a-z/0-9]{0,20}"
+                )
+                    .prop_map(|(task_id, state, attempts, sed)| TaskStatusRec {
                         task_id,
                         state,
                         attempts,
                         sed,
-                    }),
-                }
-            }),
+                    })
+            )
+        )
+            .prop_map(|(request_id, result)| Message::TaskStatusReply { request_id, result }),
         (any::<u64>(), "[a-z][a-z0-9-]{0,24}").prop_map(|(request_id, campaign)| {
             Message::AttachCampaign {
                 request_id,
                 campaign,
             }
         }),
-        (any::<u64>(), arb_campaign_summary()).prop_map(|(request_id, s)| Message::AttachReply {
-            request_id,
-            result: Ok(s),
-        }),
-        (any::<u64>(), ".*").prop_map(|(request_id, e)| Message::AttachReply {
-            request_id,
-            result: Err(e),
-        }),
+        (any::<u64>(), arb_result(arb_campaign_summary()))
+            .prop_map(|(request_id, result)| Message::AttachReply { request_id, result }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(request_id, campaign_id, cursor)| {
             Message::CampaignProgress {
                 request_id,
@@ -280,14 +254,244 @@ fn arb_message() -> impl Strategy<Value = Message> {
         }),
         (
             any::<u64>(),
-            arb_campaign_summary(),
-            prop::collection::vec(arb_task_event(), 0..16)
+            arb_result((
+                arb_campaign_summary(),
+                prop::collection::vec(arb_task_event(), 0..16)
+            ))
         )
-            .prop_map(|(request_id, summary, events)| Message::ProgressReply {
+            .prop_map(|(request_id, result)| Message::ProgressReply { request_id, result }),
+        (any::<u64>(), arb_ctx(), arb_workflow()).prop_map(|(request_id, ctx, spec)| {
+            Message::SubmitDag {
                 request_id,
-                result: Ok((summary, events)),
+                ctx,
+                spec,
+            }
+        }),
+        (any::<u64>(), arb_result(any::<u64>()))
+            .prop_map(|(request_id, result)| Message::DagReply { request_id, result }),
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(request_id, dag_id, since)| {
+            Message::DagStatus {
+                request_id,
+                dag_id,
+                since,
+            }
+        }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec(arb_dag_event(), 0..6),
+            prop::option::of(arb_dag_outcome())
+        )
+            .prop_map(|(request_id, dag_id, events, outcome)| Message::DagEvent {
+                request_id,
+                dag_id,
+                events,
+                outcome,
+            }),
+        (
+            any::<u64>(),
+            arb_source(),
+            prop::collection::vec(arb_span(), 0..6)
+        )
+            .prop_map(|(request_id, source, spans)| Message::PushSpans {
+                request_id,
+                source,
+                spans,
+            }),
+        (
+            any::<u64>(),
+            arb_source(),
+            prop::collection::vec(
+                (
+                    "[a-z_]{1,24}",
+                    prop::collection::vec(("[a-z]{1,8}", "[a-z/0-9]{0,12}"), 0..3),
+                    arb_snapshot()
+                ),
+                0..5
+            )
+        )
+            .prop_map(|(request_id, source, deltas)| Message::PushMetricDeltas {
+                request_id,
+                source,
+                deltas,
+            }),
+        any::<u64>().prop_map(|request_id| Message::PushAck { request_id }),
+        (any::<u64>(), "[a-z]{0,10}")
+            .prop_map(|(request_id, what)| Message::DumpMetricsRid { request_id, what }),
+        (any::<u64>(), ".*")
+            .prop_map(|(request_id, text)| Message::MetricsReplyRid { request_id, text }),
+    ]
+}
+
+/// Both arms of a reply's `Result` field.
+fn arb_result<T: 'static>(
+    ok: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = Result<T, String>> {
+    prop_oneof![ok.prop_map(Ok), ".*".prop_map(Err)]
+}
+
+fn arb_ctx() -> impl Strategy<Value = TraceCtx> {
+    (any::<u64>(), any::<u64>()).prop_map(|(trace_id, parent_span)| TraceCtx {
+        trace_id,
+        parent_span,
+    })
+}
+
+fn arb_source() -> impl Strategy<Value = ProcessSource> {
+    ("[a-z]{0,8}", "[a-z/0-9]{0,12}", any::<u32>(), "[a-z]{0,8}").prop_map(
+        |(role, label, pid, site)| ProcessSource {
+            role,
+            label,
+            pid,
+            site,
+        },
+    )
+}
+
+fn arb_span() -> impl Strategy<Value = SpanRecord> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        // Names the decoder's interner already knows: nothing is leaked.
+        prop_oneof![Just("Finding"), Just("Execution"), Just("span")],
+        "[a-z/0-9]{0,12}",
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(trace_id, span_id, parent, name, resource, start_ns, end_ns)| SpanRecord {
+                trace_id,
+                span_id,
+                parent,
+                name,
+                resource,
+                start_ns,
+                end_ns,
+            },
+        )
+}
+
+fn arb_snapshot() -> impl Strategy<Value = MetricSnapshot> {
+    prop_oneof![
+        any::<u64>().prop_map(MetricSnapshot::Counter),
+        (-1e12f64..1e12).prop_map(MetricSnapshot::Gauge),
+        (
+            prop::collection::vec(0.0f64..1e6, 0..6),
+            prop::collection::vec(any::<u64>(), 0..7),
+            0.0f64..1e9,
+            any::<u64>()
+        )
+            .prop_map(|(bounds, counts, sum, count)| MetricSnapshot::Histogram {
+                bounds,
+                counts,
+                sum,
+                count,
             }),
     ]
+}
+
+fn arb_workflow() -> impl Strategy<Value = WorkflowSpec> {
+    let node = (
+        any::<u32>(),
+        arb_profile(),
+        prop::collection::vec(any::<u32>(), 0..4),
+        prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..3),
+        prop::option::of("[a-z_]{1,12}"),
+        prop::collection::vec(("[a-z_]{1,8}", "[a-z0-9]{0,8}"), 0..3),
+        any::<u32>(),
+    )
+        .prop_map(
+            |(id, profile, deps, inputs, expander, params, max_retries)| DagNodeSpec {
+                id,
+                profile,
+                deps,
+                inputs: inputs
+                    .into_iter()
+                    .map(|(arg, from_node, from_arg)| DagInput {
+                        arg,
+                        from_node,
+                        from_arg,
+                    })
+                    .collect(),
+                expander,
+                params,
+                max_retries,
+            },
+        );
+    ("[a-z][a-z0-9-]{0,16}", prop::collection::vec(node, 0..3))
+        .prop_map(|(name, nodes)| WorkflowSpec { name, nodes })
+}
+
+fn arb_dag_event() -> impl Strategy<Value = DagEventRec> {
+    (
+        any::<u64>(),
+        any::<u32>(),
+        0u8..7,
+        "[a-z/0-9 ]{0,20}",
+        any::<u64>(),
+    )
+        .prop_map(|(seq, node, state, detail, at_ms)| DagEventRec {
+            seq,
+            node,
+            state: DagNodeState::from_u8(state).unwrap(),
+            detail,
+            at_ms,
+        })
+}
+
+fn arb_dag_outcome() -> impl Strategy<Value = DagOutcome> {
+    let node = (
+        any::<u32>(),
+        "[a-zA-Z0-9]{0,12}",
+        "[a-z/0-9]{0,12}",
+        any::<i32>(),
+        any::<u32>(),
+        any::<bool>(),
+        any::<u64>(),
+        (
+            prop::collection::vec((any::<u32>(), "[a-zA-Z0-9@.#]{0,20}"), 0..3),
+            prop::collection::vec((any::<u32>(), any::<i64>()), 0..3),
+        ),
+    )
+        .prop_map(
+            |(
+                node,
+                service,
+                sed,
+                status,
+                attempts,
+                speculated,
+                duration_ms,
+                (outputs, scalars),
+            )| {
+                DagNodeOutcome {
+                    node,
+                    service,
+                    sed,
+                    status,
+                    attempts,
+                    speculated,
+                    duration_ms,
+                    outputs,
+                    scalars,
+                }
+            },
+        );
+    (
+        any::<u64>(),
+        any::<bool>(),
+        any::<u64>(),
+        any::<u32>(),
+        prop::collection::vec(node, 0..3),
+    )
+        .prop_map(|(dag_id, ok, makespan_ms, cancelled, nodes)| DagOutcome {
+            dag_id,
+            ok,
+            makespan_ms,
+            cancelled,
+            nodes,
+        })
 }
 
 fn arb_task_state() -> impl Strategy<Value = TaskState> {
@@ -300,30 +504,9 @@ fn arb_task_state() -> impl Strategy<Value = TaskState> {
 }
 
 fn arb_task_payload() -> impl Strategy<Value = TaskPayload> {
-    // DAG payloads exercise the WorkflowSpec sub-encoding via the simplest
-    // spec shape; node-level coverage lives in the dag codec tests.
     prop_oneof![
         arb_profile().prop_map(TaskPayload::Call),
-        (
-            "[a-z][a-z0-9-]{0,16}",
-            prop::collection::vec(arb_profile(), 0..3)
-        )
-            .prop_map(|(name, profiles)| {
-                let nodes = profiles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, profile)| diet_core::dag::DagNodeSpec {
-                        id: i as u32,
-                        profile,
-                        deps: if i == 0 { vec![] } else { vec![i as u32 - 1] },
-                        inputs: vec![],
-                        expander: None,
-                        params: vec![],
-                        max_retries: i as u32,
-                    })
-                    .collect();
-                TaskPayload::Dag(diet_core::dag::WorkflowSpec { name, nodes })
-            }),
+        arb_workflow().prop_map(TaskPayload::Dag),
     ]
 }
 
@@ -372,12 +555,17 @@ fn arb_campaign_summary() -> impl Strategy<Value = CampaignSummary> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// encode → decode is the identity for every message.
+    /// encode → decode is the identity for every message, and no strict
+    /// prefix of the encoding decodes back to it.
     #[test]
     fn message_roundtrip(m in arb_message()) {
         let enc = encode_message(&m);
-        let dec = decode_message(enc).unwrap();
-        prop_assert_eq!(dec, m);
+        for cut in 0..enc.len() {
+            if let Ok(other) = decode_message(enc.slice(0..cut)) {
+                prop_assert_ne!(other, m.clone(), "cut at {}", cut);
+            }
+        }
+        prop_assert_eq!(decode_message(enc).unwrap(), m);
     }
 
     /// Decoding arbitrary bytes errors or succeeds — never panics.
@@ -386,19 +574,20 @@ proptest! {
         let _ = decode_message(Bytes::from(raw));
     }
 
-    /// Decoding a truncated valid message reports an error (no garbage).
+    /// The structure-aware companion: random bytes never get past the
+    /// first string, so slide a 4-byte window of `0xFFFF_FFFF` (and once of
+    /// random bytes) over a *valid* frame. Every count field is hit at some
+    /// offset, and decoding must return — not panic, not ask the allocator
+    /// for what the count claims.
     #[test]
-    fn truncation_always_detected(m in arb_message(), frac in 0.0f64..1.0) {
-        let enc = encode_message(&m);
-        if enc.len() > 1 {
-            let cut = ((enc.len() - 1) as f64 * frac) as usize;
-            let sliced = enc.slice(0..cut);
-            // Either an error, or (for multi-frame-safe prefixes) equality is
-            // impossible because the payload is shorter — decode of a strict
-            // prefix must never return the original message.
-            match decode_message(sliced) {
-                Err(_) => {}
-                Ok(other) => prop_assert_ne!(other, m),
+    fn mutated_frames_never_panic_or_abort(m in arb_message(), noise in any::<u32>()) {
+        let enc = encode_message(&m).to_vec();
+        for at in 0..enc.len() {
+            for window in [u32::MAX, noise] {
+                let mut frame = enc.clone();
+                let end = (at + 4).min(frame.len());
+                frame[at..end].copy_from_slice(&window.to_le_bytes()[..end - at]);
+                let _ = decode_message(Bytes::from(frame));
             }
         }
     }

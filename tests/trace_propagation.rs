@@ -143,7 +143,7 @@ fn resubmitted_request_keeps_its_trace_id_across_the_wire() {
     // The survivor's metrics are reachable over the same TCP transport via
     // the dump-metrics request.
     let dump = pool
-        .dump_metrics(&seds[1].config.label, Duration::from_secs(5))
+        .dump_metrics_correlated(&seds[1].config.label, "", Duration::from_secs(5))
         .expect("dump-metrics over TCP");
     assert!(
         dump.contains("diet_sed_solves_total"),
