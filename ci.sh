@@ -93,6 +93,25 @@ stage_lint() {
         echo "ci.sh drift: buffer primitives outside codec.rs (use its Wire impls)" >&2
         exit 1
     fi
+    # Drift guard: every client stub talks through transport.rs's `Peer`.
+    # A `MuxConn::connect` anywhere else is a second dial slot growing back.
+    if grep -rn 'MuxConn::connect(' crates/core/src --include='*.rs' \
+        | grep -v '^crates/core/src/transport\.rs:'; then
+        echo "ci.sh drift: MuxConn::connect outside transport.rs (use its Peer)" >&2
+        exit 1
+    fi
+    # Drift guard: one retry loop (client::retry_loop) backs off for every
+    # GridRPC call. A second non-test caller of `backoff_jittered` is a
+    # second loop growing back.
+    backoffs=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /backoff_jittered\(/ && !/fn backoff_jittered/ { print FILENAME ":" FNR }' "$f"
+    done)
+    if [ "$(printf '%s\n' "$backoffs" | grep -c .)" -gt 1 ]; then
+        echo "ci.sh drift: backoff_jittered called outside the one retry loop:" >&2
+        printf '%s\n' "$backoffs" >&2
+        exit 1
+    fi
 }
 
 stage_determinism() {
@@ -170,24 +189,28 @@ stage_hierarchy() {
     # test suite covers the 3-level resolve through two remote hops, the
     # interior-LA kill mid-burst (zero lost requests), MA-to-MA federation,
     # heartbeat mark/restore of whole subtrees, and per-agent Busy
-    # admission, at both thread widths. The finding-depth bench self-checks
+    # admission; the route-parity table checks that every fault ends the
+    # same way whether finding is in-process or remote; both at both thread
+    # widths. The finding-depth bench self-checks
     # that all submits resolve at depths 1/2/3 and validates its artifact.
     (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test hierarchy_tcp
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test hierarchy_tcp
+     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test hierarchy_tcp --test route_parity
+     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test hierarchy_tcp --test route_parity
      cargo run --release -p bench --bin exp_finding_depth -- --quick
      test -s target/experiments/BENCH_finding_quick.json
      grep -q '"finding_p50_ms"' target/experiments/BENCH_finding_quick.json)
 }
 
 stage_serving() {
-    # Readiness-driven serving-core gate: the adversarial reactor suite
-    # (byte-trickled frames, slow-loris under a single worker, mid-frame
-    # disconnect pruning, hostile length prefixes, the pooled server's
-    # conn-map regression), the reply path over real TCP (unreplaced
-    # arguments stay off the wire, the pool puts them back) and the framing
-    # unit suites (exact-size receive under any split of the stream, short
-    # vectored writes, mid-frame timeouts) at both thread widths, then the
+    # Readiness-driven serving-core gate — the only server mode: the
+    # adversarial reactor suite (byte-trickled frames, slow-loris under a
+    # single worker, mid-frame disconnect pruning, hostile length
+    # prefixes), the reply path over real TCP (unreplaced arguments stay
+    # off the wire, the pool puts them back) and the transport and framing
+    # unit suites (dispatch-queue overflow answered Busy{rid}, a re-registered
+    # label dialing its new address, exact-size receive under any split of
+    # the stream, short vectored writes, mid-frame timeouts) at both thread
+    # widths, then the
     # quick throughput run whose idle-connection sweep self-checks that
     # foreground rps holds across a held herd and that the process thread
     # count stays flat.

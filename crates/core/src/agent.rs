@@ -407,7 +407,20 @@ impl MasterAgent {
         data_ids: &[String],
         exclude: &[String],
     ) -> Result<Arc<SedHandle>, DietError> {
-        let (est, handle) = self.schedule(service, data_ids, exclude, TraceCtx::default())?;
+        self.submit_traced(service, data_ids, exclude, TraceCtx::default())
+    }
+
+    /// [`submit_with_data`](Self::submit_with_data) under a caller's trace
+    /// context, which remote subtrees join — the in-process route of the
+    /// client's retry loop.
+    pub(crate) fn submit_traced(
+        &self,
+        service: &str,
+        data_ids: &[String],
+        exclude: &[String],
+        ctx: TraceCtx,
+    ) -> Result<Arc<SedHandle>, DietError> {
+        let (est, handle) = self.schedule(service, data_ids, exclude, ctx)?;
         handle.ok_or_else(|| {
             DietError::Rejected(format!(
                 "chosen server {} lives behind a remote agent; resolve by label instead",

@@ -20,7 +20,7 @@ use crate::profile::Profile;
 use crate::sed::{SedHandle, SolveOutcome};
 use crate::transport::TcpSedPool;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use obs::{Obs, TraceCtx};
+use obs::{Obs, TraceCtx, Tracer};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,8 +69,10 @@ pub struct DagHandle {
     pub trace_id: u64,
 }
 
-/// Per-call fault-tolerance knobs for [`DietClient::call_with_retry`] and
-/// [`DietClient::call_over_tcp`].
+/// Per-call fault-tolerance knobs for the retrying calls —
+/// [`DietClient::call_with_retry`], [`DietClient::call_over_tcp`] and
+/// [`DietClient::call_distributed`] — and for one dispatch round of the
+/// jobserver, all of which run the same retry loop.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Deadline for each individual attempt (send + queue + solve).
@@ -133,9 +135,19 @@ impl RetryPolicy {
 
 /// Is this failure worth resubmitting elsewhere? Transport losses and
 /// deadline expiries are; application-level failures (bad profile, solve
-/// status, unknown service) would fail identically on any server.
-fn is_retryable(e: &DietError) -> bool {
+/// status) would fail identically on any server.
+pub(crate) fn is_retryable(e: &DietError) -> bool {
     matches!(e, DietError::Transport(_) | DietError::Timeout { .. })
+}
+
+/// Did finding come back empty? Over the wire an MA answers no label at
+/// all, so an unknown service and a momentarily unavailable one look the
+/// same; both routes treat both as a miss worth a backed-off retry.
+fn is_finding_miss(e: &DietError) -> bool {
+    matches!(
+        e,
+        DietError::NoServerAvailable(_) | DietError::ServiceNotFound(_)
+    )
 }
 
 /// Did the attempt fail because a referenced grid-data item could not be
@@ -147,6 +159,210 @@ fn is_data_not_found(e: &DietError) -> bool {
         DietError::DataNotFound(_) => true,
         DietError::Rejected(msg) => msg.contains("persistent data not found"),
         _ => false,
+    }
+}
+
+/// Where a call's finding phase runs: the in-process [`MasterAgent`] or a
+/// remote MA process behind a [`RemoteAgentClient`].
+pub(crate) trait Route {
+    /// What finding hands the data path: a SeD handle or a SeD label.
+    type Target;
+    /// One finding phase. `data_ids` feed data-aware scheduling where the
+    /// route can carry them (the `Submit` frame cannot).
+    fn find(
+        &self,
+        service: &str,
+        data_ids: &[String],
+        exclude: &[String],
+        ctx: TraceCtx,
+    ) -> Result<Self::Target, DietError>;
+    fn label(target: &Self::Target) -> &str;
+    /// Blame `target` for a transport fault or timeout.
+    fn report_failure(&self, target: &Self::Target);
+}
+
+impl Route for MasterAgent {
+    type Target = Arc<SedHandle>;
+    fn find(
+        &self,
+        service: &str,
+        data_ids: &[String],
+        exclude: &[String],
+        ctx: TraceCtx,
+    ) -> Result<Arc<SedHandle>, DietError> {
+        self.submit_traced(service, data_ids, exclude, ctx)
+    }
+    fn label(sed: &Arc<SedHandle>) -> &str {
+        &sed.config.label
+    }
+    fn report_failure(&self, sed: &Arc<SedHandle>) {
+        MasterAgent::report_failure(self, sed);
+    }
+}
+
+impl Route for RemoteAgentClient {
+    type Target = String;
+    fn find(
+        &self,
+        service: &str,
+        _data_ids: &[String],
+        exclude: &[String],
+        ctx: TraceCtx,
+    ) -> Result<String, DietError> {
+        self.submit(service, exclude, ctx)?
+            .ok_or_else(|| DietError::NoServerAvailable(service.to_string()))
+    }
+    fn label(label: &String) -> &str {
+        label
+    }
+    /// A remote MA learns about dead SeDs from its own heartbeats.
+    fn report_failure(&self, _: &String) {}
+}
+
+/// How a retry loop ended: the solved profile, its stats and the target
+/// that served it — or the error that stopped it.
+pub(crate) type Routed<T> = Result<(Profile, CallStats, T), DietError>;
+
+/// What a retrying call did besides its result — the caller's counters.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub retries: u64,
+    pub busy: u64,
+    pub reships: u64,
+}
+
+/// The one retry loop under every GridRPC call: find a SeD over `route`,
+/// run `attempt` against it, classify what went wrong, back off, repeat —
+/// at most `policy.max_retries` times after the first attempt.
+///
+/// `attempt` runs one bounded attempt and returns
+/// `(out_profile, queue_wait, solve_time)`; `reship` puts the request's
+/// referenced payloads back on a target that lost them and says whether it
+/// could. The loop owns backoff (jittered, salted by the trace id), the
+/// exclusion list (seeded with `exclude`), error classification, re-ship,
+/// and the trace: with a `tracer`, every attempt is an `attempt` span under
+/// `parent` with `Finding` and `Submission` windows, so a failed attempt
+/// still leaves its footprint; without one, `parent` itself goes down to
+/// the agents and the SeD. The caller owns metrics, history and outcomes,
+/// from the result and the [`Tally`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn retry_loop<R: Route>(
+    route: &R,
+    tracer: Option<&Tracer>,
+    parent: TraceCtx,
+    profile: &Profile,
+    policy: &RetryPolicy,
+    mut exclude: Vec<String>,
+    mut attempt: impl FnMut(&R::Target, Profile, TraceCtx) -> Result<(Profile, f64, f64), DietError>,
+    reship: impl Fn(&R::Target, &[String]) -> bool,
+) -> (Routed<R::Target>, Tally) {
+    let issued = Instant::now();
+    let trace_id = parent.trace_id;
+    let data_ids = profile.data_ref_ids();
+    let mut tally = Tally::default();
+    let mut finding = 0.0;
+    let mut last_err = None;
+    for attempt_no in 0..=policy.max_retries {
+        if attempt_no > 0 {
+            std::thread::sleep(policy.backoff_jittered(attempt_no - 1, trace_id));
+            tally.retries += 1;
+        }
+        let span = tracer.map(|t| t.span(trace_id, parent.parent_span, "attempt", "client"));
+        let ctx = span.as_ref().map_or(parent, |s| s.ctx());
+        let now_ns = || tracer.map_or(0, |t| t.now_ns());
+        let window = |name, resource: &str, start_ns, end_ns| {
+            if let Some(t) = tracer {
+                t.record_window(trace_id, ctx.parent_span, name, resource, start_ns, end_ns);
+            }
+        };
+        let finding_start_ns = now_ns();
+        let t0 = Instant::now();
+        let target = match route.find(&profile.service, &data_ids, &exclude, ctx) {
+            Ok(target) => target,
+            Err(e) => {
+                // Busy agents, lost hops and empty findings may all clear
+                // by the next attempt; anything else would not.
+                if e == DietError::Busy {
+                    tally.busy += 1;
+                } else if !is_finding_miss(&e) && !is_retryable(&e) {
+                    return (Err(e), tally);
+                }
+                last_err = Some(e);
+                continue;
+            }
+        };
+        finding += t0.elapsed().as_secs_f64();
+        window("Finding", "agents", finding_start_ns, now_ns());
+        let label = R::label(&target);
+        let submit_start_ns = now_ns();
+        let t1 = Instant::now();
+        match attempt(&target, profile.clone(), ctx) {
+            Ok((out, queue_wait, solve)) => {
+                let send = (t1.elapsed().as_secs_f64() - queue_wait - solve).max(0.0);
+                // Retroactive: the data-shipping slice of the attempt
+                // window, excluding remote queueing and execution.
+                let submit_end_ns = submit_start_ns + (send * 1e9) as u64;
+                window("Submission", label, submit_start_ns, submit_end_ns);
+                drop(span);
+                let stats = CallStats {
+                    finding,
+                    send,
+                    queue_wait,
+                    solve,
+                    total: issued.elapsed().as_secs_f64(),
+                    retries: attempt_no,
+                    trace_id,
+                };
+                return (Ok((out, stats, target)), tally);
+            }
+            // Every holder of a referenced item evicted it or died. The SeD
+            // itself is healthy (no blame, no exclusion): with the payloads
+            // re-hosted and re-published there, the next attempt finds them.
+            Err(e) if is_data_not_found(&e) && reship(&target, &data_ids) => {
+                tally.reships += 1;
+                last_err = Some(e);
+            }
+            // Admission control pushed back: the SeD is healthy, its queue
+            // is just full. Back off (jittered, so a herd of rejected
+            // clients de-synchronises) without blaming or excluding it.
+            Err(DietError::Busy) => {
+                tally.busy += 1;
+                last_err = Some(DietError::Busy);
+            }
+            Err(e) if is_retryable(&e) => {
+                // The time sunk shipping data to a SeD that never replied.
+                window("Submission", label, submit_start_ns, now_ns());
+                route.report_failure(&target);
+                exclude.push(label.to_string());
+                last_err = Some(e);
+            }
+            Err(e) => return (Err(e), tally),
+        }
+    }
+    let exhausted = DietError::RetriesExhausted {
+        service: profile.service.clone(),
+        attempts: policy.max_retries + 1,
+        last: last_err.map(|e| e.to_string()).unwrap_or_default(),
+    };
+    (Err(exhausted), tally)
+}
+
+/// One in-process attempt: admission, submit, wait up to `timeout`.
+fn solve_in_process(
+    sed: &SedHandle,
+    profile: Profile,
+    ctx: TraceCtx,
+    timeout: Duration,
+) -> Result<(Profile, f64, f64), DietError> {
+    sed.admit()?;
+    match sed.submit_traced(profile, ctx)?.recv_timeout(timeout) {
+        Ok(o) => o.result.map(|p| (p, o.queue_wait, o.solve_time)),
+        Err(RecvTimeoutError::Timeout) => Err(DietError::Timeout {
+            after_secs: timeout.as_secs_f64(),
+        }),
+        Err(RecvTimeoutError::Disconnected) => {
+            Err(DietError::Transport("SeD dropped the reply channel".into()))
+        }
     }
 }
 
@@ -320,22 +536,15 @@ impl DietClient {
             .collect()
     }
 
-    /// Repair lost grid data by re-shipping every cached payload to `sed`
-    /// under its original id (so the catalog entry reappears where the next
-    /// attempt will look for it). False when any id is uncached or a ship
-    /// fails — the caller then surfaces the original error.
-    fn try_reship(
-        &self,
-        sed: &Arc<SedHandle>,
-        ids: &[String],
-        reship: &impl Fn(&Arc<SedHandle>, &str, DietValue) -> Result<(), DietError>,
-    ) -> bool {
+    /// Repair lost grid data by re-shipping every cached payload under its
+    /// original id with `ship` (so the catalog entry reappears where the
+    /// next attempt will look for it). False when any id is uncached or a
+    /// ship fails — the caller then surfaces the original error.
+    fn try_reship(&self, ids: &[String], ship: impl Fn(&str, DietValue) -> bool) -> bool {
         let Some(payloads) = self.cached_payloads(ids) else {
             return false;
         };
-        payloads
-            .into_iter()
-            .all(|(id, v)| reship(sed, &id, v).is_ok())
+        payloads.into_iter().all(|(id, v)| ship(&id, v))
     }
 
     /// This client's observability sink.
@@ -390,14 +599,11 @@ impl DietClient {
     /// Synchronous call (the `diet_call` analog): the profile is consumed
     /// and returned with OUT arguments filled by the server.
     pub fn call(&self, profile: Profile) -> Result<(Profile, CallStats), DietError> {
-        let service = profile.service.clone();
         let handle = self.async_call(profile)?;
         let server = handle.server().to_string();
         let res = handle.wait();
         if let Ok((_, stats)) = &res {
             self.history.lock().push((server, *stats));
-        } else {
-            let _ = service;
         }
         res
     }
@@ -413,30 +619,13 @@ impl DietClient {
         profile: Profile,
         policy: &RetryPolicy,
     ) -> Result<(Profile, CallStats), DietError> {
-        self.retry_call(
+        let timeout = policy.attempt_timeout;
+        self.retrying(
+            self.ma()?.as_ref(),
             profile,
             policy,
-            |sed, profile, timeout, ctx| {
-                let rx = sed.submit_traced(profile, ctx)?;
-                match rx.recv_timeout(timeout) {
-                    Ok(outcome) => outcome
-                        .result
-                        .map(|p| (p, outcome.queue_wait, outcome.solve_time)),
-                    Err(RecvTimeoutError::Timeout) => Err(DietError::Timeout {
-                        after_secs: timeout.as_secs_f64(),
-                    }),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        Err(DietError::Transport("SeD dropped the reply channel".into()))
-                    }
-                }
-            },
-            |sed, id, value| {
-                if sed.store_data(id, value, Persistence::Persistent) {
-                    Ok(())
-                } else {
-                    Err(DietError::Rejected(format!("re-ship of {id} refused")))
-                }
-            },
+            |sed, p, ctx| solve_in_process(sed, p, ctx, timeout),
+            |sed, id, v| sed.store_data(id, v, Persistence::Persistent),
         )
     }
 
@@ -450,20 +639,7 @@ impl DietClient {
         profile: Profile,
         policy: &RetryPolicy,
     ) -> Result<(Profile, CallStats), DietError> {
-        self.retry_call(
-            profile,
-            policy,
-            |sed, profile, timeout, ctx| pool.call_traced(&sed.config.label, profile, timeout, ctx),
-            |sed, id, value| {
-                pool.put_data(
-                    &sed.config.label,
-                    id,
-                    value,
-                    Persistence::Persistent,
-                    policy.attempt_timeout,
-                )
-            },
-        )
+        self.retrying_over(self.ma()?.as_ref(), pool, profile, policy)
     }
 
     /// Fault-tolerant synchronous call over the *fully distributed* path:
@@ -472,139 +648,17 @@ impl DietClient {
     /// solve goes directly to the chosen SeD through `pool` — the DIET
     /// shortcut where data never relays through the agents. Needs no
     /// in-process MA, so it works from a bare
-    /// [`DietClient::initialize_distributed`] session.
-    ///
-    /// Retry semantics mirror [`call_with_retry`](Self::call_with_retry):
-    /// `Busy` (from the MA's or the SeD's admission control) backs off
-    /// without blaming anyone; transport faults and timeouts exclude the
-    /// failed label and resubmit; an MA answering `SubmitReply(None)` — no
-    /// candidate *right now*, e.g. a subtree momentarily marked
-    /// unavailable — also backs off and resubmits, since the next attempt
-    /// may find a recovered or alternative subtree.
+    /// [`DietClient::initialize_distributed`] session. Failures resubmit
+    /// exactly like [`call_with_retry`](Self::call_with_retry), except that
+    /// the remote MA learns about dead SeDs from its own heartbeats.
     pub fn call_distributed(
         &self,
-        ma: &crate::hierarchy::RemoteAgentClient,
+        ma: &RemoteAgentClient,
         pool: &TcpSedPool,
         profile: Profile,
         policy: &RetryPolicy,
     ) -> Result<(Profile, CallStats), DietError> {
-        let tracer = &self.obs.tracer;
-        let m = &self.obs.metrics;
-        let m_requests = m.counter("diet_client_requests_total");
-        let m_failures = m.counter("diet_client_failures_total");
-        let m_resubmits = m.counter("diet_client_resubmissions_total");
-        let m_busy = m.counter("diet_client_busy_total");
-        let service = profile.service.clone();
-        let issued = Instant::now();
-        let trace_id = tracer.new_trace();
-        let mut excluded: Vec<String> = Vec::new();
-        let mut finding_total = 0.0;
-        let mut last_err: Option<DietError> = None;
-        for attempt_no in 0..=policy.max_retries {
-            if attempt_no > 0 {
-                std::thread::sleep(policy.backoff_jittered(attempt_no - 1, trace_id));
-                m_resubmits.inc();
-            }
-            let attempt_span = tracer.span(trace_id, 0, "attempt", "client");
-            let ctx = attempt_span.ctx();
-            let finding_start_ns = tracer.now_ns();
-            let t0 = Instant::now();
-            let label = match ma.submit(&service, &excluded, ctx) {
-                Ok(Some(label)) => label,
-                Ok(None) => {
-                    last_err = Some(DietError::NoServerAvailable(service.clone()));
-                    continue;
-                }
-                Err(e @ DietError::Busy) => {
-                    m_busy.inc();
-                    last_err = Some(e);
-                    continue;
-                }
-                Err(e) if is_retryable(&e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-                Err(e) => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-            };
-            finding_total += t0.elapsed().as_secs_f64();
-            tracer.record_window(
-                trace_id,
-                attempt_span.id(),
-                "Finding",
-                "agents",
-                finding_start_ns,
-                tracer.now_ns(),
-            );
-            let submit_start_ns = tracer.now_ns();
-            let t1 = Instant::now();
-            match pool.call_traced(&label, profile.clone(), policy.attempt_timeout, ctx) {
-                Ok((out, queue_wait, solve)) => {
-                    let attempt_time = t1.elapsed().as_secs_f64();
-                    let send = (attempt_time - queue_wait - solve).max(0.0);
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &label,
-                        submit_start_ns,
-                        submit_start_ns + (send * 1e9) as u64,
-                    );
-                    drop(attempt_span);
-                    let stats = CallStats {
-                        finding: finding_total,
-                        send,
-                        queue_wait,
-                        solve,
-                        total: issued.elapsed().as_secs_f64(),
-                        retries: attempt_no,
-                        trace_id,
-                    };
-                    m_requests.inc();
-                    m.histogram("diet_client_finding_seconds")
-                        .observe(stats.finding);
-                    m.histogram("diet_client_latency_seconds")
-                        .observe(stats.latency());
-                    m.histogram("diet_client_solve_seconds")
-                        .observe(stats.solve);
-                    m.histogram("diet_client_total_seconds")
-                        .observe(stats.total);
-                    self.history.lock().push((label.clone(), stats));
-                    return Ok((out, stats));
-                }
-                Err(e @ DietError::Busy) => {
-                    m_busy.inc();
-                    last_err = Some(e);
-                }
-                Err(e) if is_retryable(&e) => {
-                    // The sunk data-shipping time still leaves a footprint
-                    // in the trace; the label is blamed and excluded so the
-                    // resubmit must route elsewhere.
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &label,
-                        submit_start_ns,
-                        tracer.now_ns(),
-                    );
-                    excluded.push(label);
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-            }
-        }
-        m_failures.inc();
-        Err(DietError::RetriesExhausted {
-            service,
-            attempts: policy.max_retries + 1,
-            last: last_err.map(|e| e.to_string()).unwrap_or_default(),
-        })
+        self.retrying_over(ma, pool, profile, policy)
     }
 
     /// Ship a workflow DAG to a remote MA's engine. Returns immediately
@@ -668,161 +722,75 @@ impl DietClient {
         }
     }
 
-    /// The shared retry engine. `attempt` runs one bounded attempt against
-    /// the chosen SeD and returns `(out_profile, queue_wait, solve_time)`.
-    ///
-    /// Tracing: one trace id is allocated per logical call and reused across
-    /// every resubmission; each attempt gets its own `attempt` span (fresh
-    /// span id) that remote phases parent under via the [`TraceCtx`] handed
-    /// to the closure. `Finding` and `Submission` windows are recorded per
-    /// attempt so a failed attempt still leaves its footprint in the trace.
-    fn retry_call(
+    /// A retrying call with the data path over `pool`.
+    fn retrying_over<R: Route>(
         &self,
+        route: &R,
+        pool: &TcpSedPool,
         profile: Profile,
         policy: &RetryPolicy,
-        attempt: impl Fn(
-            &Arc<SedHandle>,
-            Profile,
-            Duration,
-            TraceCtx,
-        ) -> Result<(Profile, f64, f64), DietError>,
-        reship: impl Fn(&Arc<SedHandle>, &str, DietValue) -> Result<(), DietError>,
     ) -> Result<(Profile, CallStats), DietError> {
-        let ma = self.ma()?;
-        let tracer = &self.obs.tracer;
+        let timeout = policy.attempt_timeout;
+        self.retrying(
+            route,
+            profile,
+            policy,
+            |target, p, ctx| pool.call_traced(R::label(target), p, timeout, ctx),
+            |target, id, v| {
+                let mode = Persistence::Persistent;
+                pool.put_data(R::label(target), id, v, mode, timeout)
+                    .is_ok()
+            },
+        )
+    }
+
+    /// [`retry_loop`] under a fresh trace, with re-ship from this client's
+    /// stored payloads (`ship` puts one on a target), then this session's
+    /// counters and history from what it returned.
+    fn retrying<R: Route>(
+        &self,
+        route: &R,
+        profile: Profile,
+        policy: &RetryPolicy,
+        attempt: impl FnMut(&R::Target, Profile, TraceCtx) -> Result<(Profile, f64, f64), DietError>,
+        ship: impl Fn(&R::Target, &str, DietValue) -> bool,
+    ) -> Result<(Profile, CallStats), DietError> {
+        let root = TraceCtx {
+            trace_id: self.obs.tracer.new_trace(),
+            parent_span: 0,
+        };
+        let (result, tally) = retry_loop(
+            route,
+            Some(&self.obs.tracer),
+            root,
+            &profile,
+            policy,
+            Vec::new(),
+            attempt,
+            |target, ids| self.try_reship(ids, |id, v| ship(target, id, v)),
+        );
         let m = &self.obs.metrics;
-        let m_requests = m.counter("diet_client_requests_total");
-        let m_failures = m.counter("diet_client_failures_total");
-        let m_resubmits = m.counter("diet_client_resubmissions_total");
-        let m_reships = m.counter("diet_client_data_reships_total");
-        let m_busy = m.counter("diet_client_busy_total");
-        let service = profile.service.clone();
-        let issued = Instant::now();
-        let trace_id = tracer.new_trace();
-        // Grid-data references the request carries: the MA turns these into
-        // the locality terms a data-aware scheduler minimizes.
-        let data_ids = profile.data_ref_ids();
-        let mut excluded: Vec<String> = Vec::new();
-        let mut finding_total = 0.0;
-        let mut last_err: Option<DietError> = None;
-        for attempt_no in 0..=policy.max_retries {
-            if attempt_no > 0 {
-                std::thread::sleep(policy.backoff_jittered(attempt_no - 1, trace_id));
-                m_resubmits.inc();
-            }
-            let attempt_span = tracer.span(trace_id, 0, "attempt", "client");
-            let finding_start_ns = tracer.now_ns();
-            let t0 = Instant::now();
-            let sed = match ma.submit_with_data(&service, &data_ids, &excluded) {
-                Ok(sed) => sed,
-                Err(e) if attempt_no == 0 => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-                Err(e) => {
-                    // Mid-retry the hierarchy ran out of candidates.
-                    m_failures.inc();
-                    return Err(DietError::RetriesExhausted {
-                        service,
-                        attempts: attempt_no,
-                        last: last_err.unwrap_or(e).to_string(),
-                    });
-                }
-            };
-            let finding_this = t0.elapsed().as_secs_f64();
-            finding_total += finding_this;
-            tracer.record_window(
-                trace_id,
-                attempt_span.id(),
-                "Finding",
-                "agents",
-                finding_start_ns,
-                tracer.now_ns(),
-            );
-            let ctx = attempt_span.ctx();
-            let submit_start_ns = tracer.now_ns();
-            let t1 = Instant::now();
-            match attempt(&sed, profile.clone(), policy.attempt_timeout, ctx) {
-                Ok((out, queue_wait, solve)) => {
-                    let attempt_time = t1.elapsed().as_secs_f64();
-                    let send = (attempt_time - queue_wait - solve).max(0.0);
-                    // Retroactive: the data-shipping slice of the attempt
-                    // window, excluding remote queueing and execution.
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &sed.config.label,
-                        submit_start_ns,
-                        submit_start_ns + (send * 1e9) as u64,
-                    );
-                    drop(attempt_span);
-                    let stats = CallStats {
-                        finding: finding_total,
-                        send,
-                        queue_wait,
-                        solve,
-                        total: issued.elapsed().as_secs_f64(),
-                        retries: attempt_no,
-                        trace_id,
-                    };
-                    m_requests.inc();
-                    m.histogram("diet_client_finding_seconds")
-                        .observe(stats.finding);
-                    m.histogram("diet_client_latency_seconds")
-                        .observe(stats.latency());
-                    m.histogram("diet_client_solve_seconds")
-                        .observe(stats.solve);
-                    m.histogram("diet_client_total_seconds")
-                        .observe(stats.total);
-                    self.history.lock().push((sed.config.label.clone(), stats));
-                    return Ok((out, stats));
-                }
-                Err(e) if is_data_not_found(&e) && self.try_reship(&sed, &data_ids, &reship) => {
-                    // Every holder of a referenced item evicted it or died.
-                    // The SeD itself is healthy (no blame, no exclusion):
-                    // re-ship the cached payloads to it under their original
-                    // ids — re-hosted and re-published, the next attempt
-                    // finds them in the catalog again.
-                    m_reships.inc();
-                    last_err = Some(e);
-                }
-                Err(e @ DietError::Busy) => {
-                    // Admission control pushed back: the SeD is healthy, its
-                    // queue is just full. Back off (with jitter, so a herd of
-                    // rejected clients de-synchronises) and resubmit — but do
-                    // NOT blame the server or exclude it; by the next attempt
-                    // its queue may well have drained.
-                    m_busy.inc();
-                    last_err = Some(e);
-                }
-                Err(e) if is_retryable(&e) => {
-                    // A failed attempt still records its Submission window —
-                    // the time sunk shipping data to a SeD that never replied.
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &sed.config.label,
-                        submit_start_ns,
-                        tracer.now_ns(),
-                    );
-                    ma.report_failure(&sed);
-                    excluded.push(sed.config.label.clone());
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-            }
-        }
-        m_failures.inc();
-        Err(DietError::RetriesExhausted {
-            service,
-            attempts: policy.max_retries + 1,
-            last: last_err.map(|e| e.to_string()).unwrap_or_default(),
-        })
+        m.counter("diet_client_resubmissions_total")
+            .add(tally.retries);
+        m.counter("diet_client_busy_total").add(tally.busy);
+        m.counter("diet_client_data_reships_total")
+            .add(tally.reships);
+        let (out, stats, target) = result.inspect_err(|_| {
+            m.counter("diet_client_failures_total").inc();
+        })?;
+        m.counter("diet_client_requests_total").inc();
+        m.histogram("diet_client_finding_seconds")
+            .observe(stats.finding);
+        m.histogram("diet_client_latency_seconds")
+            .observe(stats.latency());
+        m.histogram("diet_client_solve_seconds")
+            .observe(stats.solve);
+        m.histogram("diet_client_total_seconds")
+            .observe(stats.total);
+        self.history
+            .lock()
+            .push((R::label(&target).to_string(), stats));
+        Ok((out, stats))
     }
 
     /// Record an async call's stats into the session history (callers of

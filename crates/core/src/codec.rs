@@ -132,10 +132,9 @@ pub enum Message {
         mode: Persistence,
         value: DietValue,
     },
-    /// Server → client: admission rejected — the accept queue or the SeD's
-    /// admission limit is full. `request_id == 0` means the connection
-    /// itself was refused (no frame was read); nonzero echoes the rejected
-    /// request so a multiplexed caller can back off and retry elsewhere.
+    /// Server → client: admission rejected — the server's dispatch queue or
+    /// an agent's or SeD's admission limit is full. Echoes the rejected
+    /// request's id so exactly that multiplexed caller backs off and retries.
     Busy {
         request_id: u64,
     },
@@ -646,12 +645,26 @@ wire_records! {
 
 /// The frame table: `tag => Variant { fields in wire order }`. Generates
 /// `Wire for Message` and, from the same rows, which tags are correlated —
-/// exactly the rows whose first field is `request_id`.
+/// exactly the rows whose first field is `request_id` — and
+/// `Message::request_id`, which reads that field (0 for the other rows).
 macro_rules! frame_table {
     (@correlated request_id) => { true };
     (@correlated $($other:ident)?) => { false };
+    (@rid request_id $f:ident) => { *$f };
+    (@rid $($other:ident $f:ident)?) => {{ $(let _ = $f;)? 0 }};
     ($($tag:literal => $V:ident $({ $first:ident $($rest:tt)* })?),* $(,)?) => {
         wire_enum!(Message { $($tag => $V $({ $first $($rest)* })?),* });
+
+        impl Message {
+            /// The correlation id a reply echoes, or 0 for the uncorrelated
+            /// kinds (Ping/Pong, Shutdown) — the rule `peek_request_id`
+            /// applies to undecoded frames.
+            pub(crate) fn request_id(&self) -> u64 {
+                match self {
+                    $(Message::$V $({ $first, .. })? => frame_table!(@rid $($first $first)?),)*
+                }
+            }
+        }
 
         fn is_correlated(tag: u8) -> bool {
             match tag {
@@ -1182,7 +1195,8 @@ pub(crate) mod tests {
     /// The one table test: for every sample the encoder still produces the
     /// golden bytes, the decoder maps them back, every strict prefix is
     /// rejected, and the request id peeks out of exactly the correlated
-    /// kinds — and every row of the frame table has a sample.
+    /// kinds, agreeing with `Message::request_id` — and every row of the
+    /// frame table has a sample.
     #[test]
     fn table_matches_golden_vectors() {
         let samples = samples();
@@ -1206,6 +1220,7 @@ pub(crate) mod tests {
                 if correlated { RID } else { 0 },
                 "{name}"
             );
+            assert_eq!(m.request_id(), peek_request_id(&enc), "{name}");
             tags.insert(enc[0]);
         }
         let rows: BTreeSet<u8> = ALL_TAGS.iter().copied().collect();

@@ -52,11 +52,10 @@ use crate::error::DietError;
 use crate::monitor::Estimate;
 use crate::reactor::ConnHandle;
 use crate::sed::SedHandle;
-use crate::transport::{Duplex, MuxConn, ServerConfig, TcpServer, TcpTransport};
+use crate::transport::{self, unexpected, Peer, ServerConfig, TcpServer};
 use obs::{Obs, TraceCtx};
-use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,8 +125,7 @@ pub fn serve_sed_over_tcp_with_config(
                 // the id so the mux client wakes exactly this caller)
                 // instead of queueing without bound. The fault plan can
                 // force it to simulate overload.
-                if sed.faults().force_busy() || !sed.admits() {
-                    sed.obs().metrics.counter("diet_sed_busy_total").inc();
+                if sed.admit().is_err() {
                     let _ = handle.send(&Message::Busy { request_id });
                     return;
                 }
@@ -261,9 +259,7 @@ fn component_view(obs: &Obs, what: &str) -> String {
 /// through; an MA holds one per federation peer.
 pub struct RemoteAgentClient {
     name: String,
-    addr: SocketAddr,
-    mux: Mutex<Option<Arc<MuxConn>>>,
-    next_id: AtomicU64,
+    peer: Peer,
     timeout: Duration,
 }
 
@@ -279,33 +275,14 @@ impl RemoteAgentClient {
     pub fn with_timeout(name: &str, addr: SocketAddr, timeout: Duration) -> Arc<Self> {
         Arc::new(RemoteAgentClient {
             name: name.to_string(),
-            addr,
-            mux: Mutex::new(None),
-            next_id: AtomicU64::new(0),
+            peer: Peer::new(addr),
             timeout,
         })
     }
 
     /// The remote agent's address (for heartbeat probes and redials).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The live multiplexed connection, dialing if absent or dead.
-    fn mux(&self) -> Result<Arc<MuxConn>, DietError> {
-        let mut slot = self.mux.lock();
-        if let Some(mux) = slot.as_ref() {
-            if !mux.is_dead() {
-                return Ok(mux.clone());
-            }
-        }
-        let fresh = Arc::new(MuxConn::connect(self.addr)?);
-        *slot = Some(fresh.clone());
-        Ok(fresh)
-    }
-
-    fn rid(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed) + 1
+        self.peer.addr()
     }
 
     /// One finding hop: forward a request down to this agent and wait for
@@ -319,25 +296,16 @@ impl RemoteAgentClient {
         ctx: TraceCtx,
         ttl: u8,
     ) -> Result<Vec<Estimate>, DietError> {
-        let mux = self.mux()?;
-        let request_id = self.rid();
-        let reply = mux.request(
-            &Message::Forward {
-                request_id,
-                ctx,
-                service: service.to_string(),
-                exclude: exclude.to_vec(),
-                ttl,
-            },
+        let build = |request_id| Message::Forward {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            ctx,
+            service: service.to_string(),
+            exclude: exclude.to_vec(),
+            ttl,
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::EstimateBatch { estimates, .. } => Ok(estimates),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to forward: {other:?}"
-            ))),
+            other => Err(unexpected("forward", other)),
         }
     }
 
@@ -350,24 +318,15 @@ impl RemoteAgentClient {
         exclude: &[String],
         ctx: TraceCtx,
     ) -> Result<Option<String>, DietError> {
-        let mux = self.mux()?;
-        let request_id = self.rid();
-        let reply = mux.request(
-            &Message::Submit {
-                service: service.to_string(),
-                request_id,
-                ctx,
-                exclude: exclude.to_vec(),
-            },
+        let build = |request_id| Message::Submit {
+            service: service.to_string(),
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            ctx,
+            exclude: exclude.to_vec(),
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::SubmitReply { server, .. } => Ok(server),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to submit: {other:?}"
-            ))),
+            other => Err(unexpected("submit", other)),
         }
     }
 
@@ -375,23 +334,14 @@ impl RemoteAgentClient {
     /// engine-assigned dag id. A validation failure (or an MA served
     /// without an engine) comes back as [`DietError::Rejected`].
     pub fn submit_dag(&self, spec: &WorkflowSpec, ctx: TraceCtx) -> Result<u64, DietError> {
-        let mux = self.mux()?;
-        let request_id = self.rid();
-        let reply = mux.request(
-            &Message::SubmitDag {
-                request_id,
-                ctx,
-                spec: spec.clone(),
-            },
+        let build = |request_id| Message::SubmitDag {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            ctx,
+            spec: spec.clone(),
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::DagReply { result, .. } => result.map_err(DietError::Rejected),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to submit_dag: {other:?}"
-            ))),
+            other => Err(unexpected("submit_dag", other)),
         }
     }
 
@@ -402,26 +352,17 @@ impl RemoteAgentClient {
         dag_id: u64,
         since: u64,
     ) -> Result<(Vec<DagEventRec>, Option<DagOutcome>), DietError> {
-        let mux = self.mux()?;
-        let request_id = self.rid();
-        let reply = mux.request(
-            &Message::DagStatus {
-                request_id,
-                dag_id,
-                since,
-            },
+        let build = |request_id| Message::DagStatus {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            dag_id,
+            since,
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::DagEvent {
                 events, outcome, ..
             } => Ok((events, outcome)),
             Message::DagReply { result: Err(e), .. } => Err(DietError::Rejected(e)),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to dag_status: {other:?}"
-            ))),
+            other => Err(unexpected("dag_status", other)),
         }
     }
 }
@@ -440,17 +381,8 @@ impl RemoteSubtree for RemoteAgentClient {
         self.forward(service, exclude, ctx, 0)
     }
 
-    /// Liveness probe on a dedicated short-lived connection: `Pong`
-    /// carries no correlation id, so it cannot ride the multiplexed
-    /// stream (the demux thread would drop it).
     fn ping(&self, timeout: Duration) -> bool {
-        let Ok(conn) = TcpTransport::connect(self.addr) else {
-            return false;
-        };
-        if conn.send(&Message::Ping).is_err() {
-            return false;
-        }
-        matches!(conn.recv_timeout(timeout), Ok(Some(Message::Pong)))
+        transport::ping(self.addr(), timeout)
     }
 }
 
@@ -531,8 +463,7 @@ pub fn serve_agent_over_tcp_at(
                     return;
                 }
                 // Collection blocks this dispatch worker while the subtree
-                // answers — concurrency stays bounded by `cfg.workers`,
-                // exactly the bound the pooled server had.
+                // answers — concurrency stays bounded by `cfg.workers`.
                 let t0 = obs.tracer.now_ns();
                 let estimates = node.estimates(&service, &exclude, ctx);
                 inflight.fetch_sub(1, Ordering::AcqRel);

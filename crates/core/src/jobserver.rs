@@ -40,13 +40,13 @@
 //! name, so a client that dies mid-submit can simply resubmit and be
 //! handed the existing campaign.
 
-use crate::client::RetryPolicy;
+use crate::client::{is_retryable, retry_loop, RetryPolicy};
 use crate::codec::{self, wire_enum, Message, Wire};
 use crate::dag::WorkflowSpec;
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
 use crate::profile::Profile;
-use crate::transport::{Duplex, MuxConn, ServerConfig, TcpSedPool, TcpServer, TcpTransport};
+use crate::transport::{self, unexpected, Peer, ServerConfig, TcpSedPool, TcpServer};
 use bytes::{Bytes, BytesMut};
 use obs::Obs;
 use parking_lot::Mutex;
@@ -55,7 +55,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -1276,7 +1276,7 @@ impl MachinePool {
             let alive = self
                 .pool
                 .endpoint(&label)
-                .map(|addr| ping_addr(addr, timeout))
+                .map(|addr| transport::ping(addr, timeout))
                 .unwrap_or(false);
             let mut states = self.states.lock();
             let s = states.entry(label.clone()).or_insert(MachineState {
@@ -1306,16 +1306,6 @@ impl MachinePool {
         }
         newly_dead
     }
-}
-
-fn ping_addr(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(conn) = TcpTransport::connect(addr) else {
-        return false;
-    };
-    if conn.send(&Message::Ping).is_err() {
-        return false;
-    }
-    matches!(conn.recv_timeout(timeout), Ok(Some(Message::Pong)))
 }
 
 // -------------------------------------------------------------- job server
@@ -1482,108 +1472,65 @@ impl JobServer {
         span.end();
     }
 
-    /// One dispatch round for a plain call: resolve via the MA, solve via
-    /// the pool, with in-round retries per the policy — the distributed
-    /// `call_with_retry`, minus the parts the store owns (the cross-round
-    /// budget and the requeue).
+    /// One dispatch round for a plain call: the client's retry loop over
+    /// the remote MA and the SeD pool, with the store's bookkeeping in its
+    /// attempt — each resolve is logged as a dispatch, a success completes
+    /// the task, and a stop or a stale claim abandons the round. What the
+    /// store owns (the cross-round budget and the requeue) stays here.
     fn run_call(&self, claim: &PoppedTask, profile: Profile, ctx: obs::TraceCtx) {
+        let (cid, tid, epoch) = (claim.campaign_id, claim.task_id, claim.epoch);
         let policy = &self.cfg.retry;
-        let mut excluded = self.machines.dead_labels();
-        let mut prior: Option<u32> = None;
-        let mut last_err = String::from("no attempt made");
         let started = Instant::now();
-        for try_no in 0..=policy.max_retries {
-            if self.stop.load(Ordering::SeqCst) {
-                return; // the claim replays as in-flight on restart
-            }
-            if try_no > 0 {
-                std::thread::sleep(
-                    policy.backoff_jittered(try_no - 1, ctx.trace_id ^ claim.task_id),
-                );
-            }
-            let label = match self.ma.submit(&profile.service, &excluded, ctx) {
-                Ok(Some(l)) => l,
-                Ok(None) => {
-                    last_err = "no server available".into();
-                    continue;
+        let mut prior: Option<u32> = None;
+        // Stopping, or the heartbeat requeued the task under us: the claim
+        // replays (or already replayed) elsewhere, so record nothing.
+        let mut abandoned = false;
+        // No per-attempt spans: the task span frames the round, and three
+        // more spans a task would fill the tracer's ring four times as fast.
+        let (result, _) = retry_loop(
+            &*self.ma,
+            None,
+            ctx,
+            &profile,
+            policy,
+            self.machines.dead_labels(),
+            |label: &String, p, ctx| {
+                if self.stop.load(Ordering::SeqCst) {
+                    abandoned = true;
+                    return Err(DietError::Rejected("stopping".into()));
                 }
-                Err(DietError::Busy) => {
-                    last_err = "hierarchy busy".into();
-                    continue;
-                }
-                Err(e) if is_retryable(&e) => {
-                    last_err = format!("finding: {e}");
-                    continue;
-                }
-                Err(e) => {
-                    self.store.fail(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        &format!("finding rejected: {e}"),
-                        self.cfg.max_task_attempts,
-                        true,
-                    );
-                    return;
-                }
-            };
-            self.machines.observe(&label);
-            let Some(attempt) =
+                self.machines.observe(label);
+                let Some(attempt) = self.store.dispatched(cid, tid, epoch, prior, label) else {
+                    abandoned = true;
+                    return Err(DietError::Rejected("stale claim".into()));
+                };
+                prior = Some(attempt);
+                let t0 = Instant::now();
+                let out = self
+                    .pool
+                    .call_traced(label, p, policy.attempt_timeout, ctx)?;
+                let ms = t0.elapsed().as_millis() as u64;
+                self.store.complete(cid, tid, epoch, attempt, label, ms);
+                Ok(out)
+            },
+            |_, _| false,
+        );
+        match result {
+            Err(_) if abandoned || self.stop.load(Ordering::SeqCst) => {}
+            Ok(_) => self
+                .obs
+                .metrics
+                .histogram("diet_jobserver_dispatch_ms")
+                .observe(started.elapsed().as_millis() as f64),
+            // An exhausted round requeues while the task's budget lasts;
+            // anything else would fail the same way on any server.
+            Err(e) => {
+                let terminal = !matches!(e, DietError::RetriesExhausted { .. });
+                let max = self.cfg.max_task_attempts;
                 self.store
-                    .dispatched(claim.campaign_id, claim.task_id, claim.epoch, prior, &label)
-            else {
-                return; // claim went stale (heartbeat requeued us)
-            };
-            prior = Some(attempt);
-            let t0 = Instant::now();
-            match self
-                .pool
-                .call_traced(&label, profile.clone(), policy.attempt_timeout, ctx)
-            {
-                Ok((_out, _queue_wait, _solve)) => {
-                    self.store.complete(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        attempt,
-                        &label,
-                        t0.elapsed().as_millis() as u64,
-                    );
-                    self.obs
-                        .metrics
-                        .histogram("diet_jobserver_dispatch_ms")
-                        .observe(started.elapsed().as_millis() as f64);
-                    return;
-                }
-                Err(DietError::Busy) => {
-                    last_err = format!("{label} busy");
-                    // Back off without blaming the (healthy) server.
-                }
-                Err(e) if is_retryable(&e) => {
-                    last_err = format!("{label}: {e}");
-                    excluded.push(label);
-                }
-                Err(e) => {
-                    self.store.fail(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        &format!("{label} rejected: {e}"),
-                        self.cfg.max_task_attempts,
-                        true,
-                    );
-                    return;
-                }
+                    .fail(cid, tid, epoch, &e.to_string(), max, terminal);
             }
         }
-        self.store.fail(
-            claim.campaign_id,
-            claim.task_id,
-            claim.epoch,
-            &last_err,
-            self.cfg.max_task_attempts,
-            false,
-        );
     }
 
     /// A DAG payload: admit the workflow into the MA's engine and poll to
@@ -1674,10 +1621,6 @@ impl JobServer {
     }
 }
 
-fn is_retryable(e: &DietError) -> bool {
-    matches!(e, DietError::Transport(_) | DietError::Timeout { .. })
-}
-
 // ------------------------------------------------------------------ serving
 
 /// Serve a [`JobServer`]'s client protocol on `addr` with the reactor
@@ -1747,9 +1690,7 @@ pub fn serve_jobserver_over_tcp(
 /// Client stub for a jobserver: one lazily-dialed multiplexed connection,
 /// redialed when dead, shared by any number of threads.
 pub struct JobClient {
-    addr: SocketAddr,
-    mux: Mutex<Option<Arc<MuxConn>>>,
-    next_id: AtomicU64,
+    peer: Peer,
     timeout: Duration,
 }
 
@@ -1760,33 +1701,15 @@ impl JobClient {
 
     pub fn with_timeout(addr: SocketAddr, timeout: Duration) -> Arc<JobClient> {
         Arc::new(JobClient {
-            addr,
-            mux: Mutex::new(None),
-            next_id: AtomicU64::new(0),
+            peer: Peer::new(addr),
             timeout,
         })
-    }
-
-    fn mux(&self) -> Result<Arc<MuxConn>, DietError> {
-        let mut slot = self.mux.lock();
-        if let Some(mux) = slot.as_ref() {
-            if !mux.is_dead() {
-                return Ok(mux.clone());
-            }
-        }
-        let fresh = Arc::new(MuxConn::connect(self.addr)?);
-        *slot = Some(fresh.clone());
-        Ok(fresh)
-    }
-
-    fn rid(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Liveness probe on a dedicated connection (used by the recovery
     /// experiment to time how long a restart takes to come back).
     pub fn ping(&self, timeout: Duration) -> bool {
-        ping_addr(self.addr, timeout)
+        transport::ping(self.peer.addr(), timeout)
     }
 
     /// Submit (or idempotently re-attach to) a campaign; returns the
@@ -1796,41 +1719,25 @@ impl JobClient {
         campaign: &str,
         tasks: Vec<TaskPayload>,
     ) -> Result<(u64, Vec<u64>), DietError> {
-        let request_id = self.rid();
-        let reply = self.mux()?.request(
-            &Message::SubmitTasks {
-                request_id,
-                campaign: campaign.to_string(),
-                tasks,
-            },
+        let build = |request_id| Message::SubmitTasks {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            campaign: campaign.to_string(),
+            tasks,
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::SubmitTasksReply { result, .. } => result.map_err(DietError::Rejected),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to submit_tasks: {other:?}"
-            ))),
+            other => Err(unexpected("submit_tasks", other)),
         }
     }
 
     pub fn attach(&self, campaign: &str) -> Result<CampaignSummary, DietError> {
-        let request_id = self.rid();
-        let reply = self.mux()?.request(
-            &Message::AttachCampaign {
-                request_id,
-                campaign: campaign.to_string(),
-            },
+        let build = |request_id| Message::AttachCampaign {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            campaign: campaign.to_string(),
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::AttachReply { result, .. } => result.map_err(DietError::Rejected),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to attach: {other:?}"
-            ))),
+            other => Err(unexpected("attach", other)),
         }
     }
 
@@ -1842,42 +1749,26 @@ impl JobClient {
         campaign_id: u64,
         cursor: u64,
     ) -> Result<(CampaignSummary, Vec<TaskEventRec>), DietError> {
-        let request_id = self.rid();
-        let reply = self.mux()?.request(
-            &Message::CampaignProgress {
-                request_id,
-                campaign_id,
-                cursor,
-            },
+        let build = |request_id| Message::CampaignProgress {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            campaign_id,
+            cursor,
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::ProgressReply { result, .. } => result.map_err(DietError::Rejected),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to progress: {other:?}"
-            ))),
+            other => Err(unexpected("progress", other)),
         }
     }
 
     pub fn task_status(&self, campaign_id: u64, task_id: u64) -> Result<TaskStatusRec, DietError> {
-        let request_id = self.rid();
-        let reply = self.mux()?.request(
-            &Message::TaskStatus {
-                request_id,
-                campaign_id,
-                task_id,
-            },
+        let build = |request_id| Message::TaskStatus {
             request_id,
-            self.timeout,
-        )?;
-        match reply {
+            campaign_id,
+            task_id,
+        };
+        match self.peer.request(build, self.timeout)? {
             Message::TaskStatusReply { result, .. } => result.map_err(DietError::Rejected),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to task_status: {other:?}"
-            ))),
+            other => Err(unexpected("task_status", other)),
         }
     }
 

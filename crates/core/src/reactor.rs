@@ -24,10 +24,9 @@
 //!   the reactor flushes it when the socket is writable, registering for
 //!   write-readiness only while bytes are actually queued.
 //!
-//! Backpressure and failure semantics carry over from the thread-per-
-//! connection core: a full dispatch queue answers `Busy` echoing the
-//! frame's request id (uncorrelated frames are dropped — a `Busy{0}` would
-//! poison the whole client-side mux); `kill` severs every socket so peers
+//! Backpressure and failure semantics: a full dispatch queue answers
+//! `Busy` echoing the frame's request id (uncorrelated frames, which have
+//! no id to echo, are dropped and counted); `kill` severs every socket so peers
 //! observe a crash; an oversized length prefix closes the connection
 //! before any body byte is buffered; a closed peer is pruned from the
 //! reactor's table immediately (the old kill-list grew without bound).
@@ -82,8 +81,8 @@ pub(crate) struct ReactorMetrics {
     write_overflow_severed: Arc<Counter>,
     /// Connections cut off for advertising an oversized length prefix.
     oversized_frames: Arc<Counter>,
-    /// Uncorrelated (rid 0) frames dropped on dispatch overflow — the
-    /// cases where a `Busy{0}` would have poisoned the peer's mux.
+    /// Uncorrelated (rid 0) frames dropped on dispatch overflow: there is
+    /// no id for a `Busy` to echo.
     rid0_drops: Arc<Counter>,
     /// Connections torn down abnormally (overflow, oversized frame, I/O
     /// error, kill) — peer-initiated EOF is a normal close, not a sever.
@@ -982,8 +981,8 @@ impl Reactor {
                     // Dispatch queue full: explicit backpressure per
                     // request, echoing its id so exactly that caller backs
                     // off. Uncorrelated frames (rid 0: Ping, Shutdown)
-                    // are dropped — Busy{0} would poison the peer's whole
-                    // mux connection — but the drop is counted, not silent.
+                    // have no id to echo and are dropped — counted, not
+                    // silent.
                     self.depth.fetch_sub(1, Ordering::Relaxed);
                     self.busy.fetch_add(1, Ordering::Relaxed);
                     self.shared.metrics.busy_rejections.inc();

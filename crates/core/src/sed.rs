@@ -627,6 +627,17 @@ impl SedHandle {
         }
     }
 
+    /// Admission control as every data path to this SeD applies it — the
+    /// TCP serving loop and the client's in-process attempt alike: `Busy`
+    /// (counted) when the fault plan forces it or the queue is full.
+    pub(crate) fn admit(&self) -> Result<(), DietError> {
+        if self.faults().force_busy() || !self.admits() {
+            self.obs.metrics.counter("diet_sed_busy_total").inc();
+            return Err(DietError::Busy);
+        }
+        Ok(())
+    }
+
     /// Enqueue a solve; returns the receiver for the outcome. The queue
     /// length is bumped immediately so estimates see the pending job.
     pub fn submit(&self, profile: Profile) -> Result<Receiver<SolveOutcome>, DietError> {

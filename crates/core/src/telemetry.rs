@@ -21,7 +21,7 @@
 
 use crate::codec::{Message, ProcessSource};
 use crate::error::DietError;
-use crate::transport::MuxConn;
+use crate::transport::{unexpected, Peer};
 use obs::{DeltaTracker, Obs};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -71,42 +71,20 @@ impl TelemetryConfig {
 struct FlusherShared {
     obs: Arc<Obs>,
     source: ProcessSource,
-    collector: SocketAddr,
-    /// Pooled connection to the collector, redialed when dead. The flush
+    /// The collector, over one connection redialed when dead. The flush
     /// thread and any `flush_now` caller share it.
-    mux: Mutex<Option<Arc<MuxConn>>>,
+    collector: Peer,
     /// Cumulative-value memory for delta shipping; held across flushes so
     /// every increment ships exactly once.
     tracker: Mutex<DeltaTracker>,
-    next_id: AtomicU64,
     flush_errors: AtomicU64,
 }
 
 impl FlusherShared {
-    fn mux(&self) -> Result<Arc<MuxConn>, DietError> {
-        let mut slot = self.mux.lock();
-        if let Some(mux) = slot.as_ref() {
-            if !mux.is_dead() {
-                return Ok(mux.clone());
-            }
-        }
-        let fresh = Arc::new(MuxConn::connect(self.collector)?);
-        *slot = Some(fresh.clone());
-        Ok(fresh)
-    }
-
-    fn rid(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn push(&self, m: &Message, request_id: u64) -> Result<(), DietError> {
-        let mux = self.mux()?;
-        match mux.request(m, request_id, Duration::from_secs(5))? {
+    fn push(&self, build: impl FnOnce(u64) -> Message) -> Result<(), DietError> {
+        match self.collector.request(build, Duration::from_secs(5))? {
             Message::PushAck { .. } => Ok(()),
-            Message::Busy { .. } => Err(DietError::Busy),
-            other => Err(DietError::Transport(format!(
-                "unexpected reply to telemetry push: {other:?}"
-            ))),
+            other => Err(unexpected("telemetry push", other)),
         }
     }
 
@@ -116,30 +94,22 @@ impl FlusherShared {
     fn flush(&self) -> Result<(), DietError> {
         let spans = self.obs.drain_spans();
         if !spans.is_empty() {
-            let request_id = self.rid();
-            self.push(
-                &Message::PushSpans {
-                    request_id,
-                    source: self.source.clone(),
-                    spans,
-                },
+            self.push(|request_id| Message::PushSpans {
                 request_id,
-            )?;
+                source: self.source.clone(),
+                spans,
+            })?;
         }
         let deltas = {
             let mut tracker = self.tracker.lock();
             self.obs.metrics.delta_since(&mut tracker)
         };
         if !deltas.is_empty() {
-            let request_id = self.rid();
-            self.push(
-                &Message::PushMetricDeltas {
-                    request_id,
-                    source: self.source.clone(),
-                    deltas,
-                },
+            self.push(|request_id| Message::PushMetricDeltas {
                 request_id,
-            )?;
+                source: self.source.clone(),
+                deltas,
+            })?;
         }
         Ok(())
     }
@@ -176,10 +146,8 @@ impl TelemetryFlusher {
                 pid: std::process::id(),
                 site: cfg.site,
             },
-            collector: cfg.collector,
-            mux: Mutex::new(None),
+            collector: Peer::new(cfg.collector),
             tracker: Mutex::new(DeltaTracker::new()),
-            next_id: AtomicU64::new(0),
             flush_errors: AtomicU64::new(0),
         });
         let (stop_tx, stop_rx) = channel::<()>();

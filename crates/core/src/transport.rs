@@ -9,24 +9,25 @@
 //! * [`TcpTransport`] — `std::net::TcpStream` with `[u32 length][payload]`
 //!   frames.
 //!
-//! Server side, [`TcpServer`] runs in one of two modes: the legacy pooled
-//! mode (`spawn`/`spawn_with_config`) hands each accepted connection to a
-//! worker thread for its lifetime — simple, and what the blocking-handler
-//! tests exercise — while the framed mode ([`TcpServer::spawn_framed`])
-//! multiplexes every connection through the readiness-driven
-//! [`reactor`](crate::reactor), so idle connections cost a buffer instead
-//! of a thread. The live hierarchy serving path rides the framed mode.
+//! Server side, [`TcpServer::spawn_framed`] serves every connection through
+//! the readiness-driven [`reactor`](crate::reactor): an idle connection
+//! costs a buffer instead of a thread, and handlers run on a bounded pool
+//! of dispatch threads.
+//!
+//! Client side, every stub — [`TcpSedPool`], the remote-agent, jobserver
+//! and telemetry clients — talks through a crate-private `Peer`: one
+//! lazily dialed [`MuxConn`] to one address, its request ids, and the one
+//! rule that a `Busy` reply is [`DietError::Busy`].
 
 use crate::codec::{decode_message, encode_message, Message};
 use crate::error::DietError;
 use crate::profile::Profile;
-use crate::reactor::{self, ConnHandle, FrameBuf, Poller, ReactorShared, Waker};
+use crate::reactor::{self, ConnHandle, FrameBuf, ReactorShared};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -269,14 +270,14 @@ pub fn bind_with_retry(
 /// Sizing and fault hooks for a [`TcpServer`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving accepted connections. A connection occupies
-    /// a worker for its lifetime (one pooled multiplexed connection per
-    /// client carries many in-flight requests, so this bounds concurrent
-    /// *clients*, not concurrent requests).
+    /// Dispatch threads running the handler on complete, decoded frames —
+    /// the bound on requests handled at once, whatever the number of
+    /// connections.
     pub workers: usize,
-    /// Accepted connections waiting for a free worker. When this queue is
-    /// full the server replies `Busy` (request id 0) and closes — explicit
-    /// backpressure instead of an unbounded thread spray.
+    /// Depth of the dispatch queue: frames read off any connection and
+    /// waiting for a free worker. A frame that finds the queue full is
+    /// answered `Busy{request_id}` echoing its own id (uncorrelated frames
+    /// are dropped) — explicit backpressure, never an unbounded backlog.
     pub accept_queue: usize,
     /// Optional fault injection consulted by the accept loop
     /// (`accept_delay`); per-request faults stay with the SeD's own plan.
@@ -298,49 +299,20 @@ impl Default for ServerConfig {
     }
 }
 
-/// A TCP acceptor feeding a bounded worker pool.
-///
-/// The earlier implementation spawned an unbounded OS thread per
-/// connection; under load the serving layer saturated long before the
-/// hardware did. Now a fixed pool of `workers` threads drains an explicit
-/// admission queue of `accept_queue` accepted connections, and overflow is
-/// answered with a [`Message::Busy`] frame (request id 0) so clients back
-/// off instead of piling up. Returns the bound local address (useful with
-/// port 0) and a guard whose drop stops accepting. [`TcpServer::kill`]
-/// additionally severs every live connection — the failure-injection hook
-/// that simulates a host crash for fault-tolerance tests.
+/// A TCP server on the readiness-driven [`reactor`](crate::reactor): one
+/// thread owns the listener and every connection, `cfg.workers` dispatch
+/// threads run the handler, and a full dispatch queue is answered
+/// [`Message::Busy`] per request so clients back off instead of piling up.
+/// Its drop stops accepting; [`TcpServer::kill`] additionally severs every
+/// live connection — the failure-injection hook that simulates a host
+/// crash for fault-tolerance tests.
 pub struct TcpServer {
     pub local_addr: std::net::SocketAddr,
     busy_rejections: Arc<AtomicU64>,
-    inner: ServerInner,
-}
-
-enum ServerInner {
-    /// Thread-per-connection pool: a worker owns each accepted socket for
-    /// its whole lifetime. Kept for blocking handlers (tests, simple
-    /// echo-style services).
-    Pooled {
-        stop: Arc<AtomicBool>,
-        waker: Arc<Waker>,
-        /// Live connections by id, for `kill` — pruned when the serving
-        /// worker finishes with the socket (the pre-reactor version pushed
-        /// into a `Vec` on accept and never removed, so a long-running
-        /// server leaked one stream clone per connection ever accepted).
-        conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    },
-    /// Readiness-driven reactor: see [`crate::reactor`].
-    Framed { reactor: Arc<ReactorShared> },
+    reactor: Arc<ReactorShared>,
 }
 
 impl TcpServer {
-    /// Spawn with the default pool sizing ([`ServerConfig::default`]).
-    pub fn spawn(
-        addr: impl ToSocketAddrs + Clone,
-        handler: impl Fn(TcpTransport) + Send + Sync + 'static,
-    ) -> Result<Self, DietError> {
-        Self::spawn_with_config(addr, ServerConfig::default(), handler)
-    }
-
     /// Spawn the readiness-driven serving core: one reactor thread owns the
     /// listener and every accepted socket; `cfg.workers` dispatch threads
     /// run `handler` on complete, already-decoded frames. The handler must
@@ -360,169 +332,30 @@ impl TcpServer {
         Ok(TcpServer {
             local_addr,
             busy_rejections,
-            inner: ServerInner::Framed { reactor },
-        })
-    }
-
-    /// Spawn the pooled (thread-per-connection) server with explicit
-    /// worker-pool sizing and fault hooks.
-    pub fn spawn_with_config(
-        addr: impl ToSocketAddrs + Clone,
-        cfg: ServerConfig,
-        handler: impl Fn(TcpTransport) + Send + Sync + 'static,
-    ) -> Result<Self, DietError> {
-        let listener = bind_with_retry(addr, 5)?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| DietError::Transport(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| DietError::Transport(format!("set_nonblocking: {e}")))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let waker =
-            Arc::new(Waker::new().map_err(|e| DietError::Transport(format!("waker: {e}")))?);
-        let mut poller = Poller::new().map_err(|e| DietError::Transport(format!("poller: {e}")))?;
-        poller
-            .add(listener.as_raw_fd(), 0, true, false)
-            .and_then(|_| poller.add(waker.fd(), 1, true, false))
-            .map_err(|e| DietError::Transport(format!("poller register: {e}")))?;
-        let handler = std::sync::Arc::new(handler);
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let busy_rejections = Arc::new(AtomicU64::new(0));
-
-        // Admission queue: accepted sockets waiting for a worker.
-        let (work_tx, work_rx) = bounded::<(u64, TcpStream)>(cfg.accept_queue.max(1));
-        for _ in 0..cfg.workers.max(1) {
-            let rx = work_rx.clone();
-            let h = handler.clone();
-            let worker_conns = conns.clone();
-            std::thread::spawn(move || {
-                // Exits when the acceptor drops its sender and the queue
-                // drains.
-                while let Ok((id, stream)) = rx.recv() {
-                    let sock = stream.try_clone().ok();
-                    h(TcpTransport::from_stream(stream));
-                    // The kill list holds a clone of this stream, so
-                    // dropping the transport alone would leave the socket
-                    // open and the peer blocked on a read that can never
-                    // complete — sever it explicitly, then prune the entry
-                    // so the list tracks live connections only.
-                    if let Some(s) = sock {
-                        let _ = s.shutdown(std::net::Shutdown::Both);
-                    }
-                    worker_conns.lock().remove(&id);
-                }
-            });
-        }
-
-        let accept_conns = conns.clone();
-        let accept_busy = busy_rejections.clone();
-        let accept_stop = stop.clone();
-        let accept_waker = waker.clone();
-        std::thread::spawn(move || {
-            // Readiness-driven accept: the thread parks in `poller.wait`
-            // until the listener has a pending connection or the waker is
-            // poked at stop — no sleep-poll, no accept latency floor.
-            let mut events = Vec::new();
-            let mut next_id: u64 = 0;
-            'acceptor: loop {
-                events.clear();
-                if poller.wait(&mut events, -1).is_err() {
-                    break;
-                }
-                if accept_stop.load(Ordering::Acquire) {
-                    break;
-                }
-                for ev in &events {
-                    if ev.token == 1 {
-                        accept_waker.drain();
-                        continue;
-                    }
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if let Some(d) = cfg.faults.as_ref().and_then(|f| f.accept_delay())
-                                {
-                                    std::thread::sleep(d);
-                                }
-                                stream.set_nonblocking(false).ok();
-                                let id = next_id;
-                                next_id += 1;
-                                if let Ok(clone) = stream.try_clone() {
-                                    accept_conns.lock().insert(id, clone);
-                                }
-                                if let Err(full) = work_tx.try_send((id, stream)) {
-                                    // Queue full: explicit backpressure.
-                                    // Tell the client before closing so it
-                                    // backs off rather than timing out.
-                                    accept_busy.fetch_add(1, Ordering::Relaxed);
-                                    accept_conns.lock().remove(&id);
-                                    let stream = match full {
-                                        crossbeam::channel::TrySendError::Full((_, s))
-                                        | crossbeam::channel::TrySendError::Disconnected((_, s)) => {
-                                            s
-                                        }
-                                    };
-                                    let t = TcpTransport::from_stream(stream);
-                                    let _ = t.send(&Message::Busy { request_id: 0 });
-                                    t.shutdown();
-                                }
-                            }
-                            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => break 'acceptor,
-                        }
-                    }
-                }
-            }
-            // Dropping work_tx lets idle workers exit once the queue drains.
-        });
-        Ok(TcpServer {
-            local_addr,
-            busy_rejections,
-            inner: ServerInner::Pooled { stop, waker, conns },
+            reactor,
         })
     }
 
     pub fn stop(&self) {
-        match &self.inner {
-            ServerInner::Pooled { stop, waker, .. } => {
-                stop.store(true, Ordering::Release);
-                waker.wake();
-            }
-            ServerInner::Framed { reactor } => reactor.request_stop(),
-        }
+        self.reactor.request_stop();
     }
 
-    /// Connections refused with `Busy` because the admission queue was full.
+    /// Frames answered `Busy` because the dispatch queue was full.
     pub fn busy_rejections(&self) -> u64 {
         self.busy_rejections.load(Ordering::Relaxed)
     }
 
-    /// Live connections the server currently tracks. In pooled mode this is
-    /// the kill list (pruned as workers finish); in framed mode it is the
-    /// reactor's registered-socket count. Either way it must track actual
-    /// live peers, not every connection ever accepted.
+    /// Live connections the reactor currently has registered — actual live
+    /// peers, not every connection ever accepted.
     pub fn tracked_connections(&self) -> usize {
-        match &self.inner {
-            ServerInner::Pooled { conns, .. } => conns.lock().len(),
-            ServerInner::Framed { reactor } => reactor.connections(),
-        }
+        self.reactor.connections()
     }
 
     /// Simulate a crash: stop accepting and sever every live connection.
     /// In-flight requests on this server are lost, exactly as when the
     /// paper's Grid'5000 nodes died mid-campaign.
     pub fn kill(&self) {
-        match &self.inner {
-            ServerInner::Pooled { conns, .. } => {
-                self.stop();
-                for (_, s) in conns.lock().drain() {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }
-            ServerInner::Framed { reactor } => reactor.request_kill(),
-        }
+        self.reactor.request_kill();
     }
 }
 
@@ -585,36 +418,13 @@ impl MuxConn {
         let demux = inner.clone();
         std::thread::spawn(move || loop {
             match demux.transport.recv() {
-                Ok(Message::Busy { request_id: 0 }) => {
-                    // Connection-level rejection: the server's admission
-                    // queue was full before any request was read. Every
-                    // waiter backs off.
-                    demux.poison(DietError::Busy);
-                    break;
-                }
                 Ok(msg) => {
-                    let rid = match &msg {
-                        Message::CallReply { request_id, .. } => *request_id,
-                        Message::DataReply { request_id, .. } => *request_id,
-                        Message::SubmitReply { request_id, .. } => *request_id,
-                        Message::EstimateBatch { request_id, .. } => *request_id,
-                        Message::Busy { request_id } => *request_id,
-                        Message::MetricsReplyRid { request_id, .. } => *request_id,
-                        Message::PushAck { request_id } => *request_id,
-                        Message::DagReply { request_id, .. } => *request_id,
-                        Message::DagEvent { request_id, .. } => *request_id,
-                        Message::SubmitTasksReply { request_id, .. } => *request_id,
-                        Message::TaskStatusReply { request_id, .. } => *request_id,
-                        Message::AttachReply { request_id, .. } => *request_id,
-                        Message::ProgressReply { request_id, .. } => *request_id,
-                        // Uncorrelated frames (Pong) have no waiter on a mux
-                        // connection; drop them.
-                        _ => 0,
-                    };
-                    if rid != 0 {
-                        if let Some(tx) = demux.pending.lock().remove(&rid) {
-                            let _ = tx.send(Ok(msg));
-                        }
+                    // Uncorrelated frames (rid 0: Pong) have no waiter on a
+                    // mux connection; neither has a reply whose caller timed
+                    // out. Both are dropped.
+                    let waiter = demux.pending.lock().remove(&msg.request_id());
+                    if let Some(tx) = waiter {
+                        let _ = tx.send(Ok(msg));
                     }
                 }
                 Err(e) => {
@@ -689,24 +499,105 @@ impl Drop for MuxConn {
     }
 }
 
+// ---------------------------------------------------------------------- peer
+
+/// The client half every stub shares: one address, one lazily dialed
+/// [`MuxConn`] to it (redialed once it dies), and the request ids for it.
+pub(crate) struct Peer {
+    addr: SocketAddr,
+    mux: Mutex<Option<Arc<MuxConn>>>,
+    next_id: AtomicU64,
+    /// Connections this peer has dialed.
+    dials: AtomicU64,
+}
+
+impl Peer {
+    /// A peer for `addr`. Nothing is dialed until the first request, so a
+    /// stub can be built before (or while) its server comes up.
+    pub(crate) fn new(addr: SocketAddr) -> Peer {
+        Peer {
+            addr,
+            mux: Mutex::new(None),
+            next_id: AtomicU64::new(0),
+            dials: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The live connection, dialing if there is none or it died. Many
+    /// callers share the returned connection concurrently.
+    fn mux(&self) -> Result<Arc<MuxConn>, DietError> {
+        let mut slot = self.mux.lock();
+        if let Some(mux) = slot.as_ref().filter(|m| !m.is_dead()) {
+            return Ok(mux.clone());
+        }
+        let fresh = Arc::new(MuxConn::connect(self.addr)?);
+        self.dials.fetch_add(1, Ordering::Relaxed);
+        *slot = Some(fresh.clone());
+        Ok(fresh)
+    }
+
+    /// Send the message `build` makes around a fresh request id and wait up
+    /// to `deadline` for the reply echoing it. A `Busy` reply is
+    /// [`DietError::Busy`] — the caller's cue to back off without blaming
+    /// the (healthy) server.
+    pub(crate) fn request(
+        &self,
+        build: impl FnOnce(u64) -> Message,
+        deadline: Duration,
+    ) -> Result<Message, DietError> {
+        let mux = self.mux()?;
+        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        match mux.request(&build(request_id), request_id, deadline)? {
+            Message::Busy { .. } => Err(DietError::Busy),
+            reply => Ok(reply),
+        }
+    }
+
+    /// High-water mark of in-flight requests on the live connection (0 if
+    /// there is none).
+    fn peak_inflight(&self) -> u64 {
+        self.mux
+            .lock()
+            .as_ref()
+            .filter(|m| !m.is_dead())
+            .map_or(0, |m| m.inflight_peak())
+    }
+}
+
+/// The error for a reply of the wrong kind to `what`.
+pub(crate) fn unexpected(what: &str, reply: Message) -> DietError {
+    DietError::Transport(format!("unexpected reply to {what}: {reply:?}"))
+}
+
+/// Liveness probe on a dedicated short-lived connection: `Pong` carries no
+/// request id, so it cannot ride a multiplexed stream.
+pub(crate) fn ping(addr: SocketAddr, timeout: Duration) -> bool {
+    let Ok(conn) = TcpTransport::connect(addr) else {
+        return false;
+    };
+    conn.send(&Message::Ping).is_ok()
+        && matches!(conn.recv_timeout(timeout), Ok(Some(Message::Pong)))
+}
+
 // ------------------------------------------------------------------ sed pool
 
-/// Client-side registry of SeD endpoints with one multiplexed connection
-/// per label.
+/// Client-side registry of SeD endpoints: one `Peer` — one multiplexed
+/// connection — per label.
 ///
 /// `call` sends a [`Message::Call`] through the label's shared [`MuxConn`]
 /// and waits for the [`Message::CallReply`] echoing its correlation id, so
 /// any number of threads pipeline over one stream. A timed-out request
 /// merely abandons its waiter (the connection survives); a stream error
-/// marks the connection dead and the next call redials. A `Busy` reply —
-/// per-request or connection-level — surfaces as [`DietError::Busy`], the
-/// caller's cue to back off without striking the (healthy) server.
+/// marks the connection dead and the next call redials. A `Busy` reply
+/// surfaces as [`DietError::Busy`], the caller's cue to back off without
+/// striking the (healthy) server.
 #[derive(Default)]
 pub struct TcpSedPool {
-    endpoints: RwLock<HashMap<String, SocketAddr>>,
-    muxes: Mutex<HashMap<String, Arc<MuxConn>>>,
-    next_id: AtomicU64,
-    dials: AtomicU64,
+    peers: RwLock<HashMap<String, Arc<Peer>>>,
 }
 
 impl TcpSedPool {
@@ -714,74 +605,59 @@ impl TcpSedPool {
         Self::default()
     }
 
-    /// Register (or re-register) the address serving a SeD label.
+    /// Register (or re-register) the address serving a SeD label. A new
+    /// address gets a new peer, so the next call dials it instead of
+    /// reusing a live connection to the old one.
     pub fn register(&self, label: &str, addr: SocketAddr) {
-        self.endpoints.write().insert(label.to_string(), addr);
+        let mut peers = self.peers.write();
+        let old = peers.get(label);
+        if old.is_some_and(|p| p.addr == addr) {
+            return;
+        }
+        let fresh = Peer::new(addr);
+        // `dials` counts per label, across re-registrations.
+        fresh.dials.store(
+            old.map_or(0, |p| p.dials.load(Ordering::Relaxed)),
+            Ordering::Relaxed,
+        );
+        peers.insert(label.to_string(), Arc::new(fresh));
     }
 
     pub fn endpoint(&self, label: &str) -> Option<SocketAddr> {
-        self.endpoints.read().get(label).copied()
+        self.peers.read().get(label).map(|p| p.addr)
     }
 
     /// Every registered label — the jobserver's machine pool enumerates
     /// these for its heartbeat probes.
     pub fn labels(&self) -> Vec<String> {
-        self.endpoints.read().keys().cloned().collect()
+        self.peers.read().keys().cloned().collect()
     }
 
-    /// The live multiplexed connection for `label`, dialing if absent or
-    /// dead. Many callers share the returned connection concurrently.
-    fn mux_for(&self, label: &str) -> Result<Arc<MuxConn>, DietError> {
-        if let Some(mux) = self.muxes.lock().get(label) {
-            if !mux.is_dead() {
-                return Ok(mux.clone());
-            }
-        }
-        let addr = self
-            .endpoint(label)
-            .ok_or_else(|| DietError::Transport(format!("no endpoint registered for {label}")))?;
-        let fresh = Arc::new(MuxConn::connect(addr)?);
-        let mut muxes = self.muxes.lock();
-        // A concurrent caller may have redialed while we were connecting;
-        // prefer whichever live connection is installed so everyone
-        // converges on one stream per label. The discarded dial is not
-        // counted: `dials` measures installed connections (pooling
-        // effectiveness), and a lost install race still leaves every
-        // caller pipelining on the one winning stream.
-        if let Some(existing) = muxes.get(label) {
-            if !existing.is_dead() {
-                return Ok(existing.clone());
-            }
-        }
-        self.dials.fetch_add(1, Ordering::Relaxed);
-        muxes.insert(label.to_string(), fresh.clone());
-        Ok(fresh)
-    }
-
-    /// Drop the pooled connection for `label` if it has died (the next
-    /// call redials). Keeping a dead entry around is harmless; this just
-    /// keeps the map tidy for long-lived clients.
-    fn evict_if_dead(&self, label: &str) {
-        let mut muxes = self.muxes.lock();
-        if muxes.get(label).is_some_and(|m| m.is_dead()) {
-            muxes.remove(label);
-        }
+    fn peer(&self, label: &str) -> Result<Arc<Peer>, DietError> {
+        self.peers
+            .read()
+            .get(label)
+            .cloned()
+            .ok_or_else(|| DietError::Transport(format!("no endpoint registered for {label}")))
     }
 
     /// Times this pool dialed a fresh connection — pipelining evidence:
     /// a saturating client should hold ~one dial per label.
     pub fn dials(&self) -> u64 {
-        self.dials.load(Ordering::Relaxed)
+        let peers = self.peers.read();
+        peers
+            .values()
+            .map(|p| p.dials.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// High-water mark of in-flight requests on `label`'s current
     /// connection (0 if none is pooled).
     pub fn peak_inflight(&self, label: &str) -> u64 {
-        self.muxes
-            .lock()
+        self.peers
+            .read()
             .get(label)
-            .map(|m| m.inflight_peak())
-            .unwrap_or(0)
+            .map_or(0, |p| p.peak_inflight())
     }
 
     /// One remote call attempt against `label`, bounded by `deadline`.
@@ -806,38 +682,27 @@ impl TcpSedPool {
         deadline: Duration,
         ctx: obs::TraceCtx,
     ) -> Result<(Profile, f64, f64), DietError> {
-        let mux = self.mux_for(label)?;
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let call = Message::Call {
+        // Refcounts, not copies: the server leaves out arguments the solve
+        // did not replace, and this is where they come back from.
+        let sent = profile.clone();
+        let build = |request_id| Message::Call {
             request_id,
             ctx,
             profile,
         };
-        let reply = mux.request(&call, request_id, deadline);
-        match reply {
-            Ok(Message::CallReply {
+        match self.peer(label)?.request(build, deadline)? {
+            Message::CallReply {
                 queue_wait,
                 solve,
                 result,
                 ..
-            }) => result
+            } => result
                 .map(|mut p| {
-                    // The server leaves out arguments the solve did not
-                    // replace; the profile just sent still has them.
-                    if let Message::Call { profile: sent, .. } = call {
-                        p.restore_unreturned(sent);
-                    }
+                    p.restore_unreturned(sent);
                     (p, queue_wait, solve)
                 })
                 .map_err(DietError::Rejected),
-            Ok(Message::Busy { .. }) => Err(DietError::Busy),
-            Ok(other) => Err(DietError::Transport(format!(
-                "unexpected reply to call: {other:?}"
-            ))),
-            Err(e) => {
-                self.evict_if_dead(label);
-                Err(e)
-            }
+            other => Err(unexpected("call", other)),
         }
     }
 
@@ -852,26 +717,13 @@ impl TcpSedPool {
         what: &str,
         deadline: Duration,
     ) -> Result<String, DietError> {
-        let mux = self.mux_for(label)?;
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let reply = mux.request(
-            &Message::DumpMetricsRid {
-                request_id,
-                what: what.to_string(),
-            },
-            request_id,
+        let what = what.to_string();
+        match self.peer(label)?.request(
+            |request_id| Message::DumpMetricsRid { request_id, what },
             deadline,
-        );
-        match reply {
-            Ok(Message::MetricsReplyRid { text, .. }) => Ok(text),
-            Ok(Message::Busy { .. }) => Err(DietError::Busy),
-            Ok(other) => Err(DietError::Transport(format!(
-                "unexpected reply to dump-metrics: {other:?}"
-            ))),
-            Err(e) => {
-                self.evict_if_dead(label);
-                Err(e)
-            }
+        )? {
+            Message::MetricsReplyRid { text, .. } => Ok(text),
+            other => Err(unexpected("dump-metrics", other)),
         }
     }
 
@@ -884,26 +736,13 @@ impl TcpSedPool {
         id: &str,
         deadline: Duration,
     ) -> Result<(crate::data::DietValue, crate::data::Persistence), DietError> {
-        let mux = self.mux_for(label)?;
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let reply = mux.request(
-            &Message::GetData {
-                request_id,
-                id: id.to_string(),
-            },
-            request_id,
-            deadline,
-        );
-        match reply {
-            Ok(Message::DataReply { result, .. }) => result.map_err(DietError::DataNotFound),
-            Ok(Message::Busy { .. }) => Err(DietError::Busy),
-            Ok(other) => Err(DietError::Transport(format!(
-                "unexpected reply to get-data: {other:?}"
-            ))),
-            Err(e) => {
-                self.evict_if_dead(label);
-                Err(e)
-            }
+        let id = id.to_string();
+        match self
+            .peer(label)?
+            .request(|request_id| Message::GetData { request_id, id }, deadline)?
+        {
+            Message::DataReply { result, .. } => result.map_err(DietError::DataNotFound),
+            other => Err(unexpected("get-data", other)),
         }
     }
 
@@ -918,30 +757,15 @@ impl TcpSedPool {
         mode: crate::data::Persistence,
         deadline: Duration,
     ) -> Result<(), DietError> {
-        let mux = self.mux_for(label)?;
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let reply = mux.request(
-            &Message::PutData {
-                request_id,
-                id: id.to_string(),
-                mode,
-                value,
-            },
+        let build = |request_id| Message::PutData {
             request_id,
-            deadline,
-        );
-        match reply {
-            Ok(Message::DataReply { result, .. }) => {
-                result.map(|_| ()).map_err(DietError::Rejected)
-            }
-            Ok(Message::Busy { .. }) => Err(DietError::Busy),
-            Ok(other) => Err(DietError::Transport(format!(
-                "unexpected reply to put-data: {other:?}"
-            ))),
-            Err(e) => {
-                self.evict_if_dead(label);
-                Err(e)
-            }
+            id: id.to_string(),
+            mode,
+            value,
+        };
+        match self.peer(label)?.request(build, deadline)? {
+            Message::DataReply { result, .. } => result.map(|_| ()).map_err(DietError::Rejected),
+            other => Err(unexpected("put-data", other)),
         }
     }
 }
@@ -963,6 +787,18 @@ impl crate::dagda::DataResolver for TcpSedPool {
 mod tests {
     use super::*;
     use std::io::Write;
+
+    /// A blocking peer for one connection: accept it and hand it to `serve`.
+    fn serve_one(serve: impl FnOnce(TcpTransport) + Send + 'static) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            if let Ok((stream, _)) = listener.accept() {
+                serve(TcpTransport::from_stream(stream));
+            }
+        });
+        addr
+    }
 
     #[test]
     fn inproc_roundtrip() {
@@ -990,7 +826,7 @@ mod tests {
 
     #[test]
     fn tcp_roundtrip_and_echo() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
+        let addr = serve_one(|conn| {
             while let Ok(m) = conn.recv() {
                 match m {
                     Message::Ping => conn.send(&Message::Pong).unwrap(),
@@ -998,10 +834,9 @@ mod tests {
                     other => conn.send(&other).unwrap(),
                 }
             }
-        })
-        .unwrap();
+        });
 
-        let client = TcpTransport::connect(server.local_addr).unwrap();
+        let client = TcpTransport::connect(addr).unwrap();
         client.send(&Message::Ping).unwrap();
         assert_eq!(client.recv().unwrap(), Message::Pong);
 
@@ -1018,12 +853,11 @@ mod tests {
 
     #[test]
     fn tcp_timeout_returns_none() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
+        let addr = serve_one(|conn| {
             // Never answer; just hold the connection open long enough.
             let _ = conn.recv_timeout(Duration::from_millis(300));
-        })
-        .unwrap();
-        let client = TcpTransport::connect(server.local_addr).unwrap();
+        });
+        let client = TcpTransport::connect(addr).unwrap();
         let r = client.recv_timeout(Duration::from_millis(30)).unwrap();
         assert!(r.is_none());
     }
@@ -1102,12 +936,11 @@ mod tests {
     fn tcp_configured_max_frame_is_enforced() {
         // A frame one byte over the configured limit is rejected; the limit
         // itself is fine.
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
+        let addr = serve_one(|conn| {
             if let Ok(m) = conn.recv() {
                 let _ = conn.send(&m);
             }
-        })
-        .unwrap();
+        });
         let big = Message::CallReply {
             request_id: 1,
             queue_wait: 0.0,
@@ -1115,7 +948,7 @@ mod tests {
             result: Err("x".repeat(4096)),
         };
         let frame_len = encode_message(&big).len();
-        let client = TcpTransport::connect(server.local_addr)
+        let client = TcpTransport::connect(addr)
             .unwrap()
             .with_max_frame(frame_len - 1);
         client.send(&big).unwrap();
@@ -1124,13 +957,8 @@ mod tests {
 
     #[test]
     fn tcp_server_kill_severs_live_connections() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            // Echo until the connection dies.
-            while let Ok(m) = conn.recv() {
-                if conn.send(&m).is_err() {
-                    break;
-                }
-            }
+        let server = TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), |h, m| {
+            let _ = h.send(&m);
         })
         .unwrap();
         let client = TcpTransport::connect(server.local_addr).unwrap();
@@ -1153,7 +981,7 @@ mod tests {
         // A miniature data server: PutData retains, GetData serves.
         let dm = Arc::new(DataManager::new());
         let server_dm = dm.clone();
-        let server = TcpServer::spawn("127.0.0.1:0", move |conn| {
+        let addr = serve_one(move |conn| {
             while let Ok(m) = conn.recv() {
                 match m {
                     Message::PutData {
@@ -1180,10 +1008,9 @@ mod tests {
                     _ => break,
                 }
             }
-        })
-        .unwrap();
+        });
         let pool = TcpSedPool::new();
-        pool.register("owner", server.local_addr);
+        pool.register("owner", addr);
         let blob = DietValue::vec_f64(vec![1.5; 256]);
         pool.put_data(
             "owner",
@@ -1212,12 +1039,11 @@ mod tests {
     fn tcp_max_frame_applies_to_data_replies() {
         // Mirror of `tcp_configured_max_frame_is_enforced` for the new data
         // frames: an oversized DataReply is rejected by the length check.
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
+        let addr = serve_one(|conn| {
             if let Ok(m) = conn.recv() {
                 let _ = conn.send(&m);
             }
-        })
-        .unwrap();
+        });
         let big = Message::DataReply {
             request_id: 1,
             id: "ic".into(),
@@ -1227,7 +1053,7 @@ mod tests {
             )),
         };
         let frame_len = encode_message(&big).len();
-        let client = TcpTransport::connect(server.local_addr)
+        let client = TcpTransport::connect(addr)
             .unwrap()
             .with_max_frame(frame_len - 1);
         client.send(&big).unwrap();
@@ -1240,7 +1066,7 @@ mod tests {
         // A server that batches two calls and answers them in REVERSE
         // order: only correlation-id routing can hand each caller its own
         // reply. The pool must pipeline both calls down one connection.
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
+        let addr = serve_one(|conn| {
             let mut batch = Vec::new();
             while let Ok(m) = conn.recv() {
                 if let Message::Call {
@@ -1262,10 +1088,9 @@ mod tests {
                     }
                 }
             }
-        })
-        .unwrap();
+        });
         let pool = Arc::new(TcpSedPool::new());
-        pool.register("sed/0", server.local_addr);
+        pool.register("sed/0", addr);
         let d = ProfileDesc::alloc("echo", -1, 0, 0);
         let handles: Vec<_> = (0..2)
             .map(|i| {
@@ -1302,7 +1127,7 @@ mod tests {
         // later replies correctly — no eviction, no desync.
         let hits = Arc::new(AtomicU64::new(0));
         let server_hits = hits.clone();
-        let server = TcpServer::spawn("127.0.0.1:0", move |conn| {
+        let addr = serve_one(move |conn| {
             while let Ok(m) = conn.recv() {
                 if let Message::Call {
                     request_id,
@@ -1321,10 +1146,9 @@ mod tests {
                     });
                 }
             }
-        })
-        .unwrap();
+        });
         let pool = TcpSedPool::new();
-        pool.register("sed/0", server.local_addr);
+        pool.register("sed/0", addr);
         let d = ProfileDesc::alloc("noop", -1, -1, 0);
         let p = Profile::alloc(&d);
         let r = pool.call("sed/0", p.clone(), Duration::from_millis(60));
@@ -1338,36 +1162,80 @@ mod tests {
     }
 
     #[test]
+    fn reregistering_a_label_routes_to_the_new_address() {
+        // Regression: a live connection to the old address kept serving the
+        // label after it was re-registered elsewhere.
+        let answer_as = |name: &'static str| {
+            TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+                let _ = h.send(&Message::CallReply {
+                    request_id: m.request_id(),
+                    queue_wait: 0.0,
+                    solve: 0.0,
+                    result: Err(name.to_string()),
+                });
+            })
+            .unwrap()
+        };
+        let (a, b) = (answer_as("A"), answer_as("B"));
+        let p = Profile::alloc(&crate::profile::ProfileDesc::alloc("who", -1, -1, 0));
+        let served_by =
+            |pool: &TcpSedPool| match pool.call("sed", p.clone(), Duration::from_secs(5)) {
+                Err(DietError::Rejected(name)) => name,
+                other => panic!("expected a named rejection, got {other:?}"),
+            };
+        let pool = TcpSedPool::new();
+        pool.register("sed", a.local_addr);
+        assert_eq!(served_by(&pool), "A");
+        pool.register("sed", b.local_addr);
+        assert_eq!(served_by(&pool), "B");
+        assert_eq!(pool.dials(), 2);
+    }
+
+    #[test]
     fn server_rejects_with_busy_when_admission_queue_full() {
-        // One worker occupied forever + a single queue slot: the third
-        // connection must be told Busy (request id 0) instead of hanging.
+        // One wedged worker + one dispatch-queue slot: the request after the
+        // queued one is answered Busy echoing its own id, on a connection
+        // that stays open for the other two.
         let cfg = ServerConfig {
             workers: 1,
             accept_queue: 1,
             faults: None,
             obs: None,
         };
-        let server = TcpServer::spawn_with_config("127.0.0.1:0", cfg, |conn| {
-            // Hold the worker until the connection dies.
-            while conn.recv().is_ok() {}
+        let (started_tx, started_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let server = TcpServer::spawn_framed("127.0.0.1:0", cfg, move |h, m| {
+            let request_id = m.request_id();
+            if request_id == 1 {
+                let _ = started_tx.send(());
+                let _ = release_rx.recv(); // until the test drops `release_tx`
+            }
+            let text = String::new();
+            let _ = h.send(&Message::MetricsReplyRid { request_id, text });
         })
         .unwrap();
-        let held = TcpTransport::connect(server.local_addr).unwrap();
-        // Let the worker dequeue `held` before the next connection arrives
-        // (on a single-CPU host the worker may otherwise not be scheduled
-        // until after the acceptor has processed every pending connect, in
-        // which case the Busy would land on `_queued` instead).
-        std::thread::sleep(Duration::from_millis(150));
-        let _queued = TcpTransport::connect(server.local_addr).unwrap();
-        // And let the acceptor park `_queued` in the admission queue.
-        std::thread::sleep(Duration::from_millis(150));
-        let rejected = TcpTransport::connect(server.local_addr).unwrap();
-        match rejected.recv_timeout(Duration::from_secs(2)) {
-            Ok(Some(Message::Busy { request_id: 0 })) => {}
-            other => panic!("expected Busy(0), got {other:?}"),
+        let client = TcpTransport::connect(server.local_addr).unwrap();
+        let dump = |request_id| Message::DumpMetricsRid {
+            request_id,
+            what: String::new(),
+        };
+        client.send(&dump(1)).unwrap();
+        started_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker never took request 1");
+        client.send(&dump(2)).unwrap(); // waits in the one queue slot
+        client.send(&dump(3)).unwrap(); // finds the queue full
+        match client.recv_timeout(Duration::from_secs(5)) {
+            Ok(Some(Message::Busy { request_id: 3 })) => {}
+            other => panic!("expected Busy(3), got {other:?}"),
         }
         assert!(server.busy_rejections() >= 1);
-        drop(held);
+        drop(release_tx);
+        let mut answered: Vec<u64> = (0..2)
+            .map(|_| client.recv().unwrap().request_id())
+            .collect();
+        answered.sort_unstable();
+        assert_eq!(answered, [1, 2], "the wedged and the queued request");
     }
 
     #[test]
@@ -1378,13 +1246,12 @@ mod tests {
 
     #[test]
     fn tcp_large_file_payload() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
+        let addr = serve_one(|conn| {
             if let Ok(m) = conn.recv() {
                 conn.send(&m).unwrap();
             }
-        })
-        .unwrap();
-        let client = TcpTransport::connect(server.local_addr).unwrap();
+        });
+        let client = TcpTransport::connect(addr).unwrap();
         let desc = crate::profile::ramses_zoom1_desc();
         let mut p = crate::profile::Profile::alloc(&desc);
         p.set(

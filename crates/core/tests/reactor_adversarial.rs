@@ -153,41 +153,3 @@ fn oversized_length_prefix_severs_before_allocation() {
     assert!(matches!(t.recv().unwrap(), Message::Pong));
     server.stop();
 }
-
-/// Regression for the legacy pooled server's kill-list leak: a closed
-/// connection's entry must leave the tracking map when its worker finishes,
-/// not accumulate until `kill`.
-#[test]
-fn pooled_server_prunes_closed_connections() {
-    let server = TcpServer::spawn_with_config(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            accept_queue: 8,
-            faults: None,
-            obs: None,
-        },
-        |t: TcpTransport| {
-            while let Ok(msg) = t.recv() {
-                match msg {
-                    Message::Ping => {
-                        let _ = t.send(&Message::Pong);
-                    }
-                    _ => break,
-                }
-            }
-        },
-    )
-    .expect("bind pooled server");
-
-    for _ in 0..8 {
-        let t = TcpTransport::connect(server.local_addr).unwrap();
-        t.send(&Message::Ping).unwrap();
-        assert!(matches!(t.recv().unwrap(), Message::Pong));
-        t.send(&Message::Shutdown).unwrap();
-    }
-    wait_for("pooled conn prune", Duration::from_secs(5), || {
-        server.tracked_connections() == 0
-    });
-    server.stop();
-}
