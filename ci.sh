@@ -101,17 +101,32 @@ stage_lint() {
         exit 1
     fi
     # Drift guard: one retry loop (client::retry_loop) backs off for every
-    # GridRPC call. A second non-test caller of `backoff_jittered` is a
-    # second loop growing back.
-    backoffs=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
-        awk '/^#\[cfg\(test\)\]/ { exit }
-             /backoff_jittered\(/ && !/fn backoff_jittered/ { print FILENAME ":" FNR }' "$f"
-    done)
+    # GridRPC call and DAG node. A second non-test caller of
+    # `backoff_jittered` is a second loop growing back.
+    backoffs=$(core_sites '[.]backoff_jittered[(]')
     if [ "$(printf '%s\n' "$backoffs" | grep -c .)" -gt 1 ]; then
         echo "ci.sh drift: backoff_jittered called outside the one retry loop:" >&2
         printf '%s\n' "$backoffs" >&2
         exit 1
     fi
+    # Ratchet: completion is to be pushed, not polled, until only the retry
+    # back-offs sleep. The count of non-test `thread::sleep` sites may fall,
+    # never rise; lower the bound when it does.
+    sleeps=$(core_sites 'thread::sleep[(]')
+    if [ "$(printf '%s\n' "$sleeps" | grep -c .)" -gt 12 ]; then
+        echo "ci.sh drift: more than 12 thread::sleep sites in crates/core/src:" >&2
+        printf '%s\n' "$sleeps" >&2
+        exit 1
+    fi
+}
+
+# file:line of every line under crates/core/src that matches the awk regex
+# $1, each file cut at its `#[cfg(test)]` so unit tests do not count.
+core_sites() {
+    find crates/core/src -name '*.rs' | sort | while read -r f; do
+        awk -v re="$1" '/^#\[cfg\(test\)\]/ { exit }
+             $0 ~ re { print FILENAME ":" FNR }' "$f"
+    done
 }
 
 stage_determinism() {

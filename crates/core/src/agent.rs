@@ -272,6 +272,25 @@ pub struct SubmitRecord {
     pub candidates: usize,
 }
 
+/// Where finding put a request: the winner's label, plus its handle when
+/// the SeD is attached in this process rather than behind a remote agent.
+pub(crate) struct Placement {
+    pub label: String,
+    pub sed: Option<Arc<SedHandle>>,
+}
+
+impl Placement {
+    /// The in-process handle, for callers that cannot reach a SeD by label.
+    pub fn handle(&self) -> Result<&Arc<SedHandle>, DietError> {
+        self.sed.as_ref().ok_or_else(|| {
+            DietError::Rejected(format!(
+                "chosen server {} lives behind a remote agent; resolve by label instead",
+                self.label
+            ))
+        })
+    }
+}
+
 /// How many failed calls (while the SeD still answers liveness probes) it
 /// takes before the MA deregisters it anyway.
 const FAILURE_STRIKES: u32 = 3;
@@ -383,57 +402,18 @@ impl MasterAgent {
 
     /// Handle a client submit: traverse, schedule, return the chosen SeD.
     pub fn submit(&self, service: &str) -> Result<Arc<SedHandle>, DietError> {
-        self.submit_excluding(service, &[])
-    }
-
-    /// Like [`submit`](Self::submit), but skipping `exclude`d labels — the
-    /// resubmission path: a retrying client excludes the servers that just
-    /// failed it so the scheduler must pick a different one.
-    pub fn submit_excluding(
-        &self,
-        service: &str,
-        exclude: &[String],
-    ) -> Result<Arc<SedHandle>, DietError> {
-        self.submit_with_data(service, &[], exclude)
-    }
-
-    /// Data-aware submit: `data_ids` are the request's grid-data references.
-    /// With a catalog registered, every candidate estimate gains the
-    /// locality split (bytes already local vs. bytes it would pull), so
-    /// data-aware schedulers can prefer the SeDs holding the inputs.
-    pub fn submit_with_data(
-        &self,
-        service: &str,
-        data_ids: &[String],
-        exclude: &[String],
-    ) -> Result<Arc<SedHandle>, DietError> {
-        self.submit_traced(service, data_ids, exclude, TraceCtx::default())
-    }
-
-    /// [`submit_with_data`](Self::submit_with_data) under a caller's trace
-    /// context, which remote subtrees join — the in-process route of the
-    /// client's retry loop.
-    pub(crate) fn submit_traced(
-        &self,
-        service: &str,
-        data_ids: &[String],
-        exclude: &[String],
-        ctx: TraceCtx,
-    ) -> Result<Arc<SedHandle>, DietError> {
-        let (est, handle) = self.schedule(service, data_ids, exclude, ctx)?;
-        handle.ok_or_else(|| {
-            DietError::Rejected(format!(
-                "chosen server {} lives behind a remote agent; resolve by label instead",
-                est.server
-            ))
-        })
+        let placed = self.schedule(service, &[], &[], TraceCtx::default())?;
+        placed.handle().cloned()
     }
 
     /// Submit returning only the winning SeD's *label* — the form the wire
     /// protocol needs (a `SubmitReply` carries a name, and the client
     /// reaches the SeD through its own connection pool). Works whether the
     /// winner is a local handle or an estimate that travelled up from a
-    /// remote subtree.
+    /// remote subtree. `exclude`d labels are skipped (the resubmission
+    /// path); with a catalog registered, `data_ids` give every candidate
+    /// the locality split (bytes already local vs. bytes it would pull), so
+    /// data-aware schedulers can prefer the SeDs holding the inputs.
     pub fn resolve(
         &self,
         service: &str,
@@ -442,7 +422,7 @@ impl MasterAgent {
         ctx: TraceCtx,
     ) -> Result<String, DietError> {
         self.schedule(service, data_ids, exclude, ctx)
-            .map(|(est, _)| est.server)
+            .map(|placed| placed.label)
     }
 
     /// Collect candidates from every child subtree, honouring the
@@ -501,14 +481,15 @@ impl MasterAgent {
     }
 
     /// The scheduling core every submit variant funnels through: collect,
-    /// inject locality, drop saturated candidates, pick.
-    fn schedule(
+    /// inject locality, drop saturated candidates, pick. Also the in-process
+    /// route of the client's retry loop.
+    pub(crate) fn schedule(
         &self,
         service: &str,
         data_ids: &[String],
         exclude: &[String],
         ctx: TraceCtx,
-    ) -> Result<(Estimate, Option<Arc<SedHandle>>), DietError> {
+    ) -> Result<Placement, DietError> {
         let started = Instant::now();
         let request_id = {
             let mut id = self.next_id.lock();
@@ -592,7 +573,10 @@ impl MasterAgent {
             .histogram("diet_ma_finding_seconds")
             .observe(rec.finding_time);
         self.requests.lock().push(rec);
-        Ok((chosen_est, chosen_handle))
+        Ok(Placement {
+            label: chosen_est.server,
+            sed: chosen_handle,
+        })
     }
 
     /// All submit records so far (the Figure 5 "finding time" series).
@@ -994,17 +978,18 @@ mod tests {
     }
 
     #[test]
-    fn submit_excluding_skips_failed_servers() {
+    fn resolve_excluding_skips_failed_servers() {
         let (ma, seds) = hierarchy(&[2]);
+        let ctx = TraceCtx::default();
         let excluded = vec!["la0/sed0".to_string()];
         for _ in 0..4 {
-            let c = ma.submit_excluding("echo", &excluded).unwrap();
-            assert_eq!(c.config.label, "la0/sed1");
+            let label = ma.resolve("echo", &[], &excluded, ctx).unwrap();
+            assert_eq!(label, "la0/sed1");
         }
         // Excluding everything looks like "declared but unreachable".
         let all = vec!["la0/sed0".to_string(), "la0/sed1".to_string()];
         assert!(matches!(
-            ma.submit_excluding("echo", &all),
+            ma.resolve("echo", &[], &all, ctx),
             Err(DietError::NoServerAvailable(_))
         ));
         for s in seds {
@@ -1144,8 +1129,8 @@ mod tests {
         );
         let ids = vec!["ic".to_string()];
         for _ in 0..5 {
-            let chosen = ma.submit_with_data("echo", &ids, &[]).unwrap();
-            assert_eq!(chosen.config.label, "la0/sed1");
+            let chosen = ma.resolve("echo", &ids, &[], TraceCtx::default());
+            assert_eq!(chosen.unwrap(), "la0/sed1");
         }
         // Without data ids the policy degrades to expected finish and the
         // label tie-break picks sed0.

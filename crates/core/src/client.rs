@@ -11,13 +11,13 @@
 //! measurements of *finding time* (MA traversal) and *latency* (data send +
 //! service initiation + queue wait) — the two quantities of Figure 5.
 
-use crate::agent::MasterAgent;
+use crate::agent::{MasterAgent, Placement};
 use crate::dag::{DagEventRec, DagOutcome, WorkflowSpec};
 use crate::data::{DietValue, Persistence};
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
 use crate::profile::Profile;
-use crate::sed::{SedHandle, SolveOutcome};
+use crate::sed::SolveOutcome;
 use crate::transport::TcpSedPool;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use obs::{Obs, TraceCtx, Tracer};
@@ -71,8 +71,9 @@ pub struct DagHandle {
 
 /// Per-call fault-tolerance knobs for the retrying calls —
 /// [`DietClient::call_with_retry`], [`DietClient::call_over_tcp`] and
-/// [`DietClient::call_distributed`] — and for one dispatch round of the
-/// jobserver, all of which run the same retry loop.
+/// [`DietClient::call_distributed`] — for one dispatch round of the
+/// jobserver and for one launch of a DAG node, all of which run the same
+/// retry loop.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Deadline for each individual attempt (send + queue + solve).
@@ -165,7 +166,7 @@ fn is_data_not_found(e: &DietError) -> bool {
 /// Where a call's finding phase runs: the in-process [`MasterAgent`] or a
 /// remote MA process behind a [`RemoteAgentClient`].
 pub(crate) trait Route {
-    /// What finding hands the data path: a SeD handle or a SeD label.
+    /// What finding hands the data path: a placement or a SeD label.
     type Target;
     /// One finding phase. `data_ids` feed data-aware scheduling where the
     /// route can carry them (the `Submit` frame cannot).
@@ -182,21 +183,24 @@ pub(crate) trait Route {
 }
 
 impl Route for MasterAgent {
-    type Target = Arc<SedHandle>;
+    type Target = Placement;
     fn find(
         &self,
         service: &str,
         data_ids: &[String],
         exclude: &[String],
         ctx: TraceCtx,
-    ) -> Result<Arc<SedHandle>, DietError> {
-        self.submit_traced(service, data_ids, exclude, ctx)
+    ) -> Result<Placement, DietError> {
+        self.schedule(service, data_ids, exclude, ctx)
     }
-    fn label(sed: &Arc<SedHandle>) -> &str {
-        &sed.config.label
+    fn label(placed: &Placement) -> &str {
+        &placed.label
     }
-    fn report_failure(&self, sed: &Arc<SedHandle>) {
-        MasterAgent::report_failure(self, sed);
+    /// A SeD behind a remote agent is left to that agent's heartbeats.
+    fn report_failure(&self, placed: &Placement) {
+        if let Some(sed) = &placed.sed {
+            MasterAgent::report_failure(self, sed);
+        }
     }
 }
 
@@ -349,11 +353,12 @@ pub(crate) fn retry_loop<R: Route>(
 
 /// One in-process attempt: admission, submit, wait up to `timeout`.
 fn solve_in_process(
-    sed: &SedHandle,
+    placed: &Placement,
     profile: Profile,
     ctx: TraceCtx,
     timeout: Duration,
 ) -> Result<(Profile, f64, f64), DietError> {
+    let sed = placed.handle()?;
     sed.admit()?;
     match sed.submit_traced(profile, ctx)?.recv_timeout(timeout) {
         Ok(o) => o.result.map(|p| (p, o.queue_wait, o.solve_time)),
@@ -624,8 +629,14 @@ impl DietClient {
             self.ma()?.as_ref(),
             profile,
             policy,
-            |sed, p, ctx| solve_in_process(sed, p, ctx, timeout),
-            |sed, id, v| sed.store_data(id, v, Persistence::Persistent),
+            |placed, p, ctx| solve_in_process(placed, p, ctx, timeout),
+            |placed, id, v| {
+                let mode = Persistence::Persistent;
+                placed
+                    .sed
+                    .as_ref()
+                    .is_some_and(|s| s.store_data(id, v, mode))
+            },
         )
     }
 

@@ -522,9 +522,18 @@ macro_rules! wire_enum {
 }
 pub(crate) use wire_enum;
 
-/// `impl Wire` for a `#[repr(u8)]`-style state enum with a `from_u8`.
+/// `impl Wire` and `from_u8` for a fieldless state enum: its byte is the
+/// discriminant, which only the enum itself spells out.
 macro_rules! wire_state {
-    ($($T:ident),*) => {$(
+    ($T:ident [ $($V:ident),* ]) => {
+        impl $T {
+            /// The state whose wire byte is `b`.
+            pub fn from_u8(b: u8) -> Option<$T> {
+                [$($T::$V),*].into_iter().find(|s| *s as u8 == b)
+            }
+        }
+        // A variant left out of the list fails this match to build.
+        const _: fn($T) = |s| match s { $($T::$V)|* => {} };
         impl Wire for $T {
             fn put(&self, buf: &mut BytesMut) {
                 (*self as u8).put(buf)
@@ -534,9 +543,10 @@ macro_rules! wire_state {
                     .ok_or_else(|| DietError::Codec(concat!("bad ", stringify!($T)).into()))
             }
         }
-    )*};
+    };
 }
-wire_state!(TaskState, DagNodeState);
+wire_state!(TaskState[Pending, Dispatched, Done, Failed]);
+wire_state!(DagNodeState[Pending, Ready, Placed, Running, Done, Failed, Cancelled]);
 
 wire_enum!(Persistence {
     0 => Volatile,

@@ -9,7 +9,7 @@
 //! owns the per-node state machines
 //!
 //! ```text
-//! Pending ──deps done──▶ Ready ──resolve──▶ Placed ──call──▶ Running
+//! Pending ──deps done──▶ Ready ──finding──▶ Placed ──call──▶ Running
 //!                                                              │
 //!                                 Done ◀──first reply wins─────┤
 //!                                 Failed ◀──rejected/retries───┘
@@ -18,9 +18,9 @@
 //! ```
 //!
 //! and drives the existing middleware underneath: placement goes through
-//! [`MasterAgent::resolve`] with the node's input data-ref ids, so the
-//! DAGDA replica catalog and the `DataLocal` estimate terms pull a stage
-//! onto the SeD already holding its inputs; the solve goes through the
+//! the MA's scheduler with the node's input data-ref ids, so the DAGDA
+//! replica catalog and the `DataLocal` estimate terms pull a stage onto
+//! the SeD already holding its inputs; the solve goes through the
 //! [`TcpSedPool`] — data moves SeD-to-SeD, never through the client.
 //!
 //! **Data-flow via tagged services.** Before placing node `n` of dag `d`,
@@ -35,11 +35,15 @@
 //! dags — plus deterministic solves produce checksum-identical replicas, so
 //! speculative duplicates publish safely under the same id.
 //!
-//! **Failure handling** reuses the client retry semantics: transport faults
-//! and timeouts blame the SeD ([`MasterAgent::report_failure`]), exclude it
-//! and relaunch up to the node's retry budget; `Busy` backs off without
-//! blame; an application rejection fails the node and cancels its
-//! descendants. A background monitor adds **speculation**: when a running
+//! **Failure handling** is the client's: every launch of a node, primary
+//! or speculative, is one `client::retry_loop` over the in-process MA, so a
+//! node fails and retries exactly like a GridRPC call (DESIGN §7). Finding
+//! misses, `Busy` and transport faults back off and retry within the
+//! node's `max_retries`, a faulty SeD is blamed and excluded; `DataNotFound`
+//! and application rejections fail the node and cancel its descendants.
+//! The engine keeps only the node's own business: wiring its inputs, its
+//! state transitions, its `DagNode` trace window and its outcome. A
+//! background monitor adds **speculation**: when a running
 //! node exceeds `k×` the running median duration of its service, a
 //! duplicate launches on a different SeD — first completion wins, the
 //! loser's reply is discarded (counted in `diet_dag_spec_losses_total`).
@@ -47,7 +51,8 @@
 //! disconnects mid-dag cancels every node not yet placed
 //! (`diet_dag_cancelled_total`) and lets running solves drain.
 
-use crate::agent::MasterAgent;
+use crate::agent::{MasterAgent, Placement};
+use crate::client::{retry_loop, RetryPolicy};
 use crate::data::{DietValue, Persistence};
 use crate::error::DietError;
 use crate::profile::Profile;
@@ -90,7 +95,9 @@ pub struct DagNodeSpec {
     pub expander: Option<String>,
     /// Free-form parameters the expander reads (e.g. `max_zooms`).
     pub params: Vec<(String, String)>,
-    /// Relaunch budget for retryable faults (transport, timeout).
+    /// Retry budget of each launch: at most `max_retries + 1` attempts,
+    /// with finding misses, `Busy` bounces and transport faults all
+    /// counting against it.
     pub max_retries: u32,
 }
 
@@ -132,19 +139,6 @@ pub enum DagNodeState {
 }
 
 impl DagNodeState {
-    pub fn from_u8(b: u8) -> Option<DagNodeState> {
-        Some(match b {
-            0 => DagNodeState::Pending,
-            1 => DagNodeState::Ready,
-            2 => DagNodeState::Placed,
-            3 => DagNodeState::Running,
-            4 => DagNodeState::Done,
-            5 => DagNodeState::Failed,
-            6 => DagNodeState::Cancelled,
-            _ => return None,
-        })
-    }
-
     /// Terminal states never transition again.
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -252,8 +246,6 @@ struct NodeRun {
     tagged: String,
     state: DagNodeState,
     attempts: u32,
-    /// SeDs blamed for transport faults on this node.
-    excluded: Vec<String>,
     /// SeDs currently holding an in-flight attempt (primary + speculative).
     placed_on: Vec<String>,
     launched_at: Option<Instant>,
@@ -423,8 +415,6 @@ pub struct DagEngineConfig {
     pub speculate_min_samples: usize,
     /// Straggler/disconnect sweep cadence.
     pub monitor_interval: Duration,
-    /// Backoff between `Busy` re-attempts.
-    pub busy_backoff: Duration,
 }
 
 impl Default for DagEngineConfig {
@@ -434,7 +424,6 @@ impl Default for DagEngineConfig {
             speculate_factor: 3.0,
             speculate_min_samples: 3,
             monitor_interval: Duration::from_millis(20),
-            busy_backoff: Duration::from_millis(50),
         }
     }
 }
@@ -591,7 +580,6 @@ impl DagEngine {
             spec: spec.clone(),
             state: DagNodeState::Pending,
             attempts: 0,
-            excluded: Vec::new(),
             placed_on: Vec::new(),
             launched_at: None,
             speculated: false,
@@ -614,170 +602,117 @@ impl DagEngine {
         self.launch(run, node, false);
     }
 
-    /// Spawn one attempt for `node` (primary or speculative duplicate).
+    /// Spawn one launch of `node` (primary or speculative duplicate).
     fn launch(self: &Arc<Self>, run: &Arc<Mutex<DagRun>>, node: u32, speculative: bool) {
         let engine = self.clone();
         let run = run.clone();
-        std::thread::spawn(move || engine.attempt_loop(&run, node, speculative));
+        std::thread::spawn(move || engine.run_launch(&run, node, speculative));
     }
 
-    /// One node's placement + call loop: resolve, call, classify the
-    /// failure, maybe relaunch — the engine-side mirror of the client's
-    /// `call_with_retry`.
-    fn attempt_loop(self: &Arc<Self>, run: &Arc<Mutex<DagRun>>, node: u32, speculative: bool) {
-        let m = &self.obs.metrics;
-        loop {
-            // ---- snapshot the node and wire its inputs -------------------
-            let (profile, canonical, data_ids, exclude, trace_id, may_retry) = {
-                let mut g = run.lock();
-                let Some(n) = g.nodes.get(&node) else { return };
-                match (speculative, n.state) {
-                    // A primary attempt runs from Ready (or a relaunch from
-                    // Running); a speculative one only joins a live node.
-                    (false, DagNodeState::Ready | DagNodeState::Placed | DagNodeState::Running) => {
-                    }
-                    (true, DagNodeState::Running) => {}
-                    _ => return,
-                }
-                let mut profile = n.spec.profile.clone();
-                profile.service = n.tagged.clone();
-                // Wire data-flow edges to the upstream publications.
-                for input in &n.spec.inputs {
-                    let Some(up) = g.nodes.get(&input.from_node) else {
-                        continue;
-                    };
-                    let id = format!("{}#{}", up.tagged, input.from_arg);
-                    let idx = input.arg as usize;
-                    if idx < profile.values.len() {
-                        profile.values[idx] = DietValue::data_ref(&id);
-                        profile.persistence[idx] = Persistence::Persistent;
-                    }
-                }
-                let n = g.nodes.get_mut(&node).unwrap();
-                n.attempts += 1;
-                let mut exclude = n.excluded.clone();
-                if speculative {
-                    // The duplicate must land somewhere new.
-                    exclude.extend(n.placed_on.iter().cloned());
-                }
-                let may_retry = n.attempts <= n.spec.max_retries + 1;
-                let data_ids = profile.data_ref_ids();
-                let canonical = n.canonical.clone();
-                let trace_id = g.trace_id;
-                if !speculative {
-                    g.set_state(node, DagNodeState::Placed, "");
-                }
-                (profile, canonical, data_ids, exclude, trace_id, may_retry)
+    /// One launch of a node: the client's retry loop over the in-process
+    /// MA, with the node's own business in its attempt (the tagged profile,
+    /// Placed → Running, the `DagNode` window) and its outcome applied once
+    /// the loop returns.
+    fn run_launch(self: &Arc<Self>, run: &Arc<Mutex<DagRun>>, node: u32, speculative: bool) {
+        // ---- snapshot the node and wire its inputs -----------------------
+        let (profile, tagged, policy, exclude, trace_id) = {
+            let mut g = run.lock();
+            let trace_id = g.trace_id;
+            let Some(n) = g.nodes.get(&node) else { return };
+            // A primary launch starts from Ready; a duplicate only joins a
+            // live node, and must land somewhere new.
+            let exclude = match (speculative, n.state) {
+                (false, DagNodeState::Ready) => Vec::new(),
+                (true, DagNodeState::Running) => n.placed_on.clone(),
+                _ => return,
             };
-            let ctx = TraceCtx {
-                trace_id,
-                parent_span: 0,
-            };
-
-            // ---- finding: place through the hierarchy --------------------
-            let label = match self.ma.resolve(&canonical, &data_ids, &exclude, ctx) {
-                Ok(label) => label,
-                Err(DietError::Busy) => {
-                    std::thread::sleep(self.cfg.busy_backoff);
+            // Finding sees the canonical service; the attempt sends the
+            // tagged one. Data-flow edges point at upstream publications.
+            let mut profile = n.spec.profile.clone();
+            for input in &n.spec.inputs {
+                let Some(up) = g.nodes.get(&input.from_node) else {
                     continue;
-                }
-                Err(e) => {
-                    // No candidate (everything excluded/dead, or the service
-                    // vanished). A retry-budgeted node waits a beat — a
-                    // recovering SeD may come back; otherwise it fails.
-                    if may_retry {
-                        m.counter("diet_dag_node_retries_total").inc();
-                        std::thread::sleep(self.cfg.busy_backoff);
-                        continue;
-                    }
-                    self.fail_node(run, node, &format!("no placement: {e}"));
-                    return;
-                }
-            };
-
-            {
-                let mut g = run.lock();
-                let Some(n) = g.nodes.get_mut(&node) else {
-                    return;
                 };
-                if n.state.is_terminal() {
-                    return;
+                let id = format!("{}#{}", up.tagged, input.from_arg);
+                let idx = input.arg as usize;
+                if idx < profile.values.len() {
+                    profile.values[idx] = DietValue::data_ref(&id);
+                    profile.persistence[idx] = Persistence::Persistent;
                 }
-                n.placed_on.push(label.clone());
-                if n.launched_at.is_none() || !speculative {
-                    n.launched_at = Some(Instant::now());
-                }
-                g.set_state(node, DagNodeState::Running, label.clone());
             }
-
-            // ---- submission: call the SeD directly -----------------------
-            let started = Instant::now();
-            let start_ns = self.obs.tracer.now_ns();
-            let res = self
-                .pool
-                .call_traced(&label, profile, self.cfg.attempt_timeout, ctx);
-            if trace_id != 0 {
-                self.obs.tracer.record_window(
-                    trace_id,
-                    0,
-                    "DagNode",
-                    &label,
-                    start_ns,
-                    self.obs.tracer.now_ns(),
-                );
-            }
-            match res {
-                Ok((reply, _queue_wait, _solve)) => {
-                    self.complete_node(run, node, &label, reply, started.elapsed());
-                    return;
-                }
-                Err(DietError::Busy) => {
-                    self.unplace(run, node, &label);
-                    std::thread::sleep(self.cfg.busy_backoff);
-                    continue;
-                }
-                Err(e @ (DietError::Transport(_) | DietError::Timeout { .. })) => {
-                    // Blame the SeD like the client retry path does, so the
-                    // heartbeat/deregistration machinery sees the fault.
-                    if let Some(sed) = self
-                        .ma
-                        .all_seds()
-                        .into_iter()
-                        .find(|s| s.config.label == label)
-                    {
-                        self.ma.report_failure(&sed);
+            let policy = RetryPolicy {
+                attempt_timeout: self.cfg.attempt_timeout,
+                max_retries: n.spec.max_retries,
+                ..RetryPolicy::default()
+            };
+            let tagged = n.tagged.clone();
+            let n = g.nodes.get_mut(&node).expect("found above, same lock");
+            n.attempts += 1;
+            (profile, tagged, policy, exclude, trace_id)
+        };
+        let parent = TraceCtx {
+            trace_id,
+            parent_span: 0,
+        };
+        let tracer = &self.obs.tracer;
+        let (result, tally) = retry_loop(
+            &*self.ma,
+            None,
+            parent,
+            &profile,
+            &policy,
+            exclude,
+            |placed: &Placement, mut p, ctx| {
+                let label = &placed.label;
+                {
+                    let mut g = run.lock();
+                    let n = match g.nodes.get_mut(&node) {
+                        Some(n) if !n.state.is_terminal() => n,
+                        // Won by the other attempt, or cancelled: stop.
+                        _ => return Err(DietError::Rejected(format!("node {node} is over"))),
+                    };
+                    n.placed_on.push(label.clone());
+                    if n.launched_at.is_none() || !speculative {
+                        n.launched_at = Some(Instant::now());
                     }
-                    self.unplace(run, node, &label);
-                    {
-                        let mut g = run.lock();
-                        if let Some(n) = g.nodes.get_mut(&node) {
-                            n.excluded.push(label.clone());
+                    if !speculative {
+                        g.set_state(node, DagNodeState::Placed, "");
+                    }
+                    g.set_state(node, DagNodeState::Running, label.clone());
+                }
+                p.service = tagged.clone();
+                let start_ns = tracer.now_ns();
+                let res = self.pool.call_traced(label, p, policy.attempt_timeout, ctx);
+                if trace_id != 0 {
+                    tracer.record_window(trace_id, 0, "DagNode", label, start_ns, tracer.now_ns());
+                }
+                if res.is_err() {
+                    let mut g = run.lock();
+                    if let Some(n) = g.nodes.get_mut(&node) {
+                        if let Some(pos) = n.placed_on.iter().position(|l| l == label) {
+                            n.placed_on.remove(pos);
                         }
                     }
-                    if may_retry {
-                        m.counter("diet_dag_node_retries_total").inc();
-                        continue;
-                    }
-                    self.fail_node(run, node, &format!("{label}: {e}"));
-                    return;
                 }
-                Err(e) => {
-                    // Application-level rejection: the request was handled
-                    // and failed — resubmitting would repeat it.
-                    self.unplace(run, node, &label);
-                    self.fail_node(run, node, &format!("{label}: {e}"));
-                    return;
-                }
-            }
+                res
+            },
+            // The engine keeps no copy of a node's inputs to re-ship.
+            |_, _| false,
+        );
+        self.obs
+            .metrics
+            .counter("diet_dag_node_retries_total")
+            .add(tally.retries);
+        if let Some(n) = run.lock().nodes.get_mut(&node) {
+            n.attempts += tally.retries as u32;
         }
-    }
-
-    fn unplace(&self, run: &Arc<Mutex<DagRun>>, node: u32, label: &str) {
-        let mut g = run.lock();
-        if let Some(n) = g.nodes.get_mut(&node) {
-            if let Some(pos) = n.placed_on.iter().position(|l| l == label) {
-                n.placed_on.remove(pos);
+        match result {
+            Ok((reply, stats, placed)) => {
+                let took = stats.send + stats.queue_wait + stats.solve;
+                let took = Duration::from_secs_f64(took);
+                self.complete_node(run, node, &placed.label, reply, took);
             }
+            Err(e) => self.fail_node(run, node, &e.to_string()),
         }
     }
 
@@ -1238,7 +1173,6 @@ mod tests {
                     spec: n.clone(),
                     state: DagNodeState::Pending,
                     attempts: 0,
-                    excluded: vec![],
                     placed_on: vec![],
                     launched_at: None,
                     speculated: false,

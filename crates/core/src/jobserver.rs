@@ -80,18 +80,6 @@ pub enum TaskState {
     Failed = 3,
 }
 
-impl TaskState {
-    pub fn from_u8(v: u8) -> Option<TaskState> {
-        match v {
-            0 => Some(TaskState::Pending),
-            1 => Some(TaskState::Dispatched),
-            2 => Some(TaskState::Done),
-            3 => Some(TaskState::Failed),
-            _ => None,
-        }
-    }
-}
-
 /// What a task executes: a single GridRPC call resolved through the MA,
 /// or a whole workflow DAG admitted into the MA's engine (the multi-stage
 /// task shape — part-1-then-fan-out as one queue entry).

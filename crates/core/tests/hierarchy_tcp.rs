@@ -90,6 +90,24 @@ fn three_level_topology_resolves_through_two_remote_hops() {
     d.shutdown();
 }
 
+/// A client holding the MA in-process reaches a SeD behind a remote agent:
+/// finding hands `call_over_tcp` the winner's label, which is all its data
+/// path needs, even though the MA holds no handle for that SeD.
+#[test]
+fn call_over_tcp_reaches_a_sed_behind_a_remote_agent() {
+    let d = TcpTopologySpec::chain(2, 1)
+        .deploy(Arc::new(RoundRobin::new()), |_| table("echo"))
+        .unwrap();
+    let client = DietClient::initialize(d.ma.clone());
+    let (out, stats) = client
+        .call_over_tcp(&d.pool, request("echo", 41), &policy())
+        .unwrap();
+    assert_eq!(out.get_i32(1).unwrap(), 42);
+    assert_eq!(stats.retries, 0);
+    assert_eq!(client.history().pop().unwrap().0, "d2/s0");
+    d.shutdown();
+}
+
 /// Depth 1 still works over the wire: an MA with only MA-local SeDs.
 #[test]
 fn depth_one_topology_serves_ma_local_seds() {

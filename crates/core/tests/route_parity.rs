@@ -1,20 +1,23 @@
-//! Route parity: the three retrying GridRPC calls run one retry loop, so a
-//! fault must end the same way whichever route the call takes — finding
-//! in-process with the solve in-process (`call_with_retry`) or over TCP
-//! (`call_over_tcp`), or finding through a remote MA process
-//! (`call_distributed`). Each row injects one fault into a fresh grid per
-//! route and compares what the client saw: the outcome kind, the
-//! resubmissions, and the Busy bounces and re-ships behind them.
+//! Route parity: the three retrying GridRPC calls and the DAG engine's node
+//! launches run one retry loop, so a fault must end the same way whichever
+//! route the request takes — finding in-process with the solve in-process
+//! (`call_with_retry`) or over TCP (`call_over_tcp`), finding through a
+//! remote MA process (`call_distributed`), or a one-node dag placed by a
+//! `DagEngine` on the in-process MA. Each row injects one fault into a
+//! fresh grid per route and compares what the caller saw: the outcome
+//! kind, the resubmissions, and (for the calls) the Busy bounces and
+//! re-ships behind them.
 
+use diet_core::dag::{DagEngine, DagEngineConfig, DagNodeSpec, WorkflowSpec};
 use diet_core::data::{DietValue, Persistence};
 use diet_core::hierarchy::{serve_ma_over_tcp, serve_sed_over_tcp, AgentConfig, RemoteAgentClient};
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sched::RoundRobin;
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
 use diet_core::transport::{TcpSedPool, TcpServer};
-use diet_core::{AgentNode, CallStats, DietClient, DietError, MasterAgent, RetryPolicy};
+use diet_core::{AgentNode, CallStats, DietClient, DietError, MasterAgent, RetryPolicy, TraceCtx};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const MAX_RETRIES: u32 = 2;
 
@@ -60,7 +63,8 @@ fn sum_of(xs: &[f64]) -> Profile {
 struct Grid {
     seds: Vec<Arc<SedHandle>>,
     _servers: Vec<TcpServer>,
-    pool: TcpSedPool,
+    pool: Arc<TcpSedPool>,
+    ma: Arc<MasterAgent>,
     remote_ma: Arc<RemoteAgentClient>,
     client: DietClient,
 }
@@ -70,7 +74,7 @@ impl Grid {
         let seds: Vec<_> = (0..n)
             .map(|i| SedHandle::spawn(SedConfig::new(&format!("p/{i}"), 1.0), sum_table()))
             .collect();
-        let pool = TcpSedPool::new();
+        let pool = Arc::new(TcpSedPool::new());
         let mut servers = Vec::new();
         for sed in &seds {
             let server = serve_sed_over_tcp(sed.clone()).unwrap();
@@ -86,6 +90,7 @@ impl Grid {
             seds,
             _servers: servers,
             pool,
+            ma: ma.clone(),
             remote_ma,
             client: DietClient::initialize(ma),
         }
@@ -100,6 +105,44 @@ impl Grid {
                 self.client.call_distributed(ma, &self.pool, p, &policy())
             }
         }
+    }
+
+    /// `p` as a one-node dag through an engine on this grid's MA and pool:
+    /// `Done` reads "ok", `Failed` "retries exhausted", next to the
+    /// engine's node retries. The outcome is awaited with a deadline, so a
+    /// node that never stops retrying fails the row instead of hanging it.
+    fn dag(&self, p: Profile) -> (String, u64) {
+        let engine = DagEngine::new(
+            self.ma.clone(),
+            self.pool.clone(),
+            DagEngineConfig::default(),
+        );
+        let mut node = DagNodeSpec::new(0, p);
+        node.max_retries = MAX_RETRIES;
+        let spec = WorkflowSpec {
+            name: "parity".into(),
+            nodes: vec![node],
+        };
+        let id = engine.submit(spec, TraceCtx::default(), None).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let outcome = loop {
+            match engine.outcome(id) {
+                Some(o) => break Some(o),
+                None if Instant::now() > deadline => break None,
+                None => std::thread::sleep(Duration::from_millis(5)),
+            }
+        };
+        engine.shutdown();
+        let retries = self
+            .ma
+            .metrics()
+            .counter_value("diet_dag_node_retries_total");
+        let kind = match outcome {
+            Some(o) if o.ok => "ok",
+            Some(_) => "retries exhausted",
+            None => "no outcome within the deadline",
+        };
+        (kind.to_string(), retries)
     }
 }
 
@@ -123,9 +166,11 @@ struct Fault {
     /// Break the grid; returns the request to send into it.
     inject: fn(&Grid) -> Profile,
     expect: (&'static str, u64, u64, u64),
+    /// What the one-node dag ends with: outcome kind and node retries.
+    dag: (&'static str, u64),
 }
 
-const FAULTS: [Fault; 5] = [
+const FAULTS: [Fault; 6] = [
     Fault {
         name: "SeD killed mid-call",
         seds: 2,
@@ -135,6 +180,7 @@ const FAULTS: [Fault; 5] = [
             sum_of(&[1.0, 2.0])
         },
         expect: ("ok", 1, 0, 0),
+        dag: ("ok", 1),
     },
     Fault {
         name: "SeD busy",
@@ -144,12 +190,14 @@ const FAULTS: [Fault; 5] = [
             sum_of(&[1.0, 2.0])
         },
         expect: ("ok", 1, 1, 0),
+        dag: ("ok", 1),
     },
     Fault {
         name: "unknown service",
         seds: 1,
         inject: |_| request("nosuch", DietValue::vec_f64(vec![1.0])),
         expect: ("retries exhausted", MAX_RETRIES as u64, 0, 0),
+        dag: ("retries exhausted", MAX_RETRIES as u64),
     },
     Fault {
         name: "every candidate excluded",
@@ -159,6 +207,7 @@ const FAULTS: [Fault; 5] = [
             sum_of(&[1.0, 2.0])
         },
         expect: ("retries exhausted", MAX_RETRIES as u64, 0, 0),
+        dag: ("retries exhausted", MAX_RETRIES as u64),
     },
     Fault {
         name: "DataNotFound with a cached payload",
@@ -175,6 +224,24 @@ const FAULTS: [Fault; 5] = [
             request("sum", DietValue::data_ref("xs"))
         },
         expect: ("ok", 1, 0, 1),
+        // By design: the engine holds no copy of a node's inputs, so it has
+        // nothing to re-ship and the node fails on the first attempt.
+        dag: ("retries exhausted", 0),
+    },
+    Fault {
+        name: "every candidate Busy",
+        seds: 1,
+        inject: |g| {
+            g.seds[0].faults().set_force_busy(true);
+            sum_of(&[1.0, 2.0])
+        },
+        expect: (
+            "retries exhausted",
+            MAX_RETRIES as u64,
+            MAX_RETRIES as u64 + 1,
+            0,
+        ),
+        dag: ("retries exhausted", MAX_RETRIES as u64),
     },
 ];
 
@@ -211,6 +278,16 @@ fn every_fault_ends_the_same_way_on_every_route() {
                     fault.name
                 ));
             }
+        }
+        let expect = (fault.dag.0.to_string(), fault.dag.1);
+        let grid = Grid::new(fault.seds);
+        let p = (fault.inject)(&grid);
+        let got = grid.dag(p);
+        if got != expect {
+            failures.push(format!(
+                "{}: the dag engine saw {got:?}, not {expect:?}",
+                fault.name
+            ));
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
