@@ -5,8 +5,7 @@
 #   ./ci.sh              # run every stage, print per-stage wall-clock times
 #   ./ci.sh build test   # run only the named stages, in the given order
 #
-# Stages: build test lint determinism obs data throughput hierarchy serving
-#         telemetry workflow jobserver bench
+# Stages: build test lint determinism obs bench
 set -eu
 
 STAGE_NAMES=""
@@ -52,6 +51,9 @@ stage_build() {
 }
 
 stage_test() {
+    # Every suite in the workspace — wire, reactor, hierarchy, data,
+    # telemetry, dag, jobserver (SIGKILL crash recovery included) — at the
+    # ambient RAYON_NUM_THREADS; CI runs this stage at widths 1 and 4.
     (set -x; cargo test -q --workspace)
 }
 
@@ -77,14 +79,28 @@ stage_lint() {
         (set -x; sh -n ci.sh)
     fi
     # Drift guard: every stage_* function defined here must be reachable
-    # through ALL_STAGES, or `./ci.sh` silently stops running it.
+    # through ALL_STAGES, or `./ci.sh` silently stops running it. (No
+    # variable of its own: `run_stage` reads the global `name` afterwards.)
     for fn in $(grep -o '^stage_[a-z_]*' ci.sh | sort -u); do
-        name="${fn#stage_}"
         case " $ALL_STAGES " in
-            *" $name "*) ;;
+            *" ${fn#stage_} "*) ;;
             *) echo "ci.sh drift: $fn() is not listed in ALL_STAGES" >&2; exit 1 ;;
         esac
     done
+    # Drift guard: every experiment binary is run by run_experiments.sh or
+    # by a stage here (`--bin NAME`). One that nothing runs rots unseen, and
+    # a retired one must not come back silently.
+    orphans=""
+    for f in crates/bench/src/bin/*.rs; do
+        bin=$(basename "$f" .rs)
+        if ! grep -qw "$bin" run_experiments.sh && ! grep -qw -e "--bin $bin" ci.sh; then
+            orphans="$orphans $bin"
+        fi
+    done
+    if [ -n "$orphans" ]; then
+        echo "ci.sh drift: experiment binaries run by nothing:$orphans" >&2
+        exit 1
+    fi
     # Drift guard: every byte format in diet-core is built from codec.rs's
     # `Wire` impls. A buffer primitive called anywhere else is a second
     # hand-rolled encoder growing back beside the table.
@@ -134,9 +150,10 @@ stage_determinism() {
     # and 4 threads (the tests also sweep widths in-process via
     # ThreadPool::install), alone and as two concurrent runs sharing the
     # pool — the latter also at the machine's own default width, where the
-    # helper rule decides. The pool's semantics suite runs twice: in
-    # parallel (test threads are each other's concurrent callers) and one
-    # test at a time (every region gets its helpers). Plus the
+    # helper rule decides. The pool's semantics suite (under vendor/, which
+    # `--workspace` does not reach) runs twice: in parallel (test threads
+    # are each other's concurrent callers) and one test at a time (every
+    # region gets its helpers). Plus the
     # kernel-scaling smoke: reduced sweep, validates the JSON artifact and
     # cross-thread-count checksums.
     (set -x
@@ -162,140 +179,6 @@ stage_obs() {
      grep -q '"ph":"X"' target/experiments/live_trace.json)
 }
 
-stage_data() {
-    # Data-management gate: the store/catalog consistency storm and the
-    # live SeD-to-SeD transfer + re-ship scenario, at both thread widths;
-    # the codec property tests cover GetData/DataReply/PutData frames; the
-    # allocation tripwire counts the large buffers a 1 MiB put + pull makes
-    # (one per encode, one per frame) and what stored blobs pin; the lib
-    # filters are the checksum's contract, LRU eviction order and the
-    # divergent-replica refusal. Then the data-reuse smoke: the same live
-    # zoom batch volatile vs persistent; the binary asserts byte-identical
-    # results and reduced client wire traffic.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test data_concurrency --test prop_codec --test alloc_tripwire
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test data_concurrency --test prop_codec --test alloc_tripwire
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --lib -- dagda:: datamgr:: divergent_replica
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --lib -- dagda:: datamgr:: divergent_replica
-     RAYON_NUM_THREADS=1 cargo test -q -p cosmogrid --test tcp_data_reuse
-     RAYON_NUM_THREADS=4 cargo test -q -p cosmogrid --test tcp_data_reuse
-     cargo run --release -p bench --bin exp_data_reuse -- --quick
-     test -s target/experiments/data_reuse.csv
-     grep -q '^reuse,' target/experiments/data_reuse.csv)
-}
-
-stage_throughput() {
-    # Serving-model gate: the pipelined soak (64 concurrent callers on one
-    # multiplexed connection, mid-run SeD kill, zero lost or mis-correlated
-    # replies) at both thread widths, then the closed-loop throughput sweep.
-    # The binary self-checks the >=2x mux-vs-baseline speedup at
-    # concurrency 64 and that overload drains via Busy + backoff with zero
-    # timeouts, and validates its JSON artifact before writing it.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p cosmogrid --test tcp_throughput
-     RAYON_NUM_THREADS=4 cargo test -q -p cosmogrid --test tcp_throughput
-     cargo run --release -p bench --bin exp_throughput -- --quick
-     test -s target/experiments/BENCH_throughput_quick.json
-     grep -q '"speedup"' target/experiments/BENCH_throughput_quick.json)
-}
-
-stage_hierarchy() {
-    # Distributed-tree gate: MAs/LAs/SeDs as separate TCP processes. The
-    # test suite covers the 3-level resolve through two remote hops, the
-    # interior-LA kill mid-burst (zero lost requests), MA-to-MA federation,
-    # heartbeat mark/restore of whole subtrees, and per-agent Busy
-    # admission; the route-parity table checks that every fault ends the
-    # same way whether finding is in-process or remote; both at both thread
-    # widths. The finding-depth bench self-checks
-    # that all submits resolve at depths 1/2/3 and validates its artifact.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test hierarchy_tcp --test route_parity
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test hierarchy_tcp --test route_parity
-     cargo run --release -p bench --bin exp_finding_depth -- --quick
-     test -s target/experiments/BENCH_finding_quick.json
-     grep -q '"finding_p50_ms"' target/experiments/BENCH_finding_quick.json)
-}
-
-stage_serving() {
-    # Readiness-driven serving-core gate — the only server mode: the
-    # adversarial reactor suite (byte-trickled frames, slow-loris under a
-    # single worker, mid-frame disconnect pruning, hostile length
-    # prefixes), the reply path over real TCP (unreplaced arguments stay
-    # off the wire, the pool puts them back) and the transport and framing
-    # unit suites (dispatch-queue overflow answered Busy{rid}, a re-registered
-    # label dialing its new address, exact-size receive under any split of
-    # the stream, short vectored writes, mid-frame timeouts) at both thread
-    # widths, then the
-    # quick throughput run whose idle-connection sweep self-checks that
-    # foreground rps holds across a held herd and that the process thread
-    # count stays flat.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test reactor_adversarial --test bulk_path
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test reactor_adversarial --test bulk_path
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --lib -- reactor:: transport::
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --lib -- reactor:: transport::
-     cargo run --release -p bench --bin exp_throughput -- --quick
-     test -s target/experiments/BENCH_throughput_quick.json
-     grep -q '"idle_sweep"' target/experiments/BENCH_throughput_quick.json)
-}
-
-stage_telemetry() {
-    # Distributed-telemetry gate: the collector suite (every component a
-    # private Obs flushing over the wire; the collector must stitch one
-    # cross-process trace per request, merge counters to the per-process
-    # sums, and expose its own reactor's instrumentation) at both thread
-    # widths, then the quick overhead bench, which self-checks that
-    # telemetry-enabled mux throughput stays within its floor of disabled
-    # and validates its JSON artifact before writing it.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test telemetry_tcp
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test telemetry_tcp
-     cargo run --release -p bench --bin exp_telemetry -- --quick
-     test -s target/experiments/BENCH_telemetry_quick.json
-     grep -q '"stitching"' target/experiments/BENCH_telemetry_quick.json)
-}
-
-stage_workflow() {
-    # MA-DAG engine gate: the over-the-wire dag suite (SeD-to-SeD-only
-    # intermediates, straggler speculation with zero lost dags, event
-    # polling + trace stitching, client-disconnect cancellation) and the
-    # application-level fan-out tests, at both thread widths, then the
-    # quick makespan bench, which self-checks the dag-vs-per-stage speedup
-    # floor and that zero intermediate bytes crossed the client link, and
-    # validates its JSON artifact before writing it.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test dag_tcp
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test dag_tcp
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --lib dag
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --lib dag
-     RAYON_NUM_THREADS=1 cargo test -q -p cosmogrid --lib workflow
-     RAYON_NUM_THREADS=4 cargo test -q -p cosmogrid --lib workflow
-     cargo run --release -p bench --bin exp_workflow -- --quick
-     test -s target/experiments/BENCH_workflow_quick.json
-     grep -q '"speedup"' target/experiments/BENCH_workflow_quick.json)
-}
-
-stage_jobserver() {
-    # Durable-campaign gate: the WAL/snapshot recovery property suite
-    # (byte-level torn-tail truncation, snapshot+tail equivalence) and the
-    # over-the-wire jobserver suite (mixed campaigns through the MA
-    # hierarchy, idempotent resubmission, dead-SeD requeue, restart with
-    # zero recompute) at both thread widths, then the crash-recovery
-    # experiment: a separate diet_jobserver process SIGKILLed mid-campaign
-    # must restart from its log, recompute nothing already Done, and
-    # finish. The binary validates its JSON artifact before writing it.
-    (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test jobserver_log --test jobserver_tcp
-     RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test jobserver_log --test jobserver_tcp
-     RAYON_NUM_THREADS=1 cargo test -q -p diet-core --lib jobserver
-     RAYON_NUM_THREADS=4 cargo test -q -p cosmogrid --test tcp_jobserver
-     cargo build --release -p diet-core --bin diet_jobserver
-     cargo run --release -p bench --bin exp_jobserver -- --quick
-     test -s target/experiments/BENCH_jobserver_quick.json
-     grep -q '"recomputed": 0' target/experiments/BENCH_jobserver_quick.json
-     grep -q '"failed": 0' target/experiments/BENCH_jobserver_quick.json)
-}
-
 stage_bench() {
     # The repo's benchmark (BENCHMARK.json): lint and unit-test the
     # package, then one zoom campaign — the workload the kernels and the
@@ -308,7 +191,7 @@ stage_bench() {
      benchmark/run.sh compare benchmark/baseline.json benchmark/out/results.json)
 }
 
-ALL_STAGES="build test lint determinism obs data throughput hierarchy serving telemetry workflow jobserver bench"
+ALL_STAGES="build test lint determinism obs bench"
 if [ $# -eq 0 ]; then
     # shellcheck disable=SC2086 # stage list is a word list by design
     set -- $ALL_STAGES

@@ -11,7 +11,7 @@ use crate::dag::{DagEngine, DagEngineConfig};
 use crate::dagda::ReplicaCatalog;
 use crate::error::DietError;
 use crate::hierarchy::{
-    serve_agent_over_tcp, serve_ma_over_tcp_with_dag, serve_sed_over_tcp, AgentConfig,
+    serve_agent_over_tcp_at, serve_ma_over_tcp_with_dag, serve_sed_over_tcp, AgentConfig,
     RemoteAgentClient,
 };
 use crate::sched::Scheduler;
@@ -418,7 +418,7 @@ impl TcpTopologySpec {
                 agent_cfg.clone()
             };
             agent_obs.push((site.name.clone(), site_cfg.obs.clone()));
-            let server = serve_agent_over_tcp(node, site_cfg)?;
+            let server = serve_agent_over_tcp_at(node, "127.0.0.1:0", site_cfg)?;
             let stub = RemoteAgentClient::with_timeout(&site.name, server.local_addr, timeout);
             agent_servers.push((site.name.clone(), server));
             Ok(stub)

@@ -64,15 +64,10 @@ use std::time::Duration;
 /// Expose a live SeD over TCP — the serving half of the CORBA role in the
 /// original DIET. Each accepted connection streams `Call`/`CallReply` frames
 /// and answers `Ping` with `Pong` so remote heartbeat monitors can probe the
-/// node. Uses [`ServerConfig::default`] pool sizing; see
-/// [`serve_sed_over_tcp_with_config`].
-pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
-    serve_sed_over_tcp_with_config(sed, ServerConfig::default())
-}
-
-/// [`serve_sed_over_tcp`] with explicit worker-pool sizing and fault hooks.
+/// node.
 ///
-/// Rides the readiness-driven serving core ([`TcpServer::spawn_framed`]):
+/// Rides the readiness-driven serving core ([`TcpServer::spawn_framed`],
+/// [`ServerConfig::default`] pool sizing):
 /// one reactor thread owns every connection, and complete frames are
 /// dispatched to the bounded worker pool. The path is **pipelined** end to
 /// end — a `Call` frame is admitted into the SeD's solve queue via
@@ -104,16 +99,14 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
 /// * Reply frames that cannot be delivered (client gone, socket reset) are
 ///   recorded on the SeD's load tracker via
 ///   [`SedHandle::note_reply_failure`] instead of being swallowed.
-pub fn serve_sed_over_tcp_with_config(
-    sed: Arc<SedHandle>,
-    mut cfg: ServerConfig,
-) -> Result<TcpServer, DietError> {
-    // Unless the caller routed the reactor's instrumentation elsewhere, it
-    // lands in this SeD's own registry — so a telemetry flusher ships tick
-    // latency and queue depths to the collector alongside the solve metrics.
-    if cfg.obs.is_none() {
-        cfg.obs = Some(sed.obs());
-    }
+pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
+    // The reactor's instrumentation lands in this SeD's own registry — so a
+    // telemetry flusher ships tick latency and queue depths to the
+    // collector alongside the solve metrics.
+    let cfg = ServerConfig {
+        obs: Some(sed.obs()),
+        ..ServerConfig::default()
+    };
     TcpServer::spawn_framed("127.0.0.1:0", cfg, move |handle, msg| {
         match msg {
             Message::Call {
@@ -413,18 +406,10 @@ impl Default for AgentConfig {
     }
 }
 
-/// Serve an agent subtree (a Local Agent process) on an ephemeral port.
-/// See [`serve_agent_over_tcp_at`].
-pub fn serve_agent_over_tcp(
-    node: Arc<AgentNode>,
-    cfg: AgentConfig,
-) -> Result<TcpServer, DietError> {
-    serve_agent_over_tcp_at(node, "127.0.0.1:0", cfg)
-}
-
-/// Serve an agent subtree at an explicit address — the restart path: a
-/// recovered agent rebinds its old address so parents' stubs (which hold
-/// the address, not the connection) find it again without re-registration.
+/// Serve an agent subtree (a Local Agent process) at `addr` —
+/// `"127.0.0.1:0"` for an ephemeral port, or an old address on the restart
+/// path: a recovered agent rebinds it so parents' stubs (which hold the
+/// address, not the connection) find it again without re-registration.
 ///
 /// Protocol: `Forward` frames are answered with `EstimateBatch` carrying
 /// the whole subtree's estimates (local SeDs, in-process children, and
@@ -495,18 +480,8 @@ pub fn serve_agent_over_tcp_at(
     })
 }
 
-/// Serve a Master Agent process on an ephemeral port. See
-/// [`serve_ma_over_tcp_at`].
-pub fn serve_ma_over_tcp(
-    ma: Arc<MasterAgent>,
-    peers: Vec<Arc<RemoteAgentClient>>,
-    cfg: AgentConfig,
-) -> Result<TcpServer, DietError> {
-    serve_ma_over_tcp_at(ma, peers, "127.0.0.1:0", cfg)
-}
-
-/// Serve a Master Agent at an explicit address: the top of the tree, the
-/// process clients submit to.
+/// Serve a Master Agent process on an ephemeral port: the top of the tree,
+/// the process clients submit to.
 ///
 /// `Submit` frames resolve through the MA's whole (possibly remote) tree
 /// and answer `SubmitReply` with the winning label. When resolution fails
@@ -520,20 +495,19 @@ pub fn serve_ma_over_tcp(
 /// `Forward` frames make this MA usable *as* a federation peer (and as a
 /// remote subtree of an even larger tree): they are answered with the
 /// estimates of the MA's own tree only.
-pub fn serve_ma_over_tcp_at(
+pub fn serve_ma_over_tcp(
     ma: Arc<MasterAgent>,
     peers: Vec<Arc<RemoteAgentClient>>,
-    addr: impl std::net::ToSocketAddrs + Clone + Send + Sync + 'static,
     cfg: AgentConfig,
 ) -> Result<TcpServer, DietError> {
-    serve_ma_inner(ma, peers, addr, cfg, None)
+    serve_ma_inner(ma, peers, "127.0.0.1:0", cfg, None)
 }
 
-/// [`serve_ma_over_tcp_at`] plus a workflow engine: `SubmitDag` frames are
-/// admitted into `engine` (tied to the submitting connection, so a client
-/// disconnect cancels the dag's unplaced nodes) and `DagStatus` polls are
-/// answered with the engine's event stream. An MA served without an engine
-/// rejects dag frames with an explanatory `DagReply`.
+/// [`serve_ma_over_tcp`] at `addr`, plus a workflow engine: `SubmitDag`
+/// frames are admitted into `engine` (tied to the submitting connection, so
+/// a client disconnect cancels the dag's unplaced nodes) and `DagStatus`
+/// polls are answered with the engine's event stream. An MA served without
+/// an engine rejects dag frames with an explanatory `DagReply`.
 pub fn serve_ma_over_tcp_with_dag(
     ma: Arc<MasterAgent>,
     peers: Vec<Arc<RemoteAgentClient>>,

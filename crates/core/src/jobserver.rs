@@ -29,8 +29,8 @@
 //!
 //! The log is flushed (not fsynced) per record: the tested failure mode
 //! is process death (`kill -9`), which the OS page cache survives.
-//! Power-loss durability would want an `fsync` knob; the experiment in
-//! `exp_jobserver` kills the process, not the host.
+//! Power-loss durability would want an `fsync` knob; the crash test in
+//! `tests/jobserver_crash.rs` kills the process, not the host.
 //!
 //! # Clients
 //!

@@ -94,9 +94,8 @@ pub use error::DietError;
 pub use faults::{FaultAction, FaultPlan};
 pub use gridrpc::{grpc_initialize, FunctionHandle, GridRpcSession};
 pub use hierarchy::{
-    serve_agent_over_tcp, serve_agent_over_tcp_at, serve_ma_over_tcp, serve_ma_over_tcp_at,
-    serve_ma_over_tcp_with_dag, serve_sed_over_tcp, serve_sed_over_tcp_with_config, AgentConfig,
-    RemoteAgentClient,
+    serve_agent_over_tcp_at, serve_ma_over_tcp, serve_ma_over_tcp_with_dag, serve_sed_over_tcp,
+    AgentConfig, RemoteAgentClient,
 };
 pub use jobserver::{
     serve_jobserver_over_tcp, CampaignSummary, FailOutcome, JobClient, JobLog, JobServer,

@@ -1,16 +1,27 @@
 //! Adversarial clients against the readiness-driven serving core: partial
 //! frames, slow-loris holds, mid-frame disconnects, and hostile length
-//! prefixes. The invariant under test is that a misbehaving peer costs the
-//! server one socket registration — never a worker thread, never another
-//! connection's latency, never an allocation sized by the attacker.
+//! prefixes, and a herd of idle connections. The invariant under test is
+//! that a misbehaving or silent peer costs the server one socket
+//! registration — never a worker thread, never another connection's
+//! latency, never an allocation sized by the attacker.
+//!
+//! The tests run one at a time ([`serial`]): the idle-herd test counts the
+//! process's threads, which a concurrently starting server would skew.
 
 use bytes::Bytes;
 use diet_core::codec::{decode_message, encode_message, Message};
 use diet_core::transport::{Duplex, ServerConfig, TcpServer, TcpTransport};
 use diet_core::ConnHandle;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Held for the whole of each test in this file.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A length-prefixed wire frame for `m`.
 fn frame_bytes(m: &Message) -> Vec<u8> {
@@ -62,6 +73,7 @@ fn wait_for(what: &str, deadline: Duration, cond: impl Fn() -> bool) {
 /// exactly as if it had arrived whole.
 #[test]
 fn one_byte_at_a_time_frames_are_assembled() {
+    let _serial = serial();
     let server = spawn_echo(2);
     let mut s = TcpStream::connect(server.local_addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -82,6 +94,7 @@ fn one_byte_at_a_time_frames_are_assembled() {
 /// second connection's ping still gets its pong while the loris holds.
 #[test]
 fn slow_loris_does_not_hold_the_only_worker() {
+    let _serial = serial();
     let server = spawn_echo(1);
     let mut loris = TcpStream::connect(server.local_addr).unwrap();
     loris.write_all(&[0x08, 0x00]).unwrap(); // 2 of 4 header bytes, then silence
@@ -107,6 +120,7 @@ fn slow_loris_does_not_hold_the_only_worker() {
 /// tracked connection count returns to the live set, and service continues.
 #[test]
 fn mid_frame_disconnect_is_pruned() {
+    let _serial = serial();
     let server = spawn_echo(2);
     {
         let mut s = TcpStream::connect(server.local_addr).unwrap();
@@ -132,6 +146,7 @@ fn mid_frame_disconnect_is_pruned() {
 /// and the server keeps serving everyone else.
 #[test]
 fn oversized_length_prefix_severs_before_allocation() {
+    let _serial = serial();
     let server = spawn_echo(2);
     let mut s = TcpStream::connect(server.local_addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -151,5 +166,62 @@ fn oversized_length_prefix_severs_before_allocation() {
     let t = TcpTransport::connect(server.local_addr).unwrap();
     t.send(&Message::Ping).unwrap();
     assert!(matches!(t.recv().unwrap(), Message::Pong));
+    server.stop();
+}
+
+/// Kernel-reported thread count of this process.
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("no Threads: line in /proc/self/status")
+}
+
+/// Dial `addr` and prove the connection live with one ping/pong.
+fn pinged(addr: SocketAddr) -> TcpTransport {
+    let t = TcpTransport::connect(addr).expect("dial");
+    t.send(&Message::Ping).expect("ping");
+    match t.recv() {
+        Ok(Message::Pong) => t,
+        other => panic!("expected Pong, got {other:?}"),
+    }
+}
+
+/// Idle connections are registrations, not threads: growing a held-idle
+/// herd from 1 to 256 adds no thread to the process, the server tracks
+/// every member, and a foreground request and connect → ping → close churn
+/// are still served under the herd.
+#[test]
+fn idle_connections_cost_no_threads() {
+    let _serial = serial();
+    let server = spawn_echo(4);
+    let addr = server.local_addr;
+
+    let mut herd = vec![pinged(addr)];
+    assert_eq!(server.tracked_connections(), 1);
+    let threads_at_one = process_threads();
+
+    herd.extend((1..256).map(|_| pinged(addr)));
+    assert_eq!(server.tracked_connections(), herd.len());
+    let threads_at_herd = process_threads();
+    // A thread per connection would add 255. The one thread allowed is the
+    // test harness's: when the test that held `serial` before this one
+    // ends, the harness may start the next test's (blocked) thread.
+    assert!(
+        threads_at_herd <= threads_at_one + 1,
+        "threads grew {threads_at_one} -> {threads_at_herd} with {} idle connections",
+        herd.len()
+    );
+
+    let foreground = pinged(addr);
+    foreground.send(&Message::Ping).unwrap();
+    assert!(matches!(foreground.recv().unwrap(), Message::Pong));
+    for _ in 0..50 {
+        drop(pinged(addr));
+    }
+
+    drop(herd);
     server.stop();
 }

@@ -499,45 +499,6 @@ pub fn namelist_value(namelist: &Namelist) -> DietValue {
     }
 }
 
-/// Expose a live SeD over TCP — the serving half of the CORBA role in the
-/// original DIET. The serving loop itself now lives in
-/// [`diet_core::hierarchy`] (it serves any SeD, not just the cosmology
-/// services); these wrappers keep the original entry points.
-pub fn serve_sed_over_tcp(
-    sed: Arc<diet_core::sed::SedHandle>,
-) -> Result<diet_core::transport::TcpServer, diet_core::DietError> {
-    diet_core::hierarchy::serve_sed_over_tcp(sed)
-}
-
-/// [`serve_sed_over_tcp`] with explicit worker-pool sizing and fault hooks.
-/// See [`diet_core::hierarchy::serve_sed_over_tcp_with_config`] for the
-/// pipelining, admission-control, and failure semantics.
-pub fn serve_sed_over_tcp_with_config(
-    sed: Arc<diet_core::sed::SedHandle>,
-    cfg: diet_core::transport::ServerConfig,
-) -> Result<diet_core::transport::TcpServer, diet_core::DietError> {
-    diet_core::hierarchy::serve_sed_over_tcp_with_config(sed, cfg)
-}
-
-/// [`serve_sed_over_tcp`] for a monitored deployment: the SeD serves as
-/// usual, and a background [`diet_core::TelemetryFlusher`] ships its spans
-/// and metrics (solve windows, queue gauges, the serving reactor's own
-/// tick/drop series) to the deployment's collector process. Keep the
-/// returned flusher alive for the life of the server; dropping it performs
-/// a final flush so the collector sees the tail of the run.
-pub fn serve_sed_over_tcp_with_telemetry(
-    sed: Arc<diet_core::sed::SedHandle>,
-    collector: std::net::SocketAddr,
-) -> Result<(diet_core::transport::TcpServer, diet_core::TelemetryFlusher), diet_core::DietError> {
-    let label = sed.config.label.clone();
-    let server = diet_core::hierarchy::serve_sed_over_tcp(sed.clone())?;
-    let flusher = diet_core::TelemetryFlusher::spawn(
-        sed.obs(),
-        diet_core::TelemetryConfig::new(collector, "sed", &label),
-    );
-    Ok((server, flusher))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,13 +11,13 @@
 
 use cosmogrid::namelist::default_run_namelist;
 use cosmogrid::services::{
-    cosmology_service_table, namelist_value, serve_sed_over_tcp, status, zoom2_profile,
-    zoom2_profile_ref,
+    cosmology_service_table, namelist_value, status, zoom2_profile, zoom2_profile_ref,
 };
 use diet_core::agent::{AgentNode, HeartbeatMonitor, MasterAgent};
 use diet_core::client::{DietClient, RetryPolicy};
 use diet_core::codec::{encode_message, Message};
 use diet_core::data::Persistence;
+use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::sched::DataLocal;
 use diet_core::sed::{SedConfig, SedHandle};
 use diet_core::transport::TcpSedPool;
@@ -195,4 +195,44 @@ fn persistent_blob_is_pulled_sed_to_sed_and_reshipped_after_holder_death() {
         srv.stop();
     }
     seds[1].shutdown();
+}
+
+/// Identical science either way: a real 8³ `ramsesZoom2` solve returns a
+/// byte-identical result tarball whether the namelist travels inline in
+/// the call or is stored once as `Persistent` grid data and passed by
+/// reference (the archive writer zeroes mtimes, so this is exact).
+#[test]
+fn inline_and_by_reference_namelists_give_identical_tarballs() {
+    let sed = SedHandle::spawn(SedConfig::new("dr/0", 1.0), cosmology_service_table());
+    let server = serve_sed_over_tcp(sed.clone()).expect("bind");
+    let pool = TcpSedPool::new();
+    pool.register("dr/0", server.local_addr);
+    let nl = quick_namelist();
+    pool.put_data(
+        "dr/0",
+        "nml",
+        namelist_value(&nl),
+        Persistence::Persistent,
+        Duration::from_secs(5),
+    )
+    .unwrap();
+
+    let tarball = |profile| {
+        let out = pool
+            .call("dr/0", profile, Duration::from_secs(120))
+            .expect("zoom2 over TCP");
+        assert_eq!(out.get_i32(8).unwrap(), status::OK);
+        out.get_file(7).unwrap().1.clone()
+    };
+    let center = [20, 30, 50];
+    let inline = tarball(zoom2_profile(&nl, 8, 50, center, 1));
+    let by_ref = tarball(zoom2_profile_ref("nml", 8, 50, center, 1));
+    assert!(!inline.is_empty());
+    assert!(
+        inline == by_ref,
+        "result tarballs differ between inline and by-reference calls"
+    );
+
+    server.stop();
+    sed.shutdown();
 }

@@ -7,10 +7,10 @@
 //! itself is plain OS threads, so the sweep guards against width-dependent
 //! scheduling assumptions leaking into the transport.
 
-use cosmogrid::services::serve_sed_over_tcp;
 use diet_core::agent::{AgentNode, HeartbeatMonitor, MasterAgent};
 use diet_core::client::{DietClient, RetryPolicy};
 use diet_core::data::{DietValue, Persistence};
+use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sched::RoundRobin;
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
