@@ -134,6 +134,22 @@ stage_lint() {
         printf '%s\n' "$sleeps" >&2
         exit 1
     fi
+    # Drift guard: finding runs on the caller's thread — every remote
+    # subtree is asked at once and waited on once. The heartbeat sweep is
+    # the only thread agent.rs starts; a spawn anywhere else there is a
+    # per-request thread growing back. (No HeartbeatMonitor::spawn found
+    # leaves the range empty, and every spawn fails the guard.)
+    hb=$(awk '/^impl HeartbeatMonitor/ { h = 1 }
+              h && /fn spawn[(]/ { s = FNR }
+              s && /^    }$/ { print s ":" FNR; exit }' crates/core/src/agent.rs)
+    spawns=$(core_sites 'thread::spawn' | grep '^crates/core/src/agent[.]rs:' |
+        awk -F: -v hb="$hb" 'BEGIN { split(hb, r, ":") }
+             !(r[1] != "" && $2 >= r[1] + 0 && $2 <= r[2] + 0)')
+    if [ -n "$spawns" ]; then
+        echo "ci.sh drift: thread::spawn in agent.rs outside HeartbeatMonitor::spawn:" >&2
+        printf '%s\n' "$spawns" >&2
+        exit 1
+    fi
 }
 
 # file:line of every line under crates/core/src that matches the awk regex

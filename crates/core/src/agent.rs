@@ -25,24 +25,32 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The second half of a remote collect: waits for the answer to a request
+/// already sent, until the earlier of the caller's deadline (if it passes
+/// one) and the stub's own. Returns the subtree's estimates and the
+/// request's round trip.
+pub type Gather = Box<dyn FnOnce(Option<Instant>) -> Result<(Vec<Estimate>, Duration), DietError>>;
+
 /// A child agent that lives in another process and is reachable only over
-/// the wire. The local tree sees it as an opaque estimate source: `collect`
-/// carries a submit down to it (a `Forward` frame, in the TCP
-/// implementation) and returns the subtree's aggregated estimates.
+/// the wire. The local tree sees it as an opaque estimate source:
+/// `send_collect` carries a submit down to it (a `Forward` frame, in the
+/// TCP implementation) without waiting, and the returned [`Gather`]
+/// collects the subtree's aggregated estimates. Splitting the two lets one
+/// thread ask every sibling subtree at once and wait on one deadline.
 /// [`crate::hierarchy::RemoteAgentClient`] is the TCP implementation;
 /// tests can plug in in-process fakes.
 pub trait RemoteSubtree: Send + Sync {
     /// Agent name (for liveness bookkeeping and diagnostics).
     fn name(&self) -> String;
-    /// Gather estimates for `service` from the whole remote subtree.
-    /// An error means the subtree is unreachable — callers treat it as
-    /// empty, never as fatal.
-    fn collect(
+    /// Ask the whole remote subtree for estimates for `service`. An error,
+    /// here or from the gather, means the subtree is unreachable — callers
+    /// treat it as empty, never as fatal.
+    fn send_collect(
         &self,
         service: &str,
         exclude: &[String],
         ctx: TraceCtx,
-    ) -> Result<Vec<Estimate>, DietError>;
+    ) -> Result<Gather, DietError>;
     /// Liveness probe of the remote agent process.
     fn ping(&self, timeout: Duration) -> bool;
 }
@@ -164,23 +172,34 @@ impl AgentNode {
         removed
     }
 
-    /// Depth-first collection of estimates for a service, skipping excluded
-    /// labels (servers a retrying client has just seen fail). Local SeDs
-    /// carry their handle; estimates from remote subtrees carry `None` —
-    /// the caller reaches those SeDs by label over the wire. An unreachable
-    /// remote subtree contributes nothing (it is skipped, never fatal).
-    pub(crate) fn collect(
+    /// The first two steps of a collect, depth-first over the in-process
+    /// tree: send the request to every available remote slot (each waiting
+    /// reply recorded in `sent`), then read the local SeDs'
+    /// estimates — memory reads, done inline while the remotes work. Local
+    /// SeDs carry their handle; estimates from remote subtrees (added by
+    /// [`gather`]) carry `None` — the caller reaches those SeDs by label
+    /// over the wire.
+    fn send_and_read(
         &self,
         service: &str,
         exclude: &[String],
         ctx: TraceCtx,
         out: &mut Vec<(Estimate, Option<Arc<SedHandle>>)>,
+        sent: &mut Vec<Gather>,
     ) {
         if let Some(plan) = self.faults.read().clone() {
             // Stall is applied inside on_request; Kill makes the whole
             // subtree go dark mid-collection.
             if plan.on_request() == FaultAction::Kill {
                 return;
+            }
+        }
+        for slot in self.remotes.read().iter() {
+            if !slot.is_available() {
+                continue;
+            }
+            if let Ok(pending) = slot.remote.send_collect(service, exclude, ctx) {
+                sent.push(pending);
             }
         }
         for sed in self.seds.read().iter() {
@@ -192,33 +211,21 @@ impl AgentNode {
             }
         }
         for child in &self.children {
-            child.collect(service, exclude, ctx, out);
-        }
-        for slot in self.remotes.read().iter() {
-            if !slot.is_available() {
-                continue;
-            }
-            let t0 = Instant::now();
-            if let Ok(ests) = slot.remote.collect(service, exclude, ctx) {
-                // The measured hop round-trip is this parent's proximity
-                // signal for everything below the remote agent.
-                let hop = t0.elapsed().as_secs_f64();
-                for mut e in ests {
-                    if exclude.contains(&e.server) {
-                        continue;
-                    }
-                    e.probe_rtt += hop;
-                    out.push((e, None));
-                }
-            }
+            child.send_and_read(service, exclude, ctx, out, sent);
         }
     }
 
-    /// Public estimate collection (the LA-side serving loop aggregates
-    /// these into an `EstimateBatch` frame).
+    /// Estimates for a service from this whole subtree, skipping excluded
+    /// labels (servers a retrying client has just seen fail) — the LA-side
+    /// serving loop aggregates these into an `EstimateBatch` frame. Every
+    /// remote subtree is asked at once and waited on until its stub's own
+    /// deadline; one that does not answer contributes nothing (it is
+    /// skipped, never fatal).
     pub fn estimates(&self, service: &str, exclude: &[String], ctx: TraceCtx) -> Vec<Estimate> {
         let mut out = Vec::new();
-        self.collect(service, exclude, ctx, &mut out);
+        let mut sent = Vec::new();
+        self.send_and_read(service, exclude, ctx, &mut out, &mut sent);
+        gather(sent, None, exclude, &mut out);
         out.into_iter().map(|(e, _)| e).collect()
     }
 
@@ -260,16 +267,34 @@ impl AgentNode {
     }
 }
 
-/// Statistics of one submit, kept by the MA ("the information stored on an
-/// agent is the list of requests ...").
-#[derive(Debug, Clone)]
-pub struct SubmitRecord {
-    pub request_id: u64,
-    pub service: String,
-    pub chosen: Option<String>,
-    /// The paper's "finding time": hierarchy traversal + scheduling decision.
-    pub finding_time: f64,
-    pub candidates: usize,
+/// The last step of a collect: wait for every request `sent`, against one
+/// deadline. A remote subtree's measured round trip is this parent's
+/// proximity signal for everything below it. Returns how many subtrees had
+/// not answered by the deadline.
+fn gather(
+    sent: Vec<Gather>,
+    until: Option<Instant>,
+    exclude: &[String],
+    out: &mut Vec<(Estimate, Option<Arc<SedHandle>>)>,
+) -> usize {
+    let mut timeouts = 0;
+    for pending in sent {
+        match pending(until) {
+            Ok((ests, rtt)) => {
+                let hop = rtt.as_secs_f64();
+                for mut e in ests {
+                    if exclude.contains(&e.server) {
+                        continue;
+                    }
+                    e.probe_rtt += hop;
+                    out.push((e, None));
+                }
+            }
+            Err(DietError::Timeout { .. }) => timeouts += 1,
+            Err(_) => {}
+        }
+    }
+    timeouts
 }
 
 /// Where finding put a request: the winner's label, plus its handle when
@@ -300,8 +325,6 @@ pub struct MasterAgent {
     pub name: String,
     children: Vec<Arc<AgentNode>>,
     scheduler: Arc<dyn Scheduler>,
-    requests: Mutex<Vec<SubmitRecord>>,
-    next_id: Mutex<u64>,
     /// Labels removed from the hierarchy (dead or repeatedly failing SeDs).
     deregistered: Mutex<Vec<String>>,
     /// Failed-call strikes per still-alive label.
@@ -312,11 +335,10 @@ pub struct MasterAgent {
     /// Hierarchy-wide replica catalog (DAGDA). When registered, estimates
     /// gain locality terms and deregistration drops the dead SeD's replicas.
     catalog: RwLock<Option<Arc<ReplicaCatalog>>>,
-    /// Per-subtree estimate-collection deadline. When set, each direct
-    /// child is collected on its own thread and a subtree that fails to
-    /// answer in time is treated exactly like an empty one — skipped, never
-    /// fatal. `None` (the default) collects synchronously, preserving the
-    /// in-process fast path.
+    /// Estimate-collection deadline. When set, it bounds the whole gather:
+    /// a remote subtree that has not answered when it expires is treated
+    /// exactly like an empty one — skipped, never fatal. `None` (the
+    /// default) leaves each remote stub to its own deadline.
     collect_timeout: RwLock<Option<Duration>>,
 }
 
@@ -341,8 +363,6 @@ impl MasterAgent {
             name: name.to_string(),
             children,
             scheduler,
-            requests: Mutex::new(Vec::new()),
-            next_id: Mutex::new(0),
             deregistered: Mutex::new(Vec::new()),
             strikes: Mutex::new(HashMap::new()),
             obs,
@@ -357,8 +377,6 @@ impl MasterAgent {
             name: self.name.clone(),
             children: self.children.clone(),
             scheduler,
-            requests: Mutex::new(Vec::new()),
-            next_id: Mutex::new(0),
             deregistered: Mutex::new(Vec::new()),
             strikes: Mutex::new(HashMap::new()),
             obs: self.obs.clone(),
@@ -367,9 +385,9 @@ impl MasterAgent {
         })
     }
 
-    /// Bound how long a submit waits for any one child subtree's estimates.
-    /// Mandatory once children are remote: a stalled or dead LA must cost
-    /// one deadline, not the whole submit.
+    /// Bound how long a submit waits for remote subtrees' estimates. Every
+    /// subtree is asked at once and the deadline covers them all, so a
+    /// stalled or dead LA costs at most one deadline, not the whole submit.
     pub fn set_collect_timeout(&self, d: Duration) {
         *self.collect_timeout.write() = Some(d);
     }
@@ -425,57 +443,27 @@ impl MasterAgent {
             .map(|placed| placed.label)
     }
 
-    /// Collect candidates from every child subtree, honouring the
-    /// per-subtree deadline when one is armed.
+    /// Collect candidates from every child subtree on the caller's thread:
+    /// every remote subtree is asked at once, and the armed deadline (if
+    /// any) bounds the whole gather.
     fn collect_candidates(
         &self,
         service: &str,
         exclude: &[String],
         ctx: TraceCtx,
     ) -> Vec<(Estimate, Option<Arc<SedHandle>>)> {
-        let timeout = *self.collect_timeout.read();
-        let Some(deadline) = timeout else {
-            let mut out = Vec::new();
-            for child in &self.children {
-                child.collect(service, exclude, ctx, &mut out);
-            }
-            return out;
-        };
-        // One collector thread per direct child: a subtree that stalls past
-        // the deadline is skipped (its thread finishes in the background and
-        // its late answer is discarded with the channel).
-        let (tx, rx) = bounded::<Vec<(Estimate, Option<Arc<SedHandle>>)>>(self.children.len());
-        let expected = self.children.len();
-        for child in &self.children {
-            let child = child.clone();
-            let tx = tx.clone();
-            let service = service.to_string();
-            let exclude = exclude.to_vec();
-            std::thread::spawn(move || {
-                let mut part = Vec::new();
-                child.collect(&service, &exclude, ctx, &mut part);
-                let _ = tx.send(part);
-            });
-        }
-        drop(tx);
-        let hard_deadline = Instant::now() + deadline;
+        let until = self.collect_timeout.read().map(|d| Instant::now() + d);
         let mut out = Vec::new();
-        let mut received = 0usize;
-        while received < expected {
-            let remaining = hard_deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(part) => {
-                    out.extend(part);
-                    received += 1;
-                }
-                Err(_) => break,
-            }
+        let mut sent = Vec::new();
+        for child in &self.children {
+            child.send_and_read(service, exclude, ctx, &mut out, &mut sent);
         }
-        if received < expected {
+        let timeouts = gather(sent, until, exclude, &mut out);
+        if timeouts > 0 {
             self.obs
                 .metrics
                 .counter("diet_ma_subtree_timeouts_total")
-                .add((expected - received) as u64);
+                .add(timeouts as u64);
         }
         out
     }
@@ -491,11 +479,6 @@ impl MasterAgent {
         ctx: TraceCtx,
     ) -> Result<Placement, DietError> {
         let started = Instant::now();
-        let request_id = {
-            let mut id = self.next_id.lock();
-            *id += 1;
-            *id
-        };
         let mut candidates = self.collect_candidates(service, exclude, ctx);
         if !data_ids.is_empty() {
             if let Some(cat) = self.catalog.read().as_ref() {
@@ -525,19 +508,9 @@ impl MasterAgent {
                 .counter("diet_ma_saturated_skipped_total")
                 .add(dropped as u64);
         }
-        let record_base = SubmitRecord {
-            request_id,
-            service: service.to_string(),
-            chosen: None,
-            finding_time: 0.0,
-            candidates: candidates.len(),
-        };
         self.obs.metrics.counter("diet_ma_submits_total").inc();
         if candidates.is_empty() {
             let any_declared = self.children.iter().any(|c| c.solver_count(service) > 0);
-            let mut rec = record_base;
-            rec.finding_time = started.elapsed().as_secs_f64();
-            self.requests.lock().push(rec);
             self.obs.metrics.counter("diet_ma_no_candidate_total").inc();
             return Err(if any_declared {
                 DietError::NoServerAvailable(service.to_string())
@@ -553,9 +526,6 @@ impl MasterAgent {
                 self.scheduler.name()
             ))
         })?;
-        let mut rec = record_base;
-        rec.chosen = Some(chosen_est.server.clone());
-        rec.finding_time = started.elapsed().as_secs_f64();
         // Every scheduler decision is a labelled counter tick; the finding
         // time feeds the histogram the Figure-5 percentiles come from.
         self.obs
@@ -571,17 +541,11 @@ impl MasterAgent {
         self.obs
             .metrics
             .histogram("diet_ma_finding_seconds")
-            .observe(rec.finding_time);
-        self.requests.lock().push(rec);
+            .observe(started.elapsed().as_secs_f64());
         Ok(Placement {
             label: chosen_est.server,
             sed: chosen_handle,
         })
-    }
-
-    /// All submit records so far (the Figure 5 "finding time" series).
-    pub fn submit_records(&self) -> Vec<SubmitRecord> {
-        self.requests.lock().clone()
     }
 
     pub fn scheduler_name(&self) -> &'static str {
@@ -858,10 +822,9 @@ mod tests {
         assert_eq!(ma.solver_count("echo"), 6);
         let chosen = ma.submit("echo").unwrap();
         assert!(seds.iter().any(|s| s.config.label == chosen.config.label));
-        let recs = ma.submit_records();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].candidates, 6);
-        assert!(recs[0].finding_time >= 0.0);
+        let m = ma.metrics();
+        assert_eq!(m.counter_value("diet_ma_submits_total"), 1);
+        assert_eq!(m.histogram("diet_ma_finding_seconds").count(), 1);
         for s in seds {
             s.shutdown();
         }
@@ -1189,32 +1152,6 @@ mod tests {
         twin.shutdown();
     }
 
-    #[test]
-    fn stalled_subtree_is_skipped_not_fatal() {
-        // One LA wedges during estimate collection (the FaultPlan stall
-        // hook); with a collect timeout armed the submit must treat that
-        // subtree as empty and schedule from the healthy one.
-        let (ma, seds) = hierarchy(&[1, 1]);
-        let stalled_la = &ma.children[0];
-        let plan = FaultPlan::new();
-        plan.set_stall(Duration::from_secs(2));
-        stalled_la.set_faults(plan);
-        ma.set_collect_timeout(Duration::from_millis(100));
-        let t0 = Instant::now();
-        for _ in 0..2 {
-            let chosen = ma.submit("echo").unwrap();
-            assert_eq!(chosen.config.label, "la1/sed0");
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "submits must not wait out the stall"
-        );
-        assert!(ma.metrics().counter_value("diet_ma_subtree_timeouts_total") >= 2);
-        for s in seds {
-            s.shutdown();
-        }
-    }
-
     struct FakeRemote {
         name: String,
         label: String,
@@ -1225,23 +1162,25 @@ mod tests {
         fn name(&self) -> String {
             self.name.clone()
         }
-        fn collect(
+        fn send_collect(
             &self,
             service: &str,
             exclude: &[String],
             _ctx: TraceCtx,
-        ) -> Result<Vec<Estimate>, DietError> {
+        ) -> Result<Gather, DietError> {
             if self.fail.load(Ordering::Relaxed) {
                 return Err(DietError::Transport("remote agent unreachable".into()));
             }
-            if service != "echo" || exclude.contains(&self.label) {
-                return Ok(vec![]);
-            }
-            Ok(vec![Estimate {
-                server: self.label.clone(),
-                speed_factor: 10.0,
-                ..Estimate::default()
-            }])
+            let ests = if service != "echo" || exclude.contains(&self.label) {
+                vec![]
+            } else {
+                vec![Estimate {
+                    server: self.label.clone(),
+                    speed_factor: 10.0,
+                    ..Estimate::default()
+                }]
+            };
+            Ok(Box::new(move |_| Ok((ests, Duration::ZERO))))
         }
         fn ping(&self, _timeout: Duration) -> bool {
             !self.fail.load(Ordering::Relaxed)
@@ -1339,15 +1278,27 @@ mod tests {
     }
 
     #[test]
-    fn records_accumulate_with_ids() {
+    fn every_submit_is_counted_per_chosen_sed() {
         let (ma, seds) = hierarchy(&[1, 1]);
         for _ in 0..5 {
             ma.submit("echo").unwrap();
         }
-        let recs = ma.submit_records();
-        assert_eq!(recs.len(), 5);
-        let ids: Vec<u64> = recs.iter().map(|r| r.request_id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+        assert!(ma.submit("nosuch").is_err());
+        let m = ma.metrics();
+        assert_eq!(m.counter_value("diet_ma_submits_total"), 6);
+        assert_eq!(m.counter_value("diet_ma_no_candidate_total"), 1);
+        // Round robin over two SeDs: 3 + 2 scheduler decisions, and one
+        // finding-time observation per decision.
+        let per_sed: Vec<u64> = ["la0/sed0", "la1/sed0"]
+            .iter()
+            .map(|sed| {
+                let labels = [("sed", *sed), ("policy", ma.scheduler_name())];
+                m.counter_with("diet_ma_scheduled_total", &labels).get()
+            })
+            .collect();
+        assert_eq!(per_sed.iter().sum::<u64>(), 5);
+        assert!(per_sed.iter().all(|&n| n >= 2), "{per_sed:?}");
+        assert_eq!(m.histogram("diet_ma_finding_seconds").count(), 5);
         for s in seds {
             s.shutdown();
         }

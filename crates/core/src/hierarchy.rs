@@ -44,7 +44,7 @@
 //! on its next successful probe). A stalled or dead subtree costs one
 //! collection deadline, not the whole submit.
 
-use crate::agent::{AgentNode, MasterAgent, RemoteSubtree};
+use crate::agent::{AgentNode, Gather, MasterAgent, RemoteSubtree};
 use crate::codec::Message;
 use crate::dag::{DagEngine, DagEventRec, DagOutcome, WorkflowSpec};
 use crate::data::DietValue;
@@ -52,12 +52,12 @@ use crate::error::DietError;
 use crate::monitor::Estimate;
 use crate::reactor::ConnHandle;
 use crate::sed::SedHandle;
-use crate::transport::{self, unexpected, Peer, ServerConfig, TcpServer};
+use crate::transport::{self, busy_is_error, unexpected, Peer, ServerConfig, TcpServer};
 use obs::{Obs, TraceCtx};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- SeD serving
 
@@ -289,17 +289,35 @@ impl RemoteAgentClient {
         ctx: TraceCtx,
         ttl: u8,
     ) -> Result<Vec<Estimate>, DietError> {
-        let build = |request_id| Message::Forward {
+        let gather = self.send_forward(service, exclude, ctx, ttl)?;
+        gather(None).map(|(estimates, _)| estimates)
+    }
+
+    /// [`forward`](Self::forward) in two halves: the `Forward` frame goes
+    /// out now, and the returned [`Gather`] waits for its answer until the
+    /// earlier of the caller's deadline and this stub's own.
+    fn send_forward(
+        &self,
+        service: &str,
+        exclude: &[String],
+        ctx: TraceCtx,
+        ttl: u8,
+    ) -> Result<Gather, DietError> {
+        let pending = self.peer.send(|request_id| Message::Forward {
             request_id,
             ctx,
             service: service.to_string(),
             exclude: exclude.to_vec(),
             ttl,
-        };
-        match self.peer.request(build, self.timeout)? {
-            Message::EstimateBatch { estimates, .. } => Ok(estimates),
-            other => Err(unexpected("forward", other)),
-        }
+        })?;
+        let own = Instant::now() + self.timeout;
+        Ok(Box::new(move |until: Option<Instant>| {
+            let (reply, rtt) = pending.wait(until.map_or(own, |u| u.min(own)))?;
+            match busy_is_error(reply)? {
+                Message::EstimateBatch { estimates, .. } => Ok((estimates, rtt)),
+                other => Err(unexpected("forward", other)),
+            }
+        }))
     }
 
     /// Submit through a remote MA: returns the winning SeD's label
@@ -365,13 +383,13 @@ impl RemoteSubtree for RemoteAgentClient {
         self.name.clone()
     }
 
-    fn collect(
+    fn send_collect(
         &self,
         service: &str,
         exclude: &[String],
         ctx: TraceCtx,
-    ) -> Result<Vec<Estimate>, DietError> {
-        self.forward(service, exclude, ctx, 0)
+    ) -> Result<Gather, DietError> {
+        self.send_forward(service, exclude, ctx, 0)
     }
 
     fn ping(&self, timeout: Duration) -> bool {

@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A bidirectional message channel.
 pub trait Duplex: Send {
@@ -367,12 +367,17 @@ impl Drop for TcpServer {
 
 // ------------------------------------------------------------- multiplexing
 
+/// What a mux waiter receives: the reply and the instant the demux thread
+/// read it, or the error that killed the stream.
+type Reply = Result<(Message, Instant), DietError>;
+
 /// Inner state shared between a [`MuxConn`]'s callers and its demux thread.
 struct MuxInner {
     transport: TcpTransport,
     /// Waiters keyed by correlation id. The demux thread removes an entry
-    /// when its reply arrives; a caller that times out removes its own.
-    pending: Mutex<HashMap<u64, Sender<Result<Message, DietError>>>>,
+    /// when its reply arrives (and stamps when it did); a caller that
+    /// times out removes its own.
+    pending: Mutex<HashMap<u64, Sender<Reply>>>,
     /// Set once the stream fails; the owning pool redials on next use.
     dead: AtomicBool,
     /// Requests currently awaiting replies, and the high-water mark —
@@ -424,7 +429,7 @@ impl MuxConn {
                     // out. Both are dropped.
                     let waiter = demux.pending.lock().remove(&msg.request_id());
                     if let Some(tx) = waiter {
-                        let _ = tx.send(Ok(msg));
+                        let _ = tx.send(Ok((msg, Instant::now())));
                     }
                 }
                 Err(e) => {
@@ -454,6 +459,17 @@ impl MuxConn {
         request_id: u64,
         deadline: Duration,
     ) -> Result<Message, DietError> {
+        let until = Instant::now() + deadline;
+        self.send(m, request_id)?
+            .wait(until)
+            .map(|(reply, _)| reply)
+    }
+
+    /// The first half of [`request`](Self::request): register a waiter for
+    /// `request_id` and write `m`. The reply is collected from the returned
+    /// [`Pending`], so one thread can have requests out on many connections
+    /// at once and wait for all of them afterwards.
+    pub(crate) fn send(&self, m: &Message, request_id: u64) -> Result<Pending, DietError> {
         if self.is_dead() {
             return Err(DietError::Transport("mux connection closed".into()));
         }
@@ -464,30 +480,63 @@ impl MuxConn {
             let now = self.inner.inflight.fetch_add(1, Ordering::Relaxed) + 1;
             self.inner.inflight_peak.fetch_max(now, Ordering::Relaxed);
         }
-        let sent = self.inner.transport.send(m);
-        if let Err(e) = sent {
-            self.inner.pending.lock().remove(&request_id);
-            self.inner.inflight.fetch_sub(1, Ordering::Relaxed);
+        // From here on the waiter is the `Pending`'s: dropping it on the
+        // error path below deregisters it.
+        let pending = Pending {
+            mux: self.inner.clone(),
+            request_id,
+            rx,
+            sent: Instant::now(),
+            answered: false,
+        };
+        if let Err(e) = self.inner.transport.send(m) {
             self.inner.dead.store(true, Ordering::Release);
             return Err(e);
         }
-        let res = match rx.recv_timeout(deadline) {
-            Ok(reply) => reply,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                // Remove our waiter; if the reply lands later the demux
-                // thread finds no entry and drops it — the stream itself
-                // stays healthy for other callers.
-                self.inner.pending.lock().remove(&request_id);
-                Err(DietError::Timeout {
-                    after_secs: deadline.as_secs_f64(),
-                })
+        Ok(pending)
+    }
+}
+
+/// A request already on the wire, waiting for the reply that echoes its id.
+/// Dropped unanswered (deadline passed, or never waited on), it removes its
+/// waiter: a reply landing later finds no entry and is dropped by the demux
+/// thread — the stream itself stays healthy for other callers.
+pub(crate) struct Pending {
+    mux: Arc<MuxInner>,
+    request_id: u64,
+    rx: Receiver<Reply>,
+    sent: Instant,
+    answered: bool,
+}
+
+impl Pending {
+    /// Wait until `until` for the reply; returns it with its round trip,
+    /// from the send to the instant the demux thread read the reply (so a
+    /// caller that waits on several requests in turn still measures each
+    /// one's own).
+    pub(crate) fn wait(mut self, until: Instant) -> Result<(Message, Duration), DietError> {
+        let left = until.saturating_duration_since(Instant::now());
+        match self.rx.recv_timeout(left) {
+            Ok(reply) => {
+                self.answered = true;
+                reply.map(|(msg, arrived)| (msg, arrived.saturating_duration_since(self.sent)))
             }
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(DietError::Timeout {
+                after_secs: self.sent.elapsed().as_secs_f64(),
+            }),
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                 Err(DietError::Transport("mux demux thread gone".into()))
             }
-        };
-        self.inner.inflight.fetch_sub(1, Ordering::Relaxed);
-        res
+        }
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.mux.pending.lock().remove(&self.request_id);
+        }
+        self.mux.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -549,12 +598,17 @@ impl Peer {
         build: impl FnOnce(u64) -> Message,
         deadline: Duration,
     ) -> Result<Message, DietError> {
+        let until = Instant::now() + deadline;
+        busy_is_error(self.send(build)?.wait(until)?.0)
+    }
+
+    /// The first half of [`request`](Self::request): put the message on the
+    /// wire and return without waiting. Whoever waits on the [`Pending`]
+    /// passes the reply through [`busy_is_error`].
+    pub(crate) fn send(&self, build: impl FnOnce(u64) -> Message) -> Result<Pending, DietError> {
         let mux = self.mux()?;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        match mux.request(&build(request_id), request_id, deadline)? {
-            Message::Busy { .. } => Err(DietError::Busy),
-            reply => Ok(reply),
-        }
+        mux.send(&build(request_id), request_id)
     }
 
     /// High-water mark of in-flight requests on the live connection (0 if
@@ -565,6 +619,14 @@ impl Peer {
             .as_ref()
             .filter(|m| !m.is_dead())
             .map_or(0, |m| m.inflight_peak())
+    }
+}
+
+/// A `Busy` reply as [`DietError::Busy`]; any other reply unchanged.
+pub(crate) fn busy_is_error(reply: Message) -> Result<Message, DietError> {
+    match reply {
+        Message::Busy { .. } => Err(DietError::Busy),
+        reply => Ok(reply),
     }
 }
 

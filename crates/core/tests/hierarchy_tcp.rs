@@ -12,7 +12,7 @@ use diet_core::sched::RoundRobin;
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
 use diet_core::transport::TcpSedPool;
 use diet_core::{
-    AgentNode, DietClient, DietError, HeartbeatMonitor, MasterAgent, Obs, RetryPolicy,
+    AgentNode, DietClient, DietError, FaultPlan, HeartbeatMonitor, MasterAgent, Obs, RetryPolicy,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -397,6 +397,80 @@ fn heartbeat_marks_dead_subtree_and_restores_it_on_return() {
     monitor.stop();
     revived.kill();
     d.shutdown();
+}
+
+/// One LA process over one SeD, with a fault plan on the agent's own
+/// collection path.
+fn faulty_site(
+    name: &str,
+    label: &str,
+) -> (
+    Arc<FaultPlan>,
+    diet_core::transport::TcpServer,
+    Arc<SedHandle>,
+) {
+    let sed = SedHandle::spawn(SedConfig::new(label, 1.0), table("echo"));
+    let node = AgentNode::leaf(name, vec![sed.clone()]);
+    let plan = FaultPlan::new();
+    node.set_faults(plan.clone());
+    let server = serve_agent_over_tcp_at(node, "127.0.0.1:0", AgentConfig::default()).unwrap();
+    (plan, server, sed)
+}
+
+/// Sibling sites are asked in parallel and waited on once: two LAs each
+/// stalled by D cost one submit about D, not 2·D. A site wedged past the
+/// collect deadline is an empty subtree — submits land on the healthy
+/// site within the deadline and the timeout counter ticks.
+#[test]
+fn sibling_sites_are_asked_at_once_and_a_wedged_one_costs_one_deadline() {
+    let (plan_a, server_a, sed_a) = faulty_site("la-a", "a/s0");
+    let (plan_b, server_b, sed_b) = faulty_site("la-b", "b/s0");
+    let root = AgentNode::leaf("MA/local", vec![]);
+    for (name, server) in [("la-a", &server_a), ("la-b", &server_b)] {
+        root.add_remote(RemoteAgentClient::with_timeout(
+            name,
+            server.local_addr,
+            Duration::from_secs(10),
+        ));
+    }
+    let ma = MasterAgent::new("MA", vec![root], Arc::new(RoundRobin::new()));
+    ma.set_collect_timeout(Duration::from_secs(5));
+    let ctx = obs::TraceCtx::default();
+    // Warm both connections so the timed submit measures finding alone.
+    ma.resolve("echo", &[], &[], ctx).unwrap();
+
+    let stall = Duration::from_millis(300);
+    plan_a.set_stall(stall);
+    plan_b.set_stall(stall);
+    let t0 = Instant::now();
+    ma.resolve("echo", &[], &[], ctx).unwrap();
+    let took = t0.elapsed();
+    assert!(took >= stall, "the stall was not applied: {took:?}");
+    assert!(took < 2 * stall, "sites asked in turn: {took:?}");
+    let timeouts = || ma.metrics().counter_value("diet_ma_subtree_timeouts_total");
+    assert_eq!(timeouts(), 0);
+
+    // Wedge la-b far past the deadline; la-a answers at once.
+    plan_a.set_stall(Duration::ZERO);
+    plan_b.set_stall(Duration::from_secs(3));
+    let deadline = Duration::from_millis(200);
+    ma.set_collect_timeout(deadline);
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        assert_eq!(ma.resolve("echo", &[], &[], ctx).unwrap(), "a/s0");
+        let took = t0.elapsed();
+        assert!(
+            took < deadline + Duration::from_millis(300),
+            "a wedged site cost more than the deadline: {took:?}"
+        );
+    }
+    assert_eq!(timeouts(), 3);
+
+    plan_b.set_stall(Duration::ZERO);
+    server_a.kill();
+    server_b.kill();
+    sed_a.shutdown();
+    sed_b.shutdown();
 }
 
 /// Per-agent admission control: an MA serving with a tiny admission limit
