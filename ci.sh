@@ -116,6 +116,15 @@ stage_lint() {
         echo "ci.sh drift: MuxConn::connect outside transport.rs (use its Peer)" >&2
         exit 1
     fi
+    # Drift guard: a liveness probe rides its peer's mux (`Peer::ping`). The
+    # one non-test `TcpTransport::connect(` is `MuxConn::connect`'s; a second
+    # is a probe dialing a connection of its own again.
+    dials=$(core_sites 'TcpTransport::connect[(]')
+    if [ "$(printf '%s\n' "$dials" | grep -c .)" -gt 1 ]; then
+        echo "ci.sh drift: TcpTransport::connect outside MuxConn::connect:" >&2
+        printf '%s\n' "$dials" >&2
+        exit 1
+    fi
     # Drift guard: one retry loop (client::retry_loop) backs off for every
     # GridRPC call and DAG node. A second non-test caller of
     # `backoff_jittered` is a second loop growing back.

@@ -1,6 +1,6 @@
 //! Criterion benches for the middleware itself: the request path whose cost
 //! the paper measures in Figure 5 (finding, submission, initiation), plus
-//! the codec and transport layers that replace CORBA.
+//! the codec that replaces CORBA's marshalling.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -11,7 +11,6 @@ use diet_core::monitor::Estimate;
 use diet_core::profile::{ramses_zoom2_desc, ArgTag, Profile, ProfileDesc};
 use diet_core::sched::{RoundRobin, Scheduler, WeightedSpeed};
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
-use diet_core::transport::{inproc_pair, Duplex};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -61,26 +60,6 @@ fn bench_profile_encode(c: &mut Criterion) {
             diet_core::codec::encode_profile(&mut buf, &p);
             black_box(buf.len())
         })
-    });
-}
-
-fn bench_inproc_roundtrip(c: &mut Criterion) {
-    c.bench_function("transport_inproc_ping_pong", |b| {
-        let (a, z) = inproc_pair();
-        let t = std::thread::spawn(move || {
-            while let Ok(m) = z.recv() {
-                if m == Message::Shutdown {
-                    break;
-                }
-                z.send(&Message::Pong).unwrap();
-            }
-        });
-        b.iter(|| {
-            a.send(&Message::Ping).unwrap();
-            black_box(a.recv().unwrap());
-        });
-        a.send(&Message::Shutdown).unwrap();
-        t.join().unwrap();
     });
 }
 
@@ -145,7 +124,6 @@ criterion_group!(
     benches,
     bench_codec,
     bench_profile_encode,
-    bench_inproc_roundtrip,
     bench_schedulers,
     bench_finding_path
 );

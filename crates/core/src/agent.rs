@@ -14,13 +14,12 @@
 use crate::dagda::ReplicaCatalog;
 use crate::error::DietError;
 use crate::faults::{FaultAction, FaultPlan};
-use crate::monitor::Estimate;
+use crate::monitor::{Estimate, MissTally};
 use crate::sched::Scheduler;
 use crate::sed::SedHandle;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use obs::{Obs, TraceCtx};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -327,8 +326,9 @@ pub struct MasterAgent {
     scheduler: Arc<dyn Scheduler>,
     /// Labels removed from the hierarchy (dead or repeatedly failing SeDs).
     deregistered: Mutex<Vec<String>>,
-    /// Failed-call strikes per still-alive label.
-    strikes: Mutex<HashMap<String, u32>>,
+    /// Consecutive failed calls per still-alive label; a successful call
+    /// through the client's retry loop clears its winner's count.
+    pub(crate) strikes: Mutex<MissTally>,
     /// Metrics sink: submits, scheduler decisions, finding-time histogram,
     /// deregistrations, heartbeat counters.
     obs: Arc<Obs>,
@@ -364,7 +364,7 @@ impl MasterAgent {
             children,
             scheduler,
             deregistered: Mutex::new(Vec::new()),
-            strikes: Mutex::new(HashMap::new()),
+            strikes: Mutex::default(),
             obs,
             catalog: RwLock::new(None),
             collect_timeout: RwLock::new(None),
@@ -378,7 +378,7 @@ impl MasterAgent {
             children: self.children.clone(),
             scheduler,
             deregistered: Mutex::new(Vec::new()),
-            strikes: Mutex::new(HashMap::new()),
+            strikes: Mutex::default(),
             obs: self.obs.clone(),
             catalog: RwLock::new(self.catalog.read().clone()),
             collect_timeout: RwLock::new(*self.collect_timeout.read()),
@@ -641,7 +641,9 @@ impl MasterAgent {
     /// the middleware level (timeout, connection loss — not an application
     /// error). A dead SeD is deregistered immediately; one that still
     /// answers liveness probes is deregistered after [`FAILURE_STRIKES`]
-    /// consecutive reports. Returns true when the SeD was deregistered.
+    /// consecutive reports — a call that succeeds through the client's
+    /// retry loop in between starts the count again. Returns true when the
+    /// SeD was deregistered.
     pub fn report_failure(&self, sed: &SedHandle) -> bool {
         let label = &sed.config.label;
         self.obs
@@ -651,18 +653,8 @@ impl MasterAgent {
         if !sed.is_alive() {
             return self.deregister(label);
         }
-        let strikes = {
-            let mut s = self.strikes.lock();
-            let n = s.entry(label.clone()).or_insert(0);
-            *n += 1;
-            *n
-        };
-        if strikes >= FAILURE_STRIKES {
-            self.strikes.lock().remove(label);
-            self.deregister(label)
-        } else {
-            false
-        }
+        let struck_out = self.strikes.lock().miss(label, FAILURE_STRIKES);
+        struck_out && self.deregister(label)
     }
 }
 
@@ -671,10 +663,10 @@ impl MasterAgent {
 /// `miss_threshold` consecutive heartbeats — so `collect` stops offering
 /// them as candidates even if no client ever calls them again.
 ///
-/// Wires the codec's `Ping`/`Pong` liveness messages into the agent: each
-/// probe goes through the SeD's command queue exactly like a wire ping, so
-/// a wedged worker fails the probe even though its process is technically
-/// still there.
+/// A SeD probe is the in-process analog of the codec's `Ping`: it goes
+/// through the SeD's command queue, so a wedged worker fails the probe even
+/// though its process is technically still there. Remote agents get a wire
+/// `Ping` on the connection that already carries their `Forward`s.
 pub struct HeartbeatMonitor {
     stop: Sender<()>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -689,8 +681,7 @@ impl HeartbeatMonitor {
     ) -> HeartbeatMonitor {
         let (stop_tx, stop_rx) = bounded::<()>(1);
         let thread = std::thread::spawn(move || {
-            let mut misses: HashMap<String, u32> = HashMap::new();
-            let mut agent_misses: HashMap<String, u32> = HashMap::new();
+            let (mut misses, mut agent_misses) = (MissTally::default(), MissTally::default());
             let metrics = ma.obs();
             let m_beats = metrics.metrics.counter("diet_heartbeat_beats_total");
             let m_missed = metrics.metrics.counter("diet_heartbeat_misses_total");
@@ -704,22 +695,17 @@ impl HeartbeatMonitor {
             // Runs until a stop is requested or the monitor is dropped.
             while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
                 for sed in ma.all_seds() {
-                    let label = sed.config.label.clone();
+                    let label = &sed.config.label;
                     m_beats.inc();
                     // A worker deep in a long solve can't answer the queued
                     // ping in time, but it is busy, not dead — only a probe
                     // failure on an idle (or exited) worker counts as a miss.
                     if sed.ping(ping_timeout) || (sed.is_alive() && sed.is_busy()) {
-                        misses.remove(&label);
+                        misses.hit(label);
                     } else {
                         m_missed.inc();
-                        let n = misses.entry(label.clone()).or_insert(0);
-                        *n += 1;
-                        if *n >= miss_threshold {
-                            if ma.deregister(&label) {
-                                m_evicted.inc();
-                            }
-                            misses.remove(&label);
+                        if misses.miss(label, miss_threshold) && ma.deregister(label) {
+                            m_evicted.inc();
                         }
                     }
                 }
@@ -736,17 +722,12 @@ impl HeartbeatMonitor {
                             slot.set_available(true);
                             m_agent_restored.inc();
                         }
-                        agent_misses.remove(&name);
+                        agent_misses.hit(&name);
                     } else {
                         m_missed.inc();
-                        let n = agent_misses.entry(name.clone()).or_insert(0);
-                        *n += 1;
-                        if *n >= miss_threshold {
-                            if slot.is_available() {
-                                slot.set_available(false);
-                                m_agent_evicted.inc();
-                            }
-                            agent_misses.remove(&name);
+                        if agent_misses.miss(&name, miss_threshold) && slot.is_available() {
+                            slot.set_available(false);
+                            m_agent_evicted.inc();
                         }
                     }
                 }

@@ -178,8 +178,9 @@ pub(crate) trait Route {
         ctx: TraceCtx,
     ) -> Result<Self::Target, DietError>;
     fn label(target: &Self::Target) -> &str;
-    /// Blame `target` for a transport fault or timeout.
-    fn report_failure(&self, target: &Self::Target);
+    /// How an attempt on `target` went: `ok` for a served call, not for a
+    /// transport fault or timeout, which blames it.
+    fn report(&self, target: &Self::Target, ok: bool);
 }
 
 impl Route for MasterAgent {
@@ -196,10 +197,14 @@ impl Route for MasterAgent {
     fn label(placed: &Placement) -> &str {
         &placed.label
     }
-    /// A SeD behind a remote agent is left to that agent's heartbeats.
-    fn report_failure(&self, placed: &Placement) {
-        if let Some(sed) = &placed.sed {
-            MasterAgent::report_failure(self, sed);
+    /// A served call clears the SeD's strikes. A SeD behind a remote agent
+    /// is left to that agent's heartbeats.
+    fn report(&self, placed: &Placement, ok: bool) {
+        let Some(sed) = &placed.sed else { return };
+        if ok {
+            self.strikes.lock().hit(&placed.label);
+        } else {
+            self.report_failure(sed);
         }
     }
 }
@@ -220,7 +225,7 @@ impl Route for RemoteAgentClient {
         label
     }
     /// A remote MA learns about dead SeDs from its own heartbeats.
-    fn report_failure(&self, _: &String) {}
+    fn report(&self, _: &String, _: bool) {}
 }
 
 /// How a retry loop ended: the solved profile, its stats and the target
@@ -308,6 +313,7 @@ pub(crate) fn retry_loop<R: Route>(
                 let submit_end_ns = submit_start_ns + (send * 1e9) as u64;
                 window("Submission", label, submit_start_ns, submit_end_ns);
                 drop(span);
+                route.report(&target, true);
                 let stats = CallStats {
                     finding,
                     send,
@@ -336,7 +342,7 @@ pub(crate) fn retry_loop<R: Route>(
             Err(e) if is_retryable(&e) => {
                 // The time sunk shipping data to a SeD that never replied.
                 window("Submission", label, submit_start_ns, now_ns());
-                route.report_failure(&target);
+                route.report(&target, false);
                 exclude.push(label.to_string());
                 last_err = Some(e);
             }
@@ -1035,6 +1041,27 @@ mod tests {
         for s in seds {
             s.shutdown();
         }
+    }
+
+    #[test]
+    fn a_served_call_clears_the_winners_strikes() {
+        // Two transient faults, a served call, two more: never three in a
+        // row, so the live SeD stays registered.
+        let (client, seds) = session(0, 1);
+        let ma = client.ma().unwrap();
+        assert!(!ma.report_failure(&seds[0]));
+        assert!(!ma.report_failure(&seds[0]));
+        let (p, _) = client
+            .call_with_retry(square_profile(3), &fast_policy())
+            .unwrap();
+        assert_eq!(p.get_i32(1).unwrap(), 9);
+        assert!(!ma.report_failure(&seds[0]));
+        assert!(!ma.report_failure(&seds[0]));
+        assert_eq!(ma.sed_count(), 1);
+        assert!(ma.deregistered().is_empty());
+        // A third in a row still removes it.
+        assert!(ma.report_failure(&seds[0]));
+        seds[0].shutdown();
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!
 //! A message on a socket is `[u32 length][u8 tag][fields]`; transports add
 //! the length. To add a frame kind: add the [`Message`] variant, add one
-//! row to the frame table under a tag that was never used (17 and 18 are
+//! row to the frame table under a tag that was never used (14 to 18 are
 //! retired), and add a sample to `tests::samples()` with its golden line.
+//! Every row's first field is its `request_id`.
 
 use crate::dag::{
     DagEventRec, DagInput, DagNodeOutcome, DagNodeSpec, DagNodeState, DagOutcome, WorkflowSpec,
@@ -105,17 +106,14 @@ pub enum Message {
         solve: f64,
         result: Result<Profile, String>,
     },
-    /// Liveness probe.
-    Ping,
-    Pong,
-    /// Orderly shutdown of a worker.
-    Shutdown,
+    /// Liveness probe. Correlated like every other request, so it rides the
+    /// prober's shared mux connection.
+    Ping { request_id: u64 },
+    /// Reply to [`Message::Ping`], echoing its correlation id.
+    Pong { request_id: u64 },
     /// SeD ← SeD/client: fetch the value stored under `id` (DAGDA pull).
     /// `request_id` correlates the reply on a multiplexed connection.
-    GetData {
-        request_id: u64,
-        id: String,
-    },
+    GetData { request_id: u64, id: String },
     /// Reply to [`Message::GetData`] / ack for [`Message::PutData`]: the
     /// stored value with its persistence mode, or an error string. Echoes
     /// the requester's correlation id.
@@ -135,9 +133,7 @@ pub enum Message {
     /// Server → client: admission rejected — the server's dispatch queue or
     /// an agent's or SeD's admission limit is full. Echoes the rejected
     /// request's id so exactly that multiplexed caller backs off and retries.
-    Busy {
-        request_id: u64,
-    },
+    Busy { request_id: u64 },
     /// Any component → collector: a batch of completed spans drained from
     /// the sender's ring. Correlated (acked with [`Message::PushAck`]) so a
     /// flusher can confirm delivery over a shared mux connection. Span ids
@@ -158,23 +154,15 @@ pub enum Message {
         deltas: Vec<(String, Labels, MetricSnapshot)>,
     },
     /// Collector → component: delivery ack for a push batch.
-    PushAck {
-        request_id: u64,
-    },
+    PushAck { request_id: u64 },
     /// Ask a component for a view of its telemetry (LogService analog).
     /// Correlated, so it rides a shared `MuxConn` like `Call` does; `what`
     /// selects the view — `""` or `"prometheus"` for the metrics text,
     /// `"chrome"` for the Chrome trace JSON, `"topology"` for the
     /// collector's plaintext hierarchy/health snapshot.
-    DumpMetricsRid {
-        request_id: u64,
-        what: String,
-    },
+    DumpMetricsRid { request_id: u64, what: String },
     /// Reply to [`Message::DumpMetricsRid`], echoing its correlation id.
-    MetricsReplyRid {
-        request_id: u64,
-        text: String,
-    },
+    MetricsReplyRid { request_id: u64, text: String },
     /// Client → MA: admit a workflow DAG for engine-side scheduling. `ctx`
     /// carries the workflow trace id every node span stitches under.
     SubmitDag {
@@ -233,10 +221,7 @@ pub enum Message {
     },
     /// Client → jobserver: look up a campaign by name (late-joining or
     /// reconnecting clients).
-    AttachCampaign {
-        request_id: u64,
-        campaign: String,
-    },
+    AttachCampaign { request_id: u64, campaign: String },
     /// Jobserver → client: the campaign's summary, or an unknown-name
     /// rejection.
     AttachReply {
@@ -653,33 +638,19 @@ wire_records! {
 
 // ------------------------------------------------------------- frame table
 
-/// The frame table: `tag => Variant { fields in wire order }`. Generates
-/// `Wire for Message` and, from the same rows, which tags are correlated —
-/// exactly the rows whose first field is `request_id` — and
-/// `Message::request_id`, which reads that field (0 for the other rows).
+/// The frame table: `tag => Variant { request_id, other fields in wire
+/// order }`. Generates `Wire for Message` and `Message::request_id`.
 macro_rules! frame_table {
-    (@correlated request_id) => { true };
-    (@correlated $($other:ident)?) => { false };
-    (@rid request_id $f:ident) => { *$f };
-    (@rid $($other:ident $f:ident)?) => {{ $(let _ = $f;)? 0 }};
-    ($($tag:literal => $V:ident $({ $first:ident $($rest:tt)* })?),* $(,)?) => {
-        wire_enum!(Message { $($tag => $V $({ $first $($rest)* })?),* });
+    ($($tag:literal => $V:ident { request_id $($rest:tt)* }),* $(,)?) => {
+        wire_enum!(Message { $($tag => $V { request_id $($rest)* }),* });
 
         impl Message {
-            /// The correlation id a reply echoes, or 0 for the uncorrelated
-            /// kinds (Ping/Pong, Shutdown) — the rule `peek_request_id`
-            /// applies to undecoded frames.
+            /// The correlation id a reply echoes — what `peek_request_id`
+            /// reads off an undecoded frame.
             pub(crate) fn request_id(&self) -> u64 {
                 match self {
-                    $(Message::$V $({ $first, .. })? => frame_table!(@rid $($first $first)?),)*
+                    $(Message::$V { request_id, .. } => *request_id,)*
                 }
-            }
-        }
-
-        fn is_correlated(tag: u8) -> bool {
-            match tag {
-                $($tag => frame_table!(@correlated $($first)?),)*
-                _ => false,
             }
         }
 
@@ -693,11 +664,9 @@ frame_table! {
     11 => SubmitReply { request_id, server },
     12 => Call { request_id, ctx, profile },
     13 => CallReply { request_id, queue_wait, solve, result },
-    14 => Ping,
-    15 => Pong,
-    16 => Shutdown,
-    // 17 and 18 were the uncorrelated DumpMetrics / MetricsReply pair:
-    // retired, never to be reused.
+    // 14 to 16 were the uncorrelated Ping / Pong / Shutdown and 17 and 18
+    // the uncorrelated DumpMetrics / MetricsReply pair: retired, never to
+    // be reused.
     19 => GetData { request_id, id },
     20 => DataReply { request_id, id, result as Stored },
     21 => PutData { request_id, id, mode, value },
@@ -721,6 +690,8 @@ frame_table! {
     39 => AttachReply { request_id, result },
     40 => CampaignProgress { request_id, campaign_id, cursor },
     41 => ProgressReply { request_id, result },
+    42 => Ping { request_id },
+    43 => Pong { request_id },
 }
 
 /// Encode a full message (without the outer length frame; transports add it).
@@ -735,16 +706,13 @@ pub fn decode_message(mut buf: Bytes) -> Result<Message, DietError> {
     Message::get(&mut buf)
 }
 
-/// Cheap correlation-id peek on an undecoded frame: correlated messages
-/// carry their request id LE at bytes `[1..9]` right after the tag byte.
-/// The uncorrelated frames (Ping/Pong, Shutdown) and frames too short to
-/// carry an id return 0 — which is never a live request id.
+/// Cheap correlation-id peek on an undecoded frame: every message carries
+/// its request id LE at bytes `[1..9]` right after the tag byte. A frame too
+/// short to carry one returns 0 — which is never a live request id.
 pub fn peek_request_id(frame: &[u8]) -> u64 {
-    match frame {
-        [tag, rest @ ..] if rest.len() >= 8 && is_correlated(*tag) => {
-            u64::from_le_bytes(rest[..8].try_into().expect("length checked in the guard"))
-        }
-        _ => 0,
+    match frame.get(1..9) {
+        Some(id) => u64::from_le_bytes(id.try_into().expect("a 1..9 slice is 8 bytes")),
+        None => 0,
     }
 }
 
@@ -1047,9 +1015,6 @@ pub(crate) mod tests {
             call(TraceCtx::default(), empty_profile()),
             call_reply(0.125, 2.5, Ok(sample_profile())),
             call_reply(0.0, 0.0, Err("solve failed".into())),
-            Message::Ping,
-            Message::Pong,
-            Message::Shutdown,
             Message::GetData {
                 request_id: RID,
                 id: "ramsesZoom2#0".into(),
@@ -1199,14 +1164,16 @@ pub(crate) mod tests {
             ))),
             progress_reply(Ok((summary(true), vec![]))),
             progress_reply(Err("unknown campaign".into())),
+            Message::Ping { request_id: RID },
+            Message::Pong { request_id: RID },
         ]
     }
 
     /// The one table test: for every sample the encoder still produces the
     /// golden bytes, the decoder maps them back, every strict prefix is
-    /// rejected, and the request id peeks out of exactly the correlated
-    /// kinds, agreeing with `Message::request_id` — and every row of the
-    /// frame table has a sample.
+    /// rejected, and the request id peeks out of the frame, agreeing with
+    /// `Message::request_id` — and every row of the frame table has a
+    /// sample.
     #[test]
     fn table_matches_golden_vectors() {
         let samples = samples();
@@ -1224,12 +1191,7 @@ pub(crate) mod tests {
                     "{name}: cut at {cut} decoded successfully"
                 );
             }
-            let correlated = !matches!(m, Message::Ping | Message::Pong | Message::Shutdown);
-            assert_eq!(
-                peek_request_id(&enc),
-                if correlated { RID } else { 0 },
-                "{name}"
-            );
+            assert_eq!(peek_request_id(&enc), RID, "{name}");
             assert_eq!(m.request_id(), peek_request_id(&enc), "{name}");
             tags.insert(enc[0]);
         }
@@ -1239,11 +1201,15 @@ pub(crate) mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        // 17 and 18 were the uncorrelated DumpMetrics/MetricsReply pair:
-        // reserved, never reused, and no longer decoded.
-        for tag in [99u8, 17, 18] {
-            let raw = Bytes::from(vec![tag, 0, 0, 0, 0]);
-            assert!(matches!(decode_message(raw), Err(DietError::Codec(_))));
+        // 14 to 18 are retired tags: never reused, and decoded neither bare
+        // nor carrying an id.
+        for tag in [99u8, 14, 15, 16, 17, 18] {
+            for raw in [vec![tag], vec![tag, 0, 0, 0, 0, 0, 0, 0, 0]] {
+                assert!(matches!(
+                    decode_message(Bytes::from(raw)),
+                    Err(DietError::Codec(_))
+                ));
+            }
         }
     }
 

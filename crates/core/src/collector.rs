@@ -252,10 +252,9 @@ pub fn serve_collector_over_tcp(
                 let text = collector.view(&what);
                 let _ = handle.send(&Message::MetricsReplyRid { request_id, text });
             }
-            Message::Ping => {
-                let _ = handle.send(&Message::Pong);
+            Message::Ping { request_id } => {
+                let _ = handle.send(&Message::Pong { request_id });
             }
-            Message::Shutdown => handle.close(),
             _ => {}
         },
     )

@@ -37,12 +37,14 @@
 //! but currently saturated/excluded) does **not** federate: the service
 //! exists here, the client should back off and retry locally.
 //!
-//! Failure semantics: every agent process answers `Ping` on a dedicated
-//! connection so [`crate::agent::HeartbeatMonitor`] can probe it; a
-//! subtree whose agent misses its deadline is marked unavailable and
-//! skipped by collection (never removed — a returning agent is restored
-//! on its next successful probe). A stalled or dead subtree costs one
-//! collection deadline, not the whole submit.
+//! Failure semantics: every agent process answers `Ping` on the same mux
+//! connection that carries its `Forward`s, so
+//! [`crate::agent::HeartbeatMonitor`] probes it without dialing; a subtree
+//! whose agent misses its deadline is marked unavailable and skipped by
+//! collection (never removed — a returning agent is restored on its next
+//! successful probe, which redials once the old connection died). A
+//! stalled or dead subtree costs one collection deadline, not the whole
+//! submit.
 
 use crate::agent::{AgentNode, Gather, MasterAgent, RemoteSubtree};
 use crate::codec::Message;
@@ -52,7 +54,7 @@ use crate::error::DietError;
 use crate::monitor::Estimate;
 use crate::reactor::ConnHandle;
 use crate::sed::SedHandle;
-use crate::transport::{self, busy_is_error, unexpected, Peer, ServerConfig, TcpServer};
+use crate::transport::{busy_is_error, unexpected, Peer, ServerConfig, TcpServer};
 use obs::{Obs, TraceCtx};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -221,10 +223,9 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
                 let text = component_view(&sed.obs(), &what);
                 let _ = handle.send(&Message::MetricsReplyRid { request_id, text });
             }
-            Message::Ping => {
-                let _ = handle.send(&Message::Pong);
+            Message::Ping { request_id } => {
+                let _ = handle.send(&Message::Pong { request_id });
             }
-            Message::Shutdown => handle.close(),
             _ => {}
         }
     })
@@ -273,7 +274,7 @@ impl RemoteAgentClient {
         })
     }
 
-    /// The remote agent's address (for heartbeat probes and redials).
+    /// The remote agent's address.
     pub fn addr(&self) -> SocketAddr {
         self.peer.addr()
     }
@@ -393,7 +394,7 @@ impl RemoteSubtree for RemoteAgentClient {
     }
 
     fn ping(&self, timeout: Duration) -> bool {
-        transport::ping(self.addr(), timeout)
+        self.peer.ping(timeout)
     }
 }
 
@@ -489,10 +490,9 @@ pub fn serve_agent_over_tcp_at(
                 let text = component_view(&obs, &what);
                 let _ = handle.send(&Message::MetricsReplyRid { request_id, text });
             }
-            Message::Ping => {
-                let _ = handle.send(&Message::Pong);
+            Message::Ping { request_id } => {
+                let _ = handle.send(&Message::Pong { request_id });
             }
-            Message::Shutdown => handle.close(),
             _ => {}
         }
     })
@@ -635,10 +635,9 @@ fn serve_ma_inner(
                     });
                 }
             },
-            Message::Ping => {
-                let _ = handle.send(&Message::Pong);
+            Message::Ping { request_id } => {
+                let _ = handle.send(&Message::Pong { request_id });
             }
-            Message::Shutdown => handle.close(),
             _ => {}
         }
     })

@@ -45,12 +45,13 @@ use crate::codec::{self, wire_enum, Message, Wire};
 use crate::dag::WorkflowSpec;
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
+use crate::monitor::MissTally;
 use crate::profile::Profile;
-use crate::transport::{self, unexpected, Peer, ServerConfig, TcpSedPool, TcpServer};
+use crate::transport::{unexpected, Peer, ServerConfig, TcpSedPool, TcpServer};
 use bytes::{Bytes, BytesMut};
 use obs::Obs;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::net::SocketAddr;
@@ -1196,100 +1197,51 @@ fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<Campaign>)>, DietError>
 
 // ------------------------------------------------------------ machine pool
 
-struct MachineState {
-    misses: u32,
-    dead: bool,
-}
-
-/// Heartbeat-aware view of the SeD fleet the jobserver dispatches to.
-/// Labels come from the [`TcpSedPool`]'s registrations plus anything a
-/// dispatch resolves; the probe loop pings each one on a dedicated
-/// connection (`Pong` carries no correlation id, so it cannot ride the
-/// mux) and declares a machine dead after `miss_threshold` consecutive
-/// silent probes.
-pub struct MachinePool {
+/// Heartbeat-aware view of the SeD fleet the jobserver dispatches to: every
+/// label registered in the [`TcpSedPool`], probed on its own pooled
+/// connection, and declared dead after `miss_threshold` consecutive silent
+/// probes.
+pub(crate) struct MachinePool {
     pool: Arc<TcpSedPool>,
-    states: Mutex<HashMap<String, MachineState>>,
+    misses: Mutex<MissTally>,
+    dead: Mutex<HashSet<String>>,
     obs: Arc<Obs>,
 }
 
 impl MachinePool {
-    pub fn new(pool: Arc<TcpSedPool>, obs: Arc<Obs>) -> Arc<MachinePool> {
-        Arc::new(MachinePool {
+    fn new(pool: Arc<TcpSedPool>, obs: Arc<Obs>) -> MachinePool {
+        MachinePool {
             pool,
-            states: Mutex::new(HashMap::new()),
+            misses: Mutex::default(),
+            dead: Mutex::default(),
             obs,
-        })
-    }
-
-    /// Make sure `label` is tracked (called on every resolve).
-    pub fn observe(&self, label: &str) {
-        self.states
-            .lock()
-            .entry(label.to_string())
-            .or_insert(MachineState {
-                misses: 0,
-                dead: false,
-            });
+        }
     }
 
     /// Labels currently considered dead — excluded from resolution.
-    pub fn dead_labels(&self) -> Vec<String> {
-        self.states
-            .lock()
-            .iter()
-            .filter(|(_, s)| s.dead)
-            .map(|(l, _)| l.clone())
-            .collect()
+    fn dead_labels(&self) -> Vec<String> {
+        self.dead.lock().iter().cloned().collect()
     }
 
-    pub fn is_dead(&self, label: &str) -> bool {
-        self.states.lock().get(label).is_some_and(|s| s.dead)
-    }
-
-    /// Probe every tracked label plus everything registered in the pool.
-    /// Returns the labels that just crossed the death threshold.
-    pub fn probe_all(&self, timeout: Duration, miss_threshold: u32) -> Vec<String> {
-        let mut labels: Vec<String> = self.pool.labels();
-        {
-            let states = self.states.lock();
-            for l in states.keys() {
-                if !labels.contains(l) {
-                    labels.push(l.clone());
-                }
-            }
-        }
+    /// Probe every label registered in the pool. Returns the labels that
+    /// just crossed the death threshold.
+    fn probe_all(&self, timeout: Duration, miss_threshold: u32) -> Vec<String> {
+        let metrics = &self.obs.metrics;
         let mut newly_dead = Vec::new();
-        for label in labels {
-            let alive = self
-                .pool
-                .endpoint(&label)
-                .map(|addr| transport::ping(addr, timeout))
-                .unwrap_or(false);
-            let mut states = self.states.lock();
-            let s = states.entry(label.clone()).or_insert(MachineState {
-                misses: 0,
-                dead: false,
-            });
+        for label in self.pool.labels() {
+            let alive = self.pool.peer(&label).is_ok_and(|p| p.ping(timeout));
             if alive {
-                if s.dead {
-                    self.obs
-                        .metrics
+                self.misses.lock().hit(&label);
+                if self.dead.lock().remove(&label) {
+                    metrics
                         .counter("diet_jobserver_machines_revived_total")
                         .inc();
                 }
-                s.misses = 0;
-                s.dead = false;
-            } else {
-                s.misses += 1;
-                if !s.dead && s.misses >= miss_threshold {
-                    s.dead = true;
-                    self.obs
-                        .metrics
-                        .counter("diet_jobserver_machines_dead_total")
-                        .inc();
-                    newly_dead.push(label);
-                }
+            } else if self.misses.lock().miss(&label, miss_threshold)
+                && self.dead.lock().insert(label.clone())
+            {
+                metrics.counter("diet_jobserver_machines_dead_total").inc();
+                newly_dead.push(label);
             }
         }
         newly_dead
@@ -1354,7 +1306,7 @@ pub struct JobServer {
     store: Arc<JobStore>,
     ma: Arc<RemoteAgentClient>,
     pool: Arc<TcpSedPool>,
-    machines: Arc<MachinePool>,
+    machines: MachinePool,
     obs: Arc<Obs>,
     cfg: JobServerConfig,
     stop: Arc<AtomicBool>,
@@ -1404,10 +1356,6 @@ impl JobServer {
 
     pub fn store(&self) -> &Arc<JobStore> {
         &self.store
-    }
-
-    pub fn machines(&self) -> &Arc<MachinePool> {
-        &self.machines
     }
 
     /// Stop dispatchers and the heartbeat; in-flight attempts finish.
@@ -1487,7 +1435,6 @@ impl JobServer {
                     abandoned = true;
                     return Err(DietError::Rejected("stopping".into()));
                 }
-                self.machines.observe(label);
                 let Some(attempt) = self.store.dispatched(cid, tid, epoch, prior, label) else {
                     abandoned = true;
                     return Err(DietError::Rejected("stale claim".into()));
@@ -1662,7 +1609,7 @@ pub fn serve_jobserver_over_tcp(
                     .task_status(campaign_id, task_id)
                     .ok_or_else(|| format!("unknown task {campaign_id}/{task_id}")),
             },
-            Message::Ping => Message::Pong,
+            Message::Ping { request_id } => Message::Pong { request_id },
             Message::DumpMetricsRid { request_id, .. } => Message::MetricsReplyRid {
                 request_id,
                 text: obs.metrics.render_prometheus(),
@@ -1694,10 +1641,10 @@ impl JobClient {
         })
     }
 
-    /// Liveness probe on a dedicated connection (used by the recovery
-    /// experiment to time how long a restart takes to come back).
+    /// Liveness probe on this client's shared connection: did the
+    /// jobserver answer within `timeout`?
     pub fn ping(&self, timeout: Duration) -> bool {
-        transport::ping(self.peer.addr(), timeout)
+        self.peer.ping(timeout)
     }
 
     /// Submit (or idempotently re-attach to) a campaign; returns the

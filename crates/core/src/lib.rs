@@ -7,10 +7,8 @@
 //! which runs the registered solve function and ships results back.
 //!
 //! Where the original used CORBA (omniORB) for its messaging layer, this
-//! crate provides its own transport abstraction ([`transport`]): a loss-free
-//! in-process channel transport for deterministic tests and experiments, and
-//! a TCP transport built on `std::net` for genuinely distributed
-//! deployments. The observable middleware behaviour — typed profiles with
+//! crate provides its own transport ([`transport`]): framed TCP built on
+//! `std::net`, multiplexed per peer. The observable middleware behaviour — typed profiles with
 //! IN/INOUT/OUT arguments, service registration, hierarchy traversal,
 //! scheduling, data staging — matches the paper's Section 4 walk-through.
 //!
@@ -19,7 +17,7 @@
 //! * [`data`] — typed values and persistence modes (`DIET_VOLATILE`, …).
 //! * [`profile`] — problem profiles: the `diet_profile_desc_t` analog.
 //! * [`codec`] — binary wire codec for profiles and control messages.
-//! * [`transport`] — in-process and TCP duplex message channels.
+//! * [`transport`] — framed TCP connections, servers and mux clients.
 //! * [`monitor`] — per-SeD load estimates (the FAST/CoRI role).
 //! * [`sched`] — plug-in schedulers (the paper's reference \[2\] extension).
 //! * [`sed`] — the Server Daemon: service table + worker loop.
@@ -99,8 +97,7 @@ pub use hierarchy::{
 };
 pub use jobserver::{
     serve_jobserver_over_tcp, CampaignSummary, FailOutcome, JobClient, JobLog, JobServer,
-    JobServerConfig, JobStore, JobStoreConfig, MachinePool, TaskEventRec, TaskPayload, TaskState,
-    TaskStatusRec,
+    JobServerConfig, JobStore, JobStoreConfig, TaskEventRec, TaskPayload, TaskState, TaskStatusRec,
 };
 pub use monitor::Estimate;
 pub use naming::NameServer;

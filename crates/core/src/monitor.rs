@@ -7,6 +7,7 @@
 //! [`Estimate`] is the vector a SeD returns when an agent probes it during
 //! request submission — DIET's `estVector_t`. Schedulers consume these.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -172,6 +173,31 @@ impl LoadTracker {
     }
 }
 
+/// Consecutive failures per label — the one rule behind every "is it
+/// dead?" decision: the heartbeat monitor's SeD and agent sweeps, the
+/// jobserver's machine pool and the MA's failed-call strikes.
+#[derive(Debug, Default)]
+pub(crate) struct MissTally(HashMap<String, u32>);
+
+impl MissTally {
+    /// `label` answered: its run of misses is over.
+    pub(crate) fn hit(&mut self, label: &str) {
+        self.0.remove(label);
+    }
+
+    /// `label` missed once more. True when that makes `threshold` misses in
+    /// a row; the count then starts again from zero.
+    pub(crate) fn miss(&mut self, label: &str, threshold: u32) -> bool {
+        let n = self.0.entry(label.to_string()).or_insert(0);
+        *n += 1;
+        if *n < threshold {
+            return false;
+        }
+        self.0.remove(label);
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,6 +309,27 @@ mod tests {
         assert!(e.is_saturated());
         e.queue_length = 3;
         assert!(!e.is_saturated());
+    }
+
+    #[test]
+    fn miss_tally_counts_only_consecutive_misses() {
+        let threshold = 3;
+        let mut t = MissTally::default();
+        // A hit between two short runs: never crossed.
+        for _ in 0..threshold - 1 {
+            assert!(!t.miss("a", threshold));
+        }
+        t.hit("a");
+        for _ in 0..threshold - 1 {
+            assert!(!t.miss("a", threshold));
+        }
+        // One more makes a run of `threshold`... only for that label.
+        assert!(!t.miss("b", threshold));
+        assert!(t.miss("a", threshold));
+        // ...and the count restarts: crossed again only after a full run.
+        let crossings = (0..threshold).filter(|_| t.miss("a", threshold)).count();
+        assert_eq!(crossings, 1);
+        assert!(!t.miss("a", threshold));
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //!   write-readiness only while bytes are actually queued.
 //!
 //! Backpressure and failure semantics: a full dispatch queue answers
-//! `Busy` echoing the frame's request id (uncorrelated frames, which have
-//! no id to echo, are dropped and counted); `kill` severs every socket so peers
+//! `Busy` echoing the frame's request id; `kill` severs every socket so peers
 //! observe a crash; an oversized length prefix closes the connection
 //! before any body byte is buffered; a closed peer is pruned from the
 //! reactor's table immediately (the old kill-list grew without bound).
@@ -81,9 +80,6 @@ pub(crate) struct ReactorMetrics {
     write_overflow_severed: Arc<Counter>,
     /// Connections cut off for advertising an oversized length prefix.
     oversized_frames: Arc<Counter>,
-    /// Uncorrelated (rid 0) frames dropped on dispatch overflow: there is
-    /// no id for a `Busy` to echo.
-    rid0_drops: Arc<Counter>,
     /// Connections torn down abnormally (overflow, oversized frame, I/O
     /// error, kill) — peer-initiated EOF is a normal close, not a sever.
     severed_conns: Arc<Counter>,
@@ -99,7 +95,6 @@ impl ReactorMetrics {
             busy_rejections: reg.counter("diet_reactor_busy_rejections_total"),
             write_overflow_severed: reg.counter("diet_reactor_write_overflow_severed_total"),
             oversized_frames: reg.counter("diet_reactor_oversized_frames_total"),
-            rid0_drops: reg.counter("diet_reactor_rid0_drops_total"),
             severed_conns: reg.counter("diet_reactor_severed_conns_total"),
         }
     }
@@ -980,18 +975,12 @@ impl Reactor {
                 Err(TrySendError::Full((h, frame))) => {
                     // Dispatch queue full: explicit backpressure per
                     // request, echoing its id so exactly that caller backs
-                    // off. Uncorrelated frames (rid 0: Ping, Shutdown)
-                    // have no id to echo and are dropped — counted, not
-                    // silent.
+                    // off.
                     self.depth.fetch_sub(1, Ordering::Relaxed);
                     self.busy.fetch_add(1, Ordering::Relaxed);
                     self.shared.metrics.busy_rejections.inc();
-                    let rid = peek_request_id(&frame);
-                    if rid != 0 {
-                        let _ = h.send(&Message::Busy { request_id: rid });
-                    } else {
-                        self.shared.metrics.rid0_drops.inc();
-                    }
+                    let request_id = peek_request_id(&frame);
+                    let _ = h.send(&Message::Busy { request_id });
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     self.depth.fetch_sub(1, Ordering::Relaxed);

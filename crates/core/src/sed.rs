@@ -10,7 +10,6 @@
 //! matching the paper's constraint that "each server cannot compute more
 //! than one simulation at the same time".
 
-use crate::codec::Message;
 use crate::dagda::{self, DataResolver, ReplicaCatalog};
 use crate::data::{DietValue, Persistence};
 use crate::datamgr::DataManager;
@@ -186,11 +185,11 @@ pub struct SolveOutcome {
 
 enum Command {
     Run(Job),
-    /// Liveness probe: the worker answers [`Message::Pong`] on the channel.
-    /// Pings queue behind running jobs, so a wedged solve (or an injected
-    /// stall) makes the SeD look dead to heartbeat monitors — which is the
-    /// desired semantics.
-    Ping(Sender<Message>),
+    /// Liveness probe: the worker answers on the channel. Pings queue
+    /// behind running jobs, so a wedged solve (or an injected stall) makes
+    /// the SeD look dead to heartbeat monitors — which is the desired
+    /// semantics.
+    Ping(Sender<()>),
     Shutdown,
 }
 
@@ -303,7 +302,7 @@ impl SedHandle {
                 match cmd {
                     Command::Shutdown => break,
                     Command::Ping(reply) => {
-                        let _ = reply.send(Message::Pong);
+                        let _ = reply.send(());
                     }
                     Command::Run(mut job) => {
                         let action = worker_faults.on_request();
@@ -543,15 +542,16 @@ impl SedHandle {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Liveness probe through the worker queue: send [`Message::Ping`]'s
-    /// in-process analog and wait up to `timeout` for the Pong. Returns
-    /// false when the worker is dead, wedged, or slower than the deadline.
+    /// Liveness probe through the worker queue: the in-process analog of
+    /// [`Message::Ping`](crate::codec::Message::Ping), answered once the
+    /// worker gets to it. Returns false when the worker is dead, wedged, or
+    /// slower than the deadline.
     pub fn ping(&self, timeout: Duration) -> bool {
         let (ptx, prx) = unbounded();
         if self.tx.send(Command::Ping(ptx)).is_err() {
             return false;
         }
-        matches!(prx.recv_timeout(timeout), Ok(Message::Pong))
+        prx.recv_timeout(timeout).is_ok()
     }
 
     /// Is the worker executing a solve right now? Pings queue behind the

@@ -1,13 +1,9 @@
-//! Transport abstraction.
+//! The TCP transport.
 //!
 //! DIET used CORBA; GridSolve and Ninf used raw sockets (with the
 //! portability and descriptor-exhaustion problems the paper points out).
-//! Here a small [`Duplex`] trait covers both of this crate's transports:
-//!
-//! * [`InProcTransport`] — crossbeam channels; zero-copy, deterministic,
-//!   used by tests and the campaign simulator.
-//! * [`TcpTransport`] — `std::net::TcpStream` with `[u32 length][payload]`
-//!   frames.
+//! Here one [`TcpTransport`] carries `[u32 length][payload]` frames over a
+//! `std::net::TcpStream`.
 //!
 //! Server side, [`TcpServer::spawn_framed`] serves every connection through
 //! the readiness-driven [`reactor`](crate::reactor): an idle connection
@@ -24,78 +20,13 @@ use crate::error::DietError;
 use crate::profile::Profile;
 use crate::reactor::{self, ConnHandle, FrameBuf, ReactorShared};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A bidirectional message channel.
-pub trait Duplex: Send {
-    fn send(&self, m: &Message) -> Result<(), DietError>;
-    fn recv(&self) -> Result<Message, DietError>;
-    /// Receive with a timeout; `Ok(None)` on expiry.
-    fn recv_timeout(&self, d: Duration) -> Result<Option<Message>, DietError>;
-}
-
-// ---------------------------------------------------------------- in-process
-
-/// One end of an in-process duplex pair.
-pub struct InProcTransport {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-}
-
-/// Create a connected pair of in-process endpoints. Messages still pass
-/// through the codec so the wire format is exercised identically to TCP.
-pub fn inproc_pair() -> (InProcTransport, InProcTransport) {
-    let (atx, arx) = unbounded();
-    let (btx, brx) = unbounded();
-    (
-        InProcTransport { tx: atx, rx: brx },
-        InProcTransport { tx: btx, rx: arx },
-    )
-}
-
-/// Create a bounded pair (used to test back-pressure handling).
-pub fn inproc_pair_bounded(cap: usize) -> (InProcTransport, InProcTransport) {
-    let (atx, arx) = bounded(cap);
-    let (btx, brx) = bounded(cap);
-    (
-        InProcTransport { tx: atx, rx: brx },
-        InProcTransport { tx: btx, rx: arx },
-    )
-}
-
-impl Duplex for InProcTransport {
-    fn send(&self, m: &Message) -> Result<(), DietError> {
-        self.tx
-            .send(encode_message(m))
-            .map_err(|_| DietError::Transport("peer disconnected".into()))
-    }
-
-    fn recv(&self) -> Result<Message, DietError> {
-        let raw = self
-            .rx
-            .recv()
-            .map_err(|_| DietError::Transport("peer disconnected".into()))?;
-        decode_message(raw)
-    }
-
-    fn recv_timeout(&self, d: Duration) -> Result<Option<Message>, DietError> {
-        match self.rx.recv_timeout(d) {
-            Ok(raw) => Ok(Some(decode_message(raw)?)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(DietError::Transport("peer disconnected".into()))
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------- tcp
 
 /// Frames larger than this are rejected unless the limit is raised with
 /// [`TcpTransport::with_max_frame`]. Generous enough for the campaign's
@@ -207,21 +138,20 @@ impl TcpTransport {
             }
         }
     }
-}
 
-impl Duplex for TcpTransport {
-    fn send(&self, m: &Message) -> Result<(), DietError> {
+    pub fn send(&self, m: &Message) -> Result<(), DietError> {
         self.write_frame(&encode_message(m))
     }
 
-    fn recv(&self) -> Result<Message, DietError> {
+    pub fn recv(&self) -> Result<Message, DietError> {
         let raw = self
             .read_frame()
             .map_err(|e| DietError::Transport(format!("read: {e}")))?;
         decode_message(raw)
     }
 
-    fn recv_timeout(&self, d: Duration) -> Result<Option<Message>, DietError> {
+    /// Receive with a timeout; `Ok(None)` on expiry.
+    pub fn recv_timeout(&self, d: Duration) -> Result<Option<Message>, DietError> {
         self.stream
             .set_read_timeout(Some(d))
             .map_err(|e| DietError::Transport(format!("set timeout: {e}")))?;
@@ -276,8 +206,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Depth of the dispatch queue: frames read off any connection and
     /// waiting for a free worker. A frame that finds the queue full is
-    /// answered `Busy{request_id}` echoing its own id (uncorrelated frames
-    /// are dropped) — explicit backpressure, never an unbounded backlog.
+    /// answered `Busy{request_id}` echoing its own id — explicit
+    /// backpressure, never an unbounded backlog.
     pub accept_queue: usize,
     /// Optional fault injection consulted by the accept loop
     /// (`accept_delay`); per-request faults stay with the SeD's own plan.
@@ -424,9 +354,8 @@ impl MuxConn {
         std::thread::spawn(move || loop {
             match demux.transport.recv() {
                 Ok(msg) => {
-                    // Uncorrelated frames (rid 0: Pong) have no waiter on a
-                    // mux connection; neither has a reply whose caller timed
-                    // out. Both are dropped.
+                    // A reply whose caller timed out has no waiter; it is
+                    // dropped.
                     let waiter = demux.pending.lock().remove(&msg.request_id());
                     if let Some(tx) = waiter {
                         let _ = tx.send(Ok((msg, Instant::now())));
@@ -611,6 +540,18 @@ impl Peer {
         mux.send(&build(request_id), request_id)
     }
 
+    /// Liveness probe on this peer's shared connection: did the server
+    /// answer a `Ping` within `timeout`? A `Busy` counts — the server did
+    /// answer.
+    pub(crate) fn ping(&self, timeout: Duration) -> bool {
+        let until = Instant::now() + timeout;
+        let reply = self.send(|request_id| Message::Ping { request_id });
+        matches!(
+            reply.and_then(|pending| pending.wait(until)),
+            Ok((Message::Pong { .. } | Message::Busy { .. }, _))
+        )
+    }
+
     /// High-water mark of in-flight requests on the live connection (0 if
     /// there is none).
     fn peak_inflight(&self) -> u64 {
@@ -633,16 +574,6 @@ pub(crate) fn busy_is_error(reply: Message) -> Result<Message, DietError> {
 /// The error for a reply of the wrong kind to `what`.
 pub(crate) fn unexpected(what: &str, reply: Message) -> DietError {
     DietError::Transport(format!("unexpected reply to {what}: {reply:?}"))
-}
-
-/// Liveness probe on a dedicated short-lived connection: `Pong` carries no
-/// request id, so it cannot ride a multiplexed stream.
-pub(crate) fn ping(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(conn) = TcpTransport::connect(addr) else {
-        return false;
-    };
-    conn.send(&Message::Ping).is_ok()
-        && matches!(conn.recv_timeout(timeout), Ok(Some(Message::Pong)))
 }
 
 // ------------------------------------------------------------------ sed pool
@@ -689,13 +620,13 @@ impl TcpSedPool {
         self.peers.read().get(label).map(|p| p.addr)
     }
 
-    /// Every registered label — the jobserver's machine pool enumerates
-    /// these for its heartbeat probes.
+    /// Every registered label: every SeD a call can reach, since
+    /// [`call_traced`](Self::call_traced) refuses the others.
     pub fn labels(&self) -> Vec<String> {
         self.peers.read().keys().cloned().collect()
     }
 
-    fn peer(&self, label: &str) -> Result<Arc<Peer>, DietError> {
+    pub(crate) fn peer(&self, label: &str) -> Result<Arc<Peer>, DietError> {
         self.peers
             .read()
             .get(label)
@@ -863,44 +794,21 @@ mod tests {
     }
 
     #[test]
-    fn inproc_roundtrip() {
-        let (a, b) = inproc_pair();
-        a.send(&Message::Ping).unwrap();
-        assert_eq!(b.recv().unwrap(), Message::Ping);
-        b.send(&Message::Pong).unwrap();
-        assert_eq!(a.recv().unwrap(), Message::Pong);
-    }
-
-    #[test]
-    fn inproc_timeout_expires() {
-        let (a, _b) = inproc_pair();
-        let r = a.recv_timeout(Duration::from_millis(10)).unwrap();
-        assert!(r.is_none());
-    }
-
-    #[test]
-    fn inproc_disconnect_detected() {
-        let (a, b) = inproc_pair();
-        drop(b);
-        assert!(a.send(&Message::Ping).is_err());
-        assert!(a.recv().is_err());
-    }
-
-    #[test]
     fn tcp_roundtrip_and_echo() {
         let addr = serve_one(|conn| {
             while let Ok(m) = conn.recv() {
                 match m {
-                    Message::Ping => conn.send(&Message::Pong).unwrap(),
-                    Message::Shutdown => break,
+                    Message::Ping { request_id } => {
+                        conn.send(&Message::Pong { request_id }).unwrap()
+                    }
                     other => conn.send(&other).unwrap(),
                 }
             }
         });
 
         let client = TcpTransport::connect(addr).unwrap();
-        client.send(&Message::Ping).unwrap();
-        assert_eq!(client.recv().unwrap(), Message::Pong);
+        client.send(&Message::Ping { request_id: 3 }).unwrap();
+        assert_eq!(client.recv().unwrap(), Message::Pong { request_id: 3 });
 
         let m = Message::Submit {
             service: "ramsesZoom1".into(),
@@ -910,7 +818,28 @@ mod tests {
         };
         client.send(&m).unwrap();
         assert_eq!(client.recv().unwrap(), m);
-        client.send(&Message::Shutdown).unwrap();
+    }
+
+    #[test]
+    fn peer_ping_rides_one_connection_and_counts_busy_as_alive() {
+        // Pong, then Busy, then silence: alive, alive (the server did
+        // answer), dead — all three probes on the one dialed connection.
+        let addr = serve_one(|conn| {
+            let mut n = 0;
+            while let Ok(Message::Ping { request_id }) = conn.recv() {
+                n += 1;
+                let _ = match n {
+                    1 => conn.send(&Message::Pong { request_id }),
+                    2 => conn.send(&Message::Busy { request_id }),
+                    _ => Ok(()),
+                };
+            }
+        });
+        let peer = Peer::new(addr);
+        assert!(peer.ping(Duration::from_secs(5)));
+        assert!(peer.ping(Duration::from_secs(5)));
+        assert!(!peer.ping(Duration::from_millis(50)));
+        assert_eq!(peer.dials.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1024,14 +953,15 @@ mod tests {
         })
         .unwrap();
         let client = TcpTransport::connect(server.local_addr).unwrap();
-        client.send(&Message::Ping).unwrap();
-        assert_eq!(client.recv().unwrap(), Message::Ping);
+        let ping = Message::Ping { request_id: 1 };
+        client.send(&ping).unwrap();
+        assert_eq!(client.recv().unwrap(), ping);
         server.kill();
         // The established connection is gone: the next exchange fails.
         let dead = client
-            .send(&Message::Ping)
+            .send(&ping)
             .and_then(|_| client.recv())
-            .and_then(|_| client.send(&Message::Ping))
+            .and_then(|_| client.send(&ping))
             .and_then(|_| client.recv());
         assert!(dead.is_err(), "connection should be severed, got {dead:?}");
     }

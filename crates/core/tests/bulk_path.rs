@@ -8,7 +8,7 @@ use diet_core::data::{DietValue, Persistence};
 use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
-use diet_core::transport::{Duplex, TcpSedPool, TcpTransport};
+use diet_core::transport::{TcpSedPool, TcpTransport};
 use diet_core::TraceCtx;
 use std::io::{Read, Write};
 use std::net::TcpStream;

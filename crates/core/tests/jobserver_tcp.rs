@@ -14,7 +14,7 @@ use diet_core::sched::RoundRobin;
 use diet_core::sed::{ServiceTable, SolveFn};
 use diet_core::transport::ServerConfig;
 use diet_core::Obs;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -381,4 +381,60 @@ fn restart_recovers_done_work_without_recompute() {
     js.shutdown();
     server.kill();
     d.shutdown();
+}
+
+/// Every liveness probe rides its prober's one connection: ten pings from a
+/// remote-agent stub, ten from a jobserver client and ten heartbeats of the
+/// jobserver's machine pool arrive on one connection per prober, not one
+/// connection per probe.
+#[test]
+fn probes_ride_one_connection_per_prober() {
+    use diet_core::agent::RemoteSubtree;
+    use diet_core::codec::Message;
+    use diet_core::hierarchy::RemoteAgentClient;
+    use diet_core::transport::{TcpSedPool, TcpServer};
+    // Answers pings, recording the connection each one came in on.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let record = seen.clone();
+    let server = TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+        if let Message::Ping { request_id } = m {
+            record.lock().unwrap().push(h.peer_addr());
+            let _ = h.send(&Message::Pong { request_id });
+        }
+    })
+    .unwrap();
+    let addr = server.local_addr;
+    // (probes, connections they came in on) from the `from`th probe on.
+    let tally = |from: usize| {
+        let seen = seen.lock().unwrap();
+        let conns: HashSet<_> = seen[from..].iter().collect();
+        (seen.len() - from, conns.len())
+    };
+
+    let agent = RemoteAgentClient::new("la", addr);
+    for _ in 0..10 {
+        assert!(agent.ping(Duration::from_secs(2)));
+    }
+    assert_eq!(tally(0), (10, 1));
+
+    let client = JobClient::connect(addr);
+    for _ in 0..10 {
+        assert!(client.ping(Duration::from_secs(2)));
+    }
+    assert_eq!(tally(10), (10, 1));
+
+    // The heartbeat probes the pool's one label every 20 ms.
+    let pool = Arc::new(TcpSedPool::new());
+    pool.register("sed", addr);
+    let mut cfg = server_config(&tmpdir("probes"));
+    cfg.heartbeat = Some(Duration::from_millis(20));
+    let js = JobServer::spawn(cfg, agent, pool, Arc::new(Obs::new())).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while tally(20).0 < 10 {
+        assert!(Instant::now() < deadline, "the heartbeat never probed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    js.shutdown();
+    assert_eq!(tally(20).1, 1);
+    server.kill();
 }

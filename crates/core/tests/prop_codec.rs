@@ -169,9 +169,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     result,
                 }
             ),
-        Just(Message::Ping),
-        Just(Message::Pong),
-        Just(Message::Shutdown),
+        any::<u64>().prop_map(|request_id| Message::Ping { request_id }),
+        any::<u64>().prop_map(|request_id| Message::Pong { request_id }),
         (any::<u64>(), "[a-z0-9/_.-]{1,40}")
             .prop_map(|(request_id, id)| Message::GetData { request_id, id }),
         (
@@ -606,7 +605,7 @@ proptest! {
         xs in prop::collection::vec(-1e12f64..1e12, 0..64),
         sticky in any::<bool>(),
     ) {
-        use diet_core::transport::{Duplex, TcpTransport};
+        use diet_core::transport::TcpTransport;
         let mode = if sticky { Persistence::Sticky } else { Persistence::Persistent };
         let msg = Message::DataReply {
             request_id: 9,

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use diet_core::codec::{decode_message, encode_message, Message};
-use diet_core::transport::{Duplex, ServerConfig, TcpServer, TcpTransport};
+use diet_core::transport::{ServerConfig, TcpServer, TcpTransport};
 use diet_core::ConnHandle;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -32,6 +32,10 @@ fn frame_bytes(m: &Message) -> Vec<u8> {
     out
 }
 
+/// The probe every test sends, and the answer it expects.
+const PING: Message = Message::Ping { request_id: 1 };
+const PONG: Message = Message::Pong { request_id: 1 };
+
 /// Blocking read of one frame off a raw socket.
 fn read_frame(s: &mut TcpStream) -> std::io::Result<Message> {
     let mut hdr = [0u8; 4];
@@ -52,8 +56,8 @@ fn spawn_echo(workers: usize) -> TcpServer {
             obs: None,
         },
         |handle: &ConnHandle, msg: Message| {
-            if matches!(msg, Message::Ping) {
-                let _ = handle.send(&Message::Pong);
+            if let Message::Ping { request_id } = msg {
+                let _ = handle.send(&Message::Pong { request_id });
             }
         },
     )
@@ -78,13 +82,13 @@ fn one_byte_at_a_time_frames_are_assembled() {
     let mut s = TcpStream::connect(server.local_addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     for round in 0..3 {
-        for b in frame_bytes(&Message::Ping) {
+        for b in frame_bytes(&PING) {
             s.write_all(&[b]).unwrap();
             s.flush().unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
         let reply = read_frame(&mut s).unwrap();
-        assert!(matches!(reply, Message::Pong), "round {round}: {reply:?}");
+        assert_eq!(reply, PONG, "round {round}");
     }
     server.stop();
 }
@@ -104,9 +108,9 @@ fn slow_loris_does_not_hold_the_only_worker() {
     let mut live = TcpStream::connect(server.local_addr).unwrap();
     live.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let t0 = Instant::now();
-    live.write_all(&frame_bytes(&Message::Ping)).unwrap();
+    live.write_all(&frame_bytes(&PING)).unwrap();
     let reply = read_frame(&mut live).unwrap();
-    assert!(matches!(reply, Message::Pong), "got {reply:?}");
+    assert_eq!(reply, PONG);
     assert!(
         t0.elapsed() < Duration::from_secs(2),
         "pong took {:?} behind a slow-loris hold",
@@ -124,7 +128,7 @@ fn mid_frame_disconnect_is_pruned() {
     let server = spawn_echo(2);
     {
         let mut s = TcpStream::connect(server.local_addr).unwrap();
-        let frame = frame_bytes(&Message::Ping);
+        let frame = frame_bytes(&PING);
         s.write_all(&frame[..frame.len() - 2]).unwrap();
         s.flush().unwrap();
         wait_for("conn registration", Duration::from_secs(5), || {
@@ -136,8 +140,8 @@ fn mid_frame_disconnect_is_pruned() {
     });
 
     let t = TcpTransport::connect(server.local_addr).unwrap();
-    t.send(&Message::Ping).unwrap();
-    assert!(matches!(t.recv().unwrap(), Message::Pong));
+    t.send(&PING).unwrap();
+    assert_eq!(t.recv().unwrap(), PONG);
     server.stop();
 }
 
@@ -164,8 +168,8 @@ fn oversized_length_prefix_severs_before_allocation() {
     });
 
     let t = TcpTransport::connect(server.local_addr).unwrap();
-    t.send(&Message::Ping).unwrap();
-    assert!(matches!(t.recv().unwrap(), Message::Pong));
+    t.send(&PING).unwrap();
+    assert_eq!(t.recv().unwrap(), PONG);
     server.stop();
 }
 
@@ -182,9 +186,9 @@ fn process_threads() -> usize {
 /// Dial `addr` and prove the connection live with one ping/pong.
 fn pinged(addr: SocketAddr) -> TcpTransport {
     let t = TcpTransport::connect(addr).expect("dial");
-    t.send(&Message::Ping).expect("ping");
+    t.send(&PING).expect("ping");
     match t.recv() {
-        Ok(Message::Pong) => t,
+        Ok(reply) if reply == PONG => t,
         other => panic!("expected Pong, got {other:?}"),
     }
 }
@@ -216,8 +220,8 @@ fn idle_connections_cost_no_threads() {
     );
 
     let foreground = pinged(addr);
-    foreground.send(&Message::Ping).unwrap();
-    assert!(matches!(foreground.recv().unwrap(), Message::Pong));
+    foreground.send(&PING).unwrap();
+    assert_eq!(foreground.recv().unwrap(), PONG);
     for _ in 0..50 {
         drop(pinged(addr));
     }

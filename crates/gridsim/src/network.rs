@@ -6,10 +6,8 @@
 //! what DIET's performance forecaster assumed. Routes concatenate links
 //! (latencies add, bandwidth is the bottleneck link).
 
-use serde::{Deserialize, Serialize};
-
 /// A network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// One-way latency, seconds.
     pub latency: f64,
@@ -45,7 +43,7 @@ impl Link {
 }
 
 /// A route: an ordered sequence of links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Route {
     pub links: Vec<Link>,
 }
@@ -80,7 +78,7 @@ impl Route {
 
 /// All-pairs site topology with a star RENATER core (each site connects to
 /// the Paris core with one WAN hop), plus a LAN hop inside each site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     site_names: Vec<String>,
     /// Site uplinks to the core, indexed like `site_names`.

@@ -8,17 +8,16 @@
 //! reservations (11 × 16 nodes), so the substrate models them.
 
 use crate::des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One reservation request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     pub nodes: usize,
     pub walltime: SimTime,
 }
 
 /// A granted reservation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reservation {
     pub id: u64,
     pub nodes: usize,
@@ -58,7 +57,7 @@ impl std::error::Error for OarError {}
 /// Per-cluster batch scheduler: first-fit in time (conservative backfilling
 /// is deliberately out of scope — OAR's advance-reservation path is
 /// first-fit too).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OarScheduler {
     pub capacity: usize,
     next_id: u64,

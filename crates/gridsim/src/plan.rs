@@ -11,10 +11,9 @@
 
 use crate::oar::{OarScheduler, Request, Reservation};
 use crate::platform::Grid5000;
-use serde::{Deserialize, Serialize};
 
 /// One planned SeD: where it runs and under which reservation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlannedSed {
     /// "cluster-name/i" — the label the middleware deployment will use.
     pub label: String,
@@ -24,7 +23,7 @@ pub struct PlannedSed {
 }
 
 /// The outcome of planning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeploymentPlan {
     pub seds: Vec<PlannedSed>,
     /// (cluster index, reason) for every slot that could not start at t=0.

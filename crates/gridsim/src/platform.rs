@@ -15,10 +15,8 @@
 //! chosen so the per-SeD campaign totals reproduce the paper's Figure 4
 //! spread (~10.5 h fastest site vs ~15 h slowest).
 
-use serde::{Deserialize, Serialize};
-
 /// AMD Opteron models present in the paper's reservation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeType {
     Opteron246,
     Opteron248,
@@ -53,7 +51,7 @@ impl NodeType {
 }
 
 /// One cluster: a homogeneous set of nodes behind a shared NFS volume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     pub name: String,
     pub site: String,
@@ -75,21 +73,21 @@ impl Cluster {
 }
 
 /// One Grid'5000 site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Site {
     pub name: String,
     pub clusters: Vec<usize>,
 }
 
 /// The modelled platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Grid5000 {
     pub sites: Vec<Site>,
     pub clusters: Vec<Cluster>,
 }
 
 /// Identifier of a SeD slot on the platform: (cluster index, sed index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SedId {
     pub cluster: usize,
     pub sed: usize,

@@ -7,10 +7,9 @@
 //! time), plus the Figure 5 series (finding time and latency per request).
 
 use crate::des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// What a trace entry describes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceKind {
     /// Agent hierarchy traversal to pick a SeD ("finding time").
     Finding,
@@ -27,7 +26,7 @@ pub enum TraceKind {
 }
 
 /// One interval on one resource.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Request identifier (0 = part 1; 1..=100 = the sub-simulations).
     pub request: u32,
@@ -45,13 +44,13 @@ impl TraceEvent {
 }
 
 /// An accumulating trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Gantt {
     pub events: Vec<TraceEvent>,
 }
 
 /// Figure 4-right: one bar per SeD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SedSummary {
     pub resource: String,
     pub requests: usize,

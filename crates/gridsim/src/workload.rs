@@ -14,10 +14,8 @@
 //! speed_factor(SeD)`. Dispersion is deterministic per halo index, so the
 //! whole campaign replays identically.
 
-use serde::{Deserialize, Serialize};
-
 /// What a task is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// `ramsesZoom1`: the low-resolution full-box run producing the halo
     /// catalog.
@@ -29,7 +27,7 @@ pub enum TaskKind {
 }
 
 /// A schedulable task with its data footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     pub kind: TaskKind,
     /// Input payload shipped client → SeD (namelist + parameters), bytes.
@@ -57,7 +55,7 @@ impl TaskSpec {
 }
 
 /// Calibrated duration model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadModel {
     /// Part-1 duration on the reference (Opteron 250) SeD, seconds.
     pub part1_reference_s: f64,

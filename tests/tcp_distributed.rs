@@ -8,7 +8,7 @@ use cosmogrid::services::{cosmology_service_table, status, zoom1_profile};
 use diet_core::codec::Message;
 use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::sed::{SedConfig, SedHandle};
-use diet_core::transport::{Duplex, TcpServer, TcpTransport};
+use diet_core::transport::{TcpServer, TcpTransport};
 use std::sync::Arc;
 
 /// Expose a SeD over TCP: each connection can stream multiple calls.
@@ -22,8 +22,8 @@ fn zoom1_call_over_tcp() {
     let server = serve_sed(sed.clone());
 
     let client = TcpTransport::connect(server.local_addr).unwrap();
-    client.send(&Message::Ping).unwrap();
-    assert_eq!(client.recv().unwrap(), Message::Pong);
+    client.send(&Message::Ping { request_id: 1 }).unwrap();
+    assert_eq!(client.recv().unwrap(), Message::Pong { request_id: 1 });
 
     let mut nl = default_run_namelist(8, 50.0);
     nl.set("OUTPUT_PARAMS", "aout", "0.5, 1.0");
@@ -51,7 +51,6 @@ fn zoom1_call_over_tcp() {
         other => panic!("unexpected reply {other:?}"),
     }
 
-    client.send(&Message::Shutdown).unwrap();
     sed.shutdown();
 }
 
@@ -83,9 +82,8 @@ fn tcp_errors_are_reported_not_fatal() {
     }
 
     // The connection is still usable afterwards.
-    client.send(&Message::Ping).unwrap();
-    assert_eq!(client.recv().unwrap(), Message::Pong);
-    client.send(&Message::Shutdown).unwrap();
+    client.send(&Message::Ping { request_id: 2 }).unwrap();
+    assert_eq!(client.recv().unwrap(), Message::Pong { request_id: 2 });
     sed.shutdown();
 }
 
