@@ -119,7 +119,7 @@ stage_lint() {
     # Drift guard: a liveness probe rides its peer's mux (`Peer::ping`). The
     # one non-test `TcpTransport::connect(` is `MuxConn::connect`'s; a second
     # is a probe dialing a connection of its own again.
-    dials=$(core_sites 'TcpTransport::connect[(]')
+    dials=$(src_sites crates/core/src 'TcpTransport::connect[(]')
     if [ "$(printf '%s\n' "$dials" | grep -c .)" -gt 1 ]; then
         echo "ci.sh drift: TcpTransport::connect outside MuxConn::connect:" >&2
         printf '%s\n' "$dials" >&2
@@ -128,7 +128,7 @@ stage_lint() {
     # Drift guard: one retry loop (client::retry_loop) backs off for every
     # GridRPC call and DAG node. A second non-test caller of
     # `backoff_jittered` is a second loop growing back.
-    backoffs=$(core_sites '[.]backoff_jittered[(]')
+    backoffs=$(src_sites crates/core/src '[.]backoff_jittered[(]')
     if [ "$(printf '%s\n' "$backoffs" | grep -c .)" -gt 1 ]; then
         echo "ci.sh drift: backoff_jittered called outside the one retry loop:" >&2
         printf '%s\n' "$backoffs" >&2
@@ -137,7 +137,7 @@ stage_lint() {
     # Ratchet: completion is to be pushed, not polled, until only the retry
     # back-offs sleep. The count of non-test `thread::sleep` sites may fall,
     # never rise; lower the bound when it does.
-    sleeps=$(core_sites 'thread::sleep[(]')
+    sleeps=$(src_sites crates/core/src 'thread::sleep[(]')
     if [ "$(printf '%s\n' "$sleeps" | grep -c .)" -gt 12 ]; then
         echo "ci.sh drift: more than 12 thread::sleep sites in crates/core/src:" >&2
         printf '%s\n' "$sleeps" >&2
@@ -151,7 +151,7 @@ stage_lint() {
     hb=$(awk '/^impl HeartbeatMonitor/ { h = 1 }
               h && /fn spawn[(]/ { s = FNR }
               s && /^    }$/ { print s ":" FNR; exit }' crates/core/src/agent.rs)
-    spawns=$(core_sites 'thread::spawn' | grep '^crates/core/src/agent[.]rs:' |
+    spawns=$(src_sites crates/core/src 'thread::spawn' | grep '^crates/core/src/agent[.]rs:' |
         awk -F: -v hb="$hb" 'BEGIN { split(hb, r, ":") }
              !(r[1] != "" && $2 >= r[1] + 0 && $2 <= r[2] + 0)')
     if [ -n "$spawns" ]; then
@@ -159,13 +159,22 @@ stage_lint() {
         printf '%s\n' "$spawns" >&2
         exit 1
     fi
+    # Drift guard: the periodic base mesh is solved directly by FFT
+    # (ramses::poisson::solve). A V-cycle or its grid transfers growing back
+    # in ramses is a second periodic solver beside it.
+    mg=$(src_sites crates/ramses/src 'fn (v_cycle|restrict|prolong_add)[<(]')
+    if [ -n "$mg" ]; then
+        echo "ci.sh drift: multigrid beside the FFT Poisson solve:" >&2
+        printf '%s\n' "$mg" >&2
+        exit 1
+    fi
 }
 
-# file:line of every line under crates/core/src that matches the awk regex
-# $1, each file cut at its `#[cfg(test)]` so unit tests do not count.
-core_sites() {
-    find crates/core/src -name '*.rs' | sort | while read -r f; do
-        awk -v re="$1" '/^#\[cfg\(test\)\]/ { exit }
+# file:line of every line under directory $1 that matches the awk regex $2,
+# each file cut at its `#[cfg(test)]` so unit tests do not count.
+src_sites() {
+    find "$1" -name '*.rs' | sort | while read -r f; do
+        awk -v re="$2" '/^#\[cfg\(test\)\]/ { exit }
              $0 ~ re { print FILENAME ":" FNR }' "$f"
     done
 }

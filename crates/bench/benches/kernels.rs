@@ -46,7 +46,7 @@ fn bench_field_synthesis(c: &mut Criterion) {
 }
 
 fn bench_poisson(c: &mut Criterion) {
-    let mut g = c.benchmark_group("poisson_multigrid");
+    let mut g = c.benchmark_group("poisson_fft");
     for n in [16usize, 32] {
         g.bench_function(format!("{n}cubed"), |b| {
             let parts = particles_for(n.min(16), 7);

@@ -2,7 +2,7 @@
 //! thread count (DESIGN.md §8, threading model).
 //!
 //! Sweeps the pool width over {1, 2, 4, 8} via `ThreadPool::install` and
-//! times the Poisson multigrid solve, the CIC deposit + force interpolation,
+//! times the direct Poisson solve, the CIC deposit + force interpolation,
 //! one Godunov hydro step, and a 3-D FFT roundtrip. Each kernel reports the
 //! median of several repetitions plus the speedup relative to one thread,
 //! and a rotate-XOR checksum over the output bits — asserted identical at
@@ -30,10 +30,7 @@ use grafic::CosmoParams;
 use ramses::hydro::{HydroGrid, Prim, Riemann, GAMMA_DEFAULT};
 use ramses::nbody::{RunParams, Simulation};
 use ramses::particles::{cic_deposit, cic_interp_force, Mesh, Particles};
-use ramses::poisson::{
-    gradient_force, residual_mesh, residual_unblocked, smooth_sweep, smooth_sweep_unblocked, solve,
-    MgConfig,
-};
+use ramses::poisson::{gradient_force, solve, MgConfig};
 use std::time::Instant;
 
 /// Order-sensitive checksum over f64 bit patterns: any single-bit change in
@@ -131,9 +128,8 @@ impl KernelReport {
 
 /// The yardstick: the first `max_steps` steps of a dark-matter run from
 /// a = 0.1, `np`³ particles on a (2·np)³ mesh, timed through
-/// `Simulation::run` at each width. Early steps are the cheap ones (the
-/// multigrid converges in fewer cycles on a smooth field), so read the
-/// rate as an upper bound on a full run's.
+/// `Simulation::run` at each width. No patch is refined, so every step
+/// costs about the same: one direct solve per force evaluation.
 struct SimRunReport {
     np: usize,
     steps: usize,
@@ -242,9 +238,9 @@ fn main() {
 
     let mut reports = Vec::new();
 
-    // Poisson multigrid solve (smooth/residual/restrict/prolong stack).
+    // Direct periodic Poisson solve (one FFT pair plus the residual check).
     reports.push(KernelReport {
-        name: "poisson_mg",
+        name: "poisson_fft",
         samples: sweep(threads, reps, || {
             let sol = solve(&source, &mg);
             checksum(sol.phi.data.iter().copied())
@@ -290,39 +286,6 @@ fn main() {
                     .flat_map(|c| [c.rho, c.mom[0], c.mom[1], c.mom[2], c.e].into_iter()),
             )
         }),
-    });
-
-    // Cache-blocked, wrap-free smoother + residual versus the pre-tiling
-    // reference (full-width loops, per-cell `% n` neighbour indexing): the
-    // same fixture on a larger mesh (where row working sets exceed L1),
-    // 4 red-black sweeps plus one residual per rep. The checksum covers the
-    // smoothed mesh and the residual, so the assertion below pins the
-    // blocked and unblocked orderings bitwise-equal at the benchmark scale.
-    let sn = if quick { 16 } else { 64 };
-    let s_smooth = fixture_source(sn);
-    let smooth_rounds = |blocked: bool| {
-        let mut phi = Mesh::zeros(sn);
-        for _ in 0..4 {
-            if blocked {
-                smooth_sweep(&mut phi, &s_smooth);
-            } else {
-                smooth_sweep_unblocked(&mut phi, &s_smooth);
-            }
-        }
-        let r = if blocked {
-            residual_mesh(&phi, &s_smooth)
-        } else {
-            residual_unblocked(&phi, &s_smooth)
-        };
-        checksum(phi.data.iter().chain(r.data.iter()).copied())
-    };
-    reports.push(KernelReport {
-        name: "poisson_smooth_blocked",
-        samples: sweep(threads, reps, || smooth_rounds(true)),
-    });
-    reports.push(KernelReport {
-        name: "poisson_smooth_unblocked",
-        samples: sweep(threads, reps, || smooth_rounds(false)),
     });
 
     // 3-D FFT roundtrip.
@@ -392,24 +355,6 @@ fn main() {
         }
     }
 
-    // The blocked and unblocked smoother orderings must agree bit-for-bit —
-    // cache blocking and wrap-free indexing are locality/instruction
-    // changes, not numerical ones.
-    let find = |name: &str| reports.iter().find(|r| r.name == name).expect("report");
-    let blocked = find("poisson_smooth_blocked");
-    let unblocked = find("poisson_smooth_unblocked");
-    if blocked.samples[0].check != unblocked.samples[0].check {
-        println!("  blocked vs unblocked smoother: checksum MISMATCH");
-        ok = false;
-    } else {
-        println!("  blocked vs unblocked smoother: bitwise identical");
-    }
-    let tile_speedup =
-        unblocked.samples[0].median_ns.max(1) as f64 / blocked.samples[0].median_ns.max(1) as f64;
-    println!(
-        "  blocked + wrap-free smoother speedup at 1 thread: {tile_speedup:.3}x (mesh n = {sn})"
-    );
-
     let avail = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -417,8 +362,6 @@ fn main() {
         "{{\n  \"experiment\": \"kernel_scaling\",\n  \"mesh_n\": {n},\n  \
          \"threads_swept\": [{}],\n  \"reps\": {reps},\n  \
          \"available_parallelism\": {avail},\n  \
-         \"smoother_blocking\": {{\"mesh_n\": {sn}, \"tile\": 32, \"sweeps\": 4, \
-         \"bitwise_equal\": {}, \"speedup_vs_unblocked\": {:.3}}},\n  \
          \"rayon_default_threads\": {},\n  \"sim_run\": [\n    {}\n  ],\n  \
          \"kernels\": [\n    {}\n  ]\n}}\n",
         threads
@@ -426,8 +369,6 @@ fn main() {
             .map(|t| t.to_string())
             .collect::<Vec<_>>()
             .join(", "),
-        blocked.samples[0].check == unblocked.samples[0].check,
-        tile_speedup,
         default_width,
         sim_runs
             .iter()

@@ -6,7 +6,9 @@
 //! matches the power-of-two grids used throughout (16³ … 128³).
 //!
 //! The 3-D transform applies the 1-D transform along each axis; the axis
-//! passes over independent lines are parallelised with rayon.
+//! passes over independent lines are parallelised with rayon. Every line
+//! receives exactly the operations a lone 1-D transform applies to it, so
+//! the output is bitwise identical at any thread count.
 
 use rayon::prelude::*;
 
@@ -103,46 +105,71 @@ pub fn fft_1d(data: &mut [Complex], dir: Direction) {
         n.is_power_of_two(),
         "FFT length must be a power of two, got {n}"
     );
-    if n <= 1 {
-        return;
-    }
+    fft_rows(data, 1, &twiddles(n, dir), dir);
+}
 
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
+/// Twiddle factors `e^{∓2πi t/n}` for `t < n/2`; the butterfly stage of
+/// length `len` reads entry `t·(n/len)`. Computed directly per entry rather
+/// than by a running product, so no butterfly waits on the previous one.
+fn twiddles(n: usize, dir: Direction) -> Vec<Complex> {
     let sign = match dir {
         Direction::Forward => -1.0,
         Direction::Inverse => 1.0,
     };
+    let step = sign * 2.0 * std::f64::consts::PI / n as f64;
+    (0..n / 2).map(|t| Complex::cis(step * t as f64)).collect()
+}
 
+/// Transform `width` interleaved lines of `data` in place with the table
+/// [`twiddles`]: row `t` (elements `t·width .. (t+1)·width`) holds point `t`
+/// of every line. Each butterfly runs along a whole row, so its twiddle and
+/// loop cost are shared by all lines, while every line still sees exactly
+/// the operations a lone 1-D transform would apply to it.
+fn fft_rows(data: &mut [Complex], width: usize, tw: &[Complex], dir: Direction) {
+    let n = data.len() / width;
+    if n <= 1 {
+        return;
+    }
+    // Bit-reversal permutation of the rows.
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = i.reverse_bits() >> (usize::BITS - bits);
+        if j > i {
+            let (lo, hi) = data.split_at_mut(j * width);
+            lo[i * width..(i + 1) * width].swap_with_slice(&mut hi[..width]);
+        }
+    }
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for chunk in data.chunks_exact_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let (lo, hi) = chunk.split_at_mut(len / 2);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let u = *a;
-                let v = *b * w;
-                *a = u + v;
-                *b = u - v;
-                w = w * wlen;
+        let stride = n / len;
+        for chunk in data.chunks_exact_mut(len * width) {
+            let (lo, hi) = chunk.split_at_mut(len / 2 * width);
+            let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+            for (t, (lo_row, hi_row)) in rows.enumerate() {
+                let w = tw[t * stride];
+                for (a, b) in lo_row.iter_mut().zip(hi_row.iter_mut()) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
+                }
             }
         }
         len <<= 1;
     }
-
     if dir == Direction::Inverse {
         let inv = 1.0 / n as f64;
         for c in data.iter_mut() {
             *c = c.scale(inv);
+        }
+    }
+}
+
+/// `dst[k·n + j] = src[j·n + k]` for an `n × n` block.
+fn transpose(src: &[Complex], dst: &mut [Complex], n: usize) {
+    for j in 0..n {
+        for k in 0..n {
+            dst[k * n + j] = src[j * n + k];
         }
     }
 }
@@ -180,36 +207,37 @@ impl Grid3 {
         self.data[ix] = v;
     }
 
-    /// 3-D FFT: 1-D transforms along z, then y, then x. Lines along each
-    /// axis are independent, so each pass is a parallel iteration.
+    /// 3-D FFT: 1-D transforms along z, then y, then x, all from one twiddle
+    /// table. Lines along each axis are independent, so each pass is a
+    /// parallel iteration whose task transforms a whole block of lines at
+    /// once ([`fft_rows`]).
     pub fn fft(&mut self, dir: Direction) {
         let n = self.n;
+        let plane = n * n;
+        let tw = twiddles(n, dir);
+        let tw = &tw[..];
 
-        // Pass 1: lines along z are contiguous.
-        self.data
-            .par_chunks_exact_mut(n)
-            .for_each(|line| fft_1d(line, dir));
-
-        // Pass 2: lines along y (stride n within each x-plane).
-        self.data.par_chunks_exact_mut(n * n).for_each(|plane| {
-            let mut line = vec![Complex::ZERO; n];
-            for k in 0..n {
-                for j in 0..n {
-                    line[j] = plane[j * n + k];
-                }
-                fft_1d(&mut line, dir);
-                for j in 0..n {
-                    plane[j * n + k] = line[j];
-                }
-            }
+        // Passes 1 and 2, one x-plane per task. Row j of the plane already
+        // holds point j of every y-line; the z-lines are transposed into
+        // the scratch to be laid out the same way.
+        self.data.par_chunks_exact_mut(plane).for_each(|p| {
+            let mut s = vec![Complex::ZERO; plane];
+            transpose(p, &mut s, n);
+            fft_rows(&mut s, n, tw, dir);
+            transpose(&s, p, n);
+            fft_rows(p, n, tw, dir);
         });
 
-        // Pass 3: lines along x (stride n*n). Each (j, k) pair owns one y-z
-        // column — a disjoint set of elements — so workers write through a
-        // shared base pointer without intermediate collection.
+        // Pass 3: lines along x, one j-slab per task. Slab j (elements
+        // (i, j, k) for all i, k: one contiguous z-row per x-plane) is
+        // disjoint from every other, so workers gather it into the scratch
+        // and scatter it back through a shared base pointer.
         #[derive(Clone, Copy)]
         struct RawMut(*mut Complex);
+        // SAFETY: the pointer is into `self.data`, alive for the whole pass,
+        // and each worker touches only its own slab.
         unsafe impl Send for RawMut {}
+        // SAFETY: as for `Send`; shared copies never touch the same slab.
         unsafe impl Sync for RawMut {}
         impl RawMut {
             // Accessor so closures capture the whole `Sync` wrapper, not the
@@ -219,23 +247,20 @@ impl Grid3 {
                 self.0
             }
         }
-        let plane = n * n;
         let base = RawMut(self.data.as_mut_ptr());
-        (0..plane).into_par_iter().for_each(move |jk| {
-            let p = base.ptr();
-            let mut line = vec![Complex::ZERO; n];
-            for (i, l) in line.iter_mut().enumerate() {
-                // SAFETY: column `jk` (elements i*plane + jk for all i) is
-                // touched by exactly one worker per the chunked partition.
-                unsafe {
-                    *l = *p.add(i * plane + jk);
-                }
+        (0..n).into_par_iter().for_each(move |j| {
+            // SAFETY: row (i, j, ·) lies inside `self.data`; slab j is touched
+            // by this worker only, and one row borrow is alive at a time.
+            let row = |i: usize| unsafe {
+                std::slice::from_raw_parts_mut(base.ptr().add((i * n + j) * n), n)
+            };
+            let mut s = vec![Complex::ZERO; plane];
+            for (i, dst) in s.chunks_exact_mut(n).enumerate() {
+                dst.copy_from_slice(row(i));
             }
-            fft_1d(&mut line, dir);
-            for (i, v) in line.into_iter().enumerate() {
-                unsafe {
-                    *p.add(i * plane + jk) = v;
-                }
+            fft_rows(&mut s, n, tw, dir);
+            for (i, src) in s.chunks_exact(n).enumerate() {
+                row(i).copy_from_slice(src);
             }
         });
     }
@@ -349,6 +374,83 @@ mod tests {
         g.fft(Direction::Inverse);
         for (a, b) in orig.data.iter().zip(&g.data) {
             assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
+        }
+    }
+
+    /// e^{2πi(ax+by+cz)/n} lands only in bin (a, b, c), with weight n³. The
+    /// three frequencies differ, so a transposed pass or a mis-indexed
+    /// twiddle moves the peak; roundtrip and Parseval cannot see either.
+    #[test]
+    fn grid3_plane_wave_lands_in_its_bin() {
+        for (n, [a, b, c]) in [(8usize, [1usize, 2, 3]), (32, [3, 7, 13])] {
+            let mut g = Grid3::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        let phase = (a * i + b * j + c * k) % n;
+                        let theta = 2.0 * std::f64::consts::PI * phase as f64 / n as f64;
+                        g.set(i, j, k, Complex::cis(theta));
+                    }
+                }
+            }
+            g.fft(Direction::Forward);
+            let peak = (n * n * n) as f64;
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        let v = g.get(i, j, k);
+                        if (i, j, k) == (a, b, c) {
+                            assert!((v.re - peak).abs() < 1e-9 * peak && v.im.abs() < 1e-9 * peak);
+                        } else {
+                            assert!(
+                                v.norm_sqr().sqrt() < 1e-9 * peak,
+                                "n={n}: leak at ({i},{j},{k}): {v:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Interleaving lines changes no bit: the 3-D transform equals `fft_1d`
+    /// applied to every z-, then y-, then x-line on its own.
+    #[test]
+    fn grid3_matches_lone_line_transforms_bitwise() {
+        let n = 16;
+        let mut g = Grid3::zeros(n);
+        for (ix, c) in g.data.iter_mut().enumerate() {
+            *c = Complex::new((ix as f64 * 0.37).sin(), (ix % 11) as f64 - 5.0);
+        }
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut lone = g.clone();
+            let mut line = vec![Complex::ZERO; n];
+            for axis in [2, 1, 0] {
+                for a in 0..n {
+                    for b in 0..n {
+                        let at = |t: usize| match axis {
+                            2 => (a, b, t),
+                            1 => (a, t, b),
+                            _ => (t, a, b),
+                        };
+                        for (t, c) in line.iter_mut().enumerate() {
+                            let (i, j, k) = at(t);
+                            *c = lone.get(i, j, k);
+                        }
+                        fft_1d(&mut line, dir);
+                        for (t, c) in line.iter().enumerate() {
+                            let (i, j, k) = at(t);
+                            lone.set(i, j, k, *c);
+                        }
+                    }
+                }
+            }
+            let mut whole = g.clone();
+            whole.fft(dir);
+            for (x, y) in whole.data.iter().zip(&lone.data) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits());
+                assert_eq!(x.im.to_bits(), y.im.to_bits());
+            }
         }
     }
 

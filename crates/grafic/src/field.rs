@@ -10,6 +10,7 @@ use crate::fft::{freq, Complex, Direction, Grid3};
 use crate::spectrum::{CosmoParams, PowerSpectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
+use std::collections::HashMap;
 
 /// A realisation of a Gaussian overdensity field on an `n³` periodic grid.
 #[derive(Debug, Clone)]
@@ -34,9 +35,6 @@ impl GaussianField {
             "grid side must be a power of two >= 2"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let volume = box_size * box_size * box_size;
-        let kf = 2.0 * std::f64::consts::PI / box_size; // fundamental mode
-
         let mut gk = Grid3::zeros(n);
 
         // Fill each mode with a Gaussian amplitude. To enforce the Hermitian
@@ -51,22 +49,9 @@ impl GaussianField {
         white.fft(Direction::Forward);
 
         let norm = 1.0 / (n as f64).powf(1.5); // unit-variance white noise in k-space
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    let kx = freq(i, n) as f64 * kf;
-                    let ky = freq(j, n) as f64 * kf;
-                    let kz = freq(k, n) as f64 * kf;
-                    let kk = (kx * kx + ky * ky + kz * kz).sqrt();
-                    let amp = if kk == 0.0 {
-                        0.0
-                    } else {
-                        (spec.p_of_k(kk) / volume).sqrt() * (n as f64).powi(3)
-                    };
-                    let w = white.get(i, j, k).scale(norm);
-                    gk.set(i, j, k, w.scale(amp));
-                }
-            }
+        let amps = amplitudes(spec, n, box_size);
+        for ((g, w), amp) in gk.data.iter_mut().zip(&white.data).zip(amps) {
+            *g = w.scale(norm).scale(amp);
         }
 
         let mut real = gk.clone();
@@ -204,6 +189,35 @@ impl IcParticles {
     }
 }
 
+/// Mode amplitude `sqrt(P(|k|)/V)·n³` for every cell of the `n³` k-grid, 0
+/// at k = 0. The grid has only a few thousand distinct |k| against n³
+/// cells, so P is evaluated once per |k|, keyed on the bits of the very
+/// `kk` each cell computes.
+fn amplitudes(spec: &PowerSpectrum, n: usize, box_size: f64) -> Vec<f64> {
+    let volume = box_size * box_size * box_size;
+    let kf = 2.0 * std::f64::consts::PI / box_size; // fundamental mode
+    let mut memo = HashMap::new();
+    let mut amps = Vec::with_capacity(n * n * n);
+    for i in 0..n {
+        for j in 0..n {
+            for k in 0..n {
+                let kx = freq(i, n) as f64 * kf;
+                let ky = freq(j, n) as f64 * kf;
+                let kz = freq(k, n) as f64 * kf;
+                let kk = (kx * kx + ky * ky + kz * kz).sqrt();
+                amps.push(if kk == 0.0 {
+                    0.0
+                } else {
+                    *memo
+                        .entry(kk.to_bits())
+                        .or_insert_with(|| (spec.p_of_k(kk) / volume).sqrt() * (n as f64).powi(3))
+                });
+            }
+        }
+    }
+    amps
+}
+
 #[inline]
 fn wrap(x: f64, l: f64) -> f64 {
     let mut x = x % l;
@@ -232,6 +246,33 @@ mod tests {
     fn field(n: usize, seed: u64) -> GaussianField {
         let spec = PowerSpectrum::new(CosmoParams::default());
         GaussianField::synthesize(&spec, n, 100.0, seed)
+    }
+
+    /// The memoised amplitudes are bit for bit what a direct `p_of_k` call
+    /// per cell gives.
+    #[test]
+    fn memoised_amplitudes_equal_direct_evaluation() {
+        let (n, box_size) = (16, 100.0);
+        let spec = PowerSpectrum::new(CosmoParams::default());
+        let amps = amplitudes(&spec, n, box_size);
+        let kf = 2.0 * std::f64::consts::PI / box_size;
+        let mut ix = 0;
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let kv = [freq(i, n), freq(j, n), freq(k, n)].map(|f| f as f64 * kf);
+                    let kk = (kv[0] * kv[0] + kv[1] * kv[1] + kv[2] * kv[2]).sqrt();
+                    let direct = if kk == 0.0 {
+                        0.0
+                    } else {
+                        (spec.p_of_k(kk) / (box_size * box_size * box_size)).sqrt()
+                            * (n as f64).powi(3)
+                    };
+                    assert_eq!(amps[ix].to_bits(), direct.to_bits(), "cell ({i},{j},{k})");
+                    ix += 1;
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   and exchange-volume diagnostics, and the rebalance trigger.
 //! * [`particles`] — structure-of-arrays particle storage, cloud-in-cell
 //!   (CIC) mass deposition and force interpolation.
-//! * [`poisson`] — a geometric multigrid solver for the comoving Poisson
-//!   equation on the periodic base mesh.
+//! * [`poisson`] — a direct FFT solve of the comoving Poisson equation on
+//!   the periodic base mesh.
 //! * [`refine`] — two-level gravity refinement: a 2× finer Dirichlet patch
 //!   around dense regions, boundary-fed from the base solution (RAMSES's
 //!   one-way interface, specialised to one patch).

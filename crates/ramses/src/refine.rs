@@ -91,7 +91,6 @@ impl RefinedPatch {
             corner[1] as f64 / base_n as f64,
             corner[2] as f64 / base_n as f64,
         ];
-        let span = extent as f64 / base_n as f64;
         let mut rho = vec![0.0f64; tot * tot * tot];
         let idx = |i: usize, j: usize, k: usize| (i * tot + j) * tot + k;
         let cell_vol = fine_h * fine_h * fine_h;
@@ -146,22 +145,17 @@ impl RefinedPatch {
             acc
         };
 
+        // The boundary layer keeps these values; the interior starts from
+        // them as its initial guess.
         let mut phi = vec![0.0f64; tot * tot * tot];
         for i in 0..tot {
             for j in 0..tot {
                 for k in 0..tot {
-                    let on_boundary =
-                        i == 0 || j == 0 || k == 0 || i == tot - 1 || j == tot - 1 || k == tot - 1;
                     let x = origin[0] + (i as f64 - 0.5) * fine_h;
                     let y = origin[1] + (j as f64 - 0.5) * fine_h;
                     let z = origin[2] + (k as f64 - 0.5) * fine_h;
-                    let v = interp(x.rem_euclid(1.0), y.rem_euclid(1.0), z.rem_euclid(1.0));
-                    if on_boundary {
-                        phi[idx(i, j, k)] = v;
-                    } else {
-                        // Interior initial guess from the coarse solution.
-                        phi[idx(i, j, k)] = v;
-                    }
+                    phi[idx(i, j, k)] =
+                        interp(x.rem_euclid(1.0), y.rem_euclid(1.0), z.rem_euclid(1.0));
                 }
             }
         }
@@ -192,7 +186,6 @@ impl RefinedPatch {
                 }
             }
         }
-        let _ = span;
 
         RefinedPatch {
             corner,
