@@ -168,6 +168,27 @@ stage_lint() {
         printf '%s\n' "$mg" >&2
         exit 1
     fi
+    # Drift guard: source and potential are real, so ramses transforms only
+    # the half spectrum (grafic::fft::filter_real). A `Grid3` in ramses is a
+    # full complex transform of a real field growing back.
+    full=$(src_sites crates/ramses/src 'Grid3')
+    if [ -n "$full" ]; then
+        echo "ci.sh drift: full complex transform in ramses (use filter_real):" >&2
+        printf '%s\n' "$full" >&2
+        exit 1
+    fi
+    # Drift guard: the PM kernels (CIC deposit and interpolation, the
+    # gradient, the solve) index the mesh directly. `Mesh::idx`, and `get`
+    # on top of it, wraps every coordinate with a `%`; called per cell or
+    # per particle corner it puts back the divides the kernels dropped.
+    # (`[^f]` spares `get`'s own `self.idx(`.)
+    wraps=$(src_sites crates/ramses/src '[^f][.](idx|get)[(]' |
+        grep -E '/(particles|gravity|poisson)[.]rs:' || true)
+    if [ -n "$wraps" ]; then
+        echo "ci.sh drift: modulo mesh indexing in a PM kernel:" >&2
+        printf '%s\n' "$wraps" >&2
+        exit 1
+    fi
 }
 
 # file:line of every line under directory $1 that matches the awk regex $2,

@@ -2,12 +2,14 @@
 //! thread count (DESIGN.md §8, threading model).
 //!
 //! Sweeps the pool width over {1, 2, 4, 8} via `ThreadPool::install` and
-//! times the direct Poisson solve, the CIC deposit + force interpolation,
-//! one Godunov hydro step, and a 3-D FFT roundtrip. Each kernel reports the
-//! median of several repetitions plus the speedup relative to one thread,
-//! and a rotate-XOR checksum over the output bits — asserted identical at
-//! every width, pinning the pool's bitwise-determinism guarantee at the
-//! benchmark level too.
+//! times the phases of a step — the direct Poisson solve, the gradient, the
+//! CIC deposit + force interpolation, kick + drift — one Godunov hydro
+//! step, a 3-D FFT roundtrip, and the two ends of a re-simulation: its zoom
+//! initial conditions and HaloMaker on a clustered final state. Each kernel
+//! reports the median of several repetitions plus the speedup relative to
+//! one thread, and a rotate-XOR checksum over the output bits — asserted
+//! identical at every width, pinning the pool's bitwise-determinism
+//! guarantee at the benchmark level too.
 //!
 //! A `sim_run` yardstick then times whole `Simulation::run` steps (32³ and
 //! 64³ particles on a mesh twice as fine, the PM exemplar's 256³-on-512³
@@ -27,6 +29,7 @@
 use bench::validate_json;
 use grafic::fft::{Complex, Direction, Grid3};
 use grafic::CosmoParams;
+use ramses::gravity::{drift, kick};
 use ramses::hydro::{HydroGrid, Prim, Riemann, GAMMA_DEFAULT};
 use ramses::nbody::{RunParams, Simulation};
 use ramses::particles::{cic_deposit, cic_interp_force, Mesh, Particles};
@@ -247,10 +250,33 @@ fn main() {
         }),
     });
 
-    // CIC deposit + gradient force + interpolation back to particles — the
-    // particle half of one PM gravity evaluation.
+    // The gradient force, then CIC deposit + interpolation back to
+    // particles — the particle half of one PM gravity evaluation — and the
+    // two halves of the leapfrog that consume it (on one reused copy of the
+    // set, so the copy costs a memcpy and no page faults).
     let phi = solve(&source, &mg).phi;
     let accel = gradient_force(&phi);
+    reports.push(KernelReport {
+        name: "gradient",
+        samples: sweep(threads, reps, || {
+            checksum(
+                gradient_force(&phi)
+                    .iter()
+                    .flat_map(|m| m.data.iter().copied()),
+            )
+        }),
+    });
+    let acc = cic_interp_force(&parts, &accel);
+    let mut p = parts.clone();
+    reports.push(KernelReport {
+        name: "kick_drift",
+        samples: sweep(threads, reps, || {
+            p.clone_from(&parts);
+            kick(&mut p, &acc, 0.5, 1e-3);
+            drift(&mut p, 0.5, 1e-3);
+            checksum(p.pos.iter().chain(&p.vel).flatten().copied())
+        }),
+    });
     reports.push(KernelReport {
         name: "nbody_cic",
         samples: sweep(threads, reps, || {
@@ -300,6 +326,56 @@ fn main() {
             g.fft(Direction::Forward);
             g.fft(Direction::Inverse);
             checksum(g.data.iter().flat_map(|c| [c.re, c.im].into_iter()))
+        }),
+    });
+
+    // Zoom initial conditions at the campaign's shape: an (n/2)³ coarse
+    // level and two nested boxes, realised at n³ and (2n)³.
+    let zoom_cosmo = CosmoParams {
+        a_init: 0.1,
+        ..CosmoParams::default()
+    };
+    reports.push(KernelReport {
+        name: "zoom_ics",
+        samples: sweep(threads, reps, || {
+            let z = grafic::zoom::generate_zoom(&zoom_cosmo, n / 2, 50.0, [24.0, 12.5, 31.0], 2, 7);
+            checksum(
+                z.particles
+                    .pos
+                    .iter()
+                    .chain(&z.particles.vel)
+                    .flatten()
+                    .copied(),
+            )
+        }),
+    });
+
+    // HaloMaker (FoF and halo properties) on the final state of a zoom1-
+    // shaped run: (n/2)³ particles on the n³ mesh from a = 0.1 to 1.
+    let clustered = {
+        let ics = grafic::generate_single_level(&zoom_cosmo, n / 2, 50.0, 1923).particles;
+        let params = RunParams {
+            cosmo: zoom_cosmo.clone(),
+            box_mpc_h: 50.0,
+            mesh_n: n,
+            aout: vec![],
+            max_steps: 400,
+            ..RunParams::default()
+        };
+        Simulation::from_ics(params, &ics)
+            .run()
+            .pop()
+            .expect("final snapshot")
+    };
+    let fof = galics::FofParams {
+        b: 0.2,
+        min_members: 5,
+    };
+    reports.push(KernelReport {
+        name: "halo_maker",
+        samples: sweep(threads, reps, || {
+            let cat = galics::halo::halo_maker(&clustered, &fof);
+            checksum(cat.halos.iter().map(|h| h.mass_msun))
         }),
     });
 

@@ -8,7 +8,8 @@
 //! The 3-D transform applies the 1-D transform along each axis; the axis
 //! passes over independent lines are parallelised with rayon. Every line
 //! receives exactly the operations a lone 1-D transform applies to it, so
-//! the output is bitwise identical at any thread count.
+//! the output is bitwise identical at any thread count. [`filter_real`]
+//! runs the same passes on the half spectrum of a real grid.
 
 use rayon::prelude::*;
 
@@ -165,6 +166,48 @@ fn fft_rows(data: &mut [Complex], width: usize, tw: &[Complex], dir: Direction) 
     }
 }
 
+/// Run `lines(j, scratch)` on every j-slab of an `n × n × w` grid (row
+/// `(i, j)` holds `w` elements at `(i·n + j)·w`), one slab per task: the
+/// x-lines, laid out so that row i of the scratch holds point i of every
+/// line. Slab j (row `(i, j)` for every i) is disjoint from every other,
+/// so workers gather it into the scratch and scatter it back through a
+/// shared base pointer.
+fn x_pass(data: &mut [Complex], n: usize, w: usize, lines: impl Fn(usize, &mut [Complex]) + Sync) {
+    #[derive(Clone, Copy)]
+    struct RawMut(*mut Complex);
+    // SAFETY: the pointer is into `data`, alive for the whole pass, and each
+    // worker touches only its own slab.
+    unsafe impl Send for RawMut {}
+    // SAFETY: as for `Send`; shared copies never touch the same slab.
+    unsafe impl Sync for RawMut {}
+    impl RawMut {
+        // Accessor so closures capture the whole `Sync` wrapper, not the
+        // bare pointer field (Rust 2021 disjoint capture).
+        #[inline]
+        fn ptr(self) -> *mut Complex {
+            self.0
+        }
+    }
+    assert_eq!(data.len(), n * n * w);
+    let base = RawMut(data.as_mut_ptr());
+    (0..n).into_par_iter().for_each(move |j| {
+        // SAFETY: row (i, j) lies inside `data` (length checked above); slab
+        // j is touched by this worker only, and one row borrow is alive at a
+        // time.
+        let row = |i: usize| unsafe {
+            std::slice::from_raw_parts_mut(base.ptr().add((i * n + j) * w), w)
+        };
+        let mut s = vec![Complex::ZERO; n * w];
+        for (i, dst) in s.chunks_exact_mut(w).enumerate() {
+            dst.copy_from_slice(row(i));
+        }
+        lines(j, &mut s);
+        for (i, src) in s.chunks_exact(w).enumerate() {
+            row(i).copy_from_slice(src);
+        }
+    });
+}
+
 /// `dst[k·n + j] = src[j·n + k]` for an `n × n` block.
 fn transpose(src: &[Complex], dst: &mut [Complex], n: usize) {
     for j in 0..n {
@@ -227,47 +270,129 @@ impl Grid3 {
             transpose(&s, p, n);
             fft_rows(p, n, tw, dir);
         });
-
-        // Pass 3: lines along x, one j-slab per task. Slab j (elements
-        // (i, j, k) for all i, k: one contiguous z-row per x-plane) is
-        // disjoint from every other, so workers gather it into the scratch
-        // and scatter it back through a shared base pointer.
-        #[derive(Clone, Copy)]
-        struct RawMut(*mut Complex);
-        // SAFETY: the pointer is into `self.data`, alive for the whole pass,
-        // and each worker touches only its own slab.
-        unsafe impl Send for RawMut {}
-        // SAFETY: as for `Send`; shared copies never touch the same slab.
-        unsafe impl Sync for RawMut {}
-        impl RawMut {
-            // Accessor so closures capture the whole `Sync` wrapper, not the
-            // bare pointer field (Rust 2021 disjoint capture).
-            #[inline]
-            fn ptr(self) -> *mut Complex {
-                self.0
-            }
-        }
-        let base = RawMut(self.data.as_mut_ptr());
-        (0..n).into_par_iter().for_each(move |j| {
-            // SAFETY: row (i, j, ·) lies inside `self.data`; slab j is touched
-            // by this worker only, and one row borrow is alive at a time.
-            let row = |i: usize| unsafe {
-                std::slice::from_raw_parts_mut(base.ptr().add((i * n + j) * n), n)
-            };
-            let mut s = vec![Complex::ZERO; plane];
-            for (i, dst) in s.chunks_exact_mut(n).enumerate() {
-                dst.copy_from_slice(row(i));
-            }
-            fft_rows(&mut s, n, tw, dir);
-            for (i, src) in s.chunks_exact(n).enumerate() {
-                row(i).copy_from_slice(src);
-            }
-        });
+        x_pass(&mut self.data, n, n, |_, s| fft_rows(s, n, tw, dir));
     }
 
     /// Total power `Σ |f|²` — useful for Parseval checks.
     pub fn total_power(&self) -> f64 {
         self.data.iter().map(|c| c.norm_sqr()).sum()
+    }
+}
+
+/// `F⁻¹[g · F f]` for a real `n³` grid `f` (row-major `(x, y, z)`, `n` a
+/// power of two ≥ 2): `f` filtered by the real Fourier multiplier `g`,
+/// which is evaluated at mode `(i, j, k)`, indexed as [`Grid3::fft`] lays
+/// the modes out, for `k ≤ n/2` only. A real grid's other modes are the
+/// conjugates of these (`F(−k) = F(k)*`), so for an even `g` (`g(−k) =
+/// g(k)`) the result is the full complex transform's at about half the
+/// work.
+///
+/// The transforms run on the half spectrum, `n × n × (n/2 + 1)` modes.
+/// Along z, a line's `n` reals are packed into `n/2` complex numbers (even
+/// samples real, odd imaginary), transformed at half length and split into
+/// the line's `n/2 + 1` modes; y and x are `Grid3::fft`'s passes on the
+/// narrower rows, and each x-slab is scaled by `g` between its forward and
+/// inverse transforms, so it is gathered once for both. Every line is
+/// transformed on its own, so the result is bitwise identical at any
+/// thread count.
+pub fn filter_real(
+    n: usize,
+    real: &[f64],
+    g: impl Fn(usize, usize, usize) -> f64 + Sync,
+) -> Vec<f64> {
+    assert!(
+        n.is_power_of_two() && n >= 2,
+        "grid side must be a power of two >= 2"
+    );
+    assert_eq!(real.len(), n * n * n, "grid holds n³ values");
+    let h = n / 2 + 1;
+    let (fwd, inv) = (
+        twiddles(n, Direction::Forward),
+        twiddles(n, Direction::Inverse),
+    );
+    let (fwd_m, inv_m) = (
+        twiddles(n / 2, Direction::Forward),
+        twiddles(n / 2, Direction::Inverse),
+    );
+    let mut spec = vec![Complex::ZERO; n * n * h];
+    spec.par_chunks_exact_mut(n * h)
+        .enumerate()
+        .for_each(|(i, plane)| {
+            z_forward(&real[i * n * n..][..n * n], plane, n, &fwd, &fwd_m);
+            fft_rows(plane, h, &fwd, Direction::Forward);
+        });
+    x_pass(&mut spec, n, h, |j, s| {
+        fft_rows(s, h, &fwd, Direction::Forward);
+        for (i, row) in s.chunks_exact_mut(h).enumerate() {
+            for (k, c) in row.iter_mut().enumerate() {
+                *c = c.scale(g(i, j, k));
+            }
+        }
+        fft_rows(s, h, &inv, Direction::Inverse);
+    });
+    spec.par_chunks_exact_mut(n * h)
+        .for_each(|plane| fft_rows(plane, h, &inv, Direction::Inverse));
+    let mut out = vec![0.0f64; n * n * n];
+    out.par_chunks_exact_mut(n * n)
+        .enumerate()
+        .for_each(|(i, plane)| z_inverse(&spec[i * n * h..][..n * h], plane, n, &inv, &inv_m));
+    out
+}
+
+/// The z-lines of one real x-plane (`n` lines of `n` reals) to their
+/// `h = n/2 + 1` modes each: row j of `plane` (`n` rows of `h`) is line j's
+/// spectrum. `tw` and `tw_m` are the forward tables for `n` and `n/2`.
+fn z_forward(real: &[f64], plane: &mut [Complex], n: usize, tw: &[Complex], tw_m: &[Complex]) {
+    let (m, h) = (n / 2, n / 2 + 1);
+    // Row t of the scratch holds packed point t of every line.
+    let mut s = vec![Complex::ZERO; m * n];
+    for (j, line) in real.chunks_exact(n).enumerate() {
+        for (t, pair) in line.chunks_exact(2).enumerate() {
+            s[t * n + j] = Complex::new(pair[0], pair[1]);
+        }
+    }
+    fft_rows(&mut s, n, tw_m, Direction::Forward);
+    // Z = E + iO holds the transforms of the even and odd samples:
+    // E = (Z_k + Z*_{m−k})/2, O = −i(Z_k − Z*_{m−k})/2, and mode k is
+    // E + e^{−2πik/n}·O (the twiddle is −1 at k = m).
+    for k in 0..h {
+        let w = if k < m {
+            tw[k]
+        } else {
+            Complex::new(-1.0, 0.0)
+        };
+        let (zk, zc) = (&s[k % m * n..][..n], &s[(m - k) % m * n..][..n]);
+        for j in 0..n {
+            let (a, b) = (zk[j], zc[j].conj());
+            let d = (a - b).scale(0.5);
+            plane[j * h + k] = (a + b).scale(0.5) + w * Complex::new(d.im, -d.re);
+        }
+    }
+}
+
+/// [`z_forward`] undone, with the `1/n` normalisation: `plane`'s rows of
+/// modes back to the real z-lines of `real`. `tw` and `tw_m` are the
+/// inverse tables for `n` and `n/2`.
+fn z_inverse(plane: &[Complex], real: &mut [f64], n: usize, tw: &[Complex], tw_m: &[Complex]) {
+    let (m, h) = (n / 2, n / 2 + 1);
+    // E = (F_k + F*_{m−k})/2 and O = e^{2πik/n}(F_k − F*_{m−k})/2 repack as
+    // Z = E + iO, whose half-length inverse is the even and odd samples.
+    let mut s = vec![Complex::ZERO; m * n];
+    for k in 0..m {
+        for (j, row) in plane.chunks_exact(h).enumerate() {
+            let (a, b) = (row[k], row[m - k].conj());
+            let e = (a + b).scale(0.5);
+            let o = tw[k] * (a - b).scale(0.5);
+            s[k * n + j] = Complex::new(e.re - o.im, e.im + o.re);
+        }
+    }
+    fft_rows(&mut s, n, tw_m, Direction::Inverse);
+    for (j, line) in real.chunks_exact_mut(n).enumerate() {
+        for (t, pair) in line.chunks_exact_mut(2).enumerate() {
+            let z = s[t * n + j];
+            pair[0] = z.re;
+            pair[1] = z.im;
+        }
     }
 }
 
@@ -450,6 +575,116 @@ mod tests {
             for (x, y) in whole.data.iter().zip(&lone.data) {
                 assert_eq!(x.re.to_bits(), y.re.to_bits());
                 assert_eq!(x.im.to_bits(), y.im.to_bits());
+            }
+        }
+    }
+
+    fn real_grid(n: usize, seed: usize) -> Vec<f64> {
+        (0..n * n * n)
+            .map(|ix| ((ix * 2654435761 + seed * 97) % 1000) as f64 / 250.0 - 1.7)
+            .collect()
+    }
+
+    /// An even multiplier: it depends on the squared wavenumbers only.
+    fn even_multiplier(n: usize) -> impl Fn(usize, usize, usize) -> f64 + Sync {
+        move |i, j, k| {
+            let [a, b, c] = [i, j, k].map(|x| freq(x, n) as f64);
+            1.0 / (1.0 + a * a + 2.0 * b * b + 0.5 * c * c)
+        }
+    }
+
+    /// The half-spectrum filter is the full complex transform's, to
+    /// rounding: forward, every mode scaled, inverse, real part.
+    #[test]
+    fn filter_real_matches_the_complex_transform() {
+        for n in [2usize, 4, 8, 16] {
+            let real = real_grid(n, n);
+            let g = even_multiplier(n);
+            let mut full = Grid3 {
+                n,
+                data: real.iter().map(|&v| Complex::new(v, 0.0)).collect(),
+            };
+            full.fft(Direction::Forward);
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        let ix = full.idx(i, j, k);
+                        full.data[ix] = full.data[ix].scale(g(i, j, k));
+                    }
+                }
+            }
+            full.fft(Direction::Inverse);
+            let half = filter_real(n, &real, &g);
+            for (a, b) in half.iter().zip(&full.data) {
+                assert!((a - b.re).abs() < 1e-13, "n={n}: {a} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn filter_real_by_one_is_the_identity() {
+        for n in [2usize, 4, 8, 32] {
+            let real = real_grid(n, 3);
+            let back = filter_real(n, &real, |_, _, _| 1.0);
+            for (a, b) in real.iter().zip(&back) {
+                assert!((a - b).abs() < 1e-12, "n={n}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// Three real plane waves, cos(2π(ax+by+cz)/n) with 0 < c < n/2 and
+    /// different frequencies; a multiplier that is 1 at one wave's stored
+    /// mode (a, b, c) alone returns that wave alone (its twin mode
+    /// (−a, −b, −c) has kz > n/2 and is never asked for). A transposed pass
+    /// or a mis-split line would keep the wrong wave.
+    #[test]
+    fn filter_real_keeps_exactly_the_selected_plane_wave() {
+        for (n, waves) in [
+            (8usize, [[1usize, 3, 2], [3, 2, 1], [2, 1, 3]]),
+            (32, [[3, 7, 13], [7, 13, 3], [13, 3, 7]]),
+        ] {
+            let wave = |[a, b, c]: [usize; 3], sine: bool| -> Vec<f64> {
+                let mut v = vec![0.0; n * n * n];
+                for i in 0..n {
+                    for j in 0..n {
+                        for k in 0..n {
+                            let phase = (a * i + b * j + c * k) % n;
+                            let t = 2.0 * std::f64::consts::PI * phase as f64 / n as f64;
+                            v[(i * n + j) * n + k] = if sine { t.sin() } else { t.cos() };
+                        }
+                    }
+                }
+                v
+            };
+            for (pick, sine) in [(0, false), (1, true), (2, false)] {
+                let parts: Vec<Vec<f64>> = (0..3).map(|w| wave(waves[w], w == 1)).collect();
+                let sum: Vec<f64> = (0..n * n * n)
+                    .map(|ix| parts[0][ix] + parts[1][ix] + parts[2][ix])
+                    .collect();
+                let [a, b, c] = waves[pick];
+                let got = filter_real(n, &sum, |i, j, k| f64::from((i, j, k) == (a, b, c)));
+                for (x, y) in got.iter().zip(&wave(waves[pick], sine)) {
+                    assert!((x - y).abs() < 1e-12, "n={n} wave {pick}: {x} vs {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_real_is_bitwise_identical_across_thread_counts() {
+        let n = 16;
+        let real = real_grid(n, 5);
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| filter_real(n, &real, even_multiplier(n)))
+        };
+        let one = run(1);
+        for threads in [2, 4] {
+            for (x, y) in run(threads).iter().zip(&one) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
             }
         }
     }

@@ -10,7 +10,7 @@
 //! parent's random seed stream so large-scale modes agree, adds power only
 //! above the parent's Nyquist frequency, and is trimmed to its sub-box.
 
-use crate::field::{GaussianField, IcParticles};
+use crate::field::{self, IcParticles};
 use crate::spectrum::{CosmoParams, PowerSpectrum};
 
 /// Specification of one nested refinement level.
@@ -92,36 +92,32 @@ pub fn generate_zoom(
     };
     let mut counts = Vec::with_capacity(levels.len());
 
+    // Levels above the cap realise the same field; it is built once. A level
+    // needs only the displacement (never the real-space δ), and only the
+    // particles inside its shell are built.
+    let mut psi: Option<(usize, Vec<[f64; 3]>)> = None;
     for (l, lv) in levels.iter().enumerate() {
         let realised_n = lv.effective_n.min(MAX_REALISED_N);
-        let field = GaussianField::synthesize(&spec, realised_n, box_size, seed);
-        let all = field.zeldovich_particles(cosmo);
+        if psi.as_ref().map(|(n, _)| *n) != Some(realised_n) {
+            let dk = field::delta_k(&spec, realised_n, box_size, seed);
+            psi = Some((realised_n, field::displacement(&dk, box_size)));
+        }
+        let (_, psi) = psi.as_ref().expect("set above");
 
-        let inner = if l + 1 < levels.len() {
-            Some(levels[l + 1].half_extent)
-        } else {
-            None
-        };
+        let inner = levels.get(l + 1).map(|next| next.half_extent);
         let outer = lv.half_extent;
-
-        let mut kept = 0usize;
-        for i in 0..all.len() {
-            let p = all.pos[i];
+        // Each level's full-box lattice carries unit total mass, so a
+        // particle's mass is 1/realised_n³ of the box mass: density is
+        // conserved per volume regardless of which level covers it, while
+        // refined levels carry proportionally lighter particles.
+        let kept = field::zeldovich(psi, realised_n, box_size, cosmo, |p| {
             let r = chebyshev_dist(p, center, box_size);
             let inside_this = l == 0 || r <= outer;
-            let inside_inner = inner.map(|h| r <= h).unwrap_or(false);
-            if inside_this && !inside_inner {
-                particles.pos.push(p);
-                particles.vel.push(all.vel[i]);
-                // Each level's full-box lattice carries unit total mass, so a
-                // particle's mass is 1/realised_n³ of the box mass: density is
-                // conserved per volume regardless of which level covers it,
-                // while refined levels carry proportionally lighter particles.
-                particles.mass.push(all.mass[i]);
-                kept += 1;
-            }
-        }
-        counts.push(kept);
+            let inside_inner = inner.is_some_and(|h| r <= h);
+            inside_this && !inside_inner
+        });
+        counts.push(kept.len());
+        particles.extend(&kept);
     }
 
     ZoomIcs {
@@ -230,6 +226,43 @@ mod tests {
         let b = generate_zoom(&cosmo(), 8, 100.0, [20.0, 30.0, 40.0], 1, 4);
         assert_eq!(a.particles.pos, b.particles.pos);
         assert_eq!(a.counts, b.counts);
+    }
+
+    /// Building each level's shell directly, without δ(x), and one field per
+    /// distinct realised size (16, 32, 64, 64 here: the last level is above
+    /// the cap) is bit for bit a full realisation per level filtered after.
+    #[test]
+    fn lean_levels_match_filtering_full_realisations_bitwise() {
+        let (box_size, center, seed) = (100.0, [30.0, 55.0, 80.0], 3);
+        let z = generate_zoom(&cosmo(), 16, box_size, center, 3, seed);
+        let spec = PowerSpectrum::new(cosmo());
+        let mut reference = IcParticles {
+            pos: vec![],
+            vel: vec![],
+            mass: vec![],
+        };
+        let mut counts = vec![];
+        for (l, lv) in z.levels.iter().enumerate() {
+            let n = lv.effective_n.min(64);
+            let all = crate::GaussianField::synthesize(&spec, n, box_size, seed)
+                .zeldovich_particles(&cosmo());
+            let inner = z.levels.get(l + 1).map(|next| next.half_extent);
+            let before = reference.len();
+            for i in 0..all.len() {
+                let r = chebyshev_dist(all.pos[i], center, box_size);
+                if (l == 0 || r <= lv.half_extent) && !inner.is_some_and(|h| r <= h) {
+                    reference.pos.push(all.pos[i]);
+                    reference.vel.push(all.vel[i]);
+                    reference.mass.push(all.mass[i]);
+                }
+            }
+            counts.push(reference.len() - before);
+        }
+        assert_eq!(z.counts, counts);
+        let bits = |v: &[[f64; 3]]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&z.particles.pos), bits(&reference.pos));
+        assert_eq!(bits(&z.particles.vel), bits(&reference.vel));
+        assert_eq!(z.particles.mass, reference.mass);
     }
 
     #[test]

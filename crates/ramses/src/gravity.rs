@@ -19,7 +19,7 @@
 
 use crate::cosmology::Cosmology;
 use crate::particles::{cic_deposit, cic_interp_force, Mesh, Particles};
-use crate::poisson::{gradient_force, solve, MgConfig};
+use crate::poisson::{gradient_force, potential, MgConfig};
 use rayon::prelude::*;
 
 /// Gravity solver over the periodic base mesh.
@@ -60,13 +60,9 @@ impl PmGravity {
         src.data
             .par_iter_mut()
             .for_each(|v| *v = factor * (*v - 1.0));
-        let sol = solve(&src, &self.mg);
-        let accel = gradient_force(&sol.phi);
-        ForceField {
-            accel,
-            phi: sol.phi,
-            rho,
-        }
+        let phi = potential(&src);
+        let accel = gradient_force(&phi);
+        ForceField { accel, phi, rho }
     }
 
     /// Interpolate accelerations to particles.
@@ -130,13 +126,17 @@ impl StepControl {
         let dx = 1.0 / n_mesh as f64;
         // Velocity bound.
         // Parallel max is exact (max is associative and commutative), so the
-        // chunked reduction cannot perturb the result.
+        // chunked reduction cannot perturb the result. `sqrt` is correctly
+        // rounded and monotone, so the root of the largest |v|² is bit for
+        // bit the largest |v|, at one root per step instead of one per
+        // particle.
         let vmax = parts
             .vel
             .par_iter()
             .with_min_len(1024)
-            .map(|v| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt())
-            .reduce(|| 0.0f64, f64::max);
+            .map(|v| v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+            .reduce(|| 0.0f64, f64::max)
+            .sqrt();
         let dt_v = if vmax > 0.0 {
             self.courant_cells * dx * a * a / vmax
         } else {

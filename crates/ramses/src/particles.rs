@@ -98,9 +98,27 @@ impl Particles {
     }
 }
 
+/// `x.floor()`, bit for bit, without the call to a software `floor` that
+/// the baseline x86-64 target (no SSE4.1 `roundsd`) makes of it: truncate,
+/// keep the sign of zero, and step down below a negative non-integer. Every |x| ≥ 2⁵² is already an
+/// integer, and NaN and ±∞ take that branch too.
+#[inline(always)]
+pub(crate) fn floor(x: f64) -> f64 {
+    if x.abs() < 4_503_599_627_370_496.0 {
+        let t = (x as i64 as f64).copysign(x);
+        if t > x {
+            t - 1.0
+        } else {
+            t
+        }
+    } else {
+        x
+    }
+}
+
 #[inline]
 pub fn wrap01(x: f64) -> f64 {
-    let y = x - x.floor();
+    let y = x - floor(x);
     // x.floor() of exactly 1.0-eps edge cases can return 1.0 - keep in [0,1)
     if y >= 1.0 {
         0.0
@@ -156,26 +174,48 @@ fn deposit_chunks(np: usize) -> usize {
     }
 }
 
+/// One axis of the CIC stencil: the two cells of an `n`-cell periodic axis
+/// that unit-box coordinate `x` straddles, and their weights. The pair wraps
+/// by comparison; only a coordinate outside `[0, 1)` pays for a divide.
+#[inline(always)]
+fn cic_axis(x: f64, n: usize) -> ([usize; 2], [f64; 2]) {
+    let g = x * n as f64 - 0.5;
+    let g0 = floor(g);
+    let b = g0 as i64;
+    let lo = if (0..n as i64).contains(&b) {
+        b as usize
+    } else {
+        b.rem_euclid(n as i64) as usize
+    };
+    let frac = g - g0;
+    (
+        [lo, if lo + 1 == n { 0 } else { lo + 1 }],
+        [1.0 - frac, frac],
+    )
+}
+
 /// Deposit particles `[lo, hi)` into `mesh` (serial scatter over one range).
 fn deposit_range(parts: &Particles, mesh: &mut Mesh, lo: usize, hi: usize) {
     let n = mesh.n;
     let nf = n as f64;
     let cell_volume = 1.0 / (nf * nf * nf);
+    // A power-of-two side makes `cell_volume` a power of two, so `mass ·
+    // n³` is bit for bit the density contribution `mass / cell_volume`.
+    let per_mass = n.is_power_of_two().then_some(nf * nf * nf);
     for p in lo..hi {
-        let m = parts.mass[p] / cell_volume; // density contribution
-        let mut base = [0usize; 3];
-        let mut frac = [0.0f64; 3];
-        for d in 0..3 {
-            let x = parts.pos[p][d] * nf - 0.5;
-            let x0 = x.floor();
-            base[d] = ((x0 as i64).rem_euclid(n as i64)) as usize;
-            frac[d] = x - x0;
-        }
-        for (dx, wx) in [(0usize, 1.0 - frac[0]), (1, frac[0])] {
-            for (dy, wy) in [(0usize, 1.0 - frac[1]), (1, frac[1])] {
-                for (dz, wz) in [(0usize, 1.0 - frac[2]), (1, frac[2])] {
-                    let ix = mesh.idx(base[0] + dx, base[1] + dy, base[2] + dz);
-                    mesh.data[ix] += m * wx * wy * wz;
+        let m = match per_mass {
+            Some(n3) => parts.mass[p] * n3,
+            None => parts.mass[p] / cell_volume,
+        };
+        let [x, y, z] = parts.pos[p];
+        let ((cx, wx), (cy, wy), (cz, wz)) = (cic_axis(x, n), cic_axis(y, n), cic_axis(z, n));
+        for a in 0..2 {
+            let mx = m * wx[a];
+            for b in 0..2 {
+                let mxy = mx * wy[b];
+                let row = (cx[a] * n + cy[b]) * n;
+                for c in 0..2 {
+                    mesh.data[row + cz[c]] += mxy * wz[c];
                 }
             }
         }
@@ -209,10 +249,11 @@ pub fn cic_deposit(parts: &Particles, n: usize) -> Mesh {
             m
         })
         .collect();
-    let (first, rest) = scratch.split_first().expect("nchunks >= 1");
-    let mut mesh = first.clone();
+    let mut scratch = scratch.into_iter();
+    let mut mesh = scratch.next().expect("nchunks >= 1");
+    let rest: Vec<Mesh> = scratch.collect();
     mesh.data.par_iter_mut().enumerate().for_each(|(ix, v)| {
-        for s in rest {
+        for s in &rest {
             *v += s.data[ix];
         }
     });
@@ -223,27 +264,21 @@ pub fn cic_deposit(parts: &Particles, n: usize) -> Mesh {
 /// three scalar meshes, onto particle positions.
 pub fn cic_interp_force(parts: &Particles, force: &[Mesh; 3]) -> Vec<[f64; 3]> {
     let n = force[0].n;
-    let nf = n as f64;
+    let f = [&force[0].data[..], &force[1].data[..], &force[2].data[..]];
     parts
         .pos
         .par_iter()
-        .map(|pos| {
-            let mut base = [0usize; 3];
-            let mut frac = [0.0f64; 3];
-            for d in 0..3 {
-                let x = pos[d] * nf - 0.5;
-                let x0 = x.floor();
-                base[d] = ((x0 as i64).rem_euclid(n as i64)) as usize;
-                frac[d] = x - x0;
-            }
+        .map(|&[x, y, z]| {
+            let ((cx, wx), (cy, wy), (cz, wz)) = (cic_axis(x, n), cic_axis(y, n), cic_axis(z, n));
             let mut out = [0.0f64; 3];
-            for (dx, wx) in [(0usize, 1.0 - frac[0]), (1, frac[0])] {
-                for (dy, wy) in [(0usize, 1.0 - frac[1]), (1, frac[1])] {
-                    for (dz, wz) in [(0usize, 1.0 - frac[2]), (1, frac[2])] {
-                        let w = wx * wy * wz;
+            for a in 0..2 {
+                for b in 0..2 {
+                    let wxy = wx[a] * wy[b];
+                    let row = (cx[a] * n + cy[b]) * n;
+                    for c in 0..2 {
+                        let (w, ix) = (wxy * wz[c], row + cz[c]);
                         for axis in 0..3 {
-                            out[axis] +=
-                                w * force[axis].get(base[0] + dx, base[1] + dy, base[2] + dz);
+                            out[axis] += w * f[axis][ix];
                         }
                     }
                 }
@@ -363,6 +398,107 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "mismatch at {threads} threads");
             }
         }
+    }
+
+    /// The deposit and interpolation as written with a `rem_euclid` per
+    /// axis and `Mesh::idx` (three `%`) per corner.
+    fn modulo_reference(parts: &Particles, force: &[Mesh; 3]) -> (Mesh, Vec<[f64; 3]>) {
+        let n = force[0].n;
+        let nf = n as f64;
+        let stencil = |pos: &[f64; 3]| {
+            let mut base = [0usize; 3];
+            let mut frac = [0.0f64; 3];
+            for d in 0..3 {
+                let x = pos[d] * nf - 0.5;
+                let x0 = x.floor();
+                base[d] = ((x0 as i64).rem_euclid(n as i64)) as usize;
+                frac[d] = x - x0;
+            }
+            (base, frac)
+        };
+        let mut mesh = Mesh::zeros(n);
+        let mut acc = vec![];
+        for (pos, mass) in parts.pos.iter().zip(&parts.mass) {
+            let m = mass / (1.0 / (nf * nf * nf));
+            let (base, frac) = stencil(pos);
+            let mut out = [0.0f64; 3];
+            for (dx, wx) in [(0usize, 1.0 - frac[0]), (1, frac[0])] {
+                for (dy, wy) in [(0usize, 1.0 - frac[1]), (1, frac[1])] {
+                    for (dz, wz) in [(0usize, 1.0 - frac[2]), (1, frac[2])] {
+                        let ix = mesh.idx(base[0] + dx, base[1] + dy, base[2] + dz);
+                        mesh.data[ix] += m * wx * wy * wz;
+                        let w = wx * wy * wz;
+                        for axis in 0..3 {
+                            out[axis] += w * force[axis].data[ix];
+                        }
+                    }
+                }
+            }
+            acc.push(out);
+        }
+        (mesh, acc)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The divide-free stencil gives the modulo code's bits, for power-of-
+        /// two and other sides, and for coordinates outside the unit box.
+        #[test]
+        fn stencil_kernels_match_the_modulo_reference_bitwise(
+            rows in proptest::collection::vec(((-1.5f64..2.5), (0.0f64..1.0), (0.0f64..1.0), (1e-6f64..1.0)), 1..300),
+            side in 0usize..5,
+        ) {
+            let n = [2, 4, 6, 8, 16][side];
+            let mut parts = Particles::default();
+            for (i, &(x, y, z, m)) in rows.iter().enumerate() {
+                parts.push([y, x, z], [0.0; 3], m, i as u64);
+            }
+            let force = [0.3, 1.7, -2.9].map(|s| Mesh {
+                n,
+                data: (0..n * n * n).map(|ix| ((ix * 7919) % 1013) as f64 * s).collect(),
+            });
+            let (mesh, acc) = modulo_reference(&parts, &force);
+            let mut got = Mesh::zeros(n);
+            deposit_range(&parts, &mut got, 0, parts.len());
+            for (a, b) in got.data.iter().zip(&mesh.data) {
+                proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (a, b) in cic_interp_force(&parts, &force).iter().zip(&acc) {
+                proptest::prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+            }
+        }
+    }
+
+    #[test]
+    fn floor_is_bitwise_f64_floor() {
+        let big = 4_503_599_627_370_496.0f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            big,
+            -big,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for e in [1.0, 2.0, 31.5, big, 2.0 * big] {
+            xs.extend([e.next_up(), e.next_down(), -e.next_up(), -e.next_down()]);
+        }
+        xs.extend((0..4000).map(|i| (i as f64 - 2000.0) * 0.013_7));
+        for x in xs {
+            assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "x = {x:e}");
+        }
+        assert!(floor(f64::NAN).is_nan());
     }
 
     #[test]

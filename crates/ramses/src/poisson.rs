@@ -5,12 +5,13 @@
 //! `⟨S⟩ = 0`, so the source is de-meaned on entry (physically: the Poisson
 //! source is the *over*density). Fourier modes diagonalise the periodic
 //! stencil, so one forward/inverse FFT pair solves the discrete system
-//! exactly — the way PM codes solve the periodic base level. The refined
-//! patches are Dirichlet problems and relax on their own
-//! ([`crate::refine::RefinedPatch::solve`]).
+//! exactly — the way PM codes solve the periodic base level. Source and
+//! potential are real, so the pair runs on the half spectrum
+//! ([`grafic::fft::filter_real`]). The refined patches are Dirichlet
+//! problems and relax on their own ([`crate::refine::RefinedPatch::solve`]).
 
 use crate::particles::Mesh;
-use grafic::fft::{Complex, Direction, Grid3};
+use grafic::fft::filter_real;
 use rayon::prelude::*;
 
 /// Shared mutable base pointer for the plane-parallel kernels below: every
@@ -76,28 +77,45 @@ pub struct MgSolution {
 
 /// Solve ∇²φ = S on an `n³` periodic mesh with spacing `h = 1/n`.
 ///
-/// Direct: the de-meaned source is transformed, mode `(kx, ky, kz)` is
-/// divided by the stencil's eigenvalue `−4n² Σ sin²(πk/n)` (the `k = 0`
-/// mode is zeroed), and the inverse transform's real part is φ with
-/// `⟨φ⟩ = 0`. `cfg` is not read; `cycles` is 1, and `rel_residual` is
-/// ‖S − ⟨S⟩ − ∇²φ‖/‖S − ⟨S⟩‖ measured on the result.
+/// Direct: the de-meaned source's half spectrum (`kz ≤ n/2`) is taken,
+/// mode `(kx, ky, kz)` is scaled by the inverse of the stencil's eigenvalue
+/// `−4n² Σ sin²(πk/n)` (the `k = 0` mode is zeroed), and the inverse
+/// transform is φ with `⟨φ⟩ = 0`. `cfg` is not read; `cycles` is 1, and
+/// `rel_residual` is ‖S − ⟨S⟩ − ∇²φ‖/‖S − ⟨S⟩‖ measured on the result.
 pub fn solve(source: &Mesh, _cfg: &MgConfig) -> MgSolution {
+    let s = demeaned(source);
+    let phi = spectral_solve(&s);
+    let rel = norm2(&residual(&phi, &s).data) / norm2(&s.data).max(1e-300);
+    MgSolution {
+        phi,
+        rel_residual: rel,
+        cycles: 1,
+    }
+}
+
+/// The φ of [`solve`] without the residual diagnostic: what a force
+/// evaluation needs.
+pub(crate) fn potential(source: &Mesh) -> Mesh {
+    spectral_solve(&demeaned(source))
+}
+
+/// `S − ⟨S⟩`: periodic Poisson needs a zero-mean right-hand side.
+fn demeaned(source: &Mesh) -> Mesh {
     let n = source.n;
     assert!(
         n.is_power_of_two() && n >= 4,
         "mesh side must be a power of two >= 4"
     );
-
-    // De-mean the source: periodic Poisson needs a zero-mean RHS.
     let mean = source.mean();
-    let mut s = source.clone();
-    s.data.par_iter_mut().for_each(|v| *v -= mean);
-
-    let mut g = Grid3 {
+    Mesh {
         n,
-        data: s.data.par_iter().map(|&v| Complex::new(v, 0.0)).collect(),
-    };
-    g.fft(Direction::Forward);
+        data: source.data.par_iter().map(|v| v - mean).collect(),
+    }
+}
+
+/// φ for a zero-mean source `s`, as [`solve`] describes.
+fn spectral_solve(s: &Mesh) -> Mesh {
+    let n = s.n;
     // −λ per axis: 4n² sin²(πk/n).
     let axis: Vec<f64> = (0..n)
         .map(|k| {
@@ -105,38 +123,21 @@ pub fn solve(source: &Mesh, _cfg: &MgConfig) -> MgSolution {
             4.0 * (n * n) as f64 * sk * sk
         })
         .collect();
-    g.data
-        .par_chunks_exact_mut(n * n)
-        .enumerate()
-        .for_each(|(i, plane)| {
-            for j in 0..n {
-                for k in 0..n {
-                    let c = &mut plane[j * n + k];
-                    let lam = -(axis[i] + axis[j] + axis[k]);
-                    // λ vanishes only at k = 0, the mean the source lacks.
-                    *c = if lam == 0.0 {
-                        Complex::ZERO
-                    } else {
-                        Complex::new(c.re / lam, c.im / lam)
-                    };
-                }
-            }
-        });
-    g.fft(Direction::Inverse);
-
-    let mut phi = Mesh {
-        n,
-        data: g.data.par_iter().map(|c| c.re).collect(),
-    };
+    // S and φ are real, so the modes are scaled on the half spectrum.
+    let data = filter_real(n, &s.data, |i, j, k| {
+        let lam = -(axis[i] + axis[j] + axis[k]);
+        // λ vanishes only at k = 0, the mean the source lacks.
+        if lam == 0.0 {
+            0.0
+        } else {
+            1.0 / lam
+        }
+    });
+    let mut phi = Mesh { n, data };
     // Pin the mean of φ to zero (gauge freedom of the periodic problem).
     let pm = phi.mean();
     phi.data.par_iter_mut().for_each(|v| *v -= pm);
-    let rel = norm2(&residual(&phi, &s).data) / norm2(&s.data).max(1e-300);
-    MgSolution {
-        phi,
-        rel_residual: rel,
-        cycles: 1,
-    }
+    phi
 }
 
 fn norm2(v: &[f64]) -> f64 {
@@ -204,20 +205,22 @@ pub fn gradient_force(phi: &Mesh) -> [Mesh; 3] {
         .into_par_iter()
         .with_min_len(plane_min_len(n))
         .for_each(move |i| {
-            let ip = (i + 1) % n;
-            let im = (i + n - 1) % n;
+            let p = &phi.data[..];
+            let (ip, im) = wrap_pm(i, n);
             for j in 0..n {
-                let jp = (j + 1) % n;
-                let jm = (j + n - 1) % n;
+                let (jp, jm) = wrap_pm(j, n);
+                let row = (i * n + j) * n;
+                let row_ip = (ip * n + j) * n;
+                let row_im = (im * n + j) * n;
+                let row_jp = (i * n + jp) * n;
+                let row_jm = (i * n + jm) * n;
                 for k in 0..n {
-                    let kp = (k + 1) % n;
-                    let km = (k + n - 1) % n;
-                    let ix = (i * n + j) * n + k;
+                    let (kp, km) = wrap_pm(k, n);
                     // SAFETY: plane i of each output is written by one worker.
                     unsafe {
-                        *px.ptr().add(ix) = -(phi.get(ip, j, k) - phi.get(im, j, k)) * inv_2h;
-                        *py.ptr().add(ix) = -(phi.get(i, jp, k) - phi.get(i, jm, k)) * inv_2h;
-                        *pz.ptr().add(ix) = -(phi.get(i, j, kp) - phi.get(i, j, km)) * inv_2h;
+                        *px.ptr().add(row + k) = -(p[row_ip + k] - p[row_im + k]) * inv_2h;
+                        *py.ptr().add(row + k) = -(p[row_jp + k] - p[row_jm + k]) * inv_2h;
+                        *pz.ptr().add(row + k) = -(p[row + kp] - p[row + km]) * inv_2h;
                     }
                 }
             }
