@@ -181,8 +181,10 @@ stage_lint() {
     # gradient, the solve) index the mesh directly. `Mesh::idx`, and `get`
     # on top of it, wraps every coordinate with a `%`; called per cell or
     # per particle corner it puts back the divides the kernels dropped.
-    # (`[^f]` spares `get`'s own `self.idx(`.)
-    wraps=$(src_sites crates/ramses/src '[^f][.](idx|get)[(]' |
+    # Mesh's accessors take three coordinates; a slice's, `Option`'s or a
+    # map's one-argument `.get(` passes. (`[^f]` spares `get`'s own
+    # `self.idx(`.)
+    wraps=$(src_sites crates/ramses/src '[^f][.](idx|get)[(][^()]*,[^()]*,' |
         grep -E '/(particles|gravity|poisson)[.]rs:' || true)
     if [ -n "$wraps" ]; then
         echo "ci.sh drift: modulo mesh indexing in a PM kernel:" >&2

@@ -279,13 +279,15 @@ impl Grid3 {
     }
 }
 
-/// `F⁻¹[g · F f]` for a real `n³` grid `f` (row-major `(x, y, z)`, `n` a
-/// power of two ≥ 2): `f` filtered by the real Fourier multiplier `g`,
-/// which is evaluated at mode `(i, j, k)`, indexed as [`Grid3::fft`] lays
-/// the modes out, for `k ≤ n/2` only. A real grid's other modes are the
-/// conjugates of these (`F(−k) = F(k)*`), so for an even `g` (`g(−k) =
-/// g(k)`) the result is the full complex transform's at about half the
-/// work.
+/// `F⁻¹[g · F f]` for a real `n³` grid `f` and an **even** real multiplier
+/// `g` (`g(−k) = g(k)`). `g` is read only at modes with `kz ≤ n/2`; every
+/// other mode takes its conjugate twin's value (`F(−k) = F(k)*`), so for a
+/// `g` that is not even the filter applied is `g`'s even extension from
+/// that half, not `g`.
+///
+/// `f` is row-major `(x, y, z)` and `n` a power of two ≥ 2; `g(i, j, k)`
+/// indexes the modes as [`Grid3::fft`] lays them out. The result is the
+/// full complex transform's at about half the work.
 ///
 /// The transforms run on the half spectrum, `n × n × (n/2 + 1)` modes.
 /// Along z, a line's `n` reals are packed into `n/2` complex numbers (even

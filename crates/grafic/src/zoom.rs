@@ -92,17 +92,12 @@ pub fn generate_zoom(
     };
     let mut counts = Vec::with_capacity(levels.len());
 
-    // Levels above the cap realise the same field; it is built once. A level
-    // needs only the displacement (never the real-space δ), and only the
-    // particles inside its shell are built.
-    let mut psi: Option<(usize, Vec<[f64; 3]>)> = None;
+    // A level needs only the displacement (never the real-space δ), and only
+    // the particles inside its shell are built.
     for (l, lv) in levels.iter().enumerate() {
         let realised_n = lv.effective_n.min(MAX_REALISED_N);
-        if psi.as_ref().map(|(n, _)| *n) != Some(realised_n) {
-            let dk = field::delta_k(&spec, realised_n, box_size, seed);
-            psi = Some((realised_n, field::displacement(&dk, box_size)));
-        }
-        let (_, psi) = psi.as_ref().expect("set above");
+        let dk = field::delta_k(&spec, realised_n, box_size, seed);
+        let psi = field::displacement(&dk, box_size);
 
         let inner = levels.get(l + 1).map(|next| next.half_extent);
         let outer = lv.half_extent;
@@ -110,7 +105,7 @@ pub fn generate_zoom(
         // particle's mass is 1/realised_n³ of the box mass: density is
         // conserved per volume regardless of which level covers it, while
         // refined levels carry proportionally lighter particles.
-        let kept = field::zeldovich(psi, realised_n, box_size, cosmo, |p| {
+        let kept = field::zeldovich(&psi, realised_n, box_size, cosmo, |p| {
             let r = chebyshev_dist(p, center, box_size);
             let inside_this = l == 0 || r <= outer;
             let inside_inner = inner.is_some_and(|h| r <= h);
@@ -228,9 +223,9 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
-    /// Building each level's shell directly, without δ(x), and one field per
-    /// distinct realised size (16, 32, 64, 64 here: the last level is above
-    /// the cap) is bit for bit a full realisation per level filtered after.
+    /// Building each level's shell directly, without δ(x), is bit for bit a
+    /// full realisation per level filtered after (realised sizes 16, 32, 64,
+    /// 64 here: the last level is above the cap).
     #[test]
     fn lean_levels_match_filtering_full_realisations_bitwise() {
         let (box_size, center, seed) = (100.0, [30.0, 55.0, 80.0], 3);

@@ -198,15 +198,10 @@ fn cic_axis(x: f64, n: usize) -> ([usize; 2], [f64; 2]) {
 fn deposit_range(parts: &Particles, mesh: &mut Mesh, lo: usize, hi: usize) {
     let n = mesh.n;
     let nf = n as f64;
-    let cell_volume = 1.0 / (nf * nf * nf);
-    // A power-of-two side makes `cell_volume` a power of two, so `mass ·
-    // n³` is bit for bit the density contribution `mass / cell_volume`.
-    let per_mass = n.is_power_of_two().then_some(nf * nf * nf);
+    // Density contribution per unit mass: 1 / cell volume.
+    let n3 = nf * nf * nf;
     for p in lo..hi {
-        let m = match per_mass {
-            Some(n3) => parts.mass[p] * n3,
-            None => parts.mass[p] / cell_volume,
-        };
+        let m = parts.mass[p] * n3;
         let [x, y, z] = parts.pos[p];
         let ((cx, wx), (cy, wy), (cz, wz)) = (cic_axis(x, n), cic_axis(y, n), cic_axis(z, n));
         for a in 0..2 {
@@ -419,7 +414,7 @@ mod tests {
         let mut mesh = Mesh::zeros(n);
         let mut acc = vec![];
         for (pos, mass) in parts.pos.iter().zip(&parts.mass) {
-            let m = mass / (1.0 / (nf * nf * nf));
+            let m = mass * (nf * nf * nf);
             let (base, frac) = stencil(pos);
             let mut out = [0.0f64; 3];
             for (dx, wx) in [(0usize, 1.0 - frac[0]), (1, frac[0])] {
@@ -466,6 +461,19 @@ mod tests {
             }
             for (a, b) in cic_interp_force(&parts, &force).iter().zip(&acc) {
                 proptest::prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+            }
+        }
+    }
+
+    /// For a power-of-two side, `mass · n³` is the quotient by the cell
+    /// volume the deposit used to compute, bit for bit.
+    #[test]
+    fn mass_times_n_cubed_is_the_cell_volume_quotient() {
+        for n in [2usize, 4, 8, 16, 32, 64, 128] {
+            let n3 = (n * n * n) as f64;
+            for i in 1..2000 {
+                let m = i as f64 * 1.7e-7 + 1.0 / i as f64;
+                assert_eq!((m * n3).to_bits(), (m / (1.0 / n3)).to_bits());
             }
         }
     }
