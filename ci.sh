@@ -159,6 +159,23 @@ stage_lint() {
         printf '%s\n' "$spawns" >&2
         exit 1
     fi
+    # Drift guard: finding reads each remote subtree from the batch its slot
+    # holds and walks it only through `Collect::read_or_walk`, the one path
+    # that keeps the batch fresh; federation (`federate`) is the only other
+    # asker. A `send_collect(` call anywhere else is a second finding path
+    # growing back beside the table. (Each hit is printed with the function
+    # it sits in; `fn send_collect(` itself is a definition, not a call.)
+    collects=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+             /send_collect[(]/ && !/fn send_collect[(]/ { print FILENAME ":" FNR ":" fn }' "$f"
+    done | grep -v -e '^crates/core/src/agent[.]rs:[0-9]*:read_or_walk$' \
+                   -e '^crates/core/src/hierarchy[.]rs:[0-9]*:federate$' || true)
+    if [ -n "$collects" ]; then
+        echo "ci.sh drift: send_collect outside the held-table refresh and federation:" >&2
+        printf '%s\n' "$collects" >&2
+        exit 1
+    fi
     # Drift guard: the periodic base mesh is solved directly by FFT
     # (ramses::poisson::solve). A V-cycle or its grid transfers growing back
     # in ramses is a second periodic solver beside it.

@@ -10,6 +10,14 @@
 //! Figure 1 of the paper). A submit walks the tree gathering [`Estimate`]s
 //! from every SeD declaring the service, then the plug-in [`Scheduler`]
 //! picks the winner.
+//!
+//! Finding at the MA reads a remote subtree from a held table where it can:
+//! each [`RemoteSlot`] keeps the last batch its subtree returned for each
+//! service, and while that batch is younger than [`HELD_ESTIMATES_MAX_AGE`]
+//! a submit schedules over it (plus the MA's own placements since) instead
+//! of sending a `Forward`. The walk still runs when the batch is stale,
+//! missing, emptied by the request's exclusions, or shows a candidate at
+//! its admission limit, and it refreshes the table as it goes.
 
 use crate::dagda::ReplicaCatalog;
 use crate::error::DietError;
@@ -20,6 +28,7 @@ use crate::sed::SedHandle;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use obs::{Obs, TraceCtx};
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,6 +45,8 @@ pub type Gather = Box<dyn FnOnce(Option<Instant>) -> Result<(Vec<Estimate>, Dura
 /// TCP implementation) without waiting, and the returned [`Gather`]
 /// collects the subtree's aggregated estimates. Splitting the two lets one
 /// thread ask every sibling subtree at once and wait on one deadline.
+/// Finding calls it only through [`RemoteSlot`], which keeps the answer
+/// as the subtree's held batch.
 /// [`crate::hierarchy::RemoteAgentClient`] is the TCP implementation;
 /// tests can plug in in-process fakes.
 pub trait RemoteSubtree: Send + Sync {
@@ -54,13 +65,36 @@ pub trait RemoteSubtree: Send + Sync {
     fn ping(&self, timeout: Duration) -> bool;
 }
 
+/// How long a remote subtree's last estimates stand in for a walk of it.
+/// Over this window the MA sees its own placements (it adds them to the
+/// held queues) but not the subtree's completions, another parent's
+/// placements or a SeD that joins below it; the walk it saves costs one
+/// hop (~0.1 ms on loopback), and the paper's own walk took ~50 ms, so the
+/// estimates a DIET scheduler read were older than this by the time it
+/// placed.
+pub const HELD_ESTIMATES_MAX_AGE: Duration = Duration::from_millis(20);
+
+/// One service's estimates as a remote subtree last returned them.
+struct Held {
+    /// When the batch arrived.
+    at: Instant,
+    /// The batch, with the hop's round trip already in every `probe_rtt`
+    /// and the MA's placements since `at` in every `queue_length`.
+    estimates: Vec<Estimate>,
+}
+
 /// A [`RemoteSubtree`] plus its availability bit, flipped by the heartbeat
 /// monitor: an agent that misses its heartbeats has its whole subtree's
 /// SeDs pulled from routing (collect skips the slot), and a successful
 /// probe later re-registers them — the slot is marked, never removed.
+///
+/// The slot also holds the subtree's last estimates per service, which the
+/// MA's finding reads instead of walking while they are fresh (see
+/// [`HELD_ESTIMATES_MAX_AGE`]).
 pub struct RemoteSlot {
     remote: Arc<dyn RemoteSubtree>,
     available: AtomicBool,
+    held: Mutex<HashMap<String, Held>>,
 }
 
 impl RemoteSlot {
@@ -68,6 +102,7 @@ impl RemoteSlot {
         Arc::new(RemoteSlot {
             remote,
             available: AtomicBool::new(true),
+            held: Mutex::default(),
         })
     }
 
@@ -84,8 +119,190 @@ impl RemoteSlot {
         self.available.load(Ordering::Acquire)
     }
 
+    /// Mark the subtree in or out of routing. Either way its held estimates
+    /// go: an evicted subtree is never placed from the table, and a restored
+    /// one is walked afresh.
     pub fn set_available(&self, v: bool) {
         self.available.store(v, Ordering::Release);
+        self.held.lock().clear();
+    }
+
+    /// The held estimates for `service` that may stand in for a walk, minus
+    /// the `exclude`d labels, with the batch's arrival stamp. `None` — walk
+    /// instead — when there is no batch, it is older than
+    /// [`HELD_ESTIMATES_MAX_AGE`], exclusion leaves nothing, or a candidate
+    /// left is at its admission limit (the held queue only ever grows
+    /// between walks, so only the wire can say whether it drained). A
+    /// request that excludes a held label drops the batch, so the next
+    /// submit walks.
+    fn read_held(&self, service: &str, exclude: &[String]) -> Option<(Vec<Estimate>, Instant)> {
+        let mut held = self.held.lock();
+        let entry = held.get(service)?;
+        if entry.at.elapsed() > HELD_ESTIMATES_MAX_AGE {
+            held.remove(service);
+            return None;
+        }
+        let at = entry.at;
+        let (kept, dropped): (Vec<Estimate>, Vec<Estimate>) = entry
+            .estimates
+            .iter()
+            .cloned()
+            .partition(|e| !exclude.contains(&e.server));
+        if !dropped.is_empty() {
+            held.remove(service);
+        }
+        if kept.is_empty() || kept.iter().any(Estimate::is_saturated) {
+            return None;
+        }
+        Some((kept, at))
+    }
+
+    /// A walk's answer: with nothing excluded, it replaces the held batch
+    /// for `service`. Returns the stamp placements from it are counted
+    /// against (`None` when it was not kept).
+    fn keep(&self, service: &str, exclude: &[String], estimates: &[Estimate]) -> Option<Instant> {
+        if !exclude.is_empty() {
+            return None;
+        }
+        if estimates.is_empty() {
+            self.held.lock().remove(service);
+            return None;
+        }
+        let at = Instant::now();
+        let held = Held {
+            at,
+            estimates: estimates.to_vec(),
+        };
+        self.held.lock().insert(service.to_string(), held);
+        Some(at)
+    }
+
+    /// A walk that did not answer: the subtree's held batch for `service`
+    /// is no longer evidence of anything.
+    fn forget_service(&self, service: &str) {
+        self.held.lock().remove(service);
+    }
+
+    /// Drop every held batch that lists `label`.
+    fn forget_label(&self, label: &str) {
+        self.held
+            .lock()
+            .retain(|_, h| !h.estimates.iter().any(|e| e.server == label));
+    }
+
+    /// The MA placed a request on `label` from the batch stamped `at`: count
+    /// it in the held queue the way the SeD's `LoadTracker` will count it on
+    /// arrival. A batch replaced since already saw it, or will.
+    fn placed(&self, service: &str, label: &str, at: Instant) {
+        let mut held = self.held.lock();
+        let Some(entry) = held.get_mut(service).filter(|h| h.at == at) else {
+            return;
+        };
+        if let Some(e) = entry.estimates.iter_mut().find(|e| e.server == label) {
+            e.queue_length += 1;
+        }
+    }
+}
+
+/// Where a candidate came from.
+#[derive(Clone)]
+enum Source {
+    /// A SeD attached in this process.
+    Local(Arc<SedHandle>),
+    /// A remote subtree's batch, with the stamp of the held batch it is
+    /// counted against (if any).
+    Remote(Arc<RemoteSlot>, Option<Instant>),
+}
+
+/// One collect in progress: the request, what has been read, and the
+/// walks still to be gathered.
+struct Collect<'a> {
+    service: &'a str,
+    exclude: &'a [String],
+    ctx: TraceCtx,
+    /// Finding at the MA: read fresh held batches instead of walking, and
+    /// keep what the walks return. Serving a `Forward` always walks — the
+    /// parent asking is its own table refreshing.
+    held: bool,
+    out: Vec<(Estimate, Source)>,
+    sent: Vec<(Arc<RemoteSlot>, Gather)>,
+    /// Remote slots answered from their held batch.
+    reads: u64,
+    /// Remote slots walked.
+    walks: u64,
+}
+
+impl<'a> Collect<'a> {
+    fn new(service: &'a str, exclude: &'a [String], ctx: TraceCtx, held: bool) -> Self {
+        Collect {
+            service,
+            exclude,
+            ctx,
+            held,
+            out: Vec::new(),
+            sent: Vec::new(),
+            reads: 0,
+            walks: 0,
+        }
+    }
+
+    /// One available remote slot: its held batch if that may stand in,
+    /// otherwise a walk — the request goes down now, and [`Self::gather`]
+    /// collects the answer and keeps it as the new batch.
+    fn read_or_walk(&mut self, slot: &Arc<RemoteSlot>) {
+        if let Some((ests, at)) = self
+            .held
+            .then(|| slot.read_held(self.service, self.exclude))
+            .flatten()
+        {
+            self.reads += 1;
+            let from = Source::Remote(slot.clone(), Some(at));
+            self.out.extend(ests.into_iter().map(|e| (e, from.clone())));
+            return;
+        }
+        self.walks += 1;
+        match slot
+            .remote
+            .send_collect(self.service, self.exclude, self.ctx)
+        {
+            Ok(pending) => self.sent.push((slot.clone(), pending)),
+            Err(_) => slot.forget_service(self.service),
+        }
+    }
+
+    /// The last step of a collect: wait for every walk sent, against one
+    /// deadline. A remote subtree's measured round trip is this parent's
+    /// proximity signal for everything below it. Returns how many subtrees
+    /// had not answered by the deadline.
+    fn gather(&mut self, until: Option<Instant>) -> usize {
+        let mut timeouts = 0;
+        for (slot, pending) in std::mem::take(&mut self.sent) {
+            match pending(until) {
+                Ok((mut ests, rtt)) => {
+                    let hop = rtt.as_secs_f64();
+                    for e in &mut ests {
+                        e.probe_rtt += hop;
+                    }
+                    let at = if self.held {
+                        slot.keep(self.service, self.exclude, &ests)
+                    } else {
+                        None
+                    };
+                    for e in ests {
+                        if !self.exclude.contains(&e.server) {
+                            self.out.push((e, Source::Remote(slot.clone(), at)));
+                        }
+                    }
+                }
+                Err(e) => {
+                    slot.forget_service(self.service);
+                    if matches!(e, DietError::Timeout { .. }) {
+                        timeouts += 1;
+                    }
+                }
+            }
+        }
+        timeouts
     }
 }
 
@@ -172,20 +389,13 @@ impl AgentNode {
     }
 
     /// The first two steps of a collect, depth-first over the in-process
-    /// tree: send the request to every available remote slot (each waiting
-    /// reply recorded in `sent`), then read the local SeDs'
-    /// estimates — memory reads, done inline while the remotes work. Local
-    /// SeDs carry their handle; estimates from remote subtrees (added by
-    /// [`gather`]) carry `None` — the caller reaches those SeDs by label
+    /// tree: ask every available remote slot (from its held batch, or by
+    /// sending the request down — each waiting reply recorded in `c.sent`),
+    /// then read the local SeDs' estimates — memory reads, done inline
+    /// while the remotes work. The gather ([`Collect::gather`]) adds the
+    /// walked subtrees' estimates; the caller reaches those SeDs by label
     /// over the wire.
-    fn send_and_read(
-        &self,
-        service: &str,
-        exclude: &[String],
-        ctx: TraceCtx,
-        out: &mut Vec<(Estimate, Option<Arc<SedHandle>>)>,
-        sent: &mut Vec<Gather>,
-    ) {
+    fn send_and_read(&self, c: &mut Collect) {
         if let Some(plan) = self.faults.read().clone() {
             // Stall is applied inside on_request; Kill makes the whole
             // subtree go dark mid-collection.
@@ -194,38 +404,34 @@ impl AgentNode {
             }
         }
         for slot in self.remotes.read().iter() {
-            if !slot.is_available() {
-                continue;
-            }
-            if let Ok(pending) = slot.remote.send_collect(service, exclude, ctx) {
-                sent.push(pending);
+            if slot.is_available() {
+                c.read_or_walk(slot);
             }
         }
         for sed in self.seds.read().iter() {
-            if exclude.iter().any(|l| *l == sed.config.label) {
+            if c.exclude.iter().any(|l| *l == sed.config.label) {
                 continue;
             }
-            if let Some(e) = sed.estimate(service) {
-                out.push((e, Some(sed.clone())));
+            if let Some(e) = sed.estimate(c.service) {
+                c.out.push((e, Source::Local(sed.clone())));
             }
         }
         for child in &self.children {
-            child.send_and_read(service, exclude, ctx, out, sent);
+            child.send_and_read(c);
         }
     }
 
     /// Estimates for a service from this whole subtree, skipping excluded
     /// labels (servers a retrying client has just seen fail) — the LA-side
     /// serving loop aggregates these into an `EstimateBatch` frame. Every
-    /// remote subtree is asked at once and waited on until its stub's own
-    /// deadline; one that does not answer contributes nothing (it is
-    /// skipped, never fatal).
+    /// remote subtree is walked, all at once, and waited on until its
+    /// stub's own deadline; one that does not answer contributes nothing
+    /// (it is skipped, never fatal).
     pub fn estimates(&self, service: &str, exclude: &[String], ctx: TraceCtx) -> Vec<Estimate> {
-        let mut out = Vec::new();
-        let mut sent = Vec::new();
-        self.send_and_read(service, exclude, ctx, &mut out, &mut sent);
-        gather(sent, None, exclude, &mut out);
-        out.into_iter().map(|(e, _)| e).collect()
+        let mut c = Collect::new(service, exclude, ctx, false);
+        self.send_and_read(&mut c);
+        c.gather(None);
+        c.out.into_iter().map(|(e, _)| e).collect()
     }
 
     /// Every SeD in this subtree (for liveness sweeps). Remote subtrees'
@@ -264,36 +470,6 @@ impl AgentNode {
                 .map(|c| c.solver_count(service))
                 .sum::<usize>()
     }
-}
-
-/// The last step of a collect: wait for every request `sent`, against one
-/// deadline. A remote subtree's measured round trip is this parent's
-/// proximity signal for everything below it. Returns how many subtrees had
-/// not answered by the deadline.
-fn gather(
-    sent: Vec<Gather>,
-    until: Option<Instant>,
-    exclude: &[String],
-    out: &mut Vec<(Estimate, Option<Arc<SedHandle>>)>,
-) -> usize {
-    let mut timeouts = 0;
-    for pending in sent {
-        match pending(until) {
-            Ok((ests, rtt)) => {
-                let hop = rtt.as_secs_f64();
-                for mut e in ests {
-                    if exclude.contains(&e.server) {
-                        continue;
-                    }
-                    e.probe_rtt += hop;
-                    out.push((e, None));
-                }
-            }
-            Err(DietError::Timeout { .. }) => timeouts += 1,
-            Err(_) => {}
-        }
-    }
-    timeouts
 }
 
 /// Where finding put a request: the winner's label, plus its handle when
@@ -444,28 +620,34 @@ impl MasterAgent {
     }
 
     /// Collect candidates from every child subtree on the caller's thread:
-    /// every remote subtree is asked at once, and the armed deadline (if
-    /// any) bounds the whole gather.
+    /// every remote subtree not read from its held batch (`held`, finding
+    /// only) is walked, all at once, and the armed deadline (if any) bounds
+    /// the whole gather.
     fn collect_candidates(
         &self,
         service: &str,
         exclude: &[String],
         ctx: TraceCtx,
-    ) -> Vec<(Estimate, Option<Arc<SedHandle>>)> {
+        held: bool,
+    ) -> Vec<(Estimate, Source)> {
         let until = self.collect_timeout.read().map(|d| Instant::now() + d);
-        let mut out = Vec::new();
-        let mut sent = Vec::new();
+        let mut c = Collect::new(service, exclude, ctx, held);
         for child in &self.children {
-            child.send_and_read(service, exclude, ctx, &mut out, &mut sent);
+            child.send_and_read(&mut c);
         }
-        let timeouts = gather(sent, until, exclude, &mut out);
+        let timeouts = c.gather(until);
+        let m = &self.obs.metrics;
         if timeouts > 0 {
-            self.obs
-                .metrics
-                .counter("diet_ma_subtree_timeouts_total")
+            m.counter("diet_ma_subtree_timeouts_total")
                 .add(timeouts as u64);
         }
-        out
+        if c.reads > 0 {
+            m.counter("diet_ma_finding_held_total").add(c.reads);
+        }
+        if c.walks > 0 {
+            m.counter("diet_ma_finding_walks_total").add(c.walks);
+        }
+        c.out
     }
 
     /// The scheduling core every submit variant funnels through: collect,
@@ -479,7 +661,7 @@ impl MasterAgent {
         ctx: TraceCtx,
     ) -> Result<Placement, DietError> {
         let started = Instant::now();
-        let mut candidates = self.collect_candidates(service, exclude, ctx);
+        let mut candidates = self.collect_candidates(service, exclude, ctx, true);
         if !data_ids.is_empty() {
             if let Some(cat) = self.catalog.read().as_ref() {
                 for (est, _) in candidates.iter_mut() {
@@ -520,12 +702,21 @@ impl MasterAgent {
         }
         let ests: Vec<Estimate> = candidates.iter().map(|(e, _)| e.clone()).collect();
         let pick = self.scheduler.select(&ests);
-        let (chosen_est, chosen_handle) = candidates.get(pick).cloned().ok_or_else(|| {
+        let (chosen_est, source) = candidates.get(pick).cloned().ok_or_else(|| {
             DietError::Rejected(format!(
                 "scheduler {} returned out-of-range index {pick}",
                 self.scheduler.name()
             ))
         })?;
+        let sed = match source {
+            Source::Local(sed) => Some(sed),
+            Source::Remote(slot, at) => {
+                if let Some(at) = at {
+                    slot.placed(service, &chosen_est.server, at);
+                }
+                None
+            }
+        };
         // Every scheduler decision is a labelled counter tick; the finding
         // time feeds the histogram the Figure-5 percentiles come from.
         self.obs
@@ -544,7 +735,7 @@ impl MasterAgent {
             .observe(started.elapsed().as_secs_f64());
         Ok(Placement {
             label: chosen_est.server,
-            sed: chosen_handle,
+            sed,
         })
     }
 
@@ -562,7 +753,7 @@ impl MasterAgent {
     /// when consulted *as* a federation peer (or as a remote subtree of a
     /// larger hierarchy). Honours the collect deadline when one is armed.
     pub fn estimates(&self, service: &str, exclude: &[String], ctx: TraceCtx) -> Vec<Estimate> {
-        self.collect_candidates(service, exclude, ctx)
+        self.collect_candidates(service, exclude, ctx, false)
             .into_iter()
             .map(|(e, _)| e)
             .collect()
@@ -599,8 +790,13 @@ impl MasterAgent {
 
     /// Remove a SeD from the hierarchy by label — every registration of it,
     /// across the whole tree. Returns true if at least one handle was
-    /// removed. Deregistered labels never reappear in candidate sets.
+    /// removed. Deregistered labels never reappear in candidate sets, and
+    /// no held batch that lists the label is read again: a SeD behind a
+    /// remote agent comes back only if a walk finds it there.
     pub fn deregister(&self, label: &str) -> bool {
+        for slot in self.remote_slots() {
+            slot.forget_label(label);
+        }
         let removed = self
             .children
             .iter()
@@ -763,8 +959,9 @@ mod tests {
     use super::*;
     use crate::data::{DietValue, Persistence};
     use crate::profile::{ArgTag, Profile, ProfileDesc};
-    use crate::sched::{MinQueue, RoundRobin};
+    use crate::sched::{MinQueue, RoundRobin, WeightedSpeed};
     use crate::sed::{SedConfig, ServiceTable, SolveFn};
+    use std::sync::atomic::AtomicUsize;
 
     fn echo_table() -> ServiceTable {
         let mut d = ProfileDesc::alloc("echo", 0, 0, 1);
@@ -1133,10 +1330,52 @@ mod tests {
         twin.shutdown();
     }
 
+    /// The round trip every fake subtree reports for its answer.
+    const HOP: Duration = Duration::from_micros(100);
+
+    /// A remote agent over SeDs that declare `echo`, answering `Forward`s
+    /// from memory: a stand-in for an LA process. A test bumps a SeD's
+    /// queue ([`FakeRemote::land`]) to model a placed call arriving there.
     struct FakeRemote {
         name: String,
-        label: String,
+        seds: Mutex<Vec<Estimate>>,
         fail: AtomicBool,
+        /// How long the subtree takes to answer.
+        stall: Mutex<Duration>,
+        /// `Forward`s received.
+        forwards: AtomicUsize,
+    }
+
+    impl FakeRemote {
+        fn new(name: &str, seds: &[(&str, f64)]) -> Arc<Self> {
+            let seds = seds
+                .iter()
+                .map(|&(label, speed_factor)| Estimate {
+                    server: label.to_string(),
+                    speed_factor,
+                    ..Estimate::default()
+                })
+                .collect();
+            Arc::new(FakeRemote {
+                name: name.to_string(),
+                seds: Mutex::new(seds),
+                fail: AtomicBool::new(false),
+                stall: Mutex::new(Duration::ZERO),
+                forwards: AtomicUsize::new(0),
+            })
+        }
+
+        fn forwards(&self) -> usize {
+            self.forwards.load(Ordering::Relaxed)
+        }
+
+        /// A call placed on `label` reaches it: its queue grows by one.
+        fn land(&self, label: &str) {
+            let mut seds = self.seds.lock();
+            if let Some(e) = seds.iter_mut().find(|e| e.server == label) {
+                e.queue_length += 1;
+            }
+        }
     }
 
     impl RemoteSubtree for FakeRemote {
@@ -1152,16 +1391,23 @@ mod tests {
             if self.fail.load(Ordering::Relaxed) {
                 return Err(DietError::Transport("remote agent unreachable".into()));
             }
-            let ests = if service != "echo" || exclude.contains(&self.label) {
-                vec![]
-            } else {
-                vec![Estimate {
-                    server: self.label.clone(),
-                    speed_factor: 10.0,
-                    ..Estimate::default()
-                }]
-            };
-            Ok(Box::new(move |_| Ok((ests, Duration::ZERO))))
+            self.forwards.fetch_add(1, Ordering::Relaxed);
+            let ests: Vec<Estimate> = self
+                .seds
+                .lock()
+                .iter()
+                .filter(|e| service == "echo" && !exclude.contains(&e.server))
+                .cloned()
+                .collect();
+            let due = Instant::now() + *self.stall.lock();
+            Ok(Box::new(move |until: Option<Instant>| {
+                if let Some(until) = until.filter(|u| *u < due) {
+                    std::thread::sleep(until.saturating_duration_since(Instant::now()));
+                    return Err(DietError::Timeout { after_secs: 0.0 });
+                }
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                Ok((ests, HOP))
+            }))
         }
         fn ping(&self, _timeout: Duration) -> bool {
             !self.fail.load(Ordering::Relaxed)
@@ -1170,14 +1416,9 @@ mod tests {
 
     #[test]
     fn remote_subtree_estimates_join_local_candidates() {
-        use crate::sched::WeightedSpeed;
         let (ma, seds) = hierarchy(&[1]);
         let ma = ma.with_scheduler(Arc::new(WeightedSpeed));
-        let remote = Arc::new(FakeRemote {
-            name: "LA-remote".into(),
-            label: "remote/sed0".into(),
-            fail: AtomicBool::new(false),
-        });
+        let remote = FakeRemote::new("LA-remote", &[("remote/sed0", 10.0)]);
         let slot = ma.children[0].add_remote(remote.clone());
         // The remote SeD is 10x faster: the scheduler picks it, and the
         // label-only resolve path hands its name back.
@@ -1220,11 +1461,7 @@ mod tests {
     #[test]
     fn heartbeat_monitor_marks_and_restores_remote_agents() {
         let (ma, seds) = hierarchy(&[1]);
-        let remote = Arc::new(FakeRemote {
-            name: "LA-remote".into(),
-            label: "remote/sed0".into(),
-            fail: AtomicBool::new(false),
-        });
+        let remote = FakeRemote::new("LA-remote", &[("remote/sed0", 10.0)]);
         let slot = ma.children[0].add_remote(remote.clone());
         let monitor = HeartbeatMonitor::spawn(
             ma.clone(),
@@ -1280,6 +1517,219 @@ mod tests {
         assert_eq!(per_sed.iter().sum::<u64>(), 5);
         assert!(per_sed.iter().all(|&n| n >= 2), "{per_sed:?}");
         assert_eq!(m.histogram("diet_ma_finding_seconds").count(), 5);
+        for s in seds {
+            s.shutdown();
+        }
+    }
+
+    /// An MA over nothing but `sites`, one remote slot each.
+    fn remote_ma(
+        sites: &[Arc<FakeRemote>],
+        scheduler: Arc<dyn Scheduler>,
+    ) -> (Arc<MasterAgent>, Vec<Arc<RemoteSlot>>) {
+        let root = AgentNode::leaf("MA/local", vec![]);
+        let slots = sites.iter().map(|s| root.add_remote(s.clone())).collect();
+        (MasterAgent::new("MA", vec![root], scheduler), slots)
+    }
+
+    fn resolve(ma: &MasterAgent) -> String {
+        ma.resolve("echo", &[], &[], TraceCtx::default()).unwrap()
+    }
+
+    #[test]
+    fn submits_within_the_bound_send_one_forward_per_slot() {
+        let sites = [
+            FakeRemote::new("la-a", &[("a/0", 1.0), ("a/1", 1.0)]),
+            FakeRemote::new("la-b", &[("b/0", 1.0)]),
+        ];
+        let (ma, slots) = remote_ma(&sites, Arc::new(RoundRobin::new()));
+        const N: usize = 50;
+        let start = Instant::now();
+        for _ in 0..N {
+            resolve(&ma);
+        }
+        // One walk per slot, unless the machine stalled this thread past
+        // the bound (then one more per bound elapsed).
+        let windows = 1 + (start.elapsed().as_nanos() / HELD_ESTIMATES_MAX_AGE.as_nanos()) as usize;
+        for site in &sites {
+            assert!(
+                (1..=windows).contains(&site.forwards()),
+                "{}: {} forwards for {N} submits",
+                site.name,
+                site.forwards()
+            );
+        }
+        // Every slot read is either held or walked, and the walks are the
+        // forwards sent.
+        let m = ma.metrics();
+        let held = m.counter_value("diet_ma_finding_held_total");
+        let walks = m.counter_value("diet_ma_finding_walks_total");
+        assert_eq!(held + walks, (N * sites.len()) as u64);
+        assert_eq!(
+            walks,
+            sites.iter().map(|s| s.forwards() as u64).sum::<u64>()
+        );
+        // The held batch carries the hop's round trip, as the walk did.
+        let rtt = slots[1].held.lock()["echo"].estimates[0].probe_rtt;
+        assert_eq!(rtt, HOP.as_secs_f64());
+        // Past the bound, the next submit walks every slot again.
+        std::thread::sleep(HELD_ESTIMATES_MAX_AGE);
+        let before: Vec<usize> = sites.iter().map(|s| s.forwards()).collect();
+        resolve(&ma);
+        for (site, before) in sites.iter().zip(before) {
+            assert_eq!(site.forwards(), before + 1, "{} not walked", site.name);
+        }
+        assert_eq!(m.counter_value("diet_ma_finding_walks_total"), walks + 2);
+    }
+
+    /// The paper's cold start, 100 submits in a row: per-SeD placements
+    /// from the held table, with the MA counting its own placements, match
+    /// a walk before every submit. Each placed call lands on its SeD (its
+    /// queue grows) before the next submit; nothing completes.
+    #[test]
+    fn a_burst_from_the_table_places_like_the_walk() {
+        fn burst(scheduler: Arc<dyn Scheduler>, walk_each: bool) -> (Vec<String>, usize) {
+            let sites = [
+                FakeRemote::new("la-a", &[("a/0", 1.0), ("a/1", 2.0)]),
+                FakeRemote::new("la-b", &[("b/0", 1.5), ("b/1", 0.5)]),
+            ];
+            let (ma, slots) = remote_ma(&sites, scheduler);
+            let mut placed = Vec::new();
+            for _ in 0..100 {
+                if walk_each {
+                    // Re-marking a slot drops what it held.
+                    slots.iter().for_each(|s| s.set_available(true));
+                }
+                let label = resolve(&ma);
+                sites.iter().for_each(|s| s.land(&label));
+                placed.push(label);
+            }
+            (placed, sites.iter().map(|s| s.forwards()).sum())
+        }
+        fn counts(placed: &[String]) -> Vec<(String, usize)> {
+            let mut c = std::collections::BTreeMap::new();
+            for l in placed {
+                *c.entry(l.clone()).or_insert(0) += 1;
+            }
+            c.into_iter().collect()
+        }
+        let spread = |placed: &[String]| {
+            let c: Vec<usize> = counts(placed).into_iter().map(|(_, n)| n).collect();
+            c.iter().max().unwrap() - c.iter().min().unwrap()
+        };
+
+        let (walked, walk_forwards) = burst(Arc::new(RoundRobin::new()), true);
+        let (held, held_forwards) = burst(Arc::new(RoundRobin::new()), false);
+        assert_eq!(walk_forwards, 200, "the baseline walks every submit");
+        assert!(held_forwards < 200);
+        assert_eq!(held, walked, "round robin placed in another order");
+
+        let policies: [fn() -> Arc<dyn Scheduler>; 2] =
+            [|| Arc::new(MinQueue), || Arc::new(WeightedSpeed)];
+        for policy in policies {
+            let (walked, _) = burst(policy(), true);
+            let (held, _) = burst(policy(), false);
+            assert!(spread(&held) <= spread(&walked), "{held:?} vs {walked:?}");
+            assert_eq!(counts(&held), counts(&walked));
+        }
+        // Without the MA counting its placements, min-queue would have put
+        // the whole burst on one SeD; with them it spreads evenly.
+        assert!(spread(&burst(Arc::new(MinQueue), false).0) <= 1);
+    }
+
+    #[test]
+    fn a_deregistered_label_or_an_unavailable_slot_is_never_placed_from_the_table() {
+        let sites = [
+            FakeRemote::new("la-a", &[("a/0", 1.0), ("a/1", 1.0)]),
+            FakeRemote::new("la-b", &[("b/0", 1.0)]),
+        ];
+        let (ma, slots) = remote_ma(&sites, Arc::new(RoundRobin::new()));
+        for _ in 0..3 {
+            resolve(&ma);
+        }
+        // la-a's own monitor drops a/1, and the MA is told: the batch the
+        // MA holds still lists it, but is not read again.
+        sites[0].seds.lock().retain(|e| e.server != "a/1");
+        assert!(!ma.deregister("a/1"), "no handle here: a remote SeD");
+        for _ in 0..20 {
+            assert_ne!(resolve(&ma), "a/1");
+        }
+        assert!(sites[0].forwards() >= 2, "la-a not walked after the purge");
+
+        // An evicted slot is neither read nor walked; restored, it walks.
+        let walks_b = sites[1].forwards();
+        slots[1].set_available(false);
+        for _ in 0..20 {
+            assert_ne!(resolve(&ma), "b/0");
+        }
+        assert_eq!(sites[1].forwards(), walks_b);
+        slots[1].set_available(true);
+        assert_eq!(resolve(&ma), "b/0", "the least recently used label");
+        assert_eq!(sites[1].forwards(), walks_b + 1);
+    }
+
+    #[test]
+    fn a_request_excluding_a_held_label_drops_the_batch() {
+        let site = FakeRemote::new("la-a", &[("a/0", 1.0), ("a/1", 1.0)]);
+        let (ma, slots) = remote_ma(std::slice::from_ref(&site), Arc::new(RoundRobin::new()));
+        let holds = || slots[0].held.lock().contains_key("echo");
+        let ctx = TraceCtx::default();
+        resolve(&ma);
+        assert!(holds());
+        // The request is answered without a/0, and the batch is dropped...
+        let excluded = ["a/0".to_string()];
+        assert_eq!(ma.resolve("echo", &[], &excluded, ctx).unwrap(), "a/1");
+        assert!(!holds());
+        // ...so the next submit walks, and its answer is held again.
+        let walks = site.forwards();
+        resolve(&ma);
+        assert_eq!(site.forwards(), walks + 1);
+        assert!(holds());
+        // Exclusion that leaves nothing held walks (and finds nothing).
+        let all = ["a/0".to_string(), "a/1".to_string()];
+        assert!(ma.resolve("echo", &[], &all, ctx).is_err());
+        assert_eq!(site.forwards(), walks + 2);
+    }
+
+    /// The held queue only grows between walks: a candidate it shows at
+    /// its admission limit is checked on the wire, not dropped from the
+    /// table's say-so.
+    #[test]
+    fn a_held_candidate_at_its_admission_limit_walks() {
+        let site = FakeRemote::new("la-a", &[("a/0", 1.0)]);
+        site.seds.lock()[0].admission_limit = Some(2);
+        let (ma, _) = remote_ma(std::slice::from_ref(&site), Arc::new(MinQueue));
+        for _ in 0..2 {
+            site.land(&resolve(&ma));
+        }
+        // Held (or re-walked) queue now reads 2 of 2: the next submit walks.
+        let walks = site.forwards();
+        assert_eq!(resolve(&ma), "a/0");
+        assert_eq!(site.forwards(), walks + 1);
+    }
+
+    #[test]
+    fn a_stale_batch_walks_and_the_collect_timeout_bounds_the_walk() {
+        let (ma, seds) = hierarchy(&[1]);
+        let site = FakeRemote::new("la-remote", &[("remote/0", 1.0)]);
+        ma.children[0].add_remote(site.clone());
+        let deadline = Duration::from_millis(50);
+        ma.set_collect_timeout(deadline);
+        resolve(&ma);
+        assert_eq!(site.forwards(), 1);
+        // The subtree wedges while its batch ages out: the next submit
+        // walks it, and the deadline, not the subtree, ends the wait.
+        *site.stall.lock() = Duration::from_secs(5);
+        std::thread::sleep(HELD_ESTIMATES_MAX_AGE);
+        let t0 = Instant::now();
+        assert_eq!(resolve(&ma), "la0/sed0");
+        assert!(t0.elapsed() < deadline + Duration::from_millis(500));
+        assert_eq!(site.forwards(), 2);
+        let timeouts = || ma.metrics().counter_value("diet_ma_subtree_timeouts_total");
+        assert_eq!(timeouts(), 1);
+        // A subtree that did not answer holds nothing: it is walked again.
+        assert_eq!(resolve(&ma), "la0/sed0");
+        assert_eq!((site.forwards(), timeouts()), (3, 2));
         for s in seds {
             s.shutdown();
         }

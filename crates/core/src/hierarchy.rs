@@ -10,6 +10,12 @@
 //!
 //! ```text
 //! client ──Submit──────────▶ MA process
+//!                             │ the LA slot's held batch is fresh and
+//!                             │ names a candidate: schedule over it (plus
+//!                             │ the MA's own placements since), no frame
+//!                             │ ─ ─ otherwise (stale, missing, emptied
+//!                             │     by exclude, or a candidate at its
+//!                             │     admission limit) walk: ─ ─ ─ ─ ─ ─ ─
 //!                             │  Forward (mux, rid)
 //!                             ▼
 //!                            LA process ──estimates()──▶ local SeDs
@@ -17,7 +23,8 @@
 //!                             │                 ▼ remote children...
 //!                             │  EstimateBatch (echoes rid)
 //!                             ▼
-//!                            MA schedules over the aggregate
+//!                            MA holds the batch (empty exclude only)
+//!                            and schedules over the aggregate
 //! client ◀─SubmitReply(label)┘
 //! client ──Call(label)──────▶ chosen SeD directly (the DIET shortcut:
 //!                             data never relays through the agents)
@@ -26,9 +33,13 @@
 //! Estimates hop up the tree inside [`Message::EstimateBatch`] frames;
 //! each parent adds the measured hop RTT to every child estimate's
 //! `probe_rtt`, so by the time an estimate reaches the scheduler its
-//! probe time reflects the real path down the tree. Trace contexts ride
+//! probe time reflects the real path down the tree. Only the MA holds
+//! batches ([`crate::agent::HELD_ESTIMATES_MAX_AGE`] bounds their age): an
+//! LA answering a `Forward` always walks its own subtree, because the
+//! `Forward` is its parent's table refreshing. Trace contexts ride
 //! inside `Forward` frames, so one trace covers the whole finding phase
-//! across every process.
+//! across every process when the submit walks; a submit answered from the
+//! held batch has no agent hop to trace.
 //!
 //! Federation: when an MA cannot resolve a service in its own tree
 //! (`ServiceNotFound`), it forwards the request to its federation peers
@@ -41,10 +52,12 @@
 //! connection that carries its `Forward`s, so
 //! [`crate::agent::HeartbeatMonitor`] probes it without dialing; a subtree
 //! whose agent misses its deadline is marked unavailable and skipped by
-//! collection (never removed — a returning agent is restored on its next
-//! successful probe, which redials once the old connection died). A
-//! stalled or dead subtree costs one collection deadline, not the whole
-//! submit.
+//! collection, its held batch dropped (never removed — a returning agent is
+//! restored on its next successful probe, which redials once the old
+//! connection died, and walked afresh). A stalled or dead subtree costs one
+//! collection deadline, not the whole submit; without a heartbeat monitor,
+//! the MA may place on a dead agent's SeDs from its held batch until that
+//! batch ages out.
 
 use crate::agent::{AgentNode, Gather, MasterAgent, RemoteSubtree};
 use crate::codec::Message;
@@ -95,9 +108,10 @@ use std::time::{Duration, Instant};
 ///   an `Err` string — the request *was* handled, it just failed, so the
 ///   client must not silently resubmit it.
 /// * If the SeD worker dies mid-call its completion fires `None` and the
-///   connection is severed **without** a reply: the client observes a
-///   transport error, which the retry layer treats as retryable and
-///   resubmits through the Master Agent.
+///   server is killed **without** a reply, as the SeD's process would have
+///   died: the client observes a transport error, which the retry layer
+///   treats as retryable and resubmits through the Master Agent, and a
+///   redial of the dead SeD is refused rather than accepted and severed.
 /// * Reply frames that cannot be delivered (client gone, socket reset) are
 ///   recorded on the SeD's load tracker via
 ///   [`SedHandle::note_reply_failure`] instead of being swallowed.
@@ -169,20 +183,22 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
                         }
                         // Worker crashed while holding the request (or the
                         // queue rejected it): the reply can never come.
-                        // Sever the connection so every caller on it sees a
-                        // transport fault and retries elsewhere.
+                        // The SeD is down, so its server goes down with it:
+                        // every caller on any connection sees a transport
+                        // fault and retries elsewhere, and a redial is
+                        // refused instead of accepted and severed in turn.
                         None => {
                             cb_sed.note_reply_failure();
-                            h.close();
+                            h.kill_server();
                         }
                     }
                 });
                 if res.is_err() {
                     // The SeD worker is gone — a crash, not an application
                     // rejection. The rejected job's completion has already
-                    // fired `None` above (counting the failure and closing
-                    // the connection); this close is an idempotent backstop.
-                    handle.close();
+                    // fired `None` above (counting the failure and taking
+                    // the server down); this is an idempotent backstop.
+                    handle.kill_server();
                 }
             }
             // DAGDA's SeD-to-SeD pull: another SeD (or a client) asks

@@ -641,6 +641,13 @@ impl ConnHandle {
         self.reactor.mark_dirty(self.conn.token);
     }
 
+    /// Take the whole server down, as when its process dies: the listener
+    /// closes (a redial is refused, not accepted and then severed) and
+    /// every connection is severed. Safe from any thread.
+    pub fn kill_server(&self) {
+        self.reactor.request_kill();
+    }
+
     /// Has the reactor torn this connection down?
     pub fn is_closed(&self) -> bool {
         self.conn.closed.load(Ordering::Acquire)

@@ -2,6 +2,7 @@
 //! TCP processes (local processes in these tests — separate listeners,
 //! separate connections, nothing shared but the wire).
 
+use diet_core::agent::HELD_ESTIMATES_MAX_AGE;
 use diet_core::data::{DietValue, Persistence};
 use diet_core::deploy::{SedSpec, TcpSiteSpec, TcpTopologySpec};
 use diet_core::hierarchy::{
@@ -206,7 +207,10 @@ fn interior_la_kill_mid_burst_loses_zero_requests() {
     for w in workers {
         w.join().unwrap();
     }
-    // After the kill, finding still works and routes around the corpse.
+    // After the kill, finding still works and routes around the corpse
+    // once what the MA held from before the kill has aged out (until then
+    // it may place on la-a's SeDs, which still serve).
+    std::thread::sleep(HELD_ESTIMATES_MAX_AGE);
     let label = d
         .ma_client
         .submit("echo", &[], obs::TraceCtx::default())
@@ -426,18 +430,25 @@ fn sibling_sites_are_asked_at_once_and_a_wedged_one_costs_one_deadline() {
     let (plan_a, server_a, sed_a) = faulty_site("la-a", "a/s0");
     let (plan_b, server_b, sed_b) = faulty_site("la-b", "b/s0");
     let root = AgentNode::leaf("MA/local", vec![]);
-    for (name, server) in [("la-a", &server_a), ("la-b", &server_b)] {
-        root.add_remote(RemoteAgentClient::with_timeout(
-            name,
-            server.local_addr,
-            Duration::from_secs(10),
-        ));
-    }
+    let slots: Vec<_> = [("la-a", &server_a), ("la-b", &server_b)]
+        .into_iter()
+        .map(|(name, server)| {
+            root.add_remote(RemoteAgentClient::with_timeout(
+                name,
+                server.local_addr,
+                Duration::from_secs(10),
+            ))
+        })
+        .collect();
     let ma = MasterAgent::new("MA", vec![root], Arc::new(RoundRobin::new()));
     ma.set_collect_timeout(Duration::from_secs(5));
     let ctx = obs::TraceCtx::default();
-    // Warm both connections so the timed submit measures finding alone.
-    ma.resolve("echo", &[], &[], ctx).unwrap();
+    // Warm both connections so the timed submit measures finding alone. A
+    // probe rides the connection a `Forward` does and, unlike a submit,
+    // leaves no held estimates behind: the timed submit walks both sites.
+    for slot in &slots {
+        assert!(slot.remote().ping(Duration::from_secs(5)));
+    }
 
     let stall = Duration::from_millis(300);
     plan_a.set_stall(stall);
@@ -450,7 +461,10 @@ fn sibling_sites_are_asked_at_once_and_a_wedged_one_costs_one_deadline() {
     let timeouts = || ma.metrics().counter_value("diet_ma_subtree_timeouts_total");
     assert_eq!(timeouts(), 0);
 
-    // Wedge la-b far past the deadline; la-a answers at once.
+    // Wedge la-b far past the deadline; la-a answers at once. The held
+    // estimates of the timed submit age out first, so each submit below
+    // walks la-b (la-a only until its first answer is held again).
+    std::thread::sleep(HELD_ESTIMATES_MAX_AGE);
     plan_a.set_stall(Duration::ZERO);
     plan_b.set_stall(Duration::from_secs(3));
     let deadline = Duration::from_millis(200);
@@ -536,4 +550,101 @@ fn unknown_service_without_peers_is_a_clean_miss() {
         "got {err:?}"
     );
     d.shutdown();
+}
+
+/// A SeD dies between two refreshes of the MA's held estimates, and its LA
+/// (no heartbeat monitor in this topology) keeps listing it. A request
+/// placed on it fails over once: the retry excludes the label, which is
+/// answered without it and drops the held batch.
+#[test]
+fn a_sed_killed_between_refreshes_costs_at_most_one_retry_per_request() {
+    let d = Arc::new(
+        TcpTopologySpec::chain(2, 3)
+            .deploy(Arc::new(RoundRobin::new()), |_| table("echo"))
+            .unwrap(),
+    );
+    let client = Arc::new(DietClient::initialize_distributed(d.obs.clone()));
+    for i in 0..6 {
+        client
+            .call_distributed(&d.ma_client, &d.pool, request("echo", i), &policy())
+            .unwrap();
+    }
+    // The SeD's host dies: its server goes, and nothing tells the LA.
+    let victim = d.seds.iter().position(|s| s.config.label == "d2/s1");
+    d.sed_servers[victim.unwrap()].kill();
+    let workers: Vec<_> = (0..4)
+        .map(|k| {
+            let (d, client) = (d.clone(), client.clone());
+            std::thread::spawn(move || {
+                (0..10)
+                    .map(|i| {
+                        let x = k * 10 + i;
+                        let (out, stats) = client
+                            .call_distributed(&d.ma_client, &d.pool, request("echo", x), &policy())
+                            .unwrap_or_else(|e| panic!("request {x} lost: {e}"));
+                        assert_eq!(out.get_i32(1).unwrap(), x + 1);
+                        stats.retries
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let retries: Vec<u32> = workers
+        .into_iter()
+        .flat_map(|w| w.join().unwrap())
+        .collect();
+    assert!(retries.iter().all(|&r| r <= 1), "{retries:?}");
+    assert!(retries.contains(&1), "the dead SeD was never tried");
+    if let Ok(d) = Arc::try_unwrap(d) {
+        d.shutdown();
+    }
+}
+
+/// The benchmark's `rpc_small` shape — `chain(2, 2)`, two closed-loop
+/// callers — with the split of the MA's finding read over the wire from
+/// its metrics dump: most submits are answered from the held table.
+#[test]
+fn held_estimates_answer_most_submits_at_the_rpc_small_shape() {
+    let d = Arc::new(
+        TcpTopologySpec::chain(2, 2)
+            .deploy(Arc::new(RoundRobin::new()), |_| table("echo"))
+            .unwrap(),
+    );
+    let client = Arc::new(DietClient::initialize_distributed(d.obs.clone()));
+    const CALLS: usize = 1000;
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let (d, client) = (d.clone(), client.clone());
+            std::thread::spawn(move || {
+                for i in 0..CALLS as i32 {
+                    client
+                        .call_distributed(&d.ma_client, &d.pool, request("echo", i), &policy())
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().unwrap();
+    }
+    let dump = TcpSedPool::new();
+    dump.register("MA", d.ma_server.local_addr);
+    let text = dump
+        .dump_metrics_correlated("MA", "", Duration::from_secs(5))
+        .unwrap();
+    let counter = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or(0)
+    };
+    let held = counter("diet_ma_finding_held_total");
+    let walks = counter("diet_ma_finding_walks_total");
+    // One remote slot: each submit reads it once, from the table or the wire.
+    assert_eq!(held + walks, 2 * CALLS as u64);
+    let ratio = held as f64 / (held + walks) as f64;
+    println!("{held} held, {walks} walked: hit ratio {ratio:.3}");
+    assert!(walks >= 1 && ratio > 0.5, "{held} held, {walks} walked");
+    if let Ok(d) = Arc::try_unwrap(d) {
+        d.shutdown();
+    }
 }

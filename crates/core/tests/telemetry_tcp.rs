@@ -92,31 +92,34 @@ fn collector_stitches_cross_process_traces_and_merges_metrics() {
             .interval(MANUAL),
     );
 
+    // The first request walks the tree (the MA holds no estimates yet);
+    // the rest are found from what that walk left held.
     const CALLS: usize = 6;
-    let mut last_trace = 0;
+    let mut walked_trace = None;
     for i in 0..CALLS {
         let (out, stats) = client
             .call_distributed(&d.ma_client, &d.pool, request("echo", i as i32), &policy())
             .unwrap();
         assert_eq!(out.get_i32(1).unwrap(), i as i32 + 1);
-        last_trace = stats.trace_id;
+        walked_trace.get_or_insert(stats.trace_id);
     }
+    let walked_trace = walked_trace.unwrap();
 
     // Nothing has shipped yet: the collector knows no sources and holds no
     // spans for the trace.
     assert!(collector.sources().is_empty());
-    assert!(collector.trace(last_trace).is_empty());
+    assert!(collector.trace(walked_trace).is_empty());
 
     // Ship everything, synchronously (each flush waits for its ack).
     assert_eq!(d.flush_telemetry(), 0, "component flushes failed");
     client_flusher.flush_now().unwrap();
     assert_eq!(client_flusher.flush_errors(), 0);
 
-    // (a) One stitched trace covers every hop of the last request, across
+    // (a) One stitched trace covers every hop of the walking request, across
     // five distinct processes' recordings: the client's Finding/Submission,
     // both interior agents' estimate windows, the winning SeD's queue and
     // solve windows, and the serving loop's result return.
-    let trace = collector.trace(last_trace);
+    let trace = collector.trace(walked_trace);
     for phase in [
         "Finding",
         "Submission",
