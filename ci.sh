@@ -101,6 +101,42 @@ stage_lint() {
         echo "ci.sh drift: experiment binaries run by nothing:$orphans" >&2
         exit 1
     fi
+    # Drift guard: every experiment binary, test file and BENCH_*.json the
+    # docs name must exist, so a deleted instrument cannot stay cited as a
+    # command. CHANGES.md and ROADMAP.md are history and plans, and
+    # EXPERIMENTS.md's "Retired instruments" section names what is gone on
+    # purpose; none of them is checked. A bare `tests/NAME.rs` may sit at
+    # the root or under any crate or vendored package.
+    stale=$(awk -v re='(^|[^A-Za-z0-9_])(exp_[a-z0-9_]+|BENCH_[A-Za-z0-9_]+[.]json|([A-Za-z0-9_.-]+/)*tests/[A-Za-z0-9_]+[.]rs)' '
+        FNR == 1 { skip = 0 }
+        /^## Retired instruments/ { skip = 1 }
+        /^## / && !/^## Retired instruments/ { skip = 0 }
+        skip { next }
+        { line = $0
+          while (match(line, re)) {
+              name = substr(line, RSTART, RLENGTH)
+              sub(/^[^A-Za-z0-9_.]/, "", name)
+              print FILENAME ":" FNR, name
+              line = substr(line, RSTART + RLENGTH)
+          } }' README.md DESIGN.md EXPERIMENTS.md |
+        while read -r at name; do
+            case $name in
+                exp_*) paths="crates/bench/src/bin/$name.rs" ;;
+                tests/*) paths="$name crates/*/$name vendor/*/$name" ;;
+                *) paths="$name" ;;
+            esac
+            # shellcheck disable=SC2086 # the globs above are meant to expand
+            set -- $paths
+            for p in "$@"; do
+                [ -f "$p" ] && continue 2
+            done
+            echo "$at $name"
+        done)
+    if [ -n "$stale" ]; then
+        echo "ci.sh drift: docs name files that do not exist:" >&2
+        printf '%s\n' "$stale" >&2
+        exit 1
+    fi
     # Drift guard: every byte format in diet-core is built from codec.rs's
     # `Wire` impls. A buffer primitive called anywhere else is a second
     # hand-rolled encoder growing back beside the table.

@@ -17,13 +17,10 @@ use bench::{render_series, series_csv, validate_json, write_artifact};
 use cosmogrid::campaign::gantt_from_spans;
 use cosmogrid::namelist::default_run_namelist;
 use cosmogrid::services::{cosmology_service_table, status, zoom1_profile};
-use diet_core::agent::{AgentNode, HeartbeatMonitor, MasterAgent};
+use diet_core::agent::HeartbeatMonitor;
 use diet_core::client::{DietClient, RetryPolicy};
-use diet_core::hierarchy::serve_sed_over_tcp;
+use diet_core::deploy::TcpTopologySpec;
 use diet_core::sched::RoundRobin;
-use diet_core::sed::{SedConfig, SedHandle};
-use diet_core::transport::TcpSedPool;
-use diet_core::Obs;
 use gridsim::trace::TraceKind;
 use obs::chrome_trace;
 use std::collections::{HashMap, HashSet};
@@ -49,40 +46,23 @@ fn quick_profile() -> diet_core::profile::Profile {
 }
 
 fn main() {
-    // One shared sink: client, MA, heartbeats and every SeD trace into the
-    // same ring buffer and registry, like one LogService feed.
-    let shared = Arc::new(Obs::new());
-
-    let seds: Vec<Arc<SedHandle>> = (0..SEDS)
-        .map(|i| {
-            SedHandle::spawn_with_obs(
-                SedConfig::new(&format!("live/{i}"), 1.0),
-                cosmology_service_table(),
-                shared.clone(),
-            )
-        })
-        .collect();
-    let servers: Vec<_> = seds
-        .iter()
-        .map(|s| serve_sed_over_tcp(s.clone()).expect("bind"))
-        .collect();
-    let pool = TcpSedPool::new();
-    for (sed, srv) in seds.iter().zip(&servers) {
-        pool.register(&sed.config.label, srv.local_addr);
-    }
-
-    let la = AgentNode::leaf("LA", seds.clone());
-    let ma = MasterAgent::new_with_obs("MA", vec![la], Arc::new(RoundRobin::new()), shared.clone());
+    // An MA with its SeDs attached directly, each behind its own TCP
+    // server. One shared sink: client, MA, heartbeats and every SeD trace
+    // into the same ring buffer and registry, like one LogService feed.
+    let d = TcpTopologySpec::chain(1, SEDS)
+        .deploy(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
+        .expect("deploy");
+    let shared = d.obs.clone();
     let monitor = HeartbeatMonitor::spawn(
-        ma.clone(),
+        d.ma.clone(),
         Duration::from_millis(20),
         Duration::from_millis(200),
         3,
     );
-    let client = DietClient::initialize_with_obs(ma.clone(), shared.clone());
+    let client = DietClient::initialize_with_obs(d.ma.clone(), shared.clone());
 
     // A mid-campaign node death, as on Grid'5000.
-    seds[SEDS - 1].faults().kill_at_request(8);
+    d.seds[SEDS - 1].faults().kill_at_request(8);
 
     let policy = RetryPolicy {
         attempt_timeout: Duration::from_secs(10),
@@ -97,7 +77,7 @@ fn main() {
     let mut request_of: HashMap<u64, u32> = HashMap::new();
     for req in 1..=REQUESTS {
         let (out, stats) = client
-            .call_over_tcp(&pool, quick_profile(), &policy)
+            .call_over_tcp(&d.pool, quick_profile(), &policy)
             .unwrap_or_else(|e| panic!("request {req} lost: {e}"));
         assert_eq!(out.get_i32(3).unwrap(), status::BAD_RESOLUTION);
         finding.push((req, stats.finding));
@@ -124,8 +104,9 @@ fn main() {
 
     // The dump-metrics request over the live TCP transport returns the same
     // registry text a LogService tail would.
-    let wire_dump = pool
-        .dump_metrics_correlated(&seds[0].config.label, "", Duration::from_secs(5))
+    let wire_dump = d
+        .pool
+        .dump_metrics_correlated(&d.seds[0].config.label, "", Duration::from_secs(5))
         .expect("dump-metrics over TCP");
     assert!(wire_dump.contains("diet_sed_solves_total"));
 
@@ -224,11 +205,6 @@ fn main() {
         println!("  wrote {}", p.display());
     }
 
-    for srv in &servers {
-        srv.stop();
-    }
-    for s in &seds[..SEDS - 1] {
-        s.shutdown();
-    }
+    d.shutdown();
     println!("\nlive Figure 5 shape checks passed (all {REQUESTS} requests traced end to end)");
 }

@@ -10,21 +10,23 @@
 
 use bench::{ms_row, render_rows, Row};
 use cosmogrid::campaign::{run_campaign, CampaignConfig};
-use diet_core::agent::{AgentNode, MasterAgent};
 use diet_core::client::DietClient;
 use diet_core::data::{DietValue, Persistence};
+use diet_core::deploy::TcpTopologySpec;
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sched::RoundRobin;
-use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
+use diet_core::sed::{ServiceTable, SolveFn};
 use std::sync::Arc;
 
 fn live_overhead(n_calls: usize) -> (f64, f64) {
-    // 11 SeDs with an instant no-op service: every measured cost is pure
-    // middleware overhead.
+    // 11 one-SeD sites with an instant no-op service: every measured cost
+    // is pure middleware overhead.
     let mut desc = ProfileDesc::alloc("noop", 0, 0, 1);
     desc.set_arg(0, ArgTag::Scalar).unwrap();
-    let seds: Vec<Arc<SedHandle>> = (0..11)
-        .map(|i| {
+    let clusters: Vec<String> = (0..11).map(|i| format!("c{i}")).collect();
+    let shape: Vec<_> = clusters.iter().map(|c| (c.as_str(), 1.0, 1)).collect();
+    let (ma, seds) = TcpTopologySpec::paper_shape(&shape)
+        .instantiate(Arc::new(RoundRobin::new()), |_| {
             let solve: SolveFn = Arc::new(|p: &mut Profile| {
                 let x = p.get_i32(0)?;
                 p.set(1, DietValue::ScalarI32(x), Persistence::Volatile)?;
@@ -32,15 +34,9 @@ fn live_overhead(n_calls: usize) -> (f64, f64) {
             });
             let mut t = ServiceTable::init(1);
             t.add(desc.clone(), solve).unwrap();
-            SedHandle::spawn(SedConfig::new(&format!("sed{i}"), 1.0), t)
+            t
         })
-        .collect();
-    let las: Vec<_> = seds
-        .iter()
-        .enumerate()
-        .map(|(i, s)| AgentNode::leaf(&format!("LA{i}"), vec![s.clone()]))
-        .collect();
-    let ma = MasterAgent::new("MA", las, Arc::new(RoundRobin::new()));
+        .expect("instantiate");
     let client = DietClient::initialize(ma);
 
     let mut finding = 0.0;

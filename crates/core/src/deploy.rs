@@ -1,10 +1,19 @@
 //! Deployment descriptions.
 //!
 //! "For performance reasons, the hierarchy of agents should be deployed
-//! depending on the underlying network topology." A [`DeploymentSpec`]
-//! captures the mapping the paper used on Grid'5000 — one MA, one LA per
-//! cluster, two SeDs per cluster (one for a restricted cluster) — validates
-//! it, and instantiates the live hierarchy given a service-table factory.
+//! depending on the underlying network topology." A [`TcpTopologySpec`] is
+//! the one description of that mapping: an MA, a tree of sites (one agent
+//! each) and SeDs with per-SeD speed factors — for instance the paper's
+//! Grid'5000 shape, one LA per cluster and two SeDs per cluster (one for a
+//! restricted cluster), see [`TcpTopologySpec::paper_shape`]. The spec is
+//! validated once and has two back-ends:
+//!
+//! - [`TcpTopologySpec::instantiate`] builds the site tree in this process
+//!   as nested [`AgentNode`]s under one [`MasterAgent`];
+//! - [`TcpTopologySpec::deploy`] (and
+//!   [`deploy_with_telemetry`](TcpTopologySpec::deploy_with_telemetry))
+//!   stands every SeD, site agent and the MA up behind its own loopback TCP
+//!   listener, joined only by sockets.
 
 use crate::agent::{AgentNode, MasterAgent};
 use crate::dag::{DagEngine, DagEngineConfig};
@@ -31,106 +40,6 @@ pub struct SedSpec {
     pub speed_factor: f64,
 }
 
-/// One Local Agent with its SeDs.
-#[derive(Debug, Clone)]
-pub struct LaSpec {
-    pub name: String,
-    pub seds: Vec<SedSpec>,
-}
-
-/// A full deployment: MA + LAs.
-#[derive(Debug, Clone)]
-pub struct DeploymentSpec {
-    pub ma_name: String,
-    pub las: Vec<LaSpec>,
-}
-
-impl DeploymentSpec {
-    /// The paper's deployment shape: 6 LAs (2 Lyon clusters, Lille, Nancy,
-    /// Toulouse, Sophia), 11 SeDs with the given per-cluster speed factors.
-    pub fn paper_shape(speeds: &[(&str, f64, usize)]) -> Self {
-        let las = speeds
-            .iter()
-            .map(|(name, speed, n_seds)| LaSpec {
-                name: format!("LA-{name}"),
-                seds: (0..*n_seds)
-                    .map(|i| SedSpec {
-                        label: format!("{name}/{i}"),
-                        speed_factor: *speed,
-                    })
-                    .collect(),
-            })
-            .collect();
-        DeploymentSpec {
-            ma_name: "MA".into(),
-            las,
-        }
-    }
-
-    pub fn total_seds(&self) -> usize {
-        self.las.iter().map(|l| l.seds.len()).sum()
-    }
-
-    /// Validate: non-empty, unique labels, positive speeds, every LA serves.
-    pub fn validate(&self) -> Result<(), DietError> {
-        if self.las.is_empty() {
-            return Err(DietError::Deployment("no local agents".into()));
-        }
-        let mut labels = HashSet::new();
-        for la in &self.las {
-            if la.seds.is_empty() {
-                return Err(DietError::Deployment(format!(
-                    "local agent {} has no SeDs",
-                    la.name
-                )));
-            }
-            for sed in &la.seds {
-                if sed.speed_factor <= 0.0 {
-                    return Err(DietError::Deployment(format!(
-                        "SeD {} has non-positive speed",
-                        sed.label
-                    )));
-                }
-                if !labels.insert(sed.label.clone()) {
-                    return Err(DietError::Deployment(format!(
-                        "duplicate SeD label {}",
-                        sed.label
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Instantiate the hierarchy: spawn every SeD with a service table from
-    /// `table_for`, group them under their LAs, and stand up the MA with the
-    /// given scheduler. Returns the MA and all SeD handles (for shutdown).
-    pub fn instantiate(
-        &self,
-        scheduler: Arc<dyn Scheduler>,
-        mut table_for: impl FnMut(&SedSpec) -> ServiceTable,
-    ) -> Result<(Arc<MasterAgent>, Vec<Arc<SedHandle>>), DietError> {
-        self.validate()?;
-        let mut all = Vec::new();
-        let mut las = Vec::new();
-        for la in &self.las {
-            let mut seds = Vec::new();
-            for spec in &la.seds {
-                let sed = SedHandle::spawn(
-                    SedConfig::new(&spec.label, spec.speed_factor),
-                    table_for(spec),
-                );
-                all.push(sed.clone());
-                seds.push(sed);
-            }
-            las.push(AgentNode::leaf(&la.name, seds));
-        }
-        Ok((MasterAgent::new(&self.ma_name, las, scheduler), all))
-    }
-}
-
-// ------------------------------------------------------- distributed topology
-
 /// How a distributed deployment reports to a telemetry collector: every
 /// component (MA, each LA, each SeD) gets its own private [`Obs`] and a
 /// [`TelemetryFlusher`] shipping it to `collector` every `interval`.
@@ -140,21 +49,9 @@ pub struct TelemetrySpec {
     pub interval: Duration,
 }
 
-/// The SeD-spawning callback threaded through the recursive site builder:
-/// spawns and serves one site's SeDs, returning their local handles.
-type SpawnSeds<'a> = dyn FnMut(
-        &str,
-        &[SedSpec],
-        &mut Vec<Arc<SedHandle>>,
-        &mut Vec<TcpServer>,
-        &mut Vec<TelemetryFlusher>,
-    ) -> Result<Vec<Arc<SedHandle>>, DietError>
-    + 'a;
-
-/// One simulated site in a distributed topology: an agent process serving
-/// its local SeD processes and the agents of its child sites. Nesting
-/// `children` builds arbitrarily deep trees (the paper's multi-site
-/// Grid'5000 shape).
+/// One site of a topology: an agent serving its local SeDs and the agents
+/// of its child sites. Nesting `children` builds arbitrarily deep trees
+/// (the paper's multi-site Grid'5000 shape).
 #[derive(Debug, Clone)]
 pub struct TcpSiteSpec {
     pub name: String,
@@ -162,10 +59,10 @@ pub struct TcpSiteSpec {
     pub children: Vec<TcpSiteSpec>,
 }
 
-/// A whole multi-site deployment to stand up as local TCP processes: one
-/// MA process at the top (optionally with MA-local SeDs — a depth-1
-/// hierarchy), one agent process per site, one server per SeD. Every edge
-/// is a real socket; nothing shares memory except through the wire.
+/// A whole multi-site deployment: one MA at the top (optionally with
+/// MA-local SeDs — a depth-1 hierarchy), one agent per site, one SeD per
+/// [`SedSpec`]. Deployed over TCP, every edge is a real socket and nothing
+/// shares memory except through the wire.
 #[derive(Debug, Clone)]
 pub struct TcpTopologySpec {
     pub ma_name: String,
@@ -179,6 +76,33 @@ pub struct TcpTopologySpec {
 }
 
 impl TcpTopologySpec {
+    /// The paper's deployment shape: an MA over one site `LA-{name}` per
+    /// cluster, each holding `n_seds` SeDs `{name}/{i}` at the cluster's
+    /// speed factor — 6 LAs (2 Lyon clusters, Lille, Nancy, Toulouse,
+    /// Sophia) and 11 SeDs on Grid'5000.
+    pub fn paper_shape(speeds: &[(&str, f64, usize)]) -> Self {
+        let sites = speeds
+            .iter()
+            .map(|(name, speed, n_seds)| TcpSiteSpec {
+                name: format!("LA-{name}"),
+                seds: (0..*n_seds)
+                    .map(|i| SedSpec {
+                        label: format!("{name}/{i}"),
+                        speed_factor: *speed,
+                    })
+                    .collect(),
+                children: vec![],
+            })
+            .collect();
+        TcpTopologySpec {
+            ma_name: "MA".into(),
+            ma_seds: vec![],
+            sites,
+            admission_limit: None,
+            child_timeout_ms: 2_000,
+        }
+    }
+
     /// A linear chain of the given depth with `seds_per_leaf` SeDs at the
     /// bottom — the shape the finding-depth experiment sweeps. Depth 1 is
     /// an MA with local SeDs; depth `d` adds `d - 1` agent hops above them.
@@ -281,6 +205,45 @@ impl TcpTopologySpec {
         Ok(())
     }
 
+    /// Build the topology in this process: every site becomes an
+    /// [`AgentNode`] over its child sites' nodes and its own SeDs, MA-local
+    /// SeDs sit in a `{ma}/local` leaf, and the MA runs the given
+    /// scheduler. Each SeD gets its service table from `table_for`. Returns
+    /// the MA and every SeD handle (for shutdown), children before parents.
+    pub fn instantiate(
+        &self,
+        scheduler: Arc<dyn Scheduler>,
+        mut table_for: impl FnMut(&SedSpec) -> ServiceTable,
+    ) -> Result<(Arc<MasterAgent>, Vec<Arc<SedHandle>>), DietError> {
+        fn site(
+            spec: &TcpSiteSpec,
+            spawn: &mut dyn FnMut(&SedSpec) -> Arc<SedHandle>,
+        ) -> Arc<AgentNode> {
+            let children = spec.children.iter().map(|c| site(c, spawn)).collect();
+            let node = AgentNode::interior(&spec.name, children);
+            for sed in &spec.seds {
+                node.add_sed(spawn(sed));
+            }
+            node
+        }
+        self.validate()?;
+        let mut all = Vec::new();
+        let mut spawn = |spec: &SedSpec| {
+            let sed = SedHandle::spawn(
+                SedConfig::new(&spec.label, spec.speed_factor),
+                table_for(spec),
+            );
+            all.push(sed.clone());
+            sed
+        };
+        let mut nodes: Vec<_> = self.sites.iter().map(|s| site(s, &mut spawn)).collect();
+        if !self.ma_seds.is_empty() {
+            let local = self.ma_seds.iter().map(&mut spawn).collect();
+            nodes.push(AgentNode::leaf(&format!("{}/local", self.ma_name), local));
+        }
+        Ok((MasterAgent::new(&self.ma_name, nodes, scheduler), all))
+    }
+
     /// Stand the whole topology up as local TCP processes, bottom-up: SeD
     /// servers first, then each site's agent server (its node holding local
     /// SeD handles plus [`RemoteAgentClient`] stubs for its children), the
@@ -313,198 +276,149 @@ impl TcpTopologySpec {
     fn deploy_inner(
         &self,
         scheduler: Arc<dyn Scheduler>,
-        mut table_for: impl FnMut(&SedSpec) -> ServiceTable,
+        table_for: impl FnMut(&SedSpec) -> ServiceTable,
         telemetry: Option<&TelemetrySpec>,
     ) -> Result<TcpDeployment, DietError> {
         self.validate()?;
-        let obs = Arc::new(Obs::new());
-        let pool = Arc::new(TcpSedPool::new());
-        let timeout = Duration::from_millis(self.child_timeout_ms.max(1));
-        let agent_cfg = AgentConfig {
-            admission_limit: self.admission_limit,
-            obs: obs.clone(),
-            ..AgentConfig::default()
+        let shared = Arc::new(Obs::new());
+        let mut b = TcpBuilder {
+            telemetry,
+            table_for,
+            pool: Arc::new(TcpSedPool::new()),
+            timeout: Duration::from_millis(self.child_timeout_ms.max(1)),
+            agent_cfg: AgentConfig {
+                admission_limit: self.admission_limit,
+                obs: shared.clone(),
+                ..AgentConfig::default()
+            },
+            shared,
+            seds: Vec::new(),
+            sed_servers: Vec::new(),
+            agent_servers: Vec::new(),
+            flushers: Vec::new(),
         };
-        let mut seds = Vec::new();
-        let mut sed_servers = Vec::new();
-        let mut agent_servers = Vec::new();
-        let mut flushers = Vec::new();
-
-        let flusher_for = |component_obs: Arc<Obs>, role: &str, label: &str, site: &str| {
-            telemetry.map(|t| {
-                TelemetryFlusher::spawn(
-                    component_obs,
-                    TelemetryConfig::new(t.collector, role, label)
-                        .site(site)
-                        .interval(t.interval),
-                )
-            })
-        };
-
-        let spawn_seds = |site: &str,
-                          specs: &[SedSpec],
-                          table_for: &mut dyn FnMut(&SedSpec) -> ServiceTable,
-                          seds: &mut Vec<Arc<SedHandle>>,
-                          sed_servers: &mut Vec<TcpServer>,
-                          flushers: &mut Vec<TelemetryFlusher>|
-         -> Result<Vec<Arc<SedHandle>>, DietError> {
-            let mut local = Vec::new();
-            for spec in specs {
-                // Telemetry mode: the SeD records into its own island of
-                // state and ships it; shared mode: everyone writes the one
-                // deployment-wide sink directly.
-                let sed_obs = match telemetry {
-                    Some(_) => Arc::new(Obs::new()),
-                    None => obs.clone(),
-                };
-                let sed = SedHandle::spawn_with_obs(
-                    SedConfig::new(&spec.label, spec.speed_factor),
-                    table_for(spec),
-                    sed_obs.clone(),
-                );
-                let server = serve_sed_over_tcp(sed.clone())?;
-                if let Some(f) = flusher_for(sed_obs, "sed", &spec.label, site) {
-                    flushers.push(f);
-                }
-                pool.register(&spec.label, server.local_addr);
-                sed_servers.push(server);
-                seds.push(sed.clone());
-                local.push(sed);
-            }
-            Ok(local)
-        };
-
-        // Recursion over the site tree threads every accumulator explicitly
-        // (it can't capture: `spawn_seds` is already a &mut closure).
-        #[allow(clippy::too_many_arguments)]
-        fn build_site(
-            site: &TcpSiteSpec,
-            timeout: Duration,
-            agent_cfg: &AgentConfig,
-            per_component_obs: bool,
-            spawn_seds: &mut SpawnSeds<'_>,
-            seds: &mut Vec<Arc<SedHandle>>,
-            sed_servers: &mut Vec<TcpServer>,
-            agent_servers: &mut Vec<(String, TcpServer)>,
-            agent_obs: &mut Vec<(String, Arc<Obs>)>,
-            flushers: &mut Vec<TelemetryFlusher>,
-        ) -> Result<Arc<RemoteAgentClient>, DietError> {
-            let mut child_stubs = Vec::new();
-            for child in &site.children {
-                child_stubs.push(build_site(
-                    child,
-                    timeout,
-                    agent_cfg,
-                    per_component_obs,
-                    spawn_seds,
-                    seds,
-                    sed_servers,
-                    agent_servers,
-                    agent_obs,
-                    flushers,
-                )?);
-            }
-            let local = spawn_seds(&site.name, &site.seds, seds, sed_servers, flushers)?;
-            let node = AgentNode::leaf(&site.name, local);
-            for stub in child_stubs {
-                node.add_remote(stub);
-            }
-            let site_cfg = if per_component_obs {
-                AgentConfig {
-                    obs: Arc::new(Obs::new()),
-                    ..agent_cfg.clone()
-                }
-            } else {
-                agent_cfg.clone()
-            };
-            agent_obs.push((site.name.clone(), site_cfg.obs.clone()));
-            let server = serve_agent_over_tcp_at(node, "127.0.0.1:0", site_cfg)?;
-            let stub = RemoteAgentClient::with_timeout(&site.name, server.local_addr, timeout);
-            agent_servers.push((site.name.clone(), server));
-            Ok(stub)
-        }
-
-        // Agent flushers are attached after the recursive build — the
-        // builder only records which Obs each site's agent got.
-        let mut agent_obs: Vec<(String, Arc<Obs>)> = Vec::new();
-        let mut site_stubs = Vec::new();
-        for site in &self.sites {
-            site_stubs.push(build_site(
-                site,
-                timeout,
-                &agent_cfg,
-                telemetry.is_some(),
-                &mut |site_name, specs, seds, servers, flushers| {
-                    spawn_seds(site_name, specs, &mut table_for, seds, servers, flushers)
-                },
-                &mut seds,
-                &mut sed_servers,
-                &mut agent_servers,
-                &mut agent_obs,
-                &mut flushers,
-            )?);
-        }
-        for (name, site_obs) in agent_obs {
-            if let Some(f) = flusher_for(site_obs, "la", &name, &name) {
-                flushers.push(f);
-            }
-        }
-        let ma_local = spawn_seds(
-            &self.ma_name,
-            &self.ma_seds,
-            &mut table_for,
-            &mut seds,
-            &mut sed_servers,
-            &mut flushers,
-        )?;
+        let site_stubs = self
+            .sites
+            .iter()
+            .map(|site| b.site(site))
+            .collect::<Result<Vec<_>, _>>()?;
+        let ma_local = b.seds(&self.ma_seds, &self.ma_name)?;
         let root = AgentNode::leaf(&format!("{}/local", self.ma_name), ma_local);
         for stub in site_stubs {
             root.add_remote(stub);
         }
-        let ma_obs = match telemetry {
-            Some(_) => Arc::new(Obs::new()),
-            None => obs.clone(),
-        };
+        let ma_obs = b.obs_for("ma", &self.ma_name, &self.ma_name);
         let ma = MasterAgent::new_with_obs(&self.ma_name, vec![root], scheduler, ma_obs.clone());
-        ma.set_collect_timeout(timeout);
+        ma.set_collect_timeout(b.timeout);
         // Grid-wide data plane: one replica catalog shared by every SeD in
         // the topology (remote-subtree SeDs included — `register_catalog`
         // alone only reaches the MA-local ones), with the endpoint pool as
         // the SeD-to-SeD transfer resolver. This is what lets the workflow
         // engine keep intermediates on the grid.
         let catalog = Arc::new(ReplicaCatalog::new());
-        for sed in &seds {
+        for sed in &b.seds {
             sed.attach_catalog(catalog.clone());
-            sed.set_resolver(pool.clone());
+            sed.set_resolver(b.pool.clone());
         }
         ma.register_catalog(catalog);
-        let dag = DagEngine::new(ma.clone(), pool.clone(), DagEngineConfig::default());
-        let ma_cfg = AgentConfig {
-            obs: ma_obs.clone(),
-            ..agent_cfg
-        };
+        let dag = DagEngine::new(ma.clone(), b.pool.clone(), DagEngineConfig::default());
+        let ma_cfg = b.agent_cfg_for(ma_obs.clone());
         let ma_server =
             serve_ma_over_tcp_with_dag(ma.clone(), vec![], "127.0.0.1:0", ma_cfg, dag.clone())?;
-        if let Some(f) = flusher_for(ma_obs.clone(), "ma", &self.ma_name, &self.ma_name) {
-            flushers.push(f);
-        }
         let ma_client =
-            RemoteAgentClient::with_timeout(&self.ma_name, ma_server.local_addr, timeout);
+            RemoteAgentClient::with_timeout(&self.ma_name, ma_server.local_addr, b.timeout);
         Ok(TcpDeployment {
-            obs: match telemetry {
-                Some(_) => ma_obs,
-                None => obs,
-            },
+            // The shared sink itself, or the MA's private slice.
+            obs: ma_obs,
             ma,
             ma_client,
             ma_server,
-            agent_servers,
-            pool,
-            seds,
-            sed_servers,
-            flushers,
+            agent_servers: b.agent_servers,
+            pool: b.pool,
+            seds: b.seds,
+            sed_servers: b.sed_servers,
+            flushers: b.flushers,
             dag,
         })
+    }
+}
+
+/// The TCP back-end's state while a topology is stood up: the pieces every
+/// agent and SeD share, and what the finished [`TcpDeployment`] holds.
+struct TcpBuilder<'t, F> {
+    telemetry: Option<&'t TelemetrySpec>,
+    table_for: F,
+    /// The one sink every component records into without telemetry.
+    shared: Arc<Obs>,
+    pool: Arc<TcpSedPool>,
+    timeout: Duration,
+    /// What every agent server is configured with, bar its sink.
+    agent_cfg: AgentConfig,
+    seds: Vec<Arc<SedHandle>>,
+    sed_servers: Vec<TcpServer>,
+    agent_servers: Vec<(String, TcpServer)>,
+    flushers: Vec<TelemetryFlusher>,
+}
+
+impl<F: FnMut(&SedSpec) -> ServiceTable> TcpBuilder<'_, F> {
+    /// The sink one component records into: the deployment-wide one, or
+    /// with telemetry a private one its own flusher ships to the collector.
+    fn obs_for(&mut self, role: &str, label: &str, site: &str) -> Arc<Obs> {
+        let Some(t) = self.telemetry else {
+            return self.shared.clone();
+        };
+        let obs = Arc::new(Obs::new());
+        let cfg = TelemetryConfig::new(t.collector, role, label)
+            .site(site)
+            .interval(t.interval);
+        self.flushers
+            .push(TelemetryFlusher::spawn(obs.clone(), cfg));
+        obs
+    }
+
+    fn agent_cfg_for(&self, obs: Arc<Obs>) -> AgentConfig {
+        AgentConfig {
+            obs,
+            ..self.agent_cfg.clone()
+        }
+    }
+
+    /// Spawn and serve one site's SeDs, registering each in the pool.
+    fn seds(&mut self, specs: &[SedSpec], site: &str) -> Result<Vec<Arc<SedHandle>>, DietError> {
+        let mut local = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let obs = self.obs_for("sed", &spec.label, site);
+            let sed = SedHandle::spawn_with_obs(
+                SedConfig::new(&spec.label, spec.speed_factor),
+                (self.table_for)(spec),
+                obs,
+            );
+            let server = serve_sed_over_tcp(sed.clone())?;
+            self.pool.register(&spec.label, server.local_addr);
+            self.sed_servers.push(server);
+            self.seds.push(sed.clone());
+            local.push(sed);
+        }
+        Ok(local)
+    }
+
+    /// Stand one site up, child sites first, and return the stub its parent
+    /// reaches its agent server through.
+    fn site(&mut self, site: &TcpSiteSpec) -> Result<Arc<RemoteAgentClient>, DietError> {
+        let child_stubs = site
+            .children
+            .iter()
+            .map(|child| self.site(child))
+            .collect::<Result<Vec<_>, _>>()?;
+        let node = AgentNode::leaf(&site.name, self.seds(&site.seds, &site.name)?);
+        for stub in child_stubs {
+            node.add_remote(stub);
+        }
+        let obs = self.obs_for("la", &site.name, &site.name);
+        let server = serve_agent_over_tcp_at(node, "127.0.0.1:0", self.agent_cfg_for(obs))?;
+        let stub = RemoteAgentClient::with_timeout(&site.name, server.local_addr, self.timeout);
+        self.agent_servers.push((site.name.clone(), server));
+        Ok(stub)
     }
 }
 
@@ -594,10 +508,15 @@ impl TcpDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::{DietValue, Persistence};
+    use crate::profile::{ArgTag, Profile, ProfileDesc};
     use crate::sched::RoundRobin;
+    use crate::sed::SolveFn;
+    use obs::TraceCtx;
+    use std::collections::BTreeSet;
 
-    fn paper_spec() -> DeploymentSpec {
-        DeploymentSpec::paper_shape(&[
+    fn paper_spec() -> TcpTopologySpec {
+        TcpTopologySpec::paper_shape(&[
             ("lyon-capricorne", 0.80, 2),
             ("lyon-sagittaire", 1.00, 1),
             ("lille-chti", 0.90, 2),
@@ -610,42 +529,96 @@ mod tests {
     #[test]
     fn paper_shape_has_eleven_seds_and_six_las() {
         let d = paper_spec();
-        assert_eq!(d.las.len(), 6);
-        assert_eq!(d.total_seds(), 11);
+        assert_eq!(d.sites.len(), 6);
+        assert_eq!(d.sites.iter().map(|s| s.seds.len()).sum::<usize>(), 11);
+        assert!(d.ma_seds.is_empty());
+        assert!(d.sites.iter().all(|s| s.children.is_empty()));
+        assert_eq!(d.sites[1].name, "LA-lyon-sagittaire");
+        assert_eq!(d.sites[1].seds[0].label, "lyon-sagittaire/0");
         d.validate().unwrap();
     }
 
     #[test]
     fn duplicate_labels_rejected() {
         let mut d = paper_spec();
-        d.las[0].seds[0].label = d.las[1].seds[0].label.clone();
+        d.sites[0].seds[0].label = d.sites[1].seds[0].label.clone();
         assert!(matches!(d.validate(), Err(DietError::Deployment(_))));
     }
 
     #[test]
-    fn empty_la_rejected() {
+    fn empty_site_rejected() {
         let mut d = paper_spec();
-        d.las[2].seds.clear();
+        d.sites[2].seds.clear();
         assert!(d.validate().is_err());
     }
 
     #[test]
     fn non_positive_speed_rejected() {
         let mut d = paper_spec();
-        d.las[0].seds[0].speed_factor = 0.0;
+        d.sites[0].seds[0].speed_factor = 0.0;
         assert!(d.validate().is_err());
     }
 
+    /// Two services declared unevenly: every SeD solves `echo`, only the
+    /// first SeD of each site also solves `twice`.
+    fn two_service_table(spec: &SedSpec) -> ServiceTable {
+        let mut t = ServiceTable::init(2);
+        let services: &[&str] = if spec.label.ends_with("/0") {
+            &["echo", "twice"]
+        } else {
+            &["echo"]
+        };
+        for name in services {
+            let mut d = ProfileDesc::alloc(name, 0, 0, 1);
+            d.set_arg(0, ArgTag::Scalar).unwrap();
+            let solve: SolveFn = Arc::new(|p: &mut Profile| {
+                let x = p.get_i32(0)?;
+                p.set(1, DietValue::ScalarI32(x), Persistence::Volatile)?;
+                Ok(0)
+            });
+            t.add(d, solve).unwrap();
+        }
+        t
+    }
+
+    // One spec, two back-ends, the same grid: the in-process tree and the
+    // TCP processes hold the same SeDs, and finding sees the same solvers
+    // for each service (the deployed MA reaches its sites over the wire).
     #[test]
-    fn instantiate_builds_working_hierarchy() {
-        let d = paper_spec();
-        let (ma, seds) = d
-            .instantiate(Arc::new(RoundRobin::new()), |_| ServiceTable::init(1))
+    fn instantiate_and_deploy_build_the_same_grid() {
+        let spec = paper_spec();
+        let (ma, seds) = spec
+            .instantiate(Arc::new(RoundRobin::new()), two_service_table)
             .unwrap();
-        assert_eq!(ma.sed_count(), 11);
+        let d = spec
+            .deploy(Arc::new(RoundRobin::new()), two_service_table)
+            .unwrap();
+        let labels = |seds: &[Arc<SedHandle>]| {
+            seds.iter()
+                .map(|s| s.config.label.clone())
+                .collect::<BTreeSet<_>>()
+        };
         assert_eq!(seds.len(), 11);
-        // No services registered: submit must say not-found.
+        assert_eq!(labels(&ma.all_seds()), labels(&seds));
+        assert_eq!(labels(&d.seds), labels(&seds));
+        assert_eq!(d.agent_servers.len(), 6);
+        for (service, solvers) in [("echo", 11), ("twice", 6)] {
+            assert_eq!(ma.solver_count(service), solvers);
+            let found: BTreeSet<_> =
+                d.ma.estimates(service, &[], TraceCtx::default())
+                    .into_iter()
+                    .map(|e| e.server)
+                    .collect();
+            let declared: BTreeSet<_> = seds
+                .iter()
+                .filter(|s| s.declares(service))
+                .map(|s| s.config.label.clone())
+                .collect();
+            assert_eq!(found, declared, "{service}");
+            assert_eq!(found.len(), solvers, "{service}");
+        }
         assert!(ma.submit("anything").is_err());
+        d.shutdown();
         for s in seds {
             s.shutdown();
         }

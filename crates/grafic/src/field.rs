@@ -76,9 +76,11 @@ impl GaussianField {
 ///
 /// To enforce the Hermitian symmetry δ(-k) = δ(k)* we draw a full grid of
 /// white noise first, FFT it (a real field's transform is automatically
-/// Hermitian), then colour it by sqrt(P(k)). This is exactly GRAFIC's
-/// construction and makes nested zoom levels consistent by sharing the
-/// white noise.
+/// Hermitian), then colour it by sqrt(P(k)). This is GRAFIC's construction
+/// for one level. GRAFIC also makes nested zoom levels consistent by
+/// refining one white-noise field; here the noise is drawn from `seed` in
+/// lattice order, so fields of different `n` do not share it and their long
+/// waves are independent.
 pub(crate) fn delta_k(spec: &PowerSpectrum, n: usize, box_size: f64, seed: u64) -> Grid3 {
     assert!(
         n.is_power_of_two() && n >= 2,

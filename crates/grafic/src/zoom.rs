@@ -5,10 +5,15 @@
 //! many more (lighter) particles while the outer envelope is represented
 //! coarsely.
 //!
-//! We reproduce the construction rather than bit-level GRAFIC output: the
-//! coarse level is a full-box realisation; each finer level re-uses the
-//! parent's random seed stream so large-scale modes agree, adds power only
-//! above the parent's Nyquist frequency, and is trimmed to its sub-box.
+//! We reproduce the construction's shape, not GRAFIC's output: every level
+//! is its own full-box realisation at the level's effective resolution
+//! (capped at `MAX_REALISED_N`), drawn from the same seed and trimmed to its
+//! shell. A lattice of another size reads the seeded white-noise stream in
+//! another order, so the levels share the power spectrum but not the
+//! realisation: their large-scale modes do not agree (adjacent levels'
+//! overdensities correlate at about 0). Past the cap a level is the capped
+//! full-box field trimmed to its smaller box, so it keeps fewer particles
+//! than the level above it.
 
 use crate::field::{self, IcParticles};
 use crate::spectrum::{CosmoParams, PowerSpectrum};
@@ -76,13 +81,12 @@ pub fn generate_zoom(
         });
     }
 
-    // Realise each level as a full-grid field at its effective resolution,
-    // sharing the seed so that common large-scale modes agree (GRAFIC's
-    // white-noise-sharing trick; our synthesize() draws the white noise from
-    // the seeded stream in lattice order, so the coarse modes coincide in
-    // distribution). Memory limits cap the effective resolution we realise
-    // directly; above the cap we synthesise the *sub-box* at the cap's
-    // resolution, which preserves the mass hierarchy exactly.
+    // Realise each level as a full-grid field at its effective resolution
+    // from the one seed. The white noise is drawn in lattice order, so
+    // levels of different sizes get different noise: the same spectrum,
+    // independent long waves. Memory limits cap the effective resolution
+    // realised; a level above the cap reuses the cap's full-box field and
+    // keeps only the particles inside its own (smaller) box.
     const MAX_REALISED_N: usize = 64;
 
     let mut particles = IcParticles {

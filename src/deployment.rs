@@ -1,19 +1,23 @@
 //! Bridge between the platform world and the middleware world: turn a
 //! gridsim [`DeploymentPlan`] (OAR reservations on Grid'5000 clusters) into
-//! a diet-core [`DeploymentSpec`] (MA / LA / SeD hierarchy), completing the
+//! a diet-core [`TcpTopologySpec`] (MA / LA / SeD hierarchy), completing the
 //! paper's Section 5.1 pipeline: reserve → deploy hierarchy → register
-//! services → run the campaign.
+//! services → run the campaign. The spec deploys either in this process
+//! ([`TcpTopologySpec::instantiate`]) or as one loopback TCP server per
+//! agent and SeD ([`TcpTopologySpec::deploy`]).
 
-use diet_core::deploy::{DeploymentSpec, LaSpec, SedSpec};
+use diet_core::deploy::{SedSpec, TcpSiteSpec, TcpTopologySpec};
 use gridsim::plan::DeploymentPlan;
 use gridsim::platform::Grid5000;
 
-/// Build the middleware deployment from a reservation plan: one Local Agent
-/// per cluster that obtained at least one SeD slot, exactly the paper's
-/// hierarchy shape ("6 LA: one per cluster ... 11 SEDs: two per cluster
-/// (one cluster of Lyon had only one SED)").
-pub fn spec_from_plan(plan: &DeploymentPlan, platform: &Grid5000) -> DeploymentSpec {
-    let las = plan
+/// Build the middleware deployment from a reservation plan: the paper's
+/// shape ([`TcpTopologySpec::paper_shape`]) with one Local Agent per cluster
+/// that obtained at least one SeD slot ("6 LA: one per cluster ... 11 SEDs:
+/// two per cluster (one cluster of Lyon had only one SED)"), each SeD
+/// labelled as planned and running at its cluster's speed factor.
+pub fn spec_from_plan(plan: &DeploymentPlan, platform: &Grid5000) -> TcpTopologySpec {
+    let mut spec = TcpTopologySpec::paper_shape(&[]);
+    spec.sites = plan
         .local_agents(platform)
         .into_iter()
         .map(|(cluster_name, labels)| {
@@ -23,7 +27,7 @@ pub fn spec_from_plan(plan: &DeploymentPlan, platform: &Grid5000) -> DeploymentS
                 .find(|c| c.name == cluster_name)
                 .map(|c| c.sed_speed())
                 .unwrap_or(1.0);
-            LaSpec {
+            TcpSiteSpec {
                 name: format!("LA-{cluster_name}"),
                 seds: labels
                     .into_iter()
@@ -32,26 +36,26 @@ pub fn spec_from_plan(plan: &DeploymentPlan, platform: &Grid5000) -> DeploymentS
                         speed_factor: speed,
                     })
                     .collect(),
+                children: vec![],
             }
         })
         .collect();
-    DeploymentSpec {
-        ma_name: "MA".into(),
-        las,
-    }
+    spec
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::cosmology_service_table;
+    use crate::namelist::default_run_namelist;
+    use crate::services::{cosmology_service_table, status, zoom1_profile};
+    use diet_core::client::{DietClient, RetryPolicy};
     use diet_core::sched::RoundRobin;
     use gridsim::plan::plan_deployment;
     use std::sync::Arc;
 
     #[test]
     fn reservation_to_running_hierarchy() {
-        // Reserve → plan → spec → instantiate → the services are reachable.
+        // Reserve → plan → spec → deploy over TCP → a call is answered.
         let platform = Grid5000::paper_deployment();
         let bg: Vec<usize> = platform
             .clusters
@@ -68,18 +72,39 @@ mod tests {
         assert_eq!(plan.total_seds(), 11);
 
         let spec = spec_from_plan(&plan, &platform);
-        assert_eq!(spec.total_seds(), 11);
-        assert_eq!(spec.las.len(), 6);
+        assert_eq!(spec.sites.len(), 6);
         spec.validate().unwrap();
 
-        let (ma, seds) = spec
-            .instantiate(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
+        let d = spec
+            .deploy(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
             .unwrap();
-        assert_eq!(ma.sed_count(), 11);
-        assert_eq!(ma.solver_count("ramsesZoom2"), 11);
-        for s in seds {
-            s.shutdown();
+        assert_eq!(d.agent_servers.len(), 6);
+        assert_eq!(d.sed_servers.len(), 11);
+        for sed in &d.seds {
+            let cluster = sed.config.label.split('/').next().unwrap();
+            let planned = platform
+                .clusters
+                .iter()
+                .find(|c| c.name == cluster)
+                .unwrap();
+            assert_eq!(sed.config.speed_factor, planned.sed_speed(), "{cluster}");
         }
+
+        // An invalid resolution comes back at once as BAD_RESOLUTION: a
+        // full round trip through the MA, an LA and a SeD, without a solve.
+        let mut nl = default_run_namelist(8, 50.0);
+        nl.set("OUTPUT_PARAMS", "aout", "0.5");
+        let client = DietClient::initialize_distributed(d.obs.clone());
+        let (out, _) = client
+            .call_distributed(
+                &d.ma_client,
+                &d.pool,
+                zoom1_profile(&nl, 7),
+                &RetryPolicy::default(),
+            )
+            .unwrap();
+        assert_eq!(out.get_i32(3).unwrap(), status::BAD_RESOLUTION);
+        d.shutdown();
     }
 
     #[test]

@@ -96,12 +96,13 @@ impl ZoomWorkflow {
                 let f: Vec<&str> = l.split_whitespace().collect();
                 let id: u32 = f.first()?.parse().ok()?;
                 let npart: usize = f.get(1)?.parse().ok()?;
-                let mass: f64 = f.get(2)?.parse().ok()?;
+                // "nan" and "inf" parse as f64: a row carrying one is as
+                // malformed as one carrying a word.
+                let finite = |i: usize| f.get(i)?.parse::<f64>().ok().filter(|x| x.is_finite());
+                let mass = finite(2)?;
                 let mut c = [0i32; 3];
-                #[allow(clippy::needless_range_loop)]
-                for d in 0..3 {
-                    let x: f64 = f.get(3 + d)?.parse().ok()?;
-                    c[d] = (x * 100.0).round() as i32;
+                for (d, slot) in c.iter_mut().enumerate() {
+                    *slot = (finite(3 + d)? * 100.0).round() as i32;
                 }
                 Some(CatalogHalo {
                     id,
@@ -111,7 +112,7 @@ impl ZoomWorkflow {
                 })
             })
             .collect();
-        out.sort_by(|a, b| b.mass_msun.partial_cmp(&a.mass_msun).unwrap());
+        out.sort_by(|a, b| b.mass_msun.total_cmp(&a.mass_msun));
         out
     }
 
@@ -478,9 +479,12 @@ mod tests {
 
     #[test]
     fn catalog_parser_skips_malformed_lines() {
-        let text = "# header\nnot a number at all\n0 5 1e14 0.1 0.1 0.1 0 0 0 0.01 0 0\n";
+        let text = "# header\nnot a number at all\n0 5 1e14 0.1 0.1 0.1 0 0 0 0.01 0 0\n\
+                    1 5 nan 0.1 0.1 0.1 0 0 0 0.01 0 0\n\
+                    2 5 2e14 0.1 inf 0.1 0 0 0 0.01 0 0\n";
         let halos = ZoomWorkflow::parse_catalog(text);
         assert_eq!(halos.len(), 1);
+        assert_eq!(halos[0].id, 0);
     }
 
     #[test]
@@ -491,7 +495,7 @@ mod tests {
 
     use crate::namelist::default_run_namelist;
     use crate::services::{cosmology_service_table, zoom2_failure_table, FailOnce};
-    use diet_core::deploy::DeploymentSpec;
+    use diet_core::deploy::TcpTopologySpec;
     use diet_core::sched::RoundRobin;
 
     fn quick_namelist() -> Namelist {
@@ -517,7 +521,7 @@ mod tests {
     // one entry per planned zoom.
     #[test]
     fn part2_failures_do_not_abort_the_fanout() {
-        let spec = DeploymentSpec::paper_shape(&[("nancy", 1.15, 2), ("orsay", 1.0, 2)]);
+        let spec = TcpTopologySpec::paper_shape(&[("nancy", 1.15, 2), ("orsay", 1.0, 2)]);
         let (ma, seds) = spec
             .instantiate(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
             .unwrap();
@@ -550,7 +554,7 @@ mod tests {
     #[test]
     fn single_zoom_failure_leaves_siblings_ok() {
         let trip = FailOnce::new();
-        let spec = DeploymentSpec::paper_shape(&[("nancy", 1.15, 2), ("orsay", 1.0, 2)]);
+        let spec = TcpTopologySpec::paper_shape(&[("nancy", 1.15, 2), ("orsay", 1.0, 2)]);
         let (ma, seds) = spec
             .instantiate(Arc::new(RoundRobin::new()), {
                 let trip = trip.clone();

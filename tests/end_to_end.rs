@@ -6,7 +6,7 @@ use cosmogrid::archive;
 use cosmogrid::namelist::default_run_namelist;
 use cosmogrid::services::{cosmology_service_table, status, zoom1_profile, zoom2_profile};
 use diet_core::client::DietClient;
-use diet_core::deploy::DeploymentSpec;
+use diet_core::deploy::TcpTopologySpec;
 use diet_core::error::DietError;
 use diet_core::sched::{MinQueue, RoundRobin};
 use std::sync::Arc;
@@ -17,8 +17,8 @@ fn small_namelist() -> cosmogrid::Namelist {
     nl
 }
 
-fn paper_like_deployment() -> DeploymentSpec {
-    DeploymentSpec::paper_shape(&[
+fn paper_like_deployment() -> TcpTopologySpec {
+    TcpTopologySpec::paper_shape(&[
         ("nancy", 1.15, 2),
         ("sophia", 1.10, 2),
         ("lyon-s", 1.00, 1),
@@ -31,10 +31,10 @@ fn paper_like_deployment() -> DeploymentSpec {
 #[test]
 fn full_two_part_workflow_over_the_hierarchy() {
     let spec = paper_like_deployment();
-    assert_eq!(spec.total_seds(), 11);
     let (ma, seds) = spec
         .instantiate(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
         .unwrap();
+    assert_eq!(seds.len(), 11);
     assert_eq!(ma.solver_count("ramsesZoom2"), 11);
     let client = DietClient::initialize(ma);
 
@@ -83,7 +83,7 @@ fn service_error_codes_follow_the_paper_contract() {
     // "The last two are an integer for error controls, and a file containing
     // the results" — the DIET call itself succeeds; the service reports
     // failure through the OUT integer.
-    let spec = DeploymentSpec::paper_shape(&[("solo", 1.0, 1)]);
+    let spec = TcpTopologySpec::paper_shape(&[("solo", 1.0, 1)]);
     let (ma, seds) = spec
         .instantiate(Arc::new(MinQueue), |_| cosmology_service_table())
         .unwrap();
@@ -109,7 +109,7 @@ fn service_error_codes_follow_the_paper_contract() {
 
 #[test]
 fn unknown_service_and_dead_sed_are_reported() {
-    let spec = DeploymentSpec::paper_shape(&[("solo", 1.0, 1)]);
+    let spec = TcpTopologySpec::paper_shape(&[("solo", 1.0, 1)]);
     let (ma, seds) = spec
         .instantiate(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
         .unwrap();
@@ -127,7 +127,7 @@ fn unknown_service_and_dead_sed_are_reported() {
 
 #[test]
 fn session_history_records_every_call() {
-    let spec = DeploymentSpec::paper_shape(&[("a", 1.0, 2)]);
+    let spec = TcpTopologySpec::paper_shape(&[("a", 1.0, 2)]);
     let (ma, seds) = spec
         .instantiate(Arc::new(RoundRobin::new()), |_| cosmology_service_table())
         .unwrap();

@@ -6,14 +6,14 @@ use cosmogrid::namelist::default_run_namelist;
 use cosmogrid::services::cosmology_service_table;
 use cosmogrid::workflow::ZoomWorkflow;
 use diet_core::client::DietClient;
-use diet_core::deploy::DeploymentSpec;
+use diet_core::deploy::TcpTopologySpec;
 use diet_core::sched::RoundRobin;
 use std::sync::Arc;
 
 #[test]
 fn miniature_campaign_end_to_end() {
     // The paper's 11-SeD shape (labels shortened).
-    let spec = DeploymentSpec::paper_shape(&[
+    let spec = TcpTopologySpec::paper_shape(&[
         ("nancy", 1.15, 2),
         ("sophia", 1.10, 2),
         ("lyon-s", 1.00, 1),
