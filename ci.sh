@@ -195,6 +195,16 @@ stage_lint() {
         printf '%s\n' "$spawns" >&2
         exit 1
     fi
+    # Drift guard: a client connection has no thread of its own — the
+    # callers waiting on a `MuxConn` take turns reading it (leader/follower).
+    # A non-test `thread::spawn` in transport.rs is a demux thread growing
+    # back.
+    spawns=$(src_sites crates/core/src 'thread::spawn' | grep '^crates/core/src/transport[.]rs:' || true)
+    if [ -n "$spawns" ]; then
+        echo "ci.sh drift: thread::spawn in transport.rs (callers read their own replies):" >&2
+        printf '%s\n' "$spawns" >&2
+        exit 1
+    fi
     # Drift guard: finding reads each remote subtree from the batch its slot
     # holds and walks it only through `Collect::read_or_walk`, the one path
     # that keeps the batch fresh; federation (`federate`) is the only other

@@ -214,16 +214,31 @@ enum Source {
     Remote(Arc<RemoteSlot>, Option<Instant>),
 }
 
+/// How a collect may reach a remote subtree.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// Serving a `Forward`: walk every one — the parent asking is its own
+    /// table refreshing.
+    Walk,
+    /// Finding at the MA: read a fresh held batch instead of walking, and
+    /// keep what the walks return.
+    Held,
+    /// Finding that must not block (the MA's reactor thread): read fresh
+    /// held batches, and give up where a walk or an armed fault plan would
+    /// be needed.
+    HeldOnly,
+}
+
 /// One collect in progress: the request, what has been read, and the
 /// walks still to be gathered.
 struct Collect<'a> {
     service: &'a str,
     exclude: &'a [String],
     ctx: TraceCtx,
-    /// Finding at the MA: read fresh held batches instead of walking, and
-    /// keep what the walks return. Serving a `Forward` always walks — the
-    /// parent asking is its own table refreshing.
-    held: bool,
+    reach: Reach,
+    /// A [`Reach::HeldOnly`] collect met a subtree it could not read
+    /// without blocking: its candidates are incomplete.
+    gave_up: bool,
     out: Vec<(Estimate, Source)>,
     sent: Vec<(Arc<RemoteSlot>, Gather)>,
     /// Remote slots answered from their held batch.
@@ -233,12 +248,13 @@ struct Collect<'a> {
 }
 
 impl<'a> Collect<'a> {
-    fn new(service: &'a str, exclude: &'a [String], ctx: TraceCtx, held: bool) -> Self {
+    fn new(service: &'a str, exclude: &'a [String], ctx: TraceCtx, reach: Reach) -> Self {
         Collect {
             service,
             exclude,
             ctx,
-            held,
+            reach,
+            gave_up: false,
             out: Vec::new(),
             sent: Vec::new(),
             reads: 0,
@@ -248,16 +264,20 @@ impl<'a> Collect<'a> {
 
     /// One available remote slot: its held batch if that may stand in,
     /// otherwise a walk — the request goes down now, and [`Self::gather`]
-    /// collects the answer and keeps it as the new batch.
+    /// collects the answer and keeps it as the new batch. A
+    /// [`Reach::HeldOnly`] collect gives up instead of walking.
     fn read_or_walk(&mut self, slot: &Arc<RemoteSlot>) {
-        if let Some((ests, at)) = self
-            .held
+        if let Some((ests, at)) = (self.reach != Reach::Walk)
             .then(|| slot.read_held(self.service, self.exclude))
             .flatten()
         {
             self.reads += 1;
             let from = Source::Remote(slot.clone(), Some(at));
             self.out.extend(ests.into_iter().map(|e| (e, from.clone())));
+            return;
+        }
+        if self.reach == Reach::HeldOnly {
+            self.gave_up = true;
             return;
         }
         self.walks += 1;
@@ -283,10 +303,9 @@ impl<'a> Collect<'a> {
                     for e in &mut ests {
                         e.probe_rtt += hop;
                     }
-                    let at = if self.held {
-                        slot.keep(self.service, self.exclude, &ests)
-                    } else {
-                        None
+                    let at = match self.reach {
+                        Reach::Held => slot.keep(self.service, self.exclude, &ests),
+                        Reach::Walk | Reach::HeldOnly => None,
                     };
                     for e in ests {
                         if !self.exclude.contains(&e.server) {
@@ -396,7 +415,16 @@ impl AgentNode {
     /// walked subtrees' estimates; the caller reaches those SeDs by label
     /// over the wire.
     fn send_and_read(&self, c: &mut Collect) {
+        if c.gave_up {
+            return;
+        }
         if let Some(plan) = self.faults.read().clone() {
+            // A stall would block the caller: a collect that must not
+            // block leaves the plan to the one that may.
+            if c.reach == Reach::HeldOnly {
+                c.gave_up = true;
+                return;
+            }
             // Stall is applied inside on_request; Kill makes the whole
             // subtree go dark mid-collection.
             if plan.on_request() == FaultAction::Kill {
@@ -428,7 +456,7 @@ impl AgentNode {
     /// stub's own deadline; one that does not answer contributes nothing
     /// (it is skipped, never fatal).
     pub fn estimates(&self, service: &str, exclude: &[String], ctx: TraceCtx) -> Vec<Estimate> {
-        let mut c = Collect::new(service, exclude, ctx, false);
+        let mut c = Collect::new(service, exclude, ctx, Reach::Walk);
         self.send_and_read(&mut c);
         c.gather(None);
         c.out.into_iter().map(|(e, _)| e).collect()
@@ -620,20 +648,23 @@ impl MasterAgent {
     }
 
     /// Collect candidates from every child subtree on the caller's thread:
-    /// every remote subtree not read from its held batch (`held`, finding
-    /// only) is walked, all at once, and the armed deadline (if any) bounds
-    /// the whole gather.
+    /// every remote subtree not read from its held batch (finding only) is
+    /// walked, all at once, and the armed deadline (if any) bounds the
+    /// whole gather. `None` when a [`Reach::HeldOnly`] collect gave up.
     fn collect_candidates(
         &self,
         service: &str,
         exclude: &[String],
         ctx: TraceCtx,
-        held: bool,
-    ) -> Vec<(Estimate, Source)> {
+        reach: Reach,
+    ) -> Option<Vec<(Estimate, Source)>> {
         let until = self.collect_timeout.read().map(|d| Instant::now() + d);
-        let mut c = Collect::new(service, exclude, ctx, held);
+        let mut c = Collect::new(service, exclude, ctx, reach);
         for child in &self.children {
             child.send_and_read(&mut c);
+        }
+        if c.gave_up {
+            return None;
         }
         let timeouts = c.gather(until);
         let m = &self.obs.metrics;
@@ -647,7 +678,7 @@ impl MasterAgent {
         if c.walks > 0 {
             m.counter("diet_ma_finding_walks_total").add(c.walks);
         }
-        c.out
+        Some(c.out)
     }
 
     /// The scheduling core every submit variant funnels through: collect,
@@ -660,8 +691,36 @@ impl MasterAgent {
         exclude: &[String],
         ctx: TraceCtx,
     ) -> Result<Placement, DietError> {
+        self.place(service, data_ids, exclude, ctx, Reach::Held)
+            .expect("a collect that may walk never gives up")
+    }
+
+    /// [`schedule`](Self::schedule) without a walk, for a caller that must
+    /// not block: `None` when a remote subtree has no fresh held batch that
+    /// may stand in for it, or a fault plan is armed in the tree. Nothing
+    /// was sent, counted or placed then; schedule where blocking is fine.
+    pub(crate) fn schedule_held(
+        &self,
+        service: &str,
+        exclude: &[String],
+        ctx: TraceCtx,
+    ) -> Option<Result<Placement, DietError>> {
+        self.place(service, &[], exclude, ctx, Reach::HeldOnly)
+    }
+
+    /// The body of [`schedule`](Self::schedule) and
+    /// [`schedule_held`](Self::schedule_held): `None` when a
+    /// [`Reach::HeldOnly`] collect gave up.
+    fn place(
+        &self,
+        service: &str,
+        data_ids: &[String],
+        exclude: &[String],
+        ctx: TraceCtx,
+        reach: Reach,
+    ) -> Option<Result<Placement, DietError>> {
         let started = Instant::now();
-        let mut candidates = self.collect_candidates(service, exclude, ctx, true);
+        let mut candidates = self.collect_candidates(service, exclude, ctx, reach)?;
         if !data_ids.is_empty() {
             if let Some(cat) = self.catalog.read().as_ref() {
                 for (est, _) in candidates.iter_mut() {
@@ -694,20 +753,20 @@ impl MasterAgent {
         if candidates.is_empty() {
             let any_declared = self.children.iter().any(|c| c.solver_count(service) > 0);
             self.obs.metrics.counter("diet_ma_no_candidate_total").inc();
-            return Err(if any_declared {
+            return Some(Err(if any_declared {
                 DietError::NoServerAvailable(service.to_string())
             } else {
                 DietError::ServiceNotFound(service.to_string())
-            });
+            }));
         }
         let ests: Vec<Estimate> = candidates.iter().map(|(e, _)| e.clone()).collect();
         let pick = self.scheduler.select(&ests);
-        let (chosen_est, source) = candidates.get(pick).cloned().ok_or_else(|| {
-            DietError::Rejected(format!(
+        let Some((chosen_est, source)) = candidates.get(pick).cloned() else {
+            return Some(Err(DietError::Rejected(format!(
                 "scheduler {} returned out-of-range index {pick}",
                 self.scheduler.name()
-            ))
-        })?;
+            ))));
+        };
         let sed = match source {
             Source::Local(sed) => Some(sed),
             Source::Remote(slot, at) => {
@@ -733,10 +792,10 @@ impl MasterAgent {
             .metrics
             .histogram("diet_ma_finding_seconds")
             .observe(started.elapsed().as_secs_f64());
-        Ok(Placement {
+        Some(Ok(Placement {
             label: chosen_est.server,
             sed,
-        })
+        }))
     }
 
     pub fn scheduler_name(&self) -> &'static str {
@@ -753,7 +812,8 @@ impl MasterAgent {
     /// when consulted *as* a federation peer (or as a remote subtree of a
     /// larger hierarchy). Honours the collect deadline when one is armed.
     pub fn estimates(&self, service: &str, exclude: &[String], ctx: TraceCtx) -> Vec<Estimate> {
-        self.collect_candidates(service, exclude, ctx, false)
+        self.collect_candidates(service, exclude, ctx, Reach::Walk)
+            .expect("a collect that may walk never gives up")
             .into_iter()
             .map(|(e, _)| e)
             .collect()
@@ -1580,6 +1640,52 @@ mod tests {
             assert_eq!(site.forwards(), before + 1, "{} not walked", site.name);
         }
         assert_eq!(m.counter_value("diet_ma_finding_walks_total"), walks + 2);
+    }
+
+    /// Finding that must not block answers only from fresh held batches:
+    /// before the first walk, past the bound, or with a fault plan armed it
+    /// gives up having sent, counted and consumed nothing, and the walking
+    /// submit then runs as it would have.
+    #[test]
+    fn schedule_held_never_walks() {
+        let sites = [
+            FakeRemote::new("la-a", &[("a/0", 1.0)]),
+            FakeRemote::new("la-b", &[("b/0", 1.0)]),
+        ];
+        let (ma, _) = remote_ma(&sites, Arc::new(RoundRobin::new()));
+        let ctx = TraceCtx::default();
+        let forwards = || sites.iter().map(|s| s.forwards()).sum::<usize>();
+        let held = || ma.schedule_held("echo", &[], ctx).map(|r| r.unwrap().label);
+        let submits = || ma.metrics().counter_value("diet_ma_submits_total");
+
+        assert_eq!(held(), None, "no batch yet");
+        assert_eq!((forwards(), submits()), (0, 0));
+        // A walk fills the table and a held answer follows, sending
+        // nothing — unless this thread stalled past the bound in between.
+        let label = (0..5)
+            .find_map(|_| {
+                resolve(&ma);
+                let (sent, placed) = (forwards(), submits());
+                let label = held()?;
+                assert_eq!((forwards(), submits()), (sent, placed + 1));
+                Some(label)
+            })
+            .expect("five walks in a row went stale before the next read");
+        assert!(["a/0", "b/0"].contains(&label.as_str()), "{label}");
+
+        std::thread::sleep(HELD_ESTIMATES_MAX_AGE);
+        let (sent, placed) = (forwards(), submits());
+        assert_eq!(held(), None, "past the bound");
+        assert_eq!((forwards(), submits()), (sent, placed));
+        resolve(&ma);
+        assert_eq!(forwards(), sent + 2);
+
+        let plan = FaultPlan::new();
+        ma.children[0].set_faults(plan.clone());
+        assert_eq!(held(), None, "a fault plan is armed");
+        assert_eq!(plan.requests_seen(), 0);
+        resolve(&ma);
+        assert_eq!(plan.requests_seen(), 1);
     }
 
     /// The paper's cold start, 100 submits in a row: per-SeD placements

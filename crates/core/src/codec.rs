@@ -15,14 +15,15 @@
 //!    wire order.
 //! 3. **Tagged unions**: `wire_enum!` maps a tag byte to a variant and
 //!    its fields in wire order. The frame table at the bottom of this file
-//!    is one; `encode_message`, `decode_message` and `peek_request_id` are
-//!    all derived from it.
+//!    is one; `encode_message`, `decode_message`, `peek_request_id` and
+//!    `runs_inline` are all derived from it.
 //!
 //! A message on a socket is `[u32 length][u8 tag][fields]`; transports add
 //! the length. To add a frame kind: add the [`Message`] variant, add one
 //! row to the frame table under a tag that was never used (14 to 18 are
 //! retired), and add a sample to `tests::samples()` with its golden line.
-//! Every row's first field is its `request_id`.
+//! Every row's first field is its `request_id`. A row ends in `inline` when
+//! the reactor may offer that frame to its handler on the reactor thread.
 
 use crate::dag::{
     DagEventRec, DagInput, DagNodeOutcome, DagNodeSpec, DagNodeState, DagOutcome, WorkflowSpec,
@@ -639,9 +640,12 @@ wire_records! {
 // ------------------------------------------------------------- frame table
 
 /// The frame table: `tag => Variant { request_id, other fields in wire
-/// order }`. Generates `Wire for Message` and `Message::request_id`.
+/// order }`, then `inline` on the rows whose handler the reactor may try on
+/// its own thread. Generates `Wire for Message`, `Message::request_id` and
+/// [`runs_inline`].
 macro_rules! frame_table {
-    ($($tag:literal => $V:ident { request_id $($rest:tt)* }),* $(,)?) => {
+    (@tag $tag:literal inline) => { $tag };
+    ($($tag:literal => $V:ident { request_id $($rest:tt)* } $($lane:ident)?),* $(,)?) => {
         wire_enum!(Message { $($tag => $V { request_id $($rest)* }),* });
 
         impl Message {
@@ -654,15 +658,18 @@ macro_rules! frame_table {
             }
         }
 
+        /// Tags of the rows marked `inline`.
+        const INLINE_TAGS: &[u8] = &[$($(frame_table!(@tag $tag $lane),)?)*];
+
         #[cfg(test)]
         const ALL_TAGS: &[u8] = &[$($tag),*];
     };
 }
 
 frame_table! {
-    10 => Submit { request_id, ctx, service, exclude },
+    10 => Submit { request_id, ctx, service, exclude } inline,
     11 => SubmitReply { request_id, server },
-    12 => Call { request_id, ctx, profile },
+    12 => Call { request_id, ctx, profile } inline,
     13 => CallReply { request_id, queue_wait, solve, result },
     // 14 to 16 were the uncorrelated Ping / Pong / Shutdown and 17 and 18
     // the uncorrelated DumpMetrics / MetricsReply pair: retired, never to
@@ -690,7 +697,7 @@ frame_table! {
     39 => AttachReply { request_id, result },
     40 => CampaignProgress { request_id, campaign_id, cursor },
     41 => ProgressReply { request_id, result },
-    42 => Ping { request_id },
+    42 => Ping { request_id } inline,
     43 => Pong { request_id },
 }
 
@@ -714,6 +721,15 @@ pub fn peek_request_id(frame: &[u8]) -> u64 {
         Some(id) => u64::from_le_bytes(id.try_into().expect("a 1..9 slice is 8 bytes")),
         None => 0,
     }
+}
+
+/// May the reactor decode this undecoded frame and offer it to its handler
+/// on the reactor thread? Only the frame table's `inline` rows qualify: a
+/// handler that can answer them without blocking does so there, and hands
+/// the message back to the dispatch pool otherwise. Every other frame
+/// (bulk `PutData` included) reaches the pool undecoded.
+pub(crate) fn runs_inline(frame: &[u8]) -> bool {
+    frame.first().is_some_and(|tag| INLINE_TAGS.contains(tag))
 }
 
 /// Encode a profile (service, values, persistence).
@@ -1197,6 +1213,25 @@ pub(crate) mod tests {
         }
         let rows: BTreeSet<u8> = ALL_TAGS.iter().copied().collect();
         assert_eq!(tags, rows, "a frame-table row has no sample");
+    }
+
+    /// The reactor offers exactly the table's `inline` rows to its handler.
+    #[test]
+    fn only_ping_call_and_submit_run_inline() {
+        let inline: BTreeSet<String> = samples()
+            .iter()
+            .filter(|m| runs_inline(&encode_message(m)))
+            .map(|m| {
+                format!("{m:?}")
+                    .split([' ', '{'])
+                    .next()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        let want: BTreeSet<String> = ["Call", "Ping", "Submit"].map(String::from).into();
+        assert_eq!(inline, want);
+        assert!(!runs_inline(&[]));
     }
 
     #[test]

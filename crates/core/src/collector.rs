@@ -228,10 +228,8 @@ pub fn serve_collector_over_tcp(
     if cfg.obs.is_none() {
         cfg.obs = Some(collector.obs.clone());
     }
-    TcpServer::spawn_framed(
-        addr,
-        cfg,
-        move |handle: &ConnHandle, msg: Message| match msg {
+    TcpServer::spawn_framed(addr, cfg, move |handle: &ConnHandle, msg: Message, _| {
+        match msg {
             Message::PushSpans {
                 request_id,
                 source,
@@ -256,6 +254,7 @@ pub fn serve_collector_over_tcp(
                 let _ = handle.send(&Message::Pong { request_id });
             }
             _ => {}
-        },
-    )
+        }
+        None
+    })
 }

@@ -12,10 +12,12 @@
 //! client ──Submit──────────▶ MA process
 //!                             │ the LA slot's held batch is fresh and
 //!                             │ names a candidate: schedule over it (plus
-//!                             │ the MA's own placements since), no frame
+//!                             │ the MA's own placements since), no frame,
+//!                             │ on the MA's reactor thread
 //!                             │ ─ ─ otherwise (stale, missing, emptied
 //!                             │     by exclude, or a candidate at its
-//!                             │     admission limit) walk: ─ ─ ─ ─ ─ ─ ─
+//!                             │     admission limit) a dispatch worker
+//!                             │     walks: ─ ─ ─ ─ ─ ─ ─ ─ ─ ─ ─ ─ ─ ─
 //!                             │  Forward (mux, rid)
 //!                             ▼
 //!                            LA process ──estimates()──▶ local SeDs
@@ -65,7 +67,7 @@ use crate::dag::{DagEngine, DagEventRec, DagOutcome, WorkflowSpec};
 use crate::data::DietValue;
 use crate::error::DietError;
 use crate::monitor::Estimate;
-use crate::reactor::ConnHandle;
+use crate::reactor::{ConnHandle, Lane};
 use crate::sed::SedHandle;
 use crate::transport::{busy_is_error, unexpected, Peer, ServerConfig, TcpServer};
 use obs::{Obs, TraceCtx};
@@ -82,18 +84,17 @@ use std::time::{Duration, Instant};
 /// node.
 ///
 /// Rides the readiness-driven serving core ([`TcpServer::spawn_framed`],
-/// [`ServerConfig::default`] pool sizing):
-/// one reactor thread owns every connection, and complete frames are
-/// dispatched to the bounded worker pool. The path is **pipelined** end to
-/// end — a `Call` frame is admitted into the SeD's solve queue via
-/// [`SedHandle::submit_with_callback`] and the dispatch worker is free
-/// immediately; when the solve completes, its callback queues the
+/// [`ServerConfig::default`] pool sizing): one reactor thread owns every
+/// connection. The path is **pipelined** end to end — a `Call` frame is
+/// served on the reactor thread itself, since admitting it into the SeD's
+/// solve queue via [`SedHandle::submit_with_callback`] is an enqueue that
+/// never blocks; when the solve completes, its callback queues the
 /// `CallReply` straight onto the connection's write queue (replies may
 /// overtake each other — that is the point; the request id pairs them).
-/// No per-connection pump thread, no parked worker: an idle connection
-/// costs a registered buffer. Data and control frames (`GetData`/
-/// `PutData`/`Ping`/`DumpMetricsRid`) are answered inline on the dispatch
-/// workers.
+/// No per-connection pump thread, no parked worker, no dispatch hop: an
+/// idle connection costs a registered buffer. `Ping` is answered on the
+/// reactor thread too; data and metrics frames (`GetData`/`PutData`/
+/// `DumpMetricsRid`) are answered on the dispatch workers.
 ///
 /// Admission control: when the SeD's `admission_limit` is reached (or the
 /// fault plan forces it), a `Call` is answered with [`Message::Busy`]
@@ -123,7 +124,7 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
         obs: Some(sed.obs()),
         ..ServerConfig::default()
     };
-    TcpServer::spawn_framed("127.0.0.1:0", cfg, move |handle, msg| {
+    TcpServer::spawn_framed("127.0.0.1:0", cfg, move |handle, msg, _| {
         match msg {
             Message::Call {
                 request_id,
@@ -136,7 +137,7 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
                 // force it to simulate overload.
                 if sed.admit().is_err() {
                     let _ = handle.send(&Message::Busy { request_id });
-                    return;
+                    return None;
                 }
                 let h = handle.clone();
                 let cb_sed = sed.clone();
@@ -244,6 +245,7 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
             }
             _ => {}
         }
+        None
     })
 }
 
@@ -463,7 +465,7 @@ pub fn serve_agent_over_tcp_at(
     if server_cfg.obs.is_none() {
         server_cfg.obs = Some(obs.clone());
     }
-    TcpServer::spawn_framed(addr, server_cfg, move |handle: &ConnHandle, msg| {
+    TcpServer::spawn_framed(addr, server_cfg, move |handle: &ConnHandle, msg, _| {
         match msg {
             Message::Forward {
                 request_id,
@@ -480,7 +482,7 @@ pub fn serve_agent_over_tcp_at(
                     inflight.fetch_sub(1, Ordering::AcqRel);
                     obs.metrics.counter("diet_agent_busy_total").inc();
                     let _ = handle.send(&Message::Busy { request_id });
-                    return;
+                    return None;
                 }
                 // Collection blocks this dispatch worker while the subtree
                 // answers — concurrency stays bounded by `cfg.workers`.
@@ -511,6 +513,7 @@ pub fn serve_agent_over_tcp_at(
             }
             _ => {}
         }
+        None
     })
 }
 
@@ -525,6 +528,11 @@ pub fn serve_agent_over_tcp_at(
 /// scheduled with this MA's own policy, and the winner's label is
 /// returned as if it were local. `NoServerAvailable` does not federate —
 /// the service is declared here, the client should retry locally.
+///
+/// A submit the held estimates answer without a walk is answered on the
+/// reactor thread. One that needs a walk or a federation, one into a tree
+/// with a fault plan armed, and every submit to an MA with an admission
+/// limit go to a dispatch worker.
 ///
 /// `Forward` frames make this MA usable *as* a federation peer (and as a
 /// remote subtree of an even larger tree): they are answered with the
@@ -566,7 +574,7 @@ fn serve_ma_inner(
     if server_cfg.obs.is_none() {
         server_cfg.obs = Some(obs.clone());
     }
-    TcpServer::spawn_framed(addr, server_cfg, move |handle: &ConnHandle, msg| {
+    TcpServer::spawn_framed(addr, server_cfg, move |handle: &ConnHandle, msg, lane| {
         match msg {
             Message::Submit {
                 service,
@@ -574,12 +582,36 @@ fn serve_ma_inner(
                 ctx,
                 exclude,
             } => {
+                // On the reactor thread, answer only from the held table:
+                // a walk, a federation or an admission count goes to the
+                // dispatch pool.
+                if lane == Lane::Reactor {
+                    let answer = admission_limit
+                        .is_none()
+                        .then(|| ma.schedule_held(&service, &exclude, ctx))
+                        .flatten();
+                    let federates = !peers.is_empty()
+                        && matches!(answer, Some(Err(DietError::ServiceNotFound(_))));
+                    return match answer {
+                        Some(answer) if !federates => {
+                            let server = answer.ok().map(|placed| placed.label);
+                            let _ = handle.send(&Message::SubmitReply { request_id, server });
+                            None
+                        }
+                        _ => Some(Message::Submit {
+                            service,
+                            request_id,
+                            ctx,
+                            exclude,
+                        }),
+                    };
+                }
                 let admitted = inflight.fetch_add(1, Ordering::AcqRel) + 1;
                 if admission_limit.is_some_and(|cap| admitted > cap) {
                     inflight.fetch_sub(1, Ordering::AcqRel);
                     obs.metrics.counter("diet_agent_busy_total").inc();
                     let _ = handle.send(&Message::Busy { request_id });
-                    return;
+                    return None;
                 }
                 let server = match ma.resolve(&service, &[], &exclude, ctx) {
                     Ok(label) => Some(label),
@@ -656,6 +688,7 @@ fn serve_ma_inner(
             }
             _ => {}
         }
+        None
     })
 }
 

@@ -1567,7 +1567,7 @@ pub fn serve_jobserver_over_tcp(
     cfg: ServerConfig,
 ) -> Result<TcpServer, DietError> {
     let obs = js.obs.clone();
-    TcpServer::spawn_framed(addr, cfg, move |h, msg| {
+    TcpServer::spawn_framed(addr, cfg, move |h, msg, _| {
         let reply = match msg {
             Message::SubmitTasks {
                 request_id,
@@ -1614,9 +1614,10 @@ pub fn serve_jobserver_over_tcp(
                 request_id,
                 text: obs.metrics.render_prometheus(),
             },
-            _ => return,
+            _ => return None,
         };
         let _ = h.send(&reply);
+        None
     })
 }
 

@@ -103,7 +103,7 @@ pub use monitor::Estimate;
 pub use naming::NameServer;
 pub use obs::{Obs, TraceCtx};
 pub use profile::{ArgDesc, ArgMode, Profile, ProfileDesc};
-pub use reactor::ConnHandle;
+pub use reactor::{ConnHandle, Lane};
 pub use sched::{DataLocal, MinQueue, RandomSched, RoundRobin, Scheduler, WeightedSpeed};
 pub use sed::{SedConfig, SedHandle, ServiceTable};
 pub use telemetry::{TelemetryConfig, TelemetryFlusher};

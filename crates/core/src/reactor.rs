@@ -13,16 +13,27 @@
 //!   wakeup cost is O(ready), not O(connections).
 //! * **Reads are state machines.** Bytes accumulate in a per-connection
 //!   [`FrameBuf`]; only once a complete `[u32 length][payload]` frame is
-//!   buffered is it dispatched to the bounded worker pool. A peer that
-//!   trickles one byte at a time (or never completes its header) costs
-//!   buffer space, never a worker.
+//!   buffered is it served. A peer that trickles one byte at a time (or
+//!   never completes its header) costs buffer space, never a worker.
+//! * **Two lanes.** The server has one handler, and each call tells it its
+//!   [`Lane`]. A frame the codec's frame table marks `inline` (`Ping`,
+//!   `Call`, `Submit`) is decoded on the reactor thread and offered to the
+//!   handler there: a SeD admits a `Call` into its solve queue, an MA
+//!   answers a `Submit` from its held estimates, and the reply goes out
+//!   with no thread hop. A handler that might block hands the message
+//!   back, and it joins the dispatch pool. Every other frame goes to the
+//!   pool undecoded, so bulk data is never decoded on the reactor thread.
+//!   A handler that panics, on either lane, closes the connection it was
+//!   serving and nothing else (`diet_reactor_handler_panics_total`).
 //! * **The receive path is zero-copy.** `FrameBuf` freezes its fill buffer
 //!   into [`Bytes`] and hands out O(1) frame slices; the codec decodes
 //!   strings and file blobs as further slices of the same allocation.
 //! * **Replies are queued writes.** A handler calls [`ConnHandle::send`]
-//!   from any thread; the frame lands in the connection's write queue and
-//!   the reactor flushes it when the socket is writable, registering for
-//!   write-readiness only while bytes are actually queued.
+//!   from any thread; the frame is written straight to the socket when
+//!   nothing is queued ahead of it, and otherwise lands in the
+//!   connection's write queue for the reactor to flush when the socket is
+//!   writable, registering for write-readiness only while bytes are
+//!   actually queued.
 //!
 //! Backpressure and failure semantics: a full dispatch queue answers
 //! `Busy` echoing the frame's request id; `kill` severs every socket so peers
@@ -30,7 +41,7 @@
 //! before any body byte is buffered; a closed peer is pruned from the
 //! reactor's table immediately (the old kill-list grew without bound).
 
-use crate::codec::{decode_message, encode_message, peek_request_id, Message};
+use crate::codec::{decode_message, encode_message, peek_request_id, runs_inline, Message};
 use crate::error::DietError;
 use crate::transport::{ServerConfig, DEFAULT_MAX_FRAME};
 use bytes::Bytes;
@@ -41,6 +52,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,8 +93,12 @@ pub(crate) struct ReactorMetrics {
     /// Connections cut off for advertising an oversized length prefix.
     oversized_frames: Arc<Counter>,
     /// Connections torn down abnormally (overflow, oversized frame, I/O
-    /// error, kill) — peer-initiated EOF is a normal close, not a sever.
+    /// error, kill, handler panic) — peer-initiated EOF is a normal close,
+    /// not a sever.
     severed_conns: Arc<Counter>,
+    /// Handler calls that panicked, on either lane. Each one closed the
+    /// connection it was serving and nothing else.
+    handler_panics: Arc<Counter>,
 }
 
 impl ReactorMetrics {
@@ -96,6 +112,7 @@ impl ReactorMetrics {
             write_overflow_severed: reg.counter("diet_reactor_write_overflow_severed_total"),
             oversized_frames: reg.counter("diet_reactor_oversized_frames_total"),
             severed_conns: reg.counter("diet_reactor_severed_conns_total"),
+            handler_panics: reg.counter("diet_reactor_handler_panics_total"),
         }
     }
 }
@@ -714,11 +731,52 @@ struct Conn {
     want_write: bool,
 }
 
-type Handler = Arc<dyn Fn(&ConnHandle, Message) + Send + Sync>;
+/// Which thread a handler call runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lane {
+    /// The reactor thread, for a frame the frame table marks `inline`
+    /// (`Ping`, `Call`, `Submit`). Every connection of the server waits
+    /// while the handler runs, so a handler that might block hands the
+    /// message back instead, and it goes to the dispatch pool.
+    Reactor,
+    /// A dispatch worker: any frame, and every message handed back.
+    Worker,
+}
+
+/// The server's one handler. On [`Lane::Reactor`] it returns `Some(msg)` to
+/// hand the message back to the dispatch pool; on [`Lane::Worker`] what it
+/// returns is dropped.
+pub(crate) type Handler = Arc<dyn Fn(&ConnHandle, Message, Lane) -> Option<Message> + Send + Sync>;
+
+/// What a dispatch worker runs.
+enum Work {
+    /// A frame the reactor did not decode.
+    Frame(Bytes),
+    /// A message a reactor-lane handler handed back.
+    Handed(Message),
+}
+
+/// Run `handler` on one message. A panic is contained to the connection it
+/// was serving: that connection is closed and counted, the thread — the
+/// reactor's or a worker's — carries on.
+fn serve(handler: &Handler, handle: &ConnHandle, msg: Message, lane: Lane) -> Option<Message> {
+    match catch_unwind(AssertUnwindSafe(|| handler(handle, msg, lane))) {
+        Ok(back) => back,
+        Err(_) => {
+            let m = &handle.reactor.metrics;
+            m.handler_panics.inc();
+            m.severed_conns.inc();
+            handle.close();
+            None
+        }
+    }
+}
 
 /// Spawn the reactor thread plus `cfg.workers` dispatch workers for
-/// `listener`. Frames are decoded zero-copy on the workers and handed to
-/// `handler`; the returned [`ReactorShared`] is the control surface
+/// `listener`. Frames the frame table marks `inline` are decoded on the
+/// reactor thread and offered to `handler` there; every other frame, and
+/// every message a reactor-lane call hands back, runs on a worker. The
+/// returned [`ReactorShared`] is the control surface
 /// (`stop`/`kill`/connection count).
 pub(crate) fn spawn(
     listener: TcpListener,
@@ -755,20 +813,28 @@ pub(crate) fn spawn(
     // half-read socket. `depth` mirrors the bounded channel's occupancy for
     // the dispatch-depth gauge (the vendored channel exposes no len()).
     let depth = Arc::new(AtomicU64::new(0));
-    let (work_tx, work_rx) = bounded::<(ConnHandle, Bytes)>(cfg.accept_queue.max(1));
+    let (work_tx, work_rx) = bounded::<(ConnHandle, Work)>(cfg.accept_queue.max(1));
     for _ in 0..cfg.workers.max(1) {
         let rx = work_rx.clone();
         let h = handler.clone();
         let depth = depth.clone();
         std::thread::spawn(move || {
-            while let Ok((handle, frame)) = rx.recv() {
+            while let Ok((handle, work)) = rx.recv() {
                 depth.fetch_sub(1, Ordering::Relaxed);
-                match decode_message(frame) {
-                    Ok(msg) => h(&handle, msg),
-                    // Garbage that framed correctly but does not decode:
-                    // the stream is not trustworthy past this point.
-                    Err(_) => handle.close(),
-                }
+                let msg = match work {
+                    Work::Handed(msg) => msg,
+                    Work::Frame(frame) => match decode_message(frame) {
+                        Ok(msg) => msg,
+                        // Garbage that framed correctly but does not
+                        // decode: the stream is not trustworthy past this
+                        // point.
+                        Err(_) => {
+                            handle.close();
+                            continue;
+                        }
+                    },
+                };
+                serve(&h, &handle, msg, Lane::Worker);
             }
         });
     }
@@ -779,6 +845,7 @@ pub(crate) fn spawn(
         shared: shared.clone(),
         conns: HashMap::new(),
         next_token: TOK_FIRST_CONN,
+        handler,
         work_tx,
         depth,
         busy: busy_rejections,
@@ -797,7 +864,8 @@ struct Reactor {
     shared: Arc<ReactorShared>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    work_tx: Sender<(ConnHandle, Bytes)>,
+    handler: Handler,
+    work_tx: Sender<(ConnHandle, Work)>,
     /// Occupancy of the bounded dispatch channel (inc on send, dec on
     /// worker receive).
     depth: Arc<AtomicU64>,
@@ -976,17 +1044,39 @@ impl Reactor {
             }
         };
         for frame in frames.drain(..) {
+            // A handler panic or an undecodable frame closed the
+            // connection: what it sent after that is not served.
+            if handle.conn.close_requested.load(Ordering::Acquire) {
+                break;
+            }
+            let work = if runs_inline(&frame) {
+                match decode_message(frame) {
+                    Ok(msg) => match serve(&self.handler, &handle, msg, Lane::Reactor) {
+                        None => continue,
+                        Some(msg) => Work::Handed(msg),
+                    },
+                    Err(_) => {
+                        handle.close();
+                        break;
+                    }
+                }
+            } else {
+                Work::Frame(frame)
+            };
             self.depth.fetch_add(1, Ordering::Relaxed);
-            match self.work_tx.try_send((handle.clone(), frame)) {
+            match self.work_tx.try_send((handle.clone(), work)) {
                 Ok(()) => {}
-                Err(TrySendError::Full((h, frame))) => {
+                Err(TrySendError::Full((h, work))) => {
                     // Dispatch queue full: explicit backpressure per
                     // request, echoing its id so exactly that caller backs
                     // off.
                     self.depth.fetch_sub(1, Ordering::Relaxed);
                     self.busy.fetch_add(1, Ordering::Relaxed);
                     self.shared.metrics.busy_rejections.inc();
-                    let request_id = peek_request_id(&frame);
+                    let request_id = match &work {
+                        Work::Frame(frame) => peek_request_id(frame),
+                        Work::Handed(msg) => msg.request_id(),
+                    };
                     let _ = h.send(&Message::Busy { request_id });
                 }
                 Err(TrySendError::Disconnected(_)) => {

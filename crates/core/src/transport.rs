@@ -7,25 +7,28 @@
 //!
 //! Server side, [`TcpServer::spawn_framed`] serves every connection through
 //! the readiness-driven [`reactor`](crate::reactor): an idle connection
-//! costs a buffer instead of a thread, and handlers run on a bounded pool
-//! of dispatch threads.
+//! costs a buffer instead of a thread. The handler runs on the reactor
+//! thread for the frames the frame table marks `inline` (`Ping`, `Call`,
+//! `Submit`), unless it hands them back, and on a bounded pool of dispatch
+//! threads for everything else.
 //!
 //! Client side, every stub — [`TcpSedPool`], the remote-agent, jobserver
 //! and telemetry clients — talks through a crate-private `Peer`: one
 //! lazily dialed [`MuxConn`] to one address, its request ids, and the one
-//! rule that a `Busy` reply is [`DietError::Busy`].
+//! rule that a `Busy` reply is [`DietError::Busy`]. A [`MuxConn`] has no
+//! thread of its own: the callers waiting on it take turns reading the
+//! socket (leader/follower), so a lone caller reads its own reply.
 
 use crate::codec::{decode_message, encode_message, Message};
 use crate::error::DietError;
 use crate::profile::Profile;
-use crate::reactor::{self, ConnHandle, FrameBuf, ReactorShared};
+use crate::reactor::{self, ConnHandle, FrameBuf, Lane, ReactorShared};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Frames larger than this are rejected unless the limit is raised with
@@ -54,10 +57,11 @@ pub struct TcpTransport {
 
 /// Receive-side state: the shared [`FrameBuf`] accumulator plus frames
 /// already sliced out of it but not yet handed to a caller (one read burst
-/// can complete several frames).
+/// can complete several frames), and the read timeout armed on the socket.
 struct RecvBuf {
     fb: FrameBuf,
     pending: VecDeque<Bytes>,
+    timeout: Option<Duration>,
 }
 
 impl TcpTransport {
@@ -75,6 +79,7 @@ impl TcpTransport {
             rbuf: Mutex::new(RecvBuf {
                 fb: FrameBuf::new(DEFAULT_MAX_FRAME),
                 pending: VecDeque::new(),
+                timeout: None,
             }),
             wlock: Mutex::new(()),
             max_frame: DEFAULT_MAX_FRAME,
@@ -107,7 +112,8 @@ impl TcpTransport {
             .map_err(|e| DietError::Transport(format!("write: {e}")))
     }
 
-    /// Read one `[u32 length][payload]` frame.
+    /// Read one `[u32 length][payload]` frame, waiting at most `timeout`
+    /// (`None`: for as long as it takes).
     ///
     /// The length prefix is validated against `max_frame` *before* any body
     /// allocation, so a hostile or corrupted peer advertising a huge frame
@@ -117,7 +123,8 @@ impl TcpTransport {
     /// burst that completes several frames slices them all at once and
     /// queues the extras for the next call; no per-frame `Vec` is built.
     /// A read that times out mid-frame leaves what arrived in the buffer.
-    fn read_frame(&self) -> Result<Bytes, std::io::Error> {
+    /// The socket's read timeout is set only when it changes.
+    fn read_frame(&self, timeout: Option<Duration>) -> Result<Bytes, std::io::Error> {
         let mut rb = self.rbuf.lock();
         let rb = &mut *rb;
         let mut frames = Vec::new();
@@ -129,6 +136,10 @@ impl TcpTransport {
             if !frames.is_empty() {
                 rb.pending.extend(frames.drain(..));
                 continue;
+            }
+            if rb.timeout != timeout {
+                self.stream.set_read_timeout(timeout)?;
+                rb.timeout = timeout;
             }
             if rb.fb.read_from(&mut &self.stream, usize::MAX)? == 0 {
                 return Err(std::io::Error::new(
@@ -145,17 +156,14 @@ impl TcpTransport {
 
     pub fn recv(&self) -> Result<Message, DietError> {
         let raw = self
-            .read_frame()
+            .read_frame(None)
             .map_err(|e| DietError::Transport(format!("read: {e}")))?;
         decode_message(raw)
     }
 
     /// Receive with a timeout; `Ok(None)` on expiry.
     pub fn recv_timeout(&self, d: Duration) -> Result<Option<Message>, DietError> {
-        self.stream
-            .set_read_timeout(Some(d))
-            .map_err(|e| DietError::Transport(format!("set timeout: {e}")))?;
-        let res = match self.read_frame() {
+        match self.read_frame(Some(d)) {
             Ok(raw) => decode_message(raw).map(Some),
             Err(e)
                 if matches!(
@@ -166,9 +174,7 @@ impl TcpTransport {
                 Ok(None)
             }
             Err(e) => Err(DietError::Transport(format!("read: {e}"))),
-        };
-        self.stream.set_read_timeout(None).ok();
-        res
+        }
     }
 }
 
@@ -200,9 +206,10 @@ pub fn bind_with_retry(
 /// Sizing and fault hooks for a [`TcpServer`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Dispatch threads running the handler on complete, decoded frames —
-    /// the bound on requests handled at once, whatever the number of
-    /// connections.
+    /// Dispatch threads running the handler on every frame it is not
+    /// offered on the reactor thread, and on every message it hands back
+    /// from there — the bound on blocking requests handled at once,
+    /// whatever the number of connections.
     pub workers: usize,
     /// Depth of the dispatch queue: frames read off any connection and
     /// waiting for a free worker. A frame that finds the queue full is
@@ -230,8 +237,9 @@ impl Default for ServerConfig {
 }
 
 /// A TCP server on the readiness-driven [`reactor`](crate::reactor): one
-/// thread owns the listener and every connection, `cfg.workers` dispatch
-/// threads run the handler, and a full dispatch queue is answered
+/// thread owns the listener and every connection and serves the frames
+/// that cannot block, `cfg.workers` dispatch threads run the handler on
+/// the rest, and a full dispatch queue is answered
 /// [`Message::Busy`] per request so clients back off instead of piling up.
 /// Its drop stops accepting; [`TcpServer::kill`] additionally severs every
 /// live connection — the failure-injection hook that simulates a host
@@ -245,13 +253,16 @@ pub struct TcpServer {
 impl TcpServer {
     /// Spawn the readiness-driven serving core: one reactor thread owns the
     /// listener and every accepted socket; `cfg.workers` dispatch threads
-    /// run `handler` on complete, already-decoded frames. The handler must
-    /// not block on the peer — replies go through [`ConnHandle::send`],
-    /// which queues them for the reactor to flush on writability.
+    /// run `handler` on complete, already-decoded frames. `handler` is told
+    /// its [`Lane`] on every call. On [`Lane::Reactor`] — only for the
+    /// frame table's `inline` frames — it answers if it can without
+    /// blocking, or returns `Some(msg)` to hand the message to the pool;
+    /// what it returns on [`Lane::Worker`] is dropped. It never blocks on
+    /// the peer — replies go through [`ConnHandle::send`].
     pub fn spawn_framed(
         addr: impl ToSocketAddrs + Clone,
         cfg: ServerConfig,
-        handler: impl Fn(&ConnHandle, Message) + Send + Sync + 'static,
+        handler: impl Fn(&ConnHandle, Message, Lane) -> Option<Message> + Send + Sync + 'static,
     ) -> Result<Self, DietError> {
         let listener = bind_with_retry(addr, 5)?;
         let local_addr = listener
@@ -297,19 +308,66 @@ impl Drop for TcpServer {
 
 // ------------------------------------------------------------- multiplexing
 
-/// What a mux waiter receives: the reply and the instant the demux thread
-/// read it, or the error that killed the stream.
-type Reply = Result<(Message, Instant), DietError>;
+/// One request awaiting its reply on a [`MuxConn`].
+struct Waiter {
+    /// The reply and the instant it was read off the socket, once someone
+    /// has read it.
+    reply: Option<(Message, Instant)>,
+    /// The caller is asleep on `cv`.
+    parked: bool,
+    /// Notified by whoever reads the reply, by a leader leaving the socket
+    /// with nobody reading it, and when the stream dies.
+    cv: Arc<Condvar>,
+}
 
-/// Inner state shared between a [`MuxConn`]'s callers and its demux thread.
+/// What a [`MuxConn`]'s callers share under one lock.
+#[derive(Default)]
+struct MuxState {
+    /// Waiters keyed by correlation id. Each caller removes its own when
+    /// it leaves, answered or not.
+    waiters: HashMap<u64, Waiter>,
+    /// A caller is reading the socket: the leader. At most one at a time.
+    reading: bool,
+    /// The error that killed the stream, once one has.
+    dead: Option<DietError>,
+}
+
+impl MuxState {
+    /// The waiter of a request still pending: each caller removes its own
+    /// only when it leaves.
+    fn waiter(&mut self, request_id: u64) -> &mut Waiter {
+        self.waiters
+            .get_mut(&request_id)
+            .expect("a pending request keeps its waiter until it leaves")
+    }
+
+    /// Fail every waiter at once and mark the connection dead; the owning
+    /// peer redials on next use.
+    fn poison(&mut self, err: DietError) {
+        self.dead.get_or_insert(err);
+        for w in self.waiters.values() {
+            w.cv.notify_one();
+        }
+    }
+
+    /// Wake one parked caller whose reply has not come, to read the socket
+    /// in place of a leader that left.
+    fn hand_off(&self) {
+        if let Some(w) = self
+            .waiters
+            .values()
+            .find(|w| w.parked && w.reply.is_none())
+        {
+            w.cv.notify_one();
+        }
+    }
+}
+
+/// State shared between a [`MuxConn`] and its [`Pending`] requests.
 struct MuxInner {
     transport: TcpTransport,
-    /// Waiters keyed by correlation id. The demux thread removes an entry
-    /// when its reply arrives (and stamps when it did); a caller that
-    /// times out removes its own.
-    pending: Mutex<HashMap<u64, Sender<Reply>>>,
-    /// Set once the stream fails; the owning pool redials on next use.
-    dead: AtomicBool,
+    /// A std mutex: each waiter's condvar waits on it.
+    state: StdMutex<MuxState>,
     /// Requests currently awaiting replies, and the high-water mark —
     /// direct evidence that one connection really pipelines.
     inflight: AtomicU64,
@@ -317,11 +375,45 @@ struct MuxInner {
 }
 
 impl MuxInner {
-    /// Fail every waiter and mark the connection dead.
-    fn poison(&self, err: DietError) {
-        self.dead.store(true, Ordering::Release);
-        for (_, tx) in self.pending.lock().drain() {
-            let _ = tx.send(Err(err.clone()));
+    fn state(&self) -> MutexGuard<'_, MuxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Read the socket as leader until the reply to `me` is in, `until`
+    /// passes or the stream fails, handing every other reply to its
+    /// waiter on the way. Called with `reading` set and the lock released.
+    fn lead(&self, me: u64, until: Instant) {
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            // Whole milliseconds, rounded up: a closed-loop caller's
+            // deadlines then ask for the same socket timeout call after
+            // call, and the transport arms it once.
+            let left = Duration::from_millis(left.as_micros().div_ceil(1000) as u64);
+            let read = self.transport.recv_timeout(left);
+            let at = Instant::now();
+            let mut st = self.state();
+            match read {
+                Ok(Some(msg)) => {
+                    let id = msg.request_id();
+                    // A reply whose caller already left is dropped.
+                    if let Some(w) = st.waiters.get_mut(&id) {
+                        w.reply = Some((msg, at));
+                        if id == me {
+                            return;
+                        }
+                        w.cv.notify_one();
+                    }
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    let err = DietError::Transport(format!("mux read: {e}"));
+                    st.poison(err);
+                    return;
+                }
+            }
         }
     }
 }
@@ -329,13 +421,21 @@ impl MuxInner {
 /// A multiplexed client connection: many in-flight requests share one TCP
 /// stream, correlated by request id.
 ///
-/// Callers register a one-shot waiter under their correlation id, write the
-/// request frame (the transport's write lock keeps frames whole), and block
-/// on their private channel. A dedicated demux thread reads every incoming
-/// frame and routes it to the waiter whose id it echoes; replies arriving
-/// for ids nobody waits on (a caller timed out) are dropped harmlessly. On
-/// any stream error the demux thread poisons all waiters with a retryable
-/// transport error and marks the connection dead so the pool redials.
+/// Callers register a waiter under their correlation id and write the
+/// request frame (the transport's write lock keeps frames whole). No
+/// thread of its own reads the socket: the callers do, leader/follower
+/// style. A caller waiting for its reply reads the socket itself when no
+/// one else is — a lone closed-loop caller reads its own reply, with no
+/// thread in between. Replies it reads for other ids go to their waiters,
+/// each through its own condvar; replies nobody waits on (a caller timed
+/// out) are dropped. A leader that leaves — its reply came, its deadline
+/// passed, or the stream died — hands reading to a caller still waiting.
+/// A stream error fails every waiter at once with a retryable transport
+/// error and marks the connection dead so the peer redials.
+///
+/// Nothing reads an idle connection, so a server that closes one is
+/// noticed by the next request on it: that request fails with a
+/// retryable transport error, and the one after it redials.
 pub struct MuxConn {
     inner: Arc<MuxInner>,
 }
@@ -343,35 +443,18 @@ pub struct MuxConn {
 impl MuxConn {
     pub fn connect(addr: SocketAddr) -> Result<Self, DietError> {
         let transport = TcpTransport::connect(addr)?;
-        let inner = Arc::new(MuxInner {
-            transport,
-            pending: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
-            inflight_peak: AtomicU64::new(0),
-        });
-        let demux = inner.clone();
-        std::thread::spawn(move || loop {
-            match demux.transport.recv() {
-                Ok(msg) => {
-                    // A reply whose caller timed out has no waiter; it is
-                    // dropped.
-                    let waiter = demux.pending.lock().remove(&msg.request_id());
-                    if let Some(tx) = waiter {
-                        let _ = tx.send(Ok((msg, Instant::now())));
-                    }
-                }
-                Err(e) => {
-                    demux.poison(DietError::Transport(format!("mux demux: {e}")));
-                    break;
-                }
-            }
-        });
-        Ok(MuxConn { inner })
+        Ok(MuxConn {
+            inner: Arc::new(MuxInner {
+                transport,
+                state: StdMutex::default(),
+                inflight: AtomicU64::new(0),
+                inflight_peak: AtomicU64::new(0),
+            }),
+        })
     }
 
     pub fn is_dead(&self) -> bool {
-        self.inner.dead.load(Ordering::Acquire)
+        self.inner.state().dead.is_some()
     }
 
     /// Highest number of simultaneously outstanding requests this
@@ -399,13 +482,18 @@ impl MuxConn {
     /// [`Pending`], so one thread can have requests out on many connections
     /// at once and wait for all of them afterwards.
     pub(crate) fn send(&self, m: &Message, request_id: u64) -> Result<Pending, DietError> {
-        if self.is_dead() {
-            return Err(DietError::Transport("mux connection closed".into()));
-        }
-        let (tx, rx) = bounded(1);
+        let cv = Arc::new(Condvar::new());
         {
-            let mut pending = self.inner.pending.lock();
-            pending.insert(request_id, tx);
+            let mut st = self.inner.state();
+            if st.dead.is_some() {
+                return Err(DietError::Transport("mux connection closed".into()));
+            }
+            let waiter = Waiter {
+                reply: None,
+                parked: false,
+                cv: cv.clone(),
+            };
+            st.waiters.insert(request_id, waiter);
             let now = self.inner.inflight.fetch_add(1, Ordering::Relaxed) + 1;
             self.inner.inflight_peak.fetch_max(now, Ordering::Relaxed);
         }
@@ -414,12 +502,14 @@ impl MuxConn {
         let pending = Pending {
             mux: self.inner.clone(),
             request_id,
-            rx,
+            cv,
             sent: Instant::now(),
-            answered: false,
         };
         if let Err(e) = self.inner.transport.send(m) {
-            self.inner.dead.store(true, Ordering::Release);
+            // A stream that fails a write is dead for every caller on it;
+            // the shutdown ends a leader's read at once.
+            self.inner.state().poison(e.clone());
+            self.inner.transport.shutdown();
             return Err(e);
         }
         Ok(pending)
@@ -427,52 +517,74 @@ impl MuxConn {
 }
 
 /// A request already on the wire, waiting for the reply that echoes its id.
-/// Dropped unanswered (deadline passed, or never waited on), it removes its
-/// waiter: a reply landing later finds no entry and is dropped by the demux
-/// thread — the stream itself stays healthy for other callers.
+/// Dropped without waiting, it removes its waiter: a reply landing later
+/// finds no entry and is dropped by whoever reads it — the stream itself
+/// stays healthy for other callers.
 pub(crate) struct Pending {
     mux: Arc<MuxInner>,
     request_id: u64,
-    rx: Receiver<Reply>,
+    cv: Arc<Condvar>,
     sent: Instant,
-    answered: bool,
 }
 
 impl Pending {
-    /// Wait until `until` for the reply; returns it with its round trip,
-    /// from the send to the instant the demux thread read the reply (so a
-    /// caller that waits on several requests in turn still measures each
-    /// one's own).
-    pub(crate) fn wait(mut self, until: Instant) -> Result<(Message, Duration), DietError> {
-        let left = until.saturating_duration_since(Instant::now());
-        match self.rx.recv_timeout(left) {
-            Ok(reply) => {
-                self.answered = true;
-                reply.map(|(msg, arrived)| (msg, arrived.saturating_duration_since(self.sent)))
+    /// Wait until `until` for the reply, reading the socket while no other
+    /// caller is; returns the reply with its round trip, from the send to
+    /// the instant the reply was read off the socket. A caller that waits
+    /// on several requests in turn, on several connections, reads each
+    /// reply only when it comes to wait on it, and that read is the stamp.
+    pub(crate) fn wait(self, until: Instant) -> Result<(Message, Duration), DietError> {
+        let inner = &*self.mux;
+        let mut st = inner.state();
+        let out = loop {
+            if let Some((msg, at)) = st.waiter(self.request_id).reply.take() {
+                break Ok((msg, at.saturating_duration_since(self.sent)));
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(DietError::Timeout {
-                after_secs: self.sent.elapsed().as_secs_f64(),
-            }),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(DietError::Transport("mux demux thread gone".into()))
+            if let Some(e) = &st.dead {
+                break Err(e.clone());
             }
+            let now = Instant::now();
+            if now >= until {
+                break Err(DietError::Timeout {
+                    after_secs: self.sent.elapsed().as_secs_f64(),
+                });
+            }
+            if !st.reading {
+                st.reading = true;
+                drop(st);
+                inner.lead(self.request_id, until);
+                st = inner.state();
+                st.reading = false;
+                continue;
+            }
+            st.waiter(self.request_id).parked = true;
+            st = self
+                .cv
+                .wait_timeout(st, until - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            st.waiter(self.request_id).parked = false;
+        };
+        st.waiters.remove(&self.request_id);
+        if !st.reading {
+            st.hand_off();
         }
+        out
     }
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
-        if !self.answered {
-            self.mux.pending.lock().remove(&self.request_id);
-        }
+        // `wait` already removed it; a request never waited on has not.
+        self.mux.state().waiters.remove(&self.request_id);
         self.mux.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl Drop for MuxConn {
     fn drop(&mut self) {
-        // Unblock the demux thread: it is parked in `recv` on this stream
-        // and exits (poisoning any stragglers) once the socket dies.
+        // Fail fast whoever still waits: a leader parked in a read sees the
+        // socket die and poisons every waiter.
         self.inner.transport.shutdown();
     }
 }
@@ -948,8 +1060,9 @@ mod tests {
 
     #[test]
     fn tcp_server_kill_severs_live_connections() {
-        let server = TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), |h, m| {
+        let server = TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), |h, m, _| {
             let _ = h.send(&m);
+            None
         })
         .unwrap();
         let client = TcpTransport::connect(server.local_addr).unwrap();
@@ -1158,13 +1271,14 @@ mod tests {
         // Regression: a live connection to the old address kept serving the
         // label after it was re-registered elsewhere.
         let answer_as = |name: &'static str| {
-            TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+            TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), move |h, m, _| {
                 let _ = h.send(&Message::CallReply {
                     request_id: m.request_id(),
                     queue_wait: 0.0,
                     solve: 0.0,
                     result: Err(name.to_string()),
                 });
+                None
             })
             .unwrap()
         };
@@ -1194,16 +1308,18 @@ mod tests {
             faults: None,
             obs: None,
         };
-        let (started_tx, started_rx) = bounded::<()>(1);
-        let (release_tx, release_rx) = bounded::<()>(1);
-        let server = TcpServer::spawn_framed("127.0.0.1:0", cfg, move |h, m| {
+        let (started_tx, started_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let release_rx = Mutex::new(release_rx);
+        let server = TcpServer::spawn_framed("127.0.0.1:0", cfg, move |h, m, _| {
             let request_id = m.request_id();
             if request_id == 1 {
                 let _ = started_tx.send(());
-                let _ = release_rx.recv(); // until the test drops `release_tx`
+                let _ = release_rx.lock().recv(); // until the test drops `release_tx`
             }
             let text = String::new();
             let _ = h.send(&Message::MetricsReplyRid { request_id, text });
+            None
         })
         .unwrap();
         let client = TcpTransport::connect(server.local_addr).unwrap();
@@ -1228,6 +1344,130 @@ mod tests {
             .collect();
         answered.sort_unstable();
         assert_eq!(answered, [1, 2], "the wedged and the queued request");
+    }
+
+    /// A correlated metrics dump, and the text its reply carries: which
+    /// request it answers, spelled out.
+    fn dump(request_id: u64) -> Message {
+        Message::DumpMetricsRid {
+            request_id,
+            what: String::new(),
+        }
+    }
+
+    fn answer(request_id: u64) -> Message {
+        Message::MetricsReplyRid {
+            request_id,
+            text: format!("for {request_id}"),
+        }
+    }
+
+    #[test]
+    fn mux_callers_each_get_their_own_reply_in_reverse_order() {
+        // Eight callers share one connection; the server answers only once
+        // all eight are in, last first. Whoever reads the socket hands each
+        // reply to its own caller.
+        const N: u64 = 8;
+        let addr = serve_one(|conn| {
+            let ids: Vec<u64> = (0..N).map(|_| conn.recv().unwrap().request_id()).collect();
+            for id in ids.into_iter().rev() {
+                conn.send(&answer(id)).unwrap();
+            }
+            let _ = conn.recv();
+        });
+        let mux = Arc::new(MuxConn::connect(addr).unwrap());
+        let callers: Vec<_> = (1..=N)
+            .map(|id| {
+                let mux = mux.clone();
+                std::thread::spawn(move || mux.request(&dump(id), id, Duration::from_secs(10)))
+            })
+            .collect();
+        for (id, caller) in (1..=N).zip(callers) {
+            assert_eq!(caller.join().unwrap().unwrap(), answer(id));
+        }
+        assert_eq!(mux.inflight_peak(), N);
+    }
+
+    #[test]
+    fn a_leader_that_times_out_hands_reading_to_a_follower() {
+        // Request 1 is never answered; request 2 is, 300 ms after it
+        // arrives. Its caller starts once request 1 is on the server, so
+        // request 1's caller is reading (or about to) and request 2's waits
+        // as a follower, then takes over the reading when the leader's
+        // 100 ms deadline passes.
+        let (got_first, first_in) = std::sync::mpsc::channel();
+        let addr = serve_one(move |conn| {
+            assert_eq!(conn.recv().unwrap().request_id(), 1);
+            got_first.send(()).unwrap();
+            assert_eq!(conn.recv().unwrap().request_id(), 2);
+            std::thread::sleep(Duration::from_millis(300));
+            conn.send(&answer(2)).unwrap();
+            let _ = conn.recv();
+        });
+        let mux = Arc::new(MuxConn::connect(addr).unwrap());
+        let leader = {
+            let mux = mux.clone();
+            std::thread::spawn(move || mux.request(&dump(1), 1, Duration::from_millis(100)))
+        };
+        first_in.recv_timeout(Duration::from_secs(5)).unwrap();
+        let t0 = Instant::now();
+        let follower = mux.request(&dump(2), 2, Duration::from_secs(10));
+        assert_eq!(follower.unwrap(), answer(2));
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        let led = leader.join().unwrap();
+        assert!(matches!(led, Err(DietError::Timeout { .. })), "{led:?}");
+        assert!(!mux.is_dead());
+    }
+
+    #[test]
+    fn a_severed_stream_fails_every_waiter_before_its_deadline() {
+        const N: u64 = 4;
+        let addr = serve_one(|conn| {
+            for _ in 0..N {
+                conn.recv().unwrap();
+            }
+            conn.shutdown();
+        });
+        let mux = Arc::new(MuxConn::connect(addr).unwrap());
+        let t0 = Instant::now();
+        let callers: Vec<_> = (1..=N)
+            .map(|id| {
+                let mux = mux.clone();
+                std::thread::spawn(move || mux.request(&dump(id), id, Duration::from_secs(30)))
+            })
+            .collect();
+        for caller in callers {
+            let r = caller.join().unwrap();
+            assert!(matches!(r, Err(DietError::Transport(_))), "{r:?}");
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        assert!(mux.is_dead());
+    }
+
+    #[test]
+    fn an_idle_connection_its_server_closed_costs_one_retryable_error() {
+        // The server answers one request per connection, then closes it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let conn = TcpTransport::from_stream(stream.unwrap());
+                if let Ok(m) = conn.recv() {
+                    conn.send(&answer(m.request_id())).unwrap();
+                }
+            }
+        });
+        let peer = Peer::new(addr);
+        let ask = || peer.request(dump, Duration::from_secs(5));
+        assert!(matches!(ask(), Ok(Message::MetricsReplyRid { .. })));
+        // Closed while idle: nothing reads the connection, so the next
+        // request is the one that finds out.
+        std::thread::sleep(Duration::from_millis(50));
+        let stale = ask();
+        assert!(matches!(stale, Err(DietError::Transport(_))), "{stale:?}");
+        assert!(crate::client::is_retryable(&stale.unwrap_err()));
+        assert!(matches!(ask(), Ok(Message::MetricsReplyRid { .. })));
+        assert_eq!(peer.dials.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -396,11 +396,12 @@ fn probes_ride_one_connection_per_prober() {
     // Answers pings, recording the connection each one came in on.
     let seen = Arc::new(Mutex::new(Vec::new()));
     let record = seen.clone();
-    let server = TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+    let server = TcpServer::spawn_framed("127.0.0.1:0", ServerConfig::default(), move |h, m, _| {
         if let Message::Ping { request_id } = m {
             record.lock().unwrap().push(h.peer_addr());
             let _ = h.send(&Message::Pong { request_id });
         }
+        None
     })
     .unwrap();
     let addr = server.local_addr;
