@@ -254,6 +254,16 @@ stage_lint() {
         printf '%s\n' "$wraps" >&2
         exit 1
     fi
+    # Drift guard: the CIC deposit adds each particle chunk's partial sums
+    # into the one mesh, over the x-planes each task owns (owner computes).
+    # A `Vec<Mesh>` in particles.rs is a dense scratch mesh per chunk
+    # growing back: 1 GiB of scratch at 128³ particles on a 256³ mesh.
+    scratch=$(src_sites crates/ramses/src 'Vec<Mesh>' | grep '/particles[.]rs:' || true)
+    if [ -n "$scratch" ]; then
+        echo "ci.sh drift: scratch meshes in the CIC deposit (deposit owner-computes):" >&2
+        printf '%s\n' "$scratch" >&2
+        exit 1
+    fi
 }
 
 # file:line of every line under directory $1 that matches the awk regex $2,

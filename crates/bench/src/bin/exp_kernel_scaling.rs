@@ -5,7 +5,10 @@
 //! times the phases of a step — the direct Poisson solve, the gradient, the
 //! CIC deposit + force interpolation, kick + drift — one Godunov hydro
 //! step, a 3-D FFT roundtrip, and the two ends of a re-simulation: its zoom
-//! initial conditions and HaloMaker on a clustered final state. Each kernel
+//! initial conditions and HaloMaker on a clustered final state. The
+//! `zoom2_force_eval` row times one whole force evaluation at the
+//! campaign's zoom2 shape (~5 000 particles on the 32³ mesh) at widths 1
+//! and 2 only: the campaign runs its solves at width 1. Each kernel
 //! reports the median of several repetitions plus the speedup relative to
 //! one thread, and a rotate-XOR checksum over the output bits — asserted
 //! identical at every width, pinning the pool's bitwise-determinism
@@ -288,6 +291,37 @@ fn main() {
                     .copied()
                     .chain(f.iter().flat_map(|a| a.iter().copied())),
             )
+        }),
+    });
+
+    // One force evaluation at the campaign's zoom2 shape: 16³ zoom ICs with
+    // two nested boxes (~5 000 particles) on the 32³ mesh — deposit, solve,
+    // gradient and interpolation back to the particles. Unlike `nbody_cic`'s
+    // one particle per cell, this set is past the deposit's chunking
+    // threshold, so its partial sums are in the time.
+    let zoom2 = {
+        let cosmo = CosmoParams {
+            a_init: 0.1,
+            ..CosmoParams::default()
+        };
+        let ics = grafic::zoom::generate_zoom(&cosmo, 16, 50.0, [24.0, 12.5, 31.0], 2, 2007);
+        (
+            Particles::from_ics(&ics.particles, 50.0),
+            ramses::cosmology::Cosmology::new(cosmo),
+        )
+    };
+    let (zoom2_parts, zoom2_cosmo) = &zoom2;
+    let pm = ramses::gravity::PmGravity::new(32);
+    println!(
+        "  zoom2_force_eval: {} particles on 32^3",
+        zoom2_parts.len()
+    );
+    reports.push(KernelReport {
+        name: "zoom2_force_eval",
+        samples: sweep(&threads[..2], reps, || {
+            let field = pm.field(zoom2_parts, zoom2_cosmo, 0.1);
+            let acc = pm.accelerations(zoom2_parts, &field);
+            checksum(acc.iter().flatten().copied())
         }),
     });
 

@@ -303,6 +303,10 @@ struct DagRun {
     /// inserted (or failed to produce) its children. The dag is not
     /// finished while one is in flight, even if every node is terminal.
     pending_expansions: usize,
+    /// Held by the one expansion of this dag that runs at a time, from
+    /// taking `next_id` to inserting its nodes: two expanders that finish
+    /// together would otherwise number their nodes from the same id.
+    expansion_turn: Arc<Mutex<()>>,
     outcome: Option<DagOutcome>,
 }
 
@@ -523,6 +527,7 @@ impl DagEngine {
             events: Vec::new(),
             seq: 0,
             pending_expansions: 0,
+            expansion_turn: Arc::default(),
             outcome: None,
         }));
         self.dags.lock().insert(dag_id, run.clone());
@@ -743,7 +748,7 @@ impl DagEngine {
             let canonical = n.canonical.clone();
             let expander = n.spec.expander.clone();
             let params = n.spec.params.clone();
-            let expand_job = expander.map(|name| (name, params, g.next_node_id(), g.id));
+            let expand_job = expander.map(|name| (name, params, g.id));
             // Counted under the same lock as the `Done` transition, so the
             // monitor sweep never sees "all terminal" before the children.
             g.pending_expansions += usize::from(expand_job.is_some());
@@ -757,8 +762,8 @@ impl DagEngine {
             .push(took.as_secs_f64());
 
         // ---- dynamic fan-out ----------------------------------------------
-        if let Some((name, params, next_id, dag_id)) = expand_job {
-            let expanded = self.expand(run, node, &name, &params, next_id, dag_id);
+        if let Some((name, params, dag_id)) = expand_job {
+            let expanded = self.expand(run, node, &name, &params, dag_id);
             let mut g = run.lock();
             g.pending_expansions -= 1;
             match expanded {
@@ -785,14 +790,15 @@ impl DagEngine {
         self.maybe_finish(run);
     }
 
-    /// Run a registered expander and insert the nodes it produced.
+    /// Run a registered expander and insert the nodes it produced. One
+    /// expansion per dag runs at a time, so `ExpandCtx::next_id` is still
+    /// the smallest id not taken when its nodes go in.
     fn expand(
         self: &Arc<Self>,
         run: &Arc<Mutex<DagRun>>,
         node: u32,
         name: &str,
         params: &[(String, String)],
-        next_id: u32,
         dag_id: u64,
     ) -> Result<usize, DietError> {
         let expander = self
@@ -801,7 +807,9 @@ impl DagEngine {
             .get(name)
             .cloned()
             .ok_or_else(|| DietError::Rejected(format!("no expander {name:?} registered")))?;
-        let (reply, outputs) = {
+        let turn = run.lock().expansion_turn.clone();
+        let _turn = turn.lock();
+        let (reply, outputs, next_id) = {
             let g = run.lock();
             let n = g
                 .nodes
@@ -811,7 +819,7 @@ impl DagEngine {
                 .reply
                 .clone()
                 .ok_or_else(|| DietError::Rejected("no reply to expand".into()))?;
-            (reply, n.outcome().outputs)
+            (reply, n.outcome().outputs, g.next_node_id())
         };
         let catalog = self.ma.catalog();
         let pool = self.pool.clone();
@@ -1193,6 +1201,7 @@ mod tests {
             events: vec![],
             seq: 0,
             pending_expansions: 0,
+            expansion_turn: Arc::default(),
             outcome: None,
         };
         run.set_state(0, DagNodeState::Failed, "boom");

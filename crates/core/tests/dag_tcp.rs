@@ -433,6 +433,93 @@ fn sweep_does_not_finalise_a_dag_whose_expander_is_still_running() {
     d.shutdown();
 }
 
+/// Two expander nodes that finish together each get their own node ids:
+/// the first expansion is held on a latch until both roots are `Done`, so
+/// the second completes while the first has not inserted its nodes yet.
+/// The dag must finish ok with all four expanded nodes.
+#[test]
+fn two_expanders_finishing_together_number_their_nodes_apart() {
+    use std::sync::mpsc;
+    let d = two_sed_topology()
+        .deploy(Arc::new(RoundRobin::new()), {
+            move |_| straggler_table(Arc::new(AtomicBool::new(false)), Duration::ZERO)
+        })
+        .unwrap();
+    let (entered_tx, entered_rx) = mpsc::channel::<u32>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (entered_tx, release_rx) = (
+        std::sync::Mutex::new(entered_tx),
+        std::sync::Mutex::new(release_rx),
+    );
+    let held = AtomicBool::new(false);
+    d.dag.register_expander(
+        "latched_pair",
+        Arc::new(move |ctx| {
+            entered_tx.lock().unwrap().send(ctx.node).unwrap();
+            if !held.swap(true, Ordering::SeqCst) {
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+            Ok((0..2)
+                .map(|k| {
+                    let mut child = work_node(ctx.next_id + k, 10 * ctx.node as i32 + k as i32);
+                    child.deps = vec![ctx.node];
+                    child
+                })
+                .collect())
+        }),
+    );
+    let roots: Vec<DagNodeSpec> = (0..2)
+        .map(|id| {
+            let mut root = work_node(id, id as i32);
+            root.expander = Some("latched_pair".into());
+            root
+        })
+        .collect();
+    let spec = WorkflowSpec {
+        name: "two-fanouts".into(),
+        nodes: roots,
+    };
+    let client = DietClient::initialize_distributed(Arc::new(Obs::new()));
+    let handle = client.submit_dag(&d.ma_client, &spec).unwrap();
+
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("no expander ran");
+    // Both roots are `Done` before the first expansion may go on.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (events, _) = d.dag.status(handle.dag_id, 0).unwrap();
+        let done = |id| {
+            events
+                .iter()
+                .any(|e| e.node == id && e.state == DagNodeState::Done)
+        };
+        if done(0) && done(1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "roots never both finished");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    release_tx.send(()).unwrap();
+
+    let (outcome, _) = client
+        .wait_dag(&d.ma_client, &handle, Duration::from_secs(10))
+        .unwrap();
+    assert!(outcome.ok, "dag failed: {outcome:?}");
+    assert_eq!(
+        outcome.nodes.len(),
+        6,
+        "expanded nodes missing: {outcome:?}"
+    );
+    let mut ids: Vec<u32> = outcome.nodes.iter().map(|n| n.node).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..6).collect::<Vec<u32>>());
+    entered_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the second expander never ran");
+    d.shutdown();
+}
+
 /// A failed expansion is the loss of the dag's continuation: the dag must
 /// end `!ok`, not be swept up as a successful one-node dag.
 #[test]

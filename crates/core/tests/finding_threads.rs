@@ -58,8 +58,8 @@ fn a_thousand_resolves_start_no_thread() {
         .deploy(Arc::new(RoundRobin::new()), |_| echo_table())
         .unwrap();
     let ctx = obs::TraceCtx::default();
-    // The first resolve dials the LA (its demux thread is per connection,
-    // not per request).
+    // The first resolve dials the LA (the connection is set up once, not
+    // per request; it has no thread of its own).
     d.ma.resolve("echo", &[], &[], ctx).unwrap();
     let before = thread_count();
     let first = fresh_tid();

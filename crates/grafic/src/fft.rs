@@ -12,6 +12,8 @@
 //! runs the same passes on the half spectrum of a real grid.
 
 use rayon::prelude::*;
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A complex number. We keep our own minimal type rather than pulling in a
 /// complex-arithmetic crate; only the operations the FFT needs are defined.
@@ -106,7 +108,12 @@ pub fn fft_1d(data: &mut [Complex], dir: Direction) {
         n.is_power_of_two(),
         "FFT length must be a power of two, got {n}"
     );
-    fft_rows(data, 1, &twiddles(n, dir), dir);
+    let mut re: Vec<f64> = data.iter().map(|c| c.re).collect();
+    let mut im: Vec<f64> = data.iter().map(|c| c.im).collect();
+    Kernel::detected().rows(&mut re, &mut im, 1, &plan(n, dir));
+    for (c, (&re, &im)) in data.iter_mut().zip(re.iter().zip(&im)) {
+        *c = Complex::new(re, im);
+    }
 }
 
 /// Twiddle factors `e^{∓2πi t/n}` for `t < n/2`; the butterfly stage of
@@ -121,100 +128,338 @@ fn twiddles(n: usize, dir: Direction) -> Vec<Complex> {
     (0..n / 2).map(|t| Complex::cis(step * t as f64)).collect()
 }
 
-/// Transform `width` interleaved lines of `data` in place with the table
-/// [`twiddles`]: row `t` (elements `t·width .. (t+1)·width`) holds point `t`
-/// of every line. Each butterfly runs along a whole row, so its twiddle and
-/// loop cost are shared by all lines, while every line still sees exactly
-/// the operations a lone 1-D transform would apply to it.
-fn fft_rows(data: &mut [Complex], width: usize, tw: &[Complex], dir: Direction) {
-    let n = data.len() / width;
+/// Everything a length-`n` transform in one direction needs besides the
+/// data, built once per process and shared ([`plan`]).
+struct Plan {
+    n: usize,
+    dir: Direction,
+    /// Row pairs `(i, j)`, `i < j`, that the bit-reversal permutation swaps.
+    swaps: Vec<(usize, usize)>,
+    /// Real and imaginary parts of each stage's twiddles, stage after
+    /// stage: the stage of half-length `h` reads its `h` factors at offset
+    /// `h − 1` (entries `t·n/2h` of [`twiddles`]), so the last stage's are
+    /// the whole table.
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
+    /// `1/n` for the inverse transform, multiplied into the last stage's
+    /// stores.
+    scale: Option<f64>,
+}
+
+impl Plan {
+    fn new(n: usize, dir: Direction) -> Plan {
+        let table = twiddles(n, dir);
+        let (mut tw_re, mut tw_im) = (Vec::new(), Vec::new());
+        let mut half = 1;
+        while half < n {
+            let stride = n / (2 * half);
+            tw_re.extend((0..half).map(|t| table[t * stride].re));
+            tw_im.extend((0..half).map(|t| table[t * stride].im));
+            half *= 2;
+        }
+        let bits = n.trailing_zeros();
+        let swaps = (1..n)
+            .filter_map(|i| {
+                let j = i.reverse_bits() >> (usize::BITS - bits);
+                (j > i).then_some((i, j))
+            })
+            .collect();
+        let scale = (dir == Direction::Inverse && n > 1).then(|| 1.0 / n as f64);
+        Plan {
+            n,
+            dir,
+            swaps,
+            tw_re,
+            tw_im,
+            scale,
+        }
+    }
+
+    /// Entry `t < n/2` of [`twiddles`] (the last stage's factor `t`).
+    #[inline]
+    fn twiddle(&self, t: usize) -> (f64, f64) {
+        let at = self.n / 2 - 1 + t;
+        (self.tw_re[at], self.tw_im[at])
+    }
+}
+
+/// The process's plan for a length-`n` transform in direction `dir`.
+fn plan(n: usize, dir: Direction) -> Arc<Plan> {
+    static PLANS: Mutex<Vec<Arc<Plan>>> = Mutex::new(Vec::new());
+    // A push is the only update, so the list is valid even after a panic.
+    let mut plans = PLANS.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(p) = plans.iter().find(|p| (p.n, p.dir) == (n, dir)) {
+        return p.clone();
+    }
+    let p = Arc::new(Plan::new(n, dir));
+    plans.push(p.clone());
+    p
+}
+
+/// Which compilation of the row transform runs: [`rows_body`] built for the
+/// baseline target, or for AVX2. Rust never contracts a multiply and an add
+/// into an FMA, so both compute the same bits; AVX2 only runs four lanes of
+/// a row per instruction instead of two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Baseline,
+    /// Only constructed by [`Kernel::avx2`], after the CPU reported AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// AVX2 when this CPU has it; detected once per process.
+    fn detected() -> Kernel {
+        static DETECTED: OnceLock<Kernel> = OnceLock::new();
+        *DETECTED.get_or_init(|| Kernel::avx2().unwrap_or(Kernel::Baseline))
+    }
+
+    /// The AVX2 compilation, if this CPU can run it.
+    fn avx2() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Kernel::Avx2);
+        }
+        None
+    }
+
+    /// Transform `width` interleaved lines held as split planes: row `t`
+    /// of `re` and `im` (elements `t·width .. (t+1)·width`) holds point `t`
+    /// of every line. See [`rows_body`].
+    #[inline]
+    fn rows(self, re: &mut [f64], im: &mut [f64], width: usize, plan: &Plan) {
+        match self {
+            Kernel::Baseline => rows_baseline(re, im, width, plan),
+            // SAFETY: `Avx2` exists only where the CPU reported AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { rows_avx2(re, im, width, plan) },
+        }
+    }
+}
+
+fn rows_baseline(re: &mut [f64], im: &mut [f64], width: usize, plan: &Plan) {
+    rows_body(re, im, width, plan);
+}
+
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rows_avx2(re: &mut [f64], im: &mut [f64], width: usize, plan: &Plan) {
+    rows_body(re, im, width, plan);
+}
+
+/// The one row transform: `width` lines of `plan.n` points, real and
+/// imaginary parts in separate planes (see [`Kernel::rows`]). Each
+/// butterfly runs along a whole row, so its twiddle and loop cost are
+/// shared by all lines, while every line still sees exactly the operations
+/// a lone 1-D transform would apply to it: `v = b·w`, `a ← u + v`,
+/// `b ← u − v`, each product and sum rounded as the `Complex` operators
+/// round it, and the inverse's `1/n` applied to the last stage's sums.
+#[inline(always)]
+fn rows_body(re: &mut [f64], im: &mut [f64], width: usize, plan: &Plan) {
+    let n = plan.n;
+    assert!(re.len() == n * width && im.len() == n * width);
     if n <= 1 {
         return;
     }
-    // Bit-reversal permutation of the rows.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            let (lo, hi) = data.split_at_mut(j * width);
-            lo[i * width..(i + 1) * width].swap_with_slice(&mut hi[..width]);
+    for &(i, j) in &plan.swaps {
+        for d in [&mut *re, &mut *im] {
+            let (lo, hi) = d.split_at_mut(j * width);
+            lo[i * width..][..width].swap_with_slice(&mut hi[..width]);
         }
     }
-    let mut len = 2;
-    while len <= n {
-        let stride = n / len;
-        for chunk in data.chunks_exact_mut(len * width) {
-            let (lo, hi) = chunk.split_at_mut(len / 2 * width);
-            let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
-            for (t, (lo_row, hi_row)) in rows.enumerate() {
-                let w = tw[t * stride];
-                for (a, b) in lo_row.iter_mut().zip(hi_row.iter_mut()) {
-                    let u = *a;
-                    let v = *b * w;
-                    *a = u + v;
-                    *b = u - v;
+    let mut half = 1;
+    while half < n {
+        let tw = (
+            &plan.tw_re[half - 1..][..half],
+            &plan.tw_im[half - 1..][..half],
+        );
+        match plan.scale {
+            Some(s) if 2 * half == n => stage::<true>(re, im, width, half, tw, s),
+            _ => stage::<false>(re, im, width, half, tw, 1.0),
+        }
+        half *= 2;
+    }
+}
+
+/// One radix-2 stage of half-length `half` over every block of `2·half`
+/// rows; `SCALE` multiplies the stored sums by `s`.
+#[inline(always)]
+fn stage<const SCALE: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    half: usize,
+    (tw_re, tw_im): (&[f64], &[f64]),
+    s: f64,
+) {
+    let span = half * width;
+    let blocks = re
+        .chunks_exact_mut(2 * span)
+        .zip(im.chunks_exact_mut(2 * span));
+    for (block_re, block_im) in blocks {
+        let (lo_re, hi_re) = block_re.split_at_mut(span);
+        let (lo_im, hi_im) = block_im.split_at_mut(span);
+        for t in 0..half {
+            let (wr, wi) = (tw_re[t], tw_im[t]);
+            let row = t * width..(t + 1) * width;
+            let a = lo_re[row.clone()].iter_mut().zip(&mut lo_im[row.clone()]);
+            let b = hi_re[row.clone()].iter_mut().zip(&mut hi_im[row]);
+            for ((ar, ai), (br, bi)) in a.zip(b) {
+                let (ur, ui) = (*ar, *ai);
+                let vr = *br * wr - *bi * wi;
+                let vi = *br * wi + *bi * wr;
+                let (sr, si, dr, di) = (ur + vr, ui + vi, ur - vr, ui - vi);
+                if SCALE {
+                    (*ar, *ai, *br, *bi) = (sr * s, si * s, dr * s, di * s);
+                } else {
+                    (*ar, *ai, *br, *bi) = (sr, si, dr, di);
                 }
             }
         }
-        len <<= 1;
     }
-    if dir == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for c in data.iter_mut() {
-            *c = c.scale(inv);
+}
+
+/// Rows of a 3-D grid (`n × n` rows of `w` points, row `(i, j)` for
+/// x-index `i` and y-index `j`) that the x-pass gathers into split planes
+/// and scatters back.
+trait SlabRows: Sync {
+    /// Copy row `(i, j)` into `re` and `im`.
+    ///
+    /// # Safety
+    /// Row `(i, j)` is inside the grid, and no other thread touches it.
+    unsafe fn load(&self, i: usize, j: usize, re: &mut [f64], im: &mut [f64]);
+
+    /// Copy `re` and `im` into row `(i, j)`.
+    ///
+    /// # Safety
+    /// As for [`SlabRows::load`].
+    unsafe fn store(&self, i: usize, j: usize, re: &[f64], im: &[f64]);
+}
+
+/// A [`Grid3`]'s interleaved rows.
+struct ComplexRows<'a> {
+    ptr: *mut Complex,
+    n: usize,
+    w: usize,
+    _grid: PhantomData<&'a mut [Complex]>,
+}
+
+impl<'a> ComplexRows<'a> {
+    fn new(grid: &'a mut [Complex], n: usize, w: usize) -> Self {
+        assert_eq!(grid.len(), n * n * w, "grid holds n × n rows of w");
+        ComplexRows {
+            ptr: grid.as_mut_ptr(),
+            n,
+            w,
+            _grid: PhantomData,
         }
     }
 }
 
-/// Run `lines(j, scratch)` on every j-slab of an `n × n × w` grid (row
-/// `(i, j)` holds `w` elements at `(i·n + j)·w`), one slab per task: the
-/// x-lines, laid out so that row i of the scratch holds point i of every
-/// line. Slab j (row `(i, j)` for every i) is disjoint from every other,
-/// so workers gather it into the scratch and scatter it back through a
-/// shared base pointer.
-fn x_pass(data: &mut [Complex], n: usize, w: usize, lines: impl Fn(usize, &mut [Complex]) + Sync) {
-    #[derive(Clone, Copy)]
-    struct RawMut(*mut Complex);
-    // SAFETY: the pointer is into `data`, alive for the whole pass, and each
-    // worker touches only its own slab.
-    unsafe impl Send for RawMut {}
-    // SAFETY: as for `Send`; shared copies never touch the same slab.
-    unsafe impl Sync for RawMut {}
-    impl RawMut {
-        // Accessor so closures capture the whole `Sync` wrapper, not the
-        // bare pointer field (Rust 2021 disjoint capture).
-        #[inline]
-        fn ptr(self) -> *mut Complex {
-            self.0
+// SAFETY: `ptr` is into a grid borrowed mutably for `'a` (so nothing else
+// touches it), `n` and `w` are plain sizes checked against its length, and
+// each worker touches only its own rows (the `SlabRows` contract).
+unsafe impl Sync for ComplexRows<'_> {}
+
+impl SlabRows for ComplexRows<'_> {
+    unsafe fn load(&self, i: usize, j: usize, re: &mut [f64], im: &mut [f64]) {
+        let row = std::slice::from_raw_parts(self.ptr.add((i * self.n + j) * self.w), self.w);
+        for (c, (r, m)) in row.iter().zip(re.iter_mut().zip(im)) {
+            (*r, *m) = (c.re, c.im);
         }
     }
-    assert_eq!(data.len(), n * n * w);
-    let base = RawMut(data.as_mut_ptr());
-    (0..n).into_par_iter().for_each(move |j| {
-        // SAFETY: row (i, j) lies inside `data` (length checked above); slab
-        // j is touched by this worker only, and one row borrow is alive at a
-        // time.
-        let row = |i: usize| unsafe {
-            std::slice::from_raw_parts_mut(base.ptr().add((i * n + j) * w), w)
-        };
-        let mut s = vec![Complex::ZERO; n * w];
-        for (i, dst) in s.chunks_exact_mut(w).enumerate() {
-            dst.copy_from_slice(row(i));
+
+    unsafe fn store(&self, i: usize, j: usize, re: &[f64], im: &[f64]) {
+        let row = std::slice::from_raw_parts_mut(self.ptr.add((i * self.n + j) * self.w), self.w);
+        for (c, (&r, &m)) in row.iter_mut().zip(re.iter().zip(im)) {
+            *c = Complex::new(r, m);
         }
-        lines(j, &mut s);
-        for (i, src) in s.chunks_exact(w).enumerate() {
-            row(i).copy_from_slice(src);
+    }
+}
+
+/// A half spectrum in split planes: x-plane `i` is `2·n·w` values at
+/// `i·2nw`, its real parts (`n` rows of `w`) before its imaginary parts.
+struct SplitRows<'a> {
+    ptr: *mut f64,
+    n: usize,
+    w: usize,
+    _spec: PhantomData<&'a mut [f64]>,
+}
+
+impl<'a> SplitRows<'a> {
+    fn new(spec: &'a mut [f64], n: usize, w: usize) -> Self {
+        assert_eq!(
+            spec.len(),
+            2 * n * n * w,
+            "spectrum holds n × n split rows of w"
+        );
+        SplitRows {
+            ptr: spec.as_mut_ptr(),
+            n,
+            w,
+            _spec: PhantomData,
+        }
+    }
+
+    /// The real and imaginary parts of row `(i, j)`.
+    ///
+    /// # Safety
+    /// `i` and `j` are below `n`.
+    #[inline]
+    unsafe fn parts(&self, i: usize, j: usize) -> (*mut f64, *mut f64) {
+        let re = self.ptr.add(i * 2 * self.n * self.w + j * self.w);
+        (re, re.add(self.n * self.w))
+    }
+}
+
+// SAFETY: as for `ComplexRows`.
+unsafe impl Sync for SplitRows<'_> {}
+
+impl SlabRows for SplitRows<'_> {
+    unsafe fn load(&self, i: usize, j: usize, re: &mut [f64], im: &mut [f64]) {
+        let (r, m) = self.parts(i, j);
+        re.copy_from_slice(std::slice::from_raw_parts(r, self.w));
+        im.copy_from_slice(std::slice::from_raw_parts(m, self.w));
+    }
+
+    unsafe fn store(&self, i: usize, j: usize, re: &[f64], im: &[f64]) {
+        let (r, m) = self.parts(i, j);
+        std::slice::from_raw_parts_mut(r, self.w).copy_from_slice(re);
+        std::slice::from_raw_parts_mut(m, self.w).copy_from_slice(im);
+    }
+}
+
+/// Run `lines(j, re, im)` on every j-slab of `rows`, one slab per task: the
+/// x-lines, gathered so that row i of the split scratch holds point i of
+/// every line. Slab j (row `(i, j)` for every i) is disjoint from every
+/// other, so workers gather and scatter it through the shared rows.
+fn x_pass(
+    rows: &impl SlabRows,
+    n: usize,
+    w: usize,
+    lines: impl Fn(usize, &mut [f64], &mut [f64]) + Sync,
+) {
+    (0..n).into_par_iter().for_each(|j| {
+        let mut s = vec![0.0; 2 * n * w];
+        let (re, im) = s.split_at_mut(n * w);
+        for (i, (r, m)) in re
+            .chunks_exact_mut(w)
+            .zip(im.chunks_exact_mut(w))
+            .enumerate()
+        {
+            // SAFETY: `rows` holds `n × n` rows of `w` (checked where it was
+            // made), i and j are below n, and slab j is this task's alone.
+            unsafe { rows.load(i, j, r, m) };
+        }
+        lines(j, re, im);
+        for (i, (r, m)) in re.chunks_exact(w).zip(im.chunks_exact(w)).enumerate() {
+            // SAFETY: as for `load`.
+            unsafe { rows.store(i, j, r, m) };
         }
     });
-}
-
-/// `dst[k·n + j] = src[j·n + k]` for an `n × n` block.
-fn transpose(src: &[Complex], dst: &mut [Complex], n: usize) {
-    for j in 0..n {
-        for k in 0..n {
-            dst[k * n + j] = src[j * n + k];
-        }
-    }
 }
 
 /// A dense 3-D complex grid of side `n` stored in row-major `(x, y, z)`
@@ -250,27 +495,46 @@ impl Grid3 {
         self.data[ix] = v;
     }
 
-    /// 3-D FFT: 1-D transforms along z, then y, then x, all from one twiddle
-    /// table. Lines along each axis are independent, so each pass is a
-    /// parallel iteration whose task transforms a whole block of lines at
-    /// once ([`fft_rows`]).
+    /// 3-D FFT: 1-D transforms along z, then y, then x, all from one plan.
+    /// Lines along each axis are independent, so each pass is a parallel
+    /// iteration whose task transforms a whole block of lines at once, in
+    /// split planes ([`Kernel::rows`]).
     pub fn fft(&mut self, dir: Direction) {
+        self.fft_with(Kernel::detected(), dir);
+    }
+
+    fn fft_with(&mut self, kernel: Kernel, dir: Direction) {
         let n = self.n;
         let plane = n * n;
-        let tw = twiddles(n, dir);
-        let tw = &tw[..];
+        let plan = plan(n, dir);
+        let plan = &*plan;
 
-        // Passes 1 and 2, one x-plane per task. Row j of the plane already
-        // holds point j of every y-line; the z-lines are transposed into
-        // the scratch to be laid out the same way.
+        // Passes 1 and 2, one x-plane per task. The z-lines are transposed
+        // into the scratch so that row k holds point k of every line; the
+        // y-lines are transposed back, row j holding point j.
         self.data.par_chunks_exact_mut(plane).for_each(|p| {
-            let mut s = vec![Complex::ZERO; plane];
-            transpose(p, &mut s, n);
-            fft_rows(&mut s, n, tw, dir);
-            transpose(&s, p, n);
-            fft_rows(p, n, tw, dir);
+            let mut s = vec![0.0; 4 * plane];
+            let (z, y) = s.split_at_mut(2 * plane);
+            let (zr, zi) = z.split_at_mut(plane);
+            let (yr, yi) = y.split_at_mut(plane);
+            for (j, line) in p.chunks_exact(n).enumerate() {
+                for (k, c) in line.iter().enumerate() {
+                    (zr[k * n + j], zi[k * n + j]) = (c.re, c.im);
+                }
+            }
+            kernel.rows(zr, zi, n, plan);
+            for j in 0..n {
+                for k in 0..n {
+                    (yr[j * n + k], yi[j * n + k]) = (zr[k * n + j], zi[k * n + j]);
+                }
+            }
+            kernel.rows(yr, yi, n, plan);
+            for (c, (&re, &im)) in p.iter_mut().zip(yr.iter().zip(yi.iter())) {
+                *c = Complex::new(re, im);
+            }
         });
-        x_pass(&mut self.data, n, n, |_, s| fft_rows(s, n, tw, dir));
+        let rows = ComplexRows::new(&mut self.data, n, n);
+        x_pass(&rows, n, n, |_, re, im| kernel.rows(re, im, n, plan));
     }
 
     /// Total power `Σ |f|²` — useful for Parseval checks.
@@ -289,15 +553,25 @@ impl Grid3 {
 /// indexes the modes as [`Grid3::fft`] lays them out. The result is the
 /// full complex transform's at about half the work.
 ///
-/// The transforms run on the half spectrum, `n × n × (n/2 + 1)` modes.
-/// Along z, a line's `n` reals are packed into `n/2` complex numbers (even
-/// samples real, odd imaginary), transformed at half length and split into
-/// the line's `n/2 + 1` modes; y and x are `Grid3::fft`'s passes on the
-/// narrower rows, and each x-slab is scaled by `g` between its forward and
-/// inverse transforms, so it is gathered once for both. Every line is
-/// transformed on its own, so the result is bitwise identical at any
-/// thread count.
+/// The transforms run on the half spectrum, `n × n × (n/2 + 1)` modes,
+/// held in split planes (each x-plane's real parts, then its imaginary
+/// parts). Along z, a line's `n` reals are packed into `n/2` complex
+/// numbers (even samples real, odd imaginary), transformed at half length
+/// and split into the line's `n/2 + 1` modes; y and x are `Grid3::fft`'s
+/// passes on the narrower rows, and each x-slab is scaled by `g` between
+/// its forward and inverse transforms, so it is gathered once for both.
+/// Every line is transformed on its own, so the result is bitwise
+/// identical at any thread count.
 pub fn filter_real(
+    n: usize,
+    real: &[f64],
+    g: impl Fn(usize, usize, usize) -> f64 + Sync,
+) -> Vec<f64> {
+    filter_real_with(Kernel::detected(), n, real, g)
+}
+
+fn filter_real_with(
+    kernel: Kernel,
     n: usize,
     real: &[f64],
     g: impl Fn(usize, usize, usize) -> f64 + Sync,
@@ -308,92 +582,111 @@ pub fn filter_real(
     );
     assert_eq!(real.len(), n * n * n, "grid holds n³ values");
     let h = n / 2 + 1;
-    let (fwd, inv) = (
-        twiddles(n, Direction::Forward),
-        twiddles(n, Direction::Inverse),
-    );
+    let (fwd, inv) = (plan(n, Direction::Forward), plan(n, Direction::Inverse));
     let (fwd_m, inv_m) = (
-        twiddles(n / 2, Direction::Forward),
-        twiddles(n / 2, Direction::Inverse),
+        plan(n / 2, Direction::Forward),
+        plan(n / 2, Direction::Inverse),
     );
-    let mut spec = vec![Complex::ZERO; n * n * h];
-    spec.par_chunks_exact_mut(n * h)
+    let (fwd, inv, fwd_m, inv_m) = (&*fwd, &*inv, &*fwd_m, &*inv_m);
+    let mut spec = vec![0.0f64; 2 * n * n * h];
+    spec.par_chunks_exact_mut(2 * n * h)
         .enumerate()
         .for_each(|(i, plane)| {
-            z_forward(&real[i * n * n..][..n * n], plane, n, &fwd, &fwd_m);
-            fft_rows(plane, h, &fwd, Direction::Forward);
+            let (re, im) = plane.split_at_mut(n * h);
+            z_forward(kernel, &real[i * n * n..][..n * n], re, im, fwd, fwd_m);
+            kernel.rows(re, im, h, fwd);
         });
-    x_pass(&mut spec, n, h, |j, s| {
-        fft_rows(s, h, &fwd, Direction::Forward);
-        for (i, row) in s.chunks_exact_mut(h).enumerate() {
-            for (k, c) in row.iter_mut().enumerate() {
-                *c = c.scale(g(i, j, k));
+    let rows = SplitRows::new(&mut spec, n, h);
+    x_pass(&rows, n, h, |j, re, im| {
+        kernel.rows(re, im, h, fwd);
+        let split = re.chunks_exact_mut(h).zip(im.chunks_exact_mut(h));
+        for (i, (r, m)) in split.enumerate() {
+            for (k, (r, m)) in r.iter_mut().zip(m.iter_mut()).enumerate() {
+                let s = g(i, j, k);
+                (*r, *m) = (*r * s, *m * s);
             }
         }
-        fft_rows(s, h, &inv, Direction::Inverse);
+        kernel.rows(re, im, h, inv);
     });
-    spec.par_chunks_exact_mut(n * h)
-        .for_each(|plane| fft_rows(plane, h, &inv, Direction::Inverse));
+    spec.par_chunks_exact_mut(2 * n * h).for_each(|plane| {
+        let (re, im) = plane.split_at_mut(n * h);
+        kernel.rows(re, im, h, inv);
+    });
     let mut out = vec![0.0f64; n * n * n];
     out.par_chunks_exact_mut(n * n)
         .enumerate()
-        .for_each(|(i, plane)| z_inverse(&spec[i * n * h..][..n * h], plane, n, &inv, &inv_m));
+        .for_each(|(i, plane)| {
+            let (re, im) = spec[i * 2 * n * h..][..2 * n * h].split_at(n * h);
+            z_inverse(kernel, re, im, plane, inv, inv_m);
+        });
     out
 }
 
 /// The z-lines of one real x-plane (`n` lines of `n` reals) to their
-/// `h = n/2 + 1` modes each: row j of `plane` (`n` rows of `h`) is line j's
-/// spectrum. `tw` and `tw_m` are the forward tables for `n` and `n/2`.
-fn z_forward(real: &[f64], plane: &mut [Complex], n: usize, tw: &[Complex], tw_m: &[Complex]) {
+/// `h = n/2 + 1` modes each: row j of `re`/`im` (`n` rows of `h`) is line
+/// j's spectrum. `full` and `half` are the forward plans for `n` and `n/2`.
+fn z_forward(
+    kernel: Kernel,
+    real: &[f64],
+    re: &mut [f64],
+    im: &mut [f64],
+    full: &Plan,
+    half: &Plan,
+) {
+    let n = full.n;
     let (m, h) = (n / 2, n / 2 + 1);
     // Row t of the scratch holds packed point t of every line.
-    let mut s = vec![Complex::ZERO; m * n];
+    let mut s = vec![0.0; 2 * m * n];
+    let (sr, si) = s.split_at_mut(m * n);
     for (j, line) in real.chunks_exact(n).enumerate() {
         for (t, pair) in line.chunks_exact(2).enumerate() {
-            s[t * n + j] = Complex::new(pair[0], pair[1]);
+            (sr[t * n + j], si[t * n + j]) = (pair[0], pair[1]);
         }
     }
-    fft_rows(&mut s, n, tw_m, Direction::Forward);
+    kernel.rows(sr, si, n, half);
     // Z = E + iO holds the transforms of the even and odd samples:
     // E = (Z_k + Z*_{m−k})/2, O = −i(Z_k − Z*_{m−k})/2, and mode k is
-    // E + e^{−2πik/n}·O (the twiddle is −1 at k = m).
+    // E + e^{−2πik/n}·O (the twiddle is −1 at k = m). Every sum and product
+    // is `Complex`'s, in its order.
     for k in 0..h {
-        let w = if k < m {
-            tw[k]
-        } else {
-            Complex::new(-1.0, 0.0)
-        };
-        let (zk, zc) = (&s[k % m * n..][..n], &s[(m - k) % m * n..][..n]);
+        let (wr, wi) = if k < m { full.twiddle(k) } else { (-1.0, 0.0) };
+        let (zk, zc) = (k % m * n, (m - k) % m * n);
         for j in 0..n {
-            let (a, b) = (zk[j], zc[j].conj());
-            let d = (a - b).scale(0.5);
-            plane[j * h + k] = (a + b).scale(0.5) + w * Complex::new(d.im, -d.re);
+            let (ar, ai) = (sr[zk + j], si[zk + j]);
+            let (br, bi) = (sr[zc + j], -si[zc + j]);
+            let (dr, di) = ((ar - br) * 0.5, (ai - bi) * 0.5);
+            let (xr, xi) = (di, -dr);
+            re[j * h + k] = (ar + br) * 0.5 + (wr * xr - wi * xi);
+            im[j * h + k] = (ai + bi) * 0.5 + (wr * xi + wi * xr);
         }
     }
 }
 
-/// [`z_forward`] undone, with the `1/n` normalisation: `plane`'s rows of
-/// modes back to the real z-lines of `real`. `tw` and `tw_m` are the
-/// inverse tables for `n` and `n/2`.
-fn z_inverse(plane: &[Complex], real: &mut [f64], n: usize, tw: &[Complex], tw_m: &[Complex]) {
+/// [`z_forward`] undone, with the `1/n` normalisation: the rows of modes in
+/// `re`/`im` back to the real z-lines of `real`. `full` and `half` are the
+/// inverse plans for `n` and `n/2`.
+fn z_inverse(kernel: Kernel, re: &[f64], im: &[f64], real: &mut [f64], full: &Plan, half: &Plan) {
+    let n = full.n;
     let (m, h) = (n / 2, n / 2 + 1);
     // E = (F_k + F*_{m−k})/2 and O = e^{2πik/n}(F_k − F*_{m−k})/2 repack as
     // Z = E + iO, whose half-length inverse is the even and odd samples.
-    let mut s = vec![Complex::ZERO; m * n];
+    let mut s = vec![0.0; 2 * m * n];
+    let (sr, si) = s.split_at_mut(m * n);
     for k in 0..m {
-        for (j, row) in plane.chunks_exact(h).enumerate() {
-            let (a, b) = (row[k], row[m - k].conj());
-            let e = (a + b).scale(0.5);
-            let o = tw[k] * (a - b).scale(0.5);
-            s[k * n + j] = Complex::new(e.re - o.im, e.im + o.re);
+        let (wr, wi) = full.twiddle(k);
+        for j in 0..n {
+            let (ar, ai) = (re[j * h + k], im[j * h + k]);
+            let (br, bi) = (re[j * h + m - k], -im[j * h + m - k]);
+            let (er, ei) = ((ar + br) * 0.5, (ai + bi) * 0.5);
+            let (dr, di) = ((ar - br) * 0.5, (ai - bi) * 0.5);
+            let (or, oi) = (wr * dr - wi * di, wr * di + wi * dr);
+            (sr[k * n + j], si[k * n + j]) = (er - oi, ei + or);
         }
     }
-    fft_rows(&mut s, n, tw_m, Direction::Inverse);
+    kernel.rows(sr, si, n, half);
     for (j, line) in real.chunks_exact_mut(n).enumerate() {
         for (t, pair) in line.chunks_exact_mut(2).enumerate() {
-            let z = s[t * n + j];
-            pair[0] = z.re;
-            pair[1] = z.im;
+            (pair[0], pair[1]) = (sr[t * n + j], si[t * n + j]);
         }
     }
 }
@@ -687,6 +980,98 @@ mod tests {
         for threads in [2, 4] {
             for (x, y) in run(threads).iter().zip(&one) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
+            }
+        }
+    }
+
+    /// The kernels this CPU runs: the baseline always, AVX2 when detected.
+    fn kernels() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Baseline];
+        match Kernel::avx2() {
+            Some(k) => all.push(k),
+            None => eprintln!("no AVX2 on this CPU: the AVX2 half of this test was skipped"),
+        }
+        all
+    }
+
+    /// Values that exercise the rounding: mixed signs and magnitudes,
+    /// signed zeros.
+    fn awkward(ix: usize) -> f64 {
+        match ix % 13 {
+            0 => 0.0,
+            5 => -0.0,
+            7 => 1e-300 * ix as f64,
+            11 => -3e7 / (1 + ix) as f64,
+            _ => ((ix as f64) * 0.618_033_988_75).sin() * (1 + ix % 5) as f64,
+        }
+    }
+
+    #[test]
+    fn fft_1d_matches_the_interleaved_reference_bitwise() {
+        for n in (0..=10).map(|b| 1usize << b) {
+            let orig: Vec<Complex> = (0..n)
+                .map(|t| Complex::new(awkward(t), awkward(t + 3 * n)))
+                .collect();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut want = orig.clone();
+                let tw = crate::fft_reference::twiddles(n, dir);
+                crate::fft_reference::fft_rows(&mut want, 1, &tw, dir);
+                let mut got = orig.clone();
+                fft_1d(&mut got, dir);
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits())
+                    );
+                }
+            }
+        }
+    }
+
+    /// The split-plane transform is the interleaved one bit for bit, in
+    /// both directions, n = 2 … 64, for each compilation of the kernel.
+    #[test]
+    fn grid3_fft_matches_the_interleaved_reference_bitwise() {
+        for n in (1..=6).map(|b| 1usize << b) {
+            let mut g = Grid3::zeros(n);
+            for (ix, c) in g.data.iter_mut().enumerate() {
+                *c = Complex::new(awkward(ix), awkward(ix * 7 + 1));
+            }
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut want = g.clone();
+                crate::fft_reference::grid3_fft(&mut want, dir);
+                for kernel in kernels() {
+                    let mut got = g.clone();
+                    got.fft_with(kernel, dir);
+                    for (ix, (a, b)) in got.data.iter().zip(&want.data).enumerate() {
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "n={n} {dir:?} {kernel:?} at {ix}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// As above for the half-spectrum filter, with an even multiplier and
+    /// one that is not.
+    #[test]
+    fn filter_real_matches_the_interleaved_reference_bitwise() {
+        for n in (1..=6).map(|b| 1usize << b) {
+            let real: Vec<f64> = (0..n * n * n).map(awkward).collect();
+            let odd = move |i: usize, j: usize, k: usize| 1.0 + (i * 3 + j * 5 + k) as f64 / 7.0;
+            let even = even_multiplier(n);
+            let filters: [&(dyn Fn(usize, usize, usize) -> f64 + Sync); 2] = [&even, &odd];
+            for g in filters {
+                let want = crate::fft_reference::filter_real(n, &real, g);
+                for kernel in kernels() {
+                    let got = filter_real_with(kernel, n, &real, g);
+                    for (ix, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "n={n} {kernel:?} at {ix}");
+                    }
+                }
             }
         }
     }

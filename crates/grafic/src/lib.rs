@@ -23,6 +23,8 @@
 //! relies on for reproducible experiments.
 
 pub mod fft;
+#[cfg(test)]
+mod fft_reference;
 pub mod field;
 pub mod measure;
 pub mod spectrum;

@@ -161,10 +161,11 @@ impl Mesh {
     }
 }
 
-/// Number of scratch meshes the parallel CIC deposit builds. A function of
-/// the particle count ONLY — never the thread count — so the accumulation
-/// order (and the bitwise f64 result) is identical at any parallelism level.
-/// Small sets use one chunk, which reproduces the serial deposit exactly.
+/// Number of particle chunks whose partial sums the CIC deposit adds into
+/// each cell, in chunk order. A function of the particle count ONLY — never
+/// the thread count — so the accumulation order (and the bitwise f64
+/// result) is identical at any parallelism level. Small sets use one chunk,
+/// which is the plain serial deposit.
 #[inline]
 fn deposit_chunks(np: usize) -> usize {
     if np < 4096 {
@@ -194,23 +195,41 @@ fn cic_axis(x: f64, n: usize) -> ([usize; 2], [f64; 2]) {
     )
 }
 
-/// Deposit particles `[lo, hi)` into `mesh` (serial scatter over one range).
-fn deposit_range(parts: &Particles, mesh: &mut Mesh, lo: usize, hi: usize) {
-    let n = mesh.n;
+/// Scatter particles `[lo, hi)` into `slab`, the x-planes `x0 .. x0 +
+/// slab.len() / n²` of an `n³` mesh; corners on other planes are skipped.
+/// `add(slab, ix, value)` does the adding, one corner at a time in the
+/// serial deposit's order.
+#[inline(always)]
+fn deposit_planes(
+    parts: &Particles,
+    n: usize,
+    x0: usize,
+    slab: &mut [f64],
+    (lo, hi): (usize, usize),
+    mut add: impl FnMut(&mut [f64], usize, f64),
+) {
     let nf = n as f64;
     // Density contribution per unit mass: 1 / cell volume.
     let n3 = nf * nf * nf;
+    let planes = x0..x0 + slab.len() / (n * n);
     for p in lo..hi {
-        let m = parts.mass[p] * n3;
         let [x, y, z] = parts.pos[p];
-        let ((cx, wx), (cy, wy), (cz, wz)) = (cic_axis(x, n), cic_axis(y, n), cic_axis(z, n));
+        let (cx, wx) = cic_axis(x, n);
+        if !planes.contains(&cx[0]) && !planes.contains(&cx[1]) {
+            continue;
+        }
+        let m = parts.mass[p] * n3;
+        let ((cy, wy), (cz, wz)) = (cic_axis(y, n), cic_axis(z, n));
         for a in 0..2 {
+            if !planes.contains(&cx[a]) {
+                continue;
+            }
             let mx = m * wx[a];
             for b in 0..2 {
                 let mxy = mx * wy[b];
-                let row = (cx[a] * n + cy[b]) * n;
+                let row = ((cx[a] - x0) * n + cy[b]) * n;
                 for c in 0..2 {
-                    mesh.data[row + cz[c]] += mxy * wz[c];
+                    add(slab, row + cz[c], mxy * wz[c]);
                 }
             }
         }
@@ -222,36 +241,57 @@ fn deposit_range(parts: &Particles, mesh: &mut Mesh, lo: usize, hi: usize) {
 /// that mean density 1 corresponds to uniform mass distribution
 /// (i.e. the overdensity is `rho - 1` when total mass is 1).
 ///
-/// Parallelised by splitting the particle range into [`deposit_chunks`]
-/// fixed chunks, scattering each into its own scratch mesh concurrently,
-/// then merging the scratch meshes per-cell in ascending chunk order (the
-/// merge itself is parallel over cells). The chunking is independent of the
-/// thread count, so the result is bitwise-identical at any parallelism.
+/// Each cell holds the sum of the [`deposit_chunks`] particle chunks'
+/// partial sums, added in chunk order, each partial summed in particle
+/// order — the same value whichever task computes it. The mesh is split
+/// into runs of x-planes, one per task (owner computes): a task scans the
+/// particles in order, deposits chunk 0 straight into its planes, and sums
+/// every later chunk into a partial the size of its planes, adding the
+/// cells that chunk touched to the mesh and clearing them before the next.
+/// A chunk that misses a cell adds `+0.0` in the chunk-order sum, which
+/// changes no value that is not `−0.0`, and no sum that starts at `+0.0` is
+/// `−0.0`; so skipping it changes no bit, and the result is bitwise
+/// identical at any thread count and any split into plane runs.
 pub fn cic_deposit(parts: &Particles, n: usize) -> Mesh {
     let np = parts.len();
-    let nchunks = deposit_chunks(np);
-    if nchunks == 1 {
-        let mut mesh = Mesh::zeros(n);
-        deposit_range(parts, &mut mesh, 0, np);
-        return mesh;
-    }
-    let chunk = np.div_ceil(nchunks);
-    let scratch: Vec<Mesh> = (0..nchunks)
-        .into_par_iter()
-        .map(|c| {
-            let mut m = Mesh::zeros(n);
-            deposit_range(parts, &mut m, c * chunk, ((c + 1) * chunk).min(np));
-            m
-        })
-        .collect();
-    let mut scratch = scratch.into_iter();
-    let mut mesh = scratch.next().expect("nchunks >= 1");
-    let rest: Vec<Mesh> = scratch.collect();
-    mesh.data.par_iter_mut().enumerate().for_each(|(ix, v)| {
-        for s in &rest {
-            *v += s.data[ix];
-        }
-    });
+    let chunk = np.div_ceil(deposit_chunks(np)).max(1);
+    let chunks = (0..np).step_by(chunk).map(|lo| (lo, (lo + chunk).min(np)));
+    let mut mesh = Mesh::zeros(n);
+    // One run per thread: a run rescans the particles, so more runs than
+    // threads is only extra work.
+    let planes = n.div_ceil(rayon::current_num_threads().clamp(1, n.max(1)));
+    mesh.data
+        .par_chunks_mut((planes * n * n).max(1))
+        .enumerate()
+        .for_each(|(run, slab)| {
+            let x0 = run * planes;
+            let mut chunks = chunks.clone();
+            if let Some(first) = chunks.next() {
+                deposit_planes(parts, n, x0, slab, first, |s, ix, v| s[ix] += v);
+            }
+            let mut partial = Vec::new();
+            // Room for every corner of a chunk: the list only ever grows by
+            // one per corner.
+            let mut touched = Vec::new();
+            for (lo, hi) in chunks {
+                partial.resize(slab.len(), 0.0);
+                touched.resize(8 * (hi - lo), 0);
+                let mut listed = 0;
+                deposit_planes(parts, n, x0, &mut partial, (lo, hi), |s, ix, v| {
+                    // A cell still at zero may be new to this chunk; one
+                    // listed twice adds its (cleared) zero the second time.
+                    // Listing without a branch: the test is a coin flip
+                    // when particles and cells are about as many.
+                    touched[listed] = ix;
+                    listed += usize::from(s[ix] == 0.0);
+                    s[ix] += v;
+                });
+                for &ix in &touched[..listed] {
+                    slab[ix] += partial[ix];
+                    partial[ix] = 0.0;
+                }
+            }
+        });
     mesh
 }
 
@@ -349,48 +389,135 @@ mod tests {
         }
     }
 
+    /// The serial scatter of particles `[lo, hi)` into a whole mesh, as the
+    /// deposit was written before it split the mesh into plane runs.
+    fn serial_range(parts: &Particles, mesh: &mut Mesh, lo: usize, hi: usize) {
+        let n = mesh.n;
+        let nf = n as f64;
+        let n3 = nf * nf * nf;
+        for p in lo..hi {
+            let m = parts.mass[p] * n3;
+            let [x, y, z] = parts.pos[p];
+            let ((cx, wx), (cy, wy), (cz, wz)) = (cic_axis(x, n), cic_axis(y, n), cic_axis(z, n));
+            for a in 0..2 {
+                let mx = m * wx[a];
+                for b in 0..2 {
+                    let mxy = mx * wy[b];
+                    let row = (cx[a] * n + cy[b]) * n;
+                    for c in 0..2 {
+                        mesh.data[row + cz[c]] += mxy * wz[c];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The deposit with one dense scratch mesh per chunk, merged per cell
+    /// in chunk order: the definition the owner-computes deposit keeps, bit
+    /// for bit.
+    fn scratch_mesh_reference(parts: &Particles, n: usize) -> Mesh {
+        let np = parts.len();
+        let nchunks = deposit_chunks(np);
+        let chunk = np.div_ceil(nchunks);
+        let mut scratch: Vec<Mesh> = (0..nchunks)
+            .map(|c| {
+                let mut m = Mesh::zeros(n);
+                serial_range(parts, &mut m, c * chunk, ((c + 1) * chunk).min(np));
+                m
+            })
+            .collect();
+        let mut mesh = scratch.remove(0);
+        for (ix, v) in mesh.data.iter_mut().enumerate() {
+            for s in &scratch {
+                *v += s.data[ix];
+            }
+        }
+        mesh
+    }
+
+    fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// Particles on a quasi-random lattice, with every fifth one moved onto
+    /// a cell edge of an `n`-side mesh or to just below 1.
+    fn awkward_particles(np: usize, n: usize) -> Particles {
+        let mut parts = Particles::default();
+        let edge = |i: usize| (i % n) as f64 / n as f64;
+        for i in 0..np {
+            let f = i as f64;
+            let mut pos = [
+                (f * 0.618_033_988_75) % 1.0,
+                (f * 0.414_213_562_37) % 1.0,
+                (f * 0.259_921_049_89) % 1.0,
+            ];
+            match i % 10 {
+                0 => pos[0] = edge(i),
+                2 => pos[1] = 1.0f64.next_down(),
+                4 => pos = [edge(i), edge(i / 3), 1.0f64.next_down()],
+                6 => pos[2] = edge(i) + 0.5 / n as f64,
+                _ => {}
+            }
+            parts.push(pos, [0.0; 3], (1.0 + (i % 7) as f64) / np as f64, i as u64);
+        }
+        parts
+    }
+
     #[test]
     fn chunked_deposit_matches_serial_and_is_thread_invariant() {
-        // Enough particles to trigger the multi-chunk path (np >= 4096).
-        let mut parts = Particles::default();
-        for i in 0..5000u64 {
-            let f = i as f64;
-            parts.push(
-                [
-                    (f * 0.618_033_988_75) % 1.0,
-                    (f * 0.414_213_562_37) % 1.0,
-                    (f * 0.259_921_049_89) % 1.0,
-                ],
-                [0.0; 3],
-                1.0 / 5000.0,
-                i,
-            );
-        }
+        // Enough particles for the multi-chunk path (np >= 4096).
+        let parts = awkward_particles(5000, 16);
         let n = 16;
-        // Serial reference: one pass over all particles.
-        let mut reference = Mesh::zeros(n);
-        deposit_range(&parts, &mut reference, 0, parts.len());
-
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| cic_deposit(&parts, n))
-        };
-        let base = run(1);
-        // Chunked merge reorders the per-cell accumulation, so agreement with
-        // the serial pass is to rounding, not bitwise.
-        for (a, b) in base.data.iter().zip(&reference.data) {
+        let mut serial = Mesh::zeros(n);
+        serial_range(&parts, &mut serial, 0, parts.len());
+        let base = at_threads(1, || cic_deposit(&parts, n));
+        // Chunk-order partial sums reorder the per-cell accumulation, so
+        // agreement with the one-pass serial deposit is to rounding.
+        for (a, b) in base.data.iter().zip(&serial.data) {
             assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0));
         }
         let total = base.sum() / (n as f64).powi(3);
         assert!((total - parts.total_mass()).abs() < 1e-12);
-        // Across thread counts the chunking is fixed: bitwise identical.
         for threads in [2, 4] {
-            let other = run(threads);
+            let other = at_threads(threads, || cic_deposit(&parts, n));
             for (a, b) in base.data.iter().zip(&other.data) {
                 assert_eq!(a.to_bits(), b.to_bits(), "mismatch at {threads} threads");
+            }
+        }
+    }
+
+    /// The owner-computes deposit is the scratch-mesh deposit bit for bit:
+    /// on both sides of the chunking threshold, with a ragged last chunk,
+    /// particles on cell edges and at 1 − ε, at 1, 2 and 4 threads, and on
+    /// meshes with fewer planes than threads.
+    #[test]
+    fn deposit_matches_the_scratch_mesh_reference_bitwise() {
+        for (np, n) in [
+            (0, 8),
+            (1, 4),
+            (4095, 16),
+            (4096, 16),
+            (4097, 16),
+            (5027, 32),
+            (8191, 8),
+            (4099, 2),
+        ] {
+            let parts = awkward_particles(np, n);
+            let want = scratch_mesh_reference(&parts, n);
+            for threads in [1, 2, 4] {
+                let got = at_threads(threads, || cic_deposit(&parts, n));
+                assert_eq!(got.n, n);
+                for (ix, (a, b)) in got.data.iter().zip(&want.data).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "np={np} n={n} threads={threads} cell {ix}"
+                    );
+                }
             }
         }
     }
@@ -454,8 +581,8 @@ mod tests {
                 data: (0..n * n * n).map(|ix| ((ix * 7919) % 1013) as f64 * s).collect(),
             });
             let (mesh, acc) = modulo_reference(&parts, &force);
-            let mut got = Mesh::zeros(n);
-            deposit_range(&parts, &mut got, 0, parts.len());
+            // Under 4096 particles the deposit is one serial pass.
+            let got = cic_deposit(&parts, n);
             for (a, b) in got.data.iter().zip(&mesh.data) {
                 proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
             }
