@@ -22,10 +22,9 @@
 use crate::dagda::ReplicaCatalog;
 use crate::error::DietError;
 use crate::faults::{FaultAction, FaultPlan};
-use crate::monitor::{Estimate, MissTally};
+use crate::monitor::{Estimate, MissTally, Periodic};
 use crate::sched::Scheduler;
 use crate::sed::SedHandle;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use obs::{Obs, TraceCtx};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -923,10 +922,7 @@ impl MasterAgent {
 /// through the SeD's command queue, so a wedged worker fails the probe even
 /// though its process is technically still there. Remote agents get a wire
 /// `Ping` on the connection that already carries their `Forward`s.
-pub struct HeartbeatMonitor {
-    stop: Sender<()>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
+pub struct HeartbeatMonitor(Periodic);
 
 impl HeartbeatMonitor {
     pub fn spawn(
@@ -935,82 +931,62 @@ impl HeartbeatMonitor {
         ping_timeout: Duration,
         miss_threshold: u32,
     ) -> HeartbeatMonitor {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let thread = std::thread::spawn(move || {
-            let (mut misses, mut agent_misses) = (MissTally::default(), MissTally::default());
-            let metrics = ma.obs();
-            let m_beats = metrics.metrics.counter("diet_heartbeat_beats_total");
-            let m_missed = metrics.metrics.counter("diet_heartbeat_misses_total");
-            let m_evicted = metrics.metrics.counter("diet_heartbeat_evictions_total");
-            let m_agent_evicted = metrics
-                .metrics
-                .counter("diet_heartbeat_agent_evictions_total");
-            let m_agent_restored = metrics
-                .metrics
-                .counter("diet_heartbeat_agent_restorations_total");
-            // Runs until a stop is requested or the monitor is dropped.
-            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                for sed in ma.all_seds() {
-                    let label = &sed.config.label;
-                    m_beats.inc();
-                    // A worker deep in a long solve can't answer the queued
-                    // ping in time, but it is busy, not dead — only a probe
-                    // failure on an idle (or exited) worker counts as a miss.
-                    if sed.ping(ping_timeout) || (sed.is_alive() && sed.is_busy()) {
-                        misses.hit(label);
-                    } else {
-                        m_missed.inc();
-                        if misses.miss(label, miss_threshold) && ma.deregister(label) {
-                            m_evicted.inc();
-                        }
-                    }
-                }
-                // Remote agent sweep: an interior agent that misses its
-                // heartbeats takes its whole subtree's SeDs out of routing
-                // (the slot is marked unavailable); a probe answered later
-                // puts them straight back — agents are marked, not removed,
-                // because the far process may just have restarted.
-                for slot in ma.remote_slots() {
-                    let name = slot.name();
-                    m_beats.inc();
-                    if slot.remote().ping(ping_timeout) {
-                        if !slot.is_available() {
-                            slot.set_available(true);
-                            m_agent_restored.inc();
-                        }
-                        agent_misses.hit(&name);
-                    } else {
-                        m_missed.inc();
-                        if agent_misses.miss(&name, miss_threshold) && slot.is_available() {
-                            slot.set_available(false);
-                            m_agent_evicted.inc();
-                        }
+        let (mut misses, mut agent_misses) = (MissTally::default(), MissTally::default());
+        let metrics = ma.obs();
+        let m_beats = metrics.metrics.counter("diet_heartbeat_beats_total");
+        let m_missed = metrics.metrics.counter("diet_heartbeat_misses_total");
+        let m_evicted = metrics.metrics.counter("diet_heartbeat_evictions_total");
+        let m_agent_evicted = metrics
+            .metrics
+            .counter("diet_heartbeat_agent_evictions_total");
+        let m_agent_restored = metrics
+            .metrics
+            .counter("diet_heartbeat_agent_restorations_total");
+        // Runs until a stop is requested or the monitor is dropped.
+        HeartbeatMonitor(Periodic::spawn(interval, move || {
+            for sed in ma.all_seds() {
+                let label = &sed.config.label;
+                m_beats.inc();
+                // A worker deep in a long solve can't answer the queued
+                // ping in time, but it is busy, not dead — only a probe
+                // failure on an idle (or exited) worker counts as a miss.
+                if sed.ping(ping_timeout) || (sed.is_alive() && sed.is_busy()) {
+                    misses.hit(label);
+                } else {
+                    m_missed.inc();
+                    if misses.miss(label, miss_threshold) && ma.deregister(label) {
+                        m_evicted.inc();
                     }
                 }
             }
-        });
-        HeartbeatMonitor {
-            stop: stop_tx,
-            thread: Some(thread),
-        }
+            // Remote agent sweep: an interior agent that misses its
+            // heartbeats takes its whole subtree's SeDs out of routing
+            // (the slot is marked unavailable); a probe answered later
+            // puts them straight back — agents are marked, not removed,
+            // because the far process may just have restarted.
+            for slot in ma.remote_slots() {
+                let name = slot.name();
+                m_beats.inc();
+                if slot.remote().ping(ping_timeout) {
+                    if !slot.is_available() {
+                        slot.set_available(true);
+                        m_agent_restored.inc();
+                    }
+                    agent_misses.hit(&name);
+                } else {
+                    m_missed.inc();
+                    if agent_misses.miss(&name, miss_threshold) && slot.is_available() {
+                        slot.set_available(false);
+                        m_agent_evicted.inc();
+                    }
+                }
+            }
+        }))
     }
 
     /// Stop the monitor and wait for its thread to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let _ = self.stop.try_send(());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for HeartbeatMonitor {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.0.stop();
     }
 }
 

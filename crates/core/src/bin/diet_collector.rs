@@ -12,7 +12,6 @@
 use diet_core::transport::ServerConfig;
 use diet_core::{serve_collector_over_tcp, Collector};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!("usage: diet_collector [--listen ADDR] [--workers N]");
@@ -54,6 +53,6 @@ fn main() {
 
     // Serve until killed; the reactor does all the work.
     loop {
-        std::thread::sleep(Duration::from_secs(3600));
+        std::thread::park();
     }
 }

@@ -127,6 +127,6 @@ fn main() {
     // Serve until killed; dispatchers, heartbeat, and the reactor do the
     // work. Recovery after `kill -9` is the tested path.
     loop {
-        std::thread::sleep(Duration::from_secs(3600));
+        std::thread::park();
     }
 }

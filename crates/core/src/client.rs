@@ -19,9 +19,9 @@ use crate::hierarchy::RemoteAgentClient;
 use crate::profile::Profile;
 use crate::sed::SolveOutcome;
 use crate::transport::TcpSedPool;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use obs::{Obs, TraceCtx, Tracer};
 use std::collections::HashMap;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -404,10 +404,10 @@ impl CallHandle {
     pub fn wait_timeout(self, d: Duration) -> Result<(Profile, CallStats), DietError> {
         match self.rx.recv_timeout(d) {
             Ok(outcome) => self.finish(outcome),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(DietError::Timeout {
+            Err(RecvTimeoutError::Timeout) => Err(DietError::Timeout {
                 after_secs: d.as_secs_f64(),
             }),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+            Err(RecvTimeoutError::Disconnected) => {
                 Err(DietError::Transport("SeD dropped the reply channel".into()))
             }
         }
@@ -417,8 +417,8 @@ impl CallHandle {
     pub fn try_wait(self) -> Result<Result<(Profile, CallStats), DietError>, CallHandle> {
         match self.rx.try_recv() {
             Ok(outcome) => Ok(self.finish(outcome)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Err(self),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Ok(Err(DietError::Transport(
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => Ok(Err(DietError::Transport(
                 "SeD dropped the reply channel".into(),
             ))),
         }

@@ -732,27 +732,6 @@ pub(crate) fn runs_inline(frame: &[u8]) -> bool {
     frame.first().is_some_and(|tag| INLINE_TAGS.contains(tag))
 }
 
-/// Encode a profile (service, values, persistence).
-pub fn encode_profile(buf: &mut BytesMut, p: &Profile) {
-    p.put(buf)
-}
-
-/// Decode a profile.
-pub fn decode_profile(buf: &mut Bytes) -> Result<Profile, DietError> {
-    Wire::get(buf)
-}
-
-/// Encode a jobserver task payload: a kind byte then a profile or a
-/// workflow spec.
-pub fn encode_task_payload(buf: &mut BytesMut, p: &TaskPayload) {
-    p.put(buf)
-}
-
-/// Decode a jobserver task payload.
-pub fn decode_task_payload(buf: &mut Bytes) -> Result<TaskPayload, DietError> {
-    Wire::get(buf)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

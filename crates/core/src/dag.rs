@@ -55,13 +55,14 @@ use crate::agent::{MasterAgent, Placement};
 use crate::client::{retry_loop, RetryPolicy};
 use crate::data::{DietValue, Persistence};
 use crate::error::DietError;
+use crate::monitor::Periodic;
 use crate::profile::Profile;
 use crate::reactor::ConnHandle;
 use crate::transport::TcpSedPool;
 use obs::TraceCtx;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -446,48 +447,41 @@ pub struct DagEngine {
     /// Completed wall-clock durations per canonical service (speculation's
     /// running median).
     durations: Mutex<HashMap<String, Vec<f64>>>,
-    stop: AtomicBool,
-}
-
-impl Drop for DagEngine {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-    }
+    /// The straggler/disconnect sweep. Its tick holds only a `Weak`, so the
+    /// last `Arc` may drop inside a tick; `Periodic` skips the self-join.
+    monitor: Periodic,
 }
 
 impl DagEngine {
     /// Stand the engine up next to an in-process MA handle. Spawns the
-    /// monitor thread; it exits when the engine is dropped or
+    /// monitor thread; it stops when the engine is dropped or
     /// [`shutdown`](Self::shutdown) is called.
     pub fn new(ma: Arc<MasterAgent>, pool: Arc<TcpSedPool>, cfg: DagEngineConfig) -> Arc<Self> {
         let obs = ma.obs();
-        let engine = Arc::new(DagEngine {
-            ma,
-            pool,
-            cfg,
-            obs,
-            expanders: RwLock::new(HashMap::new()),
-            dags: Mutex::new(HashMap::new()),
-            next_dag: AtomicU64::new(0),
-            durations: Mutex::new(HashMap::new()),
-            stop: AtomicBool::new(false),
-        });
-        let weak: Weak<DagEngine> = Arc::downgrade(&engine);
-        let interval = engine.cfg.monitor_interval;
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            let Some(eng) = weak.upgrade() else { break };
-            if eng.stop.load(Ordering::Acquire) {
-                break;
+        Arc::new_cyclic(|weak: &Weak<DagEngine>| {
+            let weak = weak.clone();
+            let monitor = Periodic::spawn(cfg.monitor_interval, move || {
+                if let Some(eng) = weak.upgrade() {
+                    eng.monitor_tick();
+                }
+            });
+            DagEngine {
+                ma,
+                pool,
+                cfg,
+                obs,
+                expanders: RwLock::new(HashMap::new()),
+                dags: Mutex::new(HashMap::new()),
+                next_dag: AtomicU64::new(0),
+                durations: Mutex::new(HashMap::new()),
+                monitor,
             }
-            eng.monitor_tick();
-        });
-        engine
+        })
     }
 
-    /// Stop the monitor thread (deployment teardown).
+    /// Stop the monitor thread and wait for it (deployment teardown).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.monitor.stop();
     }
 
     /// Register a dynamic fan-out hook under `name` (referenced by

@@ -45,7 +45,7 @@ use crate::codec::{self, wire_enum, Message, Wire};
 use crate::dag::WorkflowSpec;
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
-use crate::monitor::MissTally;
+use crate::monitor::{MissTally, Periodic};
 use crate::profile::Profile;
 use crate::transport::{unexpected, Peer, ServerConfig, TcpSedPool, TcpServer};
 use bytes::{Bytes, BytesMut};
@@ -57,7 +57,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
@@ -1311,6 +1311,8 @@ pub struct JobServer {
     cfg: JobServerConfig,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The fleet probe, when `cfg.heartbeat` is set.
+    heartbeat: Option<Periodic>,
 }
 
 impl JobServer {
@@ -1331,25 +1333,33 @@ impl JobServer {
             obs.clone(),
         )?;
         let machines = MachinePool::new(pool.clone(), obs.clone());
-        let js = Arc::new(JobServer {
-            store,
-            ma,
-            pool,
-            machines,
-            obs,
-            cfg,
-            stop: Arc::new(AtomicBool::new(false)),
-            threads: Mutex::new(Vec::new()),
+        let js = Arc::new_cyclic(|me: &Weak<JobServer>| {
+            let heartbeat = cfg.heartbeat.map(|interval| {
+                let me = me.clone();
+                Periodic::spawn(interval, move || {
+                    if let Some(js) = me.upgrade() {
+                        js.heartbeat_tick();
+                    }
+                })
+            });
+            JobServer {
+                store,
+                ma,
+                pool,
+                machines,
+                obs,
+                cfg,
+                stop: Arc::new(AtomicBool::new(false)),
+                threads: Mutex::new(Vec::new()),
+                heartbeat,
+            }
         });
-        let mut threads = Vec::new();
-        for _ in 0..js.cfg.workers.max(1) {
-            let me = js.clone();
-            threads.push(std::thread::spawn(move || me.dispatch_loop()));
-        }
-        if let Some(interval) = js.cfg.heartbeat {
-            let me = js.clone();
-            threads.push(std::thread::spawn(move || me.heartbeat_loop(interval)));
-        }
+        let threads = (0..js.cfg.workers.max(1))
+            .map(|_| {
+                let me = js.clone();
+                std::thread::spawn(move || me.dispatch_loop())
+            })
+            .collect();
         *js.threads.lock() = threads;
         Ok(js)
     }
@@ -1361,6 +1371,9 @@ impl JobServer {
     /// Stop dispatchers and the heartbeat; in-flight attempts finish.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        if let Some(heartbeat) = &self.heartbeat {
+            heartbeat.stop();
+        }
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -1377,23 +1390,17 @@ impl JobServer {
         }
     }
 
-    fn heartbeat_loop(&self, interval: Duration) {
-        while !self.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(interval);
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let newly_dead = self
-                .machines
-                .probe_all(self.cfg.heartbeat_timeout, self.cfg.heartbeat_misses);
-            for label in newly_dead {
-                let moved = self.store.requeue_dead_sed(&label);
-                if moved > 0 {
-                    self.obs
-                        .metrics
-                        .counter("diet_jobserver_redispatch_total")
-                        .add(moved as u64);
-                }
+    fn heartbeat_tick(&self) {
+        let newly_dead = self
+            .machines
+            .probe_all(self.cfg.heartbeat_timeout, self.cfg.heartbeat_misses);
+        for label in newly_dead {
+            let moved = self.store.requeue_dead_sed(&label);
+            if moved > 0 {
+                self.obs
+                    .metrics
+                    .counter("diet_jobserver_redispatch_total")
+                    .add(moved as u64);
             }
         }
     }

@@ -6,10 +6,15 @@
 //!
 //! [`Estimate`] is the vector a SeD returns when an agent probes it during
 //! request submission — DIET's `estVector_t`. Schedulers consume these.
+//! `Periodic` is the one loop every periodic monitoring thread runs on.
 
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A point-in-time performance estimate for one SeD.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -198,6 +203,47 @@ impl MissTally {
     }
 }
 
+/// A background thread that calls `tick` every `interval` until stopped —
+/// the one way diet-core runs a periodic loop (the MA's heartbeat sweep,
+/// the telemetry flusher, the DAG monitor, the jobserver's heartbeat).
+///
+/// [`stop`](Periodic::stop) drops the loop's channel, which wakes the
+/// thread at once however long its interval, then joins it: once `stop`
+/// returns on any other thread, no tick is running and none will start.
+/// Called from inside a tick (an owner whose last `Arc` drops there runs
+/// its `Drop` on this very thread) it skips the join; the loop exits when
+/// that tick returns.
+pub(crate) struct Periodic(Mutex<Option<(Sender<()>, JoinHandle<()>)>>);
+
+impl Periodic {
+    pub(crate) fn spawn(interval: Duration, mut tick: impl FnMut() + Send + 'static) -> Periodic {
+        let (wake, sleep) = channel::<()>();
+        let thread = std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = sleep.recv_timeout(interval) {
+                tick();
+            }
+        });
+        Periodic(Mutex::new(Some((wake, thread))))
+    }
+
+    /// Stop the loop and wait for its thread. Idempotent.
+    pub(crate) fn stop(&self) {
+        let Some((wake, thread)) = self.0.lock().take() else {
+            return;
+        };
+        drop(wake);
+        if thread.thread().id() != std::thread::current().id() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Periodic {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +376,89 @@ mod tests {
         let crossings = (0..threshold).filter(|_| t.miss("a", threshold)).count();
         assert_eq!(crossings, 1);
         assert!(!t.miss("a", threshold));
+    }
+
+    /// A loop whose every tick takes 20 ms, with counts of the ticks
+    /// started and ended; returned while the first tick is under way.
+    fn slow_ticks() -> (Periodic, Arc<AtomicU64>, Arc<AtomicU64>) {
+        let (started, ended) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (s, e) = (started.clone(), ended.clone());
+        let p = Periodic::spawn(Duration::from_millis(1), move || {
+            s.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+            e.fetch_add(1, Ordering::SeqCst);
+        });
+        while started.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (p, started, ended)
+    }
+
+    #[test]
+    fn no_tick_runs_after_stop_returns() {
+        let (p, started, ended) = slow_ticks();
+        // Stopped mid-tick: `stop` waits that tick out and starts no other.
+        p.stop();
+        let at_stop = started.load(Ordering::SeqCst);
+        assert_eq!(
+            ended.load(Ordering::SeqCst),
+            at_stop,
+            "a tick outlived stop"
+        );
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(started.load(Ordering::SeqCst), at_stop);
+        // A second stop is a no-op.
+        p.stop();
+    }
+
+    #[test]
+    fn dropping_the_handle_stops_the_loop() {
+        let (p, started, ended) = slow_ticks();
+        drop(p);
+        let at_drop = started.load(Ordering::SeqCst);
+        assert_eq!(
+            ended.load(Ordering::SeqCst),
+            at_drop,
+            "a tick outlived drop"
+        );
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(started.load(Ordering::SeqCst), at_drop);
+    }
+
+    #[test]
+    fn stop_wakes_a_sleeping_loop_at_once() {
+        let p = Periodic::spawn(Duration::from_secs(2), || {});
+        let t0 = std::time::Instant::now();
+        p.stop();
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn stop_from_inside_a_tick_does_not_self_join() {
+        let slot: Arc<Mutex<Option<Periodic>>> = Arc::new(Mutex::new(None));
+        let ticks = Arc::new(AtomicU64::new(0));
+        let (done_tx, done_rx) = channel();
+        let (inner, counted) = (slot.clone(), ticks.clone());
+        let p = Periodic::spawn(Duration::from_millis(1), move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            // The owner drops on its own loop thread, as a DagEngine's
+            // last Arc can inside a monitor tick.
+            if let Some(p) = inner.lock().take() {
+                drop(p);
+                let _ = done_tx.send(());
+            }
+        });
+        *slot.lock() = Some(p);
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a stop from inside the tick returns");
+        let after = ticks.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(ticks.load(Ordering::SeqCst), after, "the loop exited");
     }
 
     #[test]

@@ -45,7 +45,6 @@ use crate::codec::{decode_message, encode_message, peek_request_id, runs_inline,
 use crate::error::DietError;
 use crate::transport::{ServerConfig, DEFAULT_MAX_FRAME};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use obs::{Counter, Gauge, Histogram, Obs, Registry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -54,6 +53,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -810,32 +810,35 @@ pub(crate) fn spawn(
     });
 
     // Dispatch workers: complete frames only — no worker ever blocks on a
-    // half-read socket. `depth` mirrors the bounded channel's occupancy for
-    // the dispatch-depth gauge (the vendored channel exposes no len()).
+    // half-read socket. They share the bounded queue's one receiver, each
+    // holding its lock only to take the next item. `depth` mirrors the
+    // queue's occupancy for the dispatch-depth gauge (std's channel exposes
+    // no len()).
     let depth = Arc::new(AtomicU64::new(0));
-    let (work_tx, work_rx) = bounded::<(ConnHandle, Work)>(cfg.accept_queue.max(1));
+    let (work_tx, work_rx) = sync_channel::<(ConnHandle, Work)>(cfg.accept_queue.max(1));
+    let work_rx = Arc::new(Mutex::new(work_rx));
     for _ in 0..cfg.workers.max(1) {
         let rx = work_rx.clone();
         let h = handler.clone();
         let depth = depth.clone();
-        std::thread::spawn(move || {
-            while let Ok((handle, work)) = rx.recv() {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let msg = match work {
-                    Work::Handed(msg) => msg,
-                    Work::Frame(frame) => match decode_message(frame) {
-                        Ok(msg) => msg,
-                        // Garbage that framed correctly but does not
-                        // decode: the stream is not trustworthy past this
-                        // point.
-                        Err(_) => {
-                            handle.close();
-                            continue;
-                        }
-                    },
-                };
-                serve(&h, &handle, msg, Lane::Worker);
-            }
+        std::thread::spawn(move || loop {
+            let next = rx.lock().recv();
+            let Ok((handle, work)) = next else { break };
+            depth.fetch_sub(1, Ordering::Relaxed);
+            let msg = match work {
+                Work::Handed(msg) => msg,
+                Work::Frame(frame) => match decode_message(frame) {
+                    Ok(msg) => msg,
+                    // Garbage that framed correctly but does not
+                    // decode: the stream is not trustworthy past this
+                    // point.
+                    Err(_) => {
+                        handle.close();
+                        continue;
+                    }
+                },
+            };
+            serve(&h, &handle, msg, Lane::Worker);
         });
     }
 
@@ -865,7 +868,7 @@ struct Reactor {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     handler: Handler,
-    work_tx: Sender<(ConnHandle, Work)>,
+    work_tx: SyncSender<(ConnHandle, Work)>,
     /// Occupancy of the bounded dispatch channel (inc on send, dec on
     /// worker receive).
     depth: Arc<AtomicU64>,

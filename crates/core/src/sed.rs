@@ -17,11 +17,11 @@ use crate::error::DietError;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::monitor::{Estimate, LoadTracker};
 use crate::profile::{Profile, ProfileDesc};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{Obs, TraceCtx};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -238,7 +238,7 @@ impl SedHandle {
     /// observability sink — deployments that want one unified trace/metrics
     /// view pass the same `Arc<Obs>` to every component.
     pub fn spawn_with_obs(config: SedConfig, table: ServiceTable, obs: Arc<Obs>) -> Arc<SedHandle> {
-        let (tx, rx): (Sender<Command>, Receiver<Command>) = unbounded();
+        let (tx, rx): (Sender<Command>, Receiver<Command>) = channel();
         let table = Arc::new(RwLock::new(table));
         let load = LoadTracker::new();
         let datamgr = Arc::new(match config.data_capacity {
@@ -547,7 +547,7 @@ impl SedHandle {
     /// worker gets to it. Returns false when the worker is dead, wedged, or
     /// slower than the deadline.
     pub fn ping(&self, timeout: Duration) -> bool {
-        let (ptx, prx) = unbounded();
+        let (ptx, prx) = channel();
         if self.tx.send(Command::Ping(ptx)).is_err() {
             return false;
         }
@@ -653,7 +653,7 @@ impl SedHandle {
         profile: Profile,
         ctx: TraceCtx,
     ) -> Result<Receiver<SolveOutcome>, DietError> {
-        let (rtx, rrx) = unbounded();
+        let (rtx, rrx) = channel();
         let load = self.load.clone();
         let m_fail = self.obs.metrics.counter_with(
             "diet_sed_reply_failures_total",

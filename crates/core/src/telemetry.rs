@@ -21,14 +21,13 @@
 
 use crate::codec::{Message, ProcessSource};
 use crate::error::DietError;
+use crate::monitor::Periodic;
 use crate::transport::{unexpected, Peer};
 use obs::{DeltaTracker, Obs};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Where and as whom a process reports its telemetry.
@@ -131,8 +130,8 @@ impl FlusherShared {
 /// final flush, so short-lived processes still report their tail.
 pub struct TelemetryFlusher {
     shared: Arc<FlusherShared>,
-    stop_tx: Option<Sender<()>>,
-    thread: Option<JoinHandle<()>>,
+    /// The interval flush; taken by the first `shutdown`.
+    flusher: Option<Periodic>,
 }
 
 impl TelemetryFlusher {
@@ -150,24 +149,11 @@ impl TelemetryFlusher {
             tracker: Mutex::new(DeltaTracker::new()),
             flush_errors: AtomicU64::new(0),
         });
-        let (stop_tx, stop_rx) = channel::<()>();
         let worker = shared.clone();
-        let interval = cfg.interval;
-        let thread = std::thread::spawn(move || loop {
-            match stop_rx.recv_timeout(interval) {
-                // Stop requested (or the flusher was leaked and its sender
-                // dropped): one final flush ships the tail, then exit.
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-                    worker.flush_counted();
-                    return;
-                }
-                Err(RecvTimeoutError::Timeout) => worker.flush_counted(),
-            }
-        });
+        let flusher = Periodic::spawn(cfg.interval, move || worker.flush_counted());
         TelemetryFlusher {
             shared,
-            stop_tx: Some(stop_tx),
-            thread: Some(thread),
+            flusher: Some(flusher),
         }
     }
 
@@ -191,11 +177,9 @@ impl TelemetryFlusher {
     /// Stop the background thread after one final flush. Called by `Drop`;
     /// explicit calls make shutdown ordering visible in deployment code.
     pub fn shutdown(&mut self) {
-        if let Some(tx) = self.stop_tx.take() {
-            let _ = tx.send(());
-        }
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        if let Some(flusher) = self.flusher.take() {
+            flusher.stop();
+            self.shared.flush_counted();
         }
     }
 }

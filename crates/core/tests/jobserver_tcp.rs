@@ -439,3 +439,29 @@ fn probes_ride_one_connection_per_prober() {
     assert_eq!(tally(20).1, 1);
     server.kill();
 }
+
+/// `shutdown` wakes the heartbeat instead of sleeping out its interval:
+/// with a 2 s heartbeat asleep it returns as soon as the dispatchers notice
+/// the stop (each waits at most 100 ms for work).
+#[test]
+fn shutdown_does_not_wait_out_the_heartbeat() {
+    use diet_core::hierarchy::RemoteAgentClient;
+    use diet_core::transport::TcpSedPool;
+    // Never dialed: the jobserver is stopped before it has work.
+    let agent = RemoteAgentClient::new("ma", "127.0.0.1:9".parse().unwrap());
+    let mut cfg = server_config(&tmpdir("hb-stop"));
+    cfg.heartbeat = Some(Duration::from_secs(2));
+    let js = JobServer::spawn(
+        cfg,
+        agent,
+        Arc::new(TcpSedPool::new()),
+        Arc::new(Obs::new()),
+    )
+    .unwrap();
+    // Long enough for the heartbeat thread to be into its first interval.
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    js.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+}
