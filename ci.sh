@@ -216,6 +216,21 @@ stage_lint() {
         printf '%s\n' "$collects" >&2
         exit 1
     fi
+    # Drift guard: the jobserver compacts only when the WAL has paid for it
+    # (`JobStore::maybe_snapshot`). A snapshot rewrites the whole store, so
+    # an unconditional `snapshot_now(` on the dispatch path makes every task
+    # cost O(history) again. (Each hit is printed with the function it sits
+    # in; `fn snapshot_now(` itself is a definition, not a call.)
+    snapshots=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+             /snapshot_now[(]/ && !/fn snapshot_now[(]/ { print FILENAME ":" FNR ":" fn }' "$f"
+    done | grep -v '^crates/core/src/jobserver[.]rs:[0-9]*:maybe_snapshot$' || true)
+    if [ -n "$snapshots" ]; then
+        echo "ci.sh drift: snapshot_now called outside JobStore::maybe_snapshot:" >&2
+        printf '%s\n' "$snapshots" >&2
+        exit 1
+    fi
     # Drift guard: the periodic base mesh is solved directly by FFT
     # (ramses::poisson::solve). A V-cycle or its grid transfers growing back
     # in ramses is a second periodic solver beside it.

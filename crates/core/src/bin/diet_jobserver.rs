@@ -13,6 +13,10 @@
 //! parent process can scrape it from stdout). Kill it at any point:
 //! restarting with the same `--dir` resumes the campaigns — completed
 //! tasks stay done, in-flight tasks are re-dispatched.
+//!
+//! `--snapshot-every N` (default 4096) is the floor on WAL records between
+//! store snapshots; a snapshot also waits until the WAL has grown by the
+//! last snapshot's size.
 
 use diet_core::jobserver::{serve_jobserver_over_tcp, JobServer, JobServerConfig};
 use diet_core::transport::{ServerConfig, TcpSedPool};
@@ -24,7 +28,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: diet_jobserver --dir DIR --ma ADDR [--listen ADDR] [--sed LABEL=ADDR]...\n\
          \x20                     [--workers N] [--max-attempts N] [--snapshot-every N]\n\
-         \x20                     [--heartbeat-ms N] [--attempt-timeout-ms N] [--telemetry ADDR]"
+         \x20                     [--heartbeat-ms N] [--attempt-timeout-ms N] [--telemetry ADDR]\n\
+         \n\
+         --snapshot-every N  snapshot the store after at least N WAL records (default 4096)\n\
+         \x20                   and at least the last snapshot's size in WAL bytes"
     );
     std::process::exit(2);
 }

@@ -425,14 +425,41 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Arc<[T]> {
-    fn put(&self, buf: &mut BytesMut) {
-        put_list(buf, self)
-    }
-    fn get(buf: &mut Bytes) -> Result<Self, DietError> {
-        Ok(Vec::get(buf)?.into())
-    }
+/// Dense vectors (`VectorF64`, `VectorI32`): a list of little-endian
+/// numbers, the same bytes `put_list` writes, coded as one run. Encoding
+/// reserves once and converts through a stack chunk; decoding checks the
+/// whole run with one `need` (a lying count fails before anything is
+/// allocated) and collects straight into the `Arc`.
+macro_rules! wire_dense {
+    ($($t:ty),*) => {$(
+        impl Wire for Arc<[$t]> {
+            fn put(&self, buf: &mut BytesMut) {
+                const W: usize = std::mem::size_of::<$t>();
+                (self.len() as u32).put(buf);
+                buf.reserve(self.len() * W);
+                let mut chunk = [0u8; 4096];
+                for xs in self.chunks(chunk.len() / W) {
+                    for (out, x) in chunk.chunks_exact_mut(W).zip(xs) {
+                        out.copy_from_slice(&x.to_le_bytes());
+                    }
+                    buf.put_slice(&chunk[..xs.len() * W]);
+                }
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, DietError> {
+                const W: usize = std::mem::size_of::<$t>();
+                let n = u32::get(buf)? as usize;
+                need(buf, n.saturating_mul(W))?;
+                let xs = buf[..n * W]
+                    .chunks_exact(W)
+                    .map(|b| <$t>::from_le_bytes(b.try_into().expect("W-byte chunk")))
+                    .collect();
+                buf.advance(n * W);
+                Ok(xs)
+            }
+        }
+    )*};
 }
+wire_dense!(f64, i32);
 
 macro_rules! wire_tuple {
     ($($T:ident . $i:tt),+) => {
@@ -1322,6 +1349,60 @@ pub(crate) mod tests {
                 other => panic!("decoded {other:?}"),
             };
             assert!(span.contains(&(payload as usize)), "payload was copied");
+        }
+    }
+
+    /// `value` as `Wire` writes it, frozen.
+    fn wire_bytes<T: Wire>(value: &T) -> Bytes {
+        let mut buf = BytesMut::new();
+        value.put(&mut buf);
+        buf.freeze()
+    }
+
+    proptest::proptest! {
+        /// Dense vectors round-trip bit for bit, in exactly the bytes the
+        /// element-by-element list coding wrote, and every strict prefix of
+        /// a run is rejected.
+        #[test]
+        fn dense_vectors_roundtrip_as_lists(
+            fs in proptest::collection::vec(proptest::prelude::any::<f64>(), 0..1200),
+            is in proptest::collection::vec(proptest::prelude::any::<i32>(), 0..1200),
+        ) {
+            let (fs_arc, is_arc): (Arc<[f64]>, Arc<[i32]>) = (fs.clone().into(), is.clone().into());
+            let (f_enc, i_enc) = (wire_bytes(&fs_arc), wire_bytes(&is_arc));
+            proptest::prop_assert_eq!(&f_enc, &wire_bytes(&fs));
+            proptest::prop_assert_eq!(&i_enc, &wire_bytes(&is));
+            let f_back = <Arc<[f64]>>::get(&mut f_enc.clone()).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&f_back), bits(&fs));
+            proptest::prop_assert_eq!(&*<Arc<[i32]>>::get(&mut i_enc.clone()).unwrap(), &is[..]);
+            for cut in 0..f_enc.len() {
+                proptest::prop_assert!(<Arc<[f64]>>::get(&mut f_enc.slice(..cut)).is_err());
+            }
+            for cut in 0..i_enc.len() {
+                proptest::prop_assert!(<Arc<[i32]>>::get(&mut i_enc.slice(..cut)).is_err());
+            }
+        }
+    }
+
+    /// A vector whose count claims more than the frame holds fails on the
+    /// one bounds check, which comes before the `Arc` is allocated: an
+    /// allocation for 4 Gi elements would abort the process instead.
+    #[test]
+    fn dense_vector_with_a_lying_count_fails_before_allocating() {
+        for n in [u32::MAX, 1 << 20, 3] {
+            let mut frame = n.to_le_bytes().to_vec();
+            frame.extend_from_slice(&[0u8; 16]);
+            assert!(matches!(
+                <Arc<[f64]>>::get(&mut Bytes::from(frame.clone())),
+                Err(DietError::Codec(_))
+            ));
+            let want_i32 = n != 3; // three i32s fit in 16 bytes
+            assert_eq!(
+                <Arc<[i32]>>::get(&mut Bytes::from(frame)).is_err(),
+                want_i32,
+                "{n} i32s"
+            );
         }
     }
 }

@@ -61,7 +61,8 @@ use crate::reactor::ConnHandle;
 use crate::transport::TcpSedPool;
 use obs::TraceCtx;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -443,10 +444,13 @@ pub struct DagEngine {
     obs: Arc<obs::Obs>,
     expanders: RwLock<HashMap<String, DagExpander>>,
     dags: Mutex<HashMap<u64, Arc<Mutex<DagRun>>>>,
+    /// The admitted dags without an outcome yet: what the monitor sweeps
+    /// and `diet_dag_running` counts. Finished dags stay only in `dags`.
+    live: Mutex<HashMap<u64, Arc<Mutex<DagRun>>>>,
     next_dag: AtomicU64,
     /// Completed wall-clock durations per canonical service (speculation's
     /// running median).
-    durations: Mutex<HashMap<String, Vec<f64>>>,
+    durations: Mutex<HashMap<String, RunningMedian>>,
     /// The straggler/disconnect sweep. Its tick holds only a `Weak`, so the
     /// last `Arc` may drop inside a tick; `Periodic` skips the self-join.
     monitor: Periodic,
@@ -472,6 +476,7 @@ impl DagEngine {
                 obs,
                 expanders: RwLock::new(HashMap::new()),
                 dags: Mutex::new(HashMap::new()),
+                live: Mutex::new(HashMap::new()),
                 next_dag: AtomicU64::new(0),
                 durations: Mutex::new(HashMap::new()),
                 monitor,
@@ -528,7 +533,13 @@ impl DagEngine {
         let m = &self.obs.metrics;
         m.counter("diet_dag_submitted_total").inc();
         m.counter("diet_dag_nodes_total").add(n_nodes as u64);
-        m.gauge("diet_dag_running").set(self.running_dags() as f64);
+        {
+            // Set under the lock, so racing admissions and finishes leave
+            // the gauge at the last count, not an older one.
+            let mut live = self.live.lock();
+            live.insert(dag_id, run.clone());
+            m.gauge("diet_dag_running").set(live.len() as f64);
+        }
         // Roots launch immediately; everything else waits on its in-edges.
         let ready = run.lock().newly_ready();
         for id in ready {
@@ -564,11 +575,7 @@ impl DagEngine {
 
     /// Dags admitted and not yet finished.
     pub fn running_dags(&self) -> usize {
-        self.dags
-            .lock()
-            .values()
-            .filter(|r| r.lock().outcome.is_none())
-            .count()
+        self.live.lock().len()
     }
 
     fn node_run(&self, dag_id: u64, spec: &DagNodeSpec) -> NodeRun {
@@ -753,7 +760,7 @@ impl DagEngine {
             .lock()
             .entry(canonical)
             .or_default()
-            .push(took.as_secs_f64());
+            .push(took);
 
         // ---- dynamic fan-out ----------------------------------------------
         if let Some((name, params, dag_id)) = expand_job {
@@ -909,14 +916,17 @@ impl DagEngine {
             finish_detail,
         );
         g.outcome = Some(outcome);
+        let id = g.id;
         drop(g);
-        m.gauge("diet_dag_running").set(self.running_dags() as f64);
+        let mut live = self.live.lock();
+        live.remove(&id);
+        m.gauge("diet_dag_running").set(live.len() as f64);
     }
 
     /// The periodic sweep: client-disconnect cancellation and straggler
     /// speculation.
     fn monitor_tick(self: &Arc<Self>) {
-        let runs: Vec<Arc<Mutex<DagRun>>> = self.dags.lock().values().cloned().collect();
+        let runs: Vec<Arc<Mutex<DagRun>>> = self.live.lock().values().cloned().collect();
         let m = &self.obs.metrics;
         for run in runs {
             // ---- cancel-on-disconnect -------------------------------------
@@ -953,8 +963,10 @@ impl DagEngine {
                     if samples.len() < self.cfg.speculate_min_samples {
                         continue;
                     }
-                    let med = median(samples);
-                    if at.elapsed().as_secs_f64() > self.cfg.speculate_factor * med {
+                    let Some(med) = samples.median() else {
+                        continue;
+                    };
+                    if at.elapsed().as_secs_f64() > self.cfg.speculate_factor * med.as_secs_f64() {
                         spec_targets.push(n.spec.id);
                     }
                 }
@@ -975,10 +987,40 @@ impl DagEngine {
     }
 }
 
-fn median(samples: &[f64]) -> f64 {
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
+/// One service's completed durations, split at the median so a sweep reads
+/// it in O(1) however many have completed: `hi` holds the larger half (one
+/// more when the count is odd), so its least element is `sorted[len / 2]`.
+#[derive(Default)]
+struct RunningMedian {
+    /// The smaller half, largest on top.
+    lo: BinaryHeap<Duration>,
+    /// The larger half, smallest on top.
+    hi: BinaryHeap<Reverse<Duration>>,
+}
+
+impl RunningMedian {
+    fn len(&self) -> usize {
+        self.lo.len() + self.hi.len()
+    }
+
+    fn push(&mut self, x: Duration) {
+        match self.hi.peek() {
+            Some(Reverse(m)) if x < *m => self.lo.push(x),
+            _ => self.hi.push(Reverse(x)),
+        }
+        if self.hi.len() > self.lo.len() + 1 {
+            let Reverse(m) = self.hi.pop().expect("hi is the longer half");
+            self.lo.push(m);
+        } else if self.lo.len() > self.hi.len() {
+            let m = self.lo.pop().expect("lo is the longer half");
+            self.hi.push(Reverse(m));
+        }
+    }
+
+    /// The upper median, `sorted[len / 2]`; `None` before any sample.
+    fn median(&self) -> Option<Duration> {
+        self.hi.peek().map(|Reverse(m)| *m)
+    }
 }
 
 /// Structural admission checks: unique ids, edges referencing real nodes,
@@ -1062,11 +1104,15 @@ mod tests {
     use super::*;
     use crate::profile::{ArgTag, ProfileDesc};
 
-    fn node(id: u32, deps: &[u32]) -> DagNodeSpec {
+    fn svc_desc() -> ProfileDesc {
         let mut d = ProfileDesc::alloc("svc", 0, 0, 1);
         d.set_arg(0, ArgTag::Scalar).unwrap();
         d.set_arg(1, ArgTag::Scalar).unwrap();
-        let mut n = DagNodeSpec::new(id, Profile::alloc(&d));
+        d
+    }
+
+    fn node(id: u32, deps: &[u32]) -> DagNodeSpec {
+        let mut n = DagNodeSpec::new(id, Profile::alloc(&svc_desc()));
         n.deps = deps.to_vec();
         n
     }
@@ -1204,5 +1250,112 @@ mod tests {
         assert_eq!(run.nodes[&2].state, DagNodeState::Cancelled);
         // The independent sibling is untouched.
         assert_eq!(run.nodes[&3].state, DagNodeState::Pending);
+    }
+
+    proptest::proptest! {
+        /// The two-heap median is the sort-based one the sweep used to
+        /// compute, `sorted[len / 2]` of the durations in seconds, after
+        /// every sample, ties and repeats included.
+        #[test]
+        fn running_median_is_the_sorted_median(
+            xs in proptest::collection::vec(0u64..50, 1..200)
+        ) {
+            let mut m = RunningMedian::default();
+            let mut seen = Vec::new();
+            for x in xs {
+                let x = Duration::from_micros(125 * x);
+                m.push(x);
+                seen.push(x.as_secs_f64());
+                let mut sorted = seen.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                proptest::prop_assert_eq!(m.len(), seen.len());
+                let median = m.median().map(|d| d.as_secs_f64());
+                proptest::prop_assert_eq!(median, Some(sorted[sorted.len() / 2]));
+            }
+        }
+    }
+
+    /// `diet_dag_running` and `running_dags` count the dags without an
+    /// outcome: N admitted dags held at a gate read N, and 0 once released
+    /// and finished, however many finished dags the engine still keeps.
+    #[test]
+    fn running_gauge_counts_unfinished_dags() {
+        use crate::data::DietValue;
+        use crate::deploy::{SedSpec, TcpTopologySpec};
+        use crate::sched::RoundRobin;
+        use crate::sed::{ServiceTable, SolveFn};
+        use std::sync::{Condvar, Mutex as StdMutex};
+
+        const N: usize = 5;
+        let gate = Arc::new((StdMutex::new(false), Condvar::new()));
+        let table = {
+            let gate = gate.clone();
+            move |_: &SedSpec| {
+                let gate = gate.clone();
+                let solve: SolveFn = Arc::new(move |p: &mut Profile| {
+                    let (open, cv) = &*gate;
+                    let mut open = open.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                    let x = p.get_i32(0)?;
+                    p.set(1, DietValue::ScalarI32(x), Persistence::Volatile)?;
+                    Ok(0)
+                });
+                let mut t = ServiceTable::init(1);
+                t.add(svc_desc(), solve).unwrap();
+                t
+            }
+        };
+        let d = TcpTopologySpec {
+            ma_name: "ma".into(),
+            ma_seds: vec![SedSpec {
+                label: "s0".into(),
+                speed_factor: 1.0,
+            }],
+            sites: vec![],
+            admission_limit: None,
+            child_timeout_ms: 5_000,
+        }
+        .deploy(Arc::new(RoundRobin::new()), table)
+        .unwrap();
+        let gauge = d.obs.metrics.gauge("diet_dag_running");
+        let submit = |i: usize| {
+            let mut root = node(0, &[]);
+            root.profile
+                .set(0, DietValue::ScalarI32(i as i32), Persistence::Volatile)
+                .unwrap();
+            let spec = WorkflowSpec {
+                name: format!("w{i}"),
+                nodes: vec![root],
+            };
+            d.dag.submit(spec, TraceCtx::default(), None).unwrap()
+        };
+        let wait_all = |ids: &[u64]| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while ids.iter().any(|id| d.dag.outcome(*id).is_none()) {
+                assert!(Instant::now() < deadline, "dags did not finish");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+
+        let held: Vec<u64> = (0..N).map(submit).collect();
+        assert_eq!((d.dag.running_dags(), gauge.get()), (N, N as f64));
+        {
+            let (open, cv) = &*gate;
+            *open.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        wait_all(&held);
+        assert_eq!((d.dag.running_dags(), gauge.get()), (0, 0.0));
+        for id in &held {
+            assert!(d.dag.outcome(*id).unwrap().ok);
+        }
+        // Finished dags stay queryable but are no longer counted.
+        let more: Vec<u64> = (N..2 * N).map(submit).collect();
+        wait_all(&more);
+        assert_eq!((d.dag.running_dags(), gauge.get()), (0, 0.0));
+        assert!(d.dag.status(held[0], 0).unwrap().1.is_some());
+        d.shutdown();
     }
 }

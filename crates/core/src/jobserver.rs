@@ -18,10 +18,15 @@
 //! Every state transition is appended to a write-ahead log before it is
 //! applied: CRC-framed records (`[u32 len][u32 crc32][payload]`, payload
 //! led by a monotone LSN) in `wal.log` under the server's data directory.
-//! Periodically the whole store is compacted into `snapshot.bin`
-//! (written to a temp file, fsynced, atomically renamed) and the log is
-//! truncated; the snapshot remembers the last LSN it absorbed so a crash
-//! between rename and truncate replays no record twice. On startup the
+//! Once the log has paid for it, the whole store is compacted into
+//! `snapshot.bin` (written to a temp file, fsynced, atomically renamed)
+//! and the log is truncated. Paid for means at least `snapshot_every`
+//! records and at least the last snapshot's size in bytes appended since
+//! that snapshot, so compaction writes no more bytes than the log does
+//! however large the store grows, and recovery replays at most about one
+//! snapshot's worth of log. The snapshot remembers the last LSN it
+//! absorbed so a crash between rename and truncate replays no record
+//! twice. On startup the
 //! server loads the snapshot, replays the log tail — tolerating a torn
 //! final record, which is truncated away — and re-queues any task that
 //! was `Dispatched` when the process died. `Done` work is never
@@ -179,6 +184,7 @@ pub struct JobLog {
     file: File,
     path: PathBuf,
     records: u64,
+    bytes: u64,
 }
 
 /// Records larger than this are rejected on append and treated as
@@ -218,6 +224,7 @@ impl JobLog {
                 file,
                 path,
                 records: n,
+                bytes: good_len,
             },
             records,
         ))
@@ -241,12 +248,19 @@ impl JobLog {
             .and_then(|_| self.file.flush())
             .map_err(|e| DietError::Transport(format!("wal append: {e}")))?;
         self.records += 1;
+        self.bytes += frame.len() as u64;
         Ok(())
     }
 
     /// Records appended (or recovered) through this handle's lifetime.
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// Length of the log in bytes: the good prefix found at open plus every
+    /// frame appended since (zero after a reset).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// Truncate the log to empty — called right after a snapshot absorbed
@@ -258,6 +272,7 @@ impl JobLog {
             .and_then(|_| self.file.seek(SeekFrom::Start(0)))
             .map_err(|e| DietError::Transport(format!("wal reset: {e}")))?;
         self.records = 0;
+        self.bytes = 0;
         Ok(())
     }
 
@@ -338,7 +353,9 @@ fn decode_wal_rec(payload: &[u8]) -> Result<(u64, WalRec), DietError> {
 /// Tuning for the durable store.
 #[derive(Debug, Clone)]
 pub struct JobStoreConfig {
-    /// Compact the log into a snapshot after this many appended records.
+    /// Floor on the records appended between snapshots. A snapshot is
+    /// taken once this many records *and* at least the last snapshot's
+    /// size in WAL bytes have been appended since it.
     pub snapshot_every: u64,
     /// Progress events kept in memory per campaign; older entries fall off
     /// the feed (the summary stays exact — events are a bounded stream,
@@ -398,7 +415,10 @@ struct StoreInner {
     by_name: HashMap<String, u64>,
     wal: JobLog,
     next_lsn: u64,
+    /// Records appended since the last snapshot (replayed ones at open).
     since_snapshot: u64,
+    /// Size of `snapshot.bin` as last written or loaded (0 when none).
+    snapshot_bytes: u64,
 }
 
 /// A popped queue entry: the dispatcher's claim on one task attempt.
@@ -434,6 +454,10 @@ pub struct JobStore {
     // Condvar, and the store lock (parking_lot) never nests inside it.
     queue: StdMutex<VecDeque<(u64, u64, u32)>>,
     queue_cv: StdCondvar,
+    /// Set by [`close`](Self::close), under the queue lock: waiting
+    /// dispatchers return at once instead of sleeping out their wait, and
+    /// the jobserver's rounds see it as their stop flag.
+    closed: AtomicBool,
     obs: Arc<Obs>,
     /// Tasks whose `Dispatched` state was recovered (re-queued) at open.
     recovered_inflight: u64,
@@ -461,9 +485,13 @@ impl JobStore {
         let mut campaigns: Vec<Campaign> = Vec::new();
         let mut by_name = HashMap::new();
         let mut last_lsn = 0u64;
-        if let Some((snap_lsn, snap_campaigns)) = load_snapshot(&dir.join(SNAPSHOT_FILE))? {
+        let mut snapshot_bytes = 0u64;
+        if let Some((snap_lsn, snap_campaigns, snap_bytes)) =
+            load_snapshot(&dir.join(SNAPSHOT_FILE))?
+        {
             last_lsn = snap_lsn;
             campaigns = snap_campaigns;
+            snapshot_bytes = snap_bytes;
             for c in &campaigns {
                 by_name.insert(c.name.clone(), c.id);
             }
@@ -476,6 +504,7 @@ impl JobStore {
             wal,
             next_lsn: last_lsn + 1,
             since_snapshot: 0,
+            snapshot_bytes,
         };
         let mut replayed = 0u64;
         for raw in &records {
@@ -499,6 +528,7 @@ impl JobStore {
             inner: Mutex::new(inner),
             queue: StdMutex::new(VecDeque::new()),
             queue_cv: StdCondvar::new(),
+            closed: AtomicBool::new(false),
             obs,
             recovered_inflight: 0,
             recovered_done: 0,
@@ -695,12 +725,16 @@ impl JobStore {
     // --------------------------------------------------------- dispatchers
 
     /// Block up to `wait` for a pending task; returns the claim (with its
-    /// payload cloned out) or `None` on timeout. Entries whose epoch went
-    /// stale while queued are skipped.
+    /// payload cloned out), or `None` on timeout or once the jobserver has
+    /// shut the store's queue. Entries whose epoch went stale while queued
+    /// are skipped.
     pub fn next_task(&self, wait: Duration) -> Option<PoppedTask> {
         let deadline = Instant::now() + wait;
         let mut queue = self.queue.lock().unwrap();
         loop {
+            if self.is_closed() {
+                return None;
+            }
             while let Some((cid, tid, epoch)) = queue.pop_front() {
                 // Validate under the store lock: the task must still be
                 // Pending at this epoch (not re-queued again, not finished).
@@ -951,14 +985,37 @@ impl JobStore {
         self.queue.lock().unwrap().len()
     }
 
+    /// Stop handing out work: every `next_task` waiting now or called later
+    /// returns `None` at once. The store stays readable and writable, so
+    /// claims already out still log their outcomes.
+    fn close(&self) {
+        let _queue = self
+            .queue
+            .lock()
+            .expect("a dispatcher panicked holding the queue");
+        self.closed.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+    }
+
+    /// Whether [`close`](Self::close) was called — a jobserver's stop flag.
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
+
     // ----------------------------------------------------------- snapshot
 
-    /// Compact to a snapshot if the WAL has grown past the configured
-    /// threshold. Returns whether a snapshot was taken.
+    /// Compact to a snapshot once the WAL has paid for one: at least
+    /// `snapshot_every` records and at least the last snapshot's size in
+    /// bytes appended since it. A snapshot rewrites the whole store, so
+    /// tying it to log growth keeps the bytes written by compaction within
+    /// the bytes logged (amortised O(1) per record, not O(history)), at the
+    /// price of a replay of up to one snapshot's worth of log on recovery.
+    /// Returns whether a snapshot was taken.
     pub fn maybe_snapshot(&self) -> Result<bool, DietError> {
         let due = {
             let inner = self.inner.lock();
             inner.since_snapshot >= self.cfg.snapshot_every
+                && inner.wal.bytes() >= inner.snapshot_bytes
         };
         if due {
             self.snapshot_now()?;
@@ -973,9 +1030,10 @@ impl JobStore {
         let body = encode_snapshot(inner.next_lsn - 1, &inner.campaigns);
         let tmp = self.dir.join("snapshot.tmp");
         let path = self.snapshot_path();
+        let header = snapshot_header(&body);
         let mut f = File::create(&tmp)
             .map_err(|e| DietError::Transport(format!("create {}: {e}", tmp.display())))?;
-        f.write_all(&snapshot_header(&body))
+        f.write_all(&header)
             .and_then(|_| f.write_all(&body))
             .and_then(|_| f.sync_data())
             .map_err(|e| DietError::Transport(format!("write snapshot: {e}")))?;
@@ -984,6 +1042,7 @@ impl JobStore {
             .map_err(|e| DietError::Transport(format!("rename snapshot: {e}")))?;
         inner.wal.reset()?;
         inner.since_snapshot = 0;
+        inner.snapshot_bytes = (header.len() + body.len()) as u64;
         self.obs
             .metrics
             .counter("diet_jobserver_snapshots_total")
@@ -1175,13 +1234,15 @@ fn encode_snapshot(last_lsn: u64, campaigns: &[Campaign]) -> Vec<u8> {
 /// treated as "no snapshot" (the WAL alone still recovers everything
 /// since the last successful compaction... which is exactly when a valid
 /// snapshot would exist, so in practice corruption here means starting
-/// from whatever the WAL holds).
-fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<Campaign>)>, DietError> {
+/// from whatever the WAL holds). A good one comes back as
+/// `(last_lsn, campaigns, file size)`.
+fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<Campaign>, u64)>, DietError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(DietError::Transport(format!("read snapshot: {e}"))),
     };
+    let size = bytes.len() as u64;
     let mut buf = Bytes::from(bytes);
     let Ok((magic, len, crc)) = <(u32, u32, u32)>::get(&mut buf) else {
         return Ok(None);
@@ -1192,7 +1253,8 @@ fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<Campaign>)>, DietError>
     }
     // Framing said the body was intact; if it still does not parse, treat
     // it like a missing snapshot rather than refusing to start.
-    Ok(Wire::get(&mut buf.slice(..len)).ok())
+    let body: Option<(u64, Vec<Campaign>)> = Wire::get(&mut buf.slice(..len)).ok();
+    Ok(body.map(|(lsn, campaigns)| (lsn, campaigns, size)))
 }
 
 // ------------------------------------------------------------ machine pool
@@ -1263,7 +1325,9 @@ pub struct JobServerConfig {
     /// Task-level budget: total dispatch attempts (and requeue rounds)
     /// before a task fails terminally.
     pub max_task_attempts: u32,
-    /// Store compaction threshold (WAL records between snapshots).
+    /// Store compaction floor: at least this many WAL records between
+    /// snapshots, and at least the last snapshot's size in WAL bytes (see
+    /// [`JobStoreConfig::snapshot_every`]).
     pub snapshot_every: u64,
     /// Probe the SeD fleet this often (`None` disables the heartbeat).
     pub heartbeat: Option<Duration>,
@@ -1309,7 +1373,6 @@ pub struct JobServer {
     machines: MachinePool,
     obs: Arc<Obs>,
     cfg: JobServerConfig,
-    stop: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The fleet probe, when `cfg.heartbeat` is set.
     heartbeat: Option<Periodic>,
@@ -1349,7 +1412,6 @@ impl JobServer {
                 machines,
                 obs,
                 cfg,
-                stop: Arc::new(AtomicBool::new(false)),
                 threads: Mutex::new(Vec::new()),
                 heartbeat,
             }
@@ -1370,7 +1432,7 @@ impl JobServer {
 
     /// Stop dispatchers and the heartbeat; in-flight attempts finish.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.store.close();
         if let Some(heartbeat) = &self.heartbeat {
             heartbeat.stop();
         }
@@ -1381,7 +1443,7 @@ impl JobServer {
     }
 
     fn dispatch_loop(&self) {
-        while !self.stop.load(Ordering::SeqCst) {
+        while !self.store.is_closed() {
             let Some(claim) = self.store.next_task(Duration::from_millis(100)) else {
                 continue;
             };
@@ -1438,7 +1500,7 @@ impl JobServer {
             policy,
             self.machines.dead_labels(),
             |label: &String, p, ctx| {
-                if self.stop.load(Ordering::SeqCst) {
+                if self.store.is_closed() {
                     abandoned = true;
                     return Err(DietError::Rejected("stopping".into()));
                 }
@@ -1458,7 +1520,7 @@ impl JobServer {
             |_, _| false,
         );
         match result {
-            Err(_) if abandoned || self.stop.load(Ordering::SeqCst) => {}
+            Err(_) if abandoned || self.store.is_closed() => {}
             Ok(_) => self
                 .obs
                 .metrics
@@ -1503,7 +1565,7 @@ impl JobServer {
         let t0 = Instant::now();
         let mut since = 0u64;
         loop {
-            if self.stop.load(Ordering::SeqCst) {
+            if self.store.is_closed() {
                 return;
             }
             if t0.elapsed() > self.cfg.dag_timeout {
@@ -1962,6 +2024,137 @@ mod tests {
         let (_, events) = s.progress(cid, 0).unwrap();
         assert!(!events.is_empty());
         assert!(events.first().unwrap().seq > 1);
+    }
+
+    /// Drive one store through `campaigns` campaigns of ten tasks, asking
+    /// for a snapshot after every submit and every task the way the
+    /// dispatchers do. Each `on_check` sees the store right after a
+    /// `maybe_snapshot`; returns `(snapshot sizes, WAL bytes appended)`.
+    fn run_campaigns(
+        s: &JobStore,
+        first: usize,
+        campaigns: usize,
+        mut on_check: impl FnMut(&StoreInner),
+    ) -> (Vec<u64>, u64) {
+        let mut sizes = Vec::new();
+        let mut appended = 0;
+        let mut check = |sizes: &mut Vec<u64>, appended: &mut u64| {
+            let before = s.inner.lock().wal.bytes();
+            if s.maybe_snapshot().unwrap() {
+                *appended += before;
+                sizes.push(s.inner.lock().snapshot_bytes);
+            }
+            on_check(&s.inner.lock());
+        };
+        for c in first..first + campaigns {
+            let (cid, _) = s
+                .submit(&format!("c{c}"), (0..10).map(call_payload).collect())
+                .unwrap();
+            check(&mut sizes, &mut appended);
+            while let Some(t) = s.next_task(Duration::ZERO) {
+                let a = s
+                    .dispatched(cid, t.task_id, t.epoch, None, "sed/0")
+                    .unwrap();
+                assert!(s.complete(cid, t.task_id, t.epoch, a, "sed/0", 1));
+                check(&mut sizes, &mut appended);
+            }
+        }
+        (sizes, appended + s.inner.lock().wal.bytes())
+    }
+
+    /// The trigger: a snapshot waits for `snapshot_every` records and for
+    /// the WAL to have grown by the last snapshot's size, so compaction
+    /// writes no more than the log does and snapshots thin out as the
+    /// store grows; the log stays within one snapshot plus the floor.
+    #[test]
+    fn snapshots_are_paid_for_by_wal_growth() {
+        const FLOOR: u64 = 16;
+        let dir = tmpdir("amortised");
+        let cfg = JobStoreConfig {
+            snapshot_every: FLOOR,
+            ..JobStoreConfig::default()
+        };
+        let open = || JobStore::open(&dir, cfg.clone(), Arc::new(Obs::new())).unwrap();
+        let s = open();
+        // The largest frame this run logs (every field is fixed-width but
+        // the campaign name), so `FLOOR` records are at most `floor_bytes`.
+        let frame = |rec: WalRec| 8 + encode_wal_rec(u64::MAX, &rec).len() as u64;
+        let max_frame = [
+            frame(WalRec::CampaignCreate {
+                cid: 400,
+                name: "c399".into(),
+            }),
+            frame(WalRec::TaskAdd {
+                cid: 400,
+                tid: 9,
+                payload: call_payload(0),
+            }),
+            frame(WalRec::Transition {
+                cid: 400,
+                tid: 9,
+                state: TaskState::Done,
+                attempts: 1,
+                sed: "sed/0".into(),
+                ms: 1,
+                note: String::new(),
+            }),
+        ]
+        .into_iter()
+        .max()
+        .unwrap();
+        let floor_bytes = FLOOR * max_frame;
+        let mut bounded = |inner: &StoreInner| {
+            let wal = inner.wal.bytes();
+            assert!(
+                inner.since_snapshot < FLOOR || wal < inner.snapshot_bytes,
+                "a due snapshot was not taken: {} records, {wal} B of WAL, last snapshot {} B",
+                inner.since_snapshot,
+                inner.snapshot_bytes
+            );
+            assert!(wal <= inner.snapshot_bytes.max(floor_bytes));
+        };
+        let (quarter, wal_quarter) = run_campaigns(&s, 0, 100, &mut bounded);
+        let (rest, wal_rest) = run_campaigns(&s, 100, 300, &mut bounded);
+        let sizes: Vec<u64> = quarter.iter().chain(&rest).copied().collect();
+        let (n, total) = (sizes.len(), sizes.iter().sum::<u64>());
+        let wal = wal_quarter + wal_rest;
+        // Every snapshot but the last was paid for by the log growth that
+        // triggered the next one.
+        assert!(n > 2, "only {n} snapshots");
+        assert!(
+            total - sizes[n - 1] <= wal,
+            "snapshots wrote {total} B against {wal} B of WAL"
+        );
+        // 4× the records take far fewer than 4× the snapshots (the floor
+        // alone would take 12 400 / 16 = 775).
+        assert!(
+            n < 2 * quarter.len(),
+            "{} snapshots after 100 campaigns, {n} after 400",
+            quarter.len()
+        );
+        // The log on disk: within the last snapshot plus the floor.
+        let wal_len = std::fs::metadata(s.wal_path()).unwrap().len();
+        let snap_len = std::fs::metadata(s.snapshot_path()).unwrap().len();
+        assert_eq!(snap_len, sizes[n - 1]);
+        assert!(wal_len <= snap_len.max(floor_bytes));
+
+        // Reopening: the same summaries, and the counters are seeded from
+        // disk, so the next snapshot is neither immediate nor forgotten.
+        let summaries = s.campaigns();
+        drop(s);
+        let s = open();
+        assert_eq!(s.campaigns(), summaries);
+        {
+            let inner = s.inner.lock();
+            assert_eq!(inner.snapshot_bytes, snap_len);
+            assert_eq!(inner.wal.bytes(), wal_len);
+        }
+        let due = {
+            let inner = s.inner.lock();
+            inner.since_snapshot >= FLOOR && inner.wal.bytes() >= inner.snapshot_bytes
+        };
+        assert_eq!(s.maybe_snapshot().unwrap(), due);
+        assert!(!due, "the last check before the reopen left a snapshot due");
     }
 
     #[test]

@@ -465,3 +465,28 @@ fn shutdown_does_not_wait_out_the_heartbeat() {
     let took = t0.elapsed();
     assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
 }
+
+/// With nothing queued, `shutdown` wakes the dispatchers waiting for work
+/// instead of letting each sleep out its 100 ms wait.
+#[test]
+fn idle_shutdown_does_not_wait_out_the_queue() {
+    use diet_core::hierarchy::RemoteAgentClient;
+    use diet_core::transport::TcpSedPool;
+    // Never dialed: the jobserver is stopped before it has work.
+    let agent = RemoteAgentClient::new("ma", "127.0.0.1:9".parse().unwrap());
+    let mut cfg = server_config(&tmpdir("idle-stop"));
+    cfg.heartbeat = None;
+    let js = JobServer::spawn(
+        cfg,
+        agent,
+        Arc::new(TcpSedPool::new()),
+        Arc::new(Obs::new()),
+    )
+    .unwrap();
+    // Every dispatcher is inside its wait by now.
+    std::thread::sleep(Duration::from_millis(20));
+    let t0 = Instant::now();
+    js.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+}
