@@ -199,6 +199,20 @@ stage_lint() {
         printf '%s\n' "$spawns" >&2
         exit 1
     fi
+    # Drift guard: a DAG node launches on a parked launch thread, and
+    # `DagEngine::launch` starts a new one only when none is idle. Its
+    # `thread::spawn` is the one non-test spawn in dag.rs; a second is a
+    # thread per node growing back. (Each hit is printed with the function
+    # it sits in.)
+    spawns=$(awk '/^#\[cfg\(test\)\]/ { exit }
+             match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+             /thread::spawn/ { print FILENAME ":" FNR ":" fn }' crates/core/src/dag.rs)
+    if [ "$(printf '%s\n' "$spawns" | grep -c .)" -ne 1 ] \
+        || ! printf '%s\n' "$spawns" | grep -q ':launch$'; then
+        echo "ci.sh drift: dag.rs spawns a thread outside its one launcher site:" >&2
+        printf '%s\n' "$spawns" >&2
+        exit 1
+    fi
     # Drift guard: finding reads each remote subtree from the batch its slot
     # holds and walks it only through `Collect::read_or_walk`, the one path
     # that keeps the batch fresh; federation (`federate`) is the only other

@@ -701,7 +701,7 @@ frame_table! {
     // 14 to 16 were the uncorrelated Ping / Pong / Shutdown and 17 and 18
     // the uncorrelated DumpMetrics / MetricsReply pair: retired, never to
     // be reused.
-    19 => GetData { request_id, id },
+    19 => GetData { request_id, id } inline,
     20 => DataReply { request_id, id, result as Stored },
     21 => PutData { request_id, id, mode, value },
     22 => Busy { request_id },
@@ -1223,7 +1223,7 @@ pub(crate) mod tests {
 
     /// The reactor offers exactly the table's `inline` rows to its handler.
     #[test]
-    fn only_ping_call_and_submit_run_inline() {
+    fn only_ping_call_submit_and_get_data_run_inline() {
         let inline: BTreeSet<String> = samples()
             .iter()
             .filter(|m| runs_inline(&encode_message(m)))
@@ -1235,7 +1235,9 @@ pub(crate) mod tests {
                     .to_string()
             })
             .collect();
-        let want: BTreeSet<String> = ["Call", "Ping", "Submit"].map(String::from).into();
+        let want: BTreeSet<String> = ["Call", "GetData", "Ping", "Submit"]
+            .map(String::from)
+            .into();
         assert_eq!(inline, want);
         assert!(!runs_inline(&[]));
     }

@@ -50,6 +50,15 @@
 //! The same monitor watches the submitting connection: a client that
 //! disconnects mid-dag cancels every node not yet placed
 //! (`diet_dag_cancelled_total`) and lets running solves drain.
+//!
+//! **Launch threads.** Each launch runs on a thread of its own for as long
+//! as its retry loop blocks, but the thread outlives it: it parks, and the
+//! next launch is handed to a parked thread when one is idle. Only when
+//! none is does a new thread start (`diet_dag_launch_threads_total`), so a
+//! launch never waits for another one and concurrency stays unbounded.
+//! Starting a thread costs more than a diamond's engine work per node, on
+//! every node of the critical path. [`DagEngine::shutdown`], or dropping
+//! the engine, ends the parked threads.
 
 use crate::agent::{MasterAgent, Placement};
 use crate::client::{retry_loop, RetryPolicy};
@@ -64,6 +73,7 @@ use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, SendError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -434,6 +444,18 @@ impl Default for DagEngineConfig {
     }
 }
 
+/// One launch of a node, handed to a launch thread.
+type Launch = Box<dyn FnOnce() + Send>;
+
+/// The channels of an engine's parked launch threads, one each; `None`
+/// once the engine is shut down.
+type Parked = Mutex<Option<Vec<Sender<Launch>>>>;
+
+/// Launch threads one engine keeps parked. A thread that finishes its
+/// launch while this many are parked already exits instead; a burst
+/// wider than this pays a thread start for each launch beyond it.
+const PARKED_LAUNCHERS_MAX: usize = 32;
+
 /// The MA-side workflow engine. One per served Master Agent; shares the
 /// MA's [`Obs`](obs::Obs) so dag spans and `diet_dag_*` metrics land next
 /// to the finding-phase telemetry.
@@ -454,6 +476,10 @@ pub struct DagEngine {
     /// The straggler/disconnect sweep. Its tick holds only a `Weak`, so the
     /// last `Arc` may drop inside a tick; `Periodic` skips the self-join.
     monitor: Periodic,
+    /// Idle launch threads (see [`launch`](Self::launch)). Each holds
+    /// only a `Weak` to this list, so dropping the engine, or `shutdown`
+    /// emptying it, ends them.
+    parked: Arc<Parked>,
 }
 
 impl DagEngine {
@@ -480,13 +506,17 @@ impl DagEngine {
                 next_dag: AtomicU64::new(0),
                 durations: Mutex::new(HashMap::new()),
                 monitor,
+                parked: Arc::new(Mutex::new(Some(Vec::new()))),
             }
         })
     }
 
-    /// Stop the monitor thread and wait for it (deployment teardown).
+    /// Stop the monitor thread and wait for it, and end the parked launch
+    /// threads (deployment teardown). A launch still running finishes, and
+    /// its thread exits instead of parking.
     pub fn shutdown(&self) {
         self.monitor.stop();
+        self.parked.lock().take();
     }
 
     /// Register a dynamic fan-out hook under `name` (referenced by
@@ -608,11 +638,27 @@ impl DagEngine {
         self.launch(run, node, false);
     }
 
-    /// Spawn one launch of `node` (primary or speculative duplicate).
+    /// Start one launch of `node` (primary or speculative duplicate) on a
+    /// parked launch thread, or on a new one when none is idle: a launch
+    /// never waits for another to finish.
     fn launch(self: &Arc<Self>, run: &Arc<Mutex<DagRun>>, node: u32, speculative: bool) {
         let engine = self.clone();
         let run = run.clone();
-        std::thread::spawn(move || engine.run_launch(&run, node, speculative));
+        let launch: Launch = Box::new(move || engine.run_launch(&run, node, speculative));
+        let idle = self.parked.lock().as_mut().and_then(Vec::pop);
+        let launch = match idle {
+            Some(idle) => match idle.send(launch) {
+                Ok(()) => return,
+                Err(SendError(launch)) => launch,
+            },
+            None => launch,
+        };
+        self.obs
+            .metrics
+            .counter("diet_dag_launch_threads_total")
+            .inc();
+        let parked = Arc::downgrade(&self.parked);
+        std::thread::spawn(move || launch_thread(launch, parked));
     }
 
     /// One launch of a node: the client's retry loop over the in-process
@@ -983,6 +1029,33 @@ impl DagEngine {
                 self.launch(&run, id, true);
             }
             self.maybe_finish(&run);
+        }
+    }
+}
+
+/// A launch thread: run `launch`, then park on a channel of its own until
+/// the engine hands it the next one. It exits when `PARKED_LAUNCHERS_MAX`
+/// threads are parked already, or once the engine is dropped or shut down.
+/// A launch that panics unwinds this thread and no other. Nothing a launch
+/// leaves behind reaches the next: each is a closure over its own node,
+/// and the engine keeps no thread-local state.
+fn launch_thread(mut launch: Launch, parked: Weak<Parked>) {
+    loop {
+        launch();
+        let (tx, rx) = channel();
+        {
+            let Some(parked) = parked.upgrade() else {
+                return;
+            };
+            let mut parked = parked.lock();
+            match parked.as_mut() {
+                Some(idle) if idle.len() < PARKED_LAUNCHERS_MAX => idle.push(tx),
+                _ => return,
+            }
+        }
+        match rx.recv() {
+            Ok(next) => launch = next,
+            Err(_) => return,
         }
     }
 }

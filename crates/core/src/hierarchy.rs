@@ -92,9 +92,10 @@ use std::time::{Duration, Instant};
 /// `CallReply` straight onto the connection's write queue (replies may
 /// overtake each other — that is the point; the request id pairs them).
 /// No per-connection pump thread, no parked worker, no dispatch hop: an
-/// idle connection costs a registered buffer. `Ping` is answered on the
-/// reactor thread too; data and metrics frames (`GetData`/`PutData`/
-/// `DumpMetricsRid`) are answered on the dispatch workers.
+/// idle connection costs a registered buffer. `Ping` and `GetData` (a
+/// lookup in the SeD's data manager, which never blocks) are answered on
+/// the reactor thread too; `PutData` and `DumpMetricsRid` are answered on
+/// the dispatch workers.
 ///
 /// Admission control: when the SeD's `admission_limit` is reached (or the
 /// fault plan forces it), a `Call` is answered with [`Message::Busy`]

@@ -185,7 +185,14 @@ pub struct JobLog {
     path: PathBuf,
     records: u64,
     bytes: u64,
+    /// The framed batch being written. Kept from one append to the next
+    /// (up to `FRAMES_KEPT` bytes), so a batch allocates nothing once the
+    /// buffer has grown to its size.
+    frames: Vec<u8>,
 }
+
+/// Capacity of `JobLog::frames` kept after a write.
+const FRAMES_KEPT: usize = 1 << 20;
 
 /// Records larger than this are rejected on append and treated as
 /// corruption on read — a length-field bit flip must not allocate gigabytes.
@@ -225,6 +232,7 @@ impl JobLog {
                 path,
                 records: n,
                 bytes: good_len,
+                frames: Vec::new(),
             },
             records,
         ))
@@ -232,23 +240,49 @@ impl JobLog {
 
     /// Append one record (length + CRC framing) and flush it to the OS.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DietError> {
-        if payload.len() > MAX_WAL_RECORD {
-            return Err(DietError::Rejected(format!(
-                "wal record of {} bytes exceeds the {} byte cap",
-                payload.len(),
-                MAX_WAL_RECORD
-            )));
+        self.append_all([payload])
+    }
+
+    /// Append `payloads` in order as consecutive records with one write,
+    /// and flush them to the OS. The bytes are those of one
+    /// [`append`](Self::append) per payload. None is written when one
+    /// exceeds the cap; a failed write truncates the log back to where the
+    /// batch began, so none of it is found on reopen either.
+    pub fn append_all<P: AsRef<[u8]>>(
+        &mut self,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> Result<(), DietError> {
+        let frames = &mut self.frames;
+        frames.clear();
+        let mut records = 0;
+        for payload in payloads {
+            let payload = payload.as_ref();
+            if payload.len() > MAX_WAL_RECORD {
+                return Err(DietError::Rejected(format!(
+                    "wal record of {} bytes exceeds the {} byte cap",
+                    payload.len(),
+                    MAX_WAL_RECORD
+                )));
+            }
+            frames.reserve(8 + payload.len());
+            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frames.extend_from_slice(&crc32(payload).to_le_bytes());
+            frames.extend_from_slice(payload);
+            records += 1;
         }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file
-            .write_all(&frame)
-            .and_then(|_| self.file.flush())
-            .map_err(|e| DietError::Transport(format!("wal append: {e}")))?;
-        self.records += 1;
-        self.bytes += frame.len() as u64;
+        let written = self.file.write_all(frames).and_then(|_| self.file.flush());
+        let len = frames.len() as u64;
+        frames.clear();
+        frames.shrink_to(FRAMES_KEPT);
+        if let Err(e) = written {
+            let _ = self
+                .file
+                .set_len(self.bytes)
+                .and_then(|_| self.file.seek(SeekFrom::End(0)));
+            return Err(DietError::Transport(format!("wal append: {e}")));
+        }
+        self.records += records;
+        self.bytes += len;
         Ok(())
     }
 
@@ -419,6 +453,9 @@ struct StoreInner {
     since_snapshot: u64,
     /// Size of `snapshot.bin` as last written or loaded (0 when none).
     snapshot_bytes: u64,
+    /// The records being logged, kept from one batch to the next like
+    /// `JobLog::frames`.
+    batch: Vec<WalRec>,
 }
 
 /// A popped queue entry: the dispatcher's claim on one task attempt.
@@ -505,6 +542,7 @@ impl JobStore {
             next_lsn: last_lsn + 1,
             since_snapshot: 0,
             snapshot_bytes,
+            batch: Vec::new(),
         };
         let mut replayed = 0u64;
         for raw in &records {
@@ -516,7 +554,7 @@ impl JobStore {
             if lsn < inner.next_lsn {
                 continue; // absorbed by the snapshot before the crash
             }
-            apply_rec(&mut inner, &rec, &cfg);
+            apply_rec(&mut inner, rec, &cfg);
             inner.next_lsn = lsn + 1;
             replayed += 1;
         }
@@ -587,7 +625,7 @@ impl JobStore {
                 ms: 0,
                 note: "recovered in-flight".into(),
             };
-            log_and_apply(&mut inner, &rec, &self.cfg)?;
+            log_and_apply(&mut inner, rec, &self.cfg)?;
             let epoch = inner.campaigns[(cid - 1) as usize].tasks[tid as usize].epoch;
             queue.push_back((cid, tid, epoch));
         }
@@ -637,26 +675,18 @@ impl JobStore {
             return Err(DietError::Rejected("empty campaign".into()));
         }
         let cid = inner.campaigns.len() as u64 + 1;
-        log_and_apply(
-            &mut inner,
-            &WalRec::CampaignCreate {
-                cid,
-                name: name.to_string(),
-            },
-            &self.cfg,
-        )?;
-        let mut ids = Vec::with_capacity(payloads.len());
-        let mut fresh = Vec::with_capacity(payloads.len());
-        for (tid, payload) in payloads.into_iter().enumerate() {
-            let tid = tid as u64;
-            log_and_apply(
-                &mut inner,
-                &WalRec::TaskAdd { cid, tid, payload },
-                &self.cfg,
-            )?;
-            ids.push(tid);
-            fresh.push((cid, tid, 0u32));
-        }
+        let n = payloads.len() as u64;
+        // The campaign and all its tasks go to the WAL in one write.
+        let create = WalRec::CampaignCreate {
+            cid,
+            name: name.to_string(),
+        };
+        let adds = (0..)
+            .zip(payloads)
+            .map(|(tid, payload)| WalRec::TaskAdd { cid, tid, payload });
+        log_and_apply_all(&mut inner, std::iter::once(create).chain(adds), &self.cfg)?;
+        let ids: Vec<u64> = (0..n).collect();
+        let fresh = ids.iter().map(|&tid| (cid, tid, 0u32));
         self.obs
             .metrics
             .counter("diet_jobserver_campaigns_total")
@@ -801,7 +831,7 @@ impl JobStore {
             ms: 0,
             note: String::new(),
         };
-        if log_and_apply(&mut inner, &rec, &self.cfg).is_err() {
+        if log_and_apply(&mut inner, rec, &self.cfg).is_err() {
             return None;
         }
         self.obs
@@ -848,7 +878,7 @@ impl JobStore {
             ms,
             note: String::new(),
         };
-        if log_and_apply(&mut inner, &rec, &self.cfg).is_err() {
+        if log_and_apply(&mut inner, rec, &self.cfg).is_err() {
             return false;
         }
         self.obs
@@ -901,7 +931,7 @@ impl JobStore {
             ms: 0,
             note: note.to_string(),
         };
-        if log_and_apply(&mut inner, &rec, &self.cfg).is_err() {
+        if log_and_apply(&mut inner, rec, &self.cfg).is_err() {
             return FailOutcome::Stale;
         }
         if terminal {
@@ -920,7 +950,7 @@ impl JobStore {
             ms: 0,
             note: "requeued".into(),
         };
-        if log_and_apply(&mut inner, &rec, &self.cfg).is_err() {
+        if log_and_apply(&mut inner, rec, &self.cfg).is_err() {
             return FailOutcome::Stale;
         }
         let epoch = campaign(&inner, cid).unwrap().tasks[tid as usize].epoch;
@@ -960,7 +990,7 @@ impl JobStore {
                 ms: 0,
                 note: format!("sed {label} dead"),
             };
-            if log_and_apply(&mut inner, &rec, &self.cfg).is_ok() {
+            if log_and_apply(&mut inner, rec, &self.cfg).is_ok() {
                 let epoch = campaign(&inner, *cid).unwrap().tasks[*tid as usize].epoch;
                 moved.push((*cid, *tid, epoch));
             }
@@ -1063,28 +1093,54 @@ fn campaign(inner: &StoreInner, cid: u64) -> Option<&Campaign> {
 /// expose.
 fn log_and_apply(
     inner: &mut StoreInner,
-    rec: &WalRec,
+    rec: WalRec,
     cfg: &JobStoreConfig,
 ) -> Result<(), DietError> {
-    let lsn = inner.next_lsn;
-    let payload = encode_wal_rec(lsn, rec);
-    inner.wal.append(&payload)?;
-    inner.next_lsn = lsn + 1;
-    inner.since_snapshot += 1;
-    apply_rec(inner, rec, cfg);
-    Ok(())
+    log_and_apply_all(inner, [rec], cfg)
 }
+
+/// Log `recs` under consecutive LSNs with one WAL write, then apply them in
+/// order: write-ahead holds for the batch as a whole, and a batch the log
+/// refused leaves memory untouched.
+fn log_and_apply_all(
+    inner: &mut StoreInner,
+    recs: impl IntoIterator<Item = WalRec>,
+    cfg: &JobStoreConfig,
+) -> Result<(), DietError> {
+    let mut batch = std::mem::take(&mut inner.batch);
+    batch.extend(recs);
+    let first = inner.next_lsn;
+    let payloads = (first..)
+        .zip(&batch)
+        .map(|(lsn, rec)| encode_wal_rec(lsn, rec));
+    let logged = inner.wal.append_all(payloads);
+    if logged.is_ok() {
+        inner.next_lsn = first + batch.len() as u64;
+        inner.since_snapshot += batch.len() as u64;
+        for rec in batch.drain(..) {
+            apply_rec(inner, rec, cfg);
+        }
+    }
+    batch.clear();
+    batch.shrink_to(BATCH_KEPT);
+    inner.batch = batch;
+    logged
+}
+
+/// Capacity of `StoreInner::batch` kept after a batch.
+const BATCH_KEPT: usize = 4096;
 
 /// Apply one record to in-memory state. Shared verbatim between the live
 /// path and replay so recovery reconstructs exactly the live state.
-fn apply_rec(inner: &mut StoreInner, rec: &WalRec, cfg: &JobStoreConfig) {
+fn apply_rec(inner: &mut StoreInner, rec: WalRec, cfg: &JobStoreConfig) {
     match rec {
         WalRec::CampaignCreate { cid, name } => {
             // Ids are dense (index + 1); replay re-creates them in order.
-            debug_assert_eq!(*cid, inner.campaigns.len() as u64 + 1);
+            debug_assert_eq!(cid, inner.campaigns.len() as u64 + 1);
+            inner.by_name.insert(name.clone(), cid);
             inner.campaigns.push(Campaign {
-                id: *cid,
-                name: name.clone(),
+                id: cid,
+                name,
                 tasks: Vec::new(),
                 events: VecDeque::new(),
                 next_seq: 1,
@@ -1092,13 +1148,12 @@ fn apply_rec(inner: &mut StoreInner, rec: &WalRec, cfg: &JobStoreConfig) {
                 done: 0,
                 failed: 0,
             });
-            inner.by_name.insert(name.clone(), *cid);
         }
         WalRec::TaskAdd { cid, tid, payload } => {
-            if let Some(c) = inner.campaigns.get_mut((*cid - 1) as usize) {
-                debug_assert_eq!(*tid, c.tasks.len() as u64);
+            if let Some(c) = inner.campaigns.get_mut((cid - 1) as usize) {
+                debug_assert_eq!(tid, c.tasks.len() as u64);
                 c.tasks.push(TaskRec {
-                    payload: payload.clone(),
+                    payload,
                     state: TaskState::Pending,
                     attempts: 0,
                     epoch: 0,
@@ -1115,10 +1170,10 @@ fn apply_rec(inner: &mut StoreInner, rec: &WalRec, cfg: &JobStoreConfig) {
             ms,
             ..
         } => {
-            let Some(c) = inner.campaigns.get_mut((*cid - 1) as usize) else {
+            let Some(c) = inner.campaigns.get_mut((cid - 1) as usize) else {
                 return;
             };
-            let Some(t) = c.tasks.get_mut(*tid as usize) else {
+            let Some(t) = c.tasks.get_mut(tid as usize) else {
                 return;
             };
             // Symmetric counter maintenance: a Failed that is later
@@ -1128,29 +1183,29 @@ fn apply_rec(inner: &mut StoreInner, rec: &WalRec, cfg: &JobStoreConfig) {
                 TaskState::Failed => c.failed -= 1,
                 _ => {}
             }
-            if *state == TaskState::Pending && t.state != TaskState::Pending {
+            if state == TaskState::Pending && t.state != TaskState::Pending {
                 t.epoch += 1;
             }
-            if *state == TaskState::Dispatched && *attempts > 1 {
+            if state == TaskState::Dispatched && attempts > 1 {
                 c.resubmissions += 1;
             }
-            t.state = *state;
-            t.attempts = *attempts;
-            if !sed.is_empty() || *state == TaskState::Pending {
+            t.state = state;
+            t.attempts = attempts;
+            if !sed.is_empty() || state == TaskState::Pending {
                 t.sed = sed.clone();
             }
-            match *state {
+            match state {
                 TaskState::Done => c.done += 1,
                 TaskState::Failed => c.failed += 1,
                 _ => {}
             }
             let ev = TaskEventRec {
                 seq: c.next_seq,
-                task_id: *tid,
-                state: *state,
-                attempt: *attempts,
-                sed: sed.clone(),
-                ms: *ms,
+                task_id: tid,
+                state,
+                attempt: attempts,
+                sed,
+                ms,
             };
             c.next_seq += 1;
             c.events.push_back(ev);
@@ -1854,6 +1909,35 @@ mod tests {
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// A batch is the bytes of one `append` per record, in one write; a
+    /// batch holding an oversized record writes none of them.
+    #[test]
+    fn append_all_writes_what_appending_each_would() {
+        let dir = tmpdir("wal-batch");
+        let records: [&[u8]; 3] = [b"alpha", b"", b"beta-beta"];
+        let (mut one_by_one, _) = JobLog::open(dir.join("each.log")).unwrap();
+        for r in records {
+            one_by_one.append(r).unwrap();
+        }
+        let (mut batched, _) = JobLog::open(dir.join("batch.log")).unwrap();
+        batched.append_all(records).unwrap();
+        assert_eq!(
+            std::fs::read(dir.join("batch.log")).unwrap(),
+            std::fs::read(dir.join("each.log")).unwrap()
+        );
+        assert_eq!(
+            (batched.records(), batched.bytes()),
+            (one_by_one.records(), one_by_one.bytes())
+        );
+
+        let huge = vec![0u8; MAX_WAL_RECORD + 1];
+        let refused = [b"gamma".as_slice(), &huge];
+        assert!(batched.append_all(refused).is_err());
+        assert_eq!(batched.records(), 3);
+        let (_, recovered) = JobLog::open(dir.join("batch.log")).unwrap();
+        assert_eq!(recovered, records.map(<[u8]>::to_vec));
     }
 
     #[test]

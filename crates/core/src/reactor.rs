@@ -17,10 +17,11 @@
 //!   never completes its header) costs buffer space, never a worker.
 //! * **Two lanes.** The server has one handler, and each call tells it its
 //!   [`Lane`]. A frame the codec's frame table marks `inline` (`Ping`,
-//!   `Call`, `Submit`) is decoded on the reactor thread and offered to the
-//!   handler there: a SeD admits a `Call` into its solve queue, an MA
-//!   answers a `Submit` from its held estimates, and the reply goes out
-//!   with no thread hop. A handler that might block hands the message
+//!   `Call`, `Submit`, `GetData`) is decoded on the reactor thread and
+//!   offered to the handler there: a SeD admits a `Call` into its solve
+//!   queue and answers a `GetData` from its data manager, an MA answers a
+//!   `Submit` from its held estimates, and the reply goes out with no
+//!   thread hop. A handler that might block hands the message
 //!   back, and it joins the dispatch pool. Every other frame goes to the
 //!   pool undecoded, so bulk data is never decoded on the reactor thread.
 //!   A handler that panics, on either lane, closes the connection it was
@@ -735,9 +736,9 @@ struct Conn {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
     /// The reactor thread, for a frame the frame table marks `inline`
-    /// (`Ping`, `Call`, `Submit`). Every connection of the server waits
-    /// while the handler runs, so a handler that might block hands the
-    /// message back instead, and it goes to the dispatch pool.
+    /// (`Ping`, `Call`, `Submit`, `GetData`). Every connection of the
+    /// server waits while the handler runs, so a handler that might block
+    /// hands the message back instead, and it goes to the dispatch pool.
     Reactor,
     /// A dispatch worker: any frame, and every message handed back.
     Worker,

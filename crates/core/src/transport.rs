@@ -9,8 +9,8 @@
 //! the readiness-driven [`reactor`](crate::reactor): an idle connection
 //! costs a buffer instead of a thread. The handler runs on the reactor
 //! thread for the frames the frame table marks `inline` (`Ping`, `Call`,
-//! `Submit`), unless it hands them back, and on a bounded pool of dispatch
-//! threads for everything else.
+//! `Submit`, `GetData`), unless it hands them back, and on a bounded pool
+//! of dispatch threads for everything else.
 //!
 //! Client side, every stub — [`TcpSedPool`], the remote-agent, jobserver
 //! and telemetry clients — talks through a crate-private `Peer`: one

@@ -339,10 +339,9 @@ fn a_panicking_handler_costs_only_its_connection() {
 }
 
 /// A handler that may block hands its inline frame back and blocks only on
-/// a worker: `Call` (offered inline) and `GetData` (never offered) each
-/// sleep 500 ms, never on the thread that serves the reactor lane, and
-/// pings on other connections are answered meanwhile in a small fraction
-/// of that.
+/// a worker: `Call` and `GetData` (both offered inline) each sleep 500 ms,
+/// never on the thread that serves the reactor lane, and pings on other
+/// connections are answered meanwhile in a small fraction of that.
 #[test]
 fn a_blocking_handler_never_runs_inline() {
     let _serial = serial();
@@ -426,12 +425,12 @@ fn a_blocking_handler_never_runs_inline() {
 
     let seen = seen.lock().unwrap().clone();
     let count = |kind: &str, lane: Lane| seen.iter().filter(|s| (s.0, s.1) == (kind, lane)).count();
-    // Every ping ran inline; each call was offered inline, handed back and
-    // napped on a worker; each get went straight to a worker.
+    // Every ping ran inline; each call and each get was offered inline,
+    // handed back and napped on a worker.
     assert_eq!(count("ping", Lane::Reactor), 10, "{seen:?}");
     assert_eq!(count("call", Lane::Reactor), 2, "{seen:?}");
     assert_eq!(count("call", Lane::Worker), 2, "{seen:?}");
-    assert_eq!(count("get", Lane::Reactor), 0, "{seen:?}");
+    assert_eq!(count("get", Lane::Reactor), 2, "{seen:?}");
     assert_eq!(count("get", Lane::Worker), 2, "{seen:?}");
     assert_eq!(count("nap", Lane::Worker), 4, "{seen:?}");
     // The reactor lane is one thread, and no nap ran on it.
