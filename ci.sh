@@ -137,6 +137,88 @@ stage_lint() {
         printf '%s\n' "$stale" >&2
         exit 1
     fi
+    # Drift guard: every `pub mod NAME;` of a library crate is reached from
+    # outside its own file, or a module that only its own tests call rots
+    # unseen. Reached means a non-test line under src, crates, examples or
+    # benchmark/src (each file cut at its `#[cfg(test)]`, `tests/`
+    # directories and comment lines skipped) names the module, or a name
+    # the crate root re-exports from it, as `<crate>::X` or in a
+    # `use <crate>::{..}` list (in the same crate, `crate::` and `super::`
+    # too), or bare in the crate root outside that `pub use`. Allowed, one
+    # per line: `crate::module why`.
+    reach_allow="grafic::measure the P(k) estimator that grafic's spectrum tests measure synthesized fields with
+cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its own tests"
+    # One line per source line (`file:line:text`); a `use` statement is
+    # joined onto the line it starts on.
+    corpus=$(find src crates examples benchmark/src -name '*.rs' ! -path '*/tests/*' | sort |
+        xargs awk '
+            FNR == 1 { cut = 0; stmt = "" }
+            /^#\[cfg\(test\)\]/ { cut = 1 }
+            cut || /^[[:space:]]*\/\// { next }
+            stmt == "" && !/^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/ {
+                print FILENAME ":" FNR ":" $0
+                next
+            }
+            { if (stmt == "") at = FNR; stmt = stmt $0 }
+            /;/ { print FILENAME ":" at ":" stmt; stmt = "" }')
+    unreached=""
+    for librs in crates/*/src/lib.rs src/lib.rs; do
+        dir=${librs%lib.rs}
+        lib=$(sed -n 's/^name = "\(.*\)"$/\1/p' "${dir%src/}Cargo.toml" | head -n 1 | tr - _)
+        for mod in $(sed -n 's/^pub mod \([a-z_0-9]*\);$/\1/p' "$librs"); do
+            if printf '%s\n' "$reach_allow" | grep -q "^$lib::$mod "; then
+                continue
+            fi
+            # The last name of each item of `pub use NAME::{..};`.
+            names=$(awk -v m="$mod" '
+                index($0, "pub use " m "::") == 1 { stmt = " " }
+                stmt != "" { stmt = stmt $0 }
+                stmt != "" && /;/ {
+                    sub(/^ *pub use [a-z_0-9]+::/, "", stmt)
+                    gsub(/[{};]/, "", stmt)
+                    k = split(stmt, item, ",")
+                    for (i = 1; i <= k; i++) {
+                        w = split(item[i], word, /[: ]+/)
+                        while (w > 0 && word[w] == "") w--
+                        if (w > 0 && word[w] != "self" && word[w] != "*") print word[w]
+                    }
+                    stmt = ""
+                }' "$librs" | paste -sd '|' -)
+            if ! printf '%s\n' "$corpus" | awk -v m="$mod" -v lib="$lib" -v dir="$dir" -v names="$names" '
+                BEGIN {
+                    end = "($|[^A-Za-z0-9_])"
+                    alt = "(" m (names == "" ? "" : "|" names) ")"
+                    # [0]: another crate; [1]: this one.
+                    for (s = 0; s < 2; s++) {
+                        root = s ? "(" lib "|crate|super)" : lib
+                        path[s] = "(^|[^A-Za-z0-9_])" root "::" alt end
+                        list[s] = "^[[:space:]]*(pub(\\([a-z]+\\))?[[:space:]]+)?use[[:space:]]+" \
+                            root "::[{].*[{,[:space:]]" alt end
+                    }
+                    bare = "(^|[^A-Za-z0-9_])(" names ")" end
+                }
+                {
+                    file = substr($0, 1, index($0, ":") - 1)
+                    text = substr($0, length(file) + 2)
+                    text = substr(text, index(text, ":") + 1)
+                    if (file == dir m ".rs" || index(file, dir m "/") == 1) next
+                    if (file == dir "lib.rs" && index(text, "pub use " m "::") == 1) next
+                    s = index(file, dir) == 1 && index(file, dir "bin/") != 1
+                    if (text ~ path[s] || text ~ list[s] ||
+                        (names != "" && file == dir "lib.rs" && text ~ bare)) {
+                        hit = 1
+                        exit
+                    }
+                }
+                END { exit !hit }'; then
+                unreached="$unreached $lib::$mod"
+            fi
+        done
+    done
+    if [ -n "$unreached" ]; then
+        echo "ci.sh drift: pub modules nothing reaches from outside their own file:$unreached" >&2
+        exit 1
+    fi
     # Drift guard: every byte format in diet-core is built from codec.rs's
     # `Wire` impls. A buffer primitive called anywhere else is a second
     # hand-rolled encoder growing back beside the table.

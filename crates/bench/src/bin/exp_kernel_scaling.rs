@@ -134,8 +134,8 @@ impl KernelReport {
 
 /// The yardstick: the first `max_steps` steps of a dark-matter run from
 /// a = 0.1, `np`³ particles on a (2·np)³ mesh, timed through
-/// `Simulation::run` at each width. No patch is refined, so every step
-/// costs about the same: one direct solve per force evaluation.
+/// `Simulation::run` at each width. Every step costs about the same: one
+/// direct solve per force evaluation.
 struct SimRunReport {
     np: usize,
     steps: usize,

@@ -52,11 +52,6 @@ impl HaloCatalog {
         self.halos.is_empty()
     }
 
-    /// Total mass locked in halos (code units).
-    pub fn mass_in_halos(&self) -> f64 {
-        self.halos.iter().map(|h| h.mass).sum()
-    }
-
     /// Differential halo mass function: counts per logarithmic mass bin.
     /// Returns `(bin centre in M☉/h, count)` rows for `nbins` bins spanning
     /// the catalog's mass range — the standard summary statistic a

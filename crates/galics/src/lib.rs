@@ -10,18 +10,14 @@
 //!   halo positions, masses and velocities (the input of the zoom step).
 //! * [`tree`] — **TreeMaker**: link halos across snapshots into merger trees
 //!   by following their particle content through cosmic time.
-//! * [`correlation`] — the two-point correlation function ξ(r), the standard
-//!   clustering statistic computed from snapshots and catalogs.
 //! * [`galaxy`] — **GalaxyMaker**: apply a semi-analytic model on top of the
 //!   merger trees to form galaxies and emit a galaxy catalog.
 
-pub mod correlation;
 pub mod fof;
 pub mod galaxy;
 pub mod halo;
 pub mod tree;
 
-pub use correlation::{xi, XiEstimate};
 pub use fof::FofParams;
 pub use galaxy::{Galaxy, GalaxyCatalog, SamParams};
 pub use halo::{Halo, HaloCatalog};

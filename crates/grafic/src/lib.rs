@@ -23,8 +23,6 @@
 //! relies on for reproducible experiments.
 
 pub mod fft;
-#[cfg(test)]
-mod fft_reference;
 pub mod field;
 pub mod measure;
 pub mod spectrum;
@@ -72,6 +70,9 @@ pub fn generate_single_level(
         seed,
     }
 }
+
+#[cfg(test)]
+mod fft_reference;
 
 #[cfg(test)]
 mod tests {

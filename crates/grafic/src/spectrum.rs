@@ -132,12 +132,6 @@ impl PowerSpectrum {
         self.amplitude * k.powf(self.cosmo.n_s) * t * t
     }
 
-    /// P(k) at expansion factor `a` (linear growth scaling D²).
-    pub fn p_of_k_at(&self, k: f64, a: f64) -> f64 {
-        let d = self.cosmo.growth(a);
-        self.p_of_k(k) * d * d
-    }
-
     /// RMS linear fluctuation in top-hat spheres of radius `r` Mpc/h at z=0,
     /// by direct trapezoid integration in ln k.
     pub fn sigma_r(&self, r: f64) -> f64 {

@@ -143,11 +143,6 @@ fn chebyshev_dist(p: [f64; 3], c: [f64; 3], l: f64) -> f64 {
 }
 
 impl ZoomIcs {
-    /// Number of particles in the innermost (highest-resolution) region.
-    pub fn innermost_count(&self) -> usize {
-        *self.counts.last().unwrap_or(&0)
-    }
-
     /// Mass ratio between the heaviest and lightest particle — a measure of
     /// the dynamic range the zoom achieves.
     pub fn mass_dynamic_range(&self) -> f64 {

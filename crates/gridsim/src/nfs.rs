@@ -117,10 +117,6 @@ impl NfsVolume {
             None => Err(NfsError::NoSuchFile(path.to_string())),
         }
     }
-
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //!
 //! Second-order MUSCL–Hancock scheme with minmod-limited slopes and a choice
 //! of HLL or HLLC Riemann solvers, on a uniform 3-D periodic grid (the base
-//! level of the AMR hierarchy; refined patches re-use the same kernels on
-//! their own uniform sub-grids). Ideal-gas equation of state.
+//! level of the AMR hierarchy). Ideal-gas equation of state.
 //!
 //! Conserved state per cell: `(ρ, ρu, ρv, ρw, E)` with
 //! `E = ρe + ρ|v|²/2`, `p = (γ−1) ρe`.

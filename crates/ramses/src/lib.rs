@@ -11,15 +11,10 @@
 //!   supercomoving code units.
 //! * [`peano`] — the 3-D Peano–Hilbert space-filling curve RAMSES uses to
 //!   decompose the computational domain among processors.
-//! * [`domains`] — the decomposition applied: per-rank cuts, load imbalance
-//!   and exchange-volume diagnostics, and the rebalance trigger.
 //! * [`particles`] — structure-of-arrays particle storage, cloud-in-cell
 //!   (CIC) mass deposition and force interpolation.
 //! * [`poisson`] — a direct FFT solve of the comoving Poisson equation on
 //!   the periodic base mesh.
-//! * [`refine`] — two-level gravity refinement: a 2× finer Dirichlet patch
-//!   around dense regions, boundary-fed from the base solution (RAMSES's
-//!   one-way interface, specialised to one patch).
 //! * [`gravity`] — particle-mesh force evaluation and the kick-drift-kick
 //!   leapfrog integrator with cosmological (comoving) factors.
 //! * [`amr`] — the adaptive octree: quasi-Lagrangian refinement on particle
@@ -33,8 +28,8 @@
 //!
 //! Shared-memory parallelism runs on the vendored `rayon` facade's thread
 //! pool (see `vendor/rayon` and DESIGN.md §"Threading model"): the hot
-//! kernels — red-black Gauss–Seidel smoothing, CIC deposit/interpolation,
-//! the Godunov sweeps — execute on `RAYON_NUM_THREADS` threads with
+//! kernels — the FFT Poisson solve, CIC deposit/interpolation, the
+//! Godunov sweeps — execute on `RAYON_NUM_THREADS` threads with
 //! bitwise-identical results at any thread count. In the original system MPI
 //! ranks within one cluster played this role, while the *grid* level of
 //! parallelism (one simulation per cluster) is the middleware's job and
@@ -42,7 +37,6 @@
 
 pub mod amr;
 pub mod cosmology;
-pub mod domains;
 pub mod gravity;
 pub mod hydro;
 pub mod io;
@@ -50,7 +44,6 @@ pub mod nbody;
 pub mod particles;
 pub mod peano;
 pub mod poisson;
-pub mod refine;
 pub mod units;
 
 pub use cosmology::Cosmology;

@@ -73,10 +73,6 @@ pub struct RunParams {
     pub max_steps: usize,
     /// Optional gas component (None = dark-matter-only run).
     pub gas: Option<GasParams>,
-    /// Enable two-level gravity refinement when the densest cell exceeds
-    /// this overdensity: particles inside the refined patch get the 2×
-    /// finer force (RAMSES's level-by-level gravity, one patch deep).
-    pub refine_overdensity: Option<f64>,
 }
 
 impl Default for RunParams {
@@ -91,7 +87,6 @@ impl Default for RunParams {
             steps: StepControl::default(),
             max_steps: 10_000,
             gas: None,
-            refine_overdensity: None,
         }
     }
 }
@@ -112,8 +107,6 @@ pub struct StepStats {
     pub a: f64,
     pub dt: f64,
     pub rho_max: f64,
-    /// Particles that received the refined (fine-patch) force this step.
-    pub n_refined: usize,
 }
 
 /// Shape of the AMR tree over the current particle set — see
@@ -132,10 +125,8 @@ pub struct AmrStats {
 struct Force {
     /// Densest mesh cell (sets the free-fall timestep bound).
     rho_max: f64,
-    /// Per-particle accelerations, fine-patch values already substituted.
+    /// Per-particle accelerations.
     acc: Vec<[f64; 3]>,
-    /// Particles that received the fine-patch force.
-    n_refined: usize,
 }
 
 /// The simulation state machine.
@@ -216,8 +207,8 @@ impl Simulation {
         }
     }
 
-    /// Field, densest cell and (refined) particle accelerations at the
-    /// current positions and expansion factor `a`.
+    /// Field, densest cell and particle accelerations at the current
+    /// positions and expansion factor `a`.
     fn force_at(&self, a: f64) -> (ForceField, Force) {
         let field = self.gravity.field(&self.parts, &self.cosmo, a);
         // Parallel max is exact, so this cannot perturb the timestep.
@@ -229,13 +220,7 @@ impl Simulation {
             .map(|&v| v)
             .reduce(|| 0.0f64, f64::max);
         let acc = self.gravity.accelerations(&self.parts, &field);
-        let (acc, n_refined) = self.refined_acc(acc, &field, a);
-        let force = Force {
-            rho_max,
-            acc,
-            n_refined,
-        };
-        (field, force)
+        (field, Force { rho_max, acc })
     }
 
     /// One KDK step. `opening` is the force at the current `(parts.pos, a)`
@@ -244,7 +229,7 @@ impl Simulation {
     /// it. Returns the force at the new state, or `None` when the step did
     /// not advance (dt collapsed to zero).
     fn kdk_step(&mut self, opening: Option<Force>) -> Option<Force> {
-        let Force { rho_max, acc, .. } = opening.unwrap_or_else(|| self.force_at(self.a).1);
+        let Force { rho_max, acc } = opening.unwrap_or_else(|| self.force_at(self.a).1);
 
         let mut dt = self.params.steps.dt(
             &self.parts,
@@ -298,42 +283,8 @@ impl Simulation {
             a: self.a,
             dt,
             rho_max,
-            n_refined: closing.n_refined,
         });
         Some(closing)
-    }
-
-    /// Replace base-mesh accelerations with fine-patch values for particles
-    /// inside the refinement region (when enabled and triggered). Returns
-    /// the (possibly modified) accelerations and the refined-particle count.
-    fn refined_acc(
-        &self,
-        mut acc: Vec<[f64; 3]>,
-        field: &ForceField,
-        a: f64,
-    ) -> (Vec<[f64; 3]>, usize) {
-        let Some(threshold) = self.params.refine_overdensity else {
-            return (acc, 0);
-        };
-        let Some((corner, extent)) = crate::refine::select_patch(&field.rho, threshold) else {
-            return (acc, 0);
-        };
-        let patch = crate::refine::RefinedPatch::solve(
-            corner,
-            extent,
-            &field.phi,
-            &self.parts,
-            self.cosmo.poisson_factor(a),
-            &self.gravity.mg,
-        );
-        let mut n = 0;
-        for (i, pos) in self.parts.pos.iter().enumerate() {
-            if let Some(fine) = patch.accel(*pos) {
-                acc[i] = fine;
-                n += 1;
-            }
-        }
-        (acc, n)
     }
 
     /// Run to completion, returning snapshots at the requested expansion
@@ -375,17 +326,6 @@ impl Simulation {
             units: self.units(),
         }
     }
-
-    /// Kinetic + potential energy diagnostic (comoving; used by tests to
-    /// check the integrator is not blowing up).
-    pub fn kinetic_energy(&self) -> f64 {
-        self.parts
-            .vel
-            .iter()
-            .zip(&self.parts.mass)
-            .map(|(v, m)| 0.5 * m * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -411,7 +351,6 @@ mod tests {
             steps: StepControl::default(),
             max_steps: 500,
             gas: None,
-            refine_overdensity: None,
         }
     }
 
@@ -495,35 +434,6 @@ mod tests {
         let snaps = sim.run();
         for w in snaps.windows(2) {
             assert!(w[1].a >= w[0].a - 1e-12);
-        }
-    }
-
-    #[test]
-    fn refined_gravity_activates_on_collapse() {
-        let ics = small_ics(10);
-        let params = RunParams {
-            mesh_n: 16,
-            a_end: 0.7,
-            aout: vec![],
-            refine_overdensity: Some(8.0),
-            ..small_params()
-        };
-        let mut sim = Simulation::from_ics(params, &ics);
-        sim.run();
-        // By a = 0.5 collapse exceeds the threshold: some steps refined.
-        let refined_steps = sim.stats.iter().filter(|s| s.n_refined > 0).count();
-        assert!(
-            refined_steps > 0,
-            "refinement never triggered (rho_max = {:?})",
-            sim.stats.last().map(|s| s.rho_max)
-        );
-        // Mass conservation still holds.
-        assert!((sim.parts.total_mass() - 1.0).abs() < 1e-9);
-        // Particles stay in the box.
-        for p in &sim.parts.pos {
-            for x in p {
-                assert!((0.0..1.0).contains(x));
-            }
         }
     }
 
@@ -656,7 +566,6 @@ mod tests {
                 sb.rho_max.to_bits(),
                 "{what}: rho_max"
             );
-            assert_eq!(sa.n_refined, sb.n_refined, "{what}: n_refined");
         }
     }
 
@@ -673,16 +582,6 @@ mod tests {
                     ..small_params()
                 },
             ),
-            (
-                "refined",
-                RunParams {
-                    mesh_n: 16,
-                    a_end: 0.7,
-                    aout: vec![0.3, 0.5],
-                    refine_overdensity: Some(8.0),
-                    ..small_params()
-                },
-            ),
         ];
         for (what, params) in cases {
             let ics = small_ics(11);
@@ -696,9 +595,6 @@ mod tests {
             for (c, s) in snaps_c.iter().zip(&snaps_s) {
                 assert_eq!((c.step, c.a.to_bits()), (s.step, s.a.to_bits()), "{what}");
                 assert_eq!(bits(&c.particles.pos), bits(&s.particles.pos), "{what}");
-            }
-            if what == "refined" {
-                assert!(carried.stats.iter().any(|s| s.n_refined > 0));
             }
         }
     }

@@ -7,8 +7,7 @@
 //! stencil, so one forward/inverse FFT pair solves the discrete system
 //! exactly — the way PM codes solve the periodic base level. Source and
 //! potential are real, so the pair runs on the half spectrum
-//! ([`grafic::fft::filter_real`]). The refined patches are Dirichlet
-//! problems and relax on their own ([`crate::refine::RefinedPatch::solve`]).
+//! ([`grafic::fft::filter_real`]).
 
 use crate::particles::Mesh;
 use grafic::fft::filter_real;
@@ -53,19 +52,10 @@ fn wrap_pm(idx: usize, n: usize) -> (usize, usize) {
     (up, dn)
 }
 
-/// Solver configuration. The periodic solve is direct and reads none of
-/// it; `max_cycles` sizes the refined patches' relaxation budget.
-#[derive(Debug, Clone, Copy)]
-pub struct MgConfig {
-    /// Relaxation budget of a refined patch, in units of five sweeps.
-    pub max_cycles: usize,
-}
-
-impl Default for MgConfig {
-    fn default() -> Self {
-        MgConfig { max_cycles: 30 }
-    }
-}
+/// Solver configuration, empty: the periodic solve is direct and has
+/// nothing to tune. Kept because [`solve`] still takes one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MgConfig {}
 
 /// Result of a solve: the potential and the achieved relative residual.
 #[derive(Debug, Clone)]

@@ -46,11 +46,6 @@ impl Units {
     pub fn velocity_km_s(&self, v_code: f64) -> f64 {
         v_code * H0_KM_S_MPC_H * self.box_mpc_h
     }
-
-    /// Time: code (1/H0) → Gyr/h (1/H0 = 9.78 Gyr/h).
-    pub fn time_gyr_h(&self, t_code: f64) -> f64 {
-        t_code * 9.78
-    }
 }
 
 #[cfg(test)]

@@ -77,7 +77,6 @@ fn parse_run(nl_text: &str, resolution: i32) -> Result<(RunParams, f64), i32> {
             steps: StepControl::default(),
             max_steps: 400,
             gas: with_gas.then(GasParams::default),
-            refine_overdensity: None,
         },
         boxlen,
     ))
