@@ -140,8 +140,9 @@ stage_lint() {
     # Drift guard: every `pub mod NAME;` of a library crate is reached from
     # outside its own file, or a module that only its own tests call rots
     # unseen. Reached means a non-test line under src, crates, examples or
-    # benchmark/src (each file cut at its `#[cfg(test)]`, `tests/`
-    # directories and comment lines skipped) names the module, or a name
+    # benchmark/src (each file cut at its `#[cfg(test)]`, or whole at a
+    # `#![cfg(test)]`; `tests/` directories and comment lines skipped)
+    # names the module, or a name
     # the crate root re-exports from it, as `<crate>::X` or in a
     # `use <crate>::{..}` list (in the same crate, `crate::` and `super::`
     # too), or bare in the crate root outside that `pub use`. Allowed, one
@@ -153,7 +154,7 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
     corpus=$(find src crates examples benchmark/src -name '*.rs' ! -path '*/tests/*' | sort |
         xargs awk '
             FNR == 1 { cut = 0; stmt = "" }
-            /^#\[cfg\(test\)\]/ { cut = 1 }
+            /^#!?\[cfg\(test\)\]/ { cut = 1 }
             cut || /^[[:space:]]*\/\// { next }
             stmt == "" && !/^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/ {
                 print FILENAME ":" FNR ":" $0
@@ -286,7 +287,7 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
     # `thread::spawn` is the one non-test spawn in dag.rs; a second is a
     # thread per node growing back. (Each hit is printed with the function
     # it sits in.)
-    spawns=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    spawns=$(awk '/^#!?\[cfg\(test\)\]/ { exit }
              match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
              /thread::spawn/ { print FILENAME ":" FNR ":" fn }' crates/core/src/dag.rs)
     if [ "$(printf '%s\n' "$spawns" | grep -c .)" -ne 1 ] \
@@ -302,7 +303,7 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
     # growing back beside the table. (Each hit is printed with the function
     # it sits in; `fn send_collect(` itself is a definition, not a call.)
     collects=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
-        awk '/^#\[cfg\(test\)\]/ { exit }
+        awk '/^#!?\[cfg\(test\)\]/ { exit }
              match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
              /send_collect[(]/ && !/fn send_collect[(]/ { print FILENAME ":" FNR ":" fn }' "$f"
     done | grep -v -e '^crates/core/src/agent[.]rs:[0-9]*:read_or_walk$' \
@@ -318,13 +319,35 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
     # cost O(history) again. (Each hit is printed with the function it sits
     # in; `fn snapshot_now(` itself is a definition, not a call.)
     snapshots=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
-        awk '/^#\[cfg\(test\)\]/ { exit }
+        awk '/^#!?\[cfg\(test\)\]/ { exit }
              match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
              /snapshot_now[(]/ && !/fn snapshot_now[(]/ { print FILENAME ":" FNR ":" fn }' "$f"
     done | grep -v '^crates/core/src/jobserver[.]rs:[0-9]*:maybe_snapshot$' || true)
     if [ -n "$snapshots" ]; then
         echo "ci.sh drift: snapshot_now called outside JobStore::maybe_snapshot:" >&2
         printf '%s\n' "$snapshots" >&2
+        exit 1
+    fi
+    # Drift guard: a jobserver dispatcher keeps a window of calls on the
+    # wire, and every claim's round is the one retry loop
+    # (`client::retry_loop`) whose attempts wait on calls already sent
+    # (`TcpSedPool::send_call`). In jobserver.rs, `retry_loop(` called from
+    # a second function, a `.call_traced(`, or a blocking `.request(`
+    # outside `impl JobClient` is a task holding a dispatcher through its
+    # round trips again. (Each hit is printed with the function it sits in.)
+    dispatch=$(awk '/^#!?\[cfg\(test\)\]/ { exit }
+             /^impl / { impl = $2 }
+             /^}/ { impl = "" }
+             match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+             /retry_loop[(]/ && !/fn retry_loop[(]/ { print "retry_loop:" FNR ":" fn }
+             /[.]call_traced[(]/ { print "call_traced:" FNR ":" fn }
+             /[.]request[(]/ && impl != "JobClient" { print "request:" FNR ":" fn }
+        ' crates/core/src/jobserver.rs)
+    loops=$(printf '%s\n' "$dispatch" | sed -n 's/^retry_loop:[0-9]*://p' | sort -u)
+    if [ "$(printf '%s\n' "$loops" | grep -c .)" -ne 1 ] \
+        || printf '%s\n' "$dispatch" | grep -q -e '^call_traced:' -e '^request:'; then
+        echo "ci.sh drift: jobserver dispatch outside its one windowed retry loop:" >&2
+        printf '%s\n' "$dispatch" >&2
         exit 1
     fi
     # Drift guard: the periodic base mesh is solved directly by FFT
@@ -372,10 +395,11 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
 }
 
 # file:line of every line under directory $1 that matches the awk regex $2,
-# each file cut at its `#[cfg(test)]` so unit tests do not count.
+# each file cut at its `#[cfg(test)]` (a `#![cfg(test)]` file is cut whole)
+# so unit tests do not count.
 src_sites() {
     find "$1" -name '*.rs' | sort | while read -r f; do
-        awk -v re="$2" '/^#\[cfg\(test\)\]/ { exit }
+        awk -v re="$2" '/^#!?\[cfg\(test\)\]/ { exit }
              $0 ~ re { print FILENAME ":" FNR }' "$f"
     done
 }

@@ -69,7 +69,7 @@ use crate::error::DietError;
 use crate::monitor::Estimate;
 use crate::reactor::{ConnHandle, Lane};
 use crate::sed::SedHandle;
-use crate::transport::{busy_is_error, unexpected, Peer, ServerConfig, TcpServer};
+use crate::transport::{busy_is_error, unexpected, Peer, Pending, ServerConfig, TcpServer};
 use obs::{Obs, TraceCtx};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -349,16 +349,31 @@ impl RemoteAgentClient {
         exclude: &[String],
         ctx: TraceCtx,
     ) -> Result<Option<String>, DietError> {
-        let build = |request_id| Message::Submit {
+        self.send_submit(service, exclude, ctx)?.wait()
+    }
+
+    /// The first half of [`submit`](Self::submit): put the `Submit` on the
+    /// wire and return without waiting. The deadline runs from this send.
+    pub(crate) fn send_submit(
+        &self,
+        service: &str,
+        exclude: &[String],
+        ctx: TraceCtx,
+    ) -> Result<SentSubmit, DietError> {
+        let until = Instant::now() + self.timeout;
+        let pending = self.peer.send(|request_id| Message::Submit {
             service: service.to_string(),
             request_id,
             ctx,
             exclude: exclude.to_vec(),
-        };
-        match self.peer.request(build, self.timeout)? {
-            Message::SubmitReply { server, .. } => Ok(server),
-            other => Err(unexpected("submit", other)),
-        }
+        })?;
+        Ok(SentSubmit { pending, until })
+    }
+
+    /// High-water mark of requests in flight at once on the connection to
+    /// the MA.
+    pub fn peak_inflight(&self) -> u64 {
+        self.peer.peak_inflight()
     }
 
     /// Admit a workflow DAG into the remote MA's engine; returns the
@@ -394,6 +409,24 @@ impl RemoteAgentClient {
             } => Ok((events, outcome)),
             Message::DagReply { result: Err(e), .. } => Err(DietError::Rejected(e)),
             other => Err(unexpected("dag_status", other)),
+        }
+    }
+}
+
+/// A `Submit` on the wire ([`RemoteAgentClient::send_submit`]), its reply
+/// not yet waited on.
+pub(crate) struct SentSubmit {
+    pending: Pending,
+    until: Instant,
+}
+
+impl SentSubmit {
+    /// Wait, until the deadline set at the send, for what
+    /// [`RemoteAgentClient::submit`] returns.
+    pub(crate) fn wait(self) -> Result<Option<String>, DietError> {
+        match busy_is_error(self.pending.wait(self.until)?.0)? {
+            Message::SubmitReply { server, .. } => Ok(server),
+            other => Err(unexpected("submit", other)),
         }
     }
 }

@@ -37,6 +37,19 @@
 //! Power-loss durability would want an `fsync` knob; the crash test in
 //! `tests/jobserver_crash.rs` kills the process, not the host.
 //!
+//! # Dispatch
+//!
+//! Each dispatcher thread has up to a window of tasks out at once: it
+//! sends the findings of up to 32 pending calls to the MA before waiting on
+//! any, then sends their calls one lane per SeD found, with one call on
+//! the wire per lane. Each task's dispatch is logged just before its call
+//! goes out. A SeD thus queues at most one call per dispatcher, as before
+//! the window. The window starts at one task and grows only while the
+//! SeDs' time for its calls stays below the findings' round trips, so
+//! solve-scale calls are dispatched one at a time. A task's retries,
+//! exclusions and outcome still run through the client's one retry loop.
+//! A DAG payload closes the window and runs on its own.
+//!
 //! # Clients
 //!
 //! Any number of [`JobClient`]s attach to a campaign by name
@@ -45,17 +58,18 @@
 //! name, so a client that dies mid-submit can simply resubmit and be
 //! handed the existing campaign.
 
-use crate::client::{is_retryable, retry_loop, RetryPolicy};
+use crate::client::{is_retryable, retry_loop, RetryPolicy, Route};
 use crate::codec::{self, wire_enum, Message, Wire};
 use crate::dag::WorkflowSpec;
 use crate::error::DietError;
-use crate::hierarchy::RemoteAgentClient;
+use crate::hierarchy::{RemoteAgentClient, SentSubmit};
 use crate::monitor::{MissTally, Periodic};
 use crate::profile::Profile;
-use crate::transport::{unexpected, Peer, ServerConfig, TcpSedPool, TcpServer};
+use crate::transport::{unexpected, Peer, SentCall, ServerConfig, TcpSedPool, TcpServer};
 use bytes::{Bytes, BytesMut};
-use obs::Obs;
+use obs::{Obs, Span};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -1372,7 +1386,9 @@ impl MachinePool {
 pub struct JobServerConfig {
     /// Data directory for the WAL and snapshots.
     pub dir: PathBuf,
-    /// Dispatcher threads draining the queue.
+    /// Dispatcher threads draining the queue. Each has up to a window of
+    /// 32 cheap plain-call tasks out at once (their findings together, one
+    /// call per SeD at a time); a DAG task holds its thread alone.
     pub workers: usize,
     /// Resolve/solve policy for one dispatch round (per-attempt deadline,
     /// in-round retries, backoff shape) — the `call_with_retry` knobs.
@@ -1416,6 +1432,102 @@ impl JobServerConfig {
             dag_poll: Duration::from_millis(50),
             dag_timeout: Duration::from_secs(120),
         }
+    }
+}
+
+/// Most `Call` claims one dispatcher takes at once: their findings go to
+/// the MA together, and their calls go out one lane per SeD found. A
+/// dispatcher starts at one claim and doubles its window after each window
+/// whose calls were cheap next to their findings (see `run_window`).
+const WINDOW: usize = 32;
+
+/// A claim's dispatch round: which task, and what the round has logged.
+struct Round {
+    cid: u64,
+    tid: u64,
+    epoch: u32,
+    /// The attempt count of the round's last logged dispatch (`None`
+    /// before the first).
+    prior: Option<u32>,
+    /// Stopping, or the heartbeat requeued the task under us: the claim
+    /// replays (or already replayed) elsewhere, so record nothing.
+    abandoned: bool,
+}
+
+impl Round {
+    fn new(claim: &PoppedTask) -> Round {
+        Round {
+            cid: claim.campaign_id,
+            tid: claim.task_id,
+            epoch: claim.epoch,
+            prior: None,
+            abandoned: false,
+        }
+    }
+}
+
+/// One `Call` claim of a window, with what was fetched for its first
+/// attempt.
+struct Flight<'a> {
+    round: Round,
+    profile: Profile,
+    /// Frames the claim's whole round.
+    span: Span<'a>,
+    /// When the claim's round began: the send of its first finding.
+    started: Instant,
+    /// The first finding: a SeD label, or why there was none.
+    found: Result<String, DietError>,
+    /// The first attempt's outcome and how long it took, when the finding
+    /// found a SeD.
+    first: Option<(Solved, Duration)>,
+}
+
+/// The claims of a window found for one SeD. Their calls go out one at a
+/// time: the next when the last one's reply is in.
+struct Lane<'a> {
+    label: String,
+    queue: VecDeque<Flight<'a>>,
+}
+
+/// A lane's call on the wire: the lane, the claim, the sent call and when
+/// it was sent.
+type Launched<'a> = (usize, Flight<'a>, Result<SentCall, DietError>, Instant);
+
+/// What one attempt returns: the solved profile, its queue wait and its
+/// solve time, as the SeD measured them.
+type Solved = Result<(Profile, f64, f64), DietError>;
+
+/// The remote MA as one claim's finding route, its first finding already
+/// fetched with the window's.
+struct Ahead<'a> {
+    ma: &'a RemoteAgentClient,
+    store: &'a JobStore,
+    first: Cell<Option<Result<String, DietError>>>,
+}
+
+impl Route for Ahead<'_> {
+    type Target = String;
+    fn find(
+        &self,
+        service: &str,
+        data_ids: &[String],
+        exclude: &[String],
+        ctx: obs::TraceCtx,
+    ) -> Result<String, DietError> {
+        if let Some(found) = self.first.take() {
+            return found;
+        }
+        // Stopping: no further finding, and nothing retries a rejection.
+        if self.store.is_closed() {
+            return Err(DietError::Rejected("stopping".into()));
+        }
+        self.ma.find(service, data_ids, exclude, ctx)
+    }
+    fn label(label: &String) -> &str {
+        label
+    }
+    fn report(&self, label: &String, ok: bool) {
+        self.ma.report(label, ok)
     }
 }
 
@@ -1498,11 +1610,38 @@ impl JobServer {
     }
 
     fn dispatch_loop(&self) {
+        let mut size = 1;
         while !self.store.is_closed() {
-            let Some(claim) = self.store.next_task(Duration::from_millis(100)) else {
-                continue;
-            };
-            self.run_task(claim);
+            // A window: the `Call` claims pending now, up to `size`, the
+            // first of them waited for. A `Dag` claim closes the window and
+            // runs after it.
+            let mut calls = Vec::new();
+            let mut dag = None;
+            let mut wait = Duration::from_millis(100);
+            while calls.len() < size {
+                let Some(claim) = self.store.next_task(wait) else {
+                    break;
+                };
+                wait = Duration::ZERO;
+                match claim.payload.clone() {
+                    TaskPayload::Call(profile) => calls.push((Round::new(&claim), profile)),
+                    TaskPayload::Dag(spec) => {
+                        dag = Some((claim, spec));
+                        break;
+                    }
+                }
+            }
+            if !calls.is_empty() {
+                size = if self.run_window(calls) {
+                    (size * 2).min(WINDOW)
+                } else {
+                    1
+                };
+            }
+            if let Some((claim, spec)) = dag {
+                let span = self.task_span();
+                self.run_dag(&claim, spec, span.ctx());
+            }
             let _ = self.store.maybe_snapshot();
         }
     }
@@ -1522,60 +1661,179 @@ impl JobServer {
         }
     }
 
-    fn run_task(&self, claim: PoppedTask) {
-        let trace = self.obs.tracer.new_trace();
-        let span = self.obs.tracer.span(trace, 0, "task", "jobserver");
-        match claim.payload.clone() {
-            TaskPayload::Call(profile) => self.run_call(&claim, profile, span.ctx()),
-            TaskPayload::Dag(spec) => self.run_dag(&claim, spec, span.ctx()),
-        }
-        span.end();
+    /// The span that frames one task's dispatch round, in a trace of its
+    /// own.
+    fn task_span(&self) -> Span<'_> {
+        let tracer = &self.obs.tracer;
+        tracer.span(tracer.new_trace(), 0, "task", "jobserver")
     }
 
-    /// One dispatch round for a plain call: the client's retry loop over
-    /// the remote MA and the SeD pool, with the store's bookkeeping in its
-    /// attempt — each resolve is logged as a dispatch, a success completes
-    /// the task, and a stop or a stale claim abandons the round. What the
-    /// store owns (the cross-round budget and the requeue) stays here.
-    fn run_call(&self, claim: &PoppedTask, profile: Profile, ctx: obs::TraceCtx) {
-        let (cid, tid, epoch) = (claim.campaign_id, claim.task_id, claim.epoch);
-        let policy = &self.cfg.retry;
-        let started = Instant::now();
-        let mut prior: Option<u32> = None;
-        // Stopping, or the heartbeat requeued the task under us: the claim
-        // replays (or already replayed) elsewhere, so record nothing.
-        let mut abandoned = false;
+    /// One dispatch round for a window of plain calls. Every claim's
+    /// finding goes to the MA before any answer is waited on. The calls
+    /// then go out in one lane per SeD found, each lane with one call on
+    /// the wire at a time. So the findings and the calls to different SeDs
+    /// overlap on the wire, while a SeD still queues at most one call per
+    /// dispatcher, and no call's deadline is spent behind its siblings in
+    /// the SeD's queue. Each claim then runs its round through `run_call`.
+    ///
+    /// Returns whether the window paid: some call was served, and the
+    /// SeDs' own time for the served calls (queue wait plus solve, as
+    /// their replies report) was less than the findings' round trips.
+    /// Otherwise a window saves little, and its findings go stale while
+    /// their claims wait in a lane: a load-aware MA sends the whole window
+    /// to the SeD that looked idle when it was asked.
+    fn run_window(&self, calls: Vec<(Round, Profile)>) -> bool {
+        let exclude = self.machines.dead_labels();
+        let asked: Vec<_> = calls
+            .into_iter()
+            .map(|(round, profile)| {
+                let started = Instant::now();
+                let span = self.task_span();
+                let answer = self.ma.send_submit(&profile.service, &exclude, span.ctx());
+                (round, profile, span, started, answer)
+            })
+            .collect();
+        let mut lanes: Vec<Lane> = Vec::new();
+        let mut later = Vec::new();
+        let mut finding = 0.0;
+        for (round, profile, span, started, answer) in asked {
+            let found = answer.and_then(SentSubmit::wait).and_then(|server| {
+                server.ok_or_else(|| DietError::NoServerAvailable(profile.service.clone()))
+            });
+            finding += started.elapsed().as_secs_f64();
+            let label = found.as_ref().ok().cloned();
+            let flight = Flight {
+                round,
+                profile,
+                span,
+                started,
+                found,
+                first: None,
+            };
+            let Some(label) = label else {
+                later.push(flight);
+                continue;
+            };
+            match lanes.iter_mut().find(|lane| lane.label == label) {
+                Some(lane) => lane.queue.push_back(flight),
+                None => lanes.push(Lane {
+                    label,
+                    queue: VecDeque::from([flight]),
+                }),
+            }
+        }
+        // Replies are waited on in the order the calls went out, so each
+        // wait starts before its own deadline and a reply that came in
+        // time is never read as late. A claim whose first attempt was
+        // served finishes at once; any other backs off only once every
+        // reply is in.
+        let mut out: VecDeque<_> = (0..lanes.len())
+            .filter_map(|k| self.launch_next(&mut lanes, k))
+            .collect();
+        let mut solving = None;
+        while let Some((k, mut flight, call, t0)) = out.pop_front() {
+            flight.first = Some((call.and_then(SentCall::wait), t0.elapsed()));
+            out.extend(self.launch_next(&mut lanes, k));
+            if let Some((Ok((_, queue_wait, solve)), _)) = flight.first {
+                *solving.get_or_insert(0.0) += queue_wait + solve;
+                self.run_call(flight);
+            } else {
+                later.push(flight);
+            }
+        }
+        for flight in later {
+            // Stopping: the rest stay claimed in the WAL and replay on
+            // restart.
+            if self.store.is_closed() {
+                break;
+            }
+            self.run_call(flight);
+        }
+        solving.is_some_and(|solving| solving < finding)
+    }
+
+    /// Launch the next claim of lane `k`, if it has one.
+    fn launch_next<'a>(&self, lanes: &mut [Lane<'a>], k: usize) -> Option<Launched<'a>> {
+        let Lane { label, queue } = &mut lanes[k];
+        let mut flight = queue.pop_front()?;
+        let t0 = Instant::now();
+        let profile = flight.profile.clone();
+        let call = self.launch(&mut flight.round, label, profile, flight.span.ctx());
+        Some((k, flight, call, t0))
+    }
+
+    /// Log a dispatch of the round's claim to `label`, then put its `Call`
+    /// on the wire: no call goes out before its `Dispatched` record is
+    /// written. Stopping, or a claim gone stale, abandons the round.
+    fn launch(
+        &self,
+        round: &mut Round,
+        label: &str,
+        profile: Profile,
+        ctx: obs::TraceCtx,
+    ) -> Result<SentCall, DietError> {
+        if self.store.is_closed() {
+            round.abandoned = true;
+            return Err(DietError::Rejected("stopping".into()));
+        }
+        let Some(attempt) =
+            self.store
+                .dispatched(round.cid, round.tid, round.epoch, round.prior, label)
+        else {
+            round.abandoned = true;
+            return Err(DietError::Rejected("stale claim".into()));
+        };
+        round.prior = Some(attempt);
+        let timeout = self.cfg.retry.attempt_timeout;
+        self.pool.send_call(label, profile, timeout, ctx)
+    }
+
+    /// A claim's dispatch round: the client's retry loop over the remote
+    /// MA and the SeD pool, with the store's bookkeeping in its attempt —
+    /// each attempt is launched as a logged dispatch, and a success
+    /// completes the task. The first attempt takes the finding and the
+    /// outcome fetched with the window. What the store owns (the
+    /// cross-round budget and the requeue) stays here.
+    fn run_call(&self, flight: Flight) {
+        let Flight {
+            mut round,
+            profile,
+            span,
+            started,
+            found,
+            mut first,
+        } = flight;
+        let route = Ahead {
+            ma: &self.ma,
+            store: &self.store,
+            first: Cell::new(Some(found)),
+        };
         // No per-attempt spans: the task span frames the round, and three
         // more spans a task would fill the tracer's ring four times as fast.
         let (result, _) = retry_loop(
-            &*self.ma,
+            &route,
             None,
-            ctx,
+            span.ctx(),
             &profile,
-            policy,
+            &self.cfg.retry,
             self.machines.dead_labels(),
             |label: &String, p, ctx| {
-                if self.store.is_closed() {
-                    abandoned = true;
-                    return Err(DietError::Rejected("stopping".into()));
-                }
-                let Some(attempt) = self.store.dispatched(cid, tid, epoch, prior, label) else {
-                    abandoned = true;
-                    return Err(DietError::Rejected("stale claim".into()));
-                };
-                prior = Some(attempt);
-                let t0 = Instant::now();
-                let out = self
-                    .pool
-                    .call_traced(label, p, policy.attempt_timeout, ctx)?;
-                let ms = t0.elapsed().as_millis() as u64;
+                let (out, took) = first.take().unwrap_or_else(|| {
+                    let t0 = Instant::now();
+                    let out = self.launch(&mut round, label, p, ctx);
+                    (out.and_then(SentCall::wait), t0.elapsed())
+                });
+                let out = out?;
+                let attempt = round.prior.expect("a served call was launched");
+                let ms = took.as_millis() as u64;
+                let (cid, tid, epoch) = (round.cid, round.tid, round.epoch);
                 self.store.complete(cid, tid, epoch, attempt, label, ms);
                 Ok(out)
             },
             |_, _| false,
         );
         match result {
-            Err(_) if abandoned || self.store.is_closed() => {}
+            Err(_) if round.abandoned || self.store.is_closed() => {}
             Ok(_) => self
                 .obs
                 .metrics
@@ -1586,8 +1844,14 @@ impl JobServer {
             Err(e) => {
                 let terminal = !matches!(e, DietError::RetriesExhausted { .. });
                 let max = self.cfg.max_task_attempts;
-                self.store
-                    .fail(cid, tid, epoch, &e.to_string(), max, terminal);
+                self.store.fail(
+                    round.cid,
+                    round.tid,
+                    round.epoch,
+                    &e.to_string(),
+                    max,
+                    terminal,
+                );
             }
         }
     }

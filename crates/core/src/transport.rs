@@ -666,7 +666,7 @@ impl Peer {
 
     /// High-water mark of in-flight requests on the live connection (0 if
     /// there is none).
-    fn peak_inflight(&self) -> u64 {
+    pub(crate) fn peak_inflight(&self) -> u64 {
         self.mux
             .lock()
             .as_ref()
@@ -787,6 +787,20 @@ impl TcpSedPool {
         deadline: Duration,
         ctx: obs::TraceCtx,
     ) -> Result<(Profile, f64, f64), DietError> {
+        self.send_call(label, profile, deadline, ctx)?.wait()
+    }
+
+    /// The first half of [`call_traced`](Self::call_traced): put the `Call`
+    /// on the wire and return without waiting. The deadline runs from this
+    /// send, so a caller with many calls out waits on each for its own.
+    pub(crate) fn send_call(
+        &self,
+        label: &str,
+        profile: Profile,
+        deadline: Duration,
+        ctx: obs::TraceCtx,
+    ) -> Result<SentCall, DietError> {
+        let until = Instant::now() + deadline;
         // Refcounts, not copies: the server leaves out arguments the solve
         // did not replace, and this is where they come back from.
         let sent = profile.clone();
@@ -795,20 +809,12 @@ impl TcpSedPool {
             ctx,
             profile,
         };
-        match self.peer(label)?.request(build, deadline)? {
-            Message::CallReply {
-                queue_wait,
-                solve,
-                result,
-                ..
-            } => result
-                .map(|mut p| {
-                    p.restore_unreturned(sent);
-                    (p, queue_wait, solve)
-                })
-                .map_err(DietError::Rejected),
-            other => Err(unexpected("call", other)),
-        }
+        let pending = self.peer(label)?.send(build)?;
+        Ok(SentCall {
+            pending,
+            until,
+            sent,
+        })
     }
 
     /// Metrics dump from the server behind `label` (the `dump-metrics`
@@ -871,6 +877,36 @@ impl TcpSedPool {
         match self.peer(label)?.request(build, deadline)? {
             Message::DataReply { result, .. } => result.map(|_| ()).map_err(DietError::Rejected),
             other => Err(unexpected("put-data", other)),
+        }
+    }
+}
+
+/// A `Call` on the wire ([`TcpSedPool::send_call`]), its reply not yet
+/// waited on.
+pub(crate) struct SentCall {
+    pending: Pending,
+    until: Instant,
+    /// The request's profile, for the arguments the reply leaves out.
+    sent: Profile,
+}
+
+impl SentCall {
+    /// Wait, until the deadline set at the send, for what
+    /// [`TcpSedPool::call_traced`] returns.
+    pub(crate) fn wait(self) -> Result<(Profile, f64, f64), DietError> {
+        match busy_is_error(self.pending.wait(self.until)?.0)? {
+            Message::CallReply {
+                queue_wait,
+                solve,
+                result,
+                ..
+            } => result
+                .map(|mut p| {
+                    p.restore_unreturned(self.sent);
+                    (p, queue_wait, solve)
+                })
+                .map_err(DietError::Rejected),
+            other => Err(unexpected("call", other)),
         }
     }
 }

@@ -35,12 +35,21 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// `echo` service that counts how many times each input was solved —
 /// the probe for the exactly-once-per-done-task guarantee.
 fn counting_table(counts: &SolveCounts, delay: Duration) -> ServiceTable {
+    paced_table(counts, move |_| delay)
+}
+
+/// [`counting_table`] with a solve time that depends on the input.
+fn paced_table(
+    counts: &SolveCounts,
+    pace: impl Fn(i32) -> Duration + Send + Sync + 'static,
+) -> ServiceTable {
     let mut d = ProfileDesc::alloc("echo", 0, 0, 1);
     d.set_arg(0, ArgTag::Scalar).unwrap();
     let counts = counts.clone();
     let solve: SolveFn = Arc::new(move |p: &mut Profile| {
         let x = p.get_i32(0)?;
         *counts.lock().unwrap().entry(x).or_insert(0) += 1;
+        let delay = pace(x);
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
@@ -489,4 +498,255 @@ fn idle_shutdown_does_not_wait_out_the_queue() {
     js.shutdown();
     let took = t0.elapsed();
     assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+}
+
+/// Each task's states in a campaign's event feed, by task id.
+fn states_by_task(events: &[diet_core::TaskEventRec]) -> HashMap<u64, Vec<TaskState>> {
+    let mut by_task: HashMap<u64, Vec<TaskState>> = HashMap::new();
+    for e in events {
+        by_task.entry(e.task_id).or_default().push(e.state);
+    }
+    by_task
+}
+
+/// One dispatcher keeps a window on the wire: with a single dispatcher
+/// thread, a 64-task campaign still has more than one finding out on the
+/// MA's connection at once, while each SeD's connection carries one of its
+/// calls at a time. One task at a time would hold the MA's peak at 1.
+#[test]
+fn a_dispatcher_keeps_a_window_on_the_wire() {
+    let counts: SolveCounts = Arc::new(Mutex::new(HashMap::new()));
+    let d = TcpTopologySpec::chain(1, 2)
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            counting_table(&counts, Duration::ZERO)
+        })
+        .unwrap();
+    let dir = tmpdir("window");
+    let mut cfg = server_config(&dir);
+    cfg.workers = 1;
+    // Heartbeat probes ride the SeDs' connections too: none here.
+    cfg.heartbeat = None;
+    let js = JobServer::spawn(
+        cfg,
+        d.ma_client.clone(),
+        d.pool.clone(),
+        Arc::new(Obs::new()),
+    )
+    .unwrap();
+    let server =
+        serve_jobserver_over_tcp(js.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = JobClient::connect(server.local_addr);
+
+    let n = 64;
+    let (cid, _) = client
+        .submit_tasks("window", (0..n).map(call_task).collect())
+        .unwrap();
+    let (summary, events) = client
+        .wait(cid, Duration::from_millis(10), Duration::from_secs(30))
+        .unwrap();
+    assert_eq!(summary.done, n as u64);
+    assert_eq!(summary.failed, 0);
+    let by_task = states_by_task(&events);
+    for tid in 0..n as u64 {
+        assert_eq!(by_task[&tid].last(), Some(&TaskState::Done), "task {tid}");
+    }
+    let peak = d.ma_client.peak_inflight();
+    assert!(peak > 1, "one finding at a time on the MA (peak {peak})");
+    for label in d.pool.labels() {
+        let peak = d.pool.peak_inflight(&label);
+        assert_eq!(peak, 1, "{label} carried {peak} calls at once");
+    }
+
+    js.shutdown();
+    server.kill();
+    d.shutdown();
+}
+
+/// A window does not spend a call's deadline in a SeD's queue. One
+/// dispatcher's window has grown to 32 claims on a cheap campaign when 32
+/// slow ones arrive, over two SeDs that solve one job at a time. Sent
+/// together, 16 calls of 60 ms would queue 0.96 s on a SeD, past the
+/// 0.6 s attempt deadline. The window's calls go one at a time per SeD
+/// instead, so no call times out, no healthy SeD is blamed, and every
+/// input is solved exactly once.
+#[test]
+fn a_window_spends_no_deadline_in_a_sed_queue() {
+    let counts: SolveCounts = Arc::new(Mutex::new(HashMap::new()));
+    let slow = 1000;
+    let d = TcpTopologySpec::chain(1, 2)
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            paced_table(&counts, move |x| {
+                Duration::from_millis(if x >= slow { 60 } else { 0 })
+            })
+        })
+        .unwrap();
+    let dir = tmpdir("window-deadline");
+    let obs = Arc::new(Obs::new());
+    let mut cfg = server_config(&dir);
+    cfg.workers = 1;
+    cfg.retry.attempt_timeout = Duration::from_millis(600);
+    cfg.heartbeat = None;
+    let js = JobServer::spawn(cfg, d.ma_client.clone(), d.pool.clone(), obs.clone()).unwrap();
+    let server =
+        serve_jobserver_over_tcp(js.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = JobClient::connect(server.local_addr);
+
+    // Windows of 1, 2, 4, 8, 16 and 32 cheap claims, and more of 32: the
+    // window is full.
+    let cheap = 256;
+    let (cid, _) = client
+        .submit_tasks("cheap", (0..cheap).map(call_task).collect())
+        .unwrap();
+    let (summary, _) = client
+        .wait(cid, Duration::from_millis(10), Duration::from_secs(30))
+        .unwrap();
+    assert_eq!(summary.done, cheap as u64);
+    let peak = d.ma_client.peak_inflight();
+    assert!(peak > 16, "the window never grew (peak {peak})");
+
+    let n = 32;
+    let (cid, _) = client
+        .submit_tasks("slow", (slow..slow + n).map(call_task).collect())
+        .unwrap();
+    let (summary, events) = client
+        .wait(cid, Duration::from_millis(10), Duration::from_secs(60))
+        .unwrap();
+    assert_eq!(summary.done, n as u64);
+    assert_eq!(summary.failed, 0);
+    for (tid, states) in states_by_task(&events) {
+        let dispatched = states
+            .iter()
+            .filter(|s| **s == TaskState::Dispatched)
+            .count();
+        assert_eq!(dispatched, 1, "task {tid} dispatched again: {states:?}");
+    }
+    let resubmissions = obs
+        .metrics
+        .counter("diet_jobserver_resubmissions_total")
+        .get();
+    assert_eq!(resubmissions, 0, "a healthy SeD's call was resubmitted");
+    let counts = counts.lock().unwrap();
+    for x in (0..cheap).chain(slow..slow + n) {
+        assert_eq!(counts.get(&x), Some(&1), "input {x} not solved once");
+    }
+
+    js.shutdown();
+    server.kill();
+    d.shutdown();
+}
+
+/// A SeD dies on its 20th request while a window's claims are queued for
+/// it. The call on the wire fails, and so does each later one launched at
+/// the dead connection. The dispatcher's retry loop moves every one of them
+/// to the survivor (no heartbeat here to requeue them): every task ends
+/// Done exactly once.
+#[test]
+fn a_sed_killed_under_a_window_loses_no_task() {
+    let counts: SolveCounts = Arc::new(Mutex::new(HashMap::new()));
+    let d = TcpTopologySpec::chain(1, 2)
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            counting_table(&counts, Duration::ZERO)
+        })
+        .unwrap();
+    d.seds[0].faults().kill_at_request(20);
+    let dir = tmpdir("window-kill");
+    let obs = Arc::new(Obs::new());
+    let mut cfg = server_config(&dir);
+    cfg.workers = 1;
+    cfg.heartbeat = None;
+    let js = JobServer::spawn(cfg, d.ma_client.clone(), d.pool.clone(), obs.clone()).unwrap();
+    let server =
+        serve_jobserver_over_tcp(js.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = JobClient::connect(server.local_addr);
+
+    let n = 128;
+    let (cid, _) = client
+        .submit_tasks("window-kill", (0..n).map(call_task).collect())
+        .unwrap();
+    let (summary, events) = client
+        .wait(cid, Duration::from_millis(10), Duration::from_secs(30))
+        .unwrap();
+    assert!(!d.seds[0].is_alive(), "the fault never fired");
+    assert_eq!(summary.done, n as u64, "tasks lost with the dead SeD");
+    assert_eq!(summary.failed, 0);
+    for (tid, states) in states_by_task(&events) {
+        let done = states.iter().filter(|s| **s == TaskState::Done).count();
+        assert_eq!(done, 1, "task {tid} went Done {done} times: {states:?}");
+    }
+    let resubmissions = obs
+        .metrics
+        .counter("diet_jobserver_resubmissions_total")
+        .get();
+    assert!(resubmissions > 0, "no claim was retried");
+    let counts = counts.lock().unwrap();
+    for x in 0..n {
+        assert!(counts.get(&x).copied().unwrap_or(0) >= 1, "input {x} lost");
+    }
+
+    js.shutdown();
+    server.kill();
+    d.shutdown();
+}
+
+/// A SeD that admits one job at a time faces three dispatchers' windows,
+/// each with a call on its connection: it answers the others `Busy`, and
+/// each of those claims backs off and comes back through its retry loop.
+/// No task fails, and none is solved twice.
+#[test]
+fn busy_replies_to_a_window_back_off_and_finish() {
+    use diet_core::hierarchy::{
+        serve_ma_over_tcp, serve_sed_over_tcp, AgentConfig, RemoteAgentClient,
+    };
+    use diet_core::sed::{SedConfig, SedHandle};
+    use diet_core::transport::TcpSedPool;
+    use diet_core::{AgentNode, MasterAgent};
+    let counts: SolveCounts = Arc::new(Mutex::new(HashMap::new()));
+    let sed = SedHandle::spawn(
+        SedConfig::new("adm/0", 1.0).with_admission_limit(1),
+        counting_table(&counts, Duration::from_millis(2)),
+    );
+    let sed_server = serve_sed_over_tcp(sed.clone()).unwrap();
+    let pool = Arc::new(TcpSedPool::new());
+    pool.register("adm/0", sed_server.local_addr);
+    let ma = MasterAgent::new(
+        "MA",
+        vec![AgentNode::leaf("LA", vec![sed.clone()])],
+        Arc::new(RoundRobin::new()),
+    );
+    let ma_server = serve_ma_over_tcp(ma, vec![], AgentConfig::default()).unwrap();
+    let dir = tmpdir("window-busy");
+    let mut cfg = server_config(&dir);
+    cfg.workers = 3;
+    cfg.heartbeat = None;
+    let js = JobServer::spawn(
+        cfg,
+        RemoteAgentClient::new("MA", ma_server.local_addr),
+        pool,
+        Arc::new(Obs::new()),
+    )
+    .unwrap();
+    let server =
+        serve_jobserver_over_tcp(js.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = JobClient::connect(server.local_addr);
+
+    let n = 96;
+    let (cid, _) = client
+        .submit_tasks("window-busy", (0..n).map(call_task).collect())
+        .unwrap();
+    let (summary, _) = client
+        .wait(cid, Duration::from_millis(10), Duration::from_secs(30))
+        .unwrap();
+    assert_eq!(summary.done, n as u64);
+    assert_eq!(summary.failed, 0);
+    let busy = sed.obs().metrics.counter("diet_sed_busy_total").get();
+    assert!(busy > 0, "the window never met the admission limit");
+    let counts = counts.lock().unwrap();
+    for x in 0..n {
+        assert_eq!(counts.get(&x), Some(&1), "input {x} solved twice");
+    }
+
+    js.shutdown();
+    server.kill();
+    sed_server.kill();
+    ma_server.kill();
 }

@@ -2,6 +2,7 @@
 //! [`crate::fft`] replaced, kept as the bit-for-bit reference their tests
 //! compare against: rows of `Complex` values, one twiddle table per call,
 //! and the inverse normalisation as a pass of its own.
+#![cfg(test)]
 
 use crate::fft::{Complex, Direction, Grid3};
 use rayon::prelude::*;
