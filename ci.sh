@@ -257,9 +257,27 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
     # back-offs sleep. The count of non-test `thread::sleep` sites may fall,
     # never rise; lower the bound when it does.
     sleeps=$(src_sites crates/core/src 'thread::sleep[(]')
-    if [ "$(printf '%s\n' "$sleeps" | grep -c .)" -gt 8 ]; then
-        echo "ci.sh drift: more than 8 thread::sleep sites in crates/core/src:" >&2
+    if [ "$(printf '%s\n' "$sleeps" | grep -c .)" -gt 6 ]; then
+        echo "ci.sh drift: more than 6 thread::sleep sites in crates/core/src:" >&2
         printf '%s\n' "$sleeps" >&2
+        exit 1
+    fi
+    # Ratchet: a setting that only one value serves is a constant. The
+    # `pub` fields of the jobserver's, its store's and the DAG engine's
+    # configs, and the flags of `diet_jobserver` (`--help` aside), may
+    # fall, never rise; lower the bounds when they do.
+    fields=$(for s in JobServerConfig:jobserver JobStoreConfig:jobserver DagEngineConfig:dag; do
+        awk -v s="pub struct ${s%%:*} [{]" '
+            $0 ~ s { inside = 1; next }
+            inside && /^}/ { exit }
+            inside && /^    pub [a-z_0-9]+:/ { sub(/:$/, "", $2); print FILENAME ":" FNR ":" $2 }
+        ' "crates/core/src/${s#*:}.rs"
+    done)
+    flags=$(grep -o '"--[a-z-]*"' crates/core/src/bin/diet_jobserver.rs | sort -u | grep -vx '"--help"')
+    if [ "$(printf '%s\n' "$fields" | grep -c .)" -gt 10 ] \
+        || [ "$(printf '%s\n' "$flags" | grep -c .)" -gt 9 ]; then
+        echo "ci.sh drift: more than 10 jobserver/DAG config fields or 9 diet_jobserver flags:" >&2
+        printf '%s\n' "$fields" "$flags" >&2
         exit 1
     fi
     # Drift guard: finding runs on the caller's thread — every remote

@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! `diet_jobserver --dir DIR --ma ADDR [--listen ADDR] [--sed LABEL=ADDR]...
-//!                 [--workers N] [--max-attempts N] [--snapshot-every N]
+//!                 [--workers N] [--snapshot-every N]
 //!                 [--heartbeat-ms N] [--attempt-timeout-ms N] [--telemetry ADDR]`
 //!
 //! Recovers the campaign store under `DIR` (WAL + snapshot), connects to
@@ -27,7 +27,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: diet_jobserver --dir DIR --ma ADDR [--listen ADDR] [--sed LABEL=ADDR]...\n\
-         \x20                     [--workers N] [--max-attempts N] [--snapshot-every N]\n\
+         \x20                     [--workers N] [--snapshot-every N]\n\
          \x20                     [--heartbeat-ms N] [--attempt-timeout-ms N] [--telemetry ADDR]\n\
          \n\
          --snapshot-every N  snapshot the store after at least N WAL records (default 4096)\n\
@@ -42,7 +42,6 @@ fn main() {
     let mut ma_addr = None;
     let mut seds: Vec<(String, String)> = Vec::new();
     let mut workers = 4usize;
-    let mut max_attempts = 8u32;
     let mut snapshot_every = 4096u64;
     let mut heartbeat_ms = 500u64;
     let mut attempt_timeout_ms = 10_000u64;
@@ -63,7 +62,6 @@ fn main() {
                 seds.push((label.to_string(), addr.to_string()));
             }
             "--workers" => workers = next().parse().unwrap_or_else(|_| usage()),
-            "--max-attempts" => max_attempts = next().parse().unwrap_or_else(|_| usage()),
             "--snapshot-every" => snapshot_every = next().parse().unwrap_or_else(|_| usage()),
             "--heartbeat-ms" => heartbeat_ms = next().parse().unwrap_or_else(|_| usage()),
             "--attempt-timeout-ms" => {
@@ -96,7 +94,6 @@ fn main() {
 
     let mut cfg = JobServerConfig::new(&dir);
     cfg.workers = workers.max(1);
-    cfg.max_task_attempts = max_attempts.max(1);
     cfg.snapshot_every = snapshot_every.max(1);
     cfg.retry.attempt_timeout = Duration::from_millis(attempt_timeout_ms.max(1));
     cfg.heartbeat = (heartbeat_ms > 0).then(|| Duration::from_millis(heartbeat_ms));

@@ -141,6 +141,12 @@ pub(crate) fn is_retryable(e: &DietError) -> bool {
     matches!(e, DietError::Transport(_) | DietError::Timeout { .. })
 }
 
+/// Is this failure worth asking the same server again later? Retryable
+/// failures are, and so is `Busy`: the server is healthy, just loaded.
+pub(crate) fn is_transient(e: &DietError) -> bool {
+    is_retryable(e) || matches!(e, DietError::Busy)
+}
+
 /// Did finding come back empty? Over the wire an MA answers no label at
 /// all, so an unknown service and a momentarily unavailable one look the
 /// same; both routes treat both as a miss worth a backed-off retry.
@@ -710,33 +716,18 @@ impl DietClient {
         ma.dag_status(dag_id, since)
     }
 
-    /// Block until the dag finishes (polling the event stream) or `timeout`
-    /// elapses. Returns the outcome and every event observed.
+    /// Block until the dag finishes or `timeout` elapses, riding out
+    /// retryable and `Busy` errors (the DAG wait the jobserver uses too).
+    /// Returns the outcome and every event observed; past `timeout`, the
+    /// last error ridden out, or `Timeout` if the MA kept answering.
     pub fn wait_dag(
         &self,
         ma: &RemoteAgentClient,
         handle: &DagHandle,
         timeout: Duration,
     ) -> Result<(DagOutcome, Vec<DagEventRec>), DietError> {
-        let deadline = Instant::now() + timeout;
-        let mut seen: Vec<DagEventRec> = Vec::new();
-        let mut cursor = 0u64;
-        loop {
-            let (events, outcome) = ma.dag_status(handle.dag_id, cursor)?;
-            if let Some(last) = events.last() {
-                cursor = last.seq;
-            }
-            seen.extend(events);
-            if let Some(outcome) = outcome {
-                return Ok((outcome, seen));
-            }
-            if Instant::now() >= deadline {
-                return Err(DietError::Timeout {
-                    after_secs: timeout.as_secs_f64(),
-                });
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        let waited = ma.wait_dag(handle.dag_id, timeout, || false)?;
+        Ok(waited.expect("a wait that is never stopped ends in an outcome"))
     }
 
     /// A retrying call with the data path over `pool`.

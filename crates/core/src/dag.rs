@@ -424,11 +424,6 @@ impl DagRun {
 pub struct DagEngineConfig {
     /// Per-attempt call deadline against the chosen SeD.
     pub attempt_timeout: Duration,
-    /// Launch a duplicate when a running node exceeds this multiple of the
-    /// running median duration for its service.
-    pub speculate_factor: f64,
-    /// Median samples required before speculation arms.
-    pub speculate_min_samples: usize,
     /// Straggler/disconnect sweep cadence.
     pub monitor_interval: Duration,
 }
@@ -437,12 +432,17 @@ impl Default for DagEngineConfig {
     fn default() -> Self {
         DagEngineConfig {
             attempt_timeout: Duration::from_secs(60),
-            speculate_factor: 3.0,
-            speculate_min_samples: 3,
             monitor_interval: Duration::from_millis(20),
         }
     }
 }
+
+/// Launch a duplicate when a running node exceeds this multiple of the
+/// running median duration for its service.
+const SPECULATE_FACTOR: f64 = 3.0;
+
+/// Median samples required before speculation arms.
+const SPECULATE_MIN_SAMPLES: usize = 3;
 
 /// One launch of a node, handed to a launch thread.
 type Launch = Box<dyn FnOnce() + Send>;
@@ -1006,13 +1006,13 @@ impl DagEngine {
                     let Some(samples) = durations.get(&n.canonical) else {
                         continue;
                     };
-                    if samples.len() < self.cfg.speculate_min_samples {
+                    if samples.len() < SPECULATE_MIN_SAMPLES {
                         continue;
                     }
                     let Some(med) = samples.median() else {
                         continue;
                     };
-                    if at.elapsed().as_secs_f64() > self.cfg.speculate_factor * med.as_secs_f64() {
+                    if at.elapsed().as_secs_f64() > SPECULATE_FACTOR * med.as_secs_f64() {
                         spec_targets.push(n.spec.id);
                     }
                 }

@@ -149,11 +149,11 @@ impl GridRpcSession {
                 let Some(h) = self.pending.lock().remove(&id) else {
                     continue; // raced with a concurrent wait(id)
                 };
+                let server = h.server().to_string();
                 match h.try_wait() {
                     Ok(done) => {
                         if let Ok((_, stats)) = &done {
-                            // Server label lost at this point; record under id.
-                            self.client.record(&format!("call-{id}"), *stats);
+                            self.client.record(&server, *stats);
                         }
                         return Some((id, done));
                     }
@@ -281,6 +281,11 @@ mod tests {
         }
         assert!(expect.is_empty());
         assert_eq!(s.pending_count(), 0);
+        let history = s.client.history();
+        assert!(
+            history.len() == 4 && history.iter().all(|(l, _)| l == "sed0" || l == "sed1"),
+            "{history:?}"
+        );
         for sed in seds {
             sed.shutdown();
         }

@@ -62,11 +62,12 @@
 //! batch ages out.
 
 use crate::agent::{AgentNode, Gather, MasterAgent, RemoteSubtree};
+use crate::client::is_transient;
 use crate::codec::Message;
 use crate::dag::{DagEngine, DagEventRec, DagOutcome, WorkflowSpec};
 use crate::data::DietValue;
 use crate::error::DietError;
-use crate::monitor::Estimate;
+use crate::monitor::{poll_until, Estimate};
 use crate::reactor::{ConnHandle, Lane};
 use crate::sed::SedHandle;
 use crate::transport::{busy_is_error, unexpected, Peer, Pending, ServerConfig, TcpServer};
@@ -411,7 +412,47 @@ impl RemoteAgentClient {
             other => Err(unexpected("dag_status", other)),
         }
     }
+
+    /// Wait for a dag to finish, following its event stream every
+    /// [`DAG_POLL`] from the start: its outcome and every event seen, or
+    /// `None` once `stop` is true. Transient errors ([`is_transient`]) are
+    /// ridden out until `timeout`; past it the wait returns the last one
+    /// still standing, or `Timeout` if the MA was answering.
+    pub(crate) fn wait_dag(
+        &self,
+        dag_id: u64,
+        timeout: Duration,
+        stop: impl Fn() -> bool,
+    ) -> Result<Option<(DagOutcome, Vec<DagEventRec>)>, DietError> {
+        let mut seen: Vec<DagEventRec> = Vec::new();
+        let mut ridden = None;
+        let waited = poll_until(DAG_POLL, timeout, || {
+            if stop() {
+                return Ok(Some(None));
+            }
+            match self.dag_status(dag_id, seen.last().map_or(0, |e| e.seq)) {
+                Ok((events, outcome)) => {
+                    ridden = None;
+                    seen.extend(events);
+                    Ok(outcome.map(Some))
+                }
+                Err(e) if is_transient(&e) => {
+                    ridden = Some(e);
+                    Ok(None)
+                }
+                Err(e) => Err(e),
+            }
+        });
+        match waited {
+            Ok(outcome) => Ok(outcome.map(|o| (o, seen))),
+            Err(e @ DietError::Timeout { .. }) => Err(ridden.unwrap_or(e)),
+            Err(e) => Err(e),
+        }
+    }
 }
+
+/// How often [`RemoteAgentClient::wait_dag`] asks for a dag's progress.
+const DAG_POLL: Duration = Duration::from_millis(25);
 
 /// A `Submit` on the wire ([`RemoteAgentClient::send_submit`]), its reply
 /// not yet waited on.

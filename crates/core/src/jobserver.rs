@@ -58,12 +58,12 @@
 //! name, so a client that dies mid-submit can simply resubmit and be
 //! handed the existing campaign.
 
-use crate::client::{is_retryable, retry_loop, RetryPolicy, Route};
+use crate::client::{is_transient, retry_loop, RetryPolicy, Route};
 use crate::codec::{self, wire_enum, Message, Wire};
 use crate::dag::WorkflowSpec;
 use crate::error::DietError;
 use crate::hierarchy::{RemoteAgentClient, SentSubmit};
-use crate::monitor::{MissTally, Periodic};
+use crate::monitor::{poll_until, MissTally, Periodic};
 use crate::profile::Profile;
 use crate::transport::{unexpected, Peer, SentCall, ServerConfig, TcpSedPool, TcpServer};
 use bytes::{Bytes, BytesMut};
@@ -1328,10 +1328,16 @@ fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<Campaign>, u64)>, DietE
 
 // ------------------------------------------------------------ machine pool
 
+/// Per-probe reply deadline of the heartbeat.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Consecutive missed probes before a machine is declared dead.
+const HEARTBEAT_MISSES: u32 = 2;
+
 /// Heartbeat-aware view of the SeD fleet the jobserver dispatches to: every
 /// label registered in the [`TcpSedPool`], probed on its own pooled
-/// connection, and declared dead after `miss_threshold` consecutive silent
-/// probes.
+/// connection, and declared dead after [`HEARTBEAT_MISSES`] consecutive
+/// silent probes.
 pub(crate) struct MachinePool {
     pool: Arc<TcpSedPool>,
     misses: Mutex<MissTally>,
@@ -1354,13 +1360,17 @@ impl MachinePool {
         self.dead.lock().iter().cloned().collect()
     }
 
-    /// Probe every label registered in the pool. Returns the labels that
-    /// just crossed the death threshold.
-    fn probe_all(&self, timeout: Duration, miss_threshold: u32) -> Vec<String> {
+    /// Probe every label registered in the pool, each with a
+    /// [`HEARTBEAT_TIMEOUT`] deadline. Returns the labels that just missed
+    /// [`HEARTBEAT_MISSES`] probes in a row.
+    fn probe_all(&self) -> Vec<String> {
         let metrics = &self.obs.metrics;
         let mut newly_dead = Vec::new();
         for label in self.pool.labels() {
-            let alive = self.pool.peer(&label).is_ok_and(|p| p.ping(timeout));
+            let alive = self
+                .pool
+                .peer(&label)
+                .is_ok_and(|p| p.ping(HEARTBEAT_TIMEOUT));
             if alive {
                 self.misses.lock().hit(&label);
                 if self.dead.lock().remove(&label) {
@@ -1368,7 +1378,7 @@ impl MachinePool {
                         .counter("diet_jobserver_machines_revived_total")
                         .inc();
                 }
-            } else if self.misses.lock().miss(&label, miss_threshold)
+            } else if self.misses.lock().miss(&label, HEARTBEAT_MISSES)
                 && self.dead.lock().insert(label.clone())
             {
                 metrics.counter("diet_jobserver_machines_dead_total").inc();
@@ -1381,7 +1391,9 @@ impl MachinePool {
 
 // -------------------------------------------------------------- job server
 
-/// Tuning for a [`JobServer`].
+/// Tuning for a [`JobServer`]. What no deployment tunes is a constant:
+/// the task budget `MAX_TASK_ATTEMPTS`, the heartbeat's `HEARTBEAT_TIMEOUT`
+/// and `HEARTBEAT_MISSES`, and the DAG wait's 25 ms poll.
 #[derive(Debug, Clone)]
 pub struct JobServerConfig {
     /// Data directory for the WAL and snapshots.
@@ -1393,22 +1405,13 @@ pub struct JobServerConfig {
     /// Resolve/solve policy for one dispatch round (per-attempt deadline,
     /// in-round retries, backoff shape) — the `call_with_retry` knobs.
     pub retry: RetryPolicy,
-    /// Task-level budget: total dispatch attempts (and requeue rounds)
-    /// before a task fails terminally.
-    pub max_task_attempts: u32,
     /// Store compaction floor: at least this many WAL records between
     /// snapshots, and at least the last snapshot's size in WAL bytes (see
     /// [`JobStoreConfig::snapshot_every`]).
     pub snapshot_every: u64,
     /// Probe the SeD fleet this often (`None` disables the heartbeat).
     pub heartbeat: Option<Duration>,
-    /// Per-probe reply deadline.
-    pub heartbeat_timeout: Duration,
-    /// Consecutive missed probes before a machine is declared dead.
-    pub heartbeat_misses: u32,
-    /// Poll interval for DAG task payloads.
-    pub dag_poll: Duration,
-    /// Give up on a DAG payload after this long.
+    /// Give up waiting on a DAG payload this long after admitting it.
     pub dag_timeout: Duration,
 }
 
@@ -1424,16 +1427,16 @@ impl JobServerConfig {
                 backoff_cap: Duration::from_millis(500),
                 jitter: 0.5,
             },
-            max_task_attempts: 8,
             snapshot_every: 4096,
             heartbeat: Some(Duration::from_millis(500)),
-            heartbeat_timeout: Duration::from_millis(250),
-            heartbeat_misses: 2,
-            dag_poll: Duration::from_millis(50),
             dag_timeout: Duration::from_secs(120),
         }
     }
 }
+
+/// Task-level budget: total dispatch attempts (and requeue rounds) before a
+/// task fails terminally.
+const MAX_TASK_ATTEMPTS: u32 = 8;
 
 /// Most `Call` claims one dispatcher takes at once: their findings go to
 /// the MA together, and their calls go out one lane per SeD found. A
@@ -1647,9 +1650,7 @@ impl JobServer {
     }
 
     fn heartbeat_tick(&self) {
-        let newly_dead = self
-            .machines
-            .probe_all(self.cfg.heartbeat_timeout, self.cfg.heartbeat_misses);
+        let newly_dead = self.machines.probe_all();
         for label in newly_dead {
             let moved = self.store.requeue_dead_sed(&label);
             if moved > 0 {
@@ -1843,103 +1844,49 @@ impl JobServer {
             // anything else would fail the same way on any server.
             Err(e) => {
                 let terminal = !matches!(e, DietError::RetriesExhausted { .. });
-                let max = self.cfg.max_task_attempts;
                 self.store.fail(
                     round.cid,
                     round.tid,
                     round.epoch,
                     &e.to_string(),
-                    max,
+                    MAX_TASK_ATTEMPTS,
                     terminal,
                 );
             }
         }
     }
 
-    /// A DAG payload: admit the workflow into the MA's engine and poll to
-    /// completion. The engine owns node-level retries; a failed outcome is
-    /// terminal here.
+    /// A DAG payload: admit the workflow into the MA's engine and wait for
+    /// it through the shared DAG wait, stopped by the store's close. The
+    /// engine owns node-level retries; a failed outcome is terminal here,
+    /// a timeout is not.
     fn run_dag(&self, claim: &PoppedTask, spec: WorkflowSpec, ctx: obs::TraceCtx) {
-        let Some(attempt) =
-            self.store
-                .dispatched(claim.campaign_id, claim.task_id, claim.epoch, None, "dag")
-        else {
+        let (cid, tid, epoch) = (claim.campaign_id, claim.task_id, claim.epoch);
+        let Some(attempt) = self.store.dispatched(cid, tid, epoch, None, "dag") else {
             return;
+        };
+        let fail = |note: &str, terminal| {
+            self.store
+                .fail(cid, tid, epoch, note, MAX_TASK_ATTEMPTS, terminal);
         };
         let dag_id = match self.ma.submit_dag(&spec, ctx) {
             Ok(id) => id,
             Err(e) => {
-                let terminal = !is_retryable(&e) && !matches!(e, DietError::Busy);
-                self.store.fail(
-                    claim.campaign_id,
-                    claim.task_id,
-                    claim.epoch,
-                    &format!("dag admit: {e}"),
-                    self.cfg.max_task_attempts,
-                    terminal,
-                );
-                return;
+                return fail(&format!("dag admit: {e}"), !is_transient(&e));
             }
         };
-        let t0 = Instant::now();
-        let mut since = 0u64;
-        loop {
-            if self.store.is_closed() {
-                return;
+        let closed = || self.store.is_closed();
+        match self.ma.wait_dag(dag_id, self.cfg.dag_timeout, closed) {
+            // Stopped: the WAL keeps the dispatch, and a restart requeues it.
+            Ok(None) => {}
+            Ok(Some((o, _))) if o.ok => {
+                self.store
+                    .complete(cid, tid, epoch, attempt, "dag", o.makespan_ms);
             }
-            if t0.elapsed() > self.cfg.dag_timeout {
-                self.store.fail(
-                    claim.campaign_id,
-                    claim.task_id,
-                    claim.epoch,
-                    "dag timed out",
-                    self.cfg.max_task_attempts,
-                    false,
-                );
-                return;
-            }
-            match self.ma.dag_status(dag_id, since) {
-                Ok((events, outcome)) => {
-                    if let Some(last) = events.last() {
-                        since = last.seq;
-                    }
-                    if let Some(o) = outcome {
-                        if o.ok {
-                            self.store.complete(
-                                claim.campaign_id,
-                                claim.task_id,
-                                claim.epoch,
-                                attempt,
-                                "dag",
-                                o.makespan_ms,
-                            );
-                        } else {
-                            self.store.fail(
-                                claim.campaign_id,
-                                claim.task_id,
-                                claim.epoch,
-                                "dag failed",
-                                self.cfg.max_task_attempts,
-                                true,
-                            );
-                        }
-                        return;
-                    }
-                }
-                Err(e) if is_retryable(&e) || matches!(e, DietError::Busy) => {}
-                Err(e) => {
-                    self.store.fail(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        &format!("dag poll: {e}"),
-                        self.cfg.max_task_attempts,
-                        true,
-                    );
-                    return;
-                }
-            }
-            std::thread::sleep(self.cfg.dag_poll);
+            Ok(Some(_)) => fail("dag failed", true),
+            // A transient error comes back only at the deadline.
+            Err(e) if is_transient(&e) => fail(&format!("dag timed out: {e}"), false),
+            Err(e) => fail(&format!("dag poll: {e}"), true),
         }
     }
 }
@@ -2096,39 +2043,28 @@ impl JobClient {
         }
     }
 
-    /// Poll until the campaign finishes (every task terminal), collecting
-    /// the whole event feed from cursor 0. Transport errors are retried
-    /// within the deadline — the server may be restarting mid-campaign.
+    /// Poll every `poll` until the campaign finishes (every task
+    /// terminal), collecting the whole event feed from cursor 0. Errors
+    /// other than `Rejected` are ridden out within the deadline — the
+    /// server may be restarting mid-campaign.
     pub fn wait(
         &self,
         campaign_id: u64,
         poll: Duration,
         timeout: Duration,
     ) -> Result<(CampaignSummary, Vec<TaskEventRec>), DietError> {
-        let deadline = Instant::now() + timeout;
-        let mut cursor = 0u64;
-        let mut events = Vec::new();
-        loop {
-            match self.progress(campaign_id, cursor) {
+        let mut events: Vec<TaskEventRec> = Vec::new();
+        let summary = poll_until(poll, timeout, || {
+            match self.progress(campaign_id, events.last().map_or(0, |e| e.seq)) {
                 Ok((summary, batch)) => {
-                    if let Some(last) = batch.last() {
-                        cursor = last.seq;
-                    }
                     events.extend(batch);
-                    if summary.finished {
-                        return Ok((summary, events));
-                    }
+                    Ok(summary.finished.then_some(summary))
                 }
-                Err(DietError::Rejected(e)) => return Err(DietError::Rejected(e)),
-                Err(_) => {} // server restarting; keep polling
+                Err(e @ DietError::Rejected(_)) => Err(e),
+                Err(_) => Ok(None),
             }
-            if Instant::now() >= deadline {
-                return Err(DietError::Timeout {
-                    after_secs: timeout.as_secs_f64(),
-                });
-            }
-            std::thread::sleep(poll);
-        }
+        })?;
+        Ok((summary, events))
     }
 }
 

@@ -6,15 +6,17 @@
 //!
 //! [`Estimate`] is the vector a SeD returns when an agent probes it during
 //! request submission — DIET's `estVector_t`. Schedulers consume these.
-//! `Periodic` is the one loop every periodic monitoring thread runs on.
+//! `Periodic` is the one loop every periodic monitoring thread runs on;
+//! `poll_until` is the one loop a caller waits on a remote outcome with.
 
+use crate::error::DietError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A point-in-time performance estimate for one SeD.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -244,9 +246,35 @@ impl Drop for Periodic {
     }
 }
 
+/// Ask `step` until it answers — the one loop diet-core waits on a remote
+/// outcome with (a DAG's, a campaign's). The first ask is at once, then
+/// one every `interval`. `Some(v)` ends the wait with `v`, and an error is
+/// returned unchanged; a step rides out an error by answering `None`.
+/// Past `timeout` the wait returns `Timeout`.
+pub(crate) fn poll_until<T>(
+    interval: Duration,
+    timeout: Duration,
+    mut step: impl FnMut() -> Result<Option<T>, DietError>,
+) -> Result<T, DietError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if let Some(v) = step()? {
+            return Ok(v);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(DietError::Timeout {
+                after_secs: timeout.as_secs_f64(),
+            });
+        }
+        std::thread::sleep(interval.min(left));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn tracker_counts_queue_and_completions() {
@@ -459,6 +487,48 @@ mod tests {
         let after = ticks.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(ticks.load(Ordering::SeqCst), after, "the loop exited");
+    }
+
+    #[test]
+    fn poll_until_asks_first_without_sleeping() {
+        let t0 = Instant::now();
+        let got = poll_until(Duration::from_secs(5), Duration::from_secs(5), || {
+            Ok(Some(7))
+        });
+        assert_eq!(got, Ok(7));
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn poll_until_times_out_at_its_deadline() {
+        let asks = Cell::new(0);
+        let t0 = Instant::now();
+        let got: Result<(), _> =
+            poll_until(Duration::from_millis(10), Duration::from_millis(60), || {
+                asks.set(asks.get() + 1);
+                Ok(None)
+            });
+        let took = t0.elapsed();
+        assert!(matches!(got, Err(DietError::Timeout { .. })), "{got:?}");
+        assert!(took >= Duration::from_millis(60), "{took:?}");
+        assert!(took < Duration::from_millis(500), "{took:?}");
+        assert!(asks.get() >= 2, "asked {} times", asks.get());
+    }
+
+    #[test]
+    fn poll_until_returns_a_step_error_unchanged() {
+        let asks = Cell::new(0);
+        let got: Result<(), _> =
+            poll_until(Duration::from_millis(1), Duration::from_secs(10), || {
+                asks.set(asks.get() + 1);
+                if asks.get() < 3 {
+                    Ok(None)
+                } else {
+                    Err(DietError::Codec("bad frame".into()))
+                }
+            });
+        assert_eq!(got, Err(DietError::Codec("bad frame".into())));
+        assert_eq!(asks.get(), 3);
     }
 
     #[test]

@@ -7,13 +7,14 @@ use diet_core::dag::{DagInput, DagNodeSpec, WorkflowSpec};
 use diet_core::data::{DietValue, Persistence};
 use diet_core::deploy::TcpTopologySpec;
 use diet_core::jobserver::{
-    serve_jobserver_over_tcp, JobClient, JobServer, JobServerConfig, TaskPayload, TaskState,
+    serve_jobserver_over_tcp, JobClient, JobServer, JobServerConfig, JobStore, JobStoreConfig,
+    TaskPayload, TaskState,
 };
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sched::RoundRobin;
 use diet_core::sed::{ServiceTable, SolveFn};
 use diet_core::transport::ServerConfig;
-use diet_core::Obs;
+use diet_core::{DietClient, DietError, Obs};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -95,8 +96,6 @@ fn server_config(dir: &PathBuf) -> JobServerConfig {
     cfg.workers = 3;
     cfg.retry.attempt_timeout = Duration::from_secs(5);
     cfg.heartbeat = Some(Duration::from_millis(100));
-    cfg.heartbeat_timeout = Duration::from_millis(100);
-    cfg.heartbeat_misses = 2;
     cfg
 }
 
@@ -498,6 +497,75 @@ fn idle_shutdown_does_not_wait_out_the_queue() {
     js.shutdown();
     let took = t0.elapsed();
     assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+}
+
+/// `shutdown` while a `Dag` task waits on the MA's engine stops the wait
+/// instead of waiting out the solve, and records nothing: the task stays
+/// dispatched in the WAL, so reopening the store requeues it.
+#[test]
+fn shutdown_stops_a_waiting_dag_task() {
+    let counts: SolveCounts = Arc::new(Mutex::new(HashMap::new()));
+    let solve = Duration::from_secs(2);
+    let d = TcpTopologySpec::chain(1, 2)
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            paced_table(&counts, move |_| solve)
+        })
+        .unwrap();
+    let dir = tmpdir("dag-stop");
+    // No heartbeat: a probe under way must not count against `shutdown`.
+    let mut cfg = server_config(&dir);
+    cfg.heartbeat = None;
+    let js = JobServer::spawn(
+        cfg,
+        d.ma_client.clone(),
+        d.pool.clone(),
+        Arc::new(Obs::new()),
+    )
+    .unwrap();
+    js.store().submit("dag-stop", vec![dag_task(7)]).unwrap();
+    // The DAG's first node is solving: its dispatcher is in the wait.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counts.lock().unwrap().is_empty() {
+        assert!(Instant::now() < deadline, "the DAG never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let t0 = Instant::now();
+    js.shutdown();
+    let took = t0.elapsed();
+    assert!(took < solve / 4, "shutdown took {took:?}");
+    drop(js);
+
+    let store = JobStore::open(&dir, JobStoreConfig::default(), Arc::new(Obs::new())).unwrap();
+    assert_eq!(store.recovered_inflight(), 1);
+    d.shutdown();
+}
+
+/// The DAG wait a `Dag` task runs on, reached through
+/// `DietClient::wait_dag`, rides out an MA that has been killed until its
+/// deadline, then returns the transport error it rode out rather than a
+/// bare timeout.
+#[test]
+fn a_dag_waited_on_a_killed_ma_returns_its_transport_error() {
+    let counts: SolveCounts = Arc::new(Mutex::new(HashMap::new()));
+    let d = TcpTopologySpec::chain(1, 2)
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            paced_table(&counts, |_| Duration::from_secs(2))
+        })
+        .unwrap();
+    let TaskPayload::Dag(spec) = dag_task(7) else {
+        unreachable!("dag_task builds a Dag payload")
+    };
+    let client = DietClient::initialize_distributed(Arc::new(Obs::new()));
+    let handle = client.submit_dag(&d.ma_client, &spec).unwrap();
+    d.ma_server.kill();
+    let timeout = Duration::from_millis(300);
+    let t0 = Instant::now();
+    let got = client.wait_dag(&d.ma_client, &handle, timeout);
+    let took = t0.elapsed();
+    assert!(matches!(got, Err(DietError::Transport(_))), "{got:?}");
+    assert!(took >= timeout, "gave up after {took:?}");
+    assert!(took < timeout + Duration::from_secs(1), "{took:?}");
+    d.shutdown();
 }
 
 /// Each task's states in a campaign's event feed, by task id.
