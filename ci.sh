@@ -368,6 +368,23 @@ cosmogrid::deployment the reservation-to-hierarchy bridge, deployed live by its 
         printf '%s\n' "$dispatch" >&2
         exit 1
     fi
+    # Drift guard: a window's findings go to the MA in one write
+    # (`RemoteAgentClient::send_submits`), the first dispatch of each of its
+    # claims to the WAL in one append (`JobStore::dispatched_all`) and its
+    # served calls in one more (`JobStore::complete_all`). A `.submit(`,
+    # `send_submit(`, `.dispatched(` or `.complete(` call inside
+    # `run_window` is a write per claim there again. (Each hit is printed
+    # with its line.)
+    window=$(awk '/^#!?\[cfg\(test\)\]/ { exit }
+             match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+             fn == "run_window" && /[.]submit[(]|send_submit[(]|[.]dispatched[(]|[.]complete[(]/ {
+                 print FILENAME ":" FNR ":" $0
+             }' crates/core/src/jobserver.rs)
+    if [ -n "$window" ]; then
+        echo "ci.sh drift: a per-claim write inside JobServer::run_window:" >&2
+        printf '%s\n' "$window" >&2
+        exit 1
+    fi
     # Drift guard: the periodic base mesh is solved directly by FFT
     # (ramses::poisson::solve). A V-cycle or its grid transfers growing back
     # in ramses is a second periodic solver beside it.

@@ -350,25 +350,33 @@ impl RemoteAgentClient {
         exclude: &[String],
         ctx: TraceCtx,
     ) -> Result<Option<String>, DietError> {
-        self.send_submit(service, exclude, ctx)?.wait()
+        let mut sent = self.send_submits(exclude, [(service, ctx)])?;
+        sent.pop().expect("one submit, one reply").wait()
     }
 
-    /// The first half of [`submit`](Self::submit): put the `Submit` on the
-    /// wire and return without waiting. The deadline runs from this send.
-    pub(crate) fn send_submit(
+    /// The first half of [`submit`](Self::submit) for a batch: one
+    /// `Submit` per `(service, ctx)`, each excluding `exclude`, all on the
+    /// wire in one write, returned without waiting in the order of `asks`.
+    /// Their deadline runs from this send.
+    pub(crate) fn send_submits<'s>(
         &self,
-        service: &str,
         exclude: &[String],
-        ctx: TraceCtx,
-    ) -> Result<SentSubmit, DietError> {
+        asks: impl IntoIterator<Item = (&'s str, TraceCtx)>,
+    ) -> Result<Vec<SentSubmit>, DietError> {
         let until = Instant::now() + self.timeout;
-        let pending = self.peer.send(|request_id| Message::Submit {
-            service: service.to_string(),
-            request_id,
-            ctx,
-            exclude: exclude.to_vec(),
-        })?;
-        Ok(SentSubmit { pending, until })
+        let builds = asks.into_iter().map(|(service, ctx)| {
+            move |request_id| Message::Submit {
+                service: service.to_string(),
+                request_id,
+                ctx,
+                exclude: exclude.to_vec(),
+            }
+        });
+        let sent = self.peer.send_all(builds)?;
+        Ok(sent
+            .into_iter()
+            .map(|pending| SentSubmit { pending, until })
+            .collect())
     }
 
     /// High-water mark of requests in flight at once on the connection to
@@ -454,7 +462,7 @@ impl RemoteAgentClient {
 /// How often [`RemoteAgentClient::wait_dag`] asks for a dag's progress.
 const DAG_POLL: Duration = Duration::from_millis(25);
 
-/// A `Submit` on the wire ([`RemoteAgentClient::send_submit`]), its reply
+/// A `Submit` on the wire ([`RemoteAgentClient::send_submits`]), its reply
 /// not yet waited on.
 pub(crate) struct SentSubmit {
     pending: Pending,

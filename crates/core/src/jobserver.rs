@@ -40,13 +40,15 @@
 //! # Dispatch
 //!
 //! Each dispatcher thread has up to a window of tasks out at once: it
-//! sends the findings of up to 32 pending calls to the MA before waiting on
-//! any, then sends their calls one lane per SeD found, with one call on
-//! the wire per lane. Each task's dispatch is logged just before its call
-//! goes out. A SeD thus queues at most one call per dispatcher, as before
-//! the window. The window starts at one task and grows only while the
-//! SeDs' time for its calls stays below the findings' round trips, so
-//! solve-scale calls are dispatched one at a time. A task's retries,
+//! sends the findings of up to 32 pending calls to the MA in one write
+//! before waiting on any, then sends their calls one lane per SeD found,
+//! with one call on the wire per lane. The first dispatch of every task in
+//! a lane is logged in one WAL append before the first call goes out, and
+//! the tasks served at once are logged `Done` in one more. A SeD thus
+//! queues at most one call per dispatcher, as before the window. The
+//! window starts at one task and grows only while the SeDs' time for its
+//! calls stays below the findings' round trips, so solve-scale calls are
+//! dispatched one at a time. A task's retries,
 //! exclusions and outcome still run through the client's one retry loop.
 //! A DAG payload closes the window and runs on its own.
 //!
@@ -484,6 +486,31 @@ pub struct PoppedTask {
     pub payload: TaskPayload,
 }
 
+/// One dispatch for [`JobStore::dispatched_all`]: the claim (campaign,
+/// task, epoch), the attempt count its round last logged (`None` before
+/// the first) and the SeD the call goes to.
+#[derive(Debug, Clone, Copy)]
+struct Dispatch<'a> {
+    cid: u64,
+    tid: u64,
+    epoch: u32,
+    prior: Option<u32>,
+    sed: &'a str,
+}
+
+/// One served attempt for [`JobStore::complete_all`]: the claim, the
+/// attempt that was served, the SeD that served it and how long the
+/// attempt took.
+#[derive(Debug, Clone)]
+struct Served {
+    cid: u64,
+    tid: u64,
+    epoch: u32,
+    attempt: u32,
+    sed: String,
+    ms: u64,
+}
+
 /// What [`JobStore::fail`] did with the attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailOutcome {
@@ -821,44 +848,91 @@ impl JobStore {
         prior: Option<u32>,
         sed: &str,
     ) -> Option<u32> {
+        let claim = Dispatch {
+            cid,
+            tid,
+            epoch,
+            prior,
+            sed,
+        };
+        self.dispatched_all(&[claim])[0]
+    }
+
+    /// [`dispatched`](Self::dispatched) for many claims, their records in
+    /// one WAL write: each claim's new attempt count, or `None` for a
+    /// stale one (or for all of them if the write failed). The claims must
+    /// be of distinct tasks.
+    fn dispatched_all(&self, claims: &[Dispatch<'_>]) -> Vec<Option<u32>> {
         let mut inner = self.inner.lock();
-        let t = campaign(&inner, cid)?.tasks.get(tid as usize)?;
-        let valid = t.epoch == epoch
-            && match prior {
-                None => t.state == TaskState::Pending,
-                Some(a) => t.state == TaskState::Dispatched && t.attempts == a,
-            };
-        if !valid {
+        let mut stale = 0;
+        let attempts: Vec<Option<u32>> = claims
+            .iter()
+            .map(|d| {
+                let t = campaign(&inner, d.cid)?.tasks.get(d.tid as usize)?;
+                let valid = t.epoch == d.epoch
+                    && match d.prior {
+                        None => t.state == TaskState::Pending,
+                        Some(a) => t.state == TaskState::Dispatched && t.attempts == a,
+                    };
+                stale += !valid as u64;
+                valid.then_some(t.attempts + 1)
+            })
+            .collect();
+        let metrics = &self.obs.metrics;
+        if stale > 0 {
+            metrics
+                .counter("diet_jobserver_stale_outcomes_total")
+                .add(stale);
+        }
+        let logged = attempts.iter().flatten().count();
+        if logged == 0 {
+            return attempts;
+        }
+        let recs = claims.iter().zip(&attempts).filter_map(|(d, a)| {
+            Some(WalRec::Transition {
+                cid: d.cid,
+                tid: d.tid,
+                state: TaskState::Dispatched,
+                attempts: (*a)?,
+                sed: d.sed.to_string(),
+                ms: 0,
+                note: String::new(),
+            })
+        });
+        if log_and_apply_all(&mut inner, recs, &self.cfg).is_err() {
+            return vec![None; claims.len()];
+        }
+        drop(inner);
+        metrics
+            .counter("diet_jobserver_dispatches_total")
+            .add(logged as u64);
+        let retried = attempts.iter().flatten().filter(|&&a| a > 1).count();
+        if retried > 0 {
+            metrics
+                .counter("diet_jobserver_resubmissions_total")
+                .add(retried as u64);
+        }
+        attempts
+    }
+
+    /// Is the claim's task still `Dispatched` at `attempt`? A call whose
+    /// dispatch was logged with its window's asks this, under the store
+    /// lock and with no WAL write, just before it goes out.
+    fn holds(&self, cid: u64, tid: u64, epoch: u32, attempt: u32) -> bool {
+        let inner = self.inner.lock();
+        let held = campaign(&inner, cid)
+            .and_then(|c| c.tasks.get(tid as usize))
+            .is_some_and(|t| {
+                t.epoch == epoch && t.state == TaskState::Dispatched && t.attempts == attempt
+            });
+        drop(inner);
+        if !held {
             self.obs
                 .metrics
                 .counter("diet_jobserver_stale_outcomes_total")
                 .inc();
-            return None;
         }
-        let attempts = t.attempts + 1;
-        let rec = WalRec::Transition {
-            cid,
-            tid,
-            state: TaskState::Dispatched,
-            attempts,
-            sed: sed.to_string(),
-            ms: 0,
-            note: String::new(),
-        };
-        if log_and_apply(&mut inner, rec, &self.cfg).is_err() {
-            return None;
-        }
-        self.obs
-            .metrics
-            .counter("diet_jobserver_dispatches_total")
-            .inc();
-        if attempts > 1 {
-            self.obs
-                .metrics
-                .counter("diet_jobserver_resubmissions_total")
-                .inc();
-        }
-        Some(attempts)
+        held
     }
 
     /// Record a successful solve for the claimed attempt. Returns `false`
@@ -872,38 +946,62 @@ impl JobStore {
         sed: &str,
         ms: u64,
     ) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(t) = campaign(&inner, cid).and_then(|c| c.tasks.get(tid as usize)) else {
-            return false;
-        };
-        if t.epoch != epoch || t.state != TaskState::Dispatched || t.attempts != attempt {
-            self.obs
-                .metrics
-                .counter("diet_jobserver_stale_outcomes_total")
-                .inc();
-            return false;
-        }
-        let rec = WalRec::Transition {
+        let served = Served {
             cid,
             tid,
-            state: TaskState::Done,
-            attempts: attempt,
+            epoch,
+            attempt,
             sed: sed.to_string(),
             ms,
-            note: String::new(),
         };
-        if log_and_apply(&mut inner, rec, &self.cfg).is_err() {
-            return false;
+        self.complete_all([served]) == 1
+    }
+
+    /// [`complete`](Self::complete) for many served attempts, their
+    /// records in one WAL write. Stale ones change nothing. Returns how
+    /// many were recorded.
+    fn complete_all(&self, served: impl IntoIterator<Item = Served>) -> usize {
+        let mut inner = self.inner.lock();
+        let mut stale = 0;
+        let mut ms = Vec::new();
+        let mut recs = Vec::new();
+        for s in served {
+            let Some(t) = campaign(&inner, s.cid).and_then(|c| c.tasks.get(s.tid as usize)) else {
+                continue;
+            };
+            if t.epoch != s.epoch || t.state != TaskState::Dispatched || t.attempts != s.attempt {
+                stale += 1;
+                continue;
+            }
+            ms.push(s.ms);
+            recs.push(WalRec::Transition {
+                cid: s.cid,
+                tid: s.tid,
+                state: TaskState::Done,
+                attempts: s.attempt,
+                sed: s.sed,
+                ms: s.ms,
+                note: String::new(),
+            });
         }
-        self.obs
-            .metrics
+        let metrics = &self.obs.metrics;
+        if stale > 0 {
+            metrics
+                .counter("diet_jobserver_stale_outcomes_total")
+                .add(stale);
+        }
+        if recs.is_empty() || log_and_apply_all(&mut inner, recs, &self.cfg).is_err() {
+            return 0;
+        }
+        drop(inner);
+        metrics
             .counter("diet_jobserver_tasks_done_total")
-            .inc();
-        self.obs
-            .metrics
-            .histogram("diet_jobserver_task_ms")
-            .observe(ms as f64);
-        true
+            .add(ms.len() as u64);
+        let task_ms = metrics.histogram("diet_jobserver_task_ms");
+        for &ms in &ms {
+            task_ms.observe(ms as f64);
+        }
+        ms.len()
     }
 
     /// Record a failed attempt. Unless `force_terminal`, the task is
@@ -1399,8 +1497,9 @@ pub struct JobServerConfig {
     /// Data directory for the WAL and snapshots.
     pub dir: PathBuf,
     /// Dispatcher threads draining the queue. Each has up to a window of
-    /// 32 cheap plain-call tasks out at once (their findings together, one
-    /// call per SeD at a time); a DAG task holds its thread alone.
+    /// 32 cheap plain-call tasks out at once (their findings in one write,
+    /// their dispatches in one WAL append, one call per SeD at a time); a
+    /// DAG task holds its thread alone.
     pub workers: usize,
     /// Resolve/solve policy for one dispatch round (per-attempt deadline,
     /// in-round retries, backoff shape) — the `call_with_retry` knobs.
@@ -1439,9 +1538,10 @@ impl JobServerConfig {
 const MAX_TASK_ATTEMPTS: u32 = 8;
 
 /// Most `Call` claims one dispatcher takes at once: their findings go to
-/// the MA together, and their calls go out one lane per SeD found. A
-/// dispatcher starts at one claim and doubles its window after each window
-/// whose calls were cheap next to their findings (see `run_window`).
+/// the MA in one write, their first dispatches to the WAL in one append,
+/// and their calls out one lane per SeD found. A dispatcher starts at one
+/// claim and doubles its window after each window whose calls were cheap
+/// next to their findings (see `run_window`).
 const WINDOW: usize = 32;
 
 /// A claim's dispatch round: which task, and what the round has logged.
@@ -1670,12 +1770,16 @@ impl JobServer {
     }
 
     /// One dispatch round for a window of plain calls. Every claim's
-    /// finding goes to the MA before any answer is waited on. The calls
-    /// then go out in one lane per SeD found, each lane with one call on
-    /// the wire at a time. So the findings and the calls to different SeDs
-    /// overlap on the wire, while a SeD still queues at most one call per
-    /// dispatcher, and no call's deadline is spent behind its siblings in
-    /// the SeD's queue. Each claim then runs its round through `run_call`.
+    /// finding goes to the MA in one write before any answer is waited on.
+    /// The calls then go out in one lane per SeD found, each lane with one
+    /// call on the wire at a time. So the findings and the calls to
+    /// different SeDs overlap on the wire, while a SeD still queues at
+    /// most one call per dispatcher, and no call's deadline is spent
+    /// behind its siblings in the SeD's queue. The first dispatch of every
+    /// claim in a lane is logged in one WAL write before the first call
+    /// leaves, and the calls served at once are recorded `Done` in one more
+    /// once the lanes are through. Each claim runs its round through
+    /// `run_call`.
     ///
     /// Returns whether the window paid: some call was served, and the
     /// SeDs' own time for the served calls (queue wait plus solve, as
@@ -1685,19 +1789,20 @@ impl JobServer {
     /// to the SeD that looked idle when it was asked.
     fn run_window(&self, calls: Vec<(Round, Profile)>) -> bool {
         let exclude = self.machines.dead_labels();
-        let asked: Vec<_> = calls
-            .into_iter()
-            .map(|(round, profile)| {
-                let started = Instant::now();
-                let span = self.task_span();
-                let answer = self.ma.send_submit(&profile.service, &exclude, span.ctx());
-                (round, profile, span, started, answer)
-            })
-            .collect();
+        let spans: Vec<_> = calls.iter().map(|_| self.task_span()).collect();
+        let started = Instant::now();
+        let asks = calls.iter().zip(&spans);
+        let answers: Vec<_> = match self.ma.send_submits(
+            &exclude,
+            asks.map(|((_, profile), span)| (profile.service.as_str(), span.ctx())),
+        ) {
+            Ok(sent) => sent.into_iter().map(Ok).collect(),
+            Err(e) => calls.iter().map(|_| Err(e.clone())).collect(),
+        };
         let mut lanes: Vec<Lane> = Vec::new();
         let mut later = Vec::new();
         let mut finding = 0.0;
-        for (round, profile, span, started, answer) in asked {
+        for (((round, profile), span), answer) in calls.into_iter().zip(spans).zip(answers) {
             let found = answer.and_then(SentSubmit::wait).and_then(|server| {
                 server.ok_or_else(|| DietError::NoServerAvailable(profile.service.clone()))
             });
@@ -1723,6 +1828,7 @@ impl JobServer {
                 }),
             }
         }
+        self.log_lanes(&mut lanes);
         // Replies are waited on in the order the calls went out, so each
         // wait starts before its own deadline and a reply that came in
         // time is never read as late. A claim whose first attempt was
@@ -1732,34 +1838,79 @@ impl JobServer {
             .filter_map(|k| self.launch_next(&mut lanes, k))
             .collect();
         let mut solving = None;
+        let mut done = Vec::new();
         while let Some((k, mut flight, call, t0)) = out.pop_front() {
             flight.first = Some((call.and_then(SentCall::wait), t0.elapsed()));
             out.extend(self.launch_next(&mut lanes, k));
             if let Some((Ok((_, queue_wait, solve)), _)) = flight.first {
                 *solving.get_or_insert(0.0) += queue_wait + solve;
-                self.run_call(flight);
+                self.run_call(flight, &mut done);
             } else {
                 later.push(flight);
             }
         }
+        self.store.complete_all(done.drain(..));
         for flight in later {
             // Stopping: the rest stay claimed in the WAL and replay on
             // restart.
             if self.store.is_closed() {
                 break;
             }
-            self.run_call(flight);
+            self.run_call(flight, &mut done);
+            self.store.complete_all(done.drain(..));
         }
         solving.is_some_and(|solving| solving < finding)
     }
 
-    /// Launch the next claim of lane `k`, if it has one.
+    /// Log the first dispatch of every claim in `lanes`, to its lane's
+    /// SeD, in one WAL write. A stale claim's round is abandoned; stopping
+    /// logs nothing, and each launch then abandons its round.
+    fn log_lanes(&self, lanes: &mut [Lane]) {
+        if self.store.is_closed() {
+            return;
+        }
+        let claims: Vec<_> = lanes
+            .iter()
+            .flat_map(|lane| {
+                lane.queue.iter().map(|flight| Dispatch {
+                    cid: flight.round.cid,
+                    tid: flight.round.tid,
+                    epoch: flight.round.epoch,
+                    prior: None,
+                    sed: &lane.label,
+                })
+            })
+            .collect();
+        let attempts = self.store.dispatched_all(&claims);
+        let rounds = lanes
+            .iter_mut()
+            .flat_map(|lane| lane.queue.iter_mut().map(|flight| &mut flight.round));
+        for (round, attempt) in rounds.zip(attempts) {
+            round.prior = attempt;
+            round.abandoned = attempt.is_none();
+        }
+    }
+
+    /// Launch the next claim of lane `k`, if it has one: its dispatch was
+    /// logged with the window's, so only check that the claim still holds
+    /// it. Stopping, or a claim gone stale, abandons the round.
     fn launch_next<'a>(&self, lanes: &mut [Lane<'a>], k: usize) -> Option<Launched<'a>> {
         let Lane { label, queue } = &mut lanes[k];
         let mut flight = queue.pop_front()?;
         let t0 = Instant::now();
-        let profile = flight.profile.clone();
-        let call = self.launch(&mut flight.round, label, profile, flight.span.ctx());
+        let round = &mut flight.round;
+        let held = !round.abandoned
+            && !self.store.is_closed()
+            && round.prior.is_some_and(|attempt| {
+                self.store.holds(round.cid, round.tid, round.epoch, attempt)
+            });
+        let call = if held {
+            let profile = flight.profile.clone();
+            self.send_call(label, profile, flight.span.ctx())
+        } else {
+            round.abandoned = true;
+            Err(DietError::Rejected("stale claim".into()))
+        };
         Some((k, flight, call, t0))
     }
 
@@ -1785,17 +1936,27 @@ impl JobServer {
             return Err(DietError::Rejected("stale claim".into()));
         };
         round.prior = Some(attempt);
+        self.send_call(label, profile, ctx)
+    }
+
+    /// Put one attempt's `Call` on the wire to `label`.
+    fn send_call(
+        &self,
+        label: &str,
+        profile: Profile,
+        ctx: obs::TraceCtx,
+    ) -> Result<SentCall, DietError> {
         let timeout = self.cfg.retry.attempt_timeout;
         self.pool.send_call(label, profile, timeout, ctx)
     }
 
     /// A claim's dispatch round: the client's retry loop over the remote
     /// MA and the SeD pool, with the store's bookkeeping in its attempt —
-    /// each attempt is launched as a logged dispatch, and a success
-    /// completes the task. The first attempt takes the finding and the
-    /// outcome fetched with the window. What the store owns (the
-    /// cross-round budget and the requeue) stays here.
-    fn run_call(&self, flight: Flight) {
+    /// each attempt is launched as a logged dispatch, and a served attempt
+    /// goes to `done`, for the caller to record. The first attempt takes
+    /// the finding and the outcome fetched with the window. What the store
+    /// owns (the cross-round budget and the requeue) stays here.
+    fn run_call(&self, flight: Flight, done: &mut Vec<Served>) {
         let Flight {
             mut round,
             profile,
@@ -1825,10 +1986,14 @@ impl JobServer {
                     (out.and_then(SentCall::wait), t0.elapsed())
                 });
                 let out = out?;
-                let attempt = round.prior.expect("a served call was launched");
-                let ms = took.as_millis() as u64;
-                let (cid, tid, epoch) = (round.cid, round.tid, round.epoch);
-                self.store.complete(cid, tid, epoch, attempt, label, ms);
+                done.push(Served {
+                    cid: round.cid,
+                    tid: round.tid,
+                    epoch: round.epoch,
+                    attempt: round.prior.expect("a served call was launched"),
+                    sed: label.clone(),
+                    ms: took.as_millis() as u64,
+                });
                 Ok(out)
             },
             |_, _| false,
@@ -2219,6 +2384,112 @@ mod tests {
         let st = s.task_status(cid, 0).unwrap();
         assert_eq!(st.state, TaskState::Done);
         assert_eq!(st.sed, "lyon/0");
+    }
+
+    /// Claims of a window and their dispatch records, one per task of a
+    /// fresh four-task campaign, the last two to a second SeD.
+    fn window_of_four(s: &JobStore) -> Vec<(PoppedTask, &'static str)> {
+        let tasks = (1..=4).map(call_payload).collect();
+        s.submit("camp", tasks).unwrap();
+        let seds = ["lyon/0", "lyon/0", "lyon/1", "lyon/1"];
+        seds.map(|sed| (s.next_task(Duration::from_millis(10)).unwrap(), sed))
+            .into()
+    }
+
+    fn dispatch<'a>(claim: &PoppedTask, prior: Option<u32>, sed: &'a str) -> Dispatch<'a> {
+        Dispatch {
+            cid: claim.campaign_id,
+            tid: claim.task_id,
+            epoch: claim.epoch,
+            prior,
+            sed,
+        }
+    }
+
+    /// A window's `Dispatched` batch and its `Done` batch write the bytes
+    /// that one `dispatched` per claim and then one `complete` per claim
+    /// write, and claims gone stale write nothing.
+    #[test]
+    fn batched_records_are_the_bytes_of_one_by_one_records() {
+        let dir = tmpdir("batch-records");
+        let (each, batch) = (dir.join("each"), dir.join("batch"));
+        {
+            let s = store(&each);
+            let window = window_of_four(&s);
+            for (c, sed) in &window {
+                let a = s.dispatched(c.campaign_id, c.task_id, c.epoch, None, sed);
+                assert_eq!(a, Some(1));
+            }
+            for (c, sed) in &window {
+                assert!(s.complete(c.campaign_id, c.task_id, c.epoch, 1, sed, c.task_id));
+            }
+        }
+        {
+            let s = store(&batch);
+            let window = window_of_four(&s);
+            let claims: Vec<_> = window
+                .iter()
+                .map(|(c, sed)| dispatch(c, None, sed))
+                .collect();
+            let attempts = s.dispatched_all(&claims);
+            assert_eq!(attempts, vec![Some(1); 4]);
+            // Logged again, the same claims are stale: nothing is written.
+            assert_eq!(s.dispatched_all(&claims), vec![None; 4]);
+            for (claim, _) in &window {
+                assert!(s.holds(claim.campaign_id, claim.task_id, claim.epoch, 1));
+                assert!(!s.holds(claim.campaign_id, claim.task_id, claim.epoch, 2));
+            }
+            let served = window.iter().map(|(c, sed)| Served {
+                cid: c.campaign_id,
+                tid: c.task_id,
+                epoch: c.epoch,
+                attempt: 1,
+                sed: sed.to_string(),
+                ms: c.task_id,
+            });
+            assert_eq!(s.complete_all(served.clone()), 4);
+            assert_eq!(s.complete_all(served), 0);
+        }
+        assert_eq!(
+            std::fs::read(batch.join(WAL_FILE)).unwrap(),
+            std::fs::read(each.join(WAL_FILE)).unwrap()
+        );
+    }
+
+    /// Stopped after a window's `Dispatched` batch and before its `Done`
+    /// batch, a store reopens with every claim of the window requeued and
+    /// none of them done.
+    #[test]
+    fn a_window_stopped_before_its_done_batch_is_requeued_whole() {
+        let dir = tmpdir("window-crash");
+        let cid;
+        {
+            let s = store(&dir);
+            let window = window_of_four(&s);
+            cid = window[0].0.campaign_id;
+            let claims: Vec<_> = window
+                .iter()
+                .map(|(c, sed)| dispatch(c, None, sed))
+                .collect();
+            assert_eq!(s.dispatched_all(&claims), vec![Some(1); 4]);
+        }
+        let s = store(&dir);
+        assert_eq!((s.recovered_inflight(), s.recovered_done()), (4, 0));
+        assert_eq!(s.summary(cid).unwrap().done, 0);
+        let mut queued = Vec::new();
+        while let Some(t) = s.next_task(Duration::from_millis(10)) {
+            queued.push(t.task_id);
+        }
+        queued.sort_unstable();
+        assert_eq!(queued, vec![0, 1, 2, 3]);
+        for tid in 0..4 {
+            let st = s.task_status(cid, tid).unwrap();
+            assert_eq!(
+                (st.state, st.attempts),
+                (TaskState::Pending, 1),
+                "task {tid}"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,11 @@
 //!   nothing is queued ahead of it, and otherwise lands in the
 //!   connection's write queue for the reactor to flush when the socket is
 //!   writable, registering for write-readiness only while bytes are
-//!   actually queued.
+//!   actually queued. A read burst of several frames is served corked:
+//!   every reply sent meanwhile, from the reactor or any other thread,
+//!   joins the queue, and the reactor flushes it once the burst is
+//!   served. A flush is one bounded `write_vectored` over the queued
+//!   buffers, so a burst of small requests is answered in one syscall.
 //!
 //! Backpressure and failure semantics: a full dispatch queue answers
 //! `Busy` echoing the frame's request id; `kill` severs every socket so peers
@@ -527,19 +531,52 @@ impl FrameBuf {
     }
 }
 
-/// Send what is left of the frame `[u32 length][payload]` after its first
-/// `*done` bytes: prefix and payload go to the kernel together, in one
-/// vectored write per attempt, so a frame that fits the socket is one
-/// syscall and one segment. Returns once the frame is out or `w` fails —
+/// Most buffers one vectored write is handed: well under any `IOV_MAX`,
+/// and a queue of small replies still goes out in a few syscalls.
+const MAX_IOV: usize = 64;
+
+/// Send what is left of the frames `[u32 length][payload]`, one per
+/// payload and back to back, after the first `*done` bytes of them:
+/// prefixes and payloads go to the kernel together, up to [`MAX_IOV`]
+/// buffers per vectored write, so frames that fit the socket are one
+/// syscall and one segment. Returns once every frame is out or `w` fails —
 /// `WouldBlock` included, with `*done` saying how far it got.
-pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8], done: &mut usize) -> io::Result<()> {
-    let prefix = (payload.len() as u32).to_le_bytes();
-    while *done < 4 + payload.len() {
-        let head = IoSlice::new(&prefix[(*done).min(4)..]);
-        let body = IoSlice::new(&payload[done.saturating_sub(4)..]);
-        match w.write_vectored(&[head, body]) {
+pub(crate) fn write_frames<P: AsRef<[u8]>>(
+    w: &mut impl Write,
+    payloads: &[P],
+    done: &mut usize,
+) -> io::Result<()> {
+    let total: usize = payloads.iter().map(|p| 4 + p.as_ref().len()).sum();
+    // Frame `first` starts `base` bytes into the wire.
+    let (mut first, mut base) = (0, 0);
+    while *done < total {
+        while base + 4 + payloads[first].as_ref().len() <= *done {
+            base += 4 + payloads[first].as_ref().len();
+            first += 1;
+        }
+        let frames = &payloads[first..payloads.len().min(first + MAX_IOV / 2)];
+        let mut heads = [[0u8; 4]; MAX_IOV / 2];
+        for (head, p) in heads.iter_mut().zip(frames) {
+            *head = (p.as_ref().len() as u32).to_le_bytes();
+        }
+        let mut slices = [IoSlice::new(&[]); MAX_IOV];
+        let mut n = 0;
+        let mut off = *done - base;
+        for (head, p) in heads.iter().zip(frames) {
+            let body = p.as_ref();
+            if off < 4 {
+                slices[n] = IoSlice::new(&head[off..]);
+                n += 1;
+            }
+            if off.saturating_sub(4) < body.len() {
+                slices[n] = IoSlice::new(&body[off.saturating_sub(4)..]);
+                n += 1;
+            }
+            off = 0;
+        }
+        match w.write_vectored(&slices[..n]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => *done += n,
+            Ok(k) => *done += k,
             Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -565,6 +602,47 @@ struct WriteQ {
     head: usize,
     /// Total unsent bytes across the queue.
     bytes: usize,
+    /// The reactor is serving a read burst of several frames: every send
+    /// queues, and the reactor flushes the queue once the burst is served.
+    corked: bool,
+}
+
+impl WriteQ {
+    /// Write the queue to `w` until it is empty or `w` fails (`WouldBlock`
+    /// included), each attempt one vectored write of up to [`MAX_IOV`]
+    /// buffers. What went out leaves the queue, even on failure.
+    fn write_to(&mut self, w: &mut impl Write) -> io::Result<()> {
+        while !self.bufs.is_empty() {
+            let mut slices = [IoSlice::new(&[]); MAX_IOV];
+            let mut n = 0;
+            for (slice, buf) in slices.iter_mut().zip(&self.bufs) {
+                *slice = IoSlice::new(&buf[if n == 0 { self.head } else { 0 }..]);
+                n += 1;
+            }
+            match w.write_vectored(&slices[..n]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(k) => self.advance(k),
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Drop the first `k` queued bytes: they are on the wire.
+    fn advance(&mut self, mut k: usize) {
+        self.bytes -= k;
+        while let Some(front) = self.bufs.front() {
+            let left = front.len() - self.head;
+            if k < left {
+                self.head += k;
+                return;
+            }
+            k -= left;
+            self.head = 0;
+            self.bufs.pop_front();
+        }
+    }
 }
 
 /// State shared between a connection's [`ConnHandle`]s (held by workers and
@@ -623,11 +701,12 @@ impl ConnHandle {
             self.close();
             return Err(DietError::Transport("write queue overflow".into()));
         }
-        // Fast path: queue empty and no close pending — write as much as
-        // the socket takes right now, from the sender's thread.
+        // Fast path: queue empty, no burst being served and no close
+        // pending — write as much as the socket takes right now, from the
+        // sender's thread.
         let mut done = 0;
-        if wq.bufs.is_empty() && !self.conn.close_requested.load(Ordering::Acquire) {
-            match write_frame(&mut &self.conn.stream, &payload, &mut done) {
+        if wq.bufs.is_empty() && !wq.corked && !self.conn.close_requested.load(Ordering::Acquire) {
+            match write_frames(&mut &self.conn.stream, &[&payload], &mut done) {
                 Ok(()) => return Ok(()), // fully written, reactor never involved
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
                 Err(e) => {
@@ -647,8 +726,12 @@ impl ConnHandle {
         self.reactor
             .queued_total
             .fetch_add(queued as u64, Ordering::Relaxed);
+        // A corked queue is flushed when its burst is served: no wake.
+        let corked = wq.corked;
         drop(wq);
-        self.reactor.mark_dirty(self.conn.token);
+        if !corked {
+            self.reactor.mark_dirty(self.conn.token);
+        }
         Ok(())
     }
 
@@ -1047,6 +1130,13 @@ impl Reactor {
                 reactor: self.shared.clone(),
             }
         };
+        // A burst of several frames is served corked: their replies, and
+        // any other thread's sends meanwhile, queue up and go out in one
+        // flush after it.
+        let corked = frames.len() > 1;
+        if corked {
+            handle.conn.wq.lock().corked = true;
+        }
         for frame in frames.drain(..) {
             // A handler panic or an undecodable frame closed the
             // connection: what it sent after that is not served.
@@ -1091,6 +1181,10 @@ impl Reactor {
             }
         }
         self.frames = frames;
+        if corked {
+            handle.conn.wq.lock().corked = false;
+            self.flush(token);
+        }
         if dead {
             if severed {
                 self.shared.metrics.severed_conns.inc();
@@ -1099,41 +1193,21 @@ impl Reactor {
         }
     }
 
-    /// Write queued bytes until the socket would block; toggle the write-
-    /// readiness registration to match whether anything remains queued.
+    /// Write queued bytes, a bounded `write_vectored` at a time, until the
+    /// socket would block; toggle the write-readiness registration to match
+    /// whether anything remains queued.
     fn flush(&mut self, token: u64) {
-        let mut dead = false;
+        let dead;
         let flushed;
         let mut toggle: Option<(RawFd, bool)> = None;
         if let Some(conn) = self.conns.get_mut(&token) {
             let mut wq = conn.shared.wq.lock();
-            'write: while let Some(front) = wq.bufs.front() {
-                let off = wq.head;
-                let front_len = front.len();
-                match (&conn.stream).write(&front[off..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        wq.head += n;
-                        wq.bytes -= n;
-                        self.shared
-                            .queued_total
-                            .fetch_sub(n as u64, Ordering::Relaxed);
-                        if wq.head == front_len {
-                            wq.head = 0;
-                            wq.bufs.pop_front();
-                        }
-                    }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break 'write,
-                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
+            let before = wq.bytes;
+            let written = wq.write_to(&mut &conn.stream);
+            dead = written.is_err_and(|e| e.kind() != io::ErrorKind::WouldBlock);
+            self.shared
+                .queued_total
+                .fetch_sub((before - wq.bytes) as u64, Ordering::Relaxed);
             flushed = wq.bufs.is_empty();
             drop(wq);
             if dead {
@@ -1186,6 +1260,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TcpTransport;
 
     #[test]
     fn framebuf_slices_whole_frames_zero_copy() {
@@ -1464,7 +1539,7 @@ mod tests {
             cuts: std::iter::repeat(usize::MAX),
             calls: 0,
         };
-        write_frame(&mut w, b"payload", &mut 0).unwrap();
+        write_frames(&mut w, &[b"payload"], &mut 0).unwrap();
         assert_eq!(w.calls, 1);
         assert_eq!(w.out, wire_of(&[b"payload".to_vec()]));
     }
@@ -1485,7 +1560,7 @@ mod tests {
                     let w = &w;
                     s.spawn(move || {
                         for len in 0..40 {
-                            write_frame(&mut *w.lock(), &vec![id; len], &mut 0).unwrap();
+                            write_frames(&mut *w.lock(), &[vec![id; len]], &mut 0).unwrap();
                         }
                     });
                 }
@@ -1515,6 +1590,145 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_of_frames_is_one_vectored_write_per_thirty_two() {
+        let payloads: Vec<Vec<u8>> = (1..=100).map(|n| vec![n as u8; n]).collect();
+        let mut w = Choppy {
+            out: Vec::new(),
+            cuts: std::iter::repeat(usize::MAX),
+            calls: 0,
+        };
+        write_frames(&mut w, &payloads, &mut 0).unwrap();
+        assert_eq!(w.calls, 4);
+        assert_eq!(w.out, wire_of(&payloads));
+    }
+
+    #[test]
+    fn short_writes_at_every_offset_keep_a_batch_of_frames_whole() {
+        let payloads: Vec<Vec<u8>> = (0..40).map(|n| vec![n as u8; n]).collect();
+        for cut in 1..=9 {
+            let mut w = Choppy {
+                out: Vec::new(),
+                cuts: std::iter::repeat(cut),
+                calls: 0,
+            };
+            write_frames(&mut w, &payloads, &mut 0).unwrap();
+            assert_eq!(w.out, wire_of(&payloads), "cut {cut}");
+        }
+    }
+
+    /// A write queue as [`ConnHandle::send`] leaves it: a prefix buffer
+    /// and a body buffer per frame.
+    fn queue_of(payloads: &[Vec<u8>]) -> WriteQ {
+        let mut wq = WriteQ::default();
+        for p in payloads {
+            wq.bytes += 4 + p.len();
+            wq.bufs.extend(frame_rest(Bytes::from(p.clone()), 0));
+        }
+        wq
+    }
+
+    #[test]
+    fn a_write_queue_goes_out_sixty_four_buffers_a_write() {
+        let payloads: Vec<Vec<u8>> = (1..=100).map(|n| vec![n as u8; n]).collect();
+        let mut wq = queue_of(&payloads);
+        assert_eq!(wq.bufs.len(), 200);
+        let mut w = Choppy {
+            out: Vec::new(),
+            cuts: std::iter::repeat(usize::MAX),
+            calls: 0,
+        };
+        wq.write_to(&mut w).unwrap();
+        assert_eq!(w.calls, 4);
+        assert_eq!(w.out, wire_of(&payloads));
+        assert_eq!((wq.bufs.len(), wq.head, wq.bytes), (0, 0, 0));
+    }
+
+    #[test]
+    fn short_writes_at_every_offset_keep_queued_frames_whole_and_in_order() {
+        // The socket takes `cut` bytes and then would block, over and over,
+        // so every queued buffer is cut at every offset and each flush
+        // resumes from what the last one left queued.
+        let payloads: Vec<Vec<u8>> = (0..40).map(|n| vec![n as u8; n]).collect();
+        for cut in 1..=9 {
+            let mut wq = queue_of(&payloads);
+            let total = wq.bytes;
+            let mut w = Choppy {
+                out: Vec::new(),
+                cuts: [cut, 0].into_iter().cycle(),
+                calls: 0,
+            };
+            while let Err(e) = wq.write_to(&mut w) {
+                assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "cut {cut}");
+                assert_eq!(wq.bytes + w.out.len(), total, "cut {cut}");
+            }
+            assert_eq!(w.out, wire_of(&payloads), "cut {cut}");
+            assert_eq!((wq.bufs.len(), wq.bytes), (0, 0), "cut {cut}");
+        }
+    }
+
+    /// A server that answers every `Ping` with a `Pong` on the reactor
+    /// lane, after running `before` on it.
+    fn ping_server(
+        before: impl Fn(&ConnHandle, u64) + Send + Sync + 'static,
+    ) -> crate::transport::TcpServer {
+        let cfg = ServerConfig::default();
+        crate::transport::TcpServer::spawn_framed("127.0.0.1:0", cfg, move |h, msg, _| {
+            if let Message::Ping { request_id } = msg {
+                before(h, request_id);
+                h.send(&Message::Pong { request_id }).unwrap();
+            }
+            None
+        })
+        .unwrap()
+    }
+
+    /// A client that has written a `Ping` for each of `ids` in one write.
+    fn ping_burst(addr: SocketAddr, ids: impl Iterator<Item = u64>) -> TcpTransport {
+        let pings: Vec<Vec<u8>> = ids
+            .map(|request_id| encode_message(&Message::Ping { request_id }).to_vec())
+            .collect();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&wire_of(&pings)).unwrap();
+        TcpTransport::from_stream(stream)
+    }
+
+    fn next_reply(conn: &TcpTransport) -> u64 {
+        let reply = conn.recv_timeout(std::time::Duration::from_secs(5));
+        reply.unwrap().expect("a reply within 5 s").request_id()
+    }
+
+    #[test]
+    fn pings_in_one_write_get_their_pongs_in_order() {
+        const N: u64 = 50;
+        let server = ping_server(|_, _| {});
+        let conn = ping_burst(server.local_addr, 1..=N);
+        let got: Vec<u64> = (1..=N).map(|_| next_reply(&conn)).collect();
+        assert_eq!(got, (1..=N).collect::<Vec<_>>());
+        server.kill();
+    }
+
+    #[test]
+    fn a_reply_another_thread_sends_during_a_corked_burst_goes_out() {
+        // Serving ping 1 of the burst, the handler has another thread send
+        // pong 1000 and waits until that send has returned: it joined the
+        // corked queue, ahead of the burst's own replies, and leaves with
+        // them.
+        let server = ping_server(|h, id| {
+            if id == 1 {
+                let h = h.clone();
+                std::thread::spawn(move || h.send(&Message::Pong { request_id: 1000 }))
+                    .join()
+                    .unwrap()
+                    .unwrap();
+            }
+        });
+        let conn = ping_burst(server.local_addr, 1..=3);
+        let got: Vec<u64> = (0..4).map(|_| next_reply(&conn)).collect();
+        assert_eq!(got, [1000, 1, 2, 3]);
+        server.kill();
+    }
+
+    #[test]
     fn a_frame_cut_by_would_block_is_finished_from_the_queue() {
         // The fast path of `ConnHandle::send`: the socket takes `cut` bytes
         // and then no more; what went out plus what is queued is the frame.
@@ -1526,7 +1740,7 @@ mod tests {
                 calls: 0,
             };
             let mut done = 0;
-            let err = write_frame(&mut w, &payload, &mut done).unwrap_err();
+            let err = write_frames(&mut w, &[&payload], &mut done).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
             assert_eq!(done, cut);
             let mut sent = w.out;

@@ -106,12 +106,6 @@ impl TcpTransport {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    fn write_frame(&self, payload: &[u8]) -> Result<(), DietError> {
-        let _w = self.wlock.lock();
-        reactor::write_frame(&mut &self.stream, payload, &mut 0)
-            .map_err(|e| DietError::Transport(format!("write: {e}")))
-    }
-
     /// Read one `[u32 length][payload]` frame, waiting at most `timeout`
     /// (`None`: for as long as it takes).
     ///
@@ -151,7 +145,16 @@ impl TcpTransport {
     }
 
     pub fn send(&self, m: &Message) -> Result<(), DietError> {
-        self.write_frame(&encode_message(m))
+        self.send_all(std::slice::from_ref(m))
+    }
+
+    /// Send `msgs` back to back under one hold of the write lock, their
+    /// frames together in one write when the socket takes them.
+    pub(crate) fn send_all(&self, msgs: &[Message]) -> Result<(), DietError> {
+        let payloads: Vec<Bytes> = msgs.iter().map(encode_message).collect();
+        let _w = self.wlock.lock();
+        reactor::write_frames(&mut &self.stream, &payloads, &mut 0)
+            .map_err(|e| DietError::Transport(format!("write: {e}")))
     }
 
     pub fn recv(&self) -> Result<Message, DietError> {
@@ -422,7 +425,9 @@ impl MuxInner {
 /// stream, correlated by request id.
 ///
 /// Callers register a waiter under their correlation id and write the
-/// request frame (the transport's write lock keeps frames whole). No
+/// request frame (the transport's write lock keeps frames whole); a
+/// caller with a batch registers every waiter first and writes all its
+/// frames in one write ([`send_all`](Self::send_all)). No
 /// thread of its own reads the socket: the callers do, leader/follower
 /// style. A caller waiting for its reply reads the socket itself when no
 /// one else is — a lone closed-loop caller reads its own reply, with no
@@ -471,41 +476,54 @@ impl MuxConn {
         request_id: u64,
         deadline: Duration,
     ) -> Result<Message, DietError> {
+        debug_assert_eq!(m.request_id(), request_id);
         let until = Instant::now() + deadline;
-        self.send(m, request_id)?
+        let mut sent = self.send_all(std::slice::from_ref(m))?;
+        sent.pop()
+            .expect("one request, one pending")
             .wait(until)
             .map(|(reply, _)| reply)
     }
 
-    /// The first half of [`request`](Self::request): register a waiter for
-    /// `request_id` and write `m`. The reply is collected from the returned
-    /// [`Pending`], so one thread can have requests out on many connections
-    /// at once and wait for all of them afterwards.
-    pub(crate) fn send(&self, m: &Message, request_id: u64) -> Result<Pending, DietError> {
-        let cv = Arc::new(Condvar::new());
+    /// The first half of [`request`](Self::request) for a batch: register a
+    /// waiter under each message's correlation id, then write every frame
+    /// with one write under the transport's write lock. The replies are
+    /// collected from the returned [`Pending`]s, in order, so one thread can
+    /// have requests out on many connections at once and wait for all of
+    /// them afterwards. A failed write fails the whole batch.
+    pub(crate) fn send_all(&self, msgs: &[Message]) -> Result<Vec<Pending>, DietError> {
+        let cvs: Vec<_> = msgs.iter().map(|_| Arc::new(Condvar::new())).collect();
         {
             let mut st = self.inner.state();
             if st.dead.is_some() {
                 return Err(DietError::Transport("mux connection closed".into()));
             }
-            let waiter = Waiter {
-                reply: None,
-                parked: false,
-                cv: cv.clone(),
-            };
-            st.waiters.insert(request_id, waiter);
-            let now = self.inner.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+            for (m, cv) in msgs.iter().zip(&cvs) {
+                let waiter = Waiter {
+                    reply: None,
+                    parked: false,
+                    cv: cv.clone(),
+                };
+                st.waiters.insert(m.request_id(), waiter);
+            }
+            let n = msgs.len() as u64;
+            let now = self.inner.inflight.fetch_add(n, Ordering::Relaxed) + n;
             self.inner.inflight_peak.fetch_max(now, Ordering::Relaxed);
         }
-        // From here on the waiter is the `Pending`'s: dropping it on the
-        // error path below deregisters it.
-        let pending = Pending {
-            mux: self.inner.clone(),
-            request_id,
-            cv,
-            sent: Instant::now(),
-        };
-        if let Err(e) = self.inner.transport.send(m) {
+        // From here on each waiter is its `Pending`'s: dropping them on the
+        // error path below deregisters them.
+        let sent = Instant::now();
+        let pending = msgs
+            .iter()
+            .zip(cvs)
+            .map(|(m, cv)| Pending {
+                mux: self.inner.clone(),
+                request_id: m.request_id(),
+                cv,
+                sent,
+            })
+            .collect();
+        if let Err(e) = self.inner.transport.send_all(msgs) {
             // A stream that fails a write is dead for every caller on it;
             // the shutdown ends a leader's read at once.
             self.inner.state().poison(e.clone());
@@ -647,9 +665,23 @@ impl Peer {
     /// wire and return without waiting. Whoever waits on the [`Pending`]
     /// passes the reply through [`busy_is_error`].
     pub(crate) fn send(&self, build: impl FnOnce(u64) -> Message) -> Result<Pending, DietError> {
+        let mut sent = self.send_all([build])?;
+        Ok(sent.pop().expect("one request, one pending"))
+    }
+
+    /// [`send`](Self::send) for a batch: each message `builds` makes
+    /// around a fresh request id, all on the wire in one write
+    /// ([`MuxConn::send_all`]).
+    pub(crate) fn send_all<B: FnOnce(u64) -> Message>(
+        &self,
+        builds: impl IntoIterator<Item = B>,
+    ) -> Result<Vec<Pending>, DietError> {
         let mux = self.mux()?;
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        mux.send(&build(request_id), request_id)
+        let msgs: Vec<Message> = builds
+            .into_iter()
+            .map(|build| build(self.next_id.fetch_add(1, Ordering::Relaxed) + 1))
+            .collect();
+        mux.send_all(&msgs)
     }
 
     /// Liveness probe on this peer's shared connection: did the server
@@ -1422,6 +1454,67 @@ mod tests {
             assert_eq!(caller.join().unwrap().unwrap(), answer(id));
         }
         assert_eq!(mux.inflight_peak(), N);
+    }
+
+    #[test]
+    fn a_batch_gets_every_reply_to_its_own_waiter_in_reverse_order() {
+        // One write carries eight requests; the server answers only once
+        // all eight are in, last first. Waiting on them in order, the first
+        // waiter reads the socket and hands every other reply to its own.
+        const N: u64 = 8;
+        let addr = serve_one(|conn| {
+            let ids: Vec<u64> = (0..N).map(|_| conn.recv().unwrap().request_id()).collect();
+            for id in ids.into_iter().rev() {
+                conn.send(&answer(id)).unwrap();
+            }
+            let _ = conn.recv();
+        });
+        let mux = MuxConn::connect(addr).unwrap();
+        let batch: Vec<Message> = (1..=N).map(dump).collect();
+        let pending = mux.send_all(&batch).unwrap();
+        let until = Instant::now() + Duration::from_secs(10);
+        for (id, p) in (1..=N).zip(pending) {
+            assert_eq!(p.wait(until).unwrap().0, answer(id));
+        }
+        assert_eq!(mux.inflight_peak(), N);
+    }
+
+    #[test]
+    fn a_failed_batch_write_fails_every_waiter_before_its_deadline() {
+        // The server takes a first batch and never answers it. Then the
+        // stream's write side is shut, so the second batch's write fails:
+        // that batch fails whole with a retryable transport error, and the
+        // first batch's waiters fail with it, long before their deadline.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let addr = serve_one(move |conn| {
+            for _ in 0..4 {
+                conn.recv().unwrap();
+            }
+            let _ = held.recv();
+        });
+        let mux = MuxConn::connect(addr).unwrap();
+        let first = mux
+            .send_all(&(1..=4).map(dump).collect::<Vec<_>>())
+            .unwrap();
+        mux.inner
+            .transport
+            .stream
+            .shutdown(std::net::Shutdown::Write)
+            .unwrap();
+        let second = mux.send_all(&(5..=8).map(dump).collect::<Vec<_>>());
+        let err = second.err().expect("a write on a shut stream fails");
+        assert!(matches!(err, DietError::Transport(_)), "{err:?}");
+        assert!(crate::client::is_retryable(&err));
+        assert!(mux.is_dead());
+        let t0 = Instant::now();
+        for p in first {
+            let r = p.wait(t0 + Duration::from_secs(30));
+            assert!(matches!(r, Err(DietError::Transport(_))), "{r:?}");
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        assert!(mux.inner.state().waiters.is_empty());
+        assert_eq!(mux.inner.inflight.load(Ordering::Relaxed), 0);
+        drop(release);
     }
 
     #[test]
